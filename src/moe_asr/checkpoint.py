@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import struct
 
 import numpy as np
@@ -63,21 +64,33 @@ def read_params(path):
         header = json.loads(raw[8 : 8 + header_len].decode("utf-8"))
     except ValueError as exc:
         raise CheckpointError(f"{path}: unreadable header: {exc}") from exc
+    if not isinstance(header, dict):
+        raise CheckpointError(f"{path}: header is not a JSON object")
     if header.get("format") != FORMAT_VERSION:
         raise CheckpointError(f"{path}: unsupported format {header.get('format')}")
+    entries = header.get("params")
+    if not isinstance(entries, list) or not isinstance(header.get("config"), dict):
+        raise CheckpointError(f"{path}: header lacks a config or a params list")
     blob = raw[8 + header_len :]
     params = {}
-    for entry in header["params"]:
-        shape = tuple(entry["shape"])
-        count = int(np.prod(shape, dtype=np.int64)) if shape else 1
-        start = entry["offset"]
-        end = start + 8 * count
+    for entry in entries:
+        try:
+            name, shape, start = entry["name"], tuple(entry["shape"]), entry["offset"]
+        except (KeyError, TypeError) as exc:
+            raise CheckpointError(f"{path}: malformed parameter entry {entry!r}") from exc
+        if not all(_is_count(v) for v in (start, *shape)):
+            raise CheckpointError(f"{path}: bad shape {shape} or offset {start} for {name}")
+        end = start + 8 * math.prod(shape)
         if end > len(blob):
-            raise CheckpointError(f"{path}: truncated data for {entry['name']}")
-        params[entry["name"]] = (
+            raise CheckpointError(f"{path}: truncated data for {name}")
+        params[name] = (
             np.frombuffer(blob[start:end], dtype="<f8").astype(np.float64).reshape(shape)
         )
-    return header["kind"], header["config"], params
+    return header.get("kind"), header["config"], params
+
+
+def _is_count(value):
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 0
 
 
 def _gather(module):

@@ -134,11 +134,7 @@ class Encoder(Module):
 
 class EmbeddingNetwork(Module):
     """Static (dense) half-depth Conformer mapping features to the shared
-    per-frame embedding e_c, with a private CTC head for its own loss.
-
-    ``embed_count`` instruments how many embedding forwards ran; routers
-    reuse one embedding per utterance, so it should match utterance count.
-    """
+    per-frame embedding e_c, with a private CTC head for its own loss."""
 
     def __init__(self, cfg):
         super().__init__()
@@ -149,10 +145,8 @@ class EmbeddingNetwork(Module):
             for _ in range(cfg.embedding_blocks)
         ]
         self.ctc_head = Linear(cfg.d_emb, cfg.ctc_classes)
-        self.embed_count = 0
 
     def embed(self, feats):
-        self.embed_count += 1
         h = self.subsample.forward(feats)
         h = T.add(h, Tensor(sinusoidal_positions(h.data.shape[0], h.data.shape[1])))
         h = self.dropout.forward(h)

@@ -230,10 +230,10 @@ class CostReport:
 
 
 def cost_report(cfg):
-    """Closed-form parameter and per-second FLOPs accounting for a config.
+    """Parameter count and closed-form per-second FLOPs for a config.
 
-    Parameters are summed from the checkpoint manifest, so the figure is
-    exactly what a saved model holds (auxiliary decoders included).
+    Parameters are counted on the uninitialized module tree, so the figure
+    is exactly what a saved model holds (auxiliary decoders included).
     """
     flops = count_flops(cfg)
     return CostReport(

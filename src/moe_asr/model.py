@@ -1,10 +1,10 @@
 """The full recognizer: encoder, optional routing machinery, CTC head,
 main decoder, and train-only auxiliary decoders.
 
-``parameter_manifest`` lists every parameter name and shape for a config
-without allocating anything, mirroring the module constructors one-for-one;
-a test pins it against actually-built models so the two cannot drift. The
-cost accountant and checkpoint tooling both rely on that manifest.
+``parameter_manifest`` and ``parameter_total`` are derived from the module
+tree itself: they build an uninitialized ``SpeechModel``, whose parameters
+allocate no storage until first touched, so even paper-scale configs cost
+almost nothing. The cost accountant relies on them.
 """
 
 from __future__ import annotations
@@ -45,108 +45,10 @@ class SpeechModel(Module):
         return T.log_softmax_last(self.ctc_head.forward(enc_final))
 
 
-def _linear(name, d_in, d_out, bias=True):
-    entries = [(f"{name}.weight", (d_in, d_out))]
-    if bias:
-        entries.append((f"{name}.bias", (d_out,)))
-    return entries
-
-
-def _layernorm(name, d):
-    return [(f"{name}.gamma", (d,)), (f"{name}.beta", (d,))]
-
-
-def _ffn(name, d, d_ff):
-    return _layernorm(f"{name}.norm", d) + _linear(f"{name}.w1", d, d_ff) + _linear(
-        f"{name}.w2", d_ff, d
-    )
-
-
-def _mha(name, d):
-    return (
-        _linear(f"{name}.wq", d, d)
-        + _linear(f"{name}.wk", d, d, bias=False)
-        + _linear(f"{name}.wv", d, d)
-        + _linear(f"{name}.wo", d, d)
-    )
-
-
-def _conv_module(name, d, kernel):
-    return (
-        _layernorm(f"{name}.norm", d)
-        + _linear(f"{name}.pw1", d, 2 * d)
-        + [(f"{name}.dw_kernel", (kernel, d)), (f"{name}.dw_bias", (d,))]
-        + _layernorm(f"{name}.norm2", d)
-        + _linear(f"{name}.pw2", d, d)
-    )
-
-
-def _conformer_block(name, d, d_ff, kernel, n_experts=0, d_emb=None):
-    entries = _ffn(f"{name}.ffn1", d, d_ff)
-    entries += _layernorm(f"{name}.attn.norm", d) + _mha(f"{name}.attn.mha", d)
-    entries += _conv_module(f"{name}.conv", d, kernel)
-    if n_experts >= 1:
-        entries += [(f"{name}.ffn2.router.weight", (d_emb + d, n_experts))]
-        for i in range(n_experts):
-            entries += _ffn(f"{name}.ffn2.experts.{i}", d, d_ff)
-    else:
-        entries += _ffn(f"{name}.ffn2.experts.0", d, d_ff)
-    return entries + _layernorm(f"{name}.norm_out", d)
-
-
-def _subsample(name, feat_dim, d):
-    return (
-        _linear(f"{name}.conv1", 3 * feat_dim, d)
-        + _linear(f"{name}.conv2", 3 * d, d)
-        + _linear(f"{name}.proj", d, d)
-    )
-
-
-def _decoder(name, vocab, d, d_ff, num_blocks):
-    entries = [(f"{name}.embed", (vocab, d))]
-    for i in range(num_blocks):
-        block = f"{name}.blocks.{i}"
-        entries += _layernorm(f"{block}.norm1", d) + _mha(f"{block}.self_attn", d)
-        entries += _layernorm(f"{block}.norm2", d) + _mha(f"{block}.cross_attn", d)
-        entries += _ffn(f"{block}.ffn", d, d_ff)
-    return entries + _layernorm(f"{name}.norm_out", d) + _linear(f"{name}.out", d, vocab)
-
-
 def parameter_manifest(cfg):
-    """(name, shape) for every parameter of SpeechModel(cfg), in tree order,
-    computed structurally so arbitrarily large configs cost nothing."""
-    entries = _subsample("encoder.subsample", cfg.feat_dim, cfg.d_att)
-    routed = set(cfg.routed_blocks())
-    for i in range(1, cfg.num_blocks + 1):
-        entries += _conformer_block(
-            f"encoder.blocks.{i - 1}",
-            cfg.d_att,
-            cfg.d_ff,
-            cfg.kernel,
-            n_experts=cfg.num_experts if i in routed else 0,
-            d_emb=cfg.d_emb,
-        )
-    if cfg.routed:
-        entries += _subsample("embedding_net.subsample", cfg.feat_dim, cfg.d_emb)
-        for i in range(cfg.embedding_blocks):
-            entries += _conformer_block(
-                f"embedding_net.blocks.{i}", cfg.d_emb, cfg.d_ff, cfg.kernel
-            )
-        entries += _linear("embedding_net.ctc_head", cfg.d_emb, cfg.ctc_classes)
-    entries += _linear("ctc_head", cfg.d_att, cfg.ctc_classes)
-    entries += _decoder("decoder", cfg.vocab_size, cfg.d_att, cfg.decoder_ff, cfg.decoder_blocks)
-    for i in range(cfg.num_levels - 1):
-        entries += _decoder(
-            f"aux_decoders.{i}", cfg.vocab_size, cfg.d_att, cfg.decoder_ff, cfg.decoder_blocks
-        )
-    return entries
+    """(name, shape) for every parameter of SpeechModel(cfg), in tree order."""
+    return [(name, p.shape) for name, p in SpeechModel(cfg).named_parameters().items()]
 
 
 def parameter_total(cfg):
-    total = 0
-    for _, shape in parameter_manifest(cfg):
-        count = 1
-        for dim in shape:
-            count *= dim
-        total += count
-    return total
+    return SpeechModel(cfg).parameter_count()

@@ -27,7 +27,11 @@ class RoutingRecord:
 
     p: object
     selected: np.ndarray
-    gates: np.ndarray
+
+    @property
+    def gates(self):
+        """Winning probability per frame, read off ``p`` at ``selected``."""
+        return self.p.data[np.arange(self.frames), self.selected]
 
     @property
     def frames(self):
@@ -52,9 +56,7 @@ class Router(Module):
         logits = T.matmul(T.concat_last([e_c, o_prev]), self.weight)
         p = T.softmax_last(logits)
         # np.argmax takes the first maximum, i.e. ties break to lowest index.
-        selected = np.argmax(p.data, axis=-1)
-        gates = p.data[np.arange(selected.shape[0]), selected].copy()
-        return RoutingRecord(p=p, selected=selected, gates=gates)
+        return RoutingRecord(p=p, selected=np.argmax(p.data, axis=-1))
 
 
 class RoutedFFN(Module):
@@ -69,7 +71,6 @@ class RoutedFFN(Module):
         super().__init__()
         self.router = Router(d_emb, d, n_experts) if routed else None
         self.experts = [FeedForward(d, d_ff, dropout) for _ in range(n_experts if routed else 1)]
-        self.last_record = None
 
     def forward(self, x, e_c=None, frozen_selected=None):
         """Returns (output, RoutingRecord or None).
@@ -79,18 +80,12 @@ class RoutedFFN(Module):
         discrete decision fixed while probabilities stay differentiable.
         """
         if self.router is None:
-            self.last_record = None
             return self.experts[0].forward(x), None
         if e_c is None:
             raise ValueError("routed layer requires the shared embedding e_c")
         record = self.router.route(e_c, x)
         if frozen_selected is not None:
-            selected = np.asarray(frozen_selected, dtype=np.int64)
-            record = RoutingRecord(
-                p=record.p,
-                selected=selected,
-                gates=record.p.data[np.arange(selected.shape[0]), selected].copy(),
-            )
+            record.selected = np.asarray(frozen_selected, dtype=np.int64)
         frames = record.frames
         pieces = []
         for expert_idx in np.unique(record.selected):
@@ -101,7 +96,6 @@ class RoutedFFN(Module):
         for piece in pieces[1:]:
             y = T.add(y, piece)
         gates = T.reshape(T.gather_last(record.p, record.selected), (frames, 1))
-        self.last_record = record
         return T.mul(y, gates), record
 
 

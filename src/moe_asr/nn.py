@@ -36,13 +36,33 @@ def ones_init():
 
 
 class Parameter(Tensor):
-    """A trainable tensor carrying its own initialization distribution."""
+    """A trainable tensor carrying its own initialization distribution.
 
-    __slots__ = ("init_fn",)
+    ``data`` and ``grad`` are allocated as zeros on first access, so a module
+    tree built only to read its names and shapes (``parameter_manifest``)
+    costs no memory however many parameters it declares.
+    """
+
+    __slots__ = ("init_fn", "_shape")
 
     def __init__(self, shape, init_fn):
-        super().__init__(np.zeros(shape), requires_grad=True)
+        self.requires_grad = True
+        self._parents = ()
+        self._backward = None
+        self._shape = tuple(shape)
         self.init_fn = init_fn
+
+    def __getattr__(self, name):
+        # Reached only while the ``data`` or ``grad`` slot is still empty.
+        if name not in ("data", "grad"):
+            raise AttributeError(name)
+        value = np.zeros(self._shape)
+        setattr(self, name, value)
+        return value
+
+    @property
+    def shape(self):
+        return self._shape
 
 
 def _name_stream(seed, name, lane):
@@ -110,7 +130,7 @@ class Module:
             param.zero_grad()
 
     def parameter_count(self):
-        return sum(p.size for p in self.named_parameters().values())
+        return sum(math.prod(p.shape) for p in self.named_parameters().values())
 
 
 class Linear(Module):
@@ -120,7 +140,8 @@ class Linear(Module):
         self.bias = Parameter((d_out,), uniform_init(d_in)) if bias else None
 
     def forward(self, x):
-        return T.pointwise_conv1d(x, self.weight, self.bias)
+        y = T.matmul(x, self.weight)
+        return T.add(y, self.bias) if self.bias is not None else y
 
 
 class LayerNorm(Module):
@@ -172,11 +193,7 @@ class FeedForward(Module):
 
 
 class MultiHeadAttention(Module):
-    """Scaled dot-product attention over H heads; [T x d] in, [T x d] out.
-
-    ``last_attn`` keeps the most recent per-head attention matrices (plain
-    arrays, outside the graph) for inspection.
-    """
+    """Scaled dot-product attention over H heads; [T x d] in, [T x d] out."""
 
     def __init__(self, d, heads):
         super().__init__()
@@ -190,14 +207,13 @@ class MultiHeadAttention(Module):
         self.wk = Linear(d, d, bias=False)
         self.wv = Linear(d, d)
         self.wo = Linear(d, d)
-        self.last_attn = None
 
     def forward(self, query, memory, mask=None):
         q = self.wq.forward(query)
         k = self.wk.forward(memory)
         v = self.wv.forward(memory)
         scale = 1.0 / math.sqrt(self.d_head)
-        outputs, attns = [], []
+        outputs = []
         for h in range(self.heads):
             lo, hi = h * self.d_head, (h + 1) * self.d_head
             qh = T.narrow_last(q, lo, hi)
@@ -206,10 +222,7 @@ class MultiHeadAttention(Module):
             scores = T.scale(T.matmul(qh, T.transpose(kh)), scale)
             if mask is not None:
                 scores = T.mask_fill(scores, mask, -1e30)
-            attn = T.softmax_last(scores)
-            attns.append(attn.data)
-            outputs.append(T.matmul(attn, vh))
-        self.last_attn = attns
+            outputs.append(T.matmul(T.softmax_last(scores), vh))
         return self.wo.forward(T.concat_last(outputs))
 
 

@@ -15,10 +15,8 @@ import numpy as np
 __all__ = [
     "Tensor",
     "ShapeMismatch",
-    "NonFiniteError",
     "NondeterministicFunction",
     "no_grad",
-    "set_debug_checks",
     "matmul",
     "add",
     "mul",
@@ -35,7 +33,6 @@ __all__ = [
     "swish",
     "glu",
     "depthwise_conv1d",
-    "pointwise_conv1d",
     "unfold_time",
     "embedding_lookup",
     "gather_last",
@@ -51,14 +48,6 @@ __all__ = [
 ]
 
 _state = threading.local()
-
-# Debug-mode finiteness checking for op inputs (off by default).
-_DEBUG_CHECKS = False
-
-
-def set_debug_checks(enabled):
-    global _DEBUG_CHECKS
-    _DEBUG_CHECKS = bool(enabled)
 
 
 def _grad_enabled():
@@ -88,10 +77,6 @@ class ShapeMismatch(ValueError):
         super().__init__(f"{op}: incompatible shapes {joined}")
 
 
-class NonFiniteError(FloatingPointError):
-    """Raised in debug mode when an op receives a NaN or infinite input."""
-
-
 class NondeterministicFunction(RuntimeError):
     """Raised when finite_diff_check sees two evaluations disagree."""
 
@@ -111,7 +96,8 @@ class Tensor:
     def __init__(self, data, requires_grad=False):
         self.data = np.asarray(data, dtype=np.float64)
         self.requires_grad = bool(requires_grad)
-        self.grad = np.zeros_like(self.data) if self.requires_grad else None
+        # np.zeros takes fresh zero pages as they are; zeros_like writes them.
+        self.grad = np.zeros(self.data.shape) if self.requires_grad else None
         self._parents = ()
         self._backward = None
 
@@ -212,10 +198,6 @@ def _as_tensor(x):
 
 
 def _node(data, parents, backward, op):
-    if _DEBUG_CHECKS:
-        for p in parents:
-            if not np.all(np.isfinite(p.data)):
-                raise NonFiniteError(f"{op}: non-finite input")
     if _grad_enabled() and any(p.requires_grad for p in parents):
         out = Tensor(data, requires_grad=True)
         out._parents = tuple(parents)
@@ -464,12 +446,6 @@ def depthwise_conv1d(x, kernel):
         return (gx, gk)
 
     return _node(out, (x, kernel), bwd, "depthwise-conv1d")
-
-
-def pointwise_conv1d(x, w, b=None):
-    """1x1 convolution over channels, i.e. a per-frame linear map."""
-    y = matmul(x, w)
-    return add(y, b) if b is not None else y
 
 
 def unfold_time(x, kernel, stride):

@@ -88,11 +88,21 @@ class TestConformerBlock:
         y, _ = blk.forward(x)
         np.testing.assert_allclose(y.data, expected.data, rtol=0, atol=0)
 
-    def test_attention_rows_are_convex(self):
+    def test_attention_rows_are_convex(self, monkeypatch):
         blk = self._block(seed=6)
         x = Tensor(np.random.default_rng(35).normal(size=(9, 8)))
+        attns = []
+        softmax = T.softmax_last
+
+        def capture(scores):
+            out = softmax(scores)
+            attns.append(out.data)
+            return out
+
+        monkeypatch.setattr(T, "softmax_last", capture)
         blk.forward(x)
-        for attn in blk.attn.mha.last_attn:
+        assert len(attns) == blk.attn.mha.heads
+        for attn in attns:
             assert np.all(attn >= 0)
             np.testing.assert_allclose(attn.sum(axis=-1), np.ones(9), atol=1e-12)
 
@@ -160,16 +170,25 @@ class TestEncoder:
 
 
 class TestEmbeddingNetwork:
-    def test_embed_shape_and_count(self):
+    def test_embed_shape_and_count(self, monkeypatch):
+        """One embed call is one embedding forward: the subsampler runs once."""
         cfg = ModelConfig(
             vocab_size=5, feat_dim=6, d_att=8, d_ff=16, heads=2, kernel=3, num_blocks=6
         )
         emb = EmbeddingNetwork(cfg).initialize(0)
         emb.eval()
+        calls = []
+        subsample = Subsample.forward
+
+        def counted(module, feats):
+            calls.append(module)
+            return subsample(module, feats)
+
+        monkeypatch.setattr(Subsample, "forward", counted)
         x = Tensor(np.random.default_rng(41).normal(size=(20, 6)))
         e = emb.embed(x)
         assert e.data.shape == (subsampled_length(20), cfg.d_emb)
-        assert emb.embed_count == 1
+        assert calls == [emb.subsample]
         lp = emb.ctc_log_probs(e)
         assert lp.data.shape == (subsampled_length(20), cfg.ctc_classes)
         np.testing.assert_allclose(

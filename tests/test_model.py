@@ -1,12 +1,20 @@
-"""Model assembly, the structural parameter manifest, and checkpoints."""
+"""Model assembly, the derived parameter manifest, and checkpoints."""
 
 import dataclasses
+import json
+import os
+import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import moe_asr
 from moe_asr import tensor as T
 from moe_asr.checkpoint import (
+    MAGIC,
     CheckpointError,
     load_embedding,
     load_model,
@@ -17,6 +25,7 @@ from moe_asr.checkpoint import (
     strip_auxiliary,
 )
 from moe_asr.config import ModelConfig
+from moe_asr.encoder import EmbeddingNetwork
 from moe_asr.model import SpeechModel, parameter_manifest, parameter_total
 
 CONFIG_GRID = [
@@ -45,7 +54,7 @@ def desk_cfg(**overrides):
 class TestParameterManifest:
     @pytest.mark.parametrize("spec_kwargs", CONFIG_GRID)
     def test_manifest_matches_built_model(self, spec_kwargs):
-        """The structural listing reproduces real names, shapes, and order."""
+        """The derived listing reproduces allocated names, shapes, and order."""
         cfg = ModelConfig(**spec_kwargs)
         model = SpeechModel(cfg)
         built = [(name, p.data.shape) for name, p in model.named_parameters().items()]
@@ -57,9 +66,30 @@ class TestParameterManifest:
         assert parameter_total(cfg) == SpeechModel(cfg).parameter_count()
 
     def test_manifest_costs_nothing_at_production_scale(self):
-        """Counting a ~500M-parameter shape must not allocate it."""
-        total = parameter_total(ModelConfig.paper_scale(num_experts=16))
-        assert total > 4e8
+        """Listing a 1.4B-parameter shape must not touch its 11 GB of float64
+        storage: peak RSS of a fresh process grows by well under 256 MB.
+        A 1 GB address-space cap makes eager allocation fail fast instead of
+        exhausting the machine."""
+        script = (
+            "import math, resource\n"
+            "from moe_asr.config import ModelConfig\n"
+            "from moe_asr.model import parameter_manifest\n"
+            "vm = int(open('/proc/self/statm').read().split()[0]) * resource.getpagesize()\n"
+            "hard = resource.getrlimit(resource.RLIMIT_AS)[1]\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (vm + 2**30, hard))\n"
+            "before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+            "manifest = parameter_manifest(ModelConfig.paper_scale(64, num_levels=3))\n"
+            "after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+            "print(sum(math.prod(shape) for _, shape in manifest), after - before)\n"
+        )
+        src = str(Path(moe_asr.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
+        )
+        total, grown_kb = map(int, proc.stdout.split())
+        assert total > 1e9
+        assert grown_kb < 256 * 1024, f"peak RSS grew by {grown_kb // 1024} MB"
 
     def test_expert_increment_is_constant(self):
         """Each added expert adds one FFN plus one router column per routed
@@ -85,11 +115,19 @@ class TestSpeechModel:
     def test_dense_model_has_no_embedding_network(self):
         assert SpeechModel(desk_cfg()).embedding_net is None
 
-    def test_encode_embeds_once_per_utterance(self):
+    def test_encode_embeds_once_per_utterance(self, monkeypatch):
         model = SpeechModel(desk_cfg(num_experts=2)).initialize(0).eval()
+        calls = []
+        embed = EmbeddingNetwork.embed
+
+        def counted(net, feats):
+            calls.append(net)
+            return embed(net, feats)
+
+        monkeypatch.setattr(EmbeddingNetwork, "embed", counted)
         feats = T.Tensor(np.random.default_rng(0).normal(size=(20, 8)))
         out, e_c = model.encode(feats)
-        assert model.embedding_net.embed_count == 1
+        assert calls == [model.embedding_net]
         assert e_c is not None
         assert len(out.records) == len(model.cfg.routed_blocks())
 
@@ -147,6 +185,21 @@ class TestCheckpointRoundTrip:
         raw = path.read_bytes()
         path.write_bytes(raw[: len(raw) - 16])
         with pytest.raises(CheckpointError, match="truncated"):
+            read_params(path)
+
+    @pytest.mark.parametrize("header", [
+        {"format": 1, "kind": "model", "config": {}},
+        [1, 2],
+        {"format": 1, "kind": "model", "config": {},
+         "params": [{"name": "w", "shape": [2], "offset": -8}]},
+        {"format": 1, "kind": "model", "config": {},
+         "params": [{"name": "w", "shape": [-1], "offset": 0}]},
+    ], ids=["no-params", "list", "negative-offset", "negative-dim"])
+    def test_malformed_header_rejected(self, tmp_path, header):
+        raw = json.dumps(header).encode("utf-8")
+        path = tmp_path / "bad.ckpt"
+        path.write_bytes(MAGIC + struct.pack("<I", len(raw)) + raw + b"\x00" * 16)
+        with pytest.raises(CheckpointError):
             read_params(path)
 
     def test_kind_mismatch_rejected(self, tmp_path):
