@@ -191,7 +191,7 @@ def cmd_score(args):
     manifest = _Manifest(out, "score", {"hyps": str(args.hyps), "split": args.split}, None)
     references = {h.utt_id: h.tokens for h in
                   load_manifest(Path(args.data) / f"{args.split}.jsonl")}
-    triples = []
+    triples, scored = [], set()
     with open(args.hyps, "r", encoding="utf-8") as fh:
         for line in fh:
             obj = json.loads(line)
@@ -199,6 +199,9 @@ def cmd_score(args):
                 raise ValueError(
                     f"{obj['utt_id']} not present in the {args.split} manifest"
                 )
+            if obj["utt_id"] in scored:
+                raise ValueError(f"{obj['utt_id']} appears more than once in {args.hyps}")
+            scored.add(obj["utt_id"])
             triples.append((obj["utt_id"], references[obj["utt_id"]], obj["tokens"]))
     corpus_cer, results = score_corpus(triples)
     _write_json(out / "report.json", {

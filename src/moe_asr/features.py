@@ -79,7 +79,7 @@ class UtteranceHandle:
 
 def load_manifest(path):
     """Parse a JSON-lines manifest into lazy utterance handles, in file order."""
-    handles = []
+    handles, first_line = [], {}
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
@@ -100,12 +100,16 @@ def load_manifest(path):
                 raise ManifestError(
                     f"{path}:{lineno}: tokens must be non-negative integers"
                 )
+            utt_id = str(obj["utt_id"])
+            if first_line.setdefault(utt_id, lineno) != lineno:
+                first = first_line[utt_id]
+                raise ManifestError(f"{path}:{lineno}: utt_id {utt_id!r} repeats line {first}")
             # Relative paths are resolved against the manifest's directory so
             # a corpus can be moved or regenerated elsewhere byte-identically.
             feats_path = Path(str(obj["feats_path"]))
             if not feats_path.is_absolute():
                 feats_path = Path(path).parent / feats_path
-            handles.append(UtteranceHandle(str(obj["utt_id"]), str(feats_path), tokens))
+            handles.append(UtteranceHandle(utt_id, str(feats_path), tokens))
     return handles
 
 
@@ -124,10 +128,12 @@ def write_feats(path, feats):
 def read_feats(path):
     """Read the binary feature format back as float64."""
     with open(path, "rb") as fh:
-        magic = fh.read(4)
-        if magic != FEATS_MAGIC:
-            raise ValueError(f"{path}: bad magic {magic!r}, expected {FEATS_MAGIC!r}")
-        T, D = struct.unpack("<II", fh.read(8))
+        head = fh.read(12)
+        if head[:4] != FEATS_MAGIC:
+            raise ValueError(f"{path}: bad magic {head[:4]!r}, expected {FEATS_MAGIC!r}")
+        if len(head) != 12:
+            raise ValueError(f"{path}: truncated header ({len(head)} bytes)")
+        T, D = struct.unpack("<4xII", head)
         payload = fh.read(4 * T * D)
         if len(payload) != 4 * T * D:
             raise ValueError(f"{path}: truncated payload ({len(payload)} bytes)")

@@ -87,14 +87,10 @@ class RoutedFFN(Module):
         if frozen_selected is not None:
             record.selected = np.asarray(frozen_selected, dtype=np.int64)
         frames = record.frames
-        pieces = []
-        for expert_idx in np.unique(record.selected):
-            rows = np.nonzero(record.selected == expert_idx)[0]
-            out_rows = self.experts[int(expert_idx)].forward(T.embedding_lookup(x, rows))
-            pieces.append(T.scatter_rows(out_rows, rows, frames))
-        y = pieces[0]
-        for piece in pieces[1:]:
-            y = T.add(y, piece)
+        used = np.unique(record.selected)
+        rows = [np.nonzero(record.selected == e)[0] for e in used]
+        outs = [self.experts[e].forward(T.embedding_lookup(x, r)) for e, r in zip(used, rows)]
+        y = T.scatter_rows(T.concat_rows(outs), np.concatenate(rows), frames)
         gates = T.reshape(T.gather_last(record.p, record.selected), (frames, 1))
         return T.mul(y, gates), record
 

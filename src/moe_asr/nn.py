@@ -193,14 +193,14 @@ class FeedForward(Module):
 
 
 class MultiHeadAttention(Module):
-    """Scaled dot-product attention over H heads; [T x d] in, [T x d] out."""
+    """Scaled dot-product attention over H heads; [T x d] in, [T x d] out.
+    The projections feed one ``T.attention`` node for all heads."""
 
     def __init__(self, d, heads):
         super().__init__()
         if d % heads != 0:
             raise ValueError(f"model width {d} not divisible by {heads} heads")
         self.heads = heads
-        self.d_head = d // heads
         self.wq = Linear(d, d)
         # No key bias: scores shift uniformly across keys and softmax ignores
         # the shift, so a key bias would be permanently gradient-dead.
@@ -212,18 +212,7 @@ class MultiHeadAttention(Module):
         q = self.wq.forward(query)
         k = self.wk.forward(memory)
         v = self.wv.forward(memory)
-        scale = 1.0 / math.sqrt(self.d_head)
-        outputs = []
-        for h in range(self.heads):
-            lo, hi = h * self.d_head, (h + 1) * self.d_head
-            qh = T.narrow_last(q, lo, hi)
-            kh = T.narrow_last(k, lo, hi)
-            vh = T.narrow_last(v, lo, hi)
-            scores = T.scale(T.matmul(qh, T.transpose(kh)), scale)
-            if mask is not None:
-                scores = T.mask_fill(scores, mask, -1e30)
-            outputs.append(T.matmul(T.softmax_last(scores), vh))
-        return self.wo.forward(T.concat_last(outputs))
+        return self.wo.forward(T.attention(q, k, v, self.heads, mask))
 
 
 def causal_mask(n):

@@ -2,8 +2,10 @@
 
 Everything the models need is built from the primitives here: row-major
 contiguous numpy storage, a recorded computation graph, and a topological
-backward pass. 64-bit floats throughout so gradient checks and DP oracles
-are limited by algorithmic correctness, not precision.
+backward pass. ``attention`` is one node for all heads, batched [H, T, d_head]
+products with their own backward; ``matmul`` stays 2-D.
+64-bit floats throughout so gradient checks and DP oracles are limited by
+algorithmic correctness, not precision.
 """
 
 from __future__ import annotations
@@ -21,12 +23,12 @@ __all__ = [
     "add",
     "mul",
     "scale",
-    "transpose",
     "reshape",
     "concat_last",
     "concat_rows",
     "narrow_last",
     "softmax_last",
+    "attention",
     "log_softmax_last",
     "layernorm",
     "sigmoid",
@@ -38,12 +40,9 @@ __all__ = [
     "gather_last",
     "scatter_rows",
     "dropout",
-    "log",
-    "exp",
     "power",
     "reduce_sum",
     "reduce_mean",
-    "mask_fill",
     "finite_diff_check",
 ]
 
@@ -105,49 +104,12 @@ class Tensor:
     def shape(self):
         return self.data.shape
 
-    @property
-    def ndim(self):
-        return self.data.ndim
-
-    @property
-    def size(self):
-        return self.data.size
-
-    def item(self):
-        return float(self.data)
-
     def zero_grad(self):
         if self.grad is not None:
             self.grad[...] = 0.0
 
-    def detach(self):
-        return Tensor(self.data)
-
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
-
-    # Scalar-arithmetic conveniences used when assembling losses.
-    def __add__(self, other):
-        return add(self, other)
-
-    def __radd__(self, other):
-        if other == 0:
-            return self
-        return add(self, other)
-
-    def __mul__(self, other):
-        if isinstance(other, Tensor):
-            return mul(self, other)
-        return scale(self, other)
-
-    def __rmul__(self, other):
-        return scale(self, other)
-
-    def __sub__(self, other):
-        return add(self, scale(other, -1.0) if isinstance(other, Tensor) else -other)
-
-    def __neg__(self):
-        return scale(self, -1.0)
 
     def backward(self):
         """Accumulate d(self)/d(leaf) into every reachable requires_grad node."""
@@ -275,14 +237,6 @@ def scale(a, c):
     return _node(a.data * c, (a,), lambda g: (g * c,), "scale")
 
 
-def transpose(a):
-    a = _as_tensor(a)
-    if a.data.ndim != 2:
-        raise ShapeMismatch("transpose", a.data.shape)
-    out = np.ascontiguousarray(a.data.T)
-    return _node(out, (a,), lambda g: (g.T,), "transpose")
-
-
 def reshape(a, shape):
     a = _as_tensor(a)
     out = a.data.reshape(shape).copy()
@@ -357,6 +311,50 @@ def softmax_last(a):
         return (p * (g - dot),)
 
     return _node(p, (a,), bwd, "softmax-last-dim")
+
+
+def attention(q, k, v, heads, mask=None):
+    """Scaled dot-product attention of q [Tq, d] over k [Tk, d] and v [Tk, dv],
+    all heads in one node; head h owns the h-th of `heads` equal column blocks.
+
+    `mask` [Tq, Tk] is true where a query may not look. Those weights, and
+    their gradients, are exactly zero while each row keeps one visible key.
+    """
+    q, k, v = _as_tensor(q), _as_tensor(k), _as_tensor(v)
+    shapes = [t.data.shape for t in (q, k, v)] + ([] if mask is None else [np.shape(mask)])
+    if any(t.data.ndim != 2 for t in (q, k, v)):
+        raise ShapeMismatch("attention", *shapes)
+    (tq, d), (tk, dv) = q.data.shape, v.data.shape
+    if shapes[1] != (tk, d) or d % heads or dv % heads or shapes[3:] not in ([], [(tq, tk)]):
+        raise ShapeMismatch("attention", *shapes)
+    c = 1.0 / np.sqrt(d // heads)
+    qh = q.data.reshape(tq, heads, -1).transpose(1, 0, 2)
+    vh = v.data.reshape(tk, heads, -1).transpose(1, 0, 2)
+    # Keys as contiguous [H, d_head, Tk]: the BLAS layout of a per-head
+    # q @ k.T, so values and gradients match that form bit for bit.
+    kt = np.ascontiguousarray(k.data.reshape(tk, heads, -1).transpose(1, 2, 0))
+    # Softmax in place on the score buffer; fresh arrays cost as much as the products.
+    p = qh @ kt
+    p *= c
+    if mask is not None:
+        np.copyto(p, -1e30, where=np.asarray(mask, dtype=bool))
+    p -= p.max(axis=-1, keepdims=True)
+    np.exp(p, out=p)
+    p /= p.sum(axis=-1, keepdims=True)
+    out = (p @ vh).transpose(1, 0, 2).reshape(tq, dv)
+
+    def bwd(g):
+        gh = g.reshape(tq, heads, -1).transpose(1, 0, 2)
+        gp = gh @ vh.transpose(0, 2, 1)
+        gs = p * (gp - (gp * p).sum(axis=-1, keepdims=True))
+        gs *= c
+        return (
+            (gs @ kt.transpose(0, 2, 1)).transpose(1, 0, 2).reshape(tq, d),
+            (gs.transpose(0, 2, 1) @ qh).transpose(1, 0, 2).reshape(tk, d),
+            (p.transpose(0, 2, 1) @ gh).transpose(1, 0, 2).reshape(tk, dv),
+        )
+
+    return _node(out, (q, k, v), bwd, "attention")
 
 
 def log_softmax_last(a):
@@ -538,18 +536,6 @@ def dropout(a, p, rng, training):
     return _node(a.data * mask, (a,), lambda g: (g * mask,), "dropout")
 
 
-def log(a):
-    a = _as_tensor(a)
-    out = np.log(a.data)
-    return _node(out, (a,), lambda g: (g / a.data,), "log")
-
-
-def exp(a):
-    a = _as_tensor(a)
-    out = np.exp(a.data)
-    return _node(out, (a,), lambda g: (g * out,), "exp")
-
-
 def power(a, p):
     a = _as_tensor(a)
     p = float(p)
@@ -574,16 +560,6 @@ def reduce_mean(a, axis=None, keepdims=False):
     a = _as_tensor(a)
     count = a.data.size if axis is None else a.data.shape[axis]
     return scale(reduce_sum(a, axis=axis, keepdims=keepdims), 1.0 / count)
-
-
-def mask_fill(a, mask, value):
-    """Replace entries where `mask` is true by `value`; no gradient flows there."""
-    a = _as_tensor(a)
-    mask = np.asarray(mask, dtype=bool)
-    if mask.shape != a.data.shape:
-        raise ShapeMismatch("mask-fill", a.data.shape, mask.shape)
-    out = np.where(mask, float(value), a.data)
-    return _node(out, (a,), lambda g: (np.where(mask, 0.0, g),), "mask-fill")
 
 
 def finite_diff_check(f, params, eps=1e-5, max_coords_per_param=None, rng=None):

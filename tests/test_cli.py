@@ -179,6 +179,16 @@ class TestFailureModes:
         assert err.startswith("error:")
         assert len(err.splitlines()) == 1
 
+    def test_score_rejects_repeated_hyps_id(self, tmp_path, capsys):
+        data = prepare(tmp_path, num=10)
+        (ref,) = [json.loads(l) for l in (data / "dev.jsonl").read_text().splitlines()]
+        hyps = tmp_path / "hyps.jsonl"
+        line = json.dumps({"utt_id": ref["utt_id"], "tokens": ref["tokens"]}) + "\n"
+        hyps.write_text(line * 2)
+        assert main(["score", "--data", str(data), "--hyps", str(hyps),
+                     "--out", str(tmp_path / "sc"), "--split", "dev"]) == 1
+        assert "more than once" in capsys.readouterr().err
+
     def test_missing_subcommand_rejected(self):
         with pytest.raises(SystemExit) as excinfo:
             main([])

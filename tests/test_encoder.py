@@ -91,16 +91,20 @@ class TestConformerBlock:
     def test_attention_rows_are_convex(self, monkeypatch):
         blk = self._block(seed=6)
         x = Tensor(np.random.default_rng(35).normal(size=(9, 8)))
-        attns = []
-        softmax = T.softmax_last
+        calls = []
+        attention = T.attention
 
-        def capture(scores):
-            out = softmax(scores)
-            attns.append(out.data)
-            return out
+        def capture(q, k, v, heads, mask=None):
+            calls.append((q.data, k.data, heads, mask))
+            return attention(q, k, v, heads, mask)
 
-        monkeypatch.setattr(T, "softmax_last", capture)
+        monkeypatch.setattr(T, "attention", capture)
         blk.forward(x)
+        ((q, k, heads, mask),) = calls
+        assert heads == blk.attn.mha.heads
+        # Replayed with per-head identity values, each head's context is its map.
+        maps = attention(q, k, np.tile(np.eye(9), heads), heads, mask).data
+        attns = np.split(maps, heads, axis=1)
         assert len(attns) == blk.attn.mha.heads
         for attn in attns:
             assert np.all(attn >= 0)

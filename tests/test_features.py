@@ -42,6 +42,17 @@ class TestManifest:
         with pytest.raises(F.ManifestError, match=":1:"):
             F.load_manifest(path)
 
+    def test_repeated_utt_id_names_both_lines(self, tmp_path):
+        path = tmp_path / "m.jsonl"
+        rows = [
+            {"utt_id": "a", "feats_path": "a.fb", "tokens": [1]},
+            {"utt_id": "b", "feats_path": "b.fb", "tokens": [2]},
+            {"utt_id": "a", "feats_path": "c.fb", "tokens": [3]},
+        ]
+        _write_manifest(path, rows)
+        with pytest.raises(F.ManifestError, match=r":3: utt_id 'a' repeats line 1"):
+            F.load_manifest(path)
+
     def test_missing_feature_file_names_utt(self, tmp_path):
         path = tmp_path / "m.jsonl"
         _write_manifest(
@@ -77,10 +88,11 @@ class TestFeatureBinary:
         with pytest.raises(ValueError, match="magic"):
             F.read_feats(path)
 
-    def test_truncated_rejected(self, tmp_path):
+    @pytest.mark.parametrize("keep", [-8, 4, 10], ids=["payload", "no-header", "mid-header"])
+    def test_truncated_rejected(self, tmp_path, keep):
         path = tmp_path / "x.fb"
         F.write_feats(path, np.zeros((4, 4)))
-        path.write_bytes(path.read_bytes()[:-8])
+        path.write_bytes(path.read_bytes()[:keep])
         with pytest.raises(ValueError, match="truncated"):
             F.read_feats(path)
 
