@@ -203,17 +203,22 @@ def cmd_score(args):
                 raise ValueError(f"{obj['utt_id']} appears more than once in {args.hyps}")
             scored.add(obj["utt_id"])
             triples.append((obj["utt_id"], references[obj["utt_id"]], obj["tokens"]))
+    # an utterance the hyps file leaves out counts as decoded to nothing
+    missing = sorted(set(references) - scored)
+    triples += [(utt_id, references[utt_id], []) for utt_id in missing]
     corpus_cer, results = score_corpus(triples)
     _write_json(out / "report.json", {
         "corpus_cer": corpus_cer,
+        "missing": missing,
         "utterances": [
             {"utt_id": r.utt_id, "reference": r.reference, "hypothesis": r.hypothesis,
              "distance": r.distance, "ref_len": r.ref_len, "cer": r.cer}
             for r in results
         ],
     })
-    manifest.finish(report="report.json", scored=len(results))
-    print(f"corpus CER {corpus_cer:.4f} over {len(results)} utterances")
+    manifest.finish(report="report.json", scored=len(results), missing=len(missing))
+    print(f"corpus CER {corpus_cer:.4f} over {len(results)} utterances"
+          f" ({len(missing)} missing from the hyps file, scored as empty)")
     return 0
 
 

@@ -4,12 +4,15 @@ decoding, and prefix beam search for N-best hypotheses.
 Conventions: posterior matrices are [T x (V+1)] log-probabilities with
 column 0 the blank; the public API speaks data-token ids (0..V-1) and the
 +1 class shift stays inside this module. All dynamic programming runs in
-log space with -inf as the additive identity.
+log space with -inf as the additive identity. The loss works on numpy rows;
+the prefix beam search works on Python floats with a scalar log-add, since
+its masses are merged one pair at a time.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -30,6 +33,20 @@ def _lse(values):
     if m == NEG_INF:
         return NEG_INF
     return m + np.log(np.sum(np.exp(values - m)))
+
+
+def _logadd(a, b):
+    """log(exp(a) + exp(b)) on Python floats; exact when either is -inf.
+
+    The arithmetic of `_lse` on a pair: the larger term is factored out.
+    """
+    if a == NEG_INF:
+        return b
+    if b == NEG_INF:
+        return a
+    if a < b:
+        a, b = b, a
+    return a + math.log(1.0 + math.exp(b - a))
 
 
 def min_frames(tokens):
@@ -187,47 +204,44 @@ def prefix_beam_search(log_probs, beam, nbest):
     """CTC prefix search keeping (blank-ending, nonblank-ending) log masses
     per prefix; returns the top `nbest` distinct prefixes by total mass.
 
+    The grid is converted to Python floats once and every mass is merged
+    with the scalar `_logadd`, so no numpy call runs per prefix or class.
+    Each surviving prefix carries its total, computed once per frame: it
+    ranks the beam and seeds the prefix's extensions in the next frame.
     Ties in total mass break lexicographically on the token sequence so
     results are reproducible.
     """
     if not beam >= nbest >= 1:
         raise ValueError(f"need beam >= nbest >= 1, got beam={beam}, nbest={nbest}")
     lp = log_probs.data if isinstance(log_probs, Tensor) else np.asarray(log_probs)
-    t_frames, classes = lp.shape
 
-    def total(pair):
-        return _lse(np.array(pair))
+    def absorb(prefix, slot, p):
+        masses = nxt.get(prefix)
+        if masses is None:
+            masses = nxt[prefix] = [NEG_INF, NEG_INF]
+        masses[slot] = _logadd(masses[slot], p)
 
-    beams = {(): (0.0, NEG_INF)}
-    for t in range(t_frames):
-        frame = lp[t]
+    # entries are (-total, prefix, p_b, p_nb), so sorting them ranks by mass
+    beams = [(-0.0, (), 0.0, NEG_INF)]
+    for frame in lp.tolist():
         nxt = {}
-
-        def absorb(prefix, p_b, p_nb):
-            old_b, old_nb = nxt.get(prefix, (NEG_INF, NEG_INF))
-            nxt[prefix] = (
-                old_b if p_b == NEG_INF else _lse(np.array([old_b, p_b])),
-                old_nb if p_nb == NEG_INF else _lse(np.array([old_nb, p_nb])),
-            )
-
-        for prefix, (p_b, p_nb) in beams.items():
-            p_total = total((p_b, p_nb))
-            absorb(prefix, frame[0] + p_total, NEG_INF)
-            for c in range(1, classes):
+        for neg_total, prefix, p_b, p_nb in beams:
+            p_total = -neg_total
+            absorb(prefix, 0, frame[0] + p_total)
+            last = prefix[-1] if prefix else 0
+            for c in range(1, len(frame)):
                 p = frame[c]
-                if prefix and prefix[-1] == c:
+                if c == last:
                     # same class again: without a blank it extends the last
                     # emission; after a blank it starts a new token
-                    absorb(prefix, NEG_INF, p + p_nb)
-                    absorb(prefix + (c,), NEG_INF, p + p_b)
+                    absorb(prefix, 1, p + p_nb)
+                    absorb(prefix + (c,), 1, p + p_b)
                 else:
-                    absorb(prefix + (c,), NEG_INF, p + p_total)
+                    absorb(prefix + (c,), 1, p + p_total)
+        beams = sorted((-_logadd(b, nb), prefix, b, nb) for prefix, (b, nb) in nxt.items())
+        del beams[beam:]
 
-        ranked = sorted(nxt.items(), key=lambda kv: (-total(kv[1]), kv[0]))
-        beams = dict(ranked[:beam])
-
-    final = sorted(beams.items(), key=lambda kv: (-total(kv[1]), kv[0]))
     return [
-        Hypothesis(tokens=[c - 1 for c in prefix], ctc_score=float(total(pair)))
-        for prefix, pair in final[:nbest]
+        Hypothesis(tokens=[c - 1 for c in prefix], ctc_score=-neg_total)
+        for neg_total, prefix, _, _ in beams[:nbest]
     ]

@@ -10,6 +10,7 @@ pipeline runs with no external data.
 from __future__ import annotations
 
 import json
+import os
 import struct
 import zlib
 from dataclasses import dataclass
@@ -134,10 +135,12 @@ def read_feats(path):
         if len(head) != 12:
             raise ValueError(f"{path}: truncated header ({len(head)} bytes)")
         T, D = struct.unpack("<4xII", head)
-        payload = fh.read(4 * T * D)
-        if len(payload) != 4 * T * D:
-            raise ValueError(f"{path}: truncated payload ({len(payload)} bytes)")
-        return np.frombuffer(payload, dtype="<f4").astype(np.float64).reshape(T, D)
+        # The header is checked against the file size before anything is
+        # read, so a corrupt T or D cannot ask for a giant buffer.
+        need, have = 4 * T * D, os.fstat(fh.fileno()).st_size - len(head)
+        if need > have:
+            raise ValueError(f"{path}: truncated payload ({have} of {need} bytes)")
+        return np.frombuffer(fh.read(need), dtype="<f4").astype(np.float64).reshape(T, D)
 
 
 def compute_cmvn(sequences):

@@ -189,6 +189,27 @@ class TestFailureModes:
                      "--out", str(tmp_path / "sc"), "--split", "dev"]) == 1
         assert "more than once" in capsys.readouterr().err
 
+    def test_score_counts_unscored_utterances_as_deletions(self, tmp_path, capsys):
+        """One exact transcript out of two dev utterances is not a perfect
+        score: the utterance missing from the hyps file counts as empty."""
+        data = prepare(tmp_path, num=20)
+        refs = [json.loads(l) for l in (data / "dev.jsonl").read_text().splitlines()]
+        assert len(refs) == 2
+        hyps = tmp_path / "hyps.jsonl"
+        hyps.write_text(json.dumps({"utt_id": refs[0]["utt_id"], "tokens": refs[0]["tokens"]})
+                        + "\n")
+        assert main(["score", "--data", str(data), "--hyps", str(hyps),
+                     "--out", str(tmp_path / "sc"), "--split", "dev"]) == 0
+        printed = capsys.readouterr().out
+        assert "corpus CER 0.0000" not in printed
+        assert "1 missing" in printed
+        report = json.loads((tmp_path / "sc" / "report.json").read_text())
+        assert report["missing"] == [refs[1]["utt_id"]]
+        missed = report["utterances"][1]
+        assert missed["hypothesis"] == [] and missed["distance"] == missed["ref_len"]
+        total = len(refs[0]["tokens"]) + len(refs[1]["tokens"])
+        assert report["corpus_cer"] == len(refs[1]["tokens"]) / total
+
     def test_missing_subcommand_rejected(self):
         with pytest.raises(SystemExit) as excinfo:
             main([])

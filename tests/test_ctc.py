@@ -207,3 +207,61 @@ class TestBeamSearch:
         post = _rand_log_post(rng, 24, 11)
         hyps = ctc.prefix_beam_search(post, beam=8, nbest=8)
         assert all(np.isfinite(h.ctc_score) for h in hyps)
+
+
+def _beam_scores_against_loss(post, beam):
+    """(beam ctc_score, exact -ctc_loss or -inf when infeasible) per entry."""
+    pairs = []
+    for h in ctc.prefix_beam_search(post, beam=beam, nbest=beam):
+        try:
+            exact = -ctc.ctc_loss(post, h.tokens)
+        except ctc.InfeasibleLength:
+            exact = -math.inf
+        pairs.append((h.ctc_score, exact))
+    return pairs
+
+
+class TestBeamInvariants:
+    """The beam's per-prefix masses against `ctc_loss`, the exact reference."""
+
+    @pytest.mark.parametrize("t_frames,vocab", [(1, 3), (3, 2), (4, 3), (5, 2), (6, 2)])
+    def test_unbounded_beam_scores_are_exact(self, t_frames, vocab):
+        """A beam that keeps every prefix of up to T tokens loses no path, so
+        each score is the full CTC mass, and -inf exactly when infeasible."""
+        rng = np.random.default_rng(80 + t_frames)
+        every_prefix = sum(vocab**n for n in range(t_frames + 1))
+        for _ in range(3):
+            post = _rand_log_post(rng, t_frames, vocab + 1)
+            pairs = _beam_scores_against_loss(post, every_prefix)
+            assert len(pairs) == every_prefix
+            for got, exact in pairs:
+                if exact == -math.inf:
+                    assert got == -math.inf
+                else:
+                    assert abs(got - exact) < 1e-12
+
+    @pytest.mark.parametrize("t_frames,vocab", [(6, 3), (12, 4), (24, 10)])
+    @pytest.mark.parametrize("beam", [2, 5, 8])
+    def test_pruned_beam_scores_never_exceed_exact(self, t_frames, vocab, beam):
+        rng = np.random.default_rng(90 + t_frames + beam)
+        for _ in range(3):
+            post = _rand_log_post(rng, t_frames, vocab + 1)
+            for got, exact in _beam_scores_against_loss(post, beam):
+                assert got <= exact + 1e-9
+
+    @pytest.mark.parametrize("t_frames,classes,beam,want", [
+        (2, 3, 7, [[0], [1], [], [0, 1], [1, 0], [0, 0], [1, 1]]),
+        (3, 3, 10, [[0], [1], [0, 1], [1, 0], [], [0, 0], [0, 1, 0], [1, 0, 1], [1, 1],
+                    [0, 0, 0]]),
+        (4, 4, 6, [[0, 1], [0, 2], [1, 0], [0], [1], [2]]),
+    ])
+    def test_equal_masses_rank_in_token_order(self, t_frames, classes, beam, want):
+        """Uniform posteriors give exactly tied masses. Ties rank by token
+        sequence, whatever order the prefixes were reached in, and so decide
+        which tied prefixes survive pruning."""
+        post = np.log(np.full((t_frames, classes), 1 / classes))
+        hyps = ctc.prefix_beam_search(post, beam=beam, nbest=beam)
+        assert [h.tokens for h in hyps] == want
+        tied = [(a.tokens, b.tokens) for a, b in zip(hyps, hyps[1:])
+                if a.ctc_score == b.ctc_score]
+        assert tied and all(a < b for a, b in tied)

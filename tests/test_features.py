@@ -2,6 +2,7 @@
 against a two-pass oracle, and SpecAugment mask accounting."""
 
 import json
+import struct
 
 import numpy as np
 import pytest
@@ -94,6 +95,16 @@ class TestFeatureBinary:
         F.write_feats(path, np.zeros((4, 4)))
         path.write_bytes(path.read_bytes()[:keep])
         with pytest.raises(ValueError, match="truncated"):
+            F.read_feats(path)
+
+    @pytest.mark.parametrize("T,D", [(2**32 - 1, 2**32 - 1), (2**20, 2**12)],
+                             ids=["u32-max", "16GiB"])
+    def test_header_larger_than_file_rejected(self, tmp_path, T, D):
+        """The header's payload size is checked against the file before any
+        read, so a corrupt header neither overflows nor asks for its size."""
+        path = tmp_path / "x.fb"
+        path.write_bytes(b"FB01" + struct.pack("<II", T, D) + b"\x00" * 16)
+        with pytest.raises(ValueError, match="truncated payload"):
             F.read_feats(path)
 
 
