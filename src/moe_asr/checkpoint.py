@@ -12,6 +12,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import os
 import struct
 
 import numpy as np
@@ -29,7 +30,11 @@ class CheckpointError(ValueError):
 
 
 def write_params(path, kind, config, params):
-    """Write an ordered {name: array} mapping under the given kind/config."""
+    """Write an ordered {name: array} mapping under the given kind/config.
+
+    The file appears at ``path`` whole or not at all: it is written to a
+    temporary file in the same directory and renamed over the target.
+    """
     entries, blobs, offset = [], [], 0
     for name, value in params.items():
         data = np.ascontiguousarray(value, dtype="<f8")
@@ -43,12 +48,21 @@ def write_params(path, kind, config, params):
         "params": entries,
     }
     header_bytes = json.dumps(header).encode("utf-8")
-    with open(path, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(struct.pack("<I", len(header_bytes)))
-        fh.write(header_bytes)
-        for blob in blobs:
-            fh.write(blob)
+    # Write beside the target and rename over it, so a failed write never
+    # leaves a truncated checkpoint where a good one was.
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(MAGIC)
+            fh.write(struct.pack("<I", len(header_bytes)))
+            fh.write(header_bytes)
+            for blob in blobs:
+                fh.write(blob)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
 
 
 def read_params(path):

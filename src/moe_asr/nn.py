@@ -134,18 +134,23 @@ class Module:
 
 
 class Linear(Module):
+    """``x @ weight + bias``: one ``T.linear`` node, or one ``T.matmul``
+    without a bias."""
+
     def __init__(self, d_in, d_out, bias=True):
         super().__init__()
         self.weight = Parameter((d_in, d_out), uniform_init(d_in))
         self.bias = Parameter((d_out,), uniform_init(d_in)) if bias else None
 
     def forward(self, x):
-        y = T.matmul(x, self.weight)
-        return T.add(y, self.bias) if self.bias is not None else y
+        if self.bias is None:
+            return T.matmul(x, self.weight)
+        return T.linear(x, self.weight, self.bias)
 
 
 class LayerNorm(Module):
-    """Last-dim normalization with learned gain and shift."""
+    """Last-dim normalization with learned gain and shift, one
+    ``T.layernorm`` node."""
 
     def __init__(self, d):
         super().__init__()
@@ -153,7 +158,7 @@ class LayerNorm(Module):
         self.beta = Parameter((d,), zeros_init())
 
     def forward(self, x):
-        return T.add(T.mul(T.layernorm(x), self.gamma), self.beta)
+        return T.layernorm(x, self.gamma, self.beta)
 
 
 class Dropout(Module):

@@ -2,8 +2,11 @@
 
 Everything the models need is built from the primitives here: row-major
 contiguous numpy storage, a recorded computation graph, and a topological
-backward pass. ``attention`` is one node for all heads, batched [H, T, d_head]
-products with their own backward; ``matmul`` stays 2-D.
+backward pass that accumulates gradients into leaves only; intermediate
+nodes pass their gradient on and keep none. ``attention`` is one node for
+all heads, batched [H, T, d_head] products with their own backward;
+``linear``, ``layernorm`` (with its affine) and ``glu`` are one node each;
+``matmul`` stays 2-D.
 64-bit floats throughout so gradient checks and DP oracles are limited by
 algorithmic correctness, not precision.
 """
@@ -20,18 +23,17 @@ __all__ = [
     "NondeterministicFunction",
     "no_grad",
     "matmul",
+    "linear",
     "add",
     "mul",
     "scale",
     "reshape",
     "concat_last",
     "concat_rows",
-    "narrow_last",
     "softmax_last",
     "attention",
     "log_softmax_last",
     "layernorm",
-    "sigmoid",
     "swish",
     "glu",
     "depthwise_conv1d",
@@ -83,10 +85,12 @@ class NondeterministicFunction(RuntimeError):
 class Tensor:
     """A dense float64 array plus an optional gradient accumulator.
 
-    Tensors produced by ops record their parents and a backward closure;
-    ``backward()`` on a scalar loss walks the graph in reverse topological
-    order and accumulates into ``grad``. Repeated backward calls without a
-    ``zero_grad`` accumulate, which is what gradient accumulation over a
+    Leaves made with ``requires_grad=True`` (and every ``Parameter``) own a
+    ``grad`` buffer. Tensors produced by ops record their parents and a
+    backward closure but have ``grad`` None: ``backward()`` on a scalar loss
+    walks the graph in reverse topological order, passes gradients through
+    them, and accumulates only into leaves. Repeated backward calls without
+    a ``zero_grad`` accumulate, which is what gradient accumulation over a
     batch of single utterances relies on.
     """
 
@@ -112,7 +116,7 @@ class Tensor:
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
 
     def backward(self):
-        """Accumulate d(self)/d(leaf) into every reachable requires_grad node."""
+        """Accumulate d(self)/d(leaf) into every reachable leaf's ``grad``."""
         if self.data.size != 1:
             raise ValueError(
                 f"backward requires a scalar loss, got shape {self.data.shape}"
@@ -160,12 +164,13 @@ def _as_tensor(x):
 
 
 def _node(data, parents, backward, op):
+    out = Tensor(data)
     if _grad_enabled() and any(p.requires_grad for p in parents):
-        out = Tensor(data, requires_grad=True)
+        # Recorded, but no grad buffer: only leaves accumulate.
+        out.requires_grad = True
         out._parents = tuple(parents)
         out._backward = backward
-        return out
-    return Tensor(data)
+    return out
 
 
 def _unbroadcast(g, shape):
@@ -192,6 +197,25 @@ def matmul(a, b):
         )
 
     return _node(out, (a, b), bwd, "matmul")
+
+
+def linear(x, w, b):
+    """``(x @ w) + b`` as one node; gradients equal the matmul-then-add pair's."""
+    x, w, b = _as_tensor(x), _as_tensor(w), _as_tensor(b)
+    if (x.data.ndim != 2 or w.data.ndim != 2 or x.data.shape[1] != w.data.shape[0]
+            or b.data.shape != w.data.shape[1:]):
+        raise ShapeMismatch("linear", x.data.shape, w.data.shape, b.data.shape)
+    out = x.data @ w.data
+    out += b.data
+
+    def bwd(g):
+        return (
+            g @ w.data.T if x.requires_grad else None,
+            x.data.T @ g if w.requires_grad else None,
+            _unbroadcast(g, b.data.shape) if b.requires_grad else None,
+        )
+
+    return _node(out, (x, w, b), bwd, "linear")
 
 
 def add(a, b):
@@ -284,21 +308,6 @@ def concat_rows(tensors):
     return _node(out, tuple(tensors), bwd, "concat-rows")
 
 
-def narrow_last(a, start, stop):
-    a = _as_tensor(a)
-    width = a.data.shape[-1]
-    if not (0 <= start < stop <= width):
-        raise ShapeMismatch("narrow-last", a.data.shape, (start, stop))
-    out = a.data[..., start:stop].copy()
-
-    def bwd(g):
-        full = np.zeros_like(a.data)
-        full[..., start:stop] = g
-        return (full,)
-
-    return _node(out, (a,), bwd, "narrow-last")
-
-
 def softmax_last(a):
     a = _as_tensor(a)
     x = a.data
@@ -372,32 +381,40 @@ def log_softmax_last(a):
     return _node(out, (a,), bwd, "log-softmax-last-dim")
 
 
-def layernorm(a, eps=1e-5):
-    """Normalize the last dimension to zero mean, unit variance (no affine).
+def layernorm(a, gamma, beta, eps=1e-5):
+    """Normalize the last dimension to zero mean, unit variance, then apply
+    the affine ``(y * gamma) + beta``, all in one node.
 
-    A zero-variance row comes out all zero: the variance is floored by eps,
-    which keeps padded or constant frames finite.
+    A zero-variance row normalizes to all zero (so comes out as ``beta``):
+    the variance is floored by eps, which keeps padded or constant frames
+    finite.
     """
-    a = _as_tensor(a)
+    a, gamma, beta = _as_tensor(a), _as_tensor(gamma), _as_tensor(beta)
     x = a.data
+    if gamma.data.shape != x.shape[-1:] or beta.data.shape != x.shape[-1:]:
+        raise ShapeMismatch("layernorm", x.shape, gamma.data.shape, beta.data.shape)
     mu = x.mean(axis=-1, keepdims=True)
     xc = x - mu
     var = (xc * xc).mean(axis=-1, keepdims=True)
     inv = 1.0 / np.sqrt(var + eps)
     y = xc * inv
+    out = y * gamma.data
+    out += beta.data
 
     def bwd(g):
-        gm = g.mean(axis=-1, keepdims=True)
-        gy = (g * y).mean(axis=-1, keepdims=True)
-        return (inv * (g - gm - y * gy),)
+        ga = None
+        if a.requires_grad:
+            gn = g * gamma.data
+            gm = gn.mean(axis=-1, keepdims=True)
+            gy = (gn * y).mean(axis=-1, keepdims=True)
+            ga = inv * (gn - gm - y * gy)
+        return (
+            ga,
+            _unbroadcast(g * y, gamma.data.shape) if gamma.requires_grad else None,
+            _unbroadcast(g, beta.data.shape) if beta.requires_grad else None,
+        )
 
-    return _node(y, (a,), bwd, "layernorm")
-
-
-def sigmoid(a):
-    a = _as_tensor(a)
-    s = 1.0 / (1.0 + np.exp(-a.data))
-    return _node(s, (a,), lambda g: (g * s * (1.0 - s),), "sigmoid")
+    return _node(out, (a, gamma, beta), bwd, "layernorm")
 
 
 def swish(a):
@@ -414,7 +431,18 @@ def glu(a):
     if width % 2 != 0:
         raise ShapeMismatch("glu", a.data.shape)
     half = width // 2
-    return mul(narrow_last(a, 0, half), sigmoid(narrow_last(a, half, width)))
+    x1, x2 = a.data[..., :half], a.data[..., half:]
+    s = 1.0 / (1.0 + np.exp(-x2))
+
+    def bwd(g):
+        # Added onto zeros, as the unfused graph summed its two zero-padded
+        # slice gradients: a -0.0 comes out +0.0 there too.
+        ga = np.zeros_like(a.data)
+        ga[..., :half] += g * s
+        ga[..., half:] += g * x1 * s * (1.0 - s)
+        return (ga,)
+
+    return _node(x1 * s, (a,), bwd, "glu")
 
 
 def depthwise_conv1d(x, kernel):

@@ -73,11 +73,25 @@ class Adam:
         self.t += 1
         c1 = 1.0 - self.beta1**self.t
         c2 = 1.0 - self.beta2**self.t
+        # In place, in the operation order of the textbook expressions
+        #   m = b1*m + (1-b1)*g,  v = b2*v + ((1-b2)*g)*g,
+        #   p -= lr*(m/c1) / (sqrt(v/c2) + eps),
+        # so every step gives the same bits with fewer temporaries.
         for name, p in self.params.items():
-            g = p.grad
-            self.m[name] = self.beta1 * self.m[name] + (1.0 - self.beta1) * g
-            self.v[name] = self.beta2 * self.v[name] + (1.0 - self.beta2) * g * g
-            p.data -= lr * (self.m[name] / c1) / (np.sqrt(self.v[name] / c2) + self.eps)
+            g, m, v = p.grad, self.m[name], self.v[name]
+            m *= self.beta1
+            m += (1.0 - self.beta1) * g
+            v *= self.beta2
+            gg = (1.0 - self.beta2) * g
+            gg *= g
+            v += gg
+            num = m / c1
+            num *= lr
+            den = v / c2
+            np.sqrt(den, out=den)
+            den += self.eps
+            num /= den
+            p.data -= num
 
 
 def global_grad_norm(params):

@@ -1,6 +1,7 @@
 """Model assembly, the derived parameter manifest, and checkpoints."""
 
 import dataclasses
+import errno
 import json
 import os
 import struct
@@ -12,6 +13,7 @@ import numpy as np
 import pytest
 
 import moe_asr
+from moe_asr import checkpoint
 from moe_asr import tensor as T
 from moe_asr.checkpoint import (
     MAGIC,
@@ -201,6 +203,36 @@ class TestCheckpointRoundTrip:
         path.write_bytes(MAGIC + struct.pack("<I", len(raw)) + raw + b"\x00" * 16)
         with pytest.raises(CheckpointError):
             read_params(path)
+
+    def test_failed_write_keeps_previous_checkpoint(self, tmp_path, monkeypatch):
+        """A save that fails partway (here: the disk fills after the header)
+        leaves the earlier file byte-identical and no temporary file."""
+        path = tmp_path / "model.ckpt"
+        save_model(path, SpeechModel(desk_cfg()).initialize(0))
+        before = path.read_bytes()
+
+        class FillsAfterHeader:
+            def __init__(self, fh):
+                self.fh, self.writes = fh, 0
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.fh.close()
+
+            def write(self, data):
+                self.writes += 1
+                if self.writes > 3:  # magic, header length, header
+                    raise OSError(errno.ENOSPC, "No space left on device")
+                return self.fh.write(data)
+
+        monkeypatch.setattr(checkpoint, "open",
+                            lambda *a, **k: FillsAfterHeader(open(*a, **k)), raising=False)
+        with pytest.raises(OSError, match="No space"):
+            save_model(path, SpeechModel(desk_cfg()).initialize(1))
+        assert path.read_bytes() == before
+        assert os.listdir(tmp_path) == ["model.ckpt"]
 
     def test_kind_mismatch_rejected(self, tmp_path):
         cfg = desk_cfg(num_experts=2)

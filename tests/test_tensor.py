@@ -8,6 +8,12 @@ from moe_asr import tensor as T
 from moe_asr.tensor import Tensor
 
 
+def layernorm(a):
+    """``T.layernorm`` under a fixed, non-trivial affine, as a unary op."""
+    d = a.data.shape[-1]
+    return T.layernorm(a, Tensor(np.linspace(0.5, 1.5, d)), Tensor(np.linspace(-0.2, 0.3, d)))
+
+
 # ---------------------------------------------------------------------------
 # forward values
 # ---------------------------------------------------------------------------
@@ -35,13 +41,13 @@ class TestForward:
 
     def test_layernorm_constant_row_maps_to_zeros(self):
         """A zero-variance row normalizes to exactly zero output."""
-        out = T.layernorm(Tensor([[3.0, 3.0, 3.0, 3.0]]))
+        out = T.layernorm(Tensor([[3.0, 3.0, 3.0, 3.0]]), Tensor(np.ones(4)), Tensor(np.zeros(4)))
         np.testing.assert_allclose(out.data, np.zeros((1, 4)), atol=1e-12)
 
     def test_layernorm_normalizes(self):
         rng = np.random.default_rng(9)
         x = Tensor(rng.normal(loc=2.0, scale=3.0, size=(6, 32)))
-        y = T.layernorm(x).data
+        y = T.layernorm(x, Tensor(np.ones(32)), Tensor(np.zeros(32))).data
         np.testing.assert_allclose(y.mean(axis=-1), np.zeros(6), atol=1e-12)
         np.testing.assert_allclose(y.var(axis=-1), np.ones(6), atol=1e-4)
 
@@ -138,9 +144,23 @@ class TestBackwardClosedForm:
         a = Tensor(np.ones((2, 3)), requires_grad=True)
         b = Tensor(np.ones((2, 2)), requires_grad=True)
         cat = T.concat_last([a, b])
-        T.reduce_sum(T.narrow_last(cat, 0, 3)).backward()
+        T.reduce_sum(T.mul(cat, Tensor([1.0, 1.0, 1.0, 0.0, 0.0]))).backward()
         np.testing.assert_allclose(a.grad, np.ones((2, 3)))
         np.testing.assert_allclose(b.grad, np.zeros((2, 2)))
+
+    def test_only_leaves_keep_gradients(self):
+        """Intermediate nodes pass their gradient on and keep none; leaves
+        get the closed form: for L = (x w)^2, dL/dx = 2 (x w) w^T and
+        dL/dw = 2 x^T (x w), with x w = 11 here."""
+        x = Tensor(np.array([[1.0, 2.0]]), requires_grad=True)
+        w = Tensor(np.array([[3.0], [4.0]]), requires_grad=True)
+        h = T.matmul(x, w)
+        sq = T.mul(h, h)
+        loss = T.reduce_sum(sq)
+        loss.backward()
+        assert all(t.requires_grad and t.grad is None for t in (h, sq, loss))
+        np.testing.assert_allclose(x.grad, [[66.0, 88.0]], rtol=0, atol=0)
+        np.testing.assert_allclose(w.grad, [[22.0], [44.0]], rtol=0, atol=0)
 
     def test_no_grad_blocks_recording(self):
         x = Tensor(np.ones((2, 2)), requires_grad=True)
@@ -169,14 +189,12 @@ class TestFiniteDifferences:
         [
             T.softmax_last,
             T.log_softmax_last,
-            T.layernorm,
+            layernorm,
             T.swish,
-            T.sigmoid,
             T.glu,
             lambda a: T.power(T.add(a, 3.0), 1.7),
             lambda a: T.reshape(a, (2, 12)),
             lambda a: T.reduce_mean(a, axis=0),
-            lambda a: T.narrow_last(a, 1, 5),
         ],
     )
     def test_unary_ops(self, op):
@@ -251,23 +269,25 @@ class TestFiniteDifferences:
         assert err < TOL
 
     def test_three_layer_network(self):
-        """A small FFN stack: matmul, bias add, swish, layernorm composed."""
+        """A small FFN stack: matmul, bias add, swish, affine layernorm composed."""
         rng = np.random.default_rng(27)
         w1 = Tensor(rng.normal(scale=0.5, size=(5, 8)), requires_grad=True)
         b1 = Tensor(rng.normal(scale=0.1, size=8), requires_grad=True)
         w2 = Tensor(rng.normal(scale=0.5, size=(8, 8)), requires_grad=True)
         w3 = Tensor(rng.normal(scale=0.5, size=(8, 2)), requires_grad=True)
+        gamma = Tensor(rng.normal(loc=1.0, scale=0.2, size=8), requires_grad=True)
+        beta = Tensor(rng.normal(scale=0.1, size=8), requires_grad=True)
         x = rng.normal(size=(4, 5))
         tgt = rng.normal(size=(4, 2))
 
         def f(ps):
             h = T.swish(T.add(T.matmul(Tensor(x), ps[0]), ps[1]))
-            h = T.layernorm(T.matmul(h, ps[2]))
+            h = T.layernorm(T.matmul(h, ps[2]), ps[4], ps[5])
             out = T.matmul(h, ps[3])
             diff = T.add(out, Tensor(-tgt))
             return T.reduce_sum(T.mul(diff, diff))
 
-        assert T.finite_diff_check(f, [w1, b1, w2, w3]) < TOL
+        assert T.finite_diff_check(f, [w1, b1, w2, w3, gamma, beta]) < TOL
 
     def test_nondeterministic_function_rejected(self):
         x = Tensor(np.ones(3), requires_grad=True)
@@ -384,3 +404,85 @@ class TestAttention:
             T.attention(ones(3, 6), ones(4, 6), ones(4, 6), 4)
         with pytest.raises(T.ShapeMismatch):  # mask not [Tq, Tk]
             T.attention(ones(3, 8), ones(4, 8), ones(4, 8), 2, np.zeros((4, 3), dtype=bool))
+
+
+# ---------------------------------------------------------------------------
+# fused ops against their unfused forms in plain numpy
+# ---------------------------------------------------------------------------
+
+
+def _unfused_linear(x, w, b, g):
+    """A matmul node, then a bias add node: output and input gradients."""
+    return x @ w + b, g @ w.T, x.T @ g, g.sum(axis=0)
+
+
+def _unfused_layernorm(x, gamma, beta, g, eps=1e-5):
+    """An affine-free layernorm node, then mul by gamma, then add beta."""
+    xc = x - x.mean(axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt((xc * xc).mean(axis=-1, keepdims=True) + eps)
+    y = xc * inv
+    gy = g * gamma
+    gx = inv * (gy - gy.mean(axis=-1, keepdims=True) - y * (gy * y).mean(axis=-1, keepdims=True))
+    return y * gamma + beta, gx, (g * y).sum(axis=0), g.sum(axis=0)
+
+
+def _unfused_glu(a, g):
+    """Two sliced copies, a sigmoid of the second, their product; the two
+    slices' zero-padded gradients summed."""
+    half = a.shape[-1] // 2
+    x1, x2 = a[:, :half].copy(), a[:, half:].copy()
+    s = 1.0 / (1.0 + np.exp(-x2))
+    g1, g2 = np.zeros_like(a), np.zeros_like(a)
+    g1[:, :half] = g * s
+    g2[:, half:] = g * x1 * s * (1.0 - s)
+    return x1 * s, g1 + g2
+
+
+# op -> (fused op, input shapes for `rows` rows, output width, reference)
+FUSED_OPS = {
+    "linear": (T.linear, lambda rows: [(rows, 6), (6, 4), (4,)], 4, _unfused_linear),
+    "layernorm": (T.layernorm, lambda rows: [(rows, 6), (6,), (6,)], 6, _unfused_layernorm),
+    "glu": (T.glu, lambda rows: [(rows, 8)], 4, _unfused_glu),
+}
+
+
+def _fused_inputs(name, rows, seed=50):
+    op, shapes, width, reference = FUSED_OPS[name]
+    rng = np.random.default_rng(seed + rows)
+    inputs = [Tensor(rng.normal(size=shape), requires_grad=True) for shape in shapes(rows)]
+    return op, inputs, rng.normal(size=(rows, width)), reference
+
+
+class TestFusedOps:
+    @pytest.mark.parametrize("rows", [1, 5])
+    @pytest.mark.parametrize("name", sorted(FUSED_OPS))
+    def test_matches_unfused_exactly(self, name, rows):
+        """Output and every input gradient equal the unfused graph's bits."""
+        op, inputs, g, reference = _fused_inputs(name, rows)
+        out = op(*inputs)
+        T.reduce_sum(T.mul(out, Tensor(g))).backward()
+        expected = reference(*[t.data for t in inputs], g)
+        got = [out.data] + [t.grad for t in inputs]
+        assert len(got) == len(expected)
+        for a, b in zip(got, expected):
+            np.testing.assert_allclose(a, b, rtol=0, atol=0)
+
+    @pytest.mark.parametrize("rows", [1, 5])
+    @pytest.mark.parametrize("name", sorted(FUSED_OPS))
+    def test_finite_differences(self, name, rows):
+        op, inputs, g, _ = _fused_inputs(name, rows)
+        f = lambda ps: T.reduce_sum(T.mul(op(*ps), Tensor(g)))  # noqa: E731
+        assert T.finite_diff_check(f, inputs) < TOL
+
+    def test_shape_mismatch_raises(self):
+        def ones(*shape):
+            return Tensor(np.ones(shape))
+
+        with pytest.raises(T.ShapeMismatch):  # inner dimensions differ
+            T.linear(ones(3, 4), ones(5, 2), ones(2))
+        with pytest.raises(T.ShapeMismatch):  # bias not [d_out]
+            T.linear(ones(3, 4), ones(4, 2), ones(4))
+        with pytest.raises(T.ShapeMismatch):  # gain not [d]
+            T.layernorm(ones(3, 4), ones(3), ones(4))
+        with pytest.raises(T.ShapeMismatch):  # odd width cannot be halved
+            T.glu(ones(3, 5))

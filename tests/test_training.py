@@ -73,6 +73,34 @@ class TestAdam:
             opt.step(1e-2)
         assert (layer.weight.data == before).all()
 
+    def test_in_place_step_matches_textbook_bits(self):
+        """Over several steps the parameter equals the textbook update
+        exactly, and a parameter whose gradient is always zero stays put."""
+        from moe_asr.nn import Parameter, zeros_init
+
+        rng = np.random.default_rng(12)
+        live, dead = Parameter((3, 4), zeros_init()), Parameter((5,), zeros_init())
+        live.data[...] = rng.normal(size=(3, 4))
+        dead.data[...] = rng.normal(size=5)
+        start = dead.data.copy()
+        b1, b2, eps = 0.9, 0.98, 1e-9
+        opt = Adam({"live": live, "dead": dead}, b1, b2, eps)
+        p, m, v = live.data.copy(), np.zeros((3, 4)), np.zeros((3, 4))
+        for t in range(1, 9):
+            live.zero_grad()
+            dead.zero_grad()
+            g = rng.normal(size=(3, 4)) * 10.0 ** rng.integers(-6, 3)
+            live.grad += g
+            lr = 1e-3 * t
+            opt.step(lr)
+            m = b1 * m + (1.0 - b1) * g
+            v = b2 * v + (1.0 - b2) * g * g
+            p = p - lr * (m / (1.0 - b1**t)) / (np.sqrt(v / (1.0 - b2**t)) + eps)
+            np.testing.assert_array_equal(opt.m["live"], m)
+            np.testing.assert_array_equal(opt.v["live"], v)
+            np.testing.assert_array_equal(live.data, p)
+        np.testing.assert_array_equal(dead.data, start)
+
     def test_minimizes_quadratic(self):
         from moe_asr.nn import Parameter, zeros_init
 
