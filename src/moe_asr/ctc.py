@@ -4,9 +4,10 @@ decoding, and prefix beam search for N-best hypotheses.
 Conventions: posterior matrices are [T x (V+1)] log-probabilities with
 column 0 the blank; the public API speaks data-token ids (0..V-1) and the
 +1 class shift stays inside this module. All dynamic programming runs in
-log space with -inf as the additive identity. The loss works on numpy rows;
-the prefix beam search works on Python floats with a scalar log-add, since
-its masses are merged one pair at a time.
+log space with -inf as the additive identity. The loss takes one utterance
+or a packed batch and runs one recursion over padded [batch, states] numpy
+arrays; the prefix beam search works on Python floats with a scalar
+log-add, since its masses are merged one pair at a time.
 """
 
 from __future__ import annotations
@@ -74,85 +75,114 @@ def _check_inputs(lp, tokens):
         )
 
 
-def ctc_loss(log_probs, tokens):
+def _logsumexp3(stay, step, jump):
+    """Elementwise log(exp(stay) + exp(step) + exp(jump)), -inf where all are."""
+    stacked = np.stack([stay, step, jump])
+    m = stacked.max(axis=0)
+    safe = m != NEG_INF
+    tot = np.full(m.shape, NEG_INF)
+    tot[safe] = m[safe] + np.log(np.exp(stacked[:, safe] - m[safe]).sum(axis=0))
+    return tot
+
+
+def ctc_loss(log_probs, tokens, lengths=None):
     """Negative log-probability of `tokens` under the posterior grid.
+
+    With `lengths` the grid is a packed batch: utterance i owns the next
+    lengths[i] rows, `tokens` holds one sequence per utterance, and the
+    result is the vector of per-utterance losses. One recursion runs over
+    the longest utterance on padded [batch, states] arrays. Alpha never
+    flows from padded cells into real ones, and beta starts each utterance
+    at its own last frame with -inf everywhere else, so each utterance's
+    values are those of running it alone.
 
     Differentiable: the backward pass uses the full forward/backward
     occupancy, so gradients flow to every frame and class.
     """
-    tokens = [int(t) for t in tokens]
     is_tensor = isinstance(log_probs, Tensor)
     lp = log_probs.data if is_tensor else np.asarray(log_probs, dtype=np.float64)
-    _check_inputs(lp, tokens)
-    ext = _extended(tokens)
-    t_frames, s_len = lp.shape[0], ext.shape[0]
+    seqs = [tokens] if lengths is None else tokens
+    frames = T.segment_lengths(lengths, lp.shape[0], "ctc-loss")
+    seqs = [[int(t) for t in seq] for seq in seqs]
+    if len(seqs) != len(frames):
+        raise ValueError(f"{len(seqs)} token sequences for {len(frames)} utterances")
+    offsets = np.cumsum([0] + frames[:-1])
+    for o, n, seq in zip(offsets, frames, seqs):
+        _check_inputs(lp[o : o + n], seq)
+    batch, t_max = len(seqs), max(frames)
+    states = [2 * len(seq) + 1 for seq in seqs]
+    s_max = max(states)
 
-    # skip[s]: an alignment may jump s-2 -> s (new non-blank distinct from
-    # the previous non-blank).
-    skip = np.zeros(s_len, dtype=bool)
-    skip[2:] = (ext[2:] != 0) & (ext[2:] != ext[:-2])
+    # ext: blank-interleaved classes, padded with blanks; emit[t, b, s]
+    # reads utterance b's frame t, or any row past its end (never used).
+    ext = np.zeros((batch, s_max), dtype=np.int64)
+    for b, seq in enumerate(seqs):
+        ext[b, : states[b]] = _extended(seq)
+    rows = np.minimum(offsets[None, :] + np.arange(t_max)[:, None], lp.shape[0] - 1)
+    emit = lp[rows[:, :, None], ext[None, :, :]]
 
-    emit = lp[:, ext]
+    # skip[b, s]: an alignment may jump s-2 -> s (new non-blank distinct
+    # from the previous non-blank).
+    skip = np.zeros((batch, s_max), dtype=bool)
+    skip[:, 2:] = (ext[:, 2:] != 0) & (ext[:, 2:] != ext[:, :-2])
+    minus_inf = np.full((batch, s_max), NEG_INF)
 
-    alpha = np.full((t_frames, s_len), NEG_INF)
-    alpha[0, 0] = emit[0, 0]
-    if s_len > 1:
-        alpha[0, 1] = emit[0, 1]
-    for t in range(1, t_frames):
+    alpha = np.full((t_max, batch, s_max), NEG_INF)
+    alpha[0, :, :2] = emit[0, :, :2]
+    for t in range(1, t_max):
         prev = alpha[t - 1]
-        stay = prev
-        step = np.full(s_len, NEG_INF)
-        step[1:] = prev[:-1]
-        jump = np.full(s_len, NEG_INF)
-        jump[2:] = prev[: s_len - 2]
+        step = minus_inf.copy()
+        step[:, 1:] = prev[:, :-1]
+        jump = minus_inf.copy()
+        jump[:, 2:] = prev[:, : s_max - 2]
         jump[~skip] = NEG_INF
-        stacked = np.stack([stay, step, jump])
-        m = stacked.max(axis=0)
-        safe = m != NEG_INF
-        tot = np.full(s_len, NEG_INF)
-        tot[safe] = m[safe] + np.log(np.exp(stacked[:, safe] - m[safe]).sum(axis=0))
-        alpha[t] = tot + emit[t]
+        alpha[t] = _logsumexp3(prev, step, jump) + emit[t]
 
-    log_z = _lse(alpha[-1, max(s_len - 2, 0) :])
-    if log_z == NEG_INF:
+    log_z = np.array([
+        _lse(alpha[frames[b] - 1, b, max(states[b] - 2, 0) : states[b]]) for b in range(batch)
+    ])
+    if np.any(log_z == NEG_INF):
         raise InfeasibleLength("no alignment has positive probability")
-    loss_value = -log_z
+    losses = -log_z
+    value = losses[0] if lengths is None else losses
 
     if not (is_tensor and log_probs.requires_grad):
-        return Tensor(loss_value) if is_tensor else loss_value
+        return Tensor(value) if is_tensor else value
 
-    beta = np.full((t_frames, s_len), NEG_INF)
-    beta[-1, -1] = emit[-1, -1]
-    if s_len > 1:
-        beta[-1, -2] = emit[-1, -2]
-    for t in range(t_frames - 2, -1, -1):
-        nxt = beta[t + 1]
-        stay = nxt
-        step = np.full(s_len, NEG_INF)
-        step[: s_len - 1] = nxt[1:]
-        jump = np.full(s_len, NEG_INF)
-        jump[: s_len - 2] = nxt[2:]
-        fwd_skip = np.zeros(s_len, dtype=bool)
-        fwd_skip[: s_len - 2] = skip[2:]
-        jump[~fwd_skip] = NEG_INF
-        stacked = np.stack([stay, step, jump])
-        m = stacked.max(axis=0)
-        safe = m != NEG_INF
-        tot = np.full(s_len, NEG_INF)
-        tot[safe] = m[safe] + np.log(np.exp(stacked[:, safe] - m[safe]).sum(axis=0))
-        beta[t] = tot + emit[t]
+    fwd_skip = np.zeros((batch, s_max), dtype=bool)
+    fwd_skip[:, : s_max - 2] = skip[:, 2:]
+    last = np.array(frames) - 1
+    beta = np.full((t_max, batch, s_max), NEG_INF)
+    for t in range(t_max - 1, -1, -1):
+        if t < t_max - 1:
+            nxt = beta[t + 1]
+            step = minus_inf.copy()
+            step[:, : s_max - 1] = nxt[:, 1:]
+            jump = minus_inf.copy()
+            jump[:, : s_max - 2] = nxt[:, 2:]
+            jump[~fwd_skip] = NEG_INF
+            beta[t] = _logsumexp3(nxt, step, jump) + emit[t]
+        for b in np.nonzero(last == t)[0]:
+            end = slice(max(states[b] - 2, 0), states[b])
+            beta[t, b, end] = emit[t, b, end]
+
+    # occupancy gamma[t,s] = alpha*beta / emit over the real (frame, state)
+    # cells; d(-logZ)/d lp[t,c] is minus the summed occupancy of states
+    # labeled c, normalized by Z. np.add.at accumulates each (frame, class)
+    # cell in state order.
+    valid = (np.arange(t_max)[:, None, None] < np.array(frames)[None, :, None]) & (
+        np.arange(s_max)[None, None, :] < np.array(states)[None, :, None]
+    )
+    t_idx, b_idx, s_idx = np.nonzero(valid)
+    occ = alpha[valid] + beta[valid] - emit[valid] - log_z[b_idx]
+    occupancy = np.zeros_like(lp)
+    np.add.at(occupancy, (offsets[b_idx] + t_idx, ext[b_idx, s_idx]), np.exp(occ))
+    row_utt = np.repeat(np.arange(batch), frames)
 
     def bwd(g):
-        # occupancy gamma[t,s] = alpha*beta / emit; d(-logZ)/d lp[t,c] is
-        # minus the summed occupancy of states labeled c, normalized by Z.
-        grad = np.zeros_like(lp)
-        occ = alpha + beta - emit - log_z
-        contrib = np.exp(occ)
-        for s in range(s_len):
-            grad[:, ext[s]] += contrib[:, s]
-        return (-float(g) * grad,)
+        return (occupancy * -np.broadcast_to(g, (batch,))[row_utt][:, None],)
 
-    return T._node(loss_value, (log_probs,), bwd, "ctc-loss")
+    return T._node(value, (log_probs,), bwd, "ctc-loss")
 
 
 def _collapse(path):

@@ -5,6 +5,13 @@ Each block computes, in order: half-step feed-forward, self-attention,
 convolution, half-step feed-forward (the routed slot), and a closing
 layernorm. All sub-modules are pre-norm; the residual stream itself is
 never normalized except by that final per-block layernorm.
+
+Input is [T x D] features, one utterance, or a packed batch: the
+utterances' frames stacked as consecutive rows with `lengths` giving each
+one's row count. Every position-wise layer then runs once on all rows.
+Only subsampling windows, position tables, self-attention (a
+block-diagonal mask) and the depthwise convolution look at `lengths`, so
+each utterance's rows come out as if it had been encoded alone.
 """
 
 from __future__ import annotations
@@ -23,7 +30,8 @@ from .nn import (
     Linear,
     Module,
     SelfAttention,
-    sinusoidal_positions,
+    block_mask,
+    segment_positions,
 )
 from .tensor import Tensor
 
@@ -45,19 +53,39 @@ class Subsample(Module):
         self.conv2 = Linear(3 * d, d)
         self.proj = Linear(d, d)
 
-    def forward(self, feats):
-        t_in = feats.data.shape[0]
-        if t_in < MIN_INPUT_FRAMES:
-            raise ValueError(
-                f"subsampling needs at least {MIN_INPUT_FRAMES} input frames, got {t_in}"
-            )
-        h = T.swish(self.conv1.forward(T.unfold_time(feats, 3, 2)))
-        h = T.swish(self.conv2.forward(T.unfold_time(h, 3, 2)))
+    def forward(self, feats, lengths=None):
+        """`lengths`: input rows per utterance of a packed batch (None:
+        one utterance); each utterance is subsampled on its own."""
+        lengths = T.segment_lengths(lengths, feats.data.shape[0], "subsample")
+        for i, t_in in enumerate(lengths):
+            if t_in < MIN_INPUT_FRAMES:
+                raise ValueError(
+                    f"utterance {i}: subsampling needs at least {MIN_INPUT_FRAMES}"
+                    f" input frames, got {t_in}"
+                )
+        mid = [(t_in - 1) // 2 for t_in in lengths]
+        h = T.swish(self.conv1.forward(T.unfold_time(feats, 3, 2, lengths)))
+        h = T.swish(self.conv2.forward(T.unfold_time(h, 3, 2, mid)))
         return self.proj.forward(h)
 
 
+def _front_end(subsample, dropout, feats, lengths):
+    """Subsampling, per-utterance positions and dropout; returns the
+    hidden rows, their per-utterance counts (None for one utterance) and
+    the self-attention mask (None unless several utterances are packed)."""
+    h = subsample.forward(feats, lengths)
+    if lengths is not None:
+        lengths = [subsampled_length(t_in) for t_in in lengths]
+    h = T.add(h, Tensor(segment_positions(lengths or [h.data.shape[0]], h.data.shape[1])))
+    return dropout.forward(h), lengths, None if lengths is None else block_mask(lengths)
+
+
 class ConformerBlock(Module):
-    """One macaron block; ``n_experts >= 1`` routes the second FFN."""
+    """One macaron block; ``n_experts >= 1`` routes the second FFN.
+
+    For a packed batch, `lengths` and `mask` (from ``block_mask``) keep the
+    convolution and self-attention within each utterance.
+    """
 
     def __init__(self, d, d_ff, heads, kernel, dropout=0.0, n_experts=0, d_emb=None):
         super().__init__()
@@ -74,10 +102,10 @@ class ConformerBlock(Module):
         )
         self.norm_out = LayerNorm(d)
 
-    def forward(self, x, e_c=None):
+    def forward(self, x, e_c=None, lengths=None, mask=None):
         x = T.add(x, T.scale(self.ffn1.forward(x), 0.5))
-        x = T.add(x, self.attn.forward(x))
-        x = T.add(x, self.conv.forward(x))
+        x = T.add(x, self.attn.forward(x, mask))
+        x = T.add(x, self.conv.forward(x, lengths))
         ffn2_out, record = self.ffn2.forward(x, e_c)
         x = T.add(x, T.scale(ffn2_out, 0.5))
         return self.norm_out.forward(x), record
@@ -85,9 +113,13 @@ class ConformerBlock(Module):
 
 @dataclass
 class EncoderOutput:
+    """Final and tapped hidden rows, routing records in depth order, and
+    the rows per utterance (None when one utterance was encoded)."""
+
     final: object
     taps: dict = field(default_factory=dict)
     records: list = field(default_factory=list)
+    lengths: list = None
 
 
 class Encoder(Module):
@@ -95,7 +127,8 @@ class Encoder(Module):
 
     Intermediate outputs are recorded (pure reads) at one-third and
     two-thirds depth for the auxiliary decoders; routed blocks additionally
-    hand back their routing records in depth order.
+    hand back their routing records in depth order, one per layer for the
+    whole batch.
     """
 
     def __init__(self, cfg):
@@ -117,19 +150,17 @@ class Encoder(Module):
             for i in range(1, cfg.num_blocks + 1)
         ]
 
-    def forward(self, feats, e_c=None):
-        h = self.subsample.forward(feats)
-        h = T.add(h, Tensor(sinusoidal_positions(h.data.shape[0], h.data.shape[1])))
-        h = self.dropout.forward(h)
+    def forward(self, feats, e_c=None, lengths=None):
+        h, lengths, mask = _front_end(self.subsample, self.dropout, feats, lengths)
         taps, records = {}, []
         tap_at = set(self.cfg.tap_blocks())
         for index, block in enumerate(self.blocks, start=1):
-            h, record = block.forward(h, e_c)
+            h, record = block.forward(h, e_c, lengths, mask)
             if record is not None:
                 records.append((index, record))
             if index in tap_at:
                 taps[index] = h
-        return EncoderOutput(final=h, taps=taps, records=records)
+        return EncoderOutput(final=h, taps=taps, records=records, lengths=lengths)
 
 
 class EmbeddingNetwork(Module):
@@ -146,12 +177,11 @@ class EmbeddingNetwork(Module):
         ]
         self.ctc_head = Linear(cfg.d_emb, cfg.ctc_classes)
 
-    def embed(self, feats):
-        h = self.subsample.forward(feats)
-        h = T.add(h, Tensor(sinusoidal_positions(h.data.shape[0], h.data.shape[1])))
-        h = self.dropout.forward(h)
+    def embed(self, feats, lengths=None):
+        """e_c rows for the features (packed when `lengths` is given)."""
+        h, lengths, mask = _front_end(self.subsample, self.dropout, feats, lengths)
         for block in self.blocks:
-            h, _ = block.forward(h)
+            h, _ = block.forward(h, None, lengths, mask)
         return h
 
     def ctc_log_probs(self, e_c):

@@ -33,11 +33,17 @@ class SpeechModel(Module):
             for _ in range(cfg.num_levels - 1)
         ]
 
-    def encode(self, feats):
+    def encode(self, feats, lengths=None):
         """Run the embedding network (once) and the encoder; returns the
-        encoder output plus the shared embedding (None when dense)."""
-        e_c = self.embedding_net.embed(feats) if self.embedding_net is not None else None
-        return self.encoder.forward(feats, e_c), e_c
+        encoder output plus the shared embedding (None when dense).
+
+        `feats` is one utterance, or with `lengths` (input rows per
+        utterance) a packed batch, encoded in one pass.
+        """
+        e_c = None
+        if self.embedding_net is not None:
+            e_c = self.embedding_net.embed(feats, lengths)
+        return self.encoder.forward(feats, e_c, lengths), e_c
 
     def ctc_log_probs(self, enc_final):
         from . import tensor as T

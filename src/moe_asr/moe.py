@@ -3,8 +3,10 @@
 A router maps each frame's concatenated (shared embedding, hidden state)
 pair to a softmax over experts; only the argmax expert runs, and its output
 is scaled by the winning probability so the routing decision stays on the
-gradient path. The sparsity and mean-importance losses below act on the
-full router distributions accumulated over a batch.
+gradient path. A layer routes all frames of a packed batch at once, so each
+expert runs at most once per batch (token dispatch, as in GShard and the
+Switch Transformer), and the sparsity and mean-importance losses below act
+on the layer's router distributions over the whole batch.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from .nn import FeedForward, Module, Parameter, uniform_init
 
 @dataclass
 class RoutingRecord:
-    """Routing outcome for one utterance through one routed layer.
+    """Routing outcome of one routed layer for all frames of a batch.
 
     ``p`` stays in the computation graph (the batch losses read it);
     ``selected`` and ``gates`` are plain arrays for instrumentation.
@@ -60,7 +62,8 @@ class Router(Module):
 
 
 class RoutedFFN(Module):
-    """The second macaron FFN slot: dense, or dispatched across experts.
+    """The second macaron FFN slot: dense, or dispatched across experts,
+    each used expert running once on its frames from all rows of ``x``.
 
     Dense mode (router None) still stores its single FFN under
     ``experts.0`` so parameter names line up exactly with a one-expert
@@ -134,14 +137,6 @@ def moe_loss(L_s, L_m, L_e, alpha, beta, gamma):
         term = term if isinstance(term, T.Tensor) else T.Tensor(float(term))
         total = T.add(total, T.scale(term, weight))
     return total
-
-
-def batch_distributions(records):
-    """Stack per-utterance router distributions of one layer into the
-    batch matrix p_ij (rows = frames across the whole batch)."""
-    if not records:
-        raise ValueError("no routing records to aggregate")
-    return T.concat_rows([r.p for r in records])
 
 
 def utilization_entropy(counts):

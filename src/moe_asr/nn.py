@@ -225,6 +225,26 @@ def causal_mask(n):
     return np.triu(np.ones((n, n), dtype=bool), k=1)
 
 
+def block_mask(lengths, key_lengths=None, causal=False):
+    """Attention mask over packed rows: true where a query row of one
+    utterance would see a key row of another, or, with `causal`, a later
+    row. Query utterance i owns lengths[i] rows, key utterance i owns
+    key_lengths[i] (default: the same rows, for self-attention).
+
+    None when nothing is masked (one utterance, not causal), so a single
+    utterance runs unmasked attention.
+    """
+    if len(lengths) == 1:
+        return causal_mask(lengths[0]) if causal else None
+    key_lengths = lengths if key_lengths is None else key_lengths
+    q = np.repeat(np.arange(len(lengths)), lengths)
+    k = np.repeat(np.arange(len(key_lengths)), key_lengths)
+    mask = q[:, None] != k[None, :]
+    if causal:
+        mask |= causal_mask(q.shape[0])
+    return mask
+
+
 class SelfAttention(Module):
     """Pre-norm self-attention sub-module used by encoder blocks."""
 
@@ -255,9 +275,10 @@ class ConvModule(Module):
         self.pw2 = Linear(d, d)
         self.dropout = Dropout(dropout)
 
-    def forward(self, x):
+    def forward(self, x, lengths=None):
+        """`lengths`: rows per utterance of a packed batch (None: one)."""
         h = T.glu(self.pw1.forward(self.norm.forward(x)))
-        h = T.add(T.depthwise_conv1d(h, self.dw_kernel), self.dw_bias)
+        h = T.add(T.depthwise_conv1d(h, self.dw_kernel, lengths), self.dw_bias)
         h = T.swish(self.norm2.forward(h))
         return self.dropout.forward(self.pw2.forward(h))
 
@@ -271,3 +292,11 @@ def sinusoidal_positions(length, d):
     table[:, 0::2] = np.sin(angle)
     table[:, 1::2] = np.cos(angle[:, : d // 2])
     return table
+
+
+def segment_positions(lengths, d):
+    """Position rows for packed utterances: each counts from 0 again, so
+    utterance i gets the first lengths[i] rows of the sinusoidal table."""
+    total = sum(lengths)
+    starts = np.repeat(np.cumsum([0] + list(lengths[:-1])), lengths)
+    return sinusoidal_positions(max(lengths), d)[np.arange(total) - starts]

@@ -6,7 +6,10 @@ backward pass that accumulates gradients into leaves only; intermediate
 nodes pass their gradient on and keep none. ``attention`` is one node for
 all heads, batched [H, T, d_head] products with their own backward;
 ``linear``, ``layernorm`` (with its affine) and ``glu`` are one node each;
-``matmul`` stays 2-D.
+``matmul`` stays 2-D. A training batch is packed into one graph: its
+utterances' frames are stacked as consecutive rows, and the ops whose rows
+interact (``unfold_time``, ``depthwise_conv1d``) take the per-utterance
+row counts, so no window or tap crosses from one utterance into the next.
 64-bit floats throughout so gradient checks and DP oracles are limited by
 algorithmic correctness, not precision.
 """
@@ -36,6 +39,7 @@ __all__ = [
     "layernorm",
     "swish",
     "glu",
+    "segment_lengths",
     "depthwise_conv1d",
     "unfold_time",
     "embedding_lookup",
@@ -90,8 +94,8 @@ class Tensor:
     backward closure but have ``grad`` None: ``backward()`` on a scalar loss
     walks the graph in reverse topological order, passes gradients through
     them, and accumulates only into leaves. Repeated backward calls without
-    a ``zero_grad`` accumulate, which is what gradient accumulation over a
-    batch of single utterances relies on.
+    a ``zero_grad`` accumulate. A training batch is one graph over the
+    packed frames of all its utterances, so one call covers the batch.
     """
 
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
@@ -445,56 +449,89 @@ def glu(a):
     return _node(x1 * s, (a,), bwd, "glu")
 
 
-def depthwise_conv1d(x, kernel):
-    """Per-channel temporal convolution with same padding; kernel shape [K, C], K odd."""
+def segment_lengths(lengths, rows, op):
+    """Row counts of the utterances packed into `rows` rows, in order.
+
+    None means one utterance holding every row. Lengths that do not add up
+    to `rows` raise ShapeMismatch.
+    """
+    if lengths is None:
+        return [rows]
+    lengths = [int(n) for n in lengths]
+    if not lengths or min(lengths) < 0 or sum(lengths) != rows:
+        raise ShapeMismatch(op, (rows,), tuple(lengths))
+    return lengths
+
+
+def depthwise_conv1d(x, kernel, lengths=None):
+    """Per-channel temporal convolution with same padding; kernel shape [K, C], K odd.
+
+    With `lengths` the rows are consecutive utterances, each padded on its
+    own: a tap that would reach into a neighbour contributes exactly 0.
+    """
     x, kernel = _as_tensor(x), _as_tensor(kernel)
     if x.data.ndim != 2 or kernel.data.ndim != 2 or x.data.shape[1] != kernel.data.shape[1]:
         raise ShapeMismatch("depthwise-conv1d", x.data.shape, kernel.data.shape)
     K = kernel.data.shape[0]
     if K % 2 == 0:
         raise ShapeMismatch("depthwise-conv1d", kernel.data.shape)
-    T = x.data.shape[0]
+    lengths = segment_lengths(lengths, x.data.shape[0], "depthwise-conv1d")
     pad = K // 2
-    xp = np.pad(x.data, ((pad, pad), (0, 0)))
-    out = np.zeros_like(x.data)
+    # Utterance b starts 2*pad*b rows later in the zero-separated layout
+    # [pad zeros, utt 0, 2*pad zeros, utt 1, ..., pad zeros]; `rows` picks
+    # its outputs back out of the convolution over the whole layout.
+    rows = np.arange(x.data.shape[0]) + np.repeat(2 * pad * np.arange(len(lengths)), lengths)
+    T = x.data.shape[0] + 2 * pad * (len(lengths) - 1)
+    xp = np.zeros((T + 2 * pad, x.data.shape[1]))
+    xp[rows + pad] = x.data
+    full = np.zeros((T, x.data.shape[1]))
     for k in range(K):
-        out += xp[k : k + T] * kernel.data[k]
+        full += xp[k : k + T] * kernel.data[k]
+    out = full[rows]
 
     def bwd(g):
         gx = gk = None
+        gfull = np.zeros_like(full)
+        gfull[rows] = g
         if x.requires_grad:
             gxp = np.zeros_like(xp)
             for k in range(K):
-                gxp[k : k + T] += g * kernel.data[k]
-            gx = gxp[pad : pad + T]
+                gxp[k : k + T] += gfull * kernel.data[k]
+            gx = gxp[rows + pad]
         if kernel.requires_grad:
-            gk = np.stack([(xp[k : k + T] * g).sum(axis=0) for k in range(K)])
+            gk = np.stack([(xp[k : k + T] * gfull).sum(axis=0) for k in range(K)])
         return (gx, gk)
 
     return _node(out, (x, kernel), bwd, "depthwise-conv1d")
 
 
-def unfold_time(x, kernel, stride):
+def unfold_time(x, kernel, stride, lengths=None):
     """Stack sliding windows of `kernel` frames (valid padding) into rows.
 
     [T, C] becomes [T_out, kernel*C] with T_out = (T - kernel)//stride + 1.
-    A full strided convolution is then just a matmul on the result.
+    A full strided convolution is then just a matmul on the result. With
+    `lengths` the rows are consecutive utterances and each is unfolded on
+    its own, so no window crosses from one into the next.
     """
     x = _as_tensor(x)
     if x.data.ndim != 2:
         raise ShapeMismatch("unfold-time", x.data.shape)
-    T, C = x.data.shape
-    if T < kernel:
+    C = x.data.shape[1]
+    lengths = segment_lengths(lengths, x.data.shape[0], "unfold-time")
+    if min(lengths) < kernel:
         raise ShapeMismatch("unfold-time", x.data.shape, (kernel,))
-    t_out = (T - kernel) // stride + 1
-    win = np.lib.stride_tricks.sliding_window_view(x.data, (kernel, C))[::stride, 0]
-    out = win.reshape(t_out, kernel * C).copy()
+    starts = np.concatenate([
+        o + stride * np.arange((n - kernel) // stride + 1)
+        for o, n in zip(np.cumsum([0] + lengths[:-1]), lengths)
+    ])
+    # idx[i, k]: source row of tap k of window i
+    idx = (starts[:, None] + np.arange(kernel)).reshape(-1)
+    out = x.data[idx].reshape(starts.shape[0], kernel * C)
 
     def bwd(g):
+        # np.add.at adds in window order, as a loop over windows would.
         gx = np.zeros_like(x.data)
-        gw = g.reshape(t_out, kernel, C)
-        for i in range(t_out):
-            gx[i * stride : i * stride + kernel] += gw[i]
+        np.add.at(gx, idx, g.reshape(-1, C))
         return (gx,)
 
     return _node(out, (x,), bwd, "unfold-time")
@@ -594,7 +631,9 @@ def finite_diff_check(f, params, eps=1e-5, max_coords_per_param=None, rng=None):
     """Compare analytic gradients of ``f(params)`` against central differences.
 
     ``f`` must be deterministic (eval mode, frozen routing); this is verified
-    by evaluating it twice up front. Returns the worst relative error
+    by evaluating it twice up front. A non-finite value of ``f``, at the
+    start or at a perturbed point, raises ValueError: the inputs are
+    outside the function's domain. Returns the worst relative error
     ``|analytic - numeric| / (|analytic| + |numeric| + 1e-12)`` over all
     checked coordinates. ``max_coords_per_param`` samples coordinates to keep
     large checks affordable.
@@ -606,7 +645,10 @@ def finite_diff_check(f, params, eps=1e-5, max_coords_per_param=None, rng=None):
         out = f(params)
         if out.data.size != 1:
             raise ValueError("finite_diff_check requires a scalar-valued function")
-        return float(out.data)
+        value = float(out.data)
+        if not np.isfinite(value):
+            raise ValueError(f"finite_diff_check: f evaluated to non-finite {value!r}")
+        return value
 
     v1, v2 = evaluate(), evaluate()
     if v1 != v2:

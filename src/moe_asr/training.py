@@ -10,8 +10,9 @@ when their weight is zero. Skipping (rather than multiplying by zero)
 keeps a single-expert run's computation graph float-for-float identical to
 the dense baseline's, which the degeneration test depends on.
 
-A batch is a list of utterances processed sequentially into one graph; one
-backward call accumulates all gradients, so there is no padding anywhere.
+A batch is packed into one graph: its utterances' frames are stacked as
+rows, each layer runs once on all of them, and per-utterance row counts
+keep every utterance to itself. Loss terms are means over utterances.
 """
 
 from __future__ import annotations
@@ -29,11 +30,10 @@ from . import tensor as T
 from .checkpoint import load_pretrained_embedding, save_embedding, save_model
 from .ctc import ctc_loss
 from .decoder import multi_level_aed
-from .encoder import EmbeddingNetwork
+from .encoder import EmbeddingNetwork, subsampled_length
 from .features import load_normalized_split, spec_augment, utterance_rng
 from .model import SpeechModel
 from .moe import (
-    batch_distributions,
     mean_importance_loss,
     moe_loss,
     sparsity_loss,
@@ -103,9 +103,10 @@ def global_grad_norm(params):
 
 def clip_gradients(params, max_norm):
     """Scale all gradients by a common factor if the global norm exceeds the
-    threshold; returns the pre-clip norm. Direction is always preserved."""
+    threshold; returns the pre-clip norm. Direction is always preserved. A
+    non-finite norm scales nothing: the caller has to stop."""
     norm = global_grad_norm(params)
-    if norm > max_norm:
+    if max_norm < norm < math.inf:
         factor = max_norm / norm
         for p in params.values():
             p.grad *= factor
@@ -143,60 +144,52 @@ def _mean(terms):
     return T.scale(out, 1.0 / len(terms))
 
 
+def _packed(batch):
+    """One batch as stacked feature rows, rows per utterance, token lists."""
+    feats = Tensor(np.concatenate([seq.feats for seq in batch]))
+    return feats, [seq.feats.shape[0] for seq in batch], [seq.tokens for seq in batch]
+
+
 def batch_losses(model, batch, train_cfg):
-    """Forward one batch and assemble every objective term.
+    """Forward one packed batch and assemble every objective term.
 
     Returns (total, metrics dict, routing list or None); metrics values are
     plain floats. Routing stats are measured outside the graph so that they
     exist even when the routing losses carry zero weight.
     """
     cfg = model.cfg
-    ctc_terms, aed_terms, embed_terms = [], [], []
-    per_layer = {idx: [] for idx in cfg.routed_blocks()}
-    want_embed_ctc = cfg.routed and train_cfg.gamma > 0.0
-    for seq in batch:
-        feats = Tensor(seq.feats)
-        out, e_c = model.encode(feats)
-        ctc_terms.append(ctc_loss(model.ctc_log_probs(out.final), seq.tokens))
-        aed_total, _ = multi_level_aed(
-            model.decoder, model.aux_decoders, out, seq.tokens,
-            cfg.tap_blocks(), train_cfg.label_smoothing,
-        )
-        aed_terms.append(aed_total)
-        if want_embed_ctc:
-            embed_terms.append(
-                ctc_loss(model.embedding_net.ctc_log_probs(e_c), seq.tokens)
-            )
-        for idx, record in out.records:
-            per_layer[idx].append(record)
-
-    l_ctc = _mean(ctc_terms)
-    l_aed = _mean(aed_terms)
+    feats, lengths, tokens = _packed(batch)
+    out, e_c = model.encode(feats, lengths)
+    l_ctc = T.reduce_mean(ctc_loss(model.ctc_log_probs(out.final), tokens, out.lengths))
+    aed_total, _ = multi_level_aed(
+        model.decoder, model.aux_decoders, out, tokens,
+        cfg.tap_blocks(), train_cfg.label_smoothing,
+    )
+    l_aed = T.reduce_mean(aed_total)
     l_joint = joint_loss(l_ctc, [l_aed], train_cfg.eta)
 
     l_s = l_m = l_e = None
     routing = None
     if cfg.routed:
-        stacked = {idx: batch_distributions(records) for idx, records in per_layer.items()}
+        records = dict(out.records)
         if train_cfg.alpha > 0.0:
-            l_s = _mean([sparsity_loss(p) for p in stacked.values()])
+            l_s = _mean([sparsity_loss(r.p) for r in records.values()])
         if train_cfg.beta > 0.0:
-            l_m = _mean([mean_importance_loss(p, cfg.num_experts) for p in stacked.values()])
-        if want_embed_ctc:
-            l_e = _mean(embed_terms)
+            l_m = _mean([mean_importance_loss(r.p, cfg.num_experts) for r in records.values()])
+        if train_cfg.gamma > 0.0:
+            l_e = T.reduce_mean(
+                ctc_loss(model.embedding_net.ctc_log_probs(e_c), tokens, out.lengths)
+            )
         routing = []
         with T.no_grad():
-            for idx, records in per_layer.items():
-                counts = np.zeros(cfg.num_experts, dtype=np.int64)
-                for record in records:
-                    counts += record.utilization(cfg.num_experts)
-                p = Tensor(stacked[idx].data)
+            for idx, record in records.items():
+                counts = record.utilization(cfg.num_experts)
                 routing.append({
                     "block": idx,
                     "utilization": [int(c) for c in counts],
                     "entropy": utilization_entropy(counts),
-                    "sparsity": float(sparsity_loss(p).data),
-                    "importance": float(mean_importance_loss(p, cfg.num_experts).data),
+                    "sparsity": float(sparsity_loss(record.p).data),
+                    "importance": float(mean_importance_loss(record.p, cfg.num_experts).data),
                 })
         l_moe = moe_loss(l_s, l_m, l_e, train_cfg.alpha, train_cfg.beta, train_cfg.gamma)
         total = total_loss(l_moe, l_joint)
@@ -330,6 +323,10 @@ def _run_loop(module, train_seqs, dev_seqs, train_cfg, out_dir, step_fn, eval_fn
                 )
             total.backward()
             grad_norm = clip_gradients(params, train_cfg.grad_clip)
+            if not math.isfinite(grad_norm):
+                raise RuntimeError(
+                    f"training diverged: non-finite gradient norm {grad_norm} at step {step}"
+                )
             lr = learning_rate(step, train_cfg.peak_lr, train_cfg.warmup_steps)
             optimizer.step(lr)
 
@@ -368,11 +365,10 @@ def run_pretraining(net, train_seqs, dev_seqs, model_cfg, train_cfg, out_dir):
     checkpoint (by dev CTC) is copied to <out_dir>/embedding.ckpt."""
 
     def step_fn(batch):
-        terms = [
-            ctc_loss(net.ctc_log_probs(net.embed(Tensor(seq.feats))), seq.tokens)
-            for seq in batch
-        ]
-        l_ctc = _mean(terms)
+        feats, lengths, tokens = _packed(batch)
+        log_probs = net.ctc_log_probs(net.embed(feats, lengths))
+        frames = [subsampled_length(n) for n in lengths]
+        l_ctc = T.reduce_mean(ctc_loss(log_probs, tokens, frames))
         return l_ctc, {"loss": float(l_ctc.data), "ctc": float(l_ctc.data)}, None
 
     def eval_fn():

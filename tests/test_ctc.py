@@ -125,6 +125,34 @@ class TestGradient:
         assert isinstance(out, Tensor) and out._backward is None
 
 
+class TestPackedBatch:
+    def test_each_utterance_matches_its_own_run_bit_for_bit(self):
+        """One padded recursion over utterances of different lengths and
+        token counts (empty, repeated, longest) gives every utterance the
+        loss and gradient rows of running it alone."""
+        rng = np.random.default_rng(76)
+        frames = [5, 1, 9, 4, 7]
+        seqs = [[0, 0], [], [2, 1, 1, 0, 2], [3], [1, 2, 1]]
+        grids = [_rand_log_post(rng, n, 5) for n in frames]
+        packed = Tensor(np.concatenate(grids), requires_grad=True)
+        g = rng.normal(size=len(frames))
+        losses = ctc.ctc_loss(packed, seqs, frames)
+        T.reduce_sum(T.mul(losses, Tensor(g))).backward()
+        offsets = np.cumsum([0] + frames)
+        for i, (grid, seq) in enumerate(zip(grids, seqs)):
+            one = Tensor(grid, requires_grad=True)
+            loss = ctc.ctc_loss(one, seq)
+            T.scale(loss, g[i]).backward()
+            assert losses.data[i] == loss.data
+            assert packed.grad[offsets[i]:offsets[i + 1]].tobytes() == one.grad.tobytes()
+            assert ctc.ctc_loss(grid, seq) == ctc.ctc_loss(np.concatenate(grids), seqs, frames)[i]
+
+    def test_infeasible_utterance_in_batch_rejected(self):
+        lp = np.log(np.full((6, 3), 1.0 / 3))
+        with pytest.raises(ctc.InfeasibleLength):
+            ctc.ctc_loss(lp, [[0], [1, 1]], [4, 2])
+
+
 class TestGreedy:
     def test_collapse_example(self):
         """Argmax classes blank,a,a,blank,b collapse to [a, b]."""

@@ -185,9 +185,9 @@ class TestEmbeddingNetwork:
         calls = []
         subsample = Subsample.forward
 
-        def counted(module, feats):
+        def counted(module, *args):
             calls.append(module)
-            return subsample(module, feats)
+            return subsample(module, *args)
 
         monkeypatch.setattr(Subsample, "forward", counted)
         x = Tensor(np.random.default_rng(41).normal(size=(20, 6)))

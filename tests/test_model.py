@@ -122,9 +122,9 @@ class TestSpeechModel:
         calls = []
         embed = EmbeddingNetwork.embed
 
-        def counted(net, feats):
+        def counted(net, *args):
             calls.append(net)
-            return embed(net, feats)
+            return embed(net, *args)
 
         monkeypatch.setattr(EmbeddingNetwork, "embed", counted)
         feats = T.Tensor(np.random.default_rng(0).normal(size=(20, 8)))

@@ -10,7 +10,6 @@ from moe_asr import tensor as T
 from moe_asr.moe import (
     RoutedFFN,
     Router,
-    batch_distributions,
     mean_importance_loss,
     moe_loss,
     sparsity_loss,
@@ -237,18 +236,6 @@ class TestAuxLosses:
 
 
 class TestAggregation:
-    def test_batch_distributions_stacks_frames(self):
-        rng = np.random.default_rng(65)
-        router = Router(2, 2, 3).initialize(0)
-        recs = [
-            router.route(Tensor(rng.normal(size=(t, 2))), Tensor(rng.normal(size=(t, 2))))
-            for t in (4, 7)
-        ]
-        P = batch_distributions(recs)
-        assert P.data.shape == (11, 3)
-        np.testing.assert_allclose(P.data[:4], recs[0].p.data)
-        np.testing.assert_allclose(P.data[4:], recs[1].p.data)
-
     def test_utilization_entropy_limits(self):
         assert utilization_entropy([5, 5, 5, 5]) == pytest.approx(math.log(4))
         assert utilization_entropy([12, 0, 0, 0]) == 0.0

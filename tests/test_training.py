@@ -385,6 +385,31 @@ class TestLoops:
                 load_normalized_split(data, "dev"), tc, tmp_path / "run",
             )
 
+    def test_infinite_gradient_aborts_before_the_update(self, tmp_path, monkeypatch):
+        """An inf in one gradient stops the run before clipping's zero
+        factor and Adam can write NaN into the parameters, and before the
+        step's metrics line (which would hold a non-JSON Infinity)."""
+        data = self._corpus(tmp_path)
+        tc = TrainConfig(max_steps=5, eval_every=10, seed=0)
+        model = SpeechModel(self._model_cfg()).initialize(tc.seed)
+        params = model.named_parameters()
+        before = {n: p.data.copy() for n, p in params.items()}
+        backward = Tensor.backward
+
+        def poisoned(loss):
+            backward(loss)
+            params["ctc_head.bias"].grad[0] = np.inf
+
+        monkeypatch.setattr(Tensor, "backward", poisoned)
+        with pytest.raises(RuntimeError, match="non-finite gradient norm inf at step 1"):
+            run_joint_training(
+                model, load_normalized_split(data, "train"),
+                load_normalized_split(data, "dev"), tc, tmp_path / "run",
+            )
+        for name, p in params.items():
+            assert p.data.tobytes() == before[name].tobytes(), name
+        assert (tmp_path / "run" / "metrics.jsonl").read_text() == ""
+
     def test_empty_eval_split_rejected(self):
         with pytest.raises(ValueError, match="empty"):
             evaluate_ctc(lambda f: f, [])
