@@ -18,7 +18,6 @@ import struct
 import numpy as np
 
 from .config import ModelConfig
-from .encoder import EmbeddingNetwork
 from .model import SpeechModel
 
 MAGIC = b"3MCK"
@@ -149,16 +148,6 @@ def load_model(path):
 
 def save_embedding(path, embedding_net, cfg):
     write_params(path, "embedding", dataclasses.asdict(cfg), _gather(embedding_net))
-
-
-def load_embedding(path):
-    kind, config, params = read_params(path)
-    if kind != "embedding":
-        raise CheckpointError(f"{path}: expected an embedding checkpoint, found {kind!r}")
-    cfg = ModelConfig(**config)
-    net = EmbeddingNetwork(cfg)
-    _restore(net, params, path)
-    return cfg, net
 
 
 def load_pretrained_embedding(model, path):

@@ -1,10 +1,12 @@
 """Command-line surface: prepare, pretrain-embedding, train, decode, score,
 flops.
 
-Every config field is also a long flag (underscores become dashes); flags
-override config-file values, and each run directory gets the resolved
-snapshot (config.json) plus a run manifest. Timestamps live only in the
-manifest, so every other artifact is byte-reproducible from equal inputs.
+Every config field is also a long flag (underscores become dashes); a
+field's value comes from its flag, else the --config file, else (for
+vocab_size and feat_dim) the prepared corpus, else its default. Each run
+directory gets the resolved snapshot (config.json) plus a run manifest.
+Timestamps live only in the manifest, so every other artifact is
+byte-reproducible from equal inputs.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from datetime import datetime, timezone
 from pathlib import Path
 
 from .checkpoint import load_model
-from .config import DecodeConfig, ModelConfig, TrainConfig, config_to_dict, load_configs
+from .config import DecodeConfig, ModelConfig, TrainConfig
 from .features import generate_corpus, load_manifest, load_normalized_split
 from .inference import cost_report, decode_nbest, format_cost_table, score_corpus
 from .tensor import Tensor
@@ -40,16 +42,30 @@ def _add_config_flags(parser, sections):
                 group.add_argument(flag, type=_FLAG_TYPES[field.type], default=None)
 
 
-def _collect_overrides(args, sections):
-    overrides = {}
-    for section, cls in _CONFIG_SECTIONS:
-        if section not in sections:
-            continue
-        for field in dataclasses.fields(cls):
-            value = getattr(args, field.name, None)
-            if value is not None:
-                overrides[f"{section}.{field.name}"] = value
-    return overrides
+def _filtered(cls, obj):
+    known = {f.name for f in dataclasses.fields(cls)}
+    unknown = set(obj) - known
+    if unknown:
+        raise ValueError(f"unknown {cls.__name__} keys: {sorted(unknown)}")
+    return cls(**obj)
+
+
+def _read_config(path):
+    """The sections of a --config file, each checked to be a known section
+    holding an object, whether or not the command uses it."""
+    if path is None:
+        return {}
+    with open(path, "r", encoding="utf-8") as fh:
+        raw = json.load(fh)
+    if not isinstance(raw, dict):
+        raise ValueError(f"{path}: not a JSON object of config sections")
+    known = [section for section, _ in _CONFIG_SECTIONS]
+    for section, body in raw.items():
+        if section not in known:
+            raise ValueError(f"{path}: unknown section {section!r}, expected one of {known}")
+        if not isinstance(body, dict):
+            raise ValueError(f"{path}: section {section!r} is not a JSON object")
+    return raw
 
 
 def _corpus_defaults(data_dir):
@@ -59,24 +75,30 @@ def _corpus_defaults(data_dir):
     """
     with open(Path(data_dir) / "corpus.json", "r", encoding="utf-8") as fh:
         summary = json.load(fh)
-    return {
-        "model.vocab_size": int(summary["vocab_size"]) + 1,
-        "model.feat_dim": int(summary["feat_dim"]),
-    }
+    return {"vocab_size": int(summary["vocab_size"]) + 1, "feat_dim": int(summary["feat_dim"])}
 
 
 def _resolve(args, sections, data_dir=None):
-    overrides = _collect_overrides(args, sections)
-    if "model" in sections and data_dir is not None:
-        file_model = {}
-        if args.config:
-            with open(args.config, "r", encoding="utf-8") as fh:
-                file_model = json.load(fh).get("model", {})
-        for key, value in _corpus_defaults(data_dir).items():
-            field = key.split(".", 1)[1]
-            if key not in overrides and field not in file_model:
-                overrides[key] = value
-    return load_configs(args.config, overrides, need=sections)
+    """(ModelConfig, TrainConfig, DecodeConfig), None for a section the
+    command does not need (decode takes its model from the checkpoint).
+
+    Each field takes its value from the first of: its flag, its section of
+    the --config file, and, for the model's vocab_size and feat_dim only,
+    the corpus in data_dir; the dataclass default otherwise.
+    """
+    file = _read_config(args.config)
+    resolved = []
+    for section, cls in _CONFIG_SECTIONS:
+        if section not in sections:
+            resolved.append(None)
+            continue
+        values = _corpus_defaults(data_dir) if section == "model" and data_dir else {}
+        values.update(file.get(section, {}))
+        for field in dataclasses.fields(cls):
+            if getattr(args, field.name) is not None:
+                values[field.name] = getattr(args, field.name)
+        resolved.append(_filtered(cls, values))
+    return tuple(resolved)
 
 
 def _write_json(path, obj):
@@ -89,7 +111,7 @@ def _snapshot(out_dir, model=None, train=None, decode=None):
     sections = {}
     for name, cfg in (("model", model), ("train", train), ("decode", decode)):
         if cfg is not None:
-            sections[name] = config_to_dict(cfg)
+            sections[name] = dataclasses.asdict(cfg)
     _write_json(Path(out_dir) / "config.json", sections)
     return sections
 
@@ -160,11 +182,9 @@ def cmd_decode(args):
     model = load_model(args.checkpoint).eval()
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    _snapshot(out, model=model.cfg, decode=decode_cfg)
+    snapshot = _snapshot(out, model=model.cfg, decode=decode_cfg)
     manifest = _Manifest(out, "decode",
-                         {"model": config_to_dict(model.cfg),
-                          "decode": config_to_dict(decode_cfg),
-                          "checkpoint": str(args.checkpoint), "split": args.split},
+                         dict(snapshot, checkpoint=str(args.checkpoint), split=args.split),
                          None)
     seqs = load_normalized_split(args.data, args.split)
     with open(out / "nbest.jsonl", "w", encoding="utf-8") as fh:
@@ -228,8 +248,7 @@ def cmd_flops(args):
     name = "dense" if model_cfg.num_experts == 0 else f"{model_cfg.num_experts}e"
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    _snapshot(out, model=model_cfg)
-    manifest = _Manifest(out, "flops", {"model": config_to_dict(model_cfg)}, None)
+    manifest = _Manifest(out, "flops", _snapshot(out, model=model_cfg), None)
     _write_json(out / "report.json", dict(report.to_dict(), model=name))
     manifest.finish(report="report.json")
     print(format_cost_table([(name, report)]))

@@ -1,4 +1,10 @@
-"""Model and training configuration.
+"""Model, training and decoding configuration.
+
+Every dataclass field is a setting, and ``__post_init__`` rejects an
+invalid value by name. The command line exposes each field as a flag and as
+a key of a ``--config`` section (``cli._resolve`` sets the precedence).
+Values the paper's recipe fixes are constants in ``training`` instead: the
+Adam moments and epsilon, the gradient clip and the SpecAugment masks.
 
 Token-id conventions used across the package:
   - Data tokens occupy ids 0..vocab_size-2.
@@ -10,9 +16,14 @@ Token-id conventions used across the package:
 
 from __future__ import annotations
 
-import dataclasses
-import json
 from dataclasses import dataclass
+
+
+def _require_positive(cfg, names):
+    for name in names:
+        value = getattr(cfg, name)
+        if value < 1:
+            raise ValueError(f"{name} must be >= 1, got {value}")
 
 
 @dataclass
@@ -51,6 +62,11 @@ class ModelConfig:
             self.decoder_ff = self.d_ff
         if self.decoder_heads == 0:
             self.decoder_heads = self.heads
+        _require_positive(self, ("feat_dim", "d_att", "d_ff", "heads", "kernel", "num_blocks",
+                                 "d_emb", "embedding_blocks", "decoder_blocks", "decoder_ff",
+                                 "decoder_heads"))
+        if not 0.0 <= self.dropout < 1.0:
+            raise ValueError(f"dropout must lie in [0, 1), got {self.dropout}")
         if self.d_att % self.heads != 0:
             raise ValueError(f"d_att {self.d_att} not divisible by heads {self.heads}")
         if self.kernel % 2 == 0:
@@ -127,24 +143,18 @@ class TrainConfig:
     label_smoothing: float = 0.1
     peak_lr: float = 2e-3
     warmup_steps: int = 1000
-    grad_clip: float = 5.0
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.98
-    adam_eps: float = 1e-9
     batch_size: int = 4
     max_steps: int = 3000
     max_epochs: int = 26
     eval_every: int = 250
     seed: int = 0
-    # Mask widths sized for the short synthetic utterances; production-length
-    # audio would use the wider spec_augment defaults.
     augment: bool = True
-    augment_freq_width: int = 10
-    augment_time_width: int = 10
-    augment_n_freq: int = 2
-    augment_n_time: int = 2
 
     def __post_init__(self):
+        _require_positive(self, ("warmup_steps", "batch_size", "eval_every"))
+        # At 1 the smoothed target is uniform and no longer depends on the label.
+        if not 0.0 <= self.label_smoothing < 1.0:
+            raise ValueError(f"label_smoothing must lie in [0, 1), got {self.label_smoothing}")
         if not 0.0 <= self.eta <= 1.0:
             raise ValueError(f"eta must lie in [0, 1], got {self.eta}")
         if min(self.alpha, self.beta, self.gamma) < 0:
@@ -161,51 +171,3 @@ class DecodeConfig:
         if not self.beam >= self.nbest >= 1:
             raise ValueError(f"need beam >= nbest >= 1, got {self.beam}, {self.nbest}")
 
-
-def config_to_dict(cfg):
-    return dataclasses.asdict(cfg)
-
-
-def _filtered(cls, obj):
-    known = {f.name for f in dataclasses.fields(cls)}
-    unknown = set(obj) - known
-    if unknown:
-        raise ValueError(f"unknown {cls.__name__} keys: {sorted(unknown)}")
-    return cls(**obj)
-
-
-def load_configs(path=None, overrides=None, need=("model", "train", "decode")):
-    """Build (ModelConfig, TrainConfig, DecodeConfig) from a JSON file plus
-    flat override pairs; overrides win over file values.
-
-    The file holds up to three sections: "model", "train", "decode".
-    Overrides are {section.key: value} or bare {key: value} resolved by
-    unique ownership. Sections outside `need` are returned as None so a
-    command that takes its model from a checkpoint never has to satisfy
-    model-section requirements.
-    """
-    sections = {"model": {}, "train": {}, "decode": {}}
-    if path is not None:
-        with open(path, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
-        for sec in sections:
-            sections[sec].update(raw.get(sec, {}))
-    owners = {
-        f.name: sec
-        for sec, cls in (("model", ModelConfig), ("train", TrainConfig), ("decode", DecodeConfig))
-        for f in dataclasses.fields(cls)
-    }
-    for key, value in (overrides or {}).items():
-        if value is None:
-            continue
-        if "." in key:
-            sec, field = key.split(".", 1)
-        else:
-            sec, field = owners.get(key), key
-        if sec not in sections:
-            raise ValueError(f"override {key!r} does not match any config field")
-        sections[sec][field] = value
-    model = _filtered(ModelConfig, sections["model"]) if "model" in need else None
-    train = _filtered(TrainConfig, sections["train"]) if "train" in need else None
-    decode = _filtered(DecodeConfig, sections["decode"]) if "decode" in need else None
-    return model, train, decode

@@ -54,11 +54,6 @@ def decode_nbest(model, feats, beam, nbest, mu):
     return [hyp for hyp, _ in scored]
 
 
-def decode_utterance(model, feats, beam, nbest, mu):
-    """Best hypothesis by the combined score; never leaves the N-best list."""
-    return decode_nbest(model, feats, beam, nbest, mu)[0]
-
-
 # ---------------------------------------------------------------------------
 # scoring
 # ---------------------------------------------------------------------------

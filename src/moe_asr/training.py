@@ -57,6 +57,8 @@ def learning_rate(step, peak_lr, warmup_steps):
 class Adam:
     """Adam on a fixed named-parameter set.
 
+    The defaults are the paper recipe's, and the only values training uses.
+
     A parameter whose gradient has stayed exactly zero has exactly zero
     moment estimates, so its update is exactly zero: untouched parameters
     never drift, whatever the step count.
@@ -92,6 +94,9 @@ class Adam:
             den += self.eps
             num /= den
             p.data -= num
+
+
+GRAD_CLIP = 5.0  # global gradient-norm threshold of the paper's recipe
 
 
 def global_grad_norm(params):
@@ -272,16 +277,19 @@ class _Batcher:
 
 
 def _augmented(batch, train_cfg):
+    # Two frequency and two time masks of width up to 10, sized for the short
+    # synthetic utterances (production-length audio would use the wider
+    # spec_augment defaults); a band never spans more than the feature dim.
     if not train_cfg.augment:
         return [seq for seq, _ in batch]
     return [
         spec_augment(
             seq,
             utterance_rng(train_cfg.seed, seq.utt_id, visit),
-            F=train_cfg.augment_freq_width,
-            T_mask=train_cfg.augment_time_width,
-            n_freq=train_cfg.augment_n_freq,
-            n_time=train_cfg.augment_n_time,
+            F=min(10, seq.feats.shape[1]),
+            T_mask=10,
+            n_freq=2,
+            n_time=2,
         )
         for seq, visit in batch
     ]
@@ -297,7 +305,7 @@ def _run_loop(module, train_seqs, dev_seqs, train_cfg, out_dir, step_fn, eval_fn
     out = Path(out_dir)
     (out / "checkpoints").mkdir(parents=True, exist_ok=True)
     params = module.named_parameters()
-    optimizer = Adam(params, train_cfg.adam_beta1, train_cfg.adam_beta2, train_cfg.adam_eps)
+    optimizer = Adam(params)
     batcher = _Batcher(train_seqs, train_cfg.batch_size)
     records = []
     routed_log = None
@@ -322,7 +330,7 @@ def _run_loop(module, train_seqs, dev_seqs, train_cfg, out_dir, step_fn, eval_fn
                     f"training diverged: non-finite loss {float(total.data)} at step {step}"
                 )
             total.backward()
-            grad_norm = clip_gradients(params, train_cfg.grad_clip)
+            grad_norm = clip_gradients(params, GRAD_CLIP)
             if not math.isfinite(grad_norm):
                 raise RuntimeError(
                     f"training diverged: non-finite gradient norm {grad_norm} at step {step}"

@@ -1,11 +1,13 @@
 """Subcommand behavior: artifacts, overrides, determinism, failure modes."""
 
 import json
+import re
+import shlex
 from pathlib import Path
 
 import pytest
 
-from moe_asr.cli import main
+from moe_asr.cli import build_parser, main
 
 TINY_MODEL = [
     "--d-att", "16", "--d-ff", "24", "--heads", "2", "--kernel", "3",
@@ -93,6 +95,17 @@ class TestTrain:
         assert config["train"]["max_steps"] == 3
         assert len((run / "metrics.jsonl").read_text().splitlines()) == 3
 
+    def test_default_augmentation_trains_on_narrow_features(self, tmp_path):
+        """Frequency masks are capped at the feature dim, so default
+        SpecAugment runs on features narrower than its width of 10."""
+        data = prepare(tmp_path, feat_dim=8)
+        run = tmp_path / "run"
+        assert main(["train", "--data", str(data), "--out", str(run),
+                     *TINY_MODEL, *TINY_TRAIN, "--max-steps", "2"]) == 0
+        config = json.loads((run / "config.json").read_text())
+        assert config["model"]["feat_dim"] == 8 and config["train"]["augment"]
+        assert len((run / "metrics.jsonl").read_text().splitlines()) == 2
+
     def test_reruns_reproduce_everything_but_timestamps(self, tmp_path):
         data = prepare(tmp_path)
         runs = []
@@ -165,7 +178,86 @@ class TestFlops:
         assert "model" in printed and "params" in printed and "dense" in printed
 
 
+class TestConfigResolution:
+    def _flops_model(self, tmp_path, *extra):
+        out = tmp_path / "cost"
+        assert main(["flops", "--out", str(out), *extra]) == 0
+        return json.loads((out / "config.json").read_text())["model"]
+
+    def test_flag_beats_file_beats_corpus(self, tmp_path):
+        data = prepare(tmp_path, feat_dim=10)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"model": {"feat_dim": 12}}))
+        from_corpus = self._flops_model(tmp_path / "a", "--data", str(data))
+        from_file = self._flops_model(tmp_path / "b", "--data", str(data),
+                                      "--config", str(cfg_path))
+        from_flag = self._flops_model(tmp_path / "c", "--data", str(data),
+                                      "--config", str(cfg_path), "--feat-dim", "14")
+        assert [m["feat_dim"] for m in (from_corpus, from_file, from_flag)] == [10, 12, 14]
+        assert {m["vocab_size"] for m in (from_corpus, from_file, from_flag)} == {5}
+
+    def test_removed_training_knob_is_rejected_by_name(self, tmp_path, capsys):
+        data = prepare(tmp_path)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"train": {"grad_clip": 5.0}}))
+        assert main(["train", "--data", str(data), "--out", str(tmp_path / "run"),
+                     "--config", str(cfg_path)]) == 1
+        assert "grad_clip" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as excinfo:
+            main(["train", "--data", str(data), "--out", str(tmp_path / "run"),
+                  "--adam-eps", "1e-8"])
+        assert excinfo.value.code == 2
+
+    @pytest.mark.parametrize("command, body, section", [
+        ("flops", [1], None),
+        ("flops", {"decode": [1]}, "decode"),
+        ("flops", {"model": "wide"}, "model"),
+        ("train", {"train": None}, "train"),
+        ("train", {"training": {"max_steps": 2}}, "training"),
+    ])
+    def test_malformed_config_file_named(self, tmp_path, capsys, command, body, section):
+        data = prepare(tmp_path)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(body))
+        assert main([command, "--data", str(data), "--out", str(tmp_path / "out"),
+                     "--config", str(cfg_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ValueError: ") and str(cfg_path) in err
+        if section is not None:
+            assert repr(section) in err
+
+    def test_readme_commands_parse(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        commands = []
+        for block in re.findall(r"```sh\n(.*?)```", readme, re.S):
+            for line in block.replace("\\\n", " ").splitlines():
+                if line.startswith("moe-asr "):
+                    commands.append(shlex.split(line)[1:])
+        assert len(commands) >= 6
+        parser = build_parser()
+        for argv in commands:
+            parser.parse_args(argv)
+
+
 class TestFailureModes:
+    @pytest.mark.parametrize("flag, value, field", [
+        ("--eval-every", "0", "eval_every"),
+        ("--warmup-steps", "0", "warmup_steps"),
+        ("--batch-size", "0", "batch_size"),
+        ("--label-smoothing", "1.5", "label_smoothing"),
+        ("--dropout", "1.0", "dropout"),
+        ("--heads", "0", "heads"),
+    ])
+    def test_invalid_setting_fails_before_training(self, tmp_path, capsys, flag, value,
+                                                   field):
+        data = prepare(tmp_path)
+        run = tmp_path / "run"
+        assert main(["train", "--data", str(data), "--out", str(run), *TINY_MODEL,
+                     *TINY_TRAIN, "--no-augment", flag, value]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: ValueError: {field} ")
+        assert not (run / "metrics.jsonl").exists()
+
     def test_unknown_flag_exits_with_usage(self, tmp_path):
         with pytest.raises(SystemExit) as excinfo:
             main(["train", "--data", "x", "--out", "y", "--frobnicate", "1"])

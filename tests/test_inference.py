@@ -8,7 +8,6 @@ from moe_asr.inference import (
     cost_report,
     count_flops,
     decode_nbest,
-    decode_utterance,
     edit_distance,
     format_cost_table,
     score_corpus,
@@ -105,8 +104,8 @@ class TestDecode:
 
     def test_single_hypothesis_cannot_be_reranked(self):
         model = small_model()
-        best = decode_utterance(model, self._feats(), beam=6, nbest=1, mu=0.5)
-        ctc_only = decode_utterance(model, self._feats(), beam=6, nbest=1, mu=1e9)
+        best = decode_nbest(model, self._feats(), beam=6, nbest=1, mu=0.5)[0]
+        ctc_only = decode_nbest(model, self._feats(), beam=6, nbest=1, mu=1e9)[0]
         assert best.tokens == ctc_only.tokens
 
     def test_mu_zero_ranks_by_attention_score(self):
@@ -130,7 +129,7 @@ class TestDecode:
         model = small_model(seed=8)
         feats = self._feats(seed=9)
         hyps = decode_nbest(model, feats, beam=8, nbest=6, mu=0.5)
-        best = decode_utterance(model, feats, beam=8, nbest=6, mu=0.5)
+        best = decode_nbest(model, feats, beam=8, nbest=6, mu=0.5)[0]
         assert best.tokens in [h.tokens for h in hyps]
         assert best.combined == max(h.combined for h in hyps)
 

@@ -1,6 +1,5 @@
 """Model assembly, the derived parameter manifest, and checkpoints."""
 
-import dataclasses
 import errno
 import json
 import os
@@ -18,7 +17,6 @@ from moe_asr import tensor as T
 from moe_asr.checkpoint import (
     MAGIC,
     CheckpointError,
-    load_embedding,
     load_model,
     load_pretrained_embedding,
     read_params,
@@ -282,10 +280,13 @@ class TestEmbeddingCheckpoints:
         net = SpeechModel(cfg).initialize(11).embedding_net
         path = tmp_path / "emb.ckpt"
         save_embedding(path, net, cfg)
-        loaded_cfg, loaded = load_embedding(path)
-        assert dataclasses.asdict(loaded_cfg) == dataclasses.asdict(cfg)
+        kind, loaded_cfg, _ = read_params(path)
+        assert kind == "embedding"
+        assert ModelConfig(**loaded_cfg) == cfg
+        loaded = SpeechModel(cfg)
+        load_pretrained_embedding(loaded, path)
         for name, p in net.named_parameters().items():
-            assert (loaded.named_parameters()[name].data == p.data).all()
+            assert (loaded.embedding_net.named_parameters()[name].data == p.data).all()
 
     def test_pretrained_embedding_loads_into_joint_model(self, tmp_path):
         cfg = desk_cfg(num_experts=2)

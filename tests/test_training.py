@@ -7,12 +7,13 @@ import numpy as np
 import pytest
 
 from moe_asr import tensor as T
-from moe_asr.checkpoint import load_embedding
+from moe_asr.checkpoint import load_pretrained_embedding
 from moe_asr.config import ModelConfig, TrainConfig
 from moe_asr.features import generate_corpus, load_normalized_split, FeatureSequence
 from moe_asr.model import SpeechModel
 from moe_asr.tensor import Tensor
 from moe_asr.training import (
+    GRAD_CLIP,
     Adam,
     CheckpointRecord,
     batch_losses,
@@ -246,8 +247,8 @@ class TestParameterMovement:
         model.zero_grad()
         total, _, _ = batch_losses(model, tiny_batch(), tc)
         total.backward()
-        clip_gradients(params, tc.grad_clip)
-        Adam(params, tc.adam_beta1, tc.adam_beta2, tc.adam_eps).step(lr)
+        clip_gradients(params, GRAD_CLIP)
+        Adam(params).step(lr)
 
     def test_lr_zero_leaves_parameters_unchanged(self):
         model = SpeechModel(tiny_cfg(num_experts=2)).initialize(3)
@@ -368,8 +369,9 @@ class TestLoops:
             tmp_path / "pre",
         )
         assert (tmp_path / "pre" / "embedding.ckpt").exists()
-        _, reloaded = load_embedding(tmp_path / "pre" / "embedding.ckpt")
-        reloaded.eval()
+        model = SpeechModel(cfg)
+        load_pretrained_embedding(model, tmp_path / "pre" / "embedding.ckpt")
+        reloaded = model.embedding_net.eval()
         loss = evaluate_ctc(lambda f: reloaded.ctc_log_probs(reloaded.embed(f)), dev_seqs)
         assert loss == final.eval_ctc
 
@@ -427,14 +429,14 @@ class TestOverfitOneUtterance:
         seq = FeatureSequence("solo", rng.normal(size=(24, 6)), [0, 1, 2, 0])
         model = SpeechModel(cfg).initialize(0)
         params = model.named_parameters()
-        opt = Adam(params, tc.adam_beta1, tc.adam_beta2, tc.adam_eps)
+        opt = Adam(params)
         ctc_value = None
         for step in range(1, 501):
             model.train()
             model.zero_grad()
             total, metrics, _ = batch_losses(model, [seq], tc)
             total.backward()
-            clip_gradients(params, tc.grad_clip)
+            clip_gradients(params, GRAD_CLIP)
             opt.step(learning_rate(step, tc.peak_lr, tc.warmup_steps))
             ctc_value = metrics["ctc"]
             if ctc_value < 0.05:
