@@ -16,6 +16,7 @@ Token-id conventions used across the package:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 
@@ -170,4 +171,7 @@ class DecodeConfig:
     def __post_init__(self):
         if not self.beam >= self.nbest >= 1:
             raise ValueError(f"need beam >= nbest >= 1, got {self.beam}, {self.nbest}")
+        # A negative weight would rank a less likely CTC path higher.
+        if not 0.0 <= self.mu < math.inf:
+            raise ValueError(f"mu must be finite and >= 0, got {self.mu}")
 

@@ -5,9 +5,11 @@ Conventions: posterior matrices are [T x (V+1)] log-probabilities with
 column 0 the blank; the public API speaks data-token ids (0..V-1) and the
 +1 class shift stays inside this module. All dynamic programming runs in
 log space with -inf as the additive identity. The loss takes one utterance
-or a packed batch and runs one recursion over padded [batch, states] numpy
-arrays; the prefix beam search works on Python floats with a scalar
-log-add, since its masses are merged one pair at a time.
+or a packed batch and runs one forward recursion over padded [batch, states]
+numpy arrays; its gradient reads the backward variables off the same
+recursion run on every utterance reversed. The prefix beam search works on
+Python floats with a scalar log-add, since its masses are merged one pair
+at a time.
 """
 
 from __future__ import annotations
@@ -85,19 +87,55 @@ def _logsumexp3(stay, step, jump):
     return tot
 
 
+def _alpha(lp, rows, seqs):
+    """Forward variables of each utterance's CTC lattice.
+
+    Utterance b reads its frame t from grid row rows[t, b]; rows past its
+    end may hold any value and are never used. Returns alpha [T, B, S_max],
+    the emissions it summed and the blank-interleaved classes ext [B, S_max]
+    (padded with blanks). Alpha only flows to higher states and later
+    frames, so padded cells never reach real ones.
+    """
+    batch, s_max = len(seqs), max(2 * len(seq) + 1 for seq in seqs)
+    ext = np.zeros((batch, s_max), dtype=np.int64)
+    for b, seq in enumerate(seqs):
+        ext[b, : 2 * len(seq) + 1] = _extended(seq)
+    rows = np.clip(rows, 0, lp.shape[0] - 1)
+    emit = lp[rows[:, :, None], ext[None, :, :]]
+
+    # skip[b, s]: an alignment may jump s-2 -> s (new non-blank distinct
+    # from the previous non-blank).
+    skip = np.zeros((batch, s_max), dtype=bool)
+    skip[:, 2:] = (ext[:, 2:] != 0) & (ext[:, 2:] != ext[:, :-2])
+    minus_inf = np.full((batch, s_max), NEG_INF)
+
+    alpha = np.full((len(rows), batch, s_max), NEG_INF)
+    alpha[0, :, :2] = emit[0, :, :2]
+    for t in range(1, len(rows)):
+        prev = alpha[t - 1]
+        step = minus_inf.copy()
+        step[:, 1:] = prev[:, :-1]
+        jump = minus_inf.copy()
+        jump[:, 2:] = prev[:, : s_max - 2]
+        jump[~skip] = NEG_INF
+        alpha[t] = _logsumexp3(prev, step, jump) + emit[t]
+    return alpha, emit, ext
+
+
 def ctc_loss(log_probs, tokens, lengths=None):
     """Negative log-probability of `tokens` under the posterior grid.
 
     With `lengths` the grid is a packed batch: utterance i owns the next
     lengths[i] rows, `tokens` holds one sequence per utterance, and the
-    result is the vector of per-utterance losses. One recursion runs over
-    the longest utterance on padded [batch, states] arrays. Alpha never
-    flows from padded cells into real ones, and beta starts each utterance
-    at its own last frame with -inf everywhere else, so each utterance's
+    result is the vector of per-utterance losses. `_alpha` runs over the
+    longest utterance on padded [batch, states] arrays, so each utterance's
     values are those of running it alone.
 
     Differentiable: the backward pass uses the full forward/backward
-    occupancy, so gradients flow to every frame and class.
+    occupancy, so gradients flow to every frame and class. The backward
+    variables are the forward variables of each utterance reversed in time
+    with its tokens reversed (Graves et al., 2006), so each starts at its
+    own last frame.
     """
     is_tensor = isinstance(log_probs, Tensor)
     lp = log_probs.data if is_tensor else np.asarray(log_probs, dtype=np.float64)
@@ -109,37 +147,13 @@ def ctc_loss(log_probs, tokens, lengths=None):
     offsets = np.cumsum([0] + frames[:-1])
     for o, n, seq in zip(offsets, frames, seqs):
         _check_inputs(lp[o : o + n], seq)
-    batch, t_max = len(seqs), max(frames)
-    states = [2 * len(seq) + 1 for seq in seqs]
-    s_max = max(states)
+    batch, n_b = len(seqs), np.array(frames)
+    s_b = np.array([2 * len(seq) + 1 for seq in seqs])
+    t_col = np.arange(max(frames))[:, None]
 
-    # ext: blank-interleaved classes, padded with blanks; emit[t, b, s]
-    # reads utterance b's frame t, or any row past its end (never used).
-    ext = np.zeros((batch, s_max), dtype=np.int64)
-    for b, seq in enumerate(seqs):
-        ext[b, : states[b]] = _extended(seq)
-    rows = np.minimum(offsets[None, :] + np.arange(t_max)[:, None], lp.shape[0] - 1)
-    emit = lp[rows[:, :, None], ext[None, :, :]]
-
-    # skip[b, s]: an alignment may jump s-2 -> s (new non-blank distinct
-    # from the previous non-blank).
-    skip = np.zeros((batch, s_max), dtype=bool)
-    skip[:, 2:] = (ext[:, 2:] != 0) & (ext[:, 2:] != ext[:, :-2])
-    minus_inf = np.full((batch, s_max), NEG_INF)
-
-    alpha = np.full((t_max, batch, s_max), NEG_INF)
-    alpha[0, :, :2] = emit[0, :, :2]
-    for t in range(1, t_max):
-        prev = alpha[t - 1]
-        step = minus_inf.copy()
-        step[:, 1:] = prev[:, :-1]
-        jump = minus_inf.copy()
-        jump[:, 2:] = prev[:, : s_max - 2]
-        jump[~skip] = NEG_INF
-        alpha[t] = _logsumexp3(prev, step, jump) + emit[t]
-
+    alpha, emit, ext = _alpha(lp, offsets + t_col, seqs)
     log_z = np.array([
-        _lse(alpha[frames[b] - 1, b, max(states[b] - 2, 0) : states[b]]) for b in range(batch)
+        _lse(alpha[n_b[b] - 1, b, max(s_b[b] - 2, 0) : s_b[b]]) for b in range(batch)
     ])
     if np.any(log_z == NEG_INF):
         raise InfeasibleLength("no alignment has positive probability")
@@ -149,32 +163,19 @@ def ctc_loss(log_probs, tokens, lengths=None):
     if not (is_tensor and log_probs.requires_grad):
         return Tensor(value) if is_tensor else value
 
-    fwd_skip = np.zeros((batch, s_max), dtype=bool)
-    fwd_skip[:, : s_max - 2] = skip[:, 2:]
-    last = np.array(frames) - 1
-    beta = np.full((t_max, batch, s_max), NEG_INF)
-    for t in range(t_max - 1, -1, -1):
-        if t < t_max - 1:
-            nxt = beta[t + 1]
-            step = minus_inf.copy()
-            step[:, : s_max - 1] = nxt[:, 1:]
-            jump = minus_inf.copy()
-            jump[:, : s_max - 2] = nxt[:, 2:]
-            jump[~fwd_skip] = NEG_INF
-            beta[t] = _logsumexp3(nxt, step, jump) + emit[t]
-        for b in np.nonzero(last == t)[0]:
-            end = slice(max(states[b] - 2, 0), states[b])
-            beta[t, b, end] = emit[t, b, end]
+    reverse, _, _ = _alpha(lp, offsets + n_b - 1 - t_col, [seq[::-1] for seq in seqs])
 
     # occupancy gamma[t,s] = alpha*beta / emit over the real (frame, state)
-    # cells; d(-logZ)/d lp[t,c] is minus the summed occupancy of states
-    # labeled c, normalized by Z. np.add.at accumulates each (frame, class)
-    # cell in state order.
-    valid = (np.arange(t_max)[:, None, None] < np.array(frames)[None, :, None]) & (
-        np.arange(s_max)[None, None, :] < np.array(states)[None, :, None]
+    # cells, with beta[t, b, s] = reverse[n_b-1-t, b, S_b-1-s];
+    # d(-logZ)/d lp[t,c] is minus the summed occupancy of states labeled c,
+    # normalized by Z. np.add.at accumulates each (frame, class) cell in
+    # state order.
+    valid = (t_col[:, :, None] < n_b[None, :, None]) & (
+        np.arange(ext.shape[1])[None, None, :] < s_b[None, :, None]
     )
     t_idx, b_idx, s_idx = np.nonzero(valid)
-    occ = alpha[valid] + beta[valid] - emit[valid] - log_z[b_idx]
+    beta = reverse[n_b[b_idx] - 1 - t_idx, b_idx, s_b[b_idx] - 1 - s_idx]
+    occ = alpha[valid] + beta - emit[valid] - log_z[b_idx]
     occupancy = np.zeros_like(lp)
     np.add.at(occupancy, (offsets[b_idx] + t_idx, ext[b_idx, s_idx]), np.exp(occ))
     row_utt = np.repeat(np.arange(batch), frames)

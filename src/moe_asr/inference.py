@@ -16,7 +16,7 @@ import warnings
 from dataclasses import dataclass
 
 from . import tensor as T
-from .ctc import Hypothesis, prefix_beam_search
+from .ctc import prefix_beam_search
 from .decoder import rescore
 from .encoder import subsampled_length
 from .model import parameter_total
@@ -38,20 +38,12 @@ def decode_nbest(model, feats, beam, nbest, mu):
         out, _ = model.encode(feats if isinstance(feats, Tensor) else Tensor(feats))
         log_probs = model.ctc_log_probs(out.final)
         hyps = prefix_beam_search(log_probs.data, beam, nbest)
-        scored = []
-        for rank, hyp in enumerate(hyps):
-            aed = rescore(model.decoder, out.final, hyp.tokens)
-            scored.append((
-                Hypothesis(
-                    tokens=hyp.tokens,
-                    ctc_score=hyp.ctc_score,
-                    aed_score=aed,
-                    combined=aed + mu * hyp.ctc_score,
-                ),
-                rank,
-            ))
-    scored.sort(key=lambda pair: (-pair[0].combined, -pair[0].ctc_score, pair[1]))
-    return [hyp for hyp, _ in scored]
+        for hyp in hyps:
+            hyp.aed_score = rescore(model.decoder, out.final, hyp.tokens)
+            hyp.combined = hyp.aed_score + mu * hyp.ctc_score
+    # sort is stable, so ties keep the beam's order
+    hyps.sort(key=lambda hyp: (-hyp.combined, -hyp.ctc_score))
+    return hyps
 
 
 # ---------------------------------------------------------------------------

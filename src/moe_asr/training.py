@@ -250,8 +250,8 @@ def select_final(records):
 
 
 class _Batcher:
-    """Cycles the training list in manifest order, tracking per-utterance
-    visit counts so augmentation draws are iteration-order independent."""
+    """Cycles the training list in manifest order. Each utterance's k-th
+    visit falls in epoch k, so the epoch seeds its augmentation draw."""
 
     def __init__(self, seqs, batch_size):
         if not seqs:
@@ -260,15 +260,11 @@ class _Batcher:
         self.batch_size = batch_size
         self.cursor = 0
         self.epoch = 0
-        self.visits = {}
 
     def next_batch(self):
         batch = []
         for _ in range(self.batch_size):
-            seq = self.seqs[self.cursor]
-            visit = self.visits.get(seq.utt_id, 0)
-            self.visits[seq.utt_id] = visit + 1
-            batch.append((seq, visit))
+            batch.append((self.seqs[self.cursor], self.epoch))
             self.cursor += 1
             if self.cursor == len(self.seqs):
                 self.cursor = 0
@@ -285,13 +281,13 @@ def _augmented(batch, train_cfg):
     return [
         spec_augment(
             seq,
-            utterance_rng(train_cfg.seed, seq.utt_id, visit),
+            utterance_rng(train_cfg.seed, seq.utt_id, epoch),
             F=min(10, seq.feats.shape[1]),
             T_mask=10,
             n_freq=2,
             n_time=2,
         )
-        for seq, visit in batch
+        for seq, epoch in batch
     ]
 
 
@@ -302,6 +298,8 @@ def _run_loop(module, train_seqs, dev_seqs, train_cfg, out_dir, step_fn, eval_fn
     the dev CTC loss; ``save_fn(path)`` writes a checkpoint. Returns the
     full list of CheckpointRecords.
     """
+    if not dev_seqs:
+        raise ValueError("evaluation split is empty")
     out = Path(out_dir)
     (out / "checkpoints").mkdir(parents=True, exist_ok=True)
     params = module.named_parameters()

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from moe_asr.cli import build_parser, main
+from moe_asr.config import DecodeConfig
 
 TINY_MODEL = [
     "--d-att", "16", "--d-ff", "24", "--heads", "2", "--kernel", "3",
@@ -257,6 +258,20 @@ class TestFailureModes:
         err = capsys.readouterr().err
         assert err.startswith(f"error: ValueError: {field} ")
         assert not (run / "metrics.jsonl").exists()
+
+    @pytest.mark.parametrize("mu", ["-5", "nan", "inf"])
+    def test_invalid_mu_rejected(self, tmp_path, capsys, mu):
+        with pytest.raises(ValueError, match="^mu "):
+            DecodeConfig(mu=float(mu))
+        data = prepare(tmp_path, num=10)
+        run = tmp_path / "run"
+        assert main(["train", "--data", str(data), "--out", str(run), *TINY_MODEL,
+                     "--max-steps", "1", "--eval-every", "1", "--no-augment"]) == 0
+        dec = tmp_path / "dec"
+        assert main(["decode", "--data", str(data), "--checkpoint", str(run / "final.ckpt"),
+                     "--out", str(dec), "--mu", mu]) == 1
+        assert capsys.readouterr().err.startswith("error: ValueError: mu ")
+        assert not dec.exists()
 
     def test_unknown_flag_exits_with_usage(self, tmp_path):
         with pytest.raises(SystemExit) as excinfo:

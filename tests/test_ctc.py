@@ -1,6 +1,7 @@
 """CTC loss against hand sums and the full-path enumeration oracle;
 decoding against exhaustive search on tiny grids."""
 
+import itertools
 import math
 
 import numpy as np
@@ -14,6 +15,29 @@ from moe_asr.tensor import Tensor
 def _rand_log_post(rng, t_frames, classes):
     logits = rng.normal(size=(t_frames, classes))
     return np.log(np.exp(logits) / np.exp(logits).sum(axis=-1, keepdims=True))
+
+
+def _enumerated_occupancy(lp, tokens):
+    """Posterior probability of each (frame, class) cell: the normalized
+    mass of every path through it that collapses to `tokens`, found by
+    listing all classes^T paths."""
+    t_frames, classes = lp.shape
+    frames = np.arange(t_frames)
+    paths = [
+        path for path in itertools.product(range(classes), repeat=t_frames)
+        if [c - 1 for c, _ in itertools.groupby(path) if c != 0] == tokens
+    ]
+    scores = np.array([lp[frames, path].sum() for path in paths])
+    weights = np.exp(scores - np.logaddexp.reduce(scores))
+    occupancy = np.zeros_like(lp)
+    for path, w in zip(paths, weights):
+        occupancy[frames, path] += w
+    return occupancy
+
+
+# (frames, tokens) over 4 classes: a repeat, a tight repeat, an empty and a
+# one-frame utterance, and grids from 1 to 5 frames.
+ORACLE_CASES = [(5, [0, 1]), (1, [2]), (3, [1, 1]), (4, []), (5, [2, 0, 2]), (2, [0, 1])]
 
 
 class TestLossValues:
@@ -117,6 +141,27 @@ class TestGradient:
         loss = ctc.ctc_loss(lp, [0, 1])
         loss.backward()
         np.testing.assert_allclose(lp.grad.sum(axis=1), -np.ones(6), atol=1e-10)
+
+    @pytest.mark.parametrize("packed", [False, True])
+    def test_gradient_is_minus_enumerated_occupancy(self, packed):
+        """d loss / d lp[t, c] is minus the posterior probability that a
+        path emits class c at frame t, checked against full enumeration."""
+        rng = np.random.default_rng(77)
+        grids = [_rand_log_post(rng, n, 4) for n, _ in ORACLE_CASES]
+        seqs = [tokens for _, tokens in ORACLE_CASES]
+        if packed:
+            lp = Tensor(np.concatenate(grids), requires_grad=True)
+            T.reduce_sum(ctc.ctc_loss(lp, seqs, [n for n, _ in ORACLE_CASES])).backward()
+            grads = np.split(lp.grad, np.cumsum([len(g) for g in grids])[:-1])
+        else:
+            grads = []
+            for grid, tokens in zip(grids, seqs):
+                lp = Tensor(grid, requires_grad=True)
+                ctc.ctc_loss(lp, tokens).backward()
+                grads.append(lp.grad)
+        for grid, tokens, grad in zip(grids, seqs, grads):
+            want = -_enumerated_occupancy(grid, tokens)
+            assert np.max(np.abs(grad - want)) < 1e-12, tokens
 
     def test_no_grad_returns_plain_scalar_tensor(self):
         rng = np.random.default_rng(75)

@@ -416,6 +416,17 @@ class TestLoops:
         with pytest.raises(ValueError, match="empty"):
             evaluate_ctc(lambda f: f, [])
 
+    def test_empty_dev_split_fails_before_the_first_step(self, tmp_path):
+        """No dev utterances is an error before any step is trained or
+        logged, not after eval_every steps."""
+        data = self._corpus(tmp_path)
+        tc = TrainConfig(max_steps=3, eval_every=2, warmup_steps=50, seed=0)
+        model = SpeechModel(self._model_cfg()).initialize(tc.seed)
+        with pytest.raises(ValueError, match="evaluation split is empty"):
+            run_joint_training(model, load_normalized_split(data, "train"), [], tc,
+                               tmp_path / "run")
+        assert not (tmp_path / "run" / "metrics.jsonl").exists()
+
 
 class TestOverfitOneUtterance:
     def test_ctc_drops_below_5e_2_within_500_steps(self):
