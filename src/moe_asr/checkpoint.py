@@ -128,6 +128,14 @@ def _restore(module, params, context):
         param.data[...] = params[name]
 
 
+def _model_config(path, config):
+    """The header's ModelConfig; keys it does not know are named with the file."""
+    unknown = sorted(set(config) - {f.name for f in dataclasses.fields(ModelConfig)})
+    if unknown:
+        raise CheckpointError(f"{path}: config keys unknown to this version: {unknown}")
+    return ModelConfig(**config)
+
+
 def save_model(path, model):
     write_params(path, "model", dataclasses.asdict(model.cfg), _gather(model))
 
@@ -141,7 +149,7 @@ def load_model(path):
     kind, config, params = read_params(path)
     if kind != "model":
         raise CheckpointError(f"{path}: expected a model checkpoint, found {kind!r}")
-    model = SpeechModel(ModelConfig(**config))
+    model = SpeechModel(_model_config(path, config))
     _restore(model, params, path)
     return model
 
@@ -161,7 +169,7 @@ def load_pretrained_embedding(model, path):
     kind, config, params = read_params(path)
     if kind != "embedding":
         raise CheckpointError(f"{path}: expected an embedding checkpoint, found {kind!r}")
-    stored = ModelConfig(**config)
+    stored = _model_config(path, config)
     for field in ("feat_dim", "d_emb", "d_ff", "heads", "kernel", "embedding_blocks", "vocab_size"):
         if getattr(stored, field) != getattr(model.cfg, field):
             raise CheckpointError(
@@ -180,6 +188,6 @@ def strip_auxiliary(src, dst):
     kind, config, params = read_params(src)
     if kind != "model":
         raise CheckpointError(f"{src}: expected a model checkpoint, found {kind!r}")
-    config = dict(config, num_levels=1)
+    config = dataclasses.replace(_model_config(src, config), num_levels=1)
     kept = {k: v for k, v in params.items() if not k.startswith("aux_decoders.")}
-    write_params(dst, "model", dict(dataclasses.asdict(ModelConfig(**config))), kept)
+    write_params(dst, "model", dataclasses.asdict(config), kept)

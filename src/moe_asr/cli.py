@@ -135,6 +135,8 @@ class _Manifest:
 
 
 def cmd_prepare(args):
+    if args.num_utts < 10:
+        raise ValueError(f"--num-utts must be >= 10 to fill the dev split, got {args.num_utts}")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     manifest = _Manifest(out, "prepare",
@@ -264,7 +266,8 @@ def build_parser():
 
     p = sub.add_parser("prepare", help="generate the synthetic corpus")
     p.add_argument("--out", required=True)
-    p.add_argument("--num-utts", type=int, required=True)
+    p.add_argument("--num-utts", type=int, required=True,
+                   help="at least 10; every 10th utterance goes to the dev split")
     p.add_argument("--vocab-size", type=int, required=True,
                    help="data token inventory (the model adds one sos/eos id)")
     p.add_argument("--seed", type=int, default=0)

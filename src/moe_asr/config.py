@@ -35,6 +35,9 @@ class ModelConfig:
     network, plain feed-forward second macarons. Any value >= 1 routes the
     second macaron FFN of every ``moe_every``-th block (1-based, so
     ``moe_every=2`` routes blocks 2, 4, 6, ...) through that many experts.
+    The decoders use ``d_att``, ``d_ff`` and ``heads``; the embedding network
+    uses ``d_emb`` (0: ``d_att``), ``embedding_blocks`` (0: half of
+    ``num_blocks``) and the shared ``d_ff``, ``heads`` and ``kernel``.
     """
 
     vocab_size: int
@@ -50,8 +53,6 @@ class ModelConfig:
     d_emb: int = 0
     embedding_blocks: int = 0
     decoder_blocks: int = 2
-    decoder_ff: int = 0
-    decoder_heads: int = 0
     num_levels: int = 3
 
     def __post_init__(self):
@@ -59,17 +60,13 @@ class ModelConfig:
             self.d_emb = self.d_att
         if self.embedding_blocks == 0:
             self.embedding_blocks = max(self.num_blocks // 2, 1)
-        if self.decoder_ff == 0:
-            self.decoder_ff = self.d_ff
-        if self.decoder_heads == 0:
-            self.decoder_heads = self.heads
         _require_positive(self, ("feat_dim", "d_att", "d_ff", "heads", "kernel", "num_blocks",
-                                 "d_emb", "embedding_blocks", "decoder_blocks", "decoder_ff",
-                                 "decoder_heads"))
+                                 "d_emb", "embedding_blocks", "decoder_blocks"))
         if not 0.0 <= self.dropout < 1.0:
             raise ValueError(f"dropout must lie in [0, 1), got {self.dropout}")
-        if self.d_att % self.heads != 0:
-            raise ValueError(f"d_att {self.d_att} not divisible by heads {self.heads}")
+        for name, width in (("d_att", self.d_att), ("d_emb", self.d_emb)):
+            if width % self.heads != 0:
+                raise ValueError(f"{name} {width} not divisible by heads {self.heads}")
         if self.kernel % 2 == 0:
             raise ValueError(f"conv kernel must be odd, got {self.kernel}")
         if self.vocab_size < 2:

@@ -129,7 +129,8 @@ def ctc_loss(log_probs, tokens, lengths=None):
     lengths[i] rows, `tokens` holds one sequence per utterance, and the
     result is the vector of per-utterance losses. `_alpha` runs over the
     longest utterance on padded [batch, states] arrays, so each utterance's
-    values are those of running it alone.
+    values are those of running it alone. Every utterance needs at least
+    one frame; one with none raises ValueError naming its index.
 
     Differentiable: the backward pass uses the full forward/backward
     occupancy, so gradients flow to every frame and class. The backward
@@ -145,7 +146,9 @@ def ctc_loss(log_probs, tokens, lengths=None):
     if len(seqs) != len(frames):
         raise ValueError(f"{len(seqs)} token sequences for {len(frames)} utterances")
     offsets = np.cumsum([0] + frames[:-1])
-    for o, n, seq in zip(offsets, frames, seqs):
+    for i, (o, n, seq) in enumerate(zip(offsets, frames, seqs)):
+        if n == 0:
+            raise ValueError(f"utterance {i} has no frames")
         _check_inputs(lp[o : o + n], seq)
     batch, n_b = len(seqs), np.array(frames)
     s_b = np.array([2 * len(seq) + 1 for seq in seqs])

@@ -1,5 +1,6 @@
 """Conformer encoder: convolutional subsampling, macaron blocks, and the
-static embedding stack that feeds the routers.
+static embedding network that feeds the routers, which is the same
+``Encoder`` built dense, ``d_emb`` wide and ``embedding_blocks`` deep.
 
 Each block computes, in order: half-step feed-forward, self-attention,
 convolution, half-step feed-forward (the routed slot), and a closing
@@ -16,9 +17,7 @@ each utterance's rows come out as if it had been encoded alone.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
-import numpy as np
+from dataclasses import dataclass, field, replace
 
 from . import tensor as T
 from .moe import RoutedFFN
@@ -67,17 +66,6 @@ class Subsample(Module):
         h = T.swish(self.conv1.forward(T.unfold_time(feats, 3, 2, lengths)))
         h = T.swish(self.conv2.forward(T.unfold_time(h, 3, 2, mid)))
         return self.proj.forward(h)
-
-
-def _front_end(subsample, dropout, feats, lengths):
-    """Subsampling, per-utterance positions and dropout; returns the
-    hidden rows, their per-utterance counts (None for one utterance) and
-    the self-attention mask (None unless several utterances are packed)."""
-    h = subsample.forward(feats, lengths)
-    if lengths is not None:
-        lengths = [subsampled_length(t_in) for t_in in lengths]
-    h = T.add(h, Tensor(segment_positions(lengths or [h.data.shape[0]], h.data.shape[1])))
-    return dropout.forward(h), lengths, None if lengths is None else block_mask(lengths)
 
 
 class ConformerBlock(Module):
@@ -151,7 +139,12 @@ class Encoder(Module):
         ]
 
     def forward(self, feats, e_c=None, lengths=None):
-        h, lengths, mask = _front_end(self.subsample, self.dropout, feats, lengths)
+        h = self.subsample.forward(feats, lengths)
+        if lengths is not None:
+            lengths = [subsampled_length(t_in) for t_in in lengths]
+        h = T.add(h, Tensor(segment_positions(lengths or [h.data.shape[0]], h.data.shape[1])))
+        h = self.dropout.forward(h)
+        mask = None if lengths is None else block_mask(lengths)
         taps, records = {}, []
         tap_at = set(self.cfg.tap_blocks())
         for index, block in enumerate(self.blocks, start=1):
@@ -163,26 +156,20 @@ class Encoder(Module):
         return EncoderOutput(final=h, taps=taps, records=records, lengths=lengths)
 
 
-class EmbeddingNetwork(Module):
-    """Static (dense) half-depth Conformer mapping features to the shared
-    per-frame embedding e_c, with a private CTC head for its own loss."""
+class EmbeddingNetwork(Encoder):
+    """The shared per-frame embedding e_c: the encoder of the dense model
+    that is ``d_emb`` wide and ``embedding_blocks`` deep, with no taps, plus
+    a private CTC head for its own loss."""
 
     def __init__(self, cfg):
-        super().__init__()
-        self.subsample = Subsample(cfg.feat_dim, cfg.d_emb)
-        self.dropout = Dropout(cfg.dropout)
-        self.blocks = [
-            ConformerBlock(cfg.d_emb, cfg.d_ff, cfg.heads, cfg.kernel, cfg.dropout)
-            for _ in range(cfg.embedding_blocks)
-        ]
+        super().__init__(replace(
+            cfg, d_att=cfg.d_emb, num_blocks=cfg.embedding_blocks, num_experts=0, num_levels=1,
+        ))
         self.ctc_head = Linear(cfg.d_emb, cfg.ctc_classes)
 
     def embed(self, feats, lengths=None):
         """e_c rows for the features (packed when `lengths` is given)."""
-        h, lengths, mask = _front_end(self.subsample, self.dropout, feats, lengths)
-        for block in self.blocks:
-            h, _ = block.forward(h, None, lengths, mask)
-        return h
+        return self.forward(feats, None, lengths).final
 
     def ctc_log_probs(self, e_c):
         """Log posteriors over blank + vocab from the embedding stream."""

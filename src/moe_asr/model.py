@@ -21,17 +21,10 @@ class SpeechModel(Module):
         self.encoder = Encoder(cfg)
         self.embedding_net = EmbeddingNetwork(cfg) if cfg.routed else None
         self.ctc_head = Linear(cfg.d_att, cfg.ctc_classes)
-        self.decoder = TransformerDecoder(
-            cfg.vocab_size, cfg.d_att, cfg.decoder_ff, cfg.decoder_heads,
-            cfg.decoder_blocks, cfg.dropout,
-        )
-        self.aux_decoders = [
-            TransformerDecoder(
-                cfg.vocab_size, cfg.d_att, cfg.decoder_ff, cfg.decoder_heads,
-                cfg.decoder_blocks, cfg.dropout,
-            )
-            for _ in range(cfg.num_levels - 1)
-        ]
+        decoder_args = (cfg.vocab_size, cfg.d_att, cfg.d_ff, cfg.heads, cfg.decoder_blocks,
+                        cfg.dropout)
+        self.decoder = TransformerDecoder(*decoder_args)
+        self.aux_decoders = [TransformerDecoder(*decoder_args) for _ in range(cfg.num_levels - 1)]
 
     def encode(self, feats, lengths=None):
         """Run the embedding network (once) and the encoder; returns the

@@ -159,8 +159,9 @@ def batch_losses(model, batch, train_cfg):
     """Forward one packed batch and assemble every objective term.
 
     Returns (total, metrics dict, routing list or None); metrics values are
-    plain floats. Routing stats are measured outside the graph so that they
-    exist even when the routing losses carry zero weight.
+    plain floats. Each routed layer's sparsity and importance are computed
+    once: routing.jsonl logs them whatever their weight, and a positively
+    weighted term averages the same tensors into the objective.
     """
     cfg = model.cfg
     feats, lengths, tokens = _packed(batch)
@@ -176,26 +177,26 @@ def batch_losses(model, batch, train_cfg):
     l_s = l_m = l_e = None
     routing = None
     if cfg.routed:
-        records = dict(out.records)
+        routing, sparsity, importance = [], [], []
+        for idx, record in out.records:
+            counts = record.utilization(cfg.num_experts)
+            sparsity.append(sparsity_loss(record.p))
+            importance.append(mean_importance_loss(record.p, cfg.num_experts))
+            routing.append({
+                "block": idx,
+                "utilization": [int(c) for c in counts],
+                "entropy": utilization_entropy(counts),
+                "sparsity": float(sparsity[-1].data),
+                "importance": float(importance[-1].data),
+            })
         if train_cfg.alpha > 0.0:
-            l_s = _mean([sparsity_loss(r.p) for r in records.values()])
+            l_s = _mean(sparsity)
         if train_cfg.beta > 0.0:
-            l_m = _mean([mean_importance_loss(r.p, cfg.num_experts) for r in records.values()])
+            l_m = _mean(importance)
         if train_cfg.gamma > 0.0:
             l_e = T.reduce_mean(
                 ctc_loss(model.embedding_net.ctc_log_probs(e_c), tokens, out.lengths)
             )
-        routing = []
-        with T.no_grad():
-            for idx, record in records.items():
-                counts = record.utilization(cfg.num_experts)
-                routing.append({
-                    "block": idx,
-                    "utilization": [int(c) for c in counts],
-                    "entropy": utilization_entropy(counts),
-                    "sparsity": float(sparsity_loss(record.p).data),
-                    "importance": float(mean_importance_loss(record.p, cfg.num_experts).data),
-                })
         l_moe = moe_loss(l_s, l_m, l_e, train_cfg.alpha, train_cfg.beta, train_cfg.gamma)
         total = total_loss(l_moe, l_joint)
     else:

@@ -36,10 +36,19 @@ class TestPrepare:
         assert len((data / "dev.jsonl").read_text().splitlines()) == 5
 
     def test_same_seed_gives_identical_bytes(self, tmp_path):
-        a = prepare(tmp_path / "a", num=8)
-        b = prepare(tmp_path / "b", num=8)
+        a = prepare(tmp_path / "a", num=10)
+        b = prepare(tmp_path / "b", num=10)
         for rel in ("train.jsonl", "cmvn.json", "feats/utt0000.fb", "feats/utt0003.fb"):
             assert (a / rel).read_bytes() == (b / rel).read_bytes(), rel
+
+    def test_too_few_utterances_for_a_dev_split_rejected(self, tmp_path, capsys):
+        """Every 10th utterance is dev, so under 10 would write an empty dev
+        split; prepare refuses before it writes anything."""
+        data = tmp_path / "data"
+        assert main(["prepare", "--out", str(data), "--num-utts", "9",
+                     "--vocab-size", "4", "--feat-dim", "10"]) == 1
+        assert capsys.readouterr().err.startswith("error: ValueError: --num-utts ")
+        assert not data.exists()
 
 
 class TestTrain:
@@ -248,6 +257,7 @@ class TestFailureModes:
         ("--label-smoothing", "1.5", "label_smoothing"),
         ("--dropout", "1.0", "dropout"),
         ("--heads", "0", "heads"),
+        ("--d-emb", "9", "d_emb"),
     ])
     def test_invalid_setting_fails_before_training(self, tmp_path, capsys, flag, value,
                                                    field):

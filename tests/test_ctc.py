@@ -192,6 +192,17 @@ class TestPackedBatch:
             assert packed.grad[offsets[i]:offsets[i + 1]].tobytes() == one.grad.tobytes()
             assert ctc.ctc_loss(grid, seq) == ctc.ctc_loss(np.concatenate(grids), seqs, frames)[i]
 
+    def test_zero_frame_utterance_rejected_by_index(self):
+        """An utterance without frames has no lattice; alone it would read
+        past the grid and packed it would read its neighbour's rows."""
+        lp = np.log(np.full((3, 3), 1.0 / 3))
+        with pytest.raises(ValueError, match="utterance 0 has no frames"):
+            ctc.ctc_loss(lp[:0], [])
+        with pytest.raises(ValueError, match="utterance 0 has no frames"):
+            ctc.ctc_loss(lp, [[], [1]], [0, 3])
+        with pytest.raises(ValueError, match="utterance 1 has no frames"):
+            ctc.ctc_loss(Tensor(lp, requires_grad=True), [[1], [], [0]], [2, 0, 1])
+
     def test_infeasible_utterance_in_batch_rejected(self):
         lp = np.log(np.full((6, 3), 1.0 / 3))
         with pytest.raises(ctc.InfeasibleLength):

@@ -1,5 +1,6 @@
 """Model assembly, the derived parameter manifest, and checkpoints."""
 
+import dataclasses
 import errno
 import json
 import os
@@ -39,8 +40,7 @@ CONFIG_GRID = [
          num_blocks=9, decoder_blocks=2, num_experts=3, moe_every=3,
          embedding_blocks=2, num_levels=1),
     dict(vocab_size=4, feat_dim=4, d_att=12, d_ff=6, heads=3, kernel=7,
-         num_blocks=4, decoder_blocks=1, decoder_ff=20, decoder_heads=2,
-         num_levels=2),
+         num_blocks=4, decoder_blocks=1, num_levels=2),
 ]
 
 
@@ -239,6 +239,26 @@ class TestCheckpointRoundTrip:
         save_embedding(path, model.embedding_net, cfg)
         with pytest.raises(CheckpointError, match="expected a model checkpoint"):
             load_model(path)
+
+    def test_unknown_config_key_named(self, tmp_path):
+        """A header config key ModelConfig does not know, such as the
+        decoder widths older checkpoints carry, is named with the file by
+        every loader instead of surfacing as a TypeError."""
+        cfg = desk_cfg(num_experts=2)
+        model = SpeechModel(cfg).initialize(0)
+        config = dict(dataclasses.asdict(cfg), decoder_ff=24, decoder_heads=2)
+        model_path, emb_path = tmp_path / "old.ckpt", tmp_path / "old-emb.ckpt"
+        for path, kind, module in ((model_path, "model", model),
+                                   (emb_path, "embedding", model.embedding_net)):
+            params = {n: p.data for n, p in module.named_parameters().items()}
+            checkpoint.write_params(path, kind, config, params)
+        message = r"old(-emb)?\.ckpt: .*\['decoder_ff', 'decoder_heads'\]"
+        for load in (lambda: load_model(model_path),
+                     lambda: strip_auxiliary(model_path, tmp_path / "lean.ckpt"),
+                     lambda: load_pretrained_embedding(SpeechModel(cfg), emb_path)):
+            with pytest.raises(CheckpointError, match=message):
+                load()
+        assert not (tmp_path / "lean.ckpt").exists()
 
 
 class TestAuxiliaryStripping:
