@@ -97,6 +97,9 @@ def _resolve(args, sections, data_dir=None):
         for field in dataclasses.fields(cls):
             if getattr(args, field.name) is not None:
                 values[field.name] = getattr(args, field.name)
+        if section == "model" and "vocab_size" not in values:
+            raise ValueError("vocab_size is unset: pass --vocab-size, --data with a prepared"
+                             " corpus, or model.vocab_size in the --config file")
         resolved.append(_filtered(cls, values))
     return tuple(resolved)
 

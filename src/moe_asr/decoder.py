@@ -8,6 +8,12 @@ start/end symbol is the last vocabulary id; teacher forcing feeds
 Teacher forcing also runs a packed batch in one pass: each utterance's
 [sos] + tokens rows are stacked, self-attention is causal within each
 utterance, and cross-attention sees only that utterance's encoder rows.
+
+Rescoring runs one pass over the prefix trie of an N-best list. Causality
+means row t of a hypothesis depends only on [sos] + tokens[:t], so the
+hypotheses share every row of a common prefix: the trie has one row per
+distinct prefix, self-attention lets a row see itself and its ancestors,
+and every row attends to the one encoder output.
 """
 
 from __future__ import annotations
@@ -27,7 +33,7 @@ from .nn import (
     Parameter,
     block_mask,
     normal_init,
-    segment_positions,
+    sinusoidal_positions,
 )
 from .tensor import Tensor
 
@@ -77,16 +83,23 @@ class TransformerDecoder(Module):
         seqs = [[int(t) for t in seq] for seq in seqs]
         if len(seqs) != len(lengths):
             raise ValueError(f"{len(seqs)} token sequences for {len(lengths)} utterances")
-        for seq in seqs:
-            if any(t < 0 or t >= self.vocab_size for t in seq):
-                raise ValueError(f"token id outside vocabulary of {self.vocab_size}: {seq}")
         rows = [len(seq) + 1 for seq in seqs]
         ids = np.concatenate([[self.sos_eos] + seq for seq in seqs]).astype(np.int64)
+        positions = np.concatenate([np.arange(n) for n in rows])
+        return self._forward_rows(enc, ids, positions, block_mask(rows, causal=True),
+                                  block_mask(rows, lengths))
+
+    def _forward_rows(self, enc, ids, positions, mask, memory_mask):
+        """Log-distributions of token rows `ids` at `positions`: the one
+        block loop behind teacher forcing and rescoring. `mask` is the
+        self-attention mask over the rows, `memory_mask` the rows' mask over
+        the encoder output (None: unmasked)."""
+        if ids.min() < 0 or ids.max() >= self.vocab_size:
+            bad = sorted({int(t) for t in ids if not 0 <= t < self.vocab_size})
+            raise ValueError(f"token id outside vocabulary of {self.vocab_size}: {bad}")
         x = T.embedding_lookup(self.embed, ids)
-        x = T.add(x, Tensor(segment_positions(rows, x.data.shape[1])))
-        x = self.dropout.forward(x)
-        mask = block_mask(rows, causal=True)
-        memory_mask = block_mask(rows, lengths)
+        table = sinusoidal_positions(int(positions.max()) + 1, x.data.shape[1])
+        x = self.dropout.forward(T.add(x, Tensor(table[positions])))
         for block in self.blocks:
             x = block.forward(x, enc, mask, memory_mask)
         return T.log_softmax_last(self.out.forward(self.norm_out.forward(x)))
@@ -157,13 +170,56 @@ def multi_level_aed(main_decoder, aux_decoders, enc_output, tokens, tap_indices,
     return total, losses
 
 
-def rescore(decoder, enc, tokens):
-    """Teacher-forced log-probability of a hypothesis plus its end symbol.
+def _prefix_trie(token_seqs, sos):
+    """Rows of the prefix trie of `token_seqs`, rooted at `sos`.
 
-    Pure scoring: runs without graph recording. An empty hypothesis scores
-    log P(eos | sos, encoder output).
+    Returns (ids, depths, parents, paths): row r holds token ids[r] at
+    position depths[r] below its parent row parents[r] (-1 for the root),
+    and paths[i] lists the rows of hypothesis i from the root to its last
+    token, so row paths[i][t] predicts (tokens + [eos])[t].
     """
+    ids, depths, parents, children = [sos], [0], [-1], [{}]
+    paths = []
+    for seq in token_seqs:
+        row, path = 0, [0]
+        for token in seq:
+            child = children[row].get(token)
+            if child is None:
+                child = len(ids)
+                children[row][token] = child
+                ids.append(token)
+                depths.append(depths[row] + 1)
+                parents.append(row)
+                children.append({})
+            row = child
+            path.append(row)
+        paths.append(path)
+    return ids, depths, parents, paths
+
+
+def rescore(decoder, enc, token_seqs):
+    """Teacher-forced log-probability of each hypothesis plus its end
+    symbol, one float per sequence of `token_seqs`.
+
+    All hypotheses are scored by one decoder pass over their prefix trie:
+    a shared prefix is computed once, each row's self-attention sees its
+    ancestors and itself (the causal mask of its own path), and every row
+    attends to all of `enc`, so cross-attention projects it once per block.
+    An empty hypothesis scores log P(eos | sos, encoder output). Pure
+    scoring: runs without graph recording.
+    """
+    seqs = [[int(t) for t in seq] for seq in token_seqs]
+    if not seqs:
+        return []
+    ids, depths, parents, paths = _prefix_trie(seqs, decoder.sos_eos)
+    # a row sees itself and its ancestors; parents precede their children
+    sees = np.eye(len(ids), dtype=bool)
+    for row in range(1, len(ids)):
+        sees[row] |= sees[parents[row]]
     with T.no_grad():
-        lp = decoder.decode_teacher_forced(enc, tokens)
-        targets = np.array([int(t) for t in tokens] + [decoder.sos_eos], dtype=np.int64)
-        return float(lp.data[np.arange(targets.shape[0]), targets].sum())
+        lp = decoder._forward_rows(
+            enc, np.array(ids, dtype=np.int64), np.array(depths), ~sees, None
+        ).data
+    return [
+        float(lp[path, seq + [decoder.sos_eos]].sum()) for path, seq in zip(paths, seqs)
+    ]

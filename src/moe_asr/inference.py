@@ -12,6 +12,7 @@ counted on its active path.
 from __future__ import annotations
 
 import dataclasses
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -28,7 +29,8 @@ from .tensor import Tensor
 
 
 def decode_nbest(model, feats, beam, nbest, mu):
-    """CTC N-best hypotheses rescored by the attention decoder.
+    """CTC N-best hypotheses rescored by the attention decoder, all of them
+    in one decoder pass over their prefix trie.
 
     Returns hypotheses sorted by combined = aed_score + mu * ctc_score,
     best first; ties keep the CTC beam's own ordering.
@@ -38,9 +40,10 @@ def decode_nbest(model, feats, beam, nbest, mu):
         out, _ = model.encode(feats if isinstance(feats, Tensor) else Tensor(feats))
         log_probs = model.ctc_log_probs(out.final)
         hyps = prefix_beam_search(log_probs.data, beam, nbest)
-        for hyp in hyps:
-            hyp.aed_score = rescore(model.decoder, out.final, hyp.tokens)
-            hyp.combined = hyp.aed_score + mu * hyp.ctc_score
+        scores = rescore(model.decoder, out.final, [hyp.tokens for hyp in hyps])
+        for hyp, score in zip(hyps, scores):
+            hyp.aed_score = score
+            hyp.combined = score + mu * hyp.ctc_score
     # sort is stable, so ties keep the beam's order
     hyps.sort(key=lambda hyp: (-hyp.combined, -hyp.ctc_score))
     return hyps
@@ -231,8 +234,14 @@ def cost_report(cfg):
     )
 
 
-def _human(value, unit):
-    return f"{value / unit[1]:.1f}{unit[0]}"
+def _human(value):
+    """Three significant figures with a k, M or B suffix: 30.6k, 1.44M."""
+    value = float(f"{value:.3g}")
+    for suffix, unit in (("B", 1e9), ("M", 1e6), ("k", 1e3)):
+        if abs(value) >= unit:
+            scaled = value / unit
+            return f"{scaled:.{2 - math.floor(math.log10(abs(scaled)))}f}{suffix}"
+    return f"{value:.0f}"
 
 
 def format_cost_table(rows):
@@ -240,11 +249,7 @@ def format_cost_table(rows):
     header = ("model", "params", "flops/s")
     cells = [header]
     for name, report in rows:
-        cells.append((
-            name,
-            _human(report.params, ("M", 1e6)),
-            _human(report.total_flops, ("B", 1e9)),
-        ))
+        cells.append((name, _human(report.params), _human(report.total_flops)))
     widths = [max(len(row[i]) for row in cells) for i in range(3)]
     lines = ["  ".join(cell.ljust(widths[i]) for i, cell in enumerate(row)) for row in cells]
     lines.insert(1, "  ".join("-" * w for w in widths))

@@ -188,6 +188,14 @@ class TestFlops:
         assert "model" in printed and "params" in printed and "dense" in printed
 
 
+    def test_missing_vocab_size_named_before_output_dir(self, tmp_path, capsys):
+        out = tmp_path / "cost"
+        assert main(["flops", "--out", str(out), "--num-experts", "2", "--d-att", "16"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ValueError: vocab_size") and "--vocab-size" in err
+        assert not out.exists()
+
+
 class TestConfigResolution:
     def _flops_model(self, tmp_path, *extra):
         out = tmp_path / "cost"

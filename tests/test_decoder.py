@@ -147,13 +147,38 @@ class TestMultiLevel:
             multi_level_aed(_decoder(), [_decoder()], EncoderOutput(final=_enc()), [0], [])
 
 
+def _oracle_scores(dec, enc, token_seqs):
+    """Per-hypothesis reference: one teacher-forced pass per hypothesis and
+    a gather of tokens + [eos] from its rows."""
+    scores = []
+    with T.no_grad():
+        for tokens in token_seqs:
+            lp = dec.decode_teacher_forced(enc, tokens).data
+            targets = [int(t) for t in tokens] + [V - 1]
+            scores.append(float(lp[np.arange(len(targets)), targets].sum()))
+    return scores
+
+
+def _hypothesis_set(rng, n, max_len):
+    """n hypotheses that branch off one shared stem at random depths, as a
+    prefix beam's N-best list does."""
+    stem = [int(t) for t in rng.integers(0, V - 1, size=max_len)]
+    seqs = []
+    for _ in range(n):
+        depth = int(rng.integers(0, max_len + 1))
+        tail = [int(t) for t in rng.integers(0, V - 1, size=int(rng.integers(0, 6)))]
+        seqs.append((stem[:depth] + tail)[:max_len])
+    return seqs
+
+
 class TestRescore:
     def test_empty_hypothesis_scores_eos(self):
         dec = _decoder(seed=15)
         enc = _enc(seed=16)
-        score = rescore(dec, enc, [])
+        score = rescore(dec, enc, [[]])
         lp = dec.decode_teacher_forced(enc, [])
-        np.testing.assert_allclose(score, lp.data[0, V - 1], atol=0)
+        assert len(score) == 1
+        np.testing.assert_allclose(score[0], lp.data[0, V - 1], atol=0)
 
     def test_equals_gathered_teacher_forced_rows(self):
         dec = _decoder(seed=17)
@@ -161,7 +186,7 @@ class TestRescore:
         tokens = [2, 0, 3]
         lp = dec.decode_teacher_forced(enc, tokens).data
         expected = lp[0, 2] + lp[1, 0] + lp[2, 3] + lp[3, V - 1]
-        np.testing.assert_allclose(rescore(dec, enc, tokens), expected, atol=1e-12)
+        np.testing.assert_allclose(rescore(dec, enc, [tokens])[0], expected, atol=1e-12)
 
     def test_incremental_extension_identity(self):
         """Causality makes prefix rows shared, so appending token c changes
@@ -172,10 +197,45 @@ class TestRescore:
         lp_ext = dec.decode_teacher_forced(enc, base + [2]).data
         delta = lp_ext[2, 2] + lp_ext[3, V - 1] - lp_ext[2, V - 1]
         np.testing.assert_allclose(
-            rescore(dec, enc, base + [2]), rescore(dec, enc, base) + delta, atol=1e-10
+            rescore(dec, enc, [base + [2]])[0], rescore(dec, enc, [base])[0] + delta, atol=1e-10
         )
 
     def test_deterministic_in_eval_mode(self):
         dec = _decoder(seed=21)
         enc = _enc(seed=22)
-        assert rescore(dec, enc, [1, 2]) == rescore(dec, enc, [1, 2])
+        assert rescore(dec, enc, [[1, 2]]) == rescore(dec, enc, [[1, 2]])
+
+    def test_no_hypotheses_no_scores(self):
+        assert rescore(_decoder(), _enc(), []) == []
+
+    @pytest.mark.parametrize("case", range(8))
+    def test_trie_pass_matches_per_hypothesis_oracle(self, case):
+        """Shared prefixes, a hypothesis that is a prefix of another, the
+        empty hypothesis and repeats all score as if each ran alone."""
+        rng = np.random.default_rng(900 + case)
+        dec = _decoder(seed=23 + case, blocks=2)
+        enc = _enc(t=int(rng.integers(3, 40)), seed=40 + case)
+        n = 1 if case == 0 else int(rng.integers(2, 9))
+        seqs = _hypothesis_set(rng, n, max_len=50)
+        if case % 2:
+            seqs[-1] = []
+        if case >= 2:
+            seqs[0] = seqs[1] + [int(t) for t in rng.integers(0, V - 1, size=3)]
+        if case == 7:
+            seqs[2:4] = [seqs[1], seqs[1]]
+        scores = rescore(dec, enc, seqs)
+        assert len(scores) == len(seqs)
+        np.testing.assert_allclose(scores, _oracle_scores(dec, enc, seqs), rtol=0, atol=1e-12)
+
+    def test_unshared_suffix_change_leaves_other_scores_bit_identical(self):
+        """A row sees only its ancestors, so rewriting the last token of one
+        hypothesis (a trie leaf no other hypothesis passes through) moves no
+        other score, not even in the last bit."""
+        dec = _decoder(seed=31, blocks=2)
+        enc = _enc(t=12, seed=32)
+        seqs = [[1, 2, 3, 4], [1, 2, 0], [1, 2, 3, 0, 0], [3], []]
+        changed = [list(seq) for seq in seqs]
+        changed[2][-1] = 4
+        before, after = rescore(dec, enc, seqs), rescore(dec, enc, changed)
+        assert after[2] != before[2]
+        assert after[:2] + after[3:] == before[:2] + before[3:]

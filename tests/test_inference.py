@@ -3,8 +3,12 @@
 import numpy as np
 import pytest
 
+from moe_asr import tensor as T
 from moe_asr.config import ModelConfig
+from moe_asr.ctc import prefix_beam_search
+from moe_asr.features import synthesize_utterance
 from moe_asr.inference import (
+    CostReport,
     cost_report,
     count_flops,
     decode_nbest,
@@ -134,6 +138,46 @@ class TestDecode:
         assert best.combined == max(h.combined for h in hyps)
 
 
+def _reference_nbest(model, feats, beam, nbest, mu):
+    """decode_nbest rebuilt from its parts: the CTC beam, then one
+    teacher-forced pass per hypothesis, then the stable sort."""
+    with T.no_grad():
+        out, _ = model.encode(feats)
+        hyps = prefix_beam_search(model.ctc_log_probs(out.final).data, beam, nbest)
+        ranked = []
+        for hyp in hyps:
+            targets = list(hyp.tokens) + [model.decoder.sos_eos]
+            lp = model.decoder.decode_teacher_forced(out.final, hyp.tokens).data
+            aed = float(lp[np.arange(len(targets)), targets].sum())
+            ranked.append((list(hyp.tokens), hyp.ctc_score, aed, aed + mu * hyp.ctc_score))
+    ranked.sort(key=lambda h: (-h[3], -h[1]))
+    return ranked
+
+
+class TestDecodeContract:
+    """decode_nbest against the per-hypothesis reference on utterances
+    shaped like the benchmark's: short ones, and long-form ones of 30-50
+    tokens on the 16-expert desk model at the default beam and N-best."""
+
+    @pytest.mark.parametrize("num_tokens", [2, 5, 9, 30, 50])
+    def test_matches_per_hypothesis_reference(self, num_tokens):
+        vocab, feat_dim = 10, 80
+        rng = np.random.default_rng(700 + num_tokens)
+        model = SpeechModel(ModelConfig.desk_scale(vocab + 1, num_experts=16))
+        model.initialize(num_tokens).eval()
+        tokens = [int(t) for t in rng.integers(0, vocab, size=num_tokens)]
+        feats = Tensor(synthesize_utterance(rng, tokens, vocab, feat_dim))
+        got = decode_nbest(model, feats, beam=8, nbest=8, mu=0.5)
+        want = _reference_nbest(model, feats, beam=8, nbest=8, mu=0.5)
+        assert len(got) > 1
+        assert [h.tokens for h in got] == [h[0] for h in want]
+        assert [h.ctc_score for h in got] == [h[1] for h in want]
+        np.testing.assert_allclose([h.aed_score for h in got], [h[2] for h in want],
+                                   rtol=0, atol=1e-12)
+        np.testing.assert_allclose([h.combined for h in got], [h[3] for h in want],
+                                   rtol=0, atol=1e-12)
+
+
 class TestCostAccounting:
     def test_flops_exactly_constant_in_expert_count(self):
         """The whole itemization, not just the total, is expert-count-free."""
@@ -183,3 +227,21 @@ class TestCostAccounting:
         assert len(lines) == 4
         assert lines[0].split() == ["model", "params", "flops/s"]
         assert "M" in lines[2] and "B" in lines[2]
+
+    def test_desk_scale_row_keeps_three_figures(self):
+        """30,627 parameters and 1,439,568 FLOPs/s print as 30.6k and 1.44M,
+        not as zero millions and zero billions."""
+        cfg = ModelConfig(vocab_size=5, d_att=16, d_ff=24, heads=2, kernel=3, num_blocks=3,
+                          decoder_blocks=1, num_experts=2, d_emb=8, embedding_blocks=1)
+        report = cost_report(cfg)
+        assert (report.params, report.total_flops) == (30627, 1439568)
+        row = format_cost_table([("2e", report)]).splitlines()[2]
+        assert row.split() == ["2e", "30.6k", "1.44M"]
+
+    @pytest.mark.parametrize("value, text", [
+        (0, "0"), (512, "512"), (999, "999"), (1000, "1.00k"), (9995, "10.0k"),
+        (999_499, "999k"), (999_999, "1.00M"), (12_345_678_901, "12.3B"),
+    ])
+    def test_magnitude_suffix_after_rounding(self, value, text):
+        report = CostReport(params=value, flops={}, total_flops=value, conventions=[])
+        assert format_cost_table([("m", report)]).splitlines()[2].split()[1:] == [text, text]
