@@ -7,15 +7,15 @@ column 0 the blank; the public API speaks data-token ids (0..V-1) and the
 log space with -inf as the additive identity. The loss takes one utterance
 or a packed batch and runs one forward recursion over padded [batch, states]
 numpy arrays; its gradient reads the backward variables off the same
-recursion run on every utterance reversed. The prefix beam search works on
-Python floats with a scalar log-add, since its masses are merged one pair
-at a time.
+recursion run on every utterance reversed. The prefix beam search keeps
+its beam as arrays and scores every (prefix, class) extension of a frame in
+one [beam x classes] grid, so a frame is a fixed number of numpy calls
+whatever the vocabulary size.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -24,6 +24,7 @@ from . import tensor as T
 from .tensor import Tensor
 
 NEG_INF = -np.inf
+_LOWEST = np.finfo(np.float64).min
 
 
 class InfeasibleLength(ValueError):
@@ -36,20 +37,6 @@ def _lse(values):
     if m == NEG_INF:
         return NEG_INF
     return m + np.log(np.sum(np.exp(values - m)))
-
-
-def _logadd(a, b):
-    """log(exp(a) + exp(b)) on Python floats; exact when either is -inf.
-
-    The arithmetic of `_lse` on a pair: the larger term is factored out.
-    """
-    if a == NEG_INF:
-        return b
-    if b == NEG_INF:
-        return a
-    if a < b:
-        a, b = b, a
-    return a + math.log(1.0 + math.exp(b - a))
 
 
 def min_frames(tokens):
@@ -234,48 +221,116 @@ class Hypothesis:
     combined: float = field(default=0.0)
 
 
+def _log_add(a, b):
+    """Elementwise log(exp(a) + exp(b)); exact when either is -inf.
+
+    The larger term is factored out: hi + log(1 + exp(lo - hi)). Raising
+    hi to the lowest float changes no finite hi and keeps lo - hi from
+    forming -inf - -inf when both terms are -inf.
+    """
+    hi, lo = np.maximum(a, b), np.minimum(a, b)
+    return hi + np.log(1.0 + np.exp(lo - np.maximum(hi, _LOWEST)))
+
+
 def prefix_beam_search(log_probs, beam, nbest):
     """CTC prefix search keeping (blank-ending, nonblank-ending) log masses
     per prefix; returns the top `nbest` distinct prefixes by total mass.
 
-    The grid is converted to Python floats once and every mass is merged
-    with the scalar `_logadd`, so no numpy call runs per prefix or class.
-    Each surviving prefix carries its total, computed once per frame: it
-    ranks the beam and seeds the prefix's extensions in the next frame.
-    Ties in total mass break lexicographically on the token sequence so
-    results are reproducible.
+    The beam is a set of arrays with one entry per prefix, and each prefix
+    is a node of an interned trie keyed by (parent node, class), so a
+    prefix that leaves the beam and is derived again gets its old node
+    back. Each frame scores one [beam x classes] grid: cell (k, c > 0)
+    extends entry k by class c, column 0 holds entry k's own next mass.
+    An extension that is itself a beam entry (found by matching parent
+    nodes) is folded into that entry's nonblank mass and dropped. So a
+    frame costs a fixed number of numpy calls at any vocabulary size, and
+    Python work bounded by the beam. Ties in total mass break
+    lexicographically on the token sequence so results are reproducible;
+    prefix tuples are built only for cells tied at the beam's cut and for
+    the final N-best.
     """
     if not beam >= nbest >= 1:
         raise ValueError(f"need beam >= nbest >= 1, got beam={beam}, nbest={nbest}")
-    lp = log_probs.data if isinstance(log_probs, Tensor) else np.asarray(log_probs)
+    lp = np.asarray(log_probs.data if isinstance(log_probs, Tensor) else log_probs, np.float64)
+    classes = lp.shape[1]
+    trie, links = {}, [(0, 0)]  # links[n] = (parent node, class) of node n > 0
 
-    def absorb(prefix, slot, p):
-        masses = nxt.get(prefix)
-        if masses is None:
-            masses = nxt[prefix] = [NEG_INF, NEG_INF]
-        masses[slot] = _logadd(masses[slot], p)
+    def intern(parent, c):
+        node = trie.get((parent, c))
+        if node is None:
+            node = trie[parent, c] = len(links)
+            links.append((parent, c))
+        return node
 
-    # entries are (-total, prefix, p_b, p_nb), so sorting them ranks by mass
-    beams = [(-0.0, (), 0.0, NEG_INF)]
-    for frame in lp.tolist():
-        nxt = {}
-        for neg_total, prefix, p_b, p_nb in beams:
-            p_total = -neg_total
-            absorb(prefix, 0, frame[0] + p_total)
-            last = prefix[-1] if prefix else 0
-            for c in range(1, len(frame)):
-                p = frame[c]
-                if c == last:
-                    # same class again: without a blank it extends the last
-                    # emission; after a blank it starts a new token
-                    absorb(prefix, 1, p + p_nb)
-                    absorb(prefix + (c,), 1, p + p_b)
-                else:
-                    absorb(prefix + (c,), 1, p + p_total)
-        beams = sorted((-_logadd(b, nb), prefix, b, nb) for prefix, (b, nb) in nxt.items())
-        del beams[beam:]
+    def prefix(node, c=0):
+        out = [c] if c else []
+        while node:
+            node, c = links[node]
+            out.append(c)
+        return tuple(out[::-1])
 
+    # the beam starts as the empty prefix (node 0, whose parent is none)
+    node, parent, last = np.zeros(1, np.int64), np.full(1, -1), np.zeros(1, np.int64)
+    p_b, p_nb, total = np.zeros(1), np.full(1, NEG_INF), np.zeros(1)
+    entries = np.arange(beam)
+    for row in lp:
+        grid = total[:, None] + row
+        # same class again: after a blank it starts a new token, without
+        # one it extends the last emission (the stay's nonblank mass); the
+        # empty prefix's cell is column 0, which is rewritten below
+        again = row[last]
+        grid[entries[: len(last)], last] = again + p_b
+        stay_b, stay_nb = row[0] + total, again + p_nb
+        child, of = (parent[:, None] == node).nonzero()
+        if len(child):
+            cell = (of, last[child])
+            stay_nb[child] = _log_add(stay_nb[child], grid[cell])
+            grid[cell] = np.nan
+        grid[:, 0] = _log_add(stay_b, stay_nb)
+
+        pick = _survivors(grid, beam, len(child), lambda k, c: prefix(node[k], c))
+        k, c = np.divmod(pick, classes)
+        ext = c > 0
+        total = grid.ravel()[pick]
+        p_b = np.where(ext, NEG_INF, stay_b[k])
+        p_nb = np.where(ext, total, stay_nb[k])
+        last = np.where(ext, c, last[k])
+        parent = np.where(ext, node[k], parent[k])
+        node = node[k]
+        new = ext.nonzero()[0]
+        node[new] = [intern(*pc) for pc in zip(parent[new].tolist(), c[new].tolist())]
+
+    ranked = sorted(zip((-total).tolist(), map(prefix, node.tolist())))
     return [
-        Hypothesis(tokens=[c - 1 for c in prefix], ctc_score=-neg_total)
-        for neg_total, prefix, _, _ in beams[:nbest]
+        Hypothesis(tokens=[c - 1 for c in seq], ctc_score=-neg_total)
+        for neg_total, seq in ranked[:nbest]
     ]
+
+
+def _survivors(grid, beam, dropped, prefix):
+    """Flat indices, in no order, of the `beam` best grid cells by (mass
+    descending, prefix ascending); NaN cells are not candidates.
+
+    `argpartition` finds the cut. Only when more cells tie at the cut than
+    places are left are prefixes built, via `prefix(k, c)`, and then only
+    for each row's first tied cells: a row's cells rank in column order,
+    since cell (k, 0) is entry k's prefix and (k, c) extends it by c.
+    """
+    key = -grid.ravel()
+    if key.size - dropped <= beam:
+        return (~np.isnan(key)).nonzero()[0]
+    best = key.argpartition(beam - 1)[:beam]
+    cut = key[best[-1]]
+    tied = key == cut
+    n_tied = np.count_nonzero(tied)
+    if n_tied == 1:  # the usual case: only best[-1] sits at the cut
+        return best
+    above = best[key[best] < cut]
+    need = beam - len(above)
+    if n_tied == need:
+        return best
+    tied = tied.reshape(grid.shape)
+    tied &= np.cumsum(tied, axis=1) <= need
+    cells = tied.ravel().nonzero()[0].tolist()
+    cells.sort(key=lambda i: prefix(*divmod(i, grid.shape[1])))
+    return np.concatenate([above, cells[:need]])

@@ -78,28 +78,31 @@ class Module:
     def __init__(self):
         self.training = True
 
-    def named_parameters(self, prefix=""):
-        out = {}
+    def _walk(self, prefix, modules, params):
+        """Add this subtree's modules and trainable tensors, keyed by dotted
+        name in attribute order, to `modules` and `params`; either may be
+        None to skip it. One dict is filled down the whole recursion."""
+        if modules is not None:
+            modules[prefix] = self
+        dot = f"{prefix}." if prefix else ""
         for attr, value in vars(self).items():
-            name = f"{prefix}.{attr}" if prefix else attr
-            if isinstance(value, Tensor) and value.requires_grad:
-                out[name] = value
-            elif isinstance(value, Module):
-                out.update(value.named_parameters(name))
+            if isinstance(value, Module):
+                value._walk(dot + attr, modules, params)
+            elif isinstance(value, Tensor):
+                if params is not None and value.requires_grad:
+                    params[dot + attr] = value
             elif isinstance(value, list) and value and all(isinstance(v, Module) for v in value):
                 for i, child in enumerate(value):
-                    out.update(child.named_parameters(f"{name}.{i}"))
+                    child._walk(f"{dot}{attr}.{i}", modules, params)
+
+    def named_parameters(self):
+        out = {}
+        self._walk("", None, out)
         return out
 
-    def named_modules(self, prefix=""):
-        out = {prefix: self} if prefix else {"": self}
-        for attr, value in vars(self).items():
-            name = f"{prefix}.{attr}" if prefix else attr
-            if isinstance(value, Module):
-                out.update(value.named_modules(name))
-            elif isinstance(value, list) and value and all(isinstance(v, Module) for v in value):
-                for i, child in enumerate(value):
-                    out.update(child.named_modules(f"{name}.{i}"))
+    def named_modules(self):
+        out = {}
+        self._walk("", out, None)
         return out
 
     def train(self, mode=True):

@@ -349,3 +349,142 @@ class TestBeamInvariants:
         tied = [(a.tokens, b.tokens) for a, b in zip(hyps, hyps[1:])
                 if a.ctc_score == b.ctc_score]
         assert tied and all(a < b for a, b in tied)
+
+
+def _logadd(a, b):
+    """log(exp(a) + exp(b)) on Python floats; exact when either is -inf.
+
+    The arithmetic of `_lse` on a pair: the larger term is factored out.
+    """
+    if a == -math.inf:
+        return b
+    if b == -math.inf:
+        return a
+    if a < b:
+        a, b = b, a
+    return a + math.log(1.0 + math.exp(b - a))
+
+
+def _scalar_prefix_beam_search(log_probs, beam, nbest, reentries=None):
+    """The reference prefix search: one scalar log-add per (prefix, class).
+
+    With `reentries` (a list), every prefix that enters the beam again
+    after leaving it, while one of its children is in the beam, is
+    appended to it.
+    """
+    if not beam >= nbest >= 1:
+        raise ValueError(f"need beam >= nbest >= 1, got beam={beam}, nbest={nbest}")
+    lp = np.asarray(log_probs)
+
+    def absorb(prefix, slot, p):
+        masses = nxt.get(prefix)
+        if masses is None:
+            masses = nxt[prefix] = [-math.inf, -math.inf]
+        masses[slot] = _logadd(masses[slot], p)
+
+    # entries are (-total, prefix, p_b, p_nb), so sorting them ranks by mass
+    beams = [(-0.0, (), 0.0, -math.inf)]
+    seen = {()}
+    for frame in lp.tolist():
+        nxt = {}
+        for neg_total, prefix, p_b, p_nb in beams:
+            p_total = -neg_total
+            absorb(prefix, 0, frame[0] + p_total)
+            last = prefix[-1] if prefix else 0
+            for c in range(1, len(frame)):
+                p = frame[c]
+                if c == last:
+                    # same class again: without a blank it extends the last
+                    # emission; after a blank it starts a new token
+                    absorb(prefix, 1, p + p_nb)
+                    absorb(prefix + (c,), 1, p + p_b)
+                else:
+                    absorb(prefix + (c,), 1, p + p_total)
+        before = {prefix for _, prefix, _, _ in beams}
+        beams = sorted((-_logadd(b, nb), prefix, b, nb) for prefix, (b, nb) in nxt.items())
+        del beams[beam:]
+        if reentries is not None:
+            kept = {prefix for _, prefix, _, _ in beams}
+            parents = {prefix[:-1] for prefix in kept if prefix}
+            reentries += sorted((kept - before) & seen & parents)
+            seen |= kept
+
+    return [
+        ctc.Hypothesis(tokens=[c - 1 for c in prefix], ctc_score=-neg_total)
+        for neg_total, prefix, _, _ in beams[:nbest]
+    ]
+
+
+def _assert_matches_oracle(post, beam, nbest, reentries=None):
+    got = ctc.prefix_beam_search(post, beam=beam, nbest=nbest)
+    want = _scalar_prefix_beam_search(post, beam, nbest, reentries)
+    assert [h.tokens for h in got] == [h.tokens for h in want]
+    for g, w in zip(got, want):
+        if w.ctc_score == -math.inf:
+            assert g.ctc_score == -math.inf
+        else:
+            assert abs(g.ctc_score - w.ctc_score) < 1e-12
+
+
+def _oracle_grid(rng, t_frames, classes):
+    """Random posteriors; some grids get -inf columns or exactly uniform
+    rows, whose extensions tie at the beam's cut."""
+    post = _rand_log_post(rng, t_frames, classes)
+    kind = rng.integers(3)
+    if kind == 1 and classes > 2:
+        post[:, rng.choice(np.arange(1, classes), size=rng.integers(1, classes - 1),
+                           replace=False)] = -np.inf
+    elif kind == 2 and t_frames:
+        post[rng.random(t_frames) < 0.5] = -math.log(classes)
+    return post
+
+
+class TestBeamOracle:
+    """The grid search against the scalar reference search."""
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_matches_scalar_search(self, seed):
+        rng = np.random.default_rng(1100 + seed)
+        for _ in range(6):
+            classes = int(rng.choice([2, 3, 5, 11, 40, 101, 200]))
+            beam = int(rng.integers(1, 17))
+            t_frames = int(rng.integers(0, 9 if classes > 100 else 25))
+            post = _oracle_grid(rng, t_frames, classes)
+            _assert_matches_oracle(post, beam, int(rng.integers(1, beam + 1)))
+
+    @pytest.mark.parametrize("classes", [2, 3, 11, 200])
+    def test_one_and_zero_frames(self, classes):
+        rng = np.random.default_rng(1200 + classes)
+        for t_frames in (0, 1):
+            for beam in (1, 4, 16):
+                _assert_matches_oracle(_oracle_grid(rng, t_frames, classes), beam, beam)
+
+    def test_beam_wider_than_candidates_keeps_every_prefix(self):
+        """2 classes over 3 frames reach 4 prefixes; a beam of 16 keeps all of
+        them, the infeasible ones at -inf."""
+        rng = np.random.default_rng(1300)
+        post = _rand_log_post(rng, 3, 2)
+        post[1, 1] = -np.inf
+        _assert_matches_oracle(post, 16, 16)
+        assert len(ctc.prefix_beam_search(post, beam=16, nbest=16)) == 4
+
+    @pytest.mark.parametrize("t_frames,classes,beam", [(3, 3, 2), (4, 4, 5), (5, 6, 16), (6, 3, 3)])
+    def test_uniform_rows_tie_at_the_cut(self, t_frames, classes, beam):
+        post = np.log(np.full((t_frames, classes), 1 / classes))
+        _assert_matches_oracle(post, beam, beam)
+
+    def test_prefix_reentering_the_beam_merges_with_its_child(self):
+        """Over long grids with a narrow beam a prefix can drop out and be
+        derived again while its child stays in the beam; the two must still
+        merge next frame, which needs the re-derived prefix's old node. Two
+        tokens with one peaked class per frame reach this case often."""
+        rng = np.random.default_rng(1400)
+        reentries = []
+        for beam in (1, 2, 3):
+            for _ in range(12):
+                t_frames = int(rng.integers(60, 90))
+                logits = rng.normal(size=(t_frames, 3))
+                logits[np.arange(t_frames), rng.integers(3, size=t_frames)] += 2.0
+                post = logits - np.log(np.exp(logits).sum(axis=-1, keepdims=True))
+                _assert_matches_oracle(post, beam, beam, reentries)
+        assert len(reentries) >= 5

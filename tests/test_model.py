@@ -2,6 +2,7 @@
 
 import dataclasses
 import errno
+import hashlib
 import json
 import os
 import struct
@@ -109,6 +110,40 @@ class TestParameterManifest:
         extra = routed - dense
         assert dense <= routed
         assert all(".router." in n or n.startswith("embedding_net.") for n in extra)
+
+
+# (count, sha256 of the newline-joined names) of the 16-expert desk tree the
+# benchmark decodes with and of the paper-scale tree, frozen from the walk
+# that merged one dict per level.
+FROZEN_TREES = {
+    "desk": (lambda: ModelConfig.desk_scale(11, num_experts=16), {
+        "named_modules": (687, "2a1fbd7d5a1f15c2"),
+        "named_parameters": (745, "27849f63cd0ba9c4"),
+    }),
+    "paper": (ModelConfig.paper_scale, {
+        "named_modules": (1823, "2cdc0ed5e864bad1"),
+        "named_parameters": (1963, "d0f20a5f20c932a5"),
+    }),
+}
+
+
+class TestModuleTree:
+    @pytest.mark.parametrize("tree", sorted(FROZEN_TREES))
+    def test_names_and_order_are_frozen(self, tree):
+        make_cfg, frozen = FROZEN_TREES[tree]
+        model = SpeechModel(make_cfg())
+        for walk, (count, digest) in frozen.items():
+            names = list(getattr(model, walk)())
+            assert len(names) == count, walk
+            assert hashlib.sha256("\n".join(names).encode()).hexdigest()[:16] == digest, walk
+
+    def test_train_and_eval_reach_every_module(self):
+        model = SpeechModel(desk_cfg(num_experts=2))
+        modules = list(model.named_modules().values())
+        model.eval()
+        assert not any(m.training for m in modules)
+        model.train()
+        assert all(m.training for m in modules)
 
 
 class TestSpeechModel:
