@@ -73,6 +73,11 @@ class ModelConfig:
             raise ValueError("vocab_size must include at least one data token plus sos/eos")
         if self.num_experts < 0 or self.moe_every < 1:
             raise ValueError("num_experts must be >= 0 and moe_every >= 1")
+        if self.routed and self.moe_every > self.num_blocks:
+            raise ValueError(
+                f"moe_every {self.moe_every} exceeds num_blocks {self.num_blocks}, so "
+                f"num_experts {self.num_experts} would route no block"
+            )
         if self.num_levels < 1:
             raise ValueError("num_levels must be >= 1")
         if self.num_levels > 1 and self.num_blocks < 3:
@@ -149,14 +154,20 @@ class TrainConfig:
     augment: bool = True
 
     def __post_init__(self):
-        _require_positive(self, ("warmup_steps", "batch_size", "eval_every"))
+        _require_positive(self, ("warmup_steps", "batch_size", "max_steps", "max_epochs",
+                                 "eval_every"))
         # At 1 the smoothed target is uniform and no longer depends on the label.
         if not 0.0 <= self.label_smoothing < 1.0:
             raise ValueError(f"label_smoothing must lie in [0, 1), got {self.label_smoothing}")
         if not 0.0 <= self.eta <= 1.0:
             raise ValueError(f"eta must lie in [0, 1], got {self.eta}")
-        if min(self.alpha, self.beta, self.gamma) < 0:
-            raise ValueError("alpha, beta, gamma must be >= 0")
+        # `not` catches NaN, which fails every comparison.
+        for name in ("alpha", "beta", "gamma"):
+            value = getattr(self, name)
+            if not 0.0 <= value < math.inf:
+                raise ValueError(f"{name} must be finite and >= 0, got {value}")
+        if not 0.0 < self.peak_lr < math.inf:
+            raise ValueError(f"peak_lr must be finite and > 0, got {self.peak_lr}")
 
 
 @dataclass

@@ -4,7 +4,8 @@ decoding, and prefix beam search for N-best hypotheses.
 Conventions: posterior matrices are [T x (V+1)] log-probabilities with
 column 0 the blank; the public API speaks data-token ids (0..V-1) and the
 +1 class shift stays inside this module. All dynamic programming runs in
-log space with -inf as the additive identity. The loss takes one utterance
+log space with -inf as the additive identity, and every log-space sum is
+numpy's ``np.logaddexp``, exact at -inf. The loss takes one utterance
 or a packed batch and runs one forward recursion over padded [batch, states]
 numpy arrays; its gradient reads the backward variables off the same
 recursion run on every utterance reversed. The prefix beam search keeps
@@ -24,7 +25,6 @@ from . import tensor as T
 from .tensor import Tensor
 
 NEG_INF = -np.inf
-_LOWEST = np.finfo(np.float64).min
 
 
 class InfeasibleLength(ValueError):
@@ -32,7 +32,8 @@ class InfeasibleLength(ValueError):
 
 
 def _lse(values):
-    """Log-sum-exp over a 1-D array, safe at all -inf."""
+    """Log-sum-exp over a 1-D array, safe at all -inf: the enumeration
+    oracle's max-shifted sum, independent of the log-add the fast paths use."""
     m = np.max(values)
     if m == NEG_INF:
         return NEG_INF
@@ -64,16 +65,6 @@ def _check_inputs(lp, tokens):
         )
 
 
-def _logsumexp3(stay, step, jump):
-    """Elementwise log(exp(stay) + exp(step) + exp(jump)), -inf where all are."""
-    stacked = np.stack([stay, step, jump])
-    m = stacked.max(axis=0)
-    safe = m != NEG_INF
-    tot = np.full(m.shape, NEG_INF)
-    tot[safe] = m[safe] + np.log(np.exp(stacked[:, safe] - m[safe]).sum(axis=0))
-    return tot
-
-
 def _alpha(lp, rows, seqs):
     """Forward variables of each utterance's CTC lattice.
 
@@ -94,18 +85,16 @@ def _alpha(lp, rows, seqs):
     # from the previous non-blank).
     skip = np.zeros((batch, s_max), dtype=bool)
     skip[:, 2:] = (ext[:, 2:] != 0) & (ext[:, 2:] != ext[:, :-2])
-    minus_inf = np.full((batch, s_max), NEG_INF)
+    pad = np.full((batch, 2), NEG_INF)
 
     alpha = np.full((len(rows), batch, s_max), NEG_INF)
     alpha[0, :, :2] = emit[0, :, :2]
     for t in range(1, len(rows)):
-        prev = alpha[t - 1]
-        step = minus_inf.copy()
-        step[:, 1:] = prev[:, :-1]
-        jump = minus_inf.copy()
-        jump[:, 2:] = prev[:, : s_max - 2]
-        jump[~skip] = NEG_INF
-        alpha[t] = _logsumexp3(prev, step, jump) + emit[t]
+        # prev[:, s + 2] is alpha[t-1] at state s; states below 0 are -inf
+        prev = np.concatenate([pad, alpha[t - 1]], axis=1)
+        stay_step = np.logaddexp(prev[:, 2:], prev[:, 1:-1])
+        jump = np.where(skip, prev[:, :-2], NEG_INF)
+        alpha[t] = np.logaddexp(stay_step, jump) + emit[t]
     return alpha, emit, ext
 
 
@@ -117,7 +106,9 @@ def ctc_loss(log_probs, tokens, lengths=None):
     result is the vector of per-utterance losses. `_alpha` runs over the
     longest utterance on padded [batch, states] arrays, so each utterance's
     values are those of running it alone. Every utterance needs at least
-    one frame; one with none raises ValueError naming its index.
+    one frame; one with none raises ValueError naming its index, and one
+    that no alignment can emit (say, a token whose class is -inf on every
+    frame) raises InfeasibleLength naming it.
 
     Differentiable: the backward pass uses the full forward/backward
     occupancy, so gradients flow to every frame and class. The backward
@@ -143,10 +134,14 @@ def ctc_loss(log_probs, tokens, lengths=None):
 
     alpha, emit, ext = _alpha(lp, offsets + t_col, seqs)
     log_z = np.array([
-        _lse(alpha[n_b[b] - 1, b, max(s_b[b] - 2, 0) : s_b[b]]) for b in range(batch)
+        np.logaddexp.reduce(alpha[n_b[b] - 1, b, max(s_b[b] - 2, 0) : s_b[b]])
+        for b in range(batch)
     ])
-    if np.any(log_z == NEG_INF):
-        raise InfeasibleLength("no alignment has positive probability")
+    infeasible = np.flatnonzero(log_z == NEG_INF)
+    if len(infeasible):
+        raise InfeasibleLength(
+            f"utterance {infeasible[0]} has no alignment with positive probability"
+        )
     losses = -log_z
     value = losses[0] if lengths is None else losses
 
@@ -165,7 +160,10 @@ def ctc_loss(log_probs, tokens, lengths=None):
     )
     t_idx, b_idx, s_idx = np.nonzero(valid)
     beta = reverse[n_b[b_idx] - 1 - t_idx, b_idx, s_b[b_idx] - 1 - s_idx]
-    occ = alpha[valid] + beta - emit[valid] - log_z[b_idx]
+    # a cell whose emission is -inf has alpha and beta -inf as well, so its
+    # occupancy is 0; dividing by 1 there keeps -inf - -inf from forming NaN
+    emitted = emit[valid]
+    occ = alpha[valid] + beta - np.where(emitted == NEG_INF, 0.0, emitted) - log_z[b_idx]
     occupancy = np.zeros_like(lp)
     np.add.at(occupancy, (offsets[b_idx] + t_idx, ext[b_idx, s_idx]), np.exp(occ))
     row_utt = np.repeat(np.arange(batch), frames)
@@ -221,17 +219,6 @@ class Hypothesis:
     combined: float = field(default=0.0)
 
 
-def _log_add(a, b):
-    """Elementwise log(exp(a) + exp(b)); exact when either is -inf.
-
-    The larger term is factored out: hi + log(1 + exp(lo - hi)). Raising
-    hi to the lowest float changes no finite hi and keeps lo - hi from
-    forming -inf - -inf when both terms are -inf.
-    """
-    hi, lo = np.maximum(a, b), np.minimum(a, b)
-    return hi + np.log(1.0 + np.exp(lo - np.maximum(hi, _LOWEST)))
-
-
 def prefix_beam_search(log_probs, beam, nbest):
     """CTC prefix search keeping (blank-ending, nonblank-ending) log masses
     per prefix; returns the top `nbest` distinct prefixes by total mass.
@@ -284,9 +271,9 @@ def prefix_beam_search(log_probs, beam, nbest):
         child, of = (parent[:, None] == node).nonzero()
         if len(child):
             cell = (of, last[child])
-            stay_nb[child] = _log_add(stay_nb[child], grid[cell])
+            stay_nb[child] = np.logaddexp(stay_nb[child], grid[cell])
             grid[cell] = np.nan
-        grid[:, 0] = _log_add(stay_b, stay_nb)
+        grid[:, 0] = np.logaddexp(stay_b, stay_nb)
 
         pick = _survivors(grid, beam, len(child), lambda k, c: prefix(node[k], c))
         k, c = np.divmod(pick, classes)

@@ -33,9 +33,11 @@ def decode_nbest(model, feats, beam, nbest, mu):
     in one decoder pass over their prefix trie.
 
     Returns hypotheses sorted by combined = aed_score + mu * ctc_score,
-    best first; ties keep the CTC beam's own ordering.
+    best first; ties keep the CTC beam's own ordering. A model still in
+    training mode is put in eval mode; one already there is not walked again.
     """
-    model.eval()
+    if model.training:
+        model.eval()
     with T.no_grad():
         out, _ = model.encode(feats if isinstance(feats, Tensor) else Tensor(feats))
         log_probs = model.ctc_log_probs(out.final)

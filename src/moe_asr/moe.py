@@ -93,7 +93,7 @@ class RoutedFFN(Module):
         used = np.unique(record.selected)
         rows = [np.nonzero(record.selected == e)[0] for e in used]
         outs = [self.experts[e].forward(T.embedding_lookup(x, r)) for e, r in zip(used, rows)]
-        y = T.scatter_rows(T.concat_rows(outs), np.concatenate(rows), frames)
+        y = T.scatter_rows(outs, rows, frames)
         gates = T.reshape(T.gather_last(record.p, record.selected), (frames, 1))
         return T.mul(y, gates), record
 

@@ -32,7 +32,6 @@ __all__ = [
     "scale",
     "reshape",
     "concat_last",
-    "concat_rows",
     "softmax_last",
     "attention",
     "log_softmax_last",
@@ -290,26 +289,6 @@ def concat_last(tensors):
         return grads
 
     return _node(out, tuple(tensors), bwd, "concat-last-dim")
-
-
-def concat_rows(tensors):
-    """Concatenate 2-D tensors along the first (frame) dimension."""
-    tensors = [_as_tensor(t) for t in tensors]
-    width = tensors[0].data.shape[-1]
-    for t in tensors:
-        if t.data.ndim != 2 or t.data.shape[-1] != width:
-            raise ShapeMismatch("concat-rows", *[t.data.shape for t in tensors])
-    out = np.concatenate([t.data for t in tensors], axis=0)
-    heights = [t.data.shape[0] for t in tensors]
-
-    def bwd(g):
-        grads, off = [], 0
-        for t, h in zip(tensors, heights):
-            grads.append(g[off : off + h] if t.requires_grad else None)
-            off += h
-        return grads
-
-    return _node(out, tuple(tensors), bwd, "concat-rows")
 
 
 def softmax_last(a):
@@ -577,19 +556,23 @@ def gather_last(a, ids):
 
 
 def scatter_rows(values, ids, length):
-    """Place rows of `values` at positions `ids` of a zero [length, C] output.
+    """Place the rows of each tensor in `values` at the matching positions
+    in `ids` (one id array per tensor) of a zero [length, C] output.
 
-    ids must be unique; the MoE dispatch uses this to reassemble per-expert
-    outputs into frame order.
+    ids must be unique across all parts; the MoE dispatch uses this to
+    reassemble the per-expert outputs into frame order in one node.
     """
-    values = _as_tensor(values)
-    ids = np.asarray(ids, dtype=np.int64)
-    if values.data.ndim != 2 or ids.shape != (values.data.shape[0],):
-        raise ShapeMismatch("scatter-rows", values.data.shape, ids.shape)
-    out = np.zeros((length, values.data.shape[1]), dtype=np.float64)
-    out[ids] = values.data
+    values = [_as_tensor(v) for v in values]
+    ids = [np.asarray(i, dtype=np.int64) for i in ids]
+    if len(ids) != len(values):
+        raise ShapeMismatch("scatter-rows", (len(values),), (len(ids),))
+    out = np.zeros((length, values[0].data.shape[-1]), dtype=np.float64)
+    for v, i in zip(values, ids):
+        if i.ndim != 1 or v.data.shape != i.shape + out.shape[1:]:
+            raise ShapeMismatch("scatter-rows", v.data.shape, i.shape)
+        out[i] = v.data
 
-    return _node(out, (values,), lambda g: (g[ids],), "scatter-rows")
+    return _node(out, tuple(values), lambda g: [g[i] for i in ids], "scatter-rows")
 
 
 def dropout(a, p, rng, training):

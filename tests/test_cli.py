@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from moe_asr.cli import build_parser, main
-from moe_asr.config import DecodeConfig
+from moe_asr.config import DecodeConfig, TrainConfig
 
 TINY_MODEL = [
     "--d-att", "16", "--d-ff", "24", "--heads", "2", "--kernel", "3",
@@ -266,6 +266,9 @@ class TestFailureModes:
         ("--dropout", "1.0", "dropout"),
         ("--heads", "0", "heads"),
         ("--d-emb", "9", "d_emb"),
+        ("--alpha", "nan", "alpha"),
+        ("--peak-lr", "-1", "peak_lr"),
+        ("--max-steps", "0", "max_steps"),
     ])
     def test_invalid_setting_fails_before_training(self, tmp_path, capsys, flag, value,
                                                    field):
@@ -276,6 +279,14 @@ class TestFailureModes:
         err = capsys.readouterr().err
         assert err.startswith(f"error: ValueError: {field} ")
         assert not (run / "metrics.jsonl").exists()
+
+    @pytest.mark.parametrize("field, value", [
+        ("beta", "nan"), ("gamma", "nan"), ("gamma", "inf"), ("alpha", "-inf"),
+        ("peak_lr", "0"), ("peak_lr", "nan"), ("peak_lr", "inf"), ("max_epochs", "0"),
+    ])
+    def test_invalid_train_setting_named(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} "):
+            TrainConfig(**{field: float(value)})
 
     @pytest.mark.parametrize("mu", ["-5", "nan", "inf"])
     def test_invalid_mu_rejected(self, tmp_path, capsys, mu):

@@ -3,6 +3,7 @@ decoding against exhaustive search on tiny grids."""
 
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -202,6 +203,39 @@ class TestPackedBatch:
             ctc.ctc_loss(lp, [[], [1]], [0, 3])
         with pytest.raises(ValueError, match="utterance 1 has no frames"):
             ctc.ctc_loss(Tensor(lp, requires_grad=True), [[1], [], [0]], [2, 0, 1])
+
+    def test_token_impossible_on_every_frame_rejected_by_index(self):
+        """A token whose class is -inf on every frame leaves no alignment:
+        -inf flows through the recursion without a RuntimeWarning and the
+        error names the utterance, alone and packed."""
+        lp = _rand_log_post(np.random.default_rng(77), 8, 4)
+        lp[:, 3] = -np.inf  # token 2
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ctc.InfeasibleLength, match="^utterance 0 has no alignment"):
+                ctc.ctc_loss(lp, [2])
+            with pytest.raises(ctc.InfeasibleLength, match="^utterance 1 has no alignment"):
+                ctc.ctc_loss(Tensor(lp, requires_grad=True), [[0, 1], [1, 2], [0]], [3, 3, 2])
+
+    def test_token_impossible_on_some_frames_has_a_finite_gradient(self):
+        """-inf on some frames of a used token's class: those cells carry no
+        occupancy, so loss and gradient are those of a grid holding -1e4
+        there, where exp underflows to 0."""
+        lp = _rand_log_post(np.random.default_rng(78), 7, 4)
+        lp[[1, 4], 2] = -np.inf
+        lp[2, 0] = -np.inf
+        floored = np.maximum(lp, -1e4)
+        grads = []
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for grid in (lp, floored):
+                x = Tensor(grid, requires_grad=True)
+                loss = ctc.ctc_loss(x, [1, 1, 0])
+                loss.backward()
+                grads.append((loss.data, x.grad))
+        assert grads[0][0] == grads[1][0]
+        np.testing.assert_allclose(grads[0][1], grads[1][1], rtol=0, atol=1e-12)
+        assert np.all(grads[0][1][[1, 4], 2] == 0.0)
 
     def test_infeasible_utterance_in_batch_rejected(self):
         lp = np.log(np.full((6, 3), 1.0 / 3))

@@ -17,6 +17,7 @@ from moe_asr.inference import (
     score_corpus,
 )
 from moe_asr.model import SpeechModel, parameter_total
+from moe_asr.nn import Module
 from moe_asr.tensor import Tensor
 
 
@@ -136,6 +137,25 @@ class TestDecode:
         best = decode_nbest(model, feats, beam=8, nbest=6, mu=0.5)[0]
         assert best.tokens in [h.tokens for h in hyps]
         assert best.combined == max(h.combined for h in hyps)
+
+    def test_training_mode_model_decodes_as_in_eval_mode(self):
+        feats = self._feats(seed=11)
+        trained = small_model(num_experts=2, seed=10).train()
+        got = decode_nbest(trained, feats, beam=8, nbest=6, mu=0.5)
+        want = decode_nbest(small_model(num_experts=2, seed=10), feats, beam=8, nbest=6, mu=0.5)
+        assert not any(m.training for m in trained.named_modules().values())
+        assert [h.tokens for h in got] == [h.tokens for h in want]
+        assert [h.combined for h in got] == [h.combined for h in want]
+
+    def test_eval_mode_model_is_not_walked_again(self, monkeypatch):
+        model = small_model(num_experts=2)
+        decode_nbest(model, self._feats(), beam=6, nbest=4, mu=0.5)
+
+        def walked(*_args, **_kwargs):
+            raise AssertionError("decode_nbest walked a model already in eval mode")
+
+        monkeypatch.setattr(Module, "train", walked)
+        assert decode_nbest(model, self._feats(), beam=6, nbest=4, mu=0.5)
 
 
 def _reference_nbest(model, feats, beam, nbest, mu):

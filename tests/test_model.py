@@ -150,6 +150,12 @@ class TestSpeechModel:
     def test_dense_model_has_no_embedding_network(self):
         assert SpeechModel(desk_cfg()).embedding_net is None
 
+    def test_routed_config_without_a_routed_block_rejected(self):
+        with pytest.raises(ValueError, match="^moe_every 2 exceeds num_blocks 1"):
+            desk_cfg(num_blocks=1, num_levels=1, num_experts=4)
+        assert desk_cfg(num_blocks=1, num_levels=1).routed_blocks() == []
+        assert desk_cfg(num_blocks=2, num_levels=1, num_experts=4).routed_blocks() == [2]
+
     def test_encode_embeds_once_per_utterance(self, monkeypatch):
         model = SpeechModel(desk_cfg(num_experts=2)).initialize(0).eval()
         calls = []
