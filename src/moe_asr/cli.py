@@ -140,6 +140,9 @@ class _Manifest:
 def cmd_prepare(args):
     if args.num_utts < 10:
         raise ValueError(f"--num-utts must be >= 10 to fill the dev split, got {args.num_utts}")
+    for flag, value in (("--vocab-size", args.vocab_size), ("--feat-dim", args.feat_dim)):
+        if value < 1:
+            raise ValueError(f"{flag} must be >= 1, got {value}")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     manifest = _Manifest(out, "prepare",

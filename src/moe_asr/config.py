@@ -17,7 +17,7 @@ Token-id conventions used across the package:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 
 def _require_positive(cfg, names):
@@ -38,6 +38,9 @@ class ModelConfig:
     The decoders use ``d_att``, ``d_ff`` and ``heads``; the embedding network
     uses ``d_emb`` (0: ``d_att``), ``embedding_blocks`` (0: half of
     ``num_blocks``) and the shared ``d_ff``, ``heads`` and ``kernel``.
+    ``num_levels`` counts the attention decoders: the main one on the final
+    encoder output plus ``num_levels - 1`` auxiliary ones, train-only, at the
+    evenly spaced depths ``tap_blocks()`` returns.
     """
 
     vocab_size: int
@@ -80,8 +83,8 @@ class ModelConfig:
             )
         if self.num_levels < 1:
             raise ValueError("num_levels must be >= 1")
-        if self.num_levels > 1 and self.num_blocks < 3:
-            raise ValueError("intermediate tap depths need at least 3 encoder blocks")
+        if self.num_blocks < self.num_levels:
+            raise ValueError(f"num_levels {self.num_levels} exceeds num_blocks {self.num_blocks}")
 
     @property
     def routed(self):
@@ -94,10 +97,16 @@ class ModelConfig:
         return [i for i in range(1, self.num_blocks + 1) if i % self.moe_every == 0]
 
     def tap_blocks(self):
-        """1-based encoder depths feeding auxiliary decoders (1/3 and 2/3)."""
-        if self.num_levels <= 1:
-            return []
-        return [self.num_blocks // 3, (2 * self.num_blocks) // 3]
+        """1-based encoder depths feeding the auxiliary decoders, shallow to
+        deep: ``num_levels - 1`` evenly spaced depths (1/3 and 2/3 at three
+        levels, none at one)."""
+        return [self.num_blocks * j // self.num_levels for j in range(1, self.num_levels)]
+
+    def embedding_encoder(self):
+        """The embedding network's stack: this encoder built dense, ``d_emb``
+        wide and ``embedding_blocks`` deep, with no taps."""
+        return replace(self, d_att=self.d_emb, num_blocks=self.embedding_blocks,
+                       num_experts=0, num_levels=1)
 
     @property
     def ctc_classes(self):

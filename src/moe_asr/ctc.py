@@ -54,17 +54,6 @@ def _extended(tokens):
     return ext
 
 
-def _check_inputs(lp, tokens):
-    t_frames, classes = lp.shape
-    if any(t < 0 or t + 1 >= classes for t in tokens):
-        raise ValueError(f"token id out of range for {classes - 1} CTC labels: {tokens}")
-    need = min_frames(tokens)
-    if t_frames < need:
-        raise InfeasibleLength(
-            f"{len(tokens)} tokens need at least {need} frames, got {t_frames}"
-        )
-
-
 def _alpha(lp, rows, seqs):
     """Forward variables of each utterance's CTC lattice.
 
@@ -106,9 +95,10 @@ def ctc_loss(log_probs, tokens, lengths=None):
     result is the vector of per-utterance losses. `_alpha` runs over the
     longest utterance on padded [batch, states] arrays, so each utterance's
     values are those of running it alone. Every utterance needs at least
-    one frame; one with none raises ValueError naming its index, and one
-    that no alignment can emit (say, a token whose class is -inf on every
-    frame) raises InfeasibleLength naming it.
+    one frame and token ids within the grid's labels; one with no frames or
+    an out-of-range token raises ValueError naming its index, and one that
+    no alignment can emit (too few frames, or a token whose class is -inf on
+    every frame) raises InfeasibleLength naming it.
 
     Differentiable: the backward pass uses the full forward/backward
     occupancy, so gradients flow to every frame and class. The backward
@@ -124,10 +114,14 @@ def ctc_loss(log_probs, tokens, lengths=None):
     if len(seqs) != len(frames):
         raise ValueError(f"{len(seqs)} token sequences for {len(frames)} utterances")
     offsets = np.cumsum([0] + frames[:-1])
-    for i, (o, n, seq) in enumerate(zip(offsets, frames, seqs)):
+    classes = lp.shape[1]
+    for i, (n, seq) in enumerate(zip(frames, seqs)):
         if n == 0:
             raise ValueError(f"utterance {i} has no frames")
-        _check_inputs(lp[o : o + n], seq)
+        if any(t < 0 or t + 1 >= classes for t in seq):
+            raise ValueError(
+                f"utterance {i}: token id out of range for {classes - 1} CTC labels: {seq}"
+            )
     batch, n_b = len(seqs), np.array(frames)
     s_b = np.array([2 * len(seq) + 1 for seq in seqs])
     t_col = np.arange(max(frames))[:, None]

@@ -1,9 +1,10 @@
 """Attention decoder: autoregressive transformer over encoder output.
 
-One main decoder serves inference (rescoring); auxiliary copies attached to
-intermediate encoder taps contribute train-only losses. The shared
-start/end symbol is the last vocabulary id; teacher forcing feeds
-[sos] + tokens and scores tokens + [eos].
+One main decoder serves inference (rescoring); ``num_levels - 1``
+auxiliary copies, one per intermediate encoder tap at evenly spaced depths,
+contribute train-only losses. The shared start/end symbol is the last
+vocabulary id; teacher forcing feeds [sos] + tokens and scores
+tokens + [eos].
 
 Teacher forcing also runs a packed batch in one pass: each utterance's
 [sos] + tokens rows are stacked, self-attention is causal within each
@@ -135,30 +136,19 @@ def aed_loss(log_probs, tokens, label_smoothing=0.0):
     return T.reshape(aed_losses(log_probs, [tokens], label_smoothing), ())
 
 
-class MissingTap(KeyError):
-    """An auxiliary decoder's configured encoder depth was not recorded."""
-
-
-def multi_level_aed(main_decoder, aux_decoders, enc_output, tokens, tap_indices, label_smoothing=0.0):
+def multi_level_aed(main_decoder, aux_decoders, enc_output, tokens, label_smoothing=0.0):
     """Sum of per-level teacher-forced losses: the main decoder on the final
-    encoder output plus one auxiliary decoder per intermediate tap.
+    encoder output plus one auxiliary decoder per intermediate tap, the
+    decoders paired with ``enc_output.taps`` in depth order.
 
     Returns (total, per-level values) with levels ordered shallow to deep,
     main decoder last. When ``enc_output.lengths`` is set (a packed batch),
     `tokens` holds one sequence per utterance, each decoder runs once on the
     whole batch, and every value is a vector of per-utterance losses.
     """
-    if len(aux_decoders) != len(tap_indices):
-        raise ValueError(
-            f"{len(aux_decoders)} auxiliary decoders but {len(tap_indices)} tap depths"
-        )
     lengths = enc_output.lengths
     loss = aed_loss if lengths is None else aed_losses
-    levels = []
-    for decoder, tap in zip(aux_decoders, tap_indices):
-        if tap not in enc_output.taps:
-            raise MissingTap(f"encoder depth {tap} was not recorded as a tap")
-        levels.append((decoder, enc_output.taps[tap]))
+    levels = list(zip(aux_decoders, enc_output.taps.values(), strict=True))
     levels.append((main_decoder, enc_output.final))
     losses = [
         loss(decoder.decode_teacher_forced(enc, tokens, lengths), tokens, label_smoothing)

@@ -17,7 +17,7 @@ each utterance's rows come out as if it had been encoded alone.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from . import tensor as T
 from .moe import RoutedFFN
@@ -113,10 +113,10 @@ class EncoderOutput:
 class Encoder(Module):
     """Subsampling front-end, absolute sinusoidal positions, block stack.
 
-    Intermediate outputs are recorded (pure reads) at one-third and
-    two-thirds depth for the auxiliary decoders; routed blocks additionally
-    hand back their routing records in depth order, one per layer for the
-    whole batch.
+    Intermediate outputs are recorded (pure reads), in depth order, at the
+    ``num_levels - 1`` evenly spaced depths of ``cfg.tap_blocks()`` for the
+    auxiliary decoders; routed blocks additionally hand back their routing
+    records in depth order, one per layer for the whole batch.
     """
 
     def __init__(self, cfg):
@@ -162,9 +162,7 @@ class EmbeddingNetwork(Encoder):
     a private CTC head for its own loss."""
 
     def __init__(self, cfg):
-        super().__init__(replace(
-            cfg, d_att=cfg.d_emb, num_blocks=cfg.embedding_blocks, num_experts=0, num_levels=1,
-        ))
+        super().__init__(cfg.embedding_encoder())
         self.ctc_head = Linear(cfg.d_emb, cfg.ctc_classes)
 
     def embed(self, feats, lengths=None):

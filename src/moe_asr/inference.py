@@ -173,9 +173,8 @@ def _subsample(t_in, feat_dim, d):
     )
 
 
-def count_flops(cfg):
-    """Inference FLOPs for one second of audio, itemized by component."""
-    t = subsampled_length(FRAMES_PER_SECOND)
+def _encoder_flops(cfg, t):
+    """FLOPs of one encoder stack for one second of audio, itemized."""
     d, ff = cfg.d_att, cfg.d_ff
     flops = {
         "subsample": _subsample(FRAMES_PER_SECOND, cfg.feat_dim, d),
@@ -184,8 +183,6 @@ def count_flops(cfg):
         "dense_ffn": 0,
         "moe_expert": 0,
         "router": 0,
-        "embedding_network": 0,
-        "ctc_head": _linear(t, d, cfg.ctc_classes) + 5 * t * cfg.ctc_classes,
     }
     routed = set(cfg.routed_blocks())
     for i in range(1, cfg.num_blocks + 1):
@@ -197,16 +194,18 @@ def count_flops(cfg):
             flops["router"] += t * (2 * (cfg.d_emb + d) + 5)
         else:
             flops["dense_ffn"] += _ffn(t, d, ff)
-    if cfg.routed:
-        emb = _subsample(FRAMES_PER_SECOND, cfg.feat_dim, cfg.d_emb)
-        for _ in range(cfg.embedding_blocks):
-            emb += (
-                _attention(t, cfg.d_emb, cfg.heads)
-                + _conv(t, cfg.d_emb, cfg.kernel)
-                + 2 * _ffn(t, cfg.d_emb, ff)
-                + _ln(t, cfg.d_emb)
-            )
-        flops["embedding_network"] = emb
+    return flops
+
+
+def count_flops(cfg):
+    """Inference FLOPs for one second of audio, itemized by component; the
+    embedding network is the sum of its dense stack's items."""
+    t = subsampled_length(FRAMES_PER_SECOND)
+    flops = _encoder_flops(cfg, t)
+    flops["embedding_network"] = (
+        sum(_encoder_flops(cfg.embedding_encoder(), t).values()) if cfg.routed else 0
+    )
+    flops["ctc_head"] = _linear(t, cfg.d_att, cfg.ctc_classes) + 5 * t * cfg.ctc_classes
     return flops
 
 

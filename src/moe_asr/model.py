@@ -1,5 +1,5 @@
 """The full recognizer: encoder, optional routing machinery, CTC head,
-main decoder, and train-only auxiliary decoders.
+main decoder, and one train-only auxiliary decoder per encoder tap.
 
 ``parameter_manifest`` and ``parameter_total`` are derived from the module
 tree itself: they build an uninitialized ``SpeechModel``, whose parameters
@@ -24,7 +24,7 @@ class SpeechModel(Module):
         decoder_args = (cfg.vocab_size, cfg.d_att, cfg.d_ff, cfg.heads, cfg.decoder_blocks,
                         cfg.dropout)
         self.decoder = TransformerDecoder(*decoder_args)
-        self.aux_decoders = [TransformerDecoder(*decoder_args) for _ in range(cfg.num_levels - 1)]
+        self.aux_decoders = [TransformerDecoder(*decoder_args) for _ in cfg.tap_blocks()]
 
     def encode(self, feats, lengths=None):
         """Run the embedding network (once) and the encoder; returns the

@@ -168,8 +168,7 @@ def batch_losses(model, batch, train_cfg):
     out, e_c = model.encode(feats, lengths)
     l_ctc = T.reduce_mean(ctc_loss(model.ctc_log_probs(out.final), tokens, out.lengths))
     aed_total, _ = multi_level_aed(
-        model.decoder, model.aux_decoders, out, tokens,
-        cfg.tap_blocks(), train_cfg.label_smoothing,
+        model.decoder, model.aux_decoders, out, tokens, train_cfg.label_smoothing
     )
     l_aed = T.reduce_mean(aed_total)
     l_joint = joint_loss(l_ctc, [l_aed], train_cfg.eta)

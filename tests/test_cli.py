@@ -166,6 +166,20 @@ class TestPipeline:
         assert len(report["utterances"]) == dev_count
 
 
+    @pytest.mark.parametrize("num_levels", ["2", "4"])
+    def test_train_decode_score_at_other_level_counts(self, tmp_path, num_levels):
+        data = prepare(tmp_path, num=10)
+        run, dec, sc = tmp_path / "run", tmp_path / "dec", tmp_path / "sc"
+        assert main(["train", "--data", str(data), "--out", str(run), *TINY_MODEL,
+                     "--num-blocks", "4", "--num-levels", num_levels, "--num-experts", "2",
+                     "--max-steps", "1", "--eval-every", "1", "--no-augment"]) == 0
+        assert len((run / "metrics.jsonl").read_text().splitlines()) == 1
+        assert main(["decode", "--data", str(data), "--checkpoint", str(run / "final.ckpt"),
+                     "--out", str(dec), "--beam", "4", "--nbest", "2"]) == 0
+        assert main(["score", "--data", str(data), "--hyps", str(dec / "nbest.jsonl"),
+                     "--out", str(sc)]) == 0
+
+
 class TestFlops:
     def test_reports_identical_across_expert_counts(self, tmp_path):
         reports = []
@@ -279,6 +293,25 @@ class TestFailureModes:
         err = capsys.readouterr().err
         assert err.startswith(f"error: ValueError: {field} ")
         assert not (run / "metrics.jsonl").exists()
+
+    @pytest.mark.parametrize("vocab, feat_dim, flag", [
+        ("0", "10", "--vocab-size"), ("4", "0", "--feat-dim"),
+    ])
+    def test_prepare_rejects_empty_inventory_before_writing(self, tmp_path, capsys, vocab,
+                                                            feat_dim, flag):
+        data = tmp_path / "data"
+        assert main(["prepare", "--out", str(data), "--num-utts", "10",
+                     "--vocab-size", vocab, "--feat-dim", feat_dim]) == 1
+        assert capsys.readouterr().err.startswith(f"error: ValueError: {flag} must be >= 1")
+        assert not data.exists()
+
+    def test_fewer_blocks_than_levels_fails_before_the_run_directory(self, tmp_path, capsys):
+        data = prepare(tmp_path)
+        run = tmp_path / "run"
+        assert main(["train", "--data", str(data), "--out", str(run), *TINY_MODEL,
+                     *TINY_TRAIN, "--num-levels", "4", "--num-blocks", "3"]) == 1
+        assert capsys.readouterr().err.startswith("error: ValueError: num_levels 4 ")
+        assert not run.exists()
 
     @pytest.mark.parametrize("field, value", [
         ("beta", "nan"), ("gamma", "nan"), ("gamma", "inf"), ("alpha", "-inf"),

@@ -239,8 +239,14 @@ class TestPackedBatch:
 
     def test_infeasible_utterance_in_batch_rejected(self):
         lp = np.log(np.full((6, 3), 1.0 / 3))
-        with pytest.raises(ctc.InfeasibleLength):
+        with pytest.raises(ctc.InfeasibleLength, match="^utterance 1 has no alignment"):
             ctc.ctc_loss(lp, [[0], [1, 1]], [4, 2])
+
+    def test_out_of_range_token_in_batch_rejected_by_index(self):
+        lp = np.log(np.full((6, 3), 1.0 / 3))
+        for bad in (2, -1):
+            with pytest.raises(ValueError, match="^utterance 1: token id out of range"):
+                ctc.ctc_loss(lp, [[0], [1, bad], [0]], [2, 2, 2])
 
 
 class TestGreedy:

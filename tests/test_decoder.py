@@ -8,7 +8,6 @@ import pytest
 
 from moe_asr import tensor as T
 from moe_asr.decoder import (
-    MissingTap,
     TransformerDecoder,
     aed_loss,
     multi_level_aed,
@@ -110,7 +109,7 @@ class TestMultiLevel:
         dec = _decoder(seed=5)
         enc = EncoderOutput(final=_enc(seed=6))
         tokens = [1, 2]
-        total, per_level = multi_level_aed(dec, [], enc, tokens, [])
+        total, per_level = multi_level_aed(dec, [], enc, tokens)
         direct = aed_loss(dec.decode_teacher_forced(enc.final, tokens), tokens)
         assert len(per_level) == 1
         np.testing.assert_allclose(total.data, direct.data, atol=0)
@@ -123,7 +122,7 @@ class TestMultiLevel:
         final = _enc(seed=8)
         enc = EncoderOutput(final=final, taps={2: final, 4: final})
         tokens = [0, 4, 2]
-        total, per_level = multi_level_aed(main, aux, enc, tokens, [2, 4])
+        total, per_level = multi_level_aed(main, aux, enc, tokens)
         single = aed_loss(main.decode_teacher_forced(final, tokens), tokens)
         np.testing.assert_allclose(total.data, 3.0 * single.data, atol=1e-12)
         for term in per_level:
@@ -134,17 +133,14 @@ class TestMultiLevel:
         aux = [_decoder(seed=10), _decoder(seed=11)]
         enc = EncoderOutput(final=_enc(seed=12), taps={2: _enc(seed=13), 4: _enc(seed=14)})
         tokens = [3, 3, 1]
-        total, per_level = multi_level_aed(main, aux, enc, tokens, [2, 4])
+        total, per_level = multi_level_aed(main, aux, enc, tokens)
         assert abs(float(total.data) - sum(float(t.data) for t in per_level)) < 1e-12
 
-    def test_missing_tap_rejected(self):
-        main = _decoder()
-        with pytest.raises(MissingTap, match="3"):
-            multi_level_aed(main, [_decoder(seed=1)], EncoderOutput(final=_enc()), [0], [3])
-
     def test_decoder_count_mismatch_rejected(self):
-        with pytest.raises(ValueError, match="auxiliary"):
-            multi_level_aed(_decoder(), [_decoder()], EncoderOutput(final=_enc()), [0], [])
+        with pytest.raises(ValueError):
+            multi_level_aed(_decoder(), [_decoder()], EncoderOutput(final=_enc()), [0])
+        with pytest.raises(ValueError):
+            multi_level_aed(_decoder(), [], EncoderOutput(final=_enc(), taps={1: _enc()}), [0])
 
 
 def _oracle_scores(dec, enc, token_seqs):

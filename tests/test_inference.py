@@ -205,6 +205,25 @@ class TestCostAccounting:
                    for n in (1, 16, 32, 64)]
         assert all(r == reports[0] for r in reports[1:])
 
+    @pytest.mark.parametrize("cfg, want", [
+        (ModelConfig.desk_scale(11),
+         {"subsample": 2318144, "attention": 5769216, "conv": 3879936, "dense_ffn": 9815040,
+          "moe_expert": 0, "router": 0, "embedding_network": 0, "ctc_head": 38592}),
+        (ModelConfig.desk_scale(11, num_experts=4),
+         {"subsample": 2318144, "attention": 5769216, "conv": 3879936, "dense_ffn": 7372800,
+          "moe_expert": 2446848, "router": 18792, "embedding_network": 12050240,
+          "ctc_head": 38592}),
+        (ModelConfig.paper_scale(16),
+         {"subsample": 62585344, "attention": 929691648, "conv": 691200000,
+          "dense_ffn": 2728304640, "moe_expert": 909176832, "router": 443448,
+          "embedding_network": 2107465216, "ctc_head": 137517360}),
+    ], ids=["desk-dense", "desk-4e", "paper-16e"])
+    def test_report_is_frozen(self, cfg, want):
+        """Values and key order of the itemization, frozen from the closed
+        form that counted the embedding network with its own block loop."""
+        got = count_flops(cfg)
+        assert list(got.items()) == list(want.items())
+
     def test_dense_model_has_no_routing_cost(self):
         flops = count_flops(ModelConfig.paper_scale(num_experts=0, num_levels=1))
         assert flops["moe_expert"] == 0

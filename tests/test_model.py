@@ -176,6 +176,11 @@ class TestSpeechModel:
         assert len(SpeechModel(desk_cfg()).aux_decoders) == 2
         assert len(SpeechModel(desk_cfg(num_levels=1)).aux_decoders) == 0
 
+    @pytest.mark.parametrize("num_levels, num_blocks", [(4, 3), (3, 2), (2, 1)])
+    def test_fewer_blocks_than_levels_rejected_by_name(self, num_levels, num_blocks):
+        with pytest.raises(ValueError, match=f"^num_levels {num_levels} "):
+            desk_cfg(num_levels=num_levels, num_blocks=num_blocks)
+
     def test_ctc_log_probs_normalized(self):
         model = SpeechModel(desk_cfg()).initialize(1).eval()
         out, _ = model.encode(T.Tensor(np.random.default_rng(1).normal(size=(16, 8))))

@@ -20,10 +20,10 @@ from moe_asr.training import batch_losses
 LENGTHS = (37, 22, 45, 30)
 
 
-def _cfg(num_experts, dropout):
+def _cfg(num_experts, dropout, num_levels=3):
     return ModelConfig(vocab_size=6, feat_dim=6, d_att=16, d_ff=24, heads=2, kernel=3,
                        num_blocks=3, decoder_blocks=1, dropout=dropout, d_emb=8,
-                       embedding_blocks=1, num_experts=num_experts)
+                       embedding_blocks=1, num_experts=num_experts, num_levels=num_levels)
 
 
 def _batch(seed=0, lengths=LENGTHS):
@@ -40,8 +40,7 @@ def _per_utterance_losses(model, feats, tokens, lengths=None):
     or per-utterance vectors for a packed batch."""
     out, e_c = model.encode(feats, lengths)
     ctc = ctc_loss(model.ctc_log_probs(out.final), tokens, out.lengths)
-    aed, _ = multi_level_aed(model.decoder, model.aux_decoders, out, tokens,
-                             model.cfg.tap_blocks(), 0.1)
+    aed, _ = multi_level_aed(model.decoder, model.aux_decoders, out, tokens, 0.1)
     emb = None
     if model.embedding_net is not None:
         emb = ctc_loss(model.embedding_net.ctc_log_probs(e_c), tokens, out.lengths)
@@ -53,15 +52,10 @@ def _packed(batch):
             [s.tokens for s in batch], [s.feats.shape[0] for s in batch])
 
 
-@pytest.mark.parametrize("dropout", [0.0, 0.1])
-@pytest.mark.parametrize("num_experts", [0, 1, 4])
-def test_packed_batch_matches_single_utterance_runs(num_experts, dropout):
-    """Each per-utterance loss, and every parameter gradient of their sum,
-    equals one-utterance runs of the same utterances within 1e-12. Every
-    dropout module draws its packed mask as the utterances' masks in order,
-    so this holds with dropout on."""
+def _assert_packed_matches_single_runs(cfg):
     batch = _batch()
-    model = SpeechModel(_cfg(num_experts, dropout)).initialize(4)
+    model = SpeechModel(cfg).initialize(4)
+    assert len(model.aux_decoders) == len(cfg.tap_blocks())
     params = model.named_parameters()
 
     model.zero_grad()
@@ -90,6 +84,22 @@ def test_packed_batch_matches_single_utterance_runs(num_experts, dropout):
     for name, p in params.items():
         np.testing.assert_allclose(packed_grads[name], p.grad, rtol=0, atol=1e-12,
                                    err_msg=name)
+
+
+@pytest.mark.parametrize("dropout", [0.0, 0.1])
+@pytest.mark.parametrize("num_experts", [0, 1, 4])
+def test_packed_batch_matches_single_utterance_runs(num_experts, dropout):
+    """Each per-utterance loss, and every parameter gradient of their sum,
+    equals one-utterance runs of the same utterances within 1e-12. Every
+    dropout module draws its packed mask as the utterances' masks in order,
+    so this holds with dropout on."""
+    _assert_packed_matches_single_runs(_cfg(num_experts, dropout))
+
+
+@pytest.mark.parametrize("num_experts", [0, 4])
+def test_two_level_packed_batch_matches_single_utterance_runs(num_experts):
+    """The same check with one auxiliary decoder, tapped at block 1."""
+    _assert_packed_matches_single_runs(_cfg(num_experts, 0.1, num_levels=2))
 
 
 def test_utterances_in_a_packed_batch_are_isolated():

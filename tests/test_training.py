@@ -239,6 +239,23 @@ class TestBatchLosses:
         joint = tc.eta * metrics["ctc"] + (1 - tc.eta) * metrics["aed_sum"]
         assert float(total.data) == pytest.approx(joint, abs=1e-15)
 
+    @pytest.mark.parametrize("num_levels", [1, 2, 3, 4])
+    def test_every_level_count_runs_one_finite_step(self, num_levels):
+        """num_levels - 1 taps, strictly increasing inside [1, num_blocks),
+        one auxiliary decoder on each, and a finite step whose gradient
+        reaches every auxiliary decoder."""
+        cfg = tiny_cfg(num_blocks=4, num_levels=num_levels, num_experts=2)
+        taps = cfg.tap_blocks()
+        assert len(taps) == num_levels - 1
+        assert taps == sorted(set(taps)) and all(1 <= tap < cfg.num_blocks for tap in taps)
+        model = SpeechModel(cfg).initialize(0)
+        assert len(model.aux_decoders) == len(taps)
+        total, metrics, _ = batch_losses(model, tiny_batch(), TrainConfig(seed=0))
+        assert all(math.isfinite(v) for v in metrics.values())
+        total.backward()
+        for decoder in model.aux_decoders:
+            assert np.any(decoder.out.weight.grad != 0.0)
+
 
 class TestParameterMovement:
     def _one_step(self, model, tc, lr=1e-3):
