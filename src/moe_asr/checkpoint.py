@@ -120,10 +120,10 @@ def _restore(module, params, context):
             f" (missing {missing[:5]}, unexpected {unexpected[:5]})"
         )
     for name, param in own.items():
-        if param.data.shape != params[name].shape:
+        if param.shape != params[name].shape:
             raise CheckpointError(
                 f"{context}: shape mismatch for {name}:"
-                f" {param.data.shape} vs {params[name].shape}"
+                f" {param.shape} vs {params[name].shape}"
             )
         param.data[...] = params[name]
 
@@ -141,7 +141,8 @@ def save_model(path, model):
 
 
 def load_model(path):
-    """Rebuild a SpeechModel from a checkpoint; parameters load bit-exactly.
+    """Rebuild a SpeechModel from a checkpoint; parameters load bit-exactly
+    into a freshly allocated arena.
 
     Dropout generators are left unseeded: call seed_dropout before resuming
     training, or eval() for inference.
@@ -149,7 +150,7 @@ def load_model(path):
     kind, config, params = read_params(path)
     if kind != "model":
         raise CheckpointError(f"{path}: expected a model checkpoint, found {kind!r}")
-    model = SpeechModel(_model_config(path, config))
+    model = SpeechModel(_model_config(path, config)).allocate()
     _restore(model, params, path)
     return model
 
@@ -162,7 +163,8 @@ def load_pretrained_embedding(model, path):
     """Overwrite a joint model's embedding network with pretrained weights.
 
     The checkpoint's architecture must agree with the model's on every field
-    the embedding network reads.
+    the embedding network reads. The weights are copied into the model's
+    arena, so the model must be allocated (initialized) first.
     """
     if model.embedding_net is None:
         raise CheckpointError("model is dense; it has no embedding network to load into")
@@ -176,6 +178,8 @@ def load_pretrained_embedding(model, path):
                 f"{path}: embedding architecture mismatch on {field}:"
                 f" {getattr(stored, field)} vs {getattr(model.cfg, field)}"
             )
+    if model.arena is None:
+        raise ValueError("model has no parameter storage; initialize it before loading")
     _restore(model.embedding_net, params, path)
 
 

@@ -3,8 +3,8 @@ main decoder, and one train-only auxiliary decoder per encoder tap.
 
 ``parameter_manifest`` and ``parameter_total`` are derived from the module
 tree itself: they build an uninitialized ``SpeechModel``, whose parameters
-allocate no storage until first touched, so even paper-scale configs cost
-almost nothing. The cost accountant relies on them.
+have shapes but no storage (no arena is allocated), so even paper-scale
+configs cost almost nothing. The cost accountant relies on them.
 """
 
 from __future__ import annotations

@@ -38,9 +38,11 @@ def ones_init():
 class Parameter(Tensor):
     """A trainable tensor carrying its own initialization distribution.
 
-    ``data`` and ``grad`` are allocated as zeros on first access, so a module
-    tree built only to read its names and shapes (``parameter_manifest``)
-    costs no memory however many parameters it declares.
+    A new parameter has a shape and no storage, so a module tree built only
+    to read its names and shapes (``parameter_manifest``) costs no memory
+    however many parameters it declares. Its ``data`` and ``grad`` come
+    from an ``Arena``: views into the arena's two flat buffers, bound once
+    and only ever written in place.
     """
 
     __slots__ = ("init_fn", "_shape")
@@ -52,17 +54,34 @@ class Parameter(Tensor):
         self._shape = tuple(shape)
         self.init_fn = init_fn
 
-    def __getattr__(self, name):
-        # Reached only while the ``data`` or ``grad`` slot is still empty.
-        if name not in ("data", "grad"):
-            raise AttributeError(name)
-        value = np.zeros(self._shape)
-        setattr(self, name, value)
-        return value
-
     @property
     def shape(self):
         return self._shape
+
+
+class Arena:
+    """One flat float64 ``data`` buffer and one flat ``grad`` buffer for an
+    ordered set of parameters.
+
+    Each parameter's ``data`` and ``grad`` become views into them at its
+    offset, in the order given (a module tree's ``named_parameters()``
+    order), so the optimizer, the gradient clip and ``zero_grad`` each work
+    on one buffer instead of one array per parameter. Both buffers start as
+    zeros; a parameter can join only one arena.
+    """
+
+    def __init__(self, params):
+        self.params = dict(params)
+        sizes = [math.prod(p.shape) for p in self.params.values()]
+        self.data = np.zeros(sum(sizes))
+        self.grad = np.zeros(sum(sizes))
+        start = 0
+        for (name, p), size in zip(self.params.items(), sizes):
+            if not isinstance(p, Parameter) or hasattr(p, "data"):
+                raise ValueError(f"{name} is not a parameter without storage")
+            p.data = self.data[start : start + size].reshape(p.shape)
+            p.grad = self.grad[start : start + size].reshape(p.shape)
+            start += size
 
 
 def _name_stream(seed, name, lane):
@@ -77,6 +96,8 @@ class Module:
 
     def __init__(self):
         self.training = True
+        # Set on the root of an allocated tree; subtrees share its buffers.
+        self.arena = None
 
     def _walk(self, prefix, modules, params):
         """Add this subtree's modules and trainable tensors, keyed by dotted
@@ -113,12 +134,21 @@ class Module:
     def eval(self):
         return self.train(False)
 
+    def allocate(self):
+        """Give the tree its ``Arena`` (zeros) unless it has one already."""
+        if self.arena is None:
+            self.arena = Arena(self.named_parameters())
+        return self
+
     def initialize(self, seed):
-        """Fill every parameter from its (seed, name) stream; seed dropouts."""
-        for name, param in self.named_parameters().items():
-            if isinstance(param, Parameter):
-                param.data[...] = param.init_fn(_name_stream(seed, name, 0), param.data.shape)
-            param.zero_grad()
+        """Fill every parameter from its (seed, name) stream; seed dropouts.
+
+        The first call allocates the tree's ``Arena`` (``allocate``): one
+        flat ``data`` and one flat ``grad`` buffer, zeros, whose views the
+        parameters become. Values are written into those views in place.
+        """
+        for name, param in self.allocate().arena.params.items():
+            param.data[...] = param.init_fn(_name_stream(seed, name, 0), param.shape)
         self.seed_dropout(seed)
         return self
 
@@ -129,8 +159,8 @@ class Module:
         return self
 
     def zero_grad(self):
-        for param in self.named_parameters().values():
-            param.zero_grad()
+        """Zero every gradient: one fill of the arena's flat ``grad`` buffer."""
+        self.arena.grad.fill(0.0)
 
     def parameter_count(self):
         return sum(math.prod(p.shape) for p in self.named_parameters().values())

@@ -88,11 +88,12 @@ class NondeterministicFunction(RuntimeError):
 class Tensor:
     """A dense float64 array plus an optional gradient accumulator.
 
-    Leaves made with ``requires_grad=True`` (and every ``Parameter``) own a
-    ``grad`` buffer. Tensors produced by ops record their parents and a
-    backward closure but have ``grad`` None: ``backward()`` on a scalar loss
-    walks the graph in reverse topological order, passes gradients through
-    them, and accumulates only into leaves. Repeated backward calls without
+    Leaves made with ``requires_grad=True`` own a ``grad`` buffer (an
+    allocated ``Parameter``'s is a view into its module tree's arena).
+    Tensors produced by ops record their parents and a backward closure but
+    have ``grad`` None: ``backward()`` on a scalar loss walks the graph in
+    reverse topological order, passes gradients through them, and
+    accumulates only into leaves. Repeated backward calls without
     a ``zero_grad`` accumulate. A training batch is one graph over the
     packed frames of all its utterances, so one call covers the batch.
     """

@@ -17,6 +17,7 @@ keep every utterance to itself. Loss terms are means over utterances.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import json
 import math
@@ -54,67 +55,81 @@ def learning_rate(step, peak_lr, warmup_steps):
     return peak_lr * min(step / warmup_steps, math.sqrt(warmup_steps / step))
 
 
+ADAM_CHUNK = 32768  # elements per in-place pass; small enough to stay in cache
+
+
 class Adam:
-    """Adam on a fixed named-parameter set.
+    """Adam over one parameter ``Arena``.
 
     The defaults are the paper recipe's, and the only values training uses.
+    The moments ``m`` and ``v`` are two flat buffers laid out like the
+    arena's, and each step updates the flat buffers in place, ``ADAM_CHUNK``
+    elements at a time.
 
     A parameter whose gradient has stayed exactly zero has exactly zero
     moment estimates, so its update is exactly zero: untouched parameters
     never drift, whatever the step count.
     """
 
-    def __init__(self, params, beta1=0.9, beta2=0.98, eps=1e-9):
-        self.params = dict(params)
+    def __init__(self, arena, beta1=0.9, beta2=0.98, eps=1e-9):
+        self.arena = arena
         self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.t = 0
-        self.m = {name: np.zeros_like(p.data) for name, p in self.params.items()}
-        self.v = {name: np.zeros_like(p.data) for name, p in self.params.items()}
+        self.m = np.zeros(arena.data.size)
+        self.v = np.zeros(arena.data.size)
+        self._scratch = np.empty((2, min(ADAM_CHUNK, arena.data.size)))
 
     def step(self, lr):
         self.t += 1
         c1 = 1.0 - self.beta1**self.t
         c2 = 1.0 - self.beta2**self.t
-        # In place, in the operation order of the textbook expressions
+        # Elementwise, in the operation order of the textbook expressions
         #   m = b1*m + (1-b1)*g,  v = b2*v + ((1-b2)*g)*g,
         #   p -= lr*(m/c1) / (sqrt(v/c2) + eps),
-        # so every step gives the same bits with fewer temporaries.
-        for name, p in self.params.items():
-            g, m, v = p.grad, self.m[name], self.v[name]
+        # so the bits do not depend on the chunking.
+        data, grad = self.arena.data, self.arena.grad
+        for start in range(0, data.size, ADAM_CHUNK):
+            chunk = slice(start, start + ADAM_CHUNK)
+            g, m, v = grad[chunk], self.m[chunk], self.v[chunk]
+            num, den = self._scratch[:, : g.size]
             m *= self.beta1
-            m += (1.0 - self.beta1) * g
+            np.multiply(g, 1.0 - self.beta1, out=num)
+            m += num
             v *= self.beta2
-            gg = (1.0 - self.beta2) * g
-            gg *= g
-            v += gg
-            num = m / c1
+            np.multiply(g, 1.0 - self.beta2, out=num)
+            num *= g
+            v += num
+            np.divide(m, c1, out=num)
             num *= lr
-            den = v / c2
+            np.divide(v, c2, out=den)
             np.sqrt(den, out=den)
             den += self.eps
             num /= den
-            p.data -= num
+            data[chunk] -= num
 
 
 GRAD_CLIP = 5.0  # global gradient-norm threshold of the paper's recipe
 
 
-def global_grad_norm(params):
+def global_grad_norm(arena):
+    """The L2 norm of the arena's gradient: each parameter's sum of squares,
+    added in parameter order, so the bits match a per-array computation.
+    (``np.add.reduce(x, axis=None)`` is the reduction ``np.sum(x)`` runs,
+    without its dispatch.)"""
     total = 0.0
-    for p in params.values():
-        total += float(np.sum(p.grad * p.grad))
+    for p in arena.params.values():
+        total += float(np.add.reduce(p.grad * p.grad, axis=None))
     return math.sqrt(total)
 
 
-def clip_gradients(params, max_norm):
-    """Scale all gradients by a common factor if the global norm exceeds the
-    threshold; returns the pre-clip norm. Direction is always preserved. A
-    non-finite norm scales nothing: the caller has to stop."""
-    norm = global_grad_norm(params)
+def clip_gradients(arena, max_norm):
+    """Scale the arena's gradient buffer by a common factor if the global
+    norm exceeds the threshold; returns the pre-clip norm. Direction is
+    always preserved. A non-finite norm scales nothing: the caller has to
+    stop."""
+    norm = global_grad_norm(arena)
     if max_norm < norm < math.inf:
-        factor = max_norm / norm
-        for p in params.values():
-            p.grad *= factor
+        arena.grad *= max_norm / norm
     return norm
 
 
@@ -302,11 +317,9 @@ def _run_loop(module, train_seqs, dev_seqs, train_cfg, out_dir, step_fn, eval_fn
         raise ValueError("evaluation split is empty")
     out = Path(out_dir)
     (out / "checkpoints").mkdir(parents=True, exist_ok=True)
-    params = module.named_parameters()
-    optimizer = Adam(params)
+    optimizer = Adam(module.arena)
     batcher = _Batcher(train_seqs, train_cfg.batch_size)
     records = []
-    routed_log = None
 
     def checkpoint(step):
         module.eval()
@@ -315,12 +328,18 @@ def _run_loop(module, train_seqs, dev_seqs, train_cfg, out_dir, step_fn, eval_fn
         save_fn(path)
         records.append(CheckpointRecord(batcher.epoch, step, eval_ctc, str(path)))
 
-    with open(out / "metrics.jsonl", "w", encoding="utf-8") as metrics_fh:
+    # Both logs close, flushed, however the loop ends: a divergence error
+    # leaves every step it logged in both files.
+    with contextlib.ExitStack() as logs:
+        metrics_fh = logs.enter_context(open(out / "metrics.jsonl", "w", encoding="utf-8"))
+        routed_log = None
+        # Training mode is set here and after each checkpoint's evaluation,
+        # the only code that changes it, rather than on every step.
+        module.train()
         step = 0
         while step < train_cfg.max_steps and batcher.epoch < train_cfg.max_epochs:
             step += 1
             batch = batcher.next_batch()
-            module.train()
             module.zero_grad()
             total, metrics, routing = step_fn(_augmented(batch, train_cfg))
             if not np.isfinite(total.data):
@@ -328,7 +347,7 @@ def _run_loop(module, train_seqs, dev_seqs, train_cfg, out_dir, step_fn, eval_fn
                     f"training diverged: non-finite loss {float(total.data)} at step {step}"
                 )
             total.backward()
-            grad_norm = clip_gradients(params, GRAD_CLIP)
+            grad_norm = clip_gradients(module.arena, GRAD_CLIP)
             if not math.isfinite(grad_norm):
                 raise RuntimeError(
                     f"training diverged: non-finite gradient norm {grad_norm} at step {step}"
@@ -346,14 +365,15 @@ def _run_loop(module, train_seqs, dev_seqs, train_cfg, out_dir, step_fn, eval_fn
             metrics_fh.write(json.dumps(line) + "\n")
             if routing is not None:
                 if routed_log is None:
-                    routed_log = open(out / "routing.jsonl", "w", encoding="utf-8")
+                    routed_log = logs.enter_context(
+                        open(out / "routing.jsonl", "w", encoding="utf-8")
+                    )
                 routed_log.write(json.dumps({"step": step, "layers": routing}) + "\n")
             if step % train_cfg.eval_every == 0:
                 checkpoint(step)
+                module.train()
         if not records or records[-1].step != step:
             checkpoint(step)
-    if routed_log is not None:
-        routed_log.close()
 
     final = select_final(records)
     # records.json keeps every candidate so the selection is auditable.

@@ -57,7 +57,7 @@ class TestParameterManifest:
     def test_manifest_matches_built_model(self, spec_kwargs):
         """The derived listing reproduces allocated names, shapes, and order."""
         cfg = ModelConfig(**spec_kwargs)
-        model = SpeechModel(cfg)
+        model = SpeechModel(cfg).allocate()
         built = [(name, p.data.shape) for name, p in model.named_parameters().items()]
         assert parameter_manifest(cfg) == built
 
@@ -349,7 +349,7 @@ class TestEmbeddingCheckpoints:
         kind, loaded_cfg, _ = read_params(path)
         assert kind == "embedding"
         assert ModelConfig(**loaded_cfg) == cfg
-        loaded = SpeechModel(cfg)
+        loaded = SpeechModel(cfg).allocate()
         load_pretrained_embedding(loaded, path)
         for name, p in net.named_parameters().items():
             assert (loaded.embedding_net.named_parameters()[name].data == p.data).all()

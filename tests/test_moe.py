@@ -21,7 +21,7 @@ from moe_asr.tensor import Tensor
 def _router_with_logit_rows(rows):
     """Router whose logits equal `rows` when fed e_c=[1], o_prev=[0]."""
     n = len(rows[0])
-    router = Router(1, 1, n)
+    router = Router(1, 1, n).allocate()
     router.weight.data[...] = 0.0
     return router
 
@@ -35,7 +35,7 @@ class TestRouter:
         assert rec.gates.tolist() == [0.5]
 
     def test_analytic_softmax_route(self):
-        router = Router(1, 1, 2)
+        router = Router(1, 1, 2).allocate()
         router.weight.data[...] = [[math.log(3.0), 0.0], [0.0, 0.0]]
         rec = router.route(Tensor([[1.0]]), Tensor([[0.0]]))
         np.testing.assert_allclose(rec.p.data, [[0.75, 0.25]], atol=1e-12)

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from moe_asr import tensor as T
-from moe_asr.checkpoint import load_pretrained_embedding
+from moe_asr.checkpoint import load_model, load_pretrained_embedding, save_embedding, save_model
 from moe_asr.config import ModelConfig, TrainConfig
 from moe_asr.features import generate_corpus, load_normalized_split, FeatureSequence
 from moe_asr.model import SpeechModel
@@ -19,6 +19,7 @@ from moe_asr.training import (
     batch_losses,
     clip_gradients,
     evaluate_ctc,
+    global_grad_norm,
     joint_loss,
     learning_rate,
     run_joint_training,
@@ -59,6 +60,67 @@ class TestSchedule:
             learning_rate(0, 2e-3, 1000)
 
 
+def textbook_clip(grads, max_norm):
+    """Per-array reference clip: sums of squares added in parameter order."""
+    norm = math.sqrt(sum(float(np.sum(g * g)) for g in grads.values()))
+    if max_norm < norm < math.inf:
+        grads = {name: g * (max_norm / norm) for name, g in grads.items()}
+    return norm, grads
+
+
+class TextbookAdam:
+    """Per-array reference Adam over {name: array}, one step per call."""
+
+    def __init__(self, params, b1=0.9, b2=0.98, eps=1e-9):
+        self.p = {name: value.copy() for name, value in params.items()}
+        self.m = {name: np.zeros_like(value) for name, value in params.items()}
+        self.v = {name: np.zeros_like(value) for name, value in params.items()}
+        self.b1, self.b2, self.eps, self.t = b1, b2, eps, 0
+
+    def step(self, grads, lr):
+        self.t += 1
+        b1, b2, eps = self.b1, self.b2, self.eps
+        for name, g in grads.items():
+            m = self.m[name] = b1 * self.m[name] + (1.0 - b1) * g
+            v = self.v[name] = b2 * self.v[name] + (1.0 - b2) * g * g
+            self.p[name] = self.p[name] - lr * (m / (1.0 - b1**self.t)) / (
+                np.sqrt(v / (1.0 - b2**self.t)) + eps)
+
+
+def arena_spans(arena):
+    """{name: slice} of each parameter in the flat buffers, from the shapes
+    in parameter order."""
+    spans, start = {}, 0
+    for name, p in arena.params.items():
+        spans[name] = slice(start, start + math.prod(p.shape))
+        start = spans[name].stop
+    return spans
+
+
+def assert_flat_matches_textbook(arena, opt, ref, spans):
+    for name, p in arena.params.items():
+        np.testing.assert_array_equal(p.data, ref.p[name], err_msg=name)
+        np.testing.assert_array_equal(opt.m[spans[name]], ref.m[name].reshape(-1), err_msg=name)
+        np.testing.assert_array_equal(opt.v[spans[name]], ref.v[name].reshape(-1), err_msg=name)
+
+
+def assert_in_arena(module):
+    """Every parameter's data and grad are views into the module's arena at
+    its own offset, in named_parameters() order, covering it exactly."""
+    arena, params = module.arena, module.named_parameters()
+    assert list(arena.params) == list(params)
+    offset = 0
+    for name, p in params.items():
+        assert arena.params[name] is p, name
+        for view, buf in ((p.data, arena.data), (p.grad, arena.grad)):
+            assert view.shape == p.shape and view.flags.c_contiguous, name
+            assert np.shares_memory(view, buf), name
+            address = view.__array_interface__["data"][0] - buf.__array_interface__["data"][0]
+            assert address == 8 * offset, name
+        offset += math.prod(p.shape)
+    assert offset == arena.data.size == arena.grad.size
+
+
 class TestAdam:
     def test_zero_gradient_means_zero_update(self):
         """A parameter with an exactly-zero gradient history must not move,
@@ -68,7 +130,7 @@ class TestAdam:
         layer = Linear(4, 4)
         layer.initialize(0)
         before = layer.weight.data.copy()
-        opt = Adam(layer.named_parameters())
+        opt = Adam(layer.arena)
         for _ in range(50):
             layer.zero_grad()
             opt.step(1e-2)
@@ -77,19 +139,20 @@ class TestAdam:
     def test_in_place_step_matches_textbook_bits(self):
         """Over several steps the parameter equals the textbook update
         exactly, and a parameter whose gradient is always zero stays put."""
-        from moe_asr.nn import Parameter, zeros_init
+        from moe_asr.nn import Arena, Parameter, zeros_init
 
         rng = np.random.default_rng(12)
         live, dead = Parameter((3, 4), zeros_init()), Parameter((5,), zeros_init())
+        arena = Arena({"live": live, "dead": dead})
         live.data[...] = rng.normal(size=(3, 4))
         dead.data[...] = rng.normal(size=5)
         start = dead.data.copy()
         b1, b2, eps = 0.9, 0.98, 1e-9
-        opt = Adam({"live": live, "dead": dead}, b1, b2, eps)
+        opt = Adam(arena, b1, b2, eps)
+        span = arena_spans(arena)["live"]
         p, m, v = live.data.copy(), np.zeros((3, 4)), np.zeros((3, 4))
         for t in range(1, 9):
-            live.zero_grad()
-            dead.zero_grad()
+            arena.grad.fill(0.0)
             g = rng.normal(size=(3, 4)) * 10.0 ** rng.integers(-6, 3)
             live.grad += g
             lr = 1e-3 * t
@@ -97,17 +160,17 @@ class TestAdam:
             m = b1 * m + (1.0 - b1) * g
             v = b2 * v + (1.0 - b2) * g * g
             p = p - lr * (m / (1.0 - b1**t)) / (np.sqrt(v / (1.0 - b2**t)) + eps)
-            np.testing.assert_array_equal(opt.m["live"], m)
-            np.testing.assert_array_equal(opt.v["live"], v)
+            np.testing.assert_array_equal(opt.m[span].reshape(3, 4), m)
+            np.testing.assert_array_equal(opt.v[span].reshape(3, 4), v)
             np.testing.assert_array_equal(live.data, p)
         np.testing.assert_array_equal(dead.data, start)
 
     def test_minimizes_quadratic(self):
-        from moe_asr.nn import Parameter, zeros_init
+        from moe_asr.nn import Arena, Parameter, zeros_init
 
         x = Parameter((3,), zeros_init())
+        opt = Adam(Arena({"x": x}))
         x.data[...] = 10.0
-        opt = Adam({"x": x})
         for _ in range(400):
             x.zero_grad()
             x.grad += 2.0 * (x.data - 3.0)
@@ -115,12 +178,12 @@ class TestAdam:
         np.testing.assert_allclose(x.data, 3.0, atol=1e-3)
 
     def test_mixed_zero_and_live_gradients(self):
-        from moe_asr.nn import Parameter, zeros_init
+        from moe_asr.nn import Arena, Parameter, zeros_init
 
         live = Parameter((2,), zeros_init())
         dead = Parameter((2,), zeros_init())
+        opt = Adam(Arena({"live": live, "dead": dead}))
         dead.data[...] = 7.0
-        opt = Adam({"live": live, "dead": dead})
         for _ in range(20):
             live.zero_grad()
             dead.zero_grad()
@@ -129,29 +192,168 @@ class TestAdam:
         assert (dead.data == 7.0).all()
         assert (live.data != 0.0).all()
 
+    def test_chunk_boundary_inside_a_parameter(self):
+        """A parameter larger than one chunk, in an arena whose size is not
+        a multiple of the chunk, steps bit-identically to the per-array
+        reference, clipped or not."""
+        from moe_asr.nn import Arena, Parameter, zeros_init
+        from moe_asr.training import ADAM_CHUNK
+
+        shapes = {"a": (7,), "big": (200, 200), "c": (13, 5), "d": (3,)}
+        params = {name: Parameter(shape, zeros_init()) for name, shape in shapes.items()}
+        arena = Arena(params)
+        assert params["big"].grad.size > ADAM_CHUNK and arena.data.size % ADAM_CHUNK != 0
+        rng = np.random.default_rng(31)
+        arena.data[...] = rng.normal(size=arena.data.size)
+        opt = Adam(arena)
+        ref = TextbookAdam({n: p.data for n, p in params.items()})
+        spans, clipped = arena_spans(arena), 0
+        for t in range(1, 7):
+            arena.grad[...] = rng.normal(size=arena.grad.size) * 10.0 ** rng.integers(-3, 2)
+            norm, grads = textbook_clip({n: p.grad.copy() for n, p in params.items()}, GRAD_CLIP)
+            assert clip_gradients(arena, GRAD_CLIP) == norm
+            clipped += norm > GRAD_CLIP
+            opt.step(1e-3 * t)
+            ref.step(grads, 1e-3 * t)
+            assert_flat_matches_textbook(arena, opt, ref, spans)
+        assert 0 < clipped < 6
+
 
 class TestClipping:
     def test_small_gradients_untouched(self):
-        from moe_asr.nn import Parameter, zeros_init
+        from moe_asr.nn import Arena, Parameter, zeros_init
 
         p = Parameter((4,), zeros_init())
+        arena = Arena({"p": p})
         p.grad[...] = 0.5
-        norm = clip_gradients({"p": p}, 5.0)
+        norm = clip_gradients(arena, 5.0)
         assert norm == pytest.approx(1.0)
         assert (p.grad == 0.5).all()
 
     def test_large_gradients_scaled_to_threshold(self):
-        from moe_asr.nn import Parameter, zeros_init
+        from moe_asr.nn import Arena, Parameter, zeros_init
 
         p = Parameter((100,), zeros_init())
+        arena = Arena({"p": p})
         p.grad[...] = 3.0
         before = p.grad.copy()
-        norm = clip_gradients({"p": p}, 5.0)
+        norm = clip_gradients(arena, 5.0)
         assert norm == pytest.approx(30.0)
         after_norm = math.sqrt(float(np.sum(p.grad**2)))
         assert after_norm == pytest.approx(5.0)
         ratio = p.grad / before
         np.testing.assert_allclose(ratio, ratio.flat[0])
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_norm_exact_on_heavy_tailed_gradients(self, seed):
+        """The global norm has the bits of per-array sums of squares added
+        in parameter order, on Cauchy-distributed gradients where a
+        different summation order shows."""
+        from moe_asr.nn import Arena, Parameter, zeros_init
+
+        shapes = [(37,), (64, 96), (5,), (120, 33), (1,), (9, 9)]
+        params = {f"p{i}": Parameter(shape, zeros_init()) for i, shape in enumerate(shapes)}
+        arena = Arena(params)
+        arena.grad[...] = np.random.default_rng(seed).standard_cauchy(arena.grad.size)
+        want = math.sqrt(sum(float(np.sum(p.grad * p.grad)) for p in params.values()))
+        assert global_grad_norm(arena) == want
+
+
+class TestFlatOptimizerOnModel:
+    def test_steps_match_per_array_reference(self):
+        """On a seeded routed model, several clipped Adam steps on the flat
+        buffers give bit-identical parameters, moments and norms to the
+        per-array reference. The tiny model's norms sit near 2.5, so that
+        threshold clips some steps and not others."""
+        max_norm = 2.5
+        model = SpeechModel(tiny_cfg(num_experts=2)).initialize(6)
+        params = model.named_parameters()
+        opt = Adam(model.arena)
+        ref = TextbookAdam({n: p.data for n, p in params.items()})
+        spans, norms = arena_spans(model.arena), []
+        model.train()
+        for step in range(1, 6):
+            model.zero_grad()
+            total, _, _ = batch_losses(model, tiny_batch(seed=step), TrainConfig(seed=0))
+            total.backward()
+            norm, grads = textbook_clip({n: p.grad.copy() for n, p in params.items()}, max_norm)
+            assert clip_gradients(model.arena, max_norm) == norm
+            for name, p in params.items():
+                np.testing.assert_array_equal(p.grad, grads[name], err_msg=name)
+            lr = learning_rate(step, 1e-2, 2)
+            opt.step(lr)
+            ref.step(grads, lr)
+            assert_flat_matches_textbook(model.arena, opt, ref, spans)
+            norms.append(norm)
+        assert min(norms) < max_norm < max(norms), norms
+
+
+class TestArena:
+    def _corpus(self, tmp_path):
+        data = tmp_path / "data"
+        generate_corpus(data, 20, 4, 5, feat_dim=6)
+        return data
+
+    def test_initialize_binds_every_parameter(self):
+        assert_in_arena(SpeechModel(tiny_cfg(num_experts=2)).initialize(0))
+
+    def test_load_model_binds_every_parameter(self, tmp_path):
+        model = SpeechModel(tiny_cfg(num_experts=2)).initialize(1)
+        save_model(tmp_path / "m.ckpt", model)
+        loaded = load_model(tmp_path / "m.ckpt")
+        assert_in_arena(loaded)
+        assert loaded.arena.data.tobytes() == model.arena.data.tobytes()
+
+    def test_pretrained_embedding_copies_into_the_views(self, tmp_path):
+        cfg = tiny_cfg(num_experts=2)
+        save_embedding(tmp_path / "e.ckpt", SpeechModel(cfg).initialize(2).embedding_net, cfg)
+        model = SpeechModel(cfg).initialize(3)
+        views = {n: (p.data, p.grad) for n, p in model.named_parameters().items()}
+        load_pretrained_embedding(model, tmp_path / "e.ckpt")
+        assert_in_arena(model)
+        for name, p in model.named_parameters().items():
+            assert p.data is views[name][0] and p.grad is views[name][1], name
+
+    def test_uninitialized_model_cannot_take_an_embedding(self, tmp_path):
+        cfg = tiny_cfg(num_experts=2)
+        save_embedding(tmp_path / "e.ckpt", SpeechModel(cfg).initialize(2).embedding_net, cfg)
+        with pytest.raises(ValueError, match="no parameter storage"):
+            load_pretrained_embedding(SpeechModel(cfg), tmp_path / "e.ckpt")
+
+    def test_training_steps_keep_the_views(self, tmp_path, monkeypatch):
+        """Two full loop steps, each clipped, update the arena in place."""
+        from moe_asr import training
+
+        monkeypatch.setattr(training, "GRAD_CLIP", 1e-3)
+        data = self._corpus(tmp_path)
+        model = SpeechModel(tiny_cfg(num_experts=2)).initialize(4)
+        arena = model.arena
+        views = {n: (p.data, p.grad) for n, p in model.named_parameters().items()}
+        before = arena.data.copy()
+        tc = TrainConfig(max_steps=2, eval_every=10, warmup_steps=5, seed=4)
+        run_joint_training(model, load_normalized_split(data, "train"),
+                           load_normalized_split(data, "dev"), tc, tmp_path / "run")
+        lines = [json.loads(l) for l in (tmp_path / "run" / "metrics.jsonl").read_text().splitlines()]
+        assert len(lines) == 2 and all(l["grad_norm"] > 1e-3 for l in lines)
+        assert model.arena is arena
+        assert_in_arena(model)
+        for name, p in model.named_parameters().items():
+            assert p.data is views[name][0] and p.grad is views[name][1], name
+        assert (arena.data != before).any()
+
+    def test_uninitialized_paper_scale_model_allocates_nothing(self):
+        model = SpeechModel(ModelConfig.paper_scale(64))
+        assert model.arena is None
+        for p in model.named_parameters().values():
+            assert not hasattr(p, "data") and not hasattr(p, "grad")
+
+    def test_parameter_joins_one_arena_only(self):
+        from moe_asr.nn import Arena, Parameter, zeros_init
+
+        p = Parameter((2,), zeros_init())
+        Arena({"p": p})
+        with pytest.raises(ValueError, match="without storage"):
+            Arena({"p": p})
 
 
 class TestObjectiveAssembly:
@@ -259,13 +461,12 @@ class TestBatchLosses:
 
 class TestParameterMovement:
     def _one_step(self, model, tc, lr=1e-3):
-        params = model.named_parameters()
         model.train()
         model.zero_grad()
         total, _, _ = batch_losses(model, tiny_batch(), tc)
         total.backward()
-        clip_gradients(params, GRAD_CLIP)
-        Adam(params).step(lr)
+        clip_gradients(model.arena, GRAD_CLIP)
+        Adam(model.arena).step(lr)
 
     def test_lr_zero_leaves_parameters_unchanged(self):
         model = SpeechModel(tiny_cfg(num_experts=2)).initialize(3)
@@ -386,7 +587,7 @@ class TestLoops:
             tmp_path / "pre",
         )
         assert (tmp_path / "pre" / "embedding.ckpt").exists()
-        model = SpeechModel(cfg)
+        model = SpeechModel(cfg).allocate()
         load_pretrained_embedding(model, tmp_path / "pre" / "embedding.ckpt")
         reloaded = model.embedding_net.eval()
         loss = evaluate_ctc(lambda f: reloaded.ctc_log_probs(reloaded.embed(f)), dev_seqs)
@@ -429,6 +630,31 @@ class TestLoops:
             assert p.data.tobytes() == before[name].tobytes(), name
         assert (tmp_path / "run" / "metrics.jsonl").read_text() == ""
 
+    def test_divergence_leaves_both_logs_closed_and_complete(self, tmp_path, monkeypatch):
+        """A run that diverges at step 3 has flushed the two steps it
+        logged to both metrics.jsonl and routing.jsonl."""
+        data = self._corpus(tmp_path)
+        tc = TrainConfig(max_steps=5, eval_every=10, seed=0)
+        model = SpeechModel(self._model_cfg(num_experts=2)).initialize(tc.seed)
+        backward, calls = Tensor.backward, []
+
+        def poisoned(loss):
+            backward(loss)
+            calls.append(1)
+            if len(calls) == 3:
+                model.ctc_head.bias.grad[0] = np.inf
+
+        monkeypatch.setattr(Tensor, "backward", poisoned)
+        with pytest.raises(RuntimeError, match="non-finite gradient norm inf at step 3") as err:
+            run_joint_training(
+                model, load_normalized_split(data, "train"),
+                load_normalized_split(data, "dev"), tc, tmp_path / "run",
+            )
+        # Read while the traceback, and with it the loop's frame, is alive.
+        metrics = (tmp_path / "run" / "metrics.jsonl").read_text().splitlines()
+        routing = (tmp_path / "run" / "routing.jsonl").read_text().splitlines()
+        assert len(metrics) == len(routing) == 2 and err.value is not None
+
     def test_empty_eval_split_rejected(self):
         with pytest.raises(ValueError, match="empty"):
             evaluate_ctc(lambda f: f, [])
@@ -456,15 +682,14 @@ class TestOverfitOneUtterance:
         rng = np.random.default_rng(7)
         seq = FeatureSequence("solo", rng.normal(size=(24, 6)), [0, 1, 2, 0])
         model = SpeechModel(cfg).initialize(0)
-        params = model.named_parameters()
-        opt = Adam(params)
+        opt = Adam(model.arena)
         ctc_value = None
         for step in range(1, 501):
             model.train()
             model.zero_grad()
             total, metrics, _ = batch_losses(model, [seq], tc)
             total.backward()
-            clip_gradients(params, GRAD_CLIP)
+            clip_gradients(model.arena, GRAD_CLIP)
             opt.step(learning_rate(step, tc.peak_lr, tc.warmup_steps))
             ctc_value = metrics["ctc"]
             if ctc_value < 0.05:
