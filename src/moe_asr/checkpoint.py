@@ -1,15 +1,17 @@
-"""Checkpoint container: a JSON header plus raw float64 parameter blobs.
+"""Checkpoint container: a JSON header plus the parameter arena's image.
 
 Layout: 4-byte magic "3MCK", little-endian u32 header length, UTF-8 JSON
-header, then each parameter's float64 little-endian bytes back to back.
-The header records the kind ("model" or "embedding"), the architecture
-config, and per-parameter name/shape/offset, so a file is self-describing
-and loads bit-exactly on any host.
+header (kind "model" or "embedding", architecture config, and each
+parameter's name/shape/byte offset as its ``nn.Arena`` lays them out), then
+the arena's ``data`` buffer as little-endian float64. The entries tile the
+body (from byte 0, each where the last ends, no name twice, to its end), and
+a loader requires them to equal its arena's layout before one copy in.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import json
 import math
 import os
@@ -28,35 +30,25 @@ class CheckpointError(ValueError):
     """Malformed or mismatched checkpoint file."""
 
 
-def write_params(path, kind, config, params):
-    """Write an ordered {name: array} mapping under the given kind/config.
+def _write(path, kind, config, module):
+    """Write a root module's arena layout and then, in one write, its body.
 
     The file appears at ``path`` whole or not at all: it is written to a
     temporary file in the same directory and renamed over the target.
     """
-    entries, blobs, offset = [], [], 0
-    for name, value in params.items():
-        data = np.ascontiguousarray(value, dtype="<f8")
-        entries.append({"name": name, "shape": list(data.shape), "offset": offset})
-        blobs.append(data.tobytes())
-        offset += data.nbytes
-    header = {
-        "format": FORMAT_VERSION,
-        "kind": kind,
-        "config": dict(config),
-        "params": entries,
-    }
+    if module.arena is None:
+        raise ValueError(f"{type(module).__name__} has no parameter arena of its own to save")
+    layout, body = module.arena.layout()
+    entries = _entries(layout)
+    header = {"format": FORMAT_VERSION, "kind": kind, "config": dict(config), "params": entries}
     header_bytes = json.dumps(header).encode("utf-8")
-    # Write beside the target and rename over it, so a failed write never
-    # leaves a truncated checkpoint where a good one was.
     tmp = f"{path}.{os.getpid()}.tmp"
     try:
         with open(tmp, "wb") as fh:
             fh.write(MAGIC)
             fh.write(struct.pack("<I", len(header_bytes)))
             fh.write(header_bytes)
-            for blob in blobs:
-                fh.write(blob)
+            fh.write(np.ascontiguousarray(body, dtype="<f8"))
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -64,8 +56,12 @@ def write_params(path, kind, config, params):
         raise
 
 
-def read_params(path):
-    """Returns (kind, config dict, ordered {name: float64 array})."""
+def _entries(layout):
+    return [{"name": name, "shape": list(shape), "offset": 8 * at} for name, shape, at in layout]
+
+
+def _read(path):
+    """(kind, config dict, entries, body): the body is read-only, tiled by the entries."""
     with open(path, "rb") as fh:
         raw = fh.read()
     if len(raw) < 8 or raw[:4] != MAGIC:
@@ -84,48 +80,41 @@ def read_params(path):
     entries = header.get("params")
     if not isinstance(entries, list) or not isinstance(header.get("config"), dict):
         raise CheckpointError(f"{path}: header lacks a config or a params list")
-    blob = raw[8 + header_len :]
-    params = {}
+    end, names = 0, set()
     for entry in entries:
         try:
             name, shape, start = entry["name"], tuple(entry["shape"]), entry["offset"]
         except (KeyError, TypeError) as exc:
             raise CheckpointError(f"{path}: malformed parameter entry {entry!r}") from exc
-        if not all(_is_count(v) for v in (start, *shape)):
-            raise CheckpointError(f"{path}: bad shape {shape} or offset {start} for {name}")
+        if type(name) is not str or not all(type(v) is int and v >= 0 for v in (start, *shape)):
+            raise CheckpointError(f"{path}: bad shape {shape} or offset {start} for {name!r}")
+        if name in names or start != end:
+            raise CheckpointError(f"{path}: entry {name} at byte {start} repeats a name or"
+                                  f" does not start where the previous one ends ({end})")
+        names.add(name)
         end = start + 8 * math.prod(shape)
-        if end > len(blob):
-            raise CheckpointError(f"{path}: truncated data for {name}")
-        params[name] = (
-            np.frombuffer(blob[start:end], dtype="<f8").astype(np.float64).reshape(shape)
-        )
-    return header.get("kind"), header["config"], params
+    size = len(raw) - 8 - header_len
+    if end != size:
+        raise CheckpointError(f"{path}: {'truncated data' if end > size else 'trailing bytes'}:"
+                              f" the entries end at byte {end}, the body at {size}")
+    body = np.frombuffer(raw, dtype="<f8", count=size // 8, offset=8 + header_len)
+    return header.get("kind"), header["config"], entries, body
 
 
-def _is_count(value):
-    return isinstance(value, int) and not isinstance(value, bool) and value >= 0
+def read_params(path):
+    """Returns (kind, config dict, ordered {name: read-only float64 view})."""
+    kind, config, entries, body = _read(path)
+    parts = np.split(body, [e["offset"] // 8 for e in entries[1:]])
+    return kind, config, {e["name"]: p.reshape(e["shape"]) for e, p in zip(entries, parts)}
 
 
-def _gather(module):
-    return {name: p.data for name, p in module.named_parameters().items()}
-
-
-def _restore(module, params, context):
-    own = module.named_parameters()
-    missing = sorted(set(own) - set(params))
-    unexpected = sorted(set(params) - set(own))
-    if missing or unexpected:
-        raise CheckpointError(
-            f"{context}: parameter names do not match"
-            f" (missing {missing[:5]}, unexpected {unexpected[:5]})"
-        )
-    for name, param in own.items():
-        if param.shape != params[name].shape:
-            raise CheckpointError(
-                f"{context}: shape mismatch for {name}:"
-                f" {param.shape} vs {params[name].shape}"
-            )
-        param.data[...] = params[name]
+def _fill(path, arena, entries, body, prefix=""):
+    """Copy a body into the arena span under ``prefix`` once its entries equal its layout."""
+    layout, data = arena.layout(prefix)
+    for i, (want, found) in enumerate(itertools.zip_longest(_entries(layout), entries)):
+        if want != found:
+            raise CheckpointError(f"{path}: entry {i} should be {want}, found {found}")
+    data[...] = body
 
 
 def _model_config(path, config):
@@ -137,38 +126,38 @@ def _model_config(path, config):
 
 
 def save_model(path, model):
-    write_params(path, "model", dataclasses.asdict(model.cfg), _gather(model))
+    _write(path, "model", dataclasses.asdict(model.cfg), model)
 
 
 def load_model(path):
-    """Rebuild a SpeechModel from a checkpoint; parameters load bit-exactly
-    into a freshly allocated arena.
+    """Rebuild a SpeechModel from a checkpoint; the body is copied bit-exactly
+    into a freshly allocated arena, whose layout the entries must equal.
 
     Dropout generators are left unseeded: call seed_dropout before resuming
     training, or eval() for inference.
     """
-    kind, config, params = read_params(path)
+    kind, config, entries, body = _read(path)
     if kind != "model":
         raise CheckpointError(f"{path}: expected a model checkpoint, found {kind!r}")
     model = SpeechModel(_model_config(path, config)).allocate()
-    _restore(model, params, path)
+    _fill(path, model.arena, entries, body)
     return model
 
 
 def save_embedding(path, embedding_net, cfg):
-    write_params(path, "embedding", dataclasses.asdict(cfg), _gather(embedding_net))
+    _write(path, "embedding", dataclasses.asdict(cfg), embedding_net)
 
 
 def load_pretrained_embedding(model, path):
     """Overwrite a joint model's embedding network with pretrained weights.
 
     The checkpoint's architecture must agree with the model's on every field
-    the embedding network reads. The weights are copied into the model's
-    arena, so the model must be allocated (initialized) first.
+    the embedding network reads. The body is copied into the model arena's
+    ``embedding_net.`` span, so the model must be allocated (initialized) first.
     """
     if model.embedding_net is None:
         raise CheckpointError("model is dense; it has no embedding network to load into")
-    kind, config, params = read_params(path)
+    kind, config, entries, body = _read(path)
     if kind != "embedding":
         raise CheckpointError(f"{path}: expected an embedding checkpoint, found {kind!r}")
     stored = _model_config(path, config)
@@ -180,18 +169,18 @@ def load_pretrained_embedding(model, path):
             )
     if model.arena is None:
         raise ValueError("model has no parameter storage; initialize it before loading")
-    _restore(model.embedding_net, params, path)
+    _fill(path, model.arena, entries, body, "embedding_net.")
 
 
 def strip_auxiliary(src, dst):
     """Copy a model checkpoint without auxiliary decoders (num_levels=1).
 
-    Every surviving parameter is byte-identical to the source; only the
-    train-only heads disappear, so decoding behavior cannot change.
+    The auxiliary decoders are the arena's tail, so the lean layout must be
+    the leading entries, and every surviving parameter is kept byte for byte.
     """
-    kind, config, params = read_params(src)
+    kind, config, entries, body = _read(src)
     if kind != "model":
         raise CheckpointError(f"{src}: expected a model checkpoint, found {kind!r}")
-    config = dataclasses.replace(_model_config(src, config), num_levels=1)
-    kept = {k: v for k, v in params.items() if not k.startswith("aux_decoders.")}
-    write_params(dst, "model", dataclasses.asdict(config), kept)
+    lean = SpeechModel(dataclasses.replace(_model_config(src, config), num_levels=1)).allocate()
+    _fill(src, lean.arena, entries[: len(lean.arena.params)], body[: lean.arena.data.size])
+    save_model(dst, lean)

@@ -1,5 +1,5 @@
-"""CTC: alignment-marginalizing loss, exact-enumeration oracle, greedy
-decoding, and prefix beam search for N-best hypotheses.
+"""CTC: alignment-marginalizing loss and prefix beam search for N-best
+hypotheses.
 
 Conventions: posterior matrices are [T x (V+1)] log-probabilities with
 column 0 the blank; the public API speaks data-token ids (0..V-1) and the
@@ -16,7 +16,6 @@ whatever the vocabulary size.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -29,15 +28,6 @@ NEG_INF = -np.inf
 
 class InfeasibleLength(ValueError):
     """Label sequence cannot be emitted in the available frames."""
-
-
-def _lse(values):
-    """Log-sum-exp over a 1-D array, safe at all -inf: the enumeration
-    oracle's max-shifted sum, independent of the log-add the fast paths use."""
-    m = np.max(values)
-    if m == NEG_INF:
-        return NEG_INF
-    return m + np.log(np.sum(np.exp(values - m)))
 
 
 def min_frames(tokens):
@@ -166,41 +156,6 @@ def ctc_loss(log_probs, tokens, lengths=None):
         return (occupancy * -np.broadcast_to(g, (batch,))[row_utt][:, None],)
 
     return T._node(value, (log_probs,), bwd, "ctc-loss")
-
-
-def _collapse(path):
-    """Merge repeats, then drop blanks; classes -> data tokens."""
-    out, prev = [], -1
-    for c in path:
-        if c != prev and c != 0:
-            out.append(c - 1)
-        prev = c
-    return out
-
-
-def ctc_enumeration_oracle(log_probs, tokens):
-    """Brute-force -log P: sum every frame-level path whose collapse equals
-    `tokens`. Only viable for tiny grids; guards at 10^6 paths."""
-    lp = log_probs.data if isinstance(log_probs, Tensor) else np.asarray(log_probs)
-    tokens = [int(t) for t in tokens]
-    t_frames, classes = lp.shape
-    if classes**t_frames > 10**6:
-        raise ValueError(f"enumeration over {classes}^{t_frames} paths is too large")
-    target = list(tokens)
-    scores = [
-        sum(lp[t, c] for t, c in enumerate(path))
-        for path in itertools.product(range(classes), repeat=t_frames)
-        if _collapse(path) == target
-    ]
-    if not scores:
-        raise InfeasibleLength(f"no path of length {t_frames} collapses to {tokens}")
-    return -_lse(np.array(scores))
-
-
-def greedy_decode(log_probs):
-    """Best class per frame, repeats merged, blanks dropped."""
-    lp = log_probs.data if isinstance(log_probs, Tensor) else np.asarray(log_probs)
-    return _collapse(np.argmax(lp, axis=-1))
 
 
 @dataclass

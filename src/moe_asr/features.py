@@ -191,12 +191,6 @@ def apply_cmvn(seq, stats):
     return FeatureSequence(seq.utt_id, (seq.feats - stats.mean) * scale, seq.tokens)
 
 
-def invert_cmvn(seq, stats):
-    """Undo apply_cmvn; round-trips to < 1e-9 when variance is not degenerate."""
-    scale = np.sqrt(stats.var + 1e-9)
-    return FeatureSequence(seq.utt_id, seq.feats * scale + stats.mean, seq.tokens)
-
-
 def load_normalized_split(data_dir, split):
     """Load every utterance of '<split>.jsonl' under a corpus directory and
     apply the corpus CMVN, in manifest order."""

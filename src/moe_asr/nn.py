@@ -61,27 +61,38 @@ class Parameter(Tensor):
 
 class Arena:
     """One flat float64 ``data`` buffer and one flat ``grad`` buffer for an
-    ordered set of parameters.
+    ordered set of parameters, and the one place their layout is decided.
 
-    Each parameter's ``data`` and ``grad`` become views into them at its
-    offset, in the order given (a module tree's ``named_parameters()``
-    order), so the optimizer, the gradient clip and ``zero_grad`` each work
-    on one buffer instead of one array per parameter. Both buffers start as
-    zeros; a parameter can join only one arena.
+    Each parameter's ``data`` and ``grad`` are views at its element offset
+    (``offsets``), back to back in the order given (``named_parameters()``
+    order for a module tree). The optimizer, the clip and ``zero_grad`` each
+    work on one buffer, and ``data`` is a checkpoint's body. Both buffers
+    start as zeros; a parameter can join only one arena.
     """
 
     def __init__(self, params):
         self.params = dict(params)
         sizes = [math.prod(p.shape) for p in self.params.values()]
+        self.offsets = dict(zip(self.params, np.cumsum([0, *sizes]).tolist()))
         self.data = np.zeros(sum(sizes))
         self.grad = np.zeros(sum(sizes))
-        start = 0
         for (name, p), size in zip(self.params.items(), sizes):
             if not isinstance(p, Parameter) or hasattr(p, "data"):
                 raise ValueError(f"{name} is not a parameter without storage")
+            start = self.offsets[name]
             p.data = self.data[start : start + size].reshape(p.shape)
             p.grad = self.grad[start : start + size].reshape(p.shape)
-            start += size
+
+    def layout(self, prefix=""):
+        """``(name, shape, offset)`` of each parameter under ``prefix`` (say a subtree's
+        ``"embedding_net."``), prefix stripped and offsets relative, and that span of ``data``."""
+        names = [name for name in self.params if name.startswith(prefix)]
+        start = self.offsets[names[0]] if names else 0
+        entries = [(n[len(prefix) :], self.params[n].shape, self.offsets[n] - start) for n in names]
+        size = sum(math.prod(shape) for _, shape, _ in entries)
+        if entries and entries[-1][2] + math.prod(entries[-1][1]) != size:
+            raise ValueError(f"parameters under {prefix!r} do not form one span")
+        return entries, self.data[start : start + size]
 
 
 def _name_stream(seed, name, lane):

@@ -52,6 +52,37 @@ def desk_cfg(**overrides):
     return ModelConfig(**base)
 
 
+def reference_write(path, kind, config, params):
+    """The per-parameter writer the arena-image writer replaced, kept as the
+    byte-level reference: each array of an ordered {name: array} mapping
+    back to back, at offsets counted here."""
+    entries, blobs, offset = [], [], 0
+    for name, value in params.items():
+        data = np.ascontiguousarray(value, dtype="<f8")
+        entries.append({"name": name, "shape": list(data.shape), "offset": offset})
+        blobs.append(data.tobytes())
+        offset += data.nbytes
+    header = {"format": 1, "kind": kind, "config": dict(config), "params": entries}
+    header_bytes = json.dumps(header).encode("utf-8")
+    Path(path).write_bytes(MAGIC + struct.pack("<I", len(header_bytes)) + header_bytes
+                           + b"".join(blobs))
+
+
+def arrays(module):
+    return {name: p.data for name, p in module.named_parameters().items()}
+
+
+def rewrite(path, edit):
+    """Rewrite a checkpoint in place: `edit(entries, body)` may change the
+    header's entries and returns the new body bytes."""
+    raw = Path(path).read_bytes()
+    (n,) = struct.unpack("<I", raw[4:8])
+    header = json.loads(raw[8 : 8 + n])
+    body = edit(header["params"], raw[8 + n :])
+    head = json.dumps(header).encode("utf-8")
+    Path(path).write_bytes(MAGIC + struct.pack("<I", len(head)) + head + body)
+
+
 class TestParameterManifest:
     @pytest.mark.parametrize("spec_kwargs", CONFIG_GRID)
     def test_manifest_matches_built_model(self, spec_kwargs):
@@ -240,8 +271,29 @@ class TestCheckpointRoundTrip:
          "params": [{"name": "w", "shape": [2], "offset": -8}]},
         {"format": 1, "kind": "model", "config": {},
          "params": [{"name": "w", "shape": [-1], "offset": 0}]},
-    ], ids=["no-params", "list", "negative-offset", "negative-dim"])
+        {"format": 1, "kind": "model", "config": {},
+         "params": [{"name": "w", "shape": [1], "offset": 8}]},
+        {"format": 1, "kind": "model", "config": {},
+         "params": [{"name": "w", "shape": [1], "offset": 0},
+                    {"name": "b", "shape": [1], "offset": 0}]},
+        {"format": 1, "kind": "model", "config": {},
+         "params": [{"name": "w", "shape": [0], "offset": 0},
+                    {"name": "b", "shape": [1], "offset": 8}]},
+        {"format": 1, "kind": "model", "config": {},
+         "params": [{"name": "w", "shape": [1], "offset": 0},
+                    {"name": "w", "shape": [1], "offset": 8}]},
+        {"format": 1, "kind": "model", "config": {},
+         "params": [{"name": "w", "shape": [1], "offset": 0}]},
+        {"format": 1, "kind": "model", "config": {},
+         "params": [{"name": ["w"], "shape": [2], "offset": 0}]},
+        {"format": 1, "kind": "model", "config": {},
+         "params": [{"name": "w", "shape": [True, 2], "offset": 0}]},
+    ], ids=["no-params", "list", "negative-offset", "negative-dim", "first-not-at-zero",
+            "overlap", "gap", "duplicate-name", "trailing-bytes", "list-name", "bool-dim"])
     def test_malformed_header_rejected(self, tmp_path, header):
+        """Each header is wrong on its own over a 16-byte body; in particular
+        the entries must tile it: from byte 0, each where the previous ends,
+        no name twice, and the last ending at the body's end."""
         raw = json.dumps(header).encode("utf-8")
         path = tmp_path / "bad.ckpt"
         path.write_bytes(MAGIC + struct.pack("<I", len(raw)) + raw + b"\x00" * 16)
@@ -280,9 +332,8 @@ class TestCheckpointRoundTrip:
 
     def test_kind_mismatch_rejected(self, tmp_path):
         cfg = desk_cfg(num_experts=2)
-        model = SpeechModel(cfg).initialize(0)
         path = tmp_path / "emb.ckpt"
-        save_embedding(path, model.embedding_net, cfg)
+        save_embedding(path, EmbeddingNetwork(cfg).initialize(0), cfg)
         with pytest.raises(CheckpointError, match="expected a model checkpoint"):
             load_model(path)
 
@@ -296,8 +347,7 @@ class TestCheckpointRoundTrip:
         model_path, emb_path = tmp_path / "old.ckpt", tmp_path / "old-emb.ckpt"
         for path, kind, module in ((model_path, "model", model),
                                    (emb_path, "embedding", model.embedding_net)):
-            params = {n: p.data for n, p in module.named_parameters().items()}
-            checkpoint.write_params(path, kind, config, params)
+            reference_write(path, kind, config, arrays(module))
         message = r"old(-emb)?\.ckpt: .*\['decoder_ff', 'decoder_heads'\]"
         for load in (lambda: load_model(model_path),
                      lambda: strip_auxiliary(model_path, tmp_path / "lean.ckpt"),
@@ -343,7 +393,7 @@ class TestAuxiliaryStripping:
 class TestEmbeddingCheckpoints:
     def test_embedding_round_trip(self, tmp_path):
         cfg = desk_cfg(num_experts=2)
-        net = SpeechModel(cfg).initialize(11).embedding_net
+        net = EmbeddingNetwork(cfg).initialize(11)
         path = tmp_path / "emb.ckpt"
         save_embedding(path, net, cfg)
         kind, loaded_cfg, _ = read_params(path)
@@ -356,9 +406,9 @@ class TestEmbeddingCheckpoints:
 
     def test_pretrained_embedding_loads_into_joint_model(self, tmp_path):
         cfg = desk_cfg(num_experts=2)
-        donor = SpeechModel(cfg).initialize(21)
+        donor = EmbeddingNetwork(cfg).initialize(21)
         path = tmp_path / "emb.ckpt"
-        save_embedding(path, donor.embedding_net, cfg)
+        save_embedding(path, donor, cfg)
 
         model = SpeechModel(cfg).initialize(22)
         before = {n: p.data.copy() for n, p in model.named_parameters().items()}
@@ -366,23 +416,145 @@ class TestEmbeddingCheckpoints:
         for name, p in model.named_parameters().items():
             if name.startswith("embedding_net."):
                 local = name[len("embedding_net."):]
-                assert (p.data == donor.embedding_net.named_parameters()[local].data).all()
+                assert (p.data == donor.named_parameters()[local].data).all()
             else:
                 assert (p.data == before[name]).all(), name
 
     def test_embedding_architecture_mismatch_rejected(self, tmp_path):
         cfg = desk_cfg(num_experts=2)
-        donor = SpeechModel(cfg).initialize(0)
         path = tmp_path / "emb.ckpt"
-        save_embedding(path, donor.embedding_net, cfg)
+        save_embedding(path, EmbeddingNetwork(cfg).initialize(0), cfg)
         other = SpeechModel(desk_cfg(num_experts=2, d_emb=12))
         with pytest.raises(CheckpointError, match="d_emb"):
             load_pretrained_embedding(other, path)
 
     def test_dense_model_refuses_embedding(self, tmp_path):
         cfg = desk_cfg(num_experts=2)
-        donor = SpeechModel(cfg).initialize(0)
         path = tmp_path / "emb.ckpt"
-        save_embedding(path, donor.embedding_net, cfg)
+        save_embedding(path, EmbeddingNetwork(cfg).initialize(0), cfg)
         with pytest.raises(CheckpointError, match="dense"):
             load_pretrained_embedding(SpeechModel(desk_cfg()), path)
+
+
+class TestArenaImage:
+    """A checkpoint body is the arena's ``data`` buffer: the files equal the
+    reference writer's byte for byte, and the reference's files load."""
+
+    @pytest.mark.parametrize("num_experts", [0, 3])
+    def test_save_model_matches_reference(self, tmp_path, num_experts):
+        cfg = desk_cfg(num_experts=num_experts)
+        model = SpeechModel(cfg).initialize(4)
+        save_model(tmp_path / "a.ckpt", model)
+        reference_write(tmp_path / "b.ckpt", "model", dataclasses.asdict(cfg), arrays(model))
+        assert (tmp_path / "a.ckpt").read_bytes() == (tmp_path / "b.ckpt").read_bytes()
+
+    def test_save_embedding_matches_reference(self, tmp_path):
+        cfg = desk_cfg(num_experts=3)
+        net = EmbeddingNetwork(cfg).initialize(5)
+        save_embedding(tmp_path / "a.ckpt", net, cfg)
+        reference_write(tmp_path / "b.ckpt", "embedding", dataclasses.asdict(cfg), arrays(net))
+        assert (tmp_path / "a.ckpt").read_bytes() == (tmp_path / "b.ckpt").read_bytes()
+
+    @pytest.mark.parametrize("num_experts", [0, 3])
+    def test_strip_auxiliary_matches_reference(self, tmp_path, num_experts):
+        cfg = desk_cfg(num_experts=num_experts)
+        model = SpeechModel(cfg).initialize(6)
+        save_model(tmp_path / "full.ckpt", model)
+        strip_auxiliary(tmp_path / "full.ckpt", tmp_path / "lean.ckpt")
+        kept = {k: v for k, v in arrays(model).items() if not k.startswith("aux_decoders.")}
+        lean_cfg = dataclasses.asdict(dataclasses.replace(cfg, num_levels=1))
+        reference_write(tmp_path / "ref.ckpt", "model", lean_cfg, kept)
+        assert (tmp_path / "lean.ckpt").read_bytes() == (tmp_path / "ref.ckpt").read_bytes()
+
+    @pytest.mark.parametrize("num_experts", [0, 3])
+    def test_reference_files_load_bit_exactly(self, tmp_path, num_experts):
+        """Files laid out by the per-parameter writer still load."""
+        cfg = desk_cfg(num_experts=num_experts)
+        model = SpeechModel(cfg).initialize(8)
+        reference_write(tmp_path / "m.ckpt", "model", dataclasses.asdict(cfg), arrays(model))
+        assert load_model(tmp_path / "m.ckpt").arena.data.tobytes() == model.arena.data.tobytes()
+        if num_experts:
+            net = EmbeddingNetwork(cfg).initialize(9)
+            reference_write(tmp_path / "e.ckpt", "embedding", dataclasses.asdict(cfg), arrays(net))
+            joint = SpeechModel(cfg).initialize(10)
+            load_pretrained_embedding(joint, tmp_path / "e.ckpt")
+            _, span = joint.arena.layout("embedding_net.")
+            assert span.tobytes() == net.arena.data.tobytes()
+
+    def test_reordered_entries_rejected_by_name(self, tmp_path):
+        """Entries that tile the body but in another order than the arena's
+        are refused, naming the first entry out of place."""
+        cfg = desk_cfg(num_experts=2)
+        model, net = SpeechModel(cfg).initialize(0), EmbeddingNetwork(cfg).initialize(0)
+        for path, kind, module in ((tmp_path / "m.ckpt", "model", model),
+                                   (tmp_path / "e.ckpt", "embedding", net)):
+            params = list(arrays(module).items())
+            params[3], params[4] = params[4], params[3]
+            reference_write(path, kind, dataclasses.asdict(cfg), dict(params))
+        first = list(arrays(model))[3]
+        for load in (lambda: load_model(tmp_path / "m.ckpt"),
+                     lambda: strip_auxiliary(tmp_path / "m.ckpt", tmp_path / "lean.ckpt")):
+            with pytest.raises(CheckpointError, match=rf"m\.ckpt: entry 3 should be .*'{first}'"):
+                load()
+        assert not (tmp_path / "lean.ckpt").exists()
+        first = list(arrays(net))[3]
+        with pytest.raises(CheckpointError, match=rf"e\.ckpt: entry 3 should be .*'{first}'"):
+            load_pretrained_embedding(SpeechModel(cfg).initialize(1), tmp_path / "e.ckpt")
+
+    def test_only_a_root_with_an_arena_is_saved(self, tmp_path):
+        cfg = desk_cfg(num_experts=2)
+        with pytest.raises(ValueError, match="^EmbeddingNetwork has no parameter arena"):
+            save_embedding(tmp_path / "e.ckpt", SpeechModel(cfg).initialize(0).embedding_net, cfg)
+        with pytest.raises(ValueError, match="^SpeechModel has no parameter arena"):
+            save_model(tmp_path / "m.ckpt", SpeechModel(cfg))
+        assert os.listdir(tmp_path) == []
+
+
+def _trailing_bytes(entries, body):
+    return body + bytes(64)
+
+
+def _duplicate_name(entries, body):
+    entries[1]["name"] = entries[0]["name"]
+    return body
+
+
+def _beta_on_gamma(entries, body):
+    i = next(i for i, e in enumerate(entries) if e["name"].endswith(".beta"))
+    assert entries[i - 1]["name"].endswith(".gamma")
+    entries[i]["offset"] = entries[i - 1]["offset"]
+    return body
+
+
+class TestTiling:
+    """Entries that do not tile the body are refused by every loader, where
+    reading them per name loaded silently: trailing bytes, a repeated name
+    (two entries collapsing to one key), and a layernorm ``beta`` pointed at
+    its ``gamma``."""
+
+    @pytest.mark.parametrize("edit, message", [
+        (_trailing_bytes, "trailing bytes"),
+        (_duplicate_name, "repeats a name"),
+        (_beta_on_gamma, r"\.beta at byte \d+ repeats a name or does not start"),
+    ], ids=["trailing-bytes", "duplicate-name", "beta-on-gamma"])
+    @pytest.mark.parametrize("loader", ["load_model", "load_pretrained_embedding",
+                                        "strip_auxiliary"])
+    def test_untiled_body_rejected(self, tmp_path, edit, message, loader):
+        cfg = desk_cfg(num_experts=2)
+        path, lean = tmp_path / "x.ckpt", tmp_path / "lean.ckpt"
+        load = {
+            "load_model": lambda: load_model(path),
+            "load_pretrained_embedding":
+                lambda: load_pretrained_embedding(SpeechModel(cfg).initialize(1), path),
+            "strip_auxiliary": lambda: strip_auxiliary(path, lean),
+        }[loader]
+        if loader == "load_pretrained_embedding":
+            save_embedding(path, EmbeddingNetwork(cfg).initialize(0), cfg)
+        else:
+            save_model(path, SpeechModel(cfg).initialize(0))
+        load()  # the file as written is accepted
+        lean.unlink(missing_ok=True)
+        rewrite(path, edit)
+        with pytest.raises(CheckpointError, match=message):
+            load()
+        assert not lean.exists()

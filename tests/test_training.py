@@ -9,6 +9,7 @@ import pytest
 from moe_asr import tensor as T
 from moe_asr.checkpoint import load_model, load_pretrained_embedding, save_embedding, save_model
 from moe_asr.config import ModelConfig, TrainConfig
+from moe_asr.encoder import EmbeddingNetwork
 from moe_asr.features import generate_corpus, load_normalized_split, FeatureSequence
 from moe_asr.model import SpeechModel
 from moe_asr.tensor import Tensor
@@ -306,7 +307,7 @@ class TestArena:
 
     def test_pretrained_embedding_copies_into_the_views(self, tmp_path):
         cfg = tiny_cfg(num_experts=2)
-        save_embedding(tmp_path / "e.ckpt", SpeechModel(cfg).initialize(2).embedding_net, cfg)
+        save_embedding(tmp_path / "e.ckpt", EmbeddingNetwork(cfg).initialize(2), cfg)
         model = SpeechModel(cfg).initialize(3)
         views = {n: (p.data, p.grad) for n, p in model.named_parameters().items()}
         load_pretrained_embedding(model, tmp_path / "e.ckpt")
@@ -316,7 +317,7 @@ class TestArena:
 
     def test_uninitialized_model_cannot_take_an_embedding(self, tmp_path):
         cfg = tiny_cfg(num_experts=2)
-        save_embedding(tmp_path / "e.ckpt", SpeechModel(cfg).initialize(2).embedding_net, cfg)
+        save_embedding(tmp_path / "e.ckpt", EmbeddingNetwork(cfg).initialize(2), cfg)
         with pytest.raises(ValueError, match="no parameter storage"):
             load_pretrained_embedding(SpeechModel(cfg), tmp_path / "e.ckpt")
 
@@ -346,6 +347,35 @@ class TestArena:
         assert model.arena is None
         for p in model.named_parameters().values():
             assert not hasattr(p, "data") and not hasattr(p, "grad")
+
+    def test_layout_is_the_arena_and_a_subtree_span_its_own(self):
+        """The whole tree's layout tiles ``data``; the ``embedding_net.``
+        span, prefix stripped and offsets relative, is the layout a
+        standalone embedding network gets, over a view of the model's data."""
+        cfg = tiny_cfg(num_experts=2)
+        model = SpeechModel(cfg).initialize(0)
+        layout, data = model.arena.layout()
+        assert data.base is model.arena.data and data.size == model.arena.data.size
+        assert [n for n, _, _ in layout] == list(model.named_parameters())
+        end = 0
+        for name, shape, at in layout:
+            assert at == end and model.arena.offsets[name] == at, name
+            assert np.shares_memory(model.named_parameters()[name].data, data[at:])
+            end += math.prod(shape)
+        assert end == data.size
+
+        span_layout, span = model.arena.layout("embedding_net.")
+        net = EmbeddingNetwork(cfg).allocate()
+        assert span_layout == net.arena.layout()[0]
+        first = model.arena.offsets["embedding_net." + span_layout[0][0]]
+        span[...] = 7.0
+        assert (model.arena.data[first : first + span.size] == 7.0).all()
+        assert (model.arena.data[:first] != 7.0).any()
+
+    def test_split_prefix_has_no_layout(self):
+        model = SpeechModel(tiny_cfg(num_blocks=11)).allocate()
+        with pytest.raises(ValueError, match="do not form one span"):
+            model.arena.layout("encoder.blocks.1")  # blocks 1 and 10, not 2 to 9
 
     def test_parameter_joins_one_arena_only(self):
         from moe_asr.nn import Arena, Parameter, zeros_init
