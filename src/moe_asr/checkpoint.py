@@ -5,11 +5,13 @@ header (kind "model" or "embedding", architecture config, and each
 parameter's name/shape/byte offset as its ``nn.Arena`` lays them out), then
 the arena's ``data`` buffer as little-endian float64. The entries tile the
 body (from byte 0, each where the last ends, no name twice, to its end), and
-a loader requires them to equal its arena's layout before one copy in.
+a loader requires them to equal its arena's layout before it reads the body
+from the file straight into the arena.
 """
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import itertools
 import json
@@ -60,61 +62,86 @@ def _entries(layout):
     return [{"name": name, "shape": list(shape), "offset": 8 * at} for name, shape, at in layout]
 
 
+# The body goes from the file straight into its target array, this many
+# bytes per read call.
+_CHUNK_BYTES = 1 << 22
+
+
+@contextlib.contextmanager
 def _read(path):
-    """(kind, config dict, entries, body): the body is read-only, tiled by the entries."""
+    """Open a checkpoint and check its header; yields (kind, config dict,
+    entries, read_body). The entries tile the body. ``read_body(out)`` reads
+    the body's first ``out.size`` values straight into the contiguous
+    float64 array ``out`` (default: a new array for the whole body) and
+    returns it, so the file's bytes are never held a second time."""
     with open(path, "rb") as fh:
-        raw = fh.read()
-    if len(raw) < 8 or raw[:4] != MAGIC:
-        raise CheckpointError(f"{path}: not a checkpoint (bad magic)")
-    (header_len,) = struct.unpack("<I", raw[4:8])
-    if len(raw) < 8 + header_len:
-        raise CheckpointError(f"{path}: truncated header")
-    try:
-        header = json.loads(raw[8 : 8 + header_len].decode("utf-8"))
-    except ValueError as exc:
-        raise CheckpointError(f"{path}: unreadable header: {exc}") from exc
-    if not isinstance(header, dict):
-        raise CheckpointError(f"{path}: header is not a JSON object")
-    if header.get("format") != FORMAT_VERSION:
-        raise CheckpointError(f"{path}: unsupported format {header.get('format')}")
-    entries = header.get("params")
-    if not isinstance(entries, list) or not isinstance(header.get("config"), dict):
-        raise CheckpointError(f"{path}: header lacks a config or a params list")
-    end, names = 0, set()
-    for entry in entries:
+        head = fh.read(8)
+        if len(head) < 8 or head[:4] != MAGIC:
+            raise CheckpointError(f"{path}: not a checkpoint (bad magic)")
+        (header_len,) = struct.unpack("<I", head[4:8])
+        raw = fh.read(header_len)
+        if len(raw) < header_len:
+            raise CheckpointError(f"{path}: truncated header")
         try:
-            name, shape, start = entry["name"], tuple(entry["shape"]), entry["offset"]
-        except (KeyError, TypeError) as exc:
-            raise CheckpointError(f"{path}: malformed parameter entry {entry!r}") from exc
-        if type(name) is not str or not all(type(v) is int and v >= 0 for v in (start, *shape)):
-            raise CheckpointError(f"{path}: bad shape {shape} or offset {start} for {name!r}")
-        if name in names or start != end:
-            raise CheckpointError(f"{path}: entry {name} at byte {start} repeats a name or"
-                                  f" does not start where the previous one ends ({end})")
-        names.add(name)
-        end = start + 8 * math.prod(shape)
-    size = len(raw) - 8 - header_len
-    if end != size:
-        raise CheckpointError(f"{path}: {'truncated data' if end > size else 'trailing bytes'}:"
-                              f" the entries end at byte {end}, the body at {size}")
-    body = np.frombuffer(raw, dtype="<f8", count=size // 8, offset=8 + header_len)
-    return header.get("kind"), header["config"], entries, body
+            header = json.loads(raw.decode("utf-8"))
+        except ValueError as exc:
+            raise CheckpointError(f"{path}: unreadable header: {exc}") from exc
+        if not isinstance(header, dict):
+            raise CheckpointError(f"{path}: header is not a JSON object")
+        if header.get("format") != FORMAT_VERSION:
+            raise CheckpointError(f"{path}: unsupported format {header.get('format')}")
+        entries = header.get("params")
+        if not isinstance(entries, list) or not isinstance(header.get("config"), dict):
+            raise CheckpointError(f"{path}: header lacks a config or a params list")
+        end, names = 0, set()
+        for entry in entries:
+            try:
+                name, shape, start = entry["name"], tuple(entry["shape"]), entry["offset"]
+            except (KeyError, TypeError) as exc:
+                raise CheckpointError(f"{path}: malformed parameter entry {entry!r}") from exc
+            if type(name) is not str or not all(type(v) is int and v >= 0 for v in (start, *shape)):
+                raise CheckpointError(f"{path}: bad shape {shape} or offset {start} for {name!r}")
+            if name in names or start != end:
+                raise CheckpointError(f"{path}: entry {name} at byte {start} repeats a name or"
+                                      f" does not start where the previous one ends ({end})")
+            names.add(name)
+            end = start + 8 * math.prod(shape)
+        size = os.fstat(fh.fileno()).st_size - 8 - header_len
+        if end != size:
+            raise CheckpointError(f"{path}: {'truncated data' if end > size else 'trailing bytes'}:"
+                                  f" the entries end at byte {end}, the body at {size}")
+
+        def read_body(out=None):
+            out = np.empty(size // 8) if out is None else out
+            view = memoryview(out).cast("B")
+            while view.nbytes:
+                got = fh.readinto(view[:_CHUNK_BYTES])
+                if not got:
+                    raise CheckpointError(f"{path}: truncated data")
+                view = view[got:]
+            if not np.little_endian:
+                out.byteswap(inplace=True)
+            return out
+
+        yield header.get("kind"), header["config"], entries, read_body
 
 
 def read_params(path):
     """Returns (kind, config dict, ordered {name: read-only float64 view})."""
-    kind, config, entries, body = _read(path)
+    with _read(path) as (kind, config, entries, read_body):
+        body = read_body()
+    body.flags.writeable = False
     parts = np.split(body, [e["offset"] // 8 for e in entries[1:]])
     return kind, config, {e["name"]: p.reshape(e["shape"]) for e, p in zip(entries, parts)}
 
 
-def _fill(path, arena, entries, body, prefix=""):
-    """Copy a body into the arena span under ``prefix`` once its entries equal its layout."""
+def _span(path, arena, entries, prefix=""):
+    """The arena's span under ``prefix``, once the entries equal its layout."""
     layout, data = arena.layout(prefix)
     for i, (want, found) in enumerate(itertools.zip_longest(_entries(layout), entries)):
         if want != found:
             raise CheckpointError(f"{path}: entry {i} should be {want}, found {found}")
-    data[...] = body
+    return data
 
 
 def _model_config(path, config):
@@ -130,17 +157,18 @@ def save_model(path, model):
 
 
 def load_model(path):
-    """Rebuild a SpeechModel from a checkpoint; the body is copied bit-exactly
-    into a freshly allocated arena, whose layout the entries must equal.
+    """Rebuild a SpeechModel from a checkpoint; the body is read bit-exactly
+    straight into a freshly allocated arena, whose layout the entries must
+    equal.
 
     Dropout generators are left unseeded: call seed_dropout before resuming
     training, or eval() for inference.
     """
-    kind, config, entries, body = _read(path)
-    if kind != "model":
-        raise CheckpointError(f"{path}: expected a model checkpoint, found {kind!r}")
-    model = SpeechModel(_model_config(path, config)).allocate()
-    _fill(path, model.arena, entries, body)
+    with _read(path) as (kind, config, entries, read_body):
+        if kind != "model":
+            raise CheckpointError(f"{path}: expected a model checkpoint, found {kind!r}")
+        model = SpeechModel(_model_config(path, config)).allocate()
+        read_body(_span(path, model.arena, entries))
     return model
 
 
@@ -152,35 +180,38 @@ def load_pretrained_embedding(model, path):
     """Overwrite a joint model's embedding network with pretrained weights.
 
     The checkpoint's architecture must agree with the model's on every field
-    the embedding network reads. The body is copied into the model arena's
+    the embedding network reads. The body is read into the model arena's
     ``embedding_net.`` span, so the model must be allocated (initialized) first.
     """
     if model.embedding_net is None:
         raise CheckpointError("model is dense; it has no embedding network to load into")
-    kind, config, entries, body = _read(path)
-    if kind != "embedding":
-        raise CheckpointError(f"{path}: expected an embedding checkpoint, found {kind!r}")
-    stored = _model_config(path, config)
-    for field in ("feat_dim", "d_emb", "d_ff", "heads", "kernel", "embedding_blocks", "vocab_size"):
-        if getattr(stored, field) != getattr(model.cfg, field):
-            raise CheckpointError(
-                f"{path}: embedding architecture mismatch on {field}:"
-                f" {getattr(stored, field)} vs {getattr(model.cfg, field)}"
-            )
-    if model.arena is None:
-        raise ValueError("model has no parameter storage; initialize it before loading")
-    _fill(path, model.arena, entries, body, "embedding_net.")
+    with _read(path) as (kind, config, entries, read_body):
+        if kind != "embedding":
+            raise CheckpointError(f"{path}: expected an embedding checkpoint, found {kind!r}")
+        stored = _model_config(path, config)
+        for field in ("feat_dim", "d_emb", "d_ff", "heads", "kernel", "embedding_blocks",
+                      "vocab_size"):
+            if getattr(stored, field) != getattr(model.cfg, field):
+                raise CheckpointError(
+                    f"{path}: embedding architecture mismatch on {field}:"
+                    f" {getattr(stored, field)} vs {getattr(model.cfg, field)}"
+                )
+        if model.arena is None:
+            raise ValueError("model has no parameter storage; initialize it before loading")
+        read_body(_span(path, model.arena, entries, "embedding_net."))
 
 
 def strip_auxiliary(src, dst):
     """Copy a model checkpoint without auxiliary decoders (num_levels=1).
 
     The auxiliary decoders are the arena's tail, so the lean layout must be
-    the leading entries, and every surviving parameter is kept byte for byte.
+    the leading entries, and every surviving parameter is kept byte for byte:
+    only the body's leading bytes are read, into the lean model's arena.
     """
-    kind, config, entries, body = _read(src)
-    if kind != "model":
-        raise CheckpointError(f"{src}: expected a model checkpoint, found {kind!r}")
-    lean = SpeechModel(dataclasses.replace(_model_config(src, config), num_levels=1)).allocate()
-    _fill(src, lean.arena, entries[: len(lean.arena.params)], body[: lean.arena.data.size])
+    with _read(src) as (kind, config, entries, read_body):
+        if kind != "model":
+            raise CheckpointError(f"{src}: expected a model checkpoint, found {kind!r}")
+        config = dataclasses.replace(_model_config(src, config), num_levels=1)
+        lean = SpeechModel(config).allocate()
+        read_body(_span(src, lean.arena, entries[: len(lean.arena.params)]))
     save_model(dst, lean)

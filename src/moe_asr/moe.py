@@ -3,10 +3,12 @@
 A router maps each frame's concatenated (shared embedding, hidden state)
 pair to a softmax over experts; only the argmax expert runs, and its output
 is scaled by the winning probability so the routing decision stays on the
-gradient path. A layer routes all frames of a packed batch at once, so each
-expert runs at most once per batch (token dispatch, as in GShard and the
-Switch Transformer), and the sparsity and mean-importance losses below act
-on the layer's router distributions over the whole batch.
+gradient path. A layer routes all frames of a packed batch at once (token
+dispatch, as in GShard and the Switch Transformer): one ``T.routed_ffn``
+node sorts the frames by expert, runs the two matmuls once per used expert
+and everything else once over all rows, and applies the gates. The
+sparsity and mean-importance losses below act on the layer's router
+distributions over the whole batch.
 """
 
 from __future__ import annotations
@@ -62,8 +64,9 @@ class Router(Module):
 
 
 class RoutedFFN(Module):
-    """The second macaron FFN slot: dense, or dispatched across experts,
-    each used expert running once on its frames from all rows of ``x``.
+    """The second macaron FFN slot: dense, or dispatched across experts in
+    one ``T.routed_ffn`` node, each used expert with its own parameters and
+    dropout streams; an expert without frames is not in the graph.
 
     Dense mode (router None) still stores its single FFN under
     ``experts.0`` so parameter names line up exactly with a one-expert
@@ -89,13 +92,9 @@ class RoutedFFN(Module):
         record = self.router.route(e_c, x)
         if frozen_selected is not None:
             record.selected = np.asarray(frozen_selected, dtype=np.int64)
-        frames = record.frames
-        used = np.unique(record.selected)
-        rows = [np.nonzero(record.selected == e)[0] for e in used]
-        outs = [self.experts[e].forward(T.embedding_lookup(x, r)) for e, r in zip(used, rows)]
-        y = T.scatter_rows(outs, rows, frames)
-        gates = T.reshape(T.gather_last(record.p, record.selected), (frames, 1))
-        return T.mul(y, gates), record
+        counts = record.utilization(len(self.experts))
+        experts = [self.experts[e].operands(counts[e]) for e in np.flatnonzero(counts)]
+        return T.routed_ffn(x, record.p, record.selected, experts), record
 
 
 def sparsity_loss(P):

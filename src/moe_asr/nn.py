@@ -220,13 +220,25 @@ class Dropout(Module):
     def forward(self, x):
         if not self.training or self.p <= 0.0:
             return x
+        return T.dropout(x, self.p, self._seeded(), training=True)
+
+    def mask(self, shape):
+        """The mask ``forward`` would apply to an input of `shape`, drawn from
+        this module's generator; None where ``forward`` is the identity."""
+        if not self.training or self.p <= 0.0:
+            return None
+        return T.dropout_mask(shape, self.p, self._seeded())
+
+    def _seeded(self):
         if self.rng is None:
             raise RuntimeError("dropout used in training mode before seeding")
-        return T.dropout(x, self.p, self.rng, training=True)
+        return self.rng
 
 
 class FeedForward(Module):
-    """Pre-norm position-wise FFN: LN, expand, swish, project back."""
+    """Pre-norm position-wise FFN: LN, expand, swish, project back, one
+    ``T.ffn`` node. ``LayerNorm``, ``Linear`` and ``Dropout`` hold the
+    parameters and dropout generators under their usual names."""
 
     def __init__(self, d, d_ff, dropout=0.0):
         super().__init__()
@@ -237,8 +249,15 @@ class FeedForward(Module):
         self.dropout2 = Dropout(dropout)
 
     def forward(self, x):
-        h = self.dropout1.forward(T.swish(self.w1.forward(self.norm.forward(x))))
-        return self.dropout2.forward(self.w2.forward(h))
+        return T.ffn(x, *self.operands(x.data.shape[0]))
+
+    def operands(self, rows):
+        """``T.ffn``'s arguments after the input, for `rows` input rows: the
+        six parameters, then each dropout's mask (None when it is off)."""
+        d, d_ff = self.w1.weight.shape
+        return (self.norm.gamma, self.norm.beta, self.w1.weight, self.w1.bias,
+                self.w2.weight, self.w2.bias,
+                self.dropout1.mask((rows, d_ff)), self.dropout2.mask((rows, d)))
 
 
 class MultiHeadAttention(Module):
@@ -327,15 +346,27 @@ class ConvModule(Module):
         return self.dropout.forward(self.pw2.forward(h))
 
 
+_POSITION_TABLES = {}
+
+
 def sinusoidal_positions(length, d):
-    """Absolute sine/cosine position table, [length x d], graph constant."""
-    pos = np.arange(length)[:, None]
-    dim = np.arange(0, d, 2)[None, :]
-    angle = pos / np.power(10000.0, dim / d)
-    table = np.zeros((length, d))
-    table[:, 0::2] = np.sin(angle)
-    table[:, 1::2] = np.cos(angle[:, : d // 2])
-    return table
+    """Absolute sine/cosine position table, [length x d], graph constant.
+
+    A read-only view of one cached table per width, grown on demand: a row
+    does not depend on the table's length, so every slice keeps its bits.
+    """
+    table = _POSITION_TABLES.get(d)
+    if table is None or table.shape[0] < length:
+        rows = max(length, 2 * table.shape[0] if table is not None else 0)
+        pos = np.arange(rows)[:, None]
+        dim = np.arange(0, d, 2)[None, :]
+        angle = pos / np.power(10000.0, dim / d)
+        table = np.zeros((rows, d))
+        table[:, 0::2] = np.sin(angle)
+        table[:, 1::2] = np.cos(angle[:, : d // 2])
+        table.flags.writeable = False
+        _POSITION_TABLES[d] = table
+    return table[:length]
 
 
 def segment_positions(lengths, d):

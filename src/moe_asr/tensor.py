@@ -6,6 +6,10 @@ backward pass that accumulates gradients into leaves only; intermediate
 nodes pass their gradient on and keep none. ``attention`` is one node for
 all heads, batched [H, T, d_head] products with their own backward;
 ``linear``, ``layernorm`` (with its affine) and ``glu`` are one node each;
+``ffn`` is a whole pre-norm feed-forward (layernorm, expand, swish,
+dropout, project, dropout) as one node, and ``routed_ffn`` is a top-1
+routed layer as one node: its rows sorted by expert, every step but the two
+matmuls run once over all rows, the matmuls once per used expert;
 ``matmul`` stays 2-D. A training batch is packed into one graph: its
 utterances' frames are stacked as consecutive rows, and the ops whose rows
 interact (``unfold_time``, ``depthwise_conv1d``) take the per-utterance
@@ -16,6 +20,7 @@ algorithmic correctness, not precision.
 
 from __future__ import annotations
 
+import itertools
 import threading
 
 import numpy as np
@@ -43,8 +48,10 @@ __all__ = [
     "unfold_time",
     "embedding_lookup",
     "gather_last",
-    "scatter_rows",
+    "dropout_mask",
     "dropout",
+    "ffn",
+    "routed_ffn",
     "power",
     "reduce_sum",
     "reduce_mean",
@@ -365,6 +372,27 @@ def log_softmax_last(a):
     return _node(out, (a,), bwd, "log-softmax-last-dim")
 
 
+def _layernorm_rows(x, gamma, beta, eps):
+    """Affine layernorm over the last dimension: (output, normalized y, 1/std)."""
+    d = x.shape[-1]
+    mu = np.add.reduce(x, axis=-1, keepdims=True) / d
+    xc = x - mu
+    var = np.add.reduce(xc * xc, axis=-1, keepdims=True) / d
+    inv = 1.0 / np.sqrt(var + eps)
+    y = xc * inv
+    out = y * gamma
+    out += beta
+    return out, y, inv
+
+
+def _layernorm_input_grad(gn, y, inv):
+    """A layernorm's input gradient from ``gn``, the gradient at y times gamma."""
+    d = gn.shape[-1]
+    gm = np.add.reduce(gn, axis=-1, keepdims=True) / d
+    gy = np.add.reduce(gn * y, axis=-1, keepdims=True) / d
+    return inv * (gn - gm - y * gy)
+
+
 def layernorm(a, gamma, beta, eps=1e-5):
     """Normalize the last dimension to zero mean, unit variance, then apply
     the affine ``(y * gamma) + beta``, all in one node.
@@ -377,23 +405,11 @@ def layernorm(a, gamma, beta, eps=1e-5):
     x = a.data
     if gamma.data.shape != x.shape[-1:] or beta.data.shape != x.shape[-1:]:
         raise ShapeMismatch("layernorm", x.shape, gamma.data.shape, beta.data.shape)
-    mu = x.mean(axis=-1, keepdims=True)
-    xc = x - mu
-    var = (xc * xc).mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
-    y = xc * inv
-    out = y * gamma.data
-    out += beta.data
+    out, y, inv = _layernorm_rows(x, gamma.data, beta.data, eps)
 
     def bwd(g):
-        ga = None
-        if a.requires_grad:
-            gn = g * gamma.data
-            gm = gn.mean(axis=-1, keepdims=True)
-            gy = (gn * y).mean(axis=-1, keepdims=True)
-            ga = inv * (gn - gm - y * gy)
         return (
-            ga,
+            _layernorm_input_grad(g * gamma.data, y, inv) if a.requires_grad else None,
             _unbroadcast(g * y, gamma.data.shape) if gamma.requires_grad else None,
             _unbroadcast(g, beta.data.shape) if beta.requires_grad else None,
         )
@@ -556,24 +572,9 @@ def gather_last(a, ids):
     return _node(out, (a,), bwd, "gather-last")
 
 
-def scatter_rows(values, ids, length):
-    """Place the rows of each tensor in `values` at the matching positions
-    in `ids` (one id array per tensor) of a zero [length, C] output.
-
-    ids must be unique across all parts; the MoE dispatch uses this to
-    reassemble the per-expert outputs into frame order in one node.
-    """
-    values = [_as_tensor(v) for v in values]
-    ids = [np.asarray(i, dtype=np.int64) for i in ids]
-    if len(ids) != len(values):
-        raise ShapeMismatch("scatter-rows", (len(values),), (len(ids),))
-    out = np.zeros((length, values[0].data.shape[-1]), dtype=np.float64)
-    for v, i in zip(values, ids):
-        if i.ndim != 1 or v.data.shape != i.shape + out.shape[1:]:
-            raise ShapeMismatch("scatter-rows", v.data.shape, i.shape)
-        out[i] = v.data
-
-    return _node(out, tuple(values), lambda g: [g[i] for i in ids], "scatter-rows")
+def dropout_mask(shape, p, rng):
+    """Inverted-dropout mask drawn from `rng`: 0 where dropped, 1/(1-p) where kept."""
+    return (rng.random(shape) >= p) / (1.0 - p)
 
 
 def dropout(a, p, rng, training):
@@ -581,8 +582,157 @@ def dropout(a, p, rng, training):
     if not training or p <= 0.0:
         return a
     a = _as_tensor(a)
-    mask = (rng.random(a.data.shape) >= p) / (1.0 - p)
+    mask = dropout_mask(a.data.shape, p, rng)
     return _node(a.data * mask, (a,), lambda g: (g * mask,), "dropout")
+
+
+def _matmul_groups(a, ws, spans):
+    """``a[s:e] @ w`` for each group's rows and matrix, into one output."""
+    if len(ws) == 1:
+        return a @ ws[0]
+    out = np.empty((a.shape[0], ws[0].shape[1]))
+    for (s, e), w in zip(spans, ws):
+        np.matmul(a[s:e], w, out=out[s:e])
+    return out
+
+
+def _ffn_rows(x, spans, w1s, w2s, vectors, mask1, mask2, eps):
+    """The pre-norm feed-forward chain over consecutive row groups of `x`.
+
+    Group i owns rows spans[i] = (start, end) and the matrices w1s[i] and
+    w2s[i]; `vectors` are gamma, beta, b1 and b2, either one per layer
+    (broadcast) or gathered per row; the masks cover all rows (None: no
+    dropout). Only the two matmuls, and in backward their input- and
+    weight-gradient products and the vectors' column sums, run per group,
+    each on its rows' slice. Returns the output rows and
+    ``backward(g, need_x)`` -> (input gradient or None, per group its six
+    parameter gradients in ``ffn``'s order).
+    """
+    gamma, beta, b1, b2 = vectors
+    n, y, inv = _layernorm_rows(x, gamma, beta, eps)
+    h = _matmul_groups(n, w1s, spans)
+    h += b1
+    sig = 1.0 / (1.0 + np.exp(-h))
+    a = h * sig
+    if mask1 is not None:
+        a *= mask1
+    out = _matmul_groups(a, w2s, spans)
+    out += b2
+    if mask2 is not None:
+        out *= mask2
+
+    def backward(g, need_x):
+        # Column sums go row by row within each group, as sum(axis=0) adds;
+        # np.add.reduceat would add pairwise and change the bits.
+        if mask2 is not None:
+            g = g * mask2
+        gw2 = [a[s:e].T @ g[s:e] for s, e in spans]
+        gb2 = [g[s:e].sum(axis=0) for s, e in spans]
+        ga = _matmul_groups(g, [w.T for w in w2s], spans)
+        if mask1 is not None:
+            ga *= mask1
+        gh = ga * sig * (1.0 + h * (1.0 - sig))
+        gw1 = [n[s:e].T @ gh[s:e] for s, e in spans]
+        gb1 = [gh[s:e].sum(axis=0) for s, e in spans]
+        gn = _matmul_groups(gh, [w.T for w in w1s], spans)
+        gny = gn * y
+        ggamma = [gny[s:e].sum(axis=0) for s, e in spans]
+        gbeta = [gn[s:e].sum(axis=0) for s, e in spans]
+        gx = _layernorm_input_grad(gn * gamma, y, inv) if need_x else None
+        return gx, list(zip(ggamma, gbeta, gw1, gb1, gw2, gb2))
+
+    return out, backward
+
+
+def _check_ffn(op, rows, d, params, mask1, mask2):
+    """ShapeMismatch unless six parameter tensors and two masks fit `rows` rows of width `d`."""
+    gamma, beta, w1, b1, w2, b2 = params
+    shapes = (gamma.data.shape, beta.data.shape, w1.data.shape, b1.data.shape, w2.data.shape,
+              b2.data.shape)
+    f = shapes[2][-1]
+    if (shapes != ((d,), (d,), (d, f), (f,), (f, d), (d,))
+            or (mask1 is not None and mask1.shape != (rows, f))
+            or (mask2 is not None and mask2.shape != (rows, d))):
+        raise ShapeMismatch(op, (rows, d), *shapes, *[np.shape(m) for m in (mask1, mask2)])
+
+
+def ffn(x, gamma, beta, w1, b1, w2, b2, mask1=None, mask2=None, eps=1e-5):
+    """A pre-norm feed-forward as one node: ``layernorm(x, gamma, beta)``,
+    ``linear`` by (w1, b1), swish, dropout by `mask1` [n, d_ff], ``linear``
+    by (w2, b2), dropout by `mask2` [n, d]; a mask of None is the identity.
+    The six parameters are tensors; the masks are arrays.
+
+    Values and gradients equal the bits of those six nodes chained.
+    """
+    x = _as_tensor(x)
+    params = (gamma, beta, w1, b1, w2, b2)
+    if x.data.ndim != 2:
+        raise ShapeMismatch("ffn", x.data.shape)
+    rows, d = x.data.shape
+    _check_ffn("ffn", rows, d, params, mask1, mask2)
+    out, backward = _ffn_rows(x.data, [(0, rows)], [w1.data], [w2.data],
+                              (gamma.data, beta.data, b1.data, b2.data), mask1, mask2, eps)
+
+    def bwd(g):
+        gx, (grads,) = backward(g, x.requires_grad)
+        return (gx, *grads)
+
+    return _node(out, (x, *params), bwd, "ffn")
+
+
+def routed_ffn(x, p, selected, experts, eps=1e-5):
+    """A top-1 routed feed-forward layer as one node: row i of `x` runs
+    through expert selected[i] and is scaled by its gate p[i, selected[i]].
+
+    `experts` holds ``ffn``'s arguments after `x` (six parameter tensors,
+    two masks for that expert's row count) for each expert `selected` names,
+    in ascending index order; only they are parents, so an expert without
+    rows gets no gradient. Rows are ordered by expert with a stable sort;
+    gamma, beta and the biases are gathered per row once each, and values
+    and gradients equal the bits of each used expert's ``ffn`` chain on its
+    rows in frame order, scattered back and multiplied by the gate.
+    """
+    x, p = _as_tensor(x), _as_tensor(p)
+    selected = np.asarray(selected, dtype=np.int64)
+    rows = x.data.shape[0]
+    if x.data.ndim != 2 or p.data.shape[:1] != (rows,) or selected.shape != (rows,):
+        raise ShapeMismatch("routed-ffn", x.data.shape, p.data.shape, selected.shape)
+    counts = np.bincount(selected, minlength=p.data.shape[-1])
+    counts = counts[counts > 0].tolist()
+    if len(counts) != len(experts):
+        raise ShapeMismatch("routed-ffn", (len(counts),), (len(experts),))
+    for e, c in zip(experts, counts):
+        _check_ffn("routed-ffn", c, x.data.shape[1], e[:6], *e[6:])
+    ends = list(itertools.accumulate(counts))
+    spans = list(zip([0, *ends[:-1]], ends))
+    params = [[t.data for t in e[:6]] for e in experts]
+    group = np.repeat(np.arange(len(counts)), counts)
+    vectors = [np.array([a[k] for a in params])[group] for k in (0, 1, 3, 5)]
+    w1s, w2s = [a[2] for a in params], [a[4] for a in params]
+    mask1, mask2 = (None if all(e[k] is None for e in experts) else np.concatenate(
+        [np.ones((c, w.shape[1])) if e[k] is None else e[k]
+         for e, c, w in zip(experts, counts, ws)]) for k, ws in ((6, w1s), (7, w2s)))
+    order = np.argsort(selected, kind="stable")
+    ys, backward = _ffn_rows(x.data[order], spans, w1s, w2s, vectors, mask1, mask2, eps)
+    y = np.empty_like(ys)
+    y[order] = ys
+    frames = np.arange(rows)
+    gate = p.data[frames, selected][:, None]
+    out = y * gate
+
+    def bwd(g):
+        gp = None
+        if p.requires_grad:
+            gp = np.zeros_like(p.data)
+            np.add.at(gp, (frames, selected), (g * y).sum(axis=1))
+        gxs, grads = backward((g * gate)[order], x.requires_grad)
+        gx = None
+        if gxs is not None:
+            gx = np.empty_like(gxs)
+            gx[order] = gxs
+        return (gx, gp, *[gr for expert_grads in grads for gr in expert_grads])
+
+    return _node(out, (x, p, *[t for e in experts for t in e[:6]]), bwd, "routed-ffn")
 
 
 def power(a, p):

@@ -13,7 +13,13 @@ from moe_asr.encoder import (
     Subsample,
     subsampled_length,
 )
-from moe_asr.nn import LayerNorm, Linear, MultiHeadAttention, Parameter, causal_mask
+from moe_asr.nn import (
+    LayerNorm,
+    Linear,
+    MultiHeadAttention,
+    causal_mask,
+    sinusoidal_positions,
+)
 from moe_asr.tensor import Tensor
 
 
@@ -248,3 +254,28 @@ class TestInitNaming:
         drop = Dropout(0.5)
         with pytest.raises(RuntimeError, match="seed"):
             drop.forward(Tensor(np.ones((2, 2))))
+
+
+def _fresh_positions(length, d):
+    """The position table computed afresh at exactly `length` rows."""
+    angle = np.arange(length)[:, None] / np.power(10000.0, np.arange(0, d, 2)[None, :] / d)
+    table = np.zeros((length, d))
+    table[:, 0::2] = np.sin(angle)
+    table[:, 1::2] = np.cos(angle[:, : d // 2])
+    return table
+
+
+class TestPositions:
+    @pytest.mark.parametrize("d", [8, 64, 7])
+    def test_cached_slices_equal_fresh_tables(self, d):
+        """Growing the cached table keeps every row's bits, in any call order."""
+        for length in (5, 1, 40, 17, 300, 3, 0, 1000):
+            got = sinusoidal_positions(length, d)
+            assert got.shape == (length, d)
+            assert got.tobytes() == _fresh_positions(length, d).tobytes()
+
+    def test_slice_is_read_only(self):
+        table = sinusoidal_positions(12, 8)
+        assert not table.flags.writeable
+        with pytest.raises(ValueError):
+            table[0, 0] = 1.0

@@ -8,6 +8,7 @@ import os
 import struct
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -500,6 +501,24 @@ class TestArenaImage:
         first = list(arrays(net))[3]
         with pytest.raises(CheckpointError, match=rf"e\.ckpt: entry 3 should be .*'{first}'"):
             load_pretrained_embedding(SpeechModel(cfg).initialize(1), tmp_path / "e.ckpt")
+
+    def test_load_model_reads_the_body_into_the_arena(self, tmp_path):
+        """The body goes from the file straight into the new arena: the
+        traced peak of ``load_model`` stays below the arena's two buffers
+        plus one read chunk, so the file's bytes are never held whole."""
+        model = SpeechModel(ModelConfig.desk_scale(11, num_experts=16)).initialize(2)
+        save_model(tmp_path / "m.ckpt", model)
+        expected, arena_bytes = model.arena.data.tobytes(), model.arena.data.nbytes
+        del model
+        tracemalloc.start()
+        try:
+            loaded = load_model(tmp_path / "m.ckpt")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert arena_bytes > 3 * checkpoint._CHUNK_BYTES
+        assert 2 * arena_bytes < peak < 2 * arena_bytes + checkpoint._CHUNK_BYTES
+        assert loaded.arena.data.tobytes() == expected
 
     def test_only_a_root_with_an_arena_is_saved(self, tmp_path):
         cfg = desk_cfg(num_experts=2)

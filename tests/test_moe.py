@@ -1,12 +1,15 @@
 """Routing layer: softmax routes and tie-breaks, top-1 dispatch exactness,
-auxiliary loss formulas against loop oracles, and bound attainment."""
+the fused feed-forward and routed ops against the unfused chain in plain
+numpy, auxiliary loss formulas against loop oracles, and bound attainment."""
 
+import copy
 import math
 
 import numpy as np
 import pytest
 
 from moe_asr import tensor as T
+from moe_asr.nn import FeedForward
 from moe_asr.moe import (
     RoutedFFN,
     Router,
@@ -151,6 +154,239 @@ class TestDispatch:
         assert set(layer.named_parameters()) == {
             n for n in layer.named_parameters() if n.startswith("experts.0.")
         }
+
+
+# ---------------------------------------------------------------------------
+# T.ffn and T.routed_ffn against the unfused chain in plain numpy
+# ---------------------------------------------------------------------------
+
+
+def _ffn_chain(x, gamma, beta, w1, b1, w2, b2, m1, m2, g, eps=1e-5):
+    """The six-node chain (layernorm, linear, swish, dropout, linear,
+    dropout) in plain numpy, each step as its own node computed it. Returns
+    the output and the gradients of x and the six parameters for upstream
+    `g`. Masks of 1.0 are eval mode: multiplying by 1.0 changes no bit."""
+    xc = x - x.mean(axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt((xc * xc).mean(axis=-1, keepdims=True) + eps)
+    y = xc * inv
+    n = y * gamma + beta
+    h = n @ w1 + b1
+    s = 1.0 / (1.0 + np.exp(-h))
+    a = h * s * m1
+    out = (a @ w2 + b2) * m2
+    g2 = g * m2
+    gh = (g2 @ w2.T) * m1 * s * (1.0 + h * (1.0 - s))
+    gn = gh @ w1.T
+    gy = gn * gamma
+    gx = inv * (gy - gy.mean(axis=-1, keepdims=True) - y * (gy * y).mean(axis=-1, keepdims=True))
+    return out, [gx, (gn * y).sum(axis=0), gn.sum(axis=0), n.T @ gh, gh.sum(axis=0),
+                 a.T @ g2, g2.sum(axis=0)]
+
+
+def _routed_chain(x, p, selected, experts, g):
+    """The unfused routed layer: per used expert an embedding lookup of its
+    rows and its chain, the outputs scattered back into frame order, times
+    the gate gathered from p. Returns the output and the gradients of x, p
+    and each used expert's six parameters."""
+    frames = np.arange(x.shape[0])
+    gate = p[frames, selected][:, None]
+    y, gx, grads = np.zeros_like(x), np.zeros_like(x), []
+    for e, arrays in zip(np.unique(selected), experts):
+        rows = np.nonzero(selected == e)[0]
+        y[rows], (gx[rows], *expert_grads) = _ffn_chain(x[rows], *arrays, (g * gate)[rows])
+        grads += expert_grads
+    gp = np.zeros_like(p)
+    np.add.at(gp, (frames, selected), (g * y).sum(axis=1))
+    return y * gate, [gx, gp, *grads]
+
+
+def _mask(rng, shape, p=0.3):
+    return (rng.random(shape) >= p) / (1.0 - p)
+
+
+def _expert(rng, rows, d=6, d_ff=10, train=True):
+    """Six random parameters and, in train mode, two masks for `rows` rows."""
+    params = [rng.normal(1.0, 0.2, d), rng.normal(0.0, 0.1, d), rng.normal(0.0, 0.4, (d, d_ff)),
+              rng.normal(0.0, 0.1, d_ff), rng.normal(0.0, 0.4, (d_ff, d)), rng.normal(0.0, 0.1, d)]
+    masks = [_mask(rng, (rows, d_ff)), _mask(rng, (rows, d))] if train else [None, None]
+    return [Tensor(a, requires_grad=True) for a in params], masks
+
+
+def _arrays(params, masks):
+    """An expert's plain arrays for the chain; a missing mask is 1.0."""
+    return [t.data for t in params] + [1.0 if m is None else m for m in masks]
+
+
+def _assert_bits(got, expected):
+    assert len(got) == len(expected)
+    for a, b in zip(got, expected):
+        np.testing.assert_array_equal(a, b)
+
+
+# selection per frame of 4 experts: a one-row expert and idle experts
+SELECTIONS = {
+    "one-row-and-idle": [2, 0, 2, 3, 0, 2, 0],
+    "all-on-one": [1, 1, 1, 1, 1],
+    "single-frame": [3],
+    "every-expert": [3, 2, 1, 0, 0, 1, 2, 3, 3],
+}
+
+
+class TestFusedFeedForward:
+    @pytest.mark.parametrize("train", [True, False], ids=["train", "eval"])
+    @pytest.mark.parametrize("rows", [1, 5])
+    def test_ffn_matches_chain_exactly(self, rows, train):
+        rng = np.random.default_rng(70 + rows)
+        params, masks = _expert(rng, rows, train=train)
+        x = Tensor(rng.normal(size=(rows, 6)), requires_grad=True)
+        g = rng.normal(size=(rows, 6))
+        out = T.ffn(x, *params, *masks)
+        T.reduce_sum(T.mul(out, Tensor(g))).backward()
+        ref_out, ref_grads = _ffn_chain(x.data, *_arrays(params, masks), g)
+        _assert_bits([out.data, x.grad] + [t.grad for t in params], [ref_out, *ref_grads])
+
+    @pytest.mark.parametrize("train", [True, False], ids=["train", "eval"])
+    @pytest.mark.parametrize("case", sorted(SELECTIONS))
+    def test_routed_matches_chain_exactly(self, case, train):
+        """Values and gradients of x, p and every used expert equal the
+        unfused layer's bits. This also covers what the deleted
+        ``T.scatter_rows`` was tested for: every row lands back at its own
+        frame, and its gradient flows back to that row only."""
+        selected = np.array(SELECTIONS[case])
+        rng = np.random.default_rng(80 + len(case))
+        experts = [_expert(rng, c, train=train) for c in np.bincount(selected) if c]
+        x = Tensor(rng.normal(size=(len(selected), 6)), requires_grad=True)
+        raw = rng.random((len(selected), 4)) + 0.1
+        p = Tensor(raw / raw.sum(axis=1, keepdims=True), requires_grad=True)
+        g = rng.normal(size=x.shape)
+        out = T.routed_ffn(x, p, selected, [(*ps, *ms) for ps, ms in experts])
+        T.reduce_sum(T.mul(out, Tensor(g))).backward()
+        ref_out, ref_grads = _routed_chain(
+            x.data, p.data, selected, [_arrays(ps, ms) for ps, ms in experts], g)
+        got = [out.data, x.grad, p.grad] + [t.grad for ps, _ in experts for t in ps]
+        _assert_bits(got, [ref_out, *ref_grads])
+
+    @pytest.mark.parametrize("rows", [1, 5])
+    def test_ffn_finite_differences(self, rows):
+        rng = np.random.default_rng(90 + rows)
+        params, masks = _expert(rng, rows)
+        x = Tensor(rng.normal(size=(rows, 6)), requires_grad=True)
+        g = Tensor(rng.normal(size=(rows, 6)))
+        f = lambda ps: T.reduce_sum(T.mul(T.ffn(ps[0], *ps[1:], *masks), g))  # noqa: E731
+        assert T.finite_diff_check(f, [x, *params]) < 1e-6
+
+    def test_routed_finite_differences(self):
+        selected = np.array(SELECTIONS["one-row-and-idle"])
+        rng = np.random.default_rng(95)
+        experts = [_expert(rng, c) for c in np.bincount(selected) if c]
+        x = Tensor(rng.normal(size=(len(selected), 6)), requires_grad=True)
+        p = Tensor(rng.random((len(selected), 4)) + 0.1, requires_grad=True)
+        g = Tensor(rng.normal(size=x.shape))
+        masks = [ms for _, ms in experts]
+
+        def f(ps):
+            groups = [(*ps[2 + 6 * i : 8 + 6 * i], *ms) for i, ms in enumerate(masks)]
+            return T.reduce_sum(T.mul(T.routed_ffn(ps[0], ps[1], selected, groups), g))
+
+        assert T.finite_diff_check(f, [x, p] + [t for ps, _ in experts for t in ps]) < 1e-6
+
+    def test_shape_mismatch_raises(self):
+        rng = np.random.default_rng(96)
+        params, masks = _expert(rng, 3)
+        x = Tensor(np.ones((3, 6)))
+        with pytest.raises(T.ShapeMismatch):  # input width is not the gain's
+            T.ffn(Tensor(np.ones((3, 5))), *params)
+        with pytest.raises(T.ShapeMismatch):  # expand and project disagree
+            T.ffn(x, *params[:4], Tensor(np.ones((9, 6))), params[5])
+        with pytest.raises(T.ShapeMismatch):  # a mask for another row count
+            T.ffn(x, *params, masks[0][:2], None)
+        p = Tensor(np.full((3, 4), 0.25))
+        with pytest.raises(T.ShapeMismatch):  # two experts named, one given
+            T.routed_ffn(x, p, [0, 1, 1], [(*params, None, None)])
+        with pytest.raises(T.ShapeMismatch):  # masks sized for all rows, expert has two
+            T.routed_ffn(x, p, [0, 0, 2], [(*params, *masks)] * 2)
+
+
+class TestFusedLayers:
+    """The modules' wiring: each expert's own parameters and dropout
+    streams (cloned before the forward), against the plain-numpy chain."""
+
+    @pytest.mark.parametrize("train", [True, False], ids=["train", "eval"])
+    def test_feed_forward_matches_chain(self, train):
+        ffn = FeedForward(6, 10, dropout=0.3).initialize(12).train(train)
+        streams = [copy.deepcopy(ffn.dropout1.rng), copy.deepcopy(ffn.dropout2.rng)]
+        rng = np.random.default_rng(97)
+        x = Tensor(rng.normal(size=(5, 6)), requires_grad=True)
+        g = rng.normal(size=(5, 6))
+        out = ffn.forward(x)
+        T.reduce_sum(T.mul(out, Tensor(g))).backward()
+        params = list(ffn.named_parameters().values())
+        masks = [_mask(s, (5, w)) for s, w in zip(streams, (10, 6))] if train else [None, None]
+        ref_out, ref_grads = _ffn_chain(x.data, *_arrays(params, masks), g)
+        _assert_bits([out.data, x.grad] + [t.grad for t in params], [ref_out, *ref_grads])
+
+    @pytest.mark.parametrize("frozen", [None, [3, 3, 0, 1, 3, 0, 0]], ids=["live", "frozen"])
+    @pytest.mark.parametrize("train", [True, False], ids=["train", "eval"])
+    def test_routed_layer_matches_chain(self, train, frozen):
+        """A frozen selection (acceptance check 2 pins one) takes the place of
+        the router's argmax; idle experts keep an exactly zero gradient."""
+        layer = RoutedFFN(6, 10, n_experts=4, d_emb=3, dropout=0.3, routed=True)
+        layer.initialize(15).train(train)
+        streams = [[copy.deepcopy(e.dropout1.rng), copy.deepcopy(e.dropout2.rng)]
+                   for e in layer.experts]
+        rng = np.random.default_rng(98)
+        x = Tensor(rng.normal(size=(7, 6)), requires_grad=True)
+        e_c = Tensor(rng.normal(size=(7, 3)))
+        g = rng.normal(size=(7, 6))
+        out, rec = layer.forward(x, e_c, frozen_selected=frozen)
+        T.reduce_sum(T.mul(out, Tensor(g))).backward()
+        if frozen is not None:
+            np.testing.assert_array_equal(rec.selected, frozen)
+        counts = np.bincount(rec.selected, minlength=4)
+        used = np.flatnonzero(counts)
+        assert 0 in counts and 1 in counts, "the seed must leave an expert idle and one with a row"
+        experts = []
+        for e in used:
+            params = list(layer.experts[e].named_parameters().values())
+            masks = ([_mask(s, (counts[e], w)) for s, w in zip(streams[e], (10, 6))]
+                     if train else [None, None])
+            experts.append((params, masks))
+        ref_out, ref_grads = _routed_chain(
+            x.data, rec.p.data, rec.selected, [_arrays(ps, ms) for ps, ms in experts], g)
+        # x's second consumer is the router: softmax, then matmul, then concat.
+        P, gp = rec.p.data, ref_grads[1]
+        g_logits = P * (gp - (gp * P).sum(axis=-1, keepdims=True))
+        g_route = (g_logits @ layer.router.weight.data.T)[:, 3:]
+        got = [out.data, x.grad] + [t.grad for ps, _ in experts for t in ps]
+        _assert_bits(got, [ref_out, ref_grads[0] + g_route, *ref_grads[2:]])
+        for e in set(range(4)) - set(used):
+            assert not layer.experts[e].arena and all(
+                np.all(t.grad == 0.0) for t in layer.experts[e].named_parameters().values())
+
+    @pytest.mark.parametrize("train", [True, False], ids=["train", "eval"])
+    def test_one_expert_layer_is_the_dense_ffn(self, train):
+        """Gate 1.0 and one group: output and every gradient equal the dense
+        FFN's bits, given the same parameters and dropout streams."""
+        routed = RoutedFFN(6, 10, n_experts=1, d_emb=3, dropout=0.3, routed=True)
+        routed.initialize(14).train(train)
+        dense = FeedForward(6, 10, dropout=0.3).initialize(0).train(train)
+        dense.arena.data[...] = routed.arena.layout("experts.0.")[1]
+        expert = routed.experts[0]
+        dense.dropout1.rng = copy.deepcopy(expert.dropout1.rng)
+        dense.dropout2.rng = copy.deepcopy(expert.dropout2.rng)
+        rng = np.random.default_rng(99)
+        x = rng.normal(size=(6, 6))
+        e_c = Tensor(rng.normal(size=(6, 3)))
+        g = Tensor(rng.normal(size=(6, 6)))
+        xr, xd = Tensor(x, requires_grad=True), Tensor(x, requires_grad=True)
+        out, rec = routed.forward(xr, e_c)
+        ref = dense.forward(xd)
+        T.reduce_sum(T.mul(out, g)).backward()
+        T.reduce_sum(T.mul(ref, g)).backward()
+        assert rec.gates.tolist() == [1.0] * 6
+        # experts.0 is the routed arena's tail, after the router weight
+        expert_grads = routed.arena.grad[-dense.arena.grad.size:]
+        _assert_bits([out.data, xr.grad, expert_grads], [ref.data, xd.grad, dense.arena.grad])
 
 
 class TestAuxLosses:

@@ -96,15 +96,6 @@ class TestForward:
         out = T.gather_last(a, np.array([1, 0, 3]))
         np.testing.assert_allclose(out.data, [1.0, 4.0, 11.0])
 
-    def test_scatter_rows_inverts_gather(self):
-        first = Tensor(np.array([[1.0, 2.0], [3.0, 4.0]]), requires_grad=True)
-        second = Tensor(np.array([[5.0, 6.0]]), requires_grad=True)
-        ids = [np.array([2, 0]), np.array([4])]
-        out = T.scatter_rows([first, second], ids, length=5)
-        expected = np.array([[3.0, 4.0], [0.0, 0.0], [1.0, 2.0], [0.0, 0.0], [5.0, 6.0]])
-        np.testing.assert_allclose(out.data, expected)
-        np.testing.assert_array_equal(out.data[np.concatenate(ids)], [[1, 2], [3, 4], [5, 6]])
-
     def test_shape_mismatch_raises(self):
         with pytest.raises(T.ShapeMismatch):
             T.matmul(Tensor(np.ones((2, 3))), Tensor(np.ones((4, 5))))
@@ -259,24 +250,15 @@ class TestFiniteDifferences:
         )
         assert err < TOL
 
-    def test_gather_scatter(self):
+    def test_gather_last(self):
         rng = np.random.default_rng(25)
         a = Tensor(rng.normal(size=(4, 6)), requires_grad=True)
-        v = Tensor(rng.normal(size=(3, 2)), requires_grad=True)
-        u = Tensor(rng.normal(size=(1, 2)), requires_grad=True)
-        ids = [np.array([2, 0, 3]), np.array([4])]
         w1 = rng.normal(size=4)
-        w2 = rng.normal(size=(5, 2))
         err = T.finite_diff_check(
             lambda ps: T.reduce_sum(
                 T.mul(T.gather_last(ps[0], np.array([1, 5, 0, 2])), Tensor(w1))
             ),
             [a],
-        )
-        assert err < TOL
-        err = T.finite_diff_check(
-            lambda ps: T.reduce_sum(T.mul(T.scatter_rows(ps[1:], ids, 5), Tensor(w2))),
-            [a, v, u],
         )
         assert err < TOL
 
