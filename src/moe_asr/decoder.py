@@ -7,14 +7,15 @@ vocabulary id; teacher forcing feeds [sos] + tokens and scores
 tokens + [eos].
 
 Teacher forcing also runs a packed batch in one pass: each utterance's
-[sos] + tokens rows are stacked, self-attention is causal within each
-utterance, and cross-attention sees only that utterance's encoder rows.
+[sos] + tokens rows are stacked and attention reads their row counts:
+self-attention is causal within each utterance, cross-attention sees only
+that utterance's encoder rows, and no mask is built.
 
 Rescoring runs one pass over the prefix trie of an N-best list. Causality
 means row t of a hypothesis depends only on [sos] + tokens[:t], so the
 hypotheses share every row of a common prefix: the trie has one row per
-distinct prefix, self-attention lets a row see itself and its ancestors,
-and every row attends to the one encoder output.
+distinct prefix, a mask lets a row's self-attention see only itself and
+its ancestors, and every row attends to the one encoder output.
 """
 
 from __future__ import annotations
@@ -32,7 +33,6 @@ from .nn import (
     Module,
     MultiHeadAttention,
     Parameter,
-    block_mask,
     normal_init,
     sinusoidal_positions,
 )
@@ -40,7 +40,9 @@ from .tensor import Tensor
 
 
 class DecoderBlock(Module):
-    """Pre-norm: causal self-attention, cross-attention, feed-forward."""
+    """Pre-norm: causal self-attention, cross-attention, feed-forward.
+    `rows` and `enc_rows`: token and encoder rows per utterance of a packed
+    batch (None: one); a `mask` replaces the causal one and must imply it."""
 
     def __init__(self, d, d_ff, heads, dropout=0.0):
         super().__init__()
@@ -52,11 +54,13 @@ class DecoderBlock(Module):
         self.dropout2 = Dropout(dropout)
         self.ffn = FeedForward(d, d_ff, dropout)
 
-    def forward(self, x, enc, mask, memory_mask=None):
+    def forward(self, x, enc, rows=None, enc_rows=None, mask=None):
         h = self.norm1.forward(x)
-        x = T.add(x, self.dropout1.forward(self.self_attn.forward(h, h, mask)))
+        x = T.add(x, self.dropout1.forward(
+            self.self_attn.forward(h, h, lengths=rows, causal=mask is None, mask=mask)))
         h = self.norm2.forward(x)
-        x = T.add(x, self.dropout2.forward(self.cross_attn.forward(h, enc, memory_mask)))
+        x = T.add(x, self.dropout2.forward(
+            self.cross_attn.forward(h, enc, lengths=rows, key_lengths=enc_rows)))
         return T.add(x, self.ffn.forward(x))
 
 
@@ -87,14 +91,12 @@ class TransformerDecoder(Module):
         rows = [len(seq) + 1 for seq in seqs]
         ids = np.concatenate([[self.sos_eos] + seq for seq in seqs]).astype(np.int64)
         positions = np.concatenate([np.arange(n) for n in rows])
-        return self._forward_rows(enc, ids, positions, block_mask(rows, causal=True),
-                                  block_mask(rows, lengths))
+        return self._forward_rows(enc, ids, positions, rows, lengths)
 
-    def _forward_rows(self, enc, ids, positions, mask, memory_mask):
+    def _forward_rows(self, enc, ids, positions, rows=None, enc_rows=None, mask=None):
         """Log-distributions of token rows `ids` at `positions`: the one
-        block loop behind teacher forcing and rescoring. `mask` is the
-        self-attention mask over the rows, `memory_mask` the rows' mask over
-        the encoder output (None: unmasked)."""
+        block loop behind teacher forcing and rescoring. `rows`, `enc_rows`
+        and `mask` go to each ``DecoderBlock``."""
         if ids.min() < 0 or ids.max() >= self.vocab_size:
             bad = sorted({int(t) for t in ids if not 0 <= t < self.vocab_size})
             raise ValueError(f"token id outside vocabulary of {self.vocab_size}: {bad}")
@@ -102,7 +104,7 @@ class TransformerDecoder(Module):
         table = sinusoidal_positions(int(positions.max()) + 1, x.data.shape[1])
         x = self.dropout.forward(T.add(x, Tensor(table[positions])))
         for block in self.blocks:
-            x = block.forward(x, enc, mask, memory_mask)
+            x = block.forward(x, enc, rows, enc_rows, mask)
         return T.log_softmax_last(self.out.forward(self.norm_out.forward(x)))
 
 
@@ -208,7 +210,7 @@ def rescore(decoder, enc, token_seqs):
         sees[row] |= sees[parents[row]]
     with T.no_grad():
         lp = decoder._forward_rows(
-            enc, np.array(ids, dtype=np.int64), np.array(depths), ~sees, None
+            enc, np.array(ids, dtype=np.int64), np.array(depths), mask=~sees
         ).data
     return [
         float(lp[path, seq + [decoder.sos_eos]].sum()) for path, seq in zip(paths, seqs)

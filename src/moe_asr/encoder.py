@@ -10,8 +10,8 @@ never normalized except by that final per-block layernorm.
 Input is [T x D] features, one utterance, or a packed batch: the
 utterances' frames stacked as consecutive rows with `lengths` giving each
 one's row count. Every position-wise layer then runs once on all rows.
-Only subsampling windows, position tables, self-attention (a
-block-diagonal mask) and the depthwise convolution look at `lengths`, so
+Only subsampling windows, position tables, self-attention (one block per
+utterance, no mask) and the depthwise convolution look at `lengths`, so
 each utterance's rows come out as if it had been encoded alone.
 """
 
@@ -29,7 +29,6 @@ from .nn import (
     Linear,
     Module,
     SelfAttention,
-    block_mask,
     segment_positions,
 )
 from .tensor import Tensor
@@ -71,8 +70,8 @@ class Subsample(Module):
 class ConformerBlock(Module):
     """One macaron block; ``n_experts >= 1`` routes the second FFN.
 
-    For a packed batch, `lengths` and `mask` (from ``block_mask``) keep the
-    convolution and self-attention within each utterance.
+    For a packed batch, `lengths` keeps the convolution and
+    self-attention within each utterance.
     """
 
     def __init__(self, d, d_ff, heads, kernel, dropout=0.0, n_experts=0, d_emb=None):
@@ -90,9 +89,9 @@ class ConformerBlock(Module):
         )
         self.norm_out = LayerNorm(d)
 
-    def forward(self, x, e_c=None, lengths=None, mask=None):
+    def forward(self, x, e_c=None, lengths=None):
         x = T.add(x, T.scale(self.ffn1.forward(x), 0.5))
-        x = T.add(x, self.attn.forward(x, mask))
+        x = T.add(x, self.attn.forward(x, lengths))
         x = T.add(x, self.conv.forward(x, lengths))
         ffn2_out, record = self.ffn2.forward(x, e_c)
         x = T.add(x, T.scale(ffn2_out, 0.5))
@@ -144,11 +143,10 @@ class Encoder(Module):
             lengths = [subsampled_length(t_in) for t_in in lengths]
         h = T.add(h, Tensor(segment_positions(lengths or [h.data.shape[0]], h.data.shape[1])))
         h = self.dropout.forward(h)
-        mask = None if lengths is None else block_mask(lengths)
         taps, records = {}, []
         tap_at = set(self.cfg.tap_blocks())
         for index, block in enumerate(self.blocks, start=1):
-            h, record = block.forward(h, e_c, lengths, mask)
+            h, record = block.forward(h, e_c, lengths)
             if record is not None:
                 records.append((index, record))
             if index in tap_at:

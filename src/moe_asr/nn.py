@@ -276,36 +276,12 @@ class MultiHeadAttention(Module):
         self.wv = Linear(d, d)
         self.wo = Linear(d, d)
 
-    def forward(self, query, memory, mask=None):
+    def forward(self, query, memory, **segments):
+        """`segments`: ``T.attention``'s lengths, key_lengths, causal and mask."""
         q = self.wq.forward(query)
         k = self.wk.forward(memory)
         v = self.wv.forward(memory)
-        return self.wo.forward(T.attention(q, k, v, self.heads, mask))
-
-
-def causal_mask(n):
-    """True above the diagonal: position t may not see positions > t."""
-    return np.triu(np.ones((n, n), dtype=bool), k=1)
-
-
-def block_mask(lengths, key_lengths=None, causal=False):
-    """Attention mask over packed rows: true where a query row of one
-    utterance would see a key row of another, or, with `causal`, a later
-    row. Query utterance i owns lengths[i] rows, key utterance i owns
-    key_lengths[i] (default: the same rows, for self-attention).
-
-    None when nothing is masked (one utterance, not causal), so a single
-    utterance runs unmasked attention.
-    """
-    if len(lengths) == 1:
-        return causal_mask(lengths[0]) if causal else None
-    key_lengths = lengths if key_lengths is None else key_lengths
-    q = np.repeat(np.arange(len(lengths)), lengths)
-    k = np.repeat(np.arange(len(key_lengths)), key_lengths)
-    mask = q[:, None] != k[None, :]
-    if causal:
-        mask |= causal_mask(q.shape[0])
-    return mask
+        return self.wo.forward(T.attention(q, k, v, self.heads, **segments))
 
 
 class SelfAttention(Module):
@@ -317,9 +293,10 @@ class SelfAttention(Module):
         self.mha = MultiHeadAttention(d, heads)
         self.dropout = Dropout(dropout)
 
-    def forward(self, x, mask=None):
+    def forward(self, x, lengths=None):
+        """`lengths`: rows per utterance of a packed batch (None: one)."""
         h = self.norm.forward(x)
-        return self.dropout.forward(self.mha.forward(h, h, mask))
+        return self.dropout.forward(self.mha.forward(h, h, lengths=lengths))
 
 
 class ConvModule(Module):

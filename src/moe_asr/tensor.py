@@ -12,8 +12,9 @@ routed layer as one node: its rows sorted by expert, every step but the two
 matmuls run once over all rows, the matmuls once per used expert;
 ``matmul`` stays 2-D. A training batch is packed into one graph: its
 utterances' frames are stacked as consecutive rows, and the ops whose rows
-interact (``unfold_time``, ``depthwise_conv1d``) take the per-utterance
-row counts, so no window or tap crosses from one utterance into the next.
+interact (``unfold_time``, ``depthwise_conv1d``, ``attention``) take the
+per-utterance row counts, so no window, tap or attention weight crosses
+from one utterance into the next, and no mask is built for a pack.
 64-bit floats throughout so gradient checks and DP oracles are limited by
 algorithmic correctness, not precision.
 """
@@ -313,12 +314,16 @@ def softmax_last(a):
     return _node(p, (a,), bwd, "softmax-last-dim")
 
 
-def attention(q, k, v, heads, mask=None):
+def attention(q, k, v, heads, lengths=None, key_lengths=None, causal=False, mask=None):
     """Scaled dot-product attention of q [Tq, d] over k [Tk, d] and v [Tk, dv],
     all heads in one node; head h owns the h-th of `heads` equal column blocks.
 
-    `mask` [Tq, Tk] is true where a query may not look. Those weights, and
-    their gradients, are exactly zero while each row keeps one visible key.
+    With `lengths` the rows are packed segments: query segment i (lengths[i]
+    rows) sees only key segment i (key_lengths[i] rows, default lengths[i]),
+    and only those blocks are computed, each as the call on it alone.
+    `causal` hides from a segment's row t its keys after row t; a bool
+    `mask` [Tq, Tk] is true where a query may not look. Hidden weights and
+    their gradients are exactly zero while each row keeps one visible key.
     """
     q, k, v = _as_tensor(q), _as_tensor(k), _as_tensor(v)
     shapes = [t.data.shape for t in (q, k, v)] + ([] if mask is None else [np.shape(mask)])
@@ -327,32 +332,46 @@ def attention(q, k, v, heads, mask=None):
     (tq, d), (tk, dv) = q.data.shape, v.data.shape
     if shapes[1] != (tk, d) or d % heads or dv % heads or shapes[3:] not in ([], [(tq, tk)]):
         raise ShapeMismatch("attention", *shapes)
+    q_lengths = segment_lengths(lengths, tq, "attention")
+    k_lengths = segment_lengths(lengths if key_lengths is None else key_lengths, tk, "attention")
+    if len(q_lengths) != len(k_lengths):
+        raise ShapeMismatch("attention", tuple(q_lengths), tuple(k_lengths))
+    # Key j > query i: each block's causal mask is this one's top-left corner.
+    later = np.triu(np.ones((max(q_lengths), max(k_lengths)), dtype=bool), k=1) if causal else None
     c = 1.0 / np.sqrt(d // heads)
-    qh = q.data.reshape(tq, heads, -1).transpose(1, 0, 2)
-    vh = v.data.reshape(tk, heads, -1).transpose(1, 0, 2)
-    # Keys as contiguous [H, d_head, Tk]: the BLAS layout of a per-head
-    # q @ k.T, so values and gradients match that form bit for bit.
-    kt = np.ascontiguousarray(k.data.reshape(tk, heads, -1).transpose(1, 2, 0))
-    # Softmax in place on the score buffer; fresh arrays cost as much as the products.
-    p = qh @ kt
-    p *= c
-    if mask is not None:
-        np.copyto(p, -1e30, where=np.asarray(mask, dtype=bool))
-    p -= p.max(axis=-1, keepdims=True)
-    np.exp(p, out=p)
-    p /= p.sum(axis=-1, keepdims=True)
-    out = (p @ vh).transpose(1, 0, 2).reshape(tq, dv)
+    out = np.empty((tq, dv))
+    blocks, qs, ks = [], 0, 0
+    for qe, ke in zip(itertools.accumulate(q_lengths), itertools.accumulate(k_lengths)):
+        qh = q.data[qs:qe].reshape(qe - qs, heads, -1).transpose(1, 0, 2)
+        vh = v.data[ks:ke].reshape(ke - ks, heads, -1).transpose(1, 0, 2)
+        # Keys as contiguous [H, d_head, Tk]: the BLAS layout of a per-head
+        # q @ k.T, so values and gradients match that form bit for bit.
+        kt = np.ascontiguousarray(k.data[ks:ke].reshape(ke - ks, heads, -1).transpose(1, 2, 0))
+        # Softmax in place on the score buffer; fresh arrays cost as much as the products.
+        p = qh @ kt
+        p *= c
+        if causal:
+            np.copyto(p, -1e30, where=later[: qe - qs, : ke - ks])
+        if mask is not None:
+            np.copyto(p, -1e30, where=mask[qs:qe, ks:ke])
+        p -= p.max(axis=-1, keepdims=True)
+        np.exp(p, out=p)
+        p /= p.sum(axis=-1, keepdims=True)
+        out[qs:qe] = (p @ vh).transpose(1, 0, 2).reshape(qe - qs, dv)
+        blocks.append((qs, qe, ks, ke, qh, kt, vh, p))
+        qs, ks = qe, ke
 
     def bwd(g):
-        gh = g.reshape(tq, heads, -1).transpose(1, 0, 2)
-        gp = gh @ vh.transpose(0, 2, 1)
-        gs = p * (gp - (gp * p).sum(axis=-1, keepdims=True))
-        gs *= c
-        return (
-            (gs @ kt.transpose(0, 2, 1)).transpose(1, 0, 2).reshape(tq, d),
-            (gs.transpose(0, 2, 1) @ qh).transpose(1, 0, 2).reshape(tk, d),
-            (p.transpose(0, 2, 1) @ gh).transpose(1, 0, 2).reshape(tk, dv),
-        )
+        gq, gk, gv = np.empty((tq, d)), np.empty((tk, d)), np.empty((tk, dv))
+        for qs, qe, ks, ke, qh, kt, vh, p in blocks:
+            gh = g[qs:qe].reshape(qe - qs, heads, -1).transpose(1, 0, 2)
+            gp = gh @ vh.transpose(0, 2, 1)
+            gs = p * (gp - (gp * p).sum(axis=-1, keepdims=True))
+            gs *= c
+            gq[qs:qe] = (gs @ kt.transpose(0, 2, 1)).transpose(1, 0, 2).reshape(qe - qs, d)
+            gk[ks:ke] = (gs.transpose(0, 2, 1) @ qh).transpose(1, 0, 2).reshape(ke - ks, d)
+            gv[ks:ke] = (p.transpose(0, 2, 1) @ gh).transpose(1, 0, 2).reshape(ke - ks, dv)
+        return gq, gk, gv
 
     return _node(out, (q, k, v), bwd, "attention")
 
@@ -459,6 +478,12 @@ def segment_lengths(lengths, rows, op):
     return lengths
 
 
+def _spans(lengths):
+    """(start, end) row span of each of `lengths` consecutive segments."""
+    ends = list(itertools.accumulate(lengths))
+    return list(zip([0, *ends[:-1]], ends))
+
+
 def depthwise_conv1d(x, kernel, lengths=None):
     """Per-channel temporal convolution with same padding; kernel shape [K, C], K odd.
 
@@ -516,10 +541,8 @@ def unfold_time(x, kernel, stride, lengths=None):
     lengths = segment_lengths(lengths, x.data.shape[0], "unfold-time")
     if min(lengths) < kernel:
         raise ShapeMismatch("unfold-time", x.data.shape, (kernel,))
-    starts = np.concatenate([
-        o + stride * np.arange((n - kernel) // stride + 1)
-        for o, n in zip(np.cumsum([0] + lengths[:-1]), lengths)
-    ])
+    starts = np.concatenate([s + stride * np.arange((e - s - kernel) // stride + 1)
+                             for s, e in _spans(lengths)])
     # idx[i, k]: source row of tap k of window i
     idx = (starts[:, None] + np.arange(kernel)).reshape(-1)
     out = x.data[idx].reshape(starts.shape[0], kernel * C)
@@ -703,8 +726,7 @@ def routed_ffn(x, p, selected, experts, eps=1e-5):
         raise ShapeMismatch("routed-ffn", (len(counts),), (len(experts),))
     for e, c in zip(experts, counts):
         _check_ffn("routed-ffn", c, x.data.shape[1], e[:6], *e[6:])
-    ends = list(itertools.accumulate(counts))
-    spans = list(zip([0, *ends[:-1]], ends))
+    spans = _spans(counts)
     params = [[t.data for t in e[:6]] for e in experts]
     group = np.repeat(np.arange(len(counts)), counts)
     vectors = [np.array([a[k] for a in params])[group] for k in (0, 1, 3, 5)]

@@ -17,7 +17,6 @@ from moe_asr.nn import (
     LayerNorm,
     Linear,
     MultiHeadAttention,
-    causal_mask,
     sinusoidal_positions,
 )
 from moe_asr.tensor import Tensor
@@ -101,16 +100,16 @@ class TestConformerBlock:
         calls = []
         attention = T.attention
 
-        def capture(q, k, v, heads, mask=None):
-            calls.append((q.data, k.data, heads, mask))
-            return attention(q, k, v, heads, mask)
+        def capture(q, k, v, heads, lengths=None, key_lengths=None, causal=False, mask=None):
+            calls.append((q.data, k.data, heads, (lengths, key_lengths, causal, mask)))
+            return attention(q, k, v, heads, lengths, key_lengths, causal, mask)
 
         monkeypatch.setattr(T, "attention", capture)
         blk.forward(x)
-        ((q, k, heads, mask),) = calls
+        ((q, k, heads, segments),) = calls
         assert heads == blk.attn.mha.heads
         # Replayed with per-head identity values, each head's context is its map.
-        maps = attention(q, k, np.tile(np.eye(9), heads), heads, mask).data
+        maps = attention(q, k, np.tile(np.eye(9), heads), heads, *segments).data
         attns = np.split(maps, heads, axis=1)
         assert len(attns) == blk.attn.mha.heads
         for attn in attns:
@@ -227,10 +226,6 @@ class TestInitNaming:
         b = Subsample(4, 6).initialize(5)
         for name, pa in a.named_parameters().items():
             assert pa.data.tobytes() == b.named_parameters()[name].data.tobytes()
-
-    def test_causal_mask_shape(self):
-        m = causal_mask(4)
-        assert m[0, 1] and not m[1, 0] and not m[2, 2]
 
     def test_mha_rejects_bad_heads(self):
         with pytest.raises(ValueError, match="divisible"):

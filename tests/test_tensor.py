@@ -1,6 +1,8 @@
 """Autodiff core: forward values against closed forms and loop oracles,
 gradients against finite differences."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -313,7 +315,7 @@ class TestFiniteDifferences:
 
 
 # ---------------------------------------------------------------------------
-# batched attention against a per-head loop
+# batched attention against a per-head loop and the masked dense op
 # ---------------------------------------------------------------------------
 
 
@@ -333,39 +335,120 @@ def _per_head_attention(q, k, v, heads, mask=None):
     return np.concatenate(contexts, axis=-1)
 
 
-# (Tq, Tk, causal): cross-attention reads a longer memory; causal
-# self-attention masks every key after the query.
-ATTENTION_CASES = {"cross": (5, 7, False), "causal": (6, 6, True)}
+def block_mask(lengths, key_lengths, causal):
+    """Dense [sum(lengths), sum(key_lengths)] mask over packed rows: true
+    where a query row of one segment would see a key row of another, or,
+    with `causal`, a later row of its own."""
+    q = np.repeat(np.arange(len(lengths)), lengths)
+    k = np.repeat(np.arange(len(key_lengths)), key_lengths)
+    mask = q[:, None] != k[None, :]
+    if causal:
+        mask |= np.triu(np.ones(mask.shape, dtype=bool), k=1)
+    return mask
+
+
+# (query rows per segment, key rows per segment, causal): cross-attention
+# reads a longer memory; causal self-attention hides every key after the
+# query. A single segment is called without lengths.
+ATTENTION_CASES = {
+    "cross": ((5,), (7,), False),
+    "causal": ((6,), (6,), True),
+    "self-segments": ((4, 6, 5), (4, 6, 5), False),
+    "causal-segments": ((3, 5, 4), (3, 5, 4), True),
+    "cross-segments": ((3, 5, 4), (6, 4, 7), False),
+}
+SEGMENT_CASES = sorted(c for c, (lengths, _, _) in ATTENTION_CASES.items() if len(lengths) > 1)
 
 
 def _attention_inputs(case, seed=40):
-    tq, tk, causal = ATTENTION_CASES[case]
+    """q, k, v, ``T.attention``'s keyword arguments for the case, the
+    equivalent dense mask, and output weights."""
+    lengths, key_lengths, causal = ATTENTION_CASES[case]
+    tq, tk = sum(lengths), sum(key_lengths)
     rng = np.random.default_rng(seed)
     q, k, v = (Tensor(rng.normal(size=(t, 8)), requires_grad=True) for t in (tq, tk, tk))
-    mask = np.triu(np.ones((tq, tk), dtype=bool), k=1) if causal else None
-    return q, k, v, mask, rng.normal(size=(tq, 8))
+    segments = {"causal": causal}
+    if len(lengths) > 1:
+        segments.update(lengths=list(lengths), key_lengths=list(key_lengths))
+    mask = block_mask(lengths, key_lengths, causal)
+    return q, k, v, segments, (mask if mask.any() else None), rng.normal(size=(tq, 8))
+
+
+def _attention_and_grads(q, k, v, heads, w, **kwargs):
+    for t in (q, k, v):
+        t.zero_grad()
+    out = T.attention(q, k, v, heads, **kwargs)
+    T.reduce_sum(T.mul(out, Tensor(w))).backward()
+    return [out.data] + [t.grad.copy() for t in (q, k, v)]
 
 
 class TestAttention:
     @pytest.mark.parametrize("heads", [1, 2, 4])
     @pytest.mark.parametrize("case", sorted(ATTENTION_CASES))
     def test_matches_per_head_loop_exactly(self, case, heads):
-        q, k, v, mask, _ = _attention_inputs(case)
-        out = T.attention(q, k, v, heads, mask)
+        """One segment equals the plain per-head loop bit for bit; packed
+        segments leave the masked zeros out of each softmax sum, so they
+        agree with it to rounding."""
+        q, k, v, segments, mask, _ = _attention_inputs(case)
+        out = T.attention(q, k, v, heads, **segments)
         expected = _per_head_attention(q.data, k.data, v.data, heads, mask)
-        np.testing.assert_array_equal(out.data, expected)
+        if case in SEGMENT_CASES:
+            np.testing.assert_allclose(out.data, expected, rtol=0, atol=1e-12)
+        else:
+            np.testing.assert_array_equal(out.data, expected)
+
+    @pytest.mark.parametrize("heads", [1, 2, 4])
+    @pytest.mark.parametrize("case", SEGMENT_CASES)
+    def test_segments_match_masked_dense_op(self, case, heads):
+        """Each segment's own block alone gives the values and q/k/v
+        gradients of the dense op under the block mask."""
+        q, k, v, segments, mask, w = _attention_inputs(case)
+        got = _attention_and_grads(q, k, v, heads, w, **segments)
+        expected = _attention_and_grads(q, k, v, heads, w, mask=mask)
+        for a, b in zip(got, expected):
+            np.testing.assert_allclose(a, b, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("heads", [1, 2, 4])
+    @pytest.mark.parametrize("case", ["cross", "causal"])
+    def test_one_segment_is_the_call_without_lengths(self, case, heads):
+        q, k, v, segments, _, w = _attention_inputs(case)
+        lengths, key_lengths, _ = ATTENTION_CASES[case]
+        got = _attention_and_grads(q, k, v, heads, w, lengths=list(lengths),
+                                   key_lengths=list(key_lengths), causal=segments["causal"])
+        expected = _attention_and_grads(q, k, v, heads, w, **segments)
+        for a, b in zip(got, expected):
+            assert a.tobytes() == b.tobytes()
 
     @pytest.mark.parametrize("heads", [1, 2, 4])
     @pytest.mark.parametrize("case", sorted(ATTENTION_CASES))
     def test_finite_differences(self, case, heads):
-        q, k, v, mask, w = _attention_inputs(case)
+        q, k, v, segments, _, w = _attention_inputs(case)
 
         def f(ps):
-            return T.reduce_sum(T.mul(T.attention(ps[0], ps[1], ps[2], heads, mask), Tensor(w)))
+            return T.reduce_sum(T.mul(T.attention(ps[0], ps[1], ps[2], heads, **segments),
+                                      Tensor(w)))
 
         # eps 1e-4: the last causal key's gradient is ~1e-5, where the
         # roundoff of a 1e-5 central difference alone is ~1e-6 relative.
         assert T.finite_diff_check(f, [q, k, v], eps=1e-4) < TOL
+
+    def test_segments_cost_their_own_blocks(self):
+        """Forward and backward over 8 segments of 150 rows hold scores for
+        each segment's block only: the peak stays under four [H, T_i, T_i]
+        float64 buffers per segment, where the dense [sum T, sum T] scores
+        alone would take eight times that."""
+        lengths, heads = [150] * 8, 2
+        rng = np.random.default_rng(42)
+        q, k, v = (Tensor(rng.normal(size=(sum(lengths), 16)), requires_grad=True)
+                   for _ in range(3))
+        w = Tensor(rng.normal(size=(sum(lengths), 16)))
+        tracemalloc.start()
+        try:
+            T.reduce_sum(T.mul(T.attention(q, k, v, heads, lengths), w)).backward()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * heads * sum(n * n for n in lengths) * 8
 
     def test_masked_keys_get_zero_weight_and_gradient(self):
         """Key 2 is hidden from every query: its weight, and the gradient
@@ -378,11 +461,12 @@ class TestAttention:
         q, k = (Tensor(rng.normal(size=(t, 8)), requires_grad=True) for t in (tq, tk))
         v = Tensor(rng.normal(size=(tk, 8)), requires_grad=True)
         w = Tensor(rng.normal(size=(tq, 8)))
-        T.reduce_sum(T.mul(T.attention(q, k, v, heads, mask), w)).backward()
+        T.reduce_sum(T.mul(T.attention(q, k, v, heads, mask=mask), w)).backward()
         assert np.all(k.grad[2] == 0.0) and np.all(v.grad[2] == 0.0)
         assert np.all(k.grad[[0, 1, 3, 4, 5]].any(axis=1))
         # Per-head identity values turn each head's context into its weights.
-        weights = T.attention(q.data, k.data, np.tile(np.eye(tk), heads), heads, mask).data
+        weights = T.attention(q.data, k.data, np.tile(np.eye(tk), heads), heads,
+                              mask=mask).data
         for head in np.split(weights, heads, axis=1):
             assert np.all(head[mask] == 0.0) and np.all(head[~mask] > 0.0)
 
@@ -397,7 +481,13 @@ class TestAttention:
         with pytest.raises(T.ShapeMismatch):  # width not divisible by heads
             T.attention(ones(3, 6), ones(4, 6), ones(4, 6), 4)
         with pytest.raises(T.ShapeMismatch):  # mask not [Tq, Tk]
-            T.attention(ones(3, 8), ones(4, 8), ones(4, 8), 2, np.zeros((4, 3), dtype=bool))
+            T.attention(ones(3, 8), ones(4, 8), ones(4, 8), 2, mask=np.zeros((4, 3), dtype=bool))
+        with pytest.raises(T.ShapeMismatch):  # query lengths do not sum to the rows
+            T.attention(ones(5, 8), ones(5, 8), ones(5, 8), 2, [2, 2])
+        with pytest.raises(T.ShapeMismatch):  # key lengths do not sum to the rows
+            T.attention(ones(5, 8), ones(6, 8), ones(6, 8), 2, [2, 3], [3, 2])
+        with pytest.raises(T.ShapeMismatch):  # two query segments, three key segments
+            T.attention(ones(5, 8), ones(6, 8), ones(6, 8), 2, [2, 3], [2, 2, 2])
 
 
 # ---------------------------------------------------------------------------
