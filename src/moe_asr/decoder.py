@@ -6,6 +6,11 @@ contribute train-only losses. The shared start/end symbol is the last
 vocabulary id; teacher forcing feeds [sos] + tokens and scores
 tokens + [eos].
 
+A block is three graph nodes, each a pre-norm sub-layer with its
+residual: causal self-attention, cross-attention (the query side
+normalized, keys and values projected from the encoder rows) and the
+feed-forward.
+
 Teacher forcing also runs a packed batch in one pass: each utterance's
 [sos] + tokens rows are stacked and attention reads their row counts:
 self-attention is causal within each utterance, cross-attention sees only
@@ -55,13 +60,11 @@ class DecoderBlock(Module):
         self.ffn = FeedForward(d, d_ff, dropout)
 
     def forward(self, x, enc, rows=None, enc_rows=None, mask=None):
-        h = self.norm1.forward(x)
-        x = T.add(x, self.dropout1.forward(
-            self.self_attn.forward(h, h, lengths=rows, causal=mask is None, mask=mask)))
-        h = self.norm2.forward(x)
-        x = T.add(x, self.dropout2.forward(
-            self.cross_attn.forward(h, enc, lengths=rows, key_lengths=enc_rows)))
-        return T.add(x, self.ffn.forward(x))
+        x = self.self_attn.forward(x, self.norm1, self.dropout1, lengths=rows,
+                                   causal=mask is None, mask=mask)
+        x = self.cross_attn.forward(x, self.norm2, self.dropout2, enc, lengths=rows,
+                                    key_lengths=enc_rows)
+        return self.ffn.forward(x)
 
 
 class TransformerDecoder(Module):

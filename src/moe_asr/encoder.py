@@ -5,14 +5,17 @@ static embedding network that feeds the routers, which is the same
 Each block computes, in order: half-step feed-forward, self-attention,
 convolution, half-step feed-forward (the routed slot), and a closing
 layernorm. All sub-modules are pre-norm; the residual stream itself is
-never normalized except by that final per-block layernorm.
+never normalized except by that final per-block layernorm. Each sub-module
+takes the residual stream and returns it with its output added (times 0.5
+for the half steps) as one graph node, so a block records five nodes.
 
 Input is [T x D] features, one utterance, or a packed batch: the
 utterances' frames stacked as consecutive rows with `lengths` giving each
 one's row count. Every position-wise layer then runs once on all rows.
 Only subsampling windows, position tables, self-attention (one block per
-utterance, no mask) and the depthwise convolution look at `lengths`, so
-each utterance's rows come out as if it had been encoded alone.
+utterance, no mask) and the convolution sub-module's depthwise
+convolution look at `lengths`, so each utterance's rows come out as if it
+had been encoded alone.
 """
 
 from __future__ import annotations
@@ -90,11 +93,10 @@ class ConformerBlock(Module):
         self.norm_out = LayerNorm(d)
 
     def forward(self, x, e_c=None, lengths=None):
-        x = T.add(x, T.scale(self.ffn1.forward(x), 0.5))
-        x = T.add(x, self.attn.forward(x, lengths))
-        x = T.add(x, self.conv.forward(x, lengths))
-        ffn2_out, record = self.ffn2.forward(x, e_c)
-        x = T.add(x, T.scale(ffn2_out, 0.5))
+        x = self.ffn1.forward(x, c=0.5)
+        x = self.attn.forward(x, lengths)
+        x = self.conv.forward(x, lengths)
+        x, record = self.ffn2.forward(x, e_c, c=0.5)
         return self.norm_out.forward(x), record
 
 

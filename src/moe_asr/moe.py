@@ -6,7 +6,8 @@ is scaled by the winning probability so the routing decision stays on the
 gradient path. A layer routes all frames of a packed batch at once (token
 dispatch, as in GShard and the Switch Transformer): one ``T.routed_ffn``
 node sorts the frames by expert, runs the two matmuls once per used expert
-and everything else once over all rows, and applies the gates. The
+and everything else once over all rows, applies the gates and adds the
+result, times the residual factor, to the residual stream. The
 sparsity and mean-importance losses below act on the layer's router
 distributions over the whole batch.
 """
@@ -78,15 +79,16 @@ class RoutedFFN(Module):
         self.router = Router(d_emb, d, n_experts) if routed else None
         self.experts = [FeedForward(d, d_ff, dropout) for _ in range(n_experts if routed else 1)]
 
-    def forward(self, x, e_c=None, frozen_selected=None):
-        """Returns (output, RoutingRecord or None).
+    def forward(self, x, e_c=None, frozen_selected=None, c=1.0):
+        """Returns (``x + c * f(x)``, RoutingRecord or None); `c` is the
+        residual factor, 0.5 in a macaron block.
 
         ``frozen_selected`` pins the per-frame expert choice (gates are
         still computed from the live router) so gradient checks can hold the
         discrete decision fixed while probabilities stay differentiable.
         """
         if self.router is None:
-            return self.experts[0].forward(x), None
+            return self.experts[0].forward(x, c), None
         if e_c is None:
             raise ValueError("routed layer requires the shared embedding e_c")
         record = self.router.route(e_c, x)
@@ -94,7 +96,7 @@ class RoutedFFN(Module):
             record.selected = np.asarray(frozen_selected, dtype=np.int64)
         counts = record.utilization(len(self.experts))
         experts = [self.experts[e].operands(counts[e]) for e in np.flatnonzero(counts)]
-        return T.routed_ffn(x, record.p, record.selected, experts), record
+        return T.routed_ffn(x, c, record.p, record.selected, experts), record
 
 
 def sparsity_loss(P):

@@ -5,6 +5,13 @@ stream from (seed, crc32 of its full dotted name). Initialization is
 therefore a pure function of seed and name: adding or removing unrelated
 modules never shifts another parameter's initial values, which is what lets
 a single-expert routed model reproduce a dense model's trajectory exactly.
+
+The sub-layers (``FeedForward``, ``MultiHeadAttention`` for self- and
+cross-attention, ``ConvModule``) each run as one fused ``tensor`` node that
+returns the residual stream plus the sub-layer's output. Their
+``LayerNorm``, ``Linear`` and ``Dropout`` children only hold the parameters
+and dropout generators under their usual names; each ``Dropout`` draws its
+mask from its own stream before the node runs.
 """
 
 from __future__ import annotations
@@ -178,8 +185,8 @@ class Module:
 
 
 class Linear(Module):
-    """``x @ weight + bias``: one ``T.linear`` node, or one ``T.matmul``
-    without a bias."""
+    """``x @ weight + bias``, one ``T.linear`` node. A bias-free layer only
+    holds its weight for a fused op (the attention key projection)."""
 
     def __init__(self, d_in, d_out, bias=True):
         super().__init__()
@@ -187,8 +194,6 @@ class Linear(Module):
         self.bias = Parameter((d_out,), uniform_init(d_in)) if bias else None
 
     def forward(self, x):
-        if self.bias is None:
-            return T.matmul(x, self.weight)
         return T.linear(x, self.weight, self.bias)
 
 
@@ -236,9 +241,10 @@ class Dropout(Module):
 
 
 class FeedForward(Module):
-    """Pre-norm position-wise FFN: LN, expand, swish, project back, one
-    ``T.ffn`` node. ``LayerNorm``, ``Linear`` and ``Dropout`` hold the
-    parameters and dropout generators under their usual names."""
+    """Pre-norm position-wise FFN with its residual: ``x + c * f(x)``, f
+    being LN, expand, swish, project back, all one ``T.ffn`` node.
+    ``LayerNorm``, ``Linear`` and ``Dropout`` hold the parameters and
+    dropout generators under their usual names."""
 
     def __init__(self, d, d_ff, dropout=0.0):
         super().__init__()
@@ -248,11 +254,12 @@ class FeedForward(Module):
         self.dropout1 = Dropout(dropout)
         self.dropout2 = Dropout(dropout)
 
-    def forward(self, x):
-        return T.ffn(x, *self.operands(x.data.shape[0]))
+    def forward(self, x, c=1.0):
+        """`c`: the residual factor, 0.5 for a macaron half step."""
+        return T.ffn(x, c, *self.operands(x.data.shape[0]))
 
     def operands(self, rows):
-        """``T.ffn``'s arguments after the input, for `rows` input rows: the
+        """``T.ffn``'s arguments after the factor, for `rows` input rows: the
         six parameters, then each dropout's mask (None when it is off)."""
         d, d_ff = self.w1.weight.shape
         return (self.norm.gamma, self.norm.beta, self.w1.weight, self.w1.bias,
@@ -261,8 +268,9 @@ class FeedForward(Module):
 
 
 class MultiHeadAttention(Module):
-    """Scaled dot-product attention over H heads; [T x d] in, [T x d] out.
-    The projections feed one ``T.attention`` node for all heads."""
+    """Scaled dot-product attention over H heads with its projections;
+    [T x d] in, [T x d] out. Its pre-norm sub-layer, residual and dropout
+    included, runs as one ``T.mha`` node."""
 
     def __init__(self, d, heads):
         super().__init__()
@@ -276,16 +284,19 @@ class MultiHeadAttention(Module):
         self.wv = Linear(d, d)
         self.wo = Linear(d, d)
 
-    def forward(self, query, memory, **segments):
-        """`segments`: ``T.attention``'s lengths, key_lengths, causal and mask."""
-        q = self.wq.forward(query)
-        k = self.wk.forward(memory)
-        v = self.wv.forward(memory)
-        return self.wo.forward(T.attention(q, k, v, self.heads, **segments))
+    def forward(self, x, norm, dropout, memory=None, **segments):
+        """``x + dropout(attention)`` with queries from ``norm(x)`` and keys
+        and values from `memory`, or from ``norm(x)`` when it is None.
+        `norm` and `dropout` are the caller's ``LayerNorm`` and ``Dropout``;
+        `segments` are ``T.mha``'s lengths, key_lengths, causal and mask."""
+        return T.mha(x, memory, self.heads, norm.gamma, norm.beta, self.wq.weight, self.wq.bias,
+                     self.wk.weight, self.wv.weight, self.wv.bias, self.wo.weight,
+                     self.wo.bias, dropout.mask(x.data.shape), **segments)
 
 
 class SelfAttention(Module):
-    """Pre-norm self-attention sub-module used by encoder blocks."""
+    """Pre-norm self-attention sub-layer of encoder blocks, residual
+    included."""
 
     def __init__(self, d, heads, dropout=0.0):
         super().__init__()
@@ -295,13 +306,13 @@ class SelfAttention(Module):
 
     def forward(self, x, lengths=None):
         """`lengths`: rows per utterance of a packed batch (None: one)."""
-        h = self.norm.forward(x)
-        return self.dropout.forward(self.mha.forward(h, h, lengths=lengths))
+        return self.mha.forward(x, self.norm, self.dropout, lengths=lengths)
 
 
 class ConvModule(Module):
-    """Pre-norm convolution sub-module: pointwise expand, GLU gate,
-    same-padded depthwise conv, norm, swish, pointwise project."""
+    """Pre-norm convolution sub-layer, residual included: pointwise expand,
+    GLU gate, same-padded depthwise conv, norm, swish, pointwise project,
+    all one ``T.conv_module`` node."""
 
     def __init__(self, d, kernel, dropout=0.0):
         super().__init__()
@@ -317,10 +328,10 @@ class ConvModule(Module):
 
     def forward(self, x, lengths=None):
         """`lengths`: rows per utterance of a packed batch (None: one)."""
-        h = T.glu(self.pw1.forward(self.norm.forward(x)))
-        h = T.add(T.depthwise_conv1d(h, self.dw_kernel, lengths), self.dw_bias)
-        h = T.swish(self.norm2.forward(h))
-        return self.dropout.forward(self.pw2.forward(h))
+        return T.conv_module(x, self.norm.gamma, self.norm.beta, self.pw1.weight, self.pw1.bias,
+                             self.dw_kernel, self.dw_bias, self.norm2.gamma, self.norm2.beta,
+                             self.pw2.weight, self.pw2.bias, self.dropout.mask(x.data.shape),
+                             lengths)
 
 
 _POSITION_TABLES = {}

@@ -3,18 +3,25 @@
 Everything the models need is built from the primitives here: row-major
 contiguous numpy storage, a recorded computation graph, and a topological
 backward pass that accumulates gradients into leaves only; intermediate
-nodes pass their gradient on and keep none. ``attention`` is one node for
-all heads, batched [H, T, d_head] products with their own backward;
-``linear``, ``layernorm`` (with its affine) and ``glu`` are one node each;
-``ffn`` is a whole pre-norm feed-forward (layernorm, expand, swish,
-dropout, project, dropout) as one node, and ``routed_ffn`` is a top-1
-routed layer as one node: its rows sorted by expert, every step but the two
-matmuls run once over all rows, the matmuls once per used expert;
+nodes pass their gradient on and keep none. ``linear`` and ``layernorm``
+(with its affine) are one node each. Every sub-layer of a Conformer or
+decoder block is one node with its own backward, the residual add
+included: ``ffn`` (layernorm, expand, swish, dropout, project, dropout,
+then ``x + c * f``), ``routed_ffn`` (the same for a top-1 routed layer: its
+rows sorted by expert, every step but the two matmuls run once over all
+rows, the matmuls once per used expert), ``mha`` (layernorm, the four
+projections, all heads' attention as batched [H, T, d_head] products,
+dropout, residual) and ``conv_module`` (layernorm, expand, GLU, depthwise
+convolution, layernorm, swish, project, dropout, residual). Each equals
+the bits of the chain of small nodes it replaces, values and gradients:
+where that chain had an input feed two of its nodes, the fused node lists
+the input twice, so the engine adds the two flows one at a time as before.
 ``matmul`` stays 2-D. A training batch is packed into one graph: its
 utterances' frames are stacked as consecutive rows, and the ops whose rows
-interact (``unfold_time``, ``depthwise_conv1d``, ``attention``) take the
-per-utterance row counts, so no window, tap or attention weight crosses
-from one utterance into the next, and no mask is built for a pack.
+interact (``unfold_time``, ``conv_module``'s convolution, ``mha``'s
+attention) take the per-utterance row counts, so no window, tap or
+attention weight crosses from one utterance into the next, and no mask is
+built for a pack.
 64-bit floats throughout so gradient checks and DP oracles are limited by
 algorithmic correctness, not precision.
 """
@@ -39,13 +46,10 @@ __all__ = [
     "reshape",
     "concat_last",
     "softmax_last",
-    "attention",
     "log_softmax_last",
     "layernorm",
     "swish",
-    "glu",
     "segment_lengths",
-    "depthwise_conv1d",
     "unfold_time",
     "embedding_lookup",
     "gather_last",
@@ -53,6 +57,8 @@ __all__ = [
     "dropout",
     "ffn",
     "routed_ffn",
+    "mha",
+    "conv_module",
     "power",
     "reduce_sum",
     "reduce_mean",
@@ -314,68 +320,6 @@ def softmax_last(a):
     return _node(p, (a,), bwd, "softmax-last-dim")
 
 
-def attention(q, k, v, heads, lengths=None, key_lengths=None, causal=False, mask=None):
-    """Scaled dot-product attention of q [Tq, d] over k [Tk, d] and v [Tk, dv],
-    all heads in one node; head h owns the h-th of `heads` equal column blocks.
-
-    With `lengths` the rows are packed segments: query segment i (lengths[i]
-    rows) sees only key segment i (key_lengths[i] rows, default lengths[i]),
-    and only those blocks are computed, each as the call on it alone.
-    `causal` hides from a segment's row t its keys after row t; a bool
-    `mask` [Tq, Tk] is true where a query may not look. Hidden weights and
-    their gradients are exactly zero while each row keeps one visible key.
-    """
-    q, k, v = _as_tensor(q), _as_tensor(k), _as_tensor(v)
-    shapes = [t.data.shape for t in (q, k, v)] + ([] if mask is None else [np.shape(mask)])
-    if any(t.data.ndim != 2 for t in (q, k, v)):
-        raise ShapeMismatch("attention", *shapes)
-    (tq, d), (tk, dv) = q.data.shape, v.data.shape
-    if shapes[1] != (tk, d) or d % heads or dv % heads or shapes[3:] not in ([], [(tq, tk)]):
-        raise ShapeMismatch("attention", *shapes)
-    q_lengths = segment_lengths(lengths, tq, "attention")
-    k_lengths = segment_lengths(lengths if key_lengths is None else key_lengths, tk, "attention")
-    if len(q_lengths) != len(k_lengths):
-        raise ShapeMismatch("attention", tuple(q_lengths), tuple(k_lengths))
-    # Key j > query i: each block's causal mask is this one's top-left corner.
-    later = np.triu(np.ones((max(q_lengths), max(k_lengths)), dtype=bool), k=1) if causal else None
-    c = 1.0 / np.sqrt(d // heads)
-    out = np.empty((tq, dv))
-    blocks, qs, ks = [], 0, 0
-    for qe, ke in zip(itertools.accumulate(q_lengths), itertools.accumulate(k_lengths)):
-        qh = q.data[qs:qe].reshape(qe - qs, heads, -1).transpose(1, 0, 2)
-        vh = v.data[ks:ke].reshape(ke - ks, heads, -1).transpose(1, 0, 2)
-        # Keys as contiguous [H, d_head, Tk]: the BLAS layout of a per-head
-        # q @ k.T, so values and gradients match that form bit for bit.
-        kt = np.ascontiguousarray(k.data[ks:ke].reshape(ke - ks, heads, -1).transpose(1, 2, 0))
-        # Softmax in place on the score buffer; fresh arrays cost as much as the products.
-        p = qh @ kt
-        p *= c
-        if causal:
-            np.copyto(p, -1e30, where=later[: qe - qs, : ke - ks])
-        if mask is not None:
-            np.copyto(p, -1e30, where=mask[qs:qe, ks:ke])
-        p -= p.max(axis=-1, keepdims=True)
-        np.exp(p, out=p)
-        p /= p.sum(axis=-1, keepdims=True)
-        out[qs:qe] = (p @ vh).transpose(1, 0, 2).reshape(qe - qs, dv)
-        blocks.append((qs, qe, ks, ke, qh, kt, vh, p))
-        qs, ks = qe, ke
-
-    def bwd(g):
-        gq, gk, gv = np.empty((tq, d)), np.empty((tk, d)), np.empty((tk, dv))
-        for qs, qe, ks, ke, qh, kt, vh, p in blocks:
-            gh = g[qs:qe].reshape(qe - qs, heads, -1).transpose(1, 0, 2)
-            gp = gh @ vh.transpose(0, 2, 1)
-            gs = p * (gp - (gp * p).sum(axis=-1, keepdims=True))
-            gs *= c
-            gq[qs:qe] = (gs @ kt.transpose(0, 2, 1)).transpose(1, 0, 2).reshape(qe - qs, d)
-            gk[ks:ke] = (gs.transpose(0, 2, 1) @ qh).transpose(1, 0, 2).reshape(ke - ks, d)
-            gv[ks:ke] = (p.transpose(0, 2, 1) @ gh).transpose(1, 0, 2).reshape(ke - ks, dv)
-        return gq, gk, gv
-
-    return _node(out, (q, k, v), bwd, "attention")
-
-
 def log_softmax_last(a):
     a = _as_tensor(a)
     x = a.data
@@ -443,27 +387,6 @@ def swish(a):
     return _node(x * s, (a,), lambda g: (g * s * (1.0 + x * (1.0 - s)),), "swish")
 
 
-def glu(a):
-    """Gated linear unit over the last dimension: first half times sigmoid of second."""
-    a = _as_tensor(a)
-    width = a.data.shape[-1]
-    if width % 2 != 0:
-        raise ShapeMismatch("glu", a.data.shape)
-    half = width // 2
-    x1, x2 = a.data[..., :half], a.data[..., half:]
-    s = 1.0 / (1.0 + np.exp(-x2))
-
-    def bwd(g):
-        # Added onto zeros, as the unfused graph summed its two zero-padded
-        # slice gradients: a -0.0 comes out +0.0 there too.
-        ga = np.zeros_like(a.data)
-        ga[..., :half] += g * s
-        ga[..., half:] += g * x1 * s * (1.0 - s)
-        return (ga,)
-
-    return _node(x1 * s, (a,), bwd, "glu")
-
-
 def segment_lengths(lengths, rows, op):
     """Row counts of the utterances packed into `rows` rows, in order.
 
@@ -482,48 +405,6 @@ def _spans(lengths):
     """(start, end) row span of each of `lengths` consecutive segments."""
     ends = list(itertools.accumulate(lengths))
     return list(zip([0, *ends[:-1]], ends))
-
-
-def depthwise_conv1d(x, kernel, lengths=None):
-    """Per-channel temporal convolution with same padding; kernel shape [K, C], K odd.
-
-    With `lengths` the rows are consecutive utterances, each padded on its
-    own: a tap that would reach into a neighbour contributes exactly 0.
-    """
-    x, kernel = _as_tensor(x), _as_tensor(kernel)
-    if x.data.ndim != 2 or kernel.data.ndim != 2 or x.data.shape[1] != kernel.data.shape[1]:
-        raise ShapeMismatch("depthwise-conv1d", x.data.shape, kernel.data.shape)
-    K = kernel.data.shape[0]
-    if K % 2 == 0:
-        raise ShapeMismatch("depthwise-conv1d", kernel.data.shape)
-    lengths = segment_lengths(lengths, x.data.shape[0], "depthwise-conv1d")
-    pad = K // 2
-    # Utterance b starts 2*pad*b rows later in the zero-separated layout
-    # [pad zeros, utt 0, 2*pad zeros, utt 1, ..., pad zeros]; `rows` picks
-    # its outputs back out of the convolution over the whole layout.
-    rows = np.arange(x.data.shape[0]) + np.repeat(2 * pad * np.arange(len(lengths)), lengths)
-    T = x.data.shape[0] + 2 * pad * (len(lengths) - 1)
-    xp = np.zeros((T + 2 * pad, x.data.shape[1]))
-    xp[rows + pad] = x.data
-    full = np.zeros((T, x.data.shape[1]))
-    for k in range(K):
-        full += xp[k : k + T] * kernel.data[k]
-    out = full[rows]
-
-    def bwd(g):
-        gx = gk = None
-        gfull = np.zeros_like(full)
-        gfull[rows] = g
-        if x.requires_grad:
-            gxp = np.zeros_like(xp)
-            for k in range(K):
-                gxp[k : k + T] += gfull * kernel.data[k]
-            gx = gxp[rows + pad]
-        if kernel.requires_grad:
-            gk = np.stack([(xp[k : k + T] * gfull).sum(axis=0) for k in range(K)])
-        return (gx, gk)
-
-    return _node(out, (x, kernel), bwd, "depthwise-conv1d")
 
 
 def unfold_time(x, kernel, stride, lengths=None):
@@ -667,94 +548,335 @@ def _ffn_rows(x, spans, w1s, w2s, vectors, mask1, mask2, eps):
     return out, backward
 
 
+def _check_shapes(op, tensors, expected, masks=()):
+    """ShapeMismatch unless the tensors have the `expected` shapes and each
+    ``(mask, shape)`` pair's mask is None or of that shape."""
+    shapes = tuple(t.data.shape for t in tensors)
+    if shapes != tuple(expected) or any(m is not None and m.shape != s for m, s in masks):
+        raise ShapeMismatch(op, *shapes, *[np.shape(m) for m, _ in masks])
+
+
 def _check_ffn(op, rows, d, params, mask1, mask2):
     """ShapeMismatch unless six parameter tensors and two masks fit `rows` rows of width `d`."""
-    gamma, beta, w1, b1, w2, b2 = params
-    shapes = (gamma.data.shape, beta.data.shape, w1.data.shape, b1.data.shape, w2.data.shape,
-              b2.data.shape)
-    f = shapes[2][-1]
-    if (shapes != ((d,), (d,), (d, f), (f,), (f, d), (d,))
-            or (mask1 is not None and mask1.shape != (rows, f))
-            or (mask2 is not None and mask2.shape != (rows, d))):
-        raise ShapeMismatch(op, (rows, d), *shapes, *[np.shape(m) for m in (mask1, mask2)])
+    f = params[2].data.shape[-1]
+    _check_shapes(op, params, ((d,), (d,), (d, f), (f,), (f, d), (d,)),
+                  ((mask1, (rows, f)), (mask2, (rows, d))))
 
 
-def ffn(x, gamma, beta, w1, b1, w2, b2, mask1=None, mask2=None, eps=1e-5):
-    """A pre-norm feed-forward as one node: ``layernorm(x, gamma, beta)``,
-    ``linear`` by (w1, b1), swish, dropout by `mask1` [n, d_ff], ``linear``
-    by (w2, b2), dropout by `mask2` [n, d]; a mask of None is the identity.
-    The six parameters are tensors; the masks are arrays.
-
-    Values and gradients equal the bits of those six nodes chained.
-    """
+def _rows(op, x):
+    """`x` as a tensor, ShapeMismatch unless it is 2-D."""
     x = _as_tensor(x)
-    params = (gamma, beta, w1, b1, w2, b2)
     if x.data.ndim != 2:
-        raise ShapeMismatch("ffn", x.data.shape)
+        raise ShapeMismatch(op, x.data.shape)
+    return x
+
+
+def _residual(x, f, c=1.0):
+    """``x + c * f`` with the bits of a ``scale`` node then an ``add`` node;
+    `f` is a fresh array and is overwritten."""
+    if c != 1.0:
+        f *= c
+    f += x
+    return f
+
+
+def ffn(x, c, gamma, beta, w1, b1, w2, b2, mask1=None, mask2=None, eps=1e-5):
+    """A pre-norm feed-forward with its residual as one node: ``x + c * f``
+    where f is ``layernorm(x, gamma, beta)``, ``linear`` by (w1, b1), swish,
+    dropout by `mask1` [n, d_ff], ``linear`` by (w2, b2), dropout by `mask2`
+    [n, d]; a mask of None is the identity. The six parameters are tensors;
+    the masks are arrays.
+
+    Values and gradients equal the bits of those six nodes, ``scale`` and
+    ``add`` chained. `x` is a parent twice, once for the residual and once
+    for the layernorm, so the engine adds its two flows as it did for them.
+    """
+    x = _rows("ffn", x)
+    params = (gamma, beta, w1, b1, w2, b2)
     rows, d = x.data.shape
     _check_ffn("ffn", rows, d, params, mask1, mask2)
     out, backward = _ffn_rows(x.data, [(0, rows)], [w1.data], [w2.data],
                               (gamma.data, beta.data, b1.data, b2.data), mask1, mask2, eps)
 
     def bwd(g):
-        gx, (grads,) = backward(g, x.requires_grad)
-        return (gx, *grads)
+        gx, (grads,) = backward(g * c, x.requires_grad)
+        return (g, gx, *grads)
 
-    return _node(out, (x, *params), bwd, "ffn")
+    return _node(_residual(x.data, out, c), (x, x, *params), bwd, "ffn")
 
 
-def routed_ffn(x, p, selected, experts, eps=1e-5):
-    """A top-1 routed feed-forward layer as one node: row i of `x` runs
-    through expert selected[i] and is scaled by its gate p[i, selected[i]].
+def routed_ffn(x, c, p, selected, experts, eps=1e-5):
+    """A top-1 routed feed-forward layer with its residual as one node:
+    ``x + c * f`` where row i of f is row i of `x` through expert
+    selected[i], scaled by its gate p[i, selected[i]].
 
-    `experts` holds ``ffn``'s arguments after `x` (six parameter tensors,
+    `experts` holds ``ffn``'s arguments after `c` (six parameter tensors,
     two masks for that expert's row count) for each expert `selected` names,
     in ascending index order; only they are parents, so an expert without
     rows gets no gradient. Rows are ordered by expert with a stable sort;
     gamma, beta and the biases are gathered per row once each, and values
     and gradients equal the bits of each used expert's ``ffn`` chain on its
-    rows in frame order, scattered back and multiplied by the gate.
+    rows in frame order, scattered back, multiplied by the gate, scaled and
+    added to `x`. Like ``ffn``'s, `x` is a parent twice.
     """
-    x, p = _as_tensor(x), _as_tensor(p)
+    x, p = _rows("routed-ffn", x), _as_tensor(p)
     selected = np.asarray(selected, dtype=np.int64)
     rows = x.data.shape[0]
-    if x.data.ndim != 2 or p.data.shape[:1] != (rows,) or selected.shape != (rows,):
+    if p.data.shape[:1] != (rows,) or selected.shape != (rows,):
         raise ShapeMismatch("routed-ffn", x.data.shape, p.data.shape, selected.shape)
     counts = np.bincount(selected, minlength=p.data.shape[-1])
     counts = counts[counts > 0].tolist()
     if len(counts) != len(experts):
         raise ShapeMismatch("routed-ffn", (len(counts),), (len(experts),))
-    for e, c in zip(experts, counts):
-        _check_ffn("routed-ffn", c, x.data.shape[1], e[:6], *e[6:])
+    for e, n in zip(experts, counts):
+        _check_ffn("routed-ffn", n, x.data.shape[1], e[:6], *e[6:])
     spans = _spans(counts)
     params = [[t.data for t in e[:6]] for e in experts]
     group = np.repeat(np.arange(len(counts)), counts)
     vectors = [np.array([a[k] for a in params])[group] for k in (0, 1, 3, 5)]
     w1s, w2s = [a[2] for a in params], [a[4] for a in params]
     mask1, mask2 = (None if all(e[k] is None for e in experts) else np.concatenate(
-        [np.ones((c, w.shape[1])) if e[k] is None else e[k]
-         for e, c, w in zip(experts, counts, ws)]) for k, ws in ((6, w1s), (7, w2s)))
+        [np.ones((n, w.shape[1])) if e[k] is None else e[k]
+         for e, n, w in zip(experts, counts, ws)]) for k, ws in ((6, w1s), (7, w2s)))
     order = np.argsort(selected, kind="stable")
     ys, backward = _ffn_rows(x.data[order], spans, w1s, w2s, vectors, mask1, mask2, eps)
     y = np.empty_like(ys)
     y[order] = ys
     frames = np.arange(rows)
     gate = p.data[frames, selected][:, None]
-    out = y * gate
 
     def bwd(g):
+        gc = g * c
         gp = None
         if p.requires_grad:
             gp = np.zeros_like(p.data)
-            np.add.at(gp, (frames, selected), (g * y).sum(axis=1))
-        gxs, grads = backward((g * gate)[order], x.requires_grad)
+            np.add.at(gp, (frames, selected), (gc * y).sum(axis=1))
+        gxs, grads = backward((gc * gate)[order], x.requires_grad)
         gx = None
         if gxs is not None:
             gx = np.empty_like(gxs)
             gx[order] = gxs
-        return (gx, gp, *[gr for expert_grads in grads for gr in expert_grads])
+        return (g, gx, gp, *[gr for expert_grads in grads for gr in expert_grads])
 
-    return _node(out, (x, p, *[t for e in experts for t in e[:6]]), bwd, "routed-ffn")
+    parents = (x, x, p, *[t for e in experts for t in e[:6]])
+    return _node(_residual(x.data, y * gate, c), parents, bwd, "routed-ffn")
+
+
+def _attention_rows(q, k, v, heads, lengths=None, key_lengths=None, causal=False, mask=None):
+    """Scaled dot-product attention of arrays q [Tq, d] over k [Tk, d] and
+    v [Tk, dv], all heads at once; head h owns the h-th of `heads` equal
+    column blocks. Returns the output and ``backward(g)`` -> (gq, gk, gv).
+
+    With `lengths` the rows are packed segments: query segment i (lengths[i]
+    rows) sees only key segment i (key_lengths[i] rows, default lengths[i]),
+    and only those blocks are computed, each as the call on it alone.
+    `causal` hides from a segment's row t its keys after row t; a bool
+    `mask` [Tq, Tk] is true where a query may not look. Hidden weights and
+    their gradients are exactly zero while each row keeps one visible key.
+    """
+    shapes = [np.shape(t) for t in (q, k, v)] + ([] if mask is None else [np.shape(mask)])
+    if any(len(s) != 2 for s in shapes[:3]):
+        raise ShapeMismatch("attention", *shapes)
+    (tq, d), (tk, dv) = shapes[0], shapes[2]
+    if shapes[1] != (tk, d) or d % heads or dv % heads or shapes[3:] not in ([], [(tq, tk)]):
+        raise ShapeMismatch("attention", *shapes)
+    q_lengths = segment_lengths(lengths, tq, "attention")
+    k_lengths = segment_lengths(lengths if key_lengths is None else key_lengths, tk, "attention")
+    if len(q_lengths) != len(k_lengths):
+        raise ShapeMismatch("attention", tuple(q_lengths), tuple(k_lengths))
+    # Key j > query i: each block's causal mask is this one's top-left corner.
+    later = np.triu(np.ones((max(q_lengths), max(k_lengths)), dtype=bool), k=1) if causal else None
+    c = 1.0 / np.sqrt(d // heads)
+    out = np.empty((tq, dv))
+    blocks, qs, ks = [], 0, 0
+    for qe, ke in zip(itertools.accumulate(q_lengths), itertools.accumulate(k_lengths)):
+        qh = q[qs:qe].reshape(qe - qs, heads, -1).transpose(1, 0, 2)
+        vh = v[ks:ke].reshape(ke - ks, heads, -1).transpose(1, 0, 2)
+        # Keys as contiguous [H, d_head, Tk]: the BLAS layout of a per-head
+        # q @ k.T, so values and gradients match that form bit for bit.
+        kt = np.ascontiguousarray(k[ks:ke].reshape(ke - ks, heads, -1).transpose(1, 2, 0))
+        # Softmax in place on the score buffer; fresh arrays cost as much as the products.
+        p = qh @ kt
+        p *= c
+        if causal:
+            np.copyto(p, -1e30, where=later[: qe - qs, : ke - ks])
+        if mask is not None:
+            np.copyto(p, -1e30, where=mask[qs:qe, ks:ke])
+        p -= p.max(axis=-1, keepdims=True)
+        np.exp(p, out=p)
+        p /= p.sum(axis=-1, keepdims=True)
+        out[qs:qe] = (p @ vh).transpose(1, 0, 2).reshape(qe - qs, dv)
+        blocks.append((qs, qe, ks, ke, qh, kt, vh, p))
+        qs, ks = qe, ke
+
+    def backward(g):
+        gq, gk, gv = np.empty((tq, d)), np.empty((tk, d)), np.empty((tk, dv))
+        for qs, qe, ks, ke, qh, kt, vh, p in blocks:
+            gh = g[qs:qe].reshape(qe - qs, heads, -1).transpose(1, 0, 2)
+            gp = gh @ vh.transpose(0, 2, 1)
+            gs = p * (gp - (gp * p).sum(axis=-1, keepdims=True))
+            gs *= c
+            gq[qs:qe] = (gs @ kt.transpose(0, 2, 1)).transpose(1, 0, 2).reshape(qe - qs, d)
+            gk[ks:ke] = (gs.transpose(0, 2, 1) @ qh).transpose(1, 0, 2).reshape(ke - ks, d)
+            gv[ks:ke] = (p.transpose(0, 2, 1) @ gh).transpose(1, 0, 2).reshape(ke - ks, dv)
+        return gq, gk, gv
+
+    return out, backward
+
+
+def mha(x, memory, heads, gamma, beta, wq, bq, wk, wv, bv, wo, bo, drop=None, lengths=None,
+        key_lengths=None, causal=False, mask=None, eps=1e-5):
+    """A pre-norm attention sub-layer with its residual as one node:
+    ``x + dropout(linear(attention(q, k, v), wo, bo))``.
+
+    q is ``linear(layernorm(x, gamma, beta), wq, bq)``; k is ``src @ wk``
+    and v ``linear(src, wv, bv)``, where src is that layernorm output
+    (self-attention, `memory` None) or `memory` (cross-attention: only the
+    query side is normalized). Dropout is by the array `drop` (None: the
+    identity). `lengths`, `key_lengths`, `causal` and `mask` select the
+    visible keys as ``_attention_rows`` says.
+
+    Values and gradients equal the bits of the unfused chain of nodes. The
+    flows into the layernorm output add as q, k, v; `x` is a parent twice
+    (residual, layernorm) and `memory` twice (k, v), so the engine adds
+    those flows one at a time, as it did for the nodes they replace.
+    """
+    x = _rows("mha", x)
+    memory = None if memory is None else _rows("mha", memory)
+    params = (gamma, beta, wq, bq, wk, wv, bv, wo, bo)
+    d = x.data.shape[1]
+    dm = d if memory is None else memory.data.shape[1]
+    dq, dv = wq.data.shape[-1], wv.data.shape[-1]
+    _check_shapes("mha", params, ((d,), (d,), (d, dq), (dq,), (dm, dq), (dm, dv), (dv,),
+                                  (dv, d), (d,)), ((drop, x.data.shape),))
+    n, y, inv = _layernorm_rows(x.data, gamma.data, beta.data, eps)
+    src = n if memory is None else memory.data
+    q = n @ wq.data
+    q += bq.data
+    k = src @ wk.data
+    v = src @ wv.data
+    v += bv.data
+    a, attention_backward = _attention_rows(q, k, v, heads, lengths, key_lengths, causal, mask)
+    o = a @ wo.data
+    o += bo.data
+    if drop is not None:
+        o *= drop
+
+    def bwd(g):
+        go = g if drop is None else g * drop
+        gq, gk, gv = attention_backward(go @ wo.data.T)
+        gn, gsk, gsv = gq @ wq.data.T, gk @ wk.data.T, gv @ wv.data.T
+        if memory is None:
+            gn = gn + gsk + gsv
+        grads = (g, _layernorm_input_grad(gn * gamma.data, y, inv), (gn * y).sum(axis=0),
+                 gn.sum(axis=0), n.T @ gq, gq.sum(axis=0), src.T @ gk, src.T @ gv,
+                 gv.sum(axis=0), a.T @ go, go.sum(axis=0))
+        return grads if memory is None else (*grads, gsk, gsv)
+
+    parents = (x, x, *params) + (() if memory is None else (memory, memory))
+    return _node(_residual(x.data, o), parents, bwd, "mha")
+
+
+def _glu(a):
+    """Gated linear unit of the array `a` over its last dimension: first
+    half times sigmoid of second. Returns the output and ``backward(g)``."""
+    width = a.shape[-1]
+    if width % 2 != 0:
+        raise ShapeMismatch("glu", a.shape)
+    half = width // 2
+    x1, x2 = a[..., :half], a[..., half:]
+    s = 1.0 / (1.0 + np.exp(-x2))
+
+    def backward(g):
+        # Added onto zeros, as the unfused graph summed its two zero-padded
+        # slice gradients: a -0.0 comes out +0.0 there too.
+        ga = np.zeros_like(a)
+        ga[..., :half] += g * s
+        ga[..., half:] += g * x1 * s * (1.0 - s)
+        return ga
+
+    return x1 * s, backward
+
+
+def _depthwise_conv(x, kernel, lengths=None):
+    """Per-channel temporal convolution of the array `x` [T, C] with same
+    padding; `kernel` [K, C], K odd. Returns the output and
+    ``backward(g)`` -> (gx, gkernel).
+
+    With `lengths` the rows are consecutive utterances, each padded on its
+    own: a tap that would reach into a neighbour contributes exactly 0.
+    """
+    if x.ndim != 2 or kernel.ndim != 2 or x.shape[1] != kernel.shape[1] or kernel.shape[0] % 2 == 0:
+        raise ShapeMismatch("depthwise-conv1d", x.shape, kernel.shape)
+    K = kernel.shape[0]
+    lengths = segment_lengths(lengths, x.shape[0], "depthwise-conv1d")
+    pad = K // 2
+    # Utterance b starts 2*pad*b rows later in the zero-separated layout
+    # [pad zeros, utt 0, 2*pad zeros, utt 1, ..., pad zeros]; `rows` picks
+    # its outputs back out of the convolution over the whole layout.
+    rows = np.arange(x.shape[0]) + np.repeat(2 * pad * np.arange(len(lengths)), lengths)
+    T = x.shape[0] + 2 * pad * (len(lengths) - 1)
+    xp = np.zeros((T + 2 * pad, x.shape[1]))
+    xp[rows + pad] = x
+    full = np.zeros((T, x.shape[1]))
+    for k in range(K):
+        full += xp[k : k + T] * kernel[k]
+
+    def backward(g):
+        gfull = np.zeros_like(full)
+        gfull[rows] = g
+        gxp = np.zeros_like(xp)
+        for k in range(K):
+            gxp[k : k + T] += gfull * kernel[k]
+        gk = np.stack([(xp[k : k + T] * gfull).sum(axis=0) for k in range(K)])
+        return gxp[rows + pad], gk
+
+    return full[rows], backward
+
+
+def conv_module(x, gamma, beta, w1, b1, kernel, kernel_bias, gamma2, beta2, w2, b2, drop=None,
+                lengths=None, eps=1e-5):
+    """A pre-norm convolution sub-layer with its residual as one node:
+    ``x + dropout(linear(swish(layernorm(conv + kernel_bias, gamma2,
+    beta2)), w2, b2))``, where conv is the per-channel convolution by
+    `kernel` [K, C] of ``glu(linear(layernorm(x, gamma, beta), w1, b1))``,
+    each of the packed utterances of `lengths` padded on its own. Dropout
+    is by the array `drop` (None: the identity).
+
+    Values and gradients equal the bits of the unfused chain of nodes; `x`
+    is a parent twice, as ``ffn``'s is.
+    """
+    x = _rows("conv-module", x)
+    params = (gamma, beta, w1, b1, kernel, kernel_bias, gamma2, beta2, w2, b2)
+    d, (K, C) = x.data.shape[1], kernel.data.shape
+    _check_shapes("conv-module", params, ((d,), (d,), (d, 2 * C), (2 * C,), (K, C), (C,), (C,),
+                                          (C,), (C, d), (d,)), ((drop, x.data.shape),))
+    n, y, inv = _layernorm_rows(x.data, gamma.data, beta.data, eps)
+    a = n @ w1.data
+    a += b1.data
+    u, glu_backward = _glu(a)
+    h, conv_backward = _depthwise_conv(u, kernel.data, lengths)
+    h += kernel_bias.data
+    n2, y2, inv2 = _layernorm_rows(h, gamma2.data, beta2.data, eps)
+    s = 1.0 / (1.0 + np.exp(-n2))
+    z = n2 * s
+    o = z @ w2.data
+    o += b2.data
+    if drop is not None:
+        o *= drop
+
+    def bwd(g):
+        go = g if drop is None else g * drop
+        gn2 = (go @ w2.data.T) * s * (1.0 + n2 * (1.0 - s))
+        gh = _layernorm_input_grad(gn2 * gamma2.data, y2, inv2)
+        gu, gkernel = conv_backward(gh)
+        ga = glu_backward(gu)
+        gn = ga @ w1.data.T
+        return (g, _layernorm_input_grad(gn * gamma.data, y, inv), (gn * y).sum(axis=0),
+                gn.sum(axis=0), n.T @ ga, ga.sum(axis=0), gkernel, gh.sum(axis=0),
+                (gn2 * y2).sum(axis=0), gn2.sum(axis=0), z.T @ go, go.sum(axis=0))
+
+    return _node(_residual(x.data, o), (x, x, *params), bwd, "conv-module")
 
 
 def power(a, p):
@@ -778,9 +900,17 @@ def reduce_sum(a, axis=None, keepdims=False):
 
 
 def reduce_mean(a, axis=None, keepdims=False):
+    """The sum times 1/count as one node, with the bits of ``reduce_sum``
+    then ``scale``."""
     a = _as_tensor(a)
-    count = a.data.size if axis is None else a.data.shape[axis]
-    return scale(reduce_sum(a, axis=axis, keepdims=keepdims), 1.0 / count)
+    c = 1.0 / (a.data.size if axis is None else a.data.shape[axis])
+    out = a.data.sum(axis=axis, keepdims=keepdims) * c
+
+    def bwd(g):
+        gg = g * c if axis is None or keepdims else np.expand_dims(g * c, axis)
+        return (np.broadcast_to(gg, a.data.shape).copy(),)
+
+    return _node(out, (a,), bwd, "reduce-mean")
 
 
 def finite_diff_check(f, params, eps=1e-5, max_coords_per_param=None, rng=None):

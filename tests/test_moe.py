@@ -92,8 +92,8 @@ class TestDispatch:
         x = Tensor(rng.normal(size=(7, 6)))
         e_c = Tensor(rng.normal(size=(7, 3)))
         y, rec = layer.forward(x, e_c)
-        expected = layer.experts[0].forward(x).data * rec.gates[:, None]
-        np.testing.assert_allclose(y.data, expected, atol=1e-12)
+        shared = layer.experts[0].forward(x).data - x.data
+        np.testing.assert_allclose(y.data, x.data + shared * rec.gates[:, None], atol=1e-12)
 
     def test_every_frame_processed_exactly_once(self):
         layer = self._layer(seed=3)
@@ -200,6 +200,16 @@ def _routed_chain(x, p, selected, experts, g):
     return y * gate, [gx, gp, *grads]
 
 
+def _plus_residual(chain, x, c, *args):
+    """``x + c * f`` and its gradients from ``chain(x, *args, upstream)``,
+    which gives f and f's gradients, x's first; the last of `args` is the
+    upstream gradient g. x's two flows add as the engine adds them: the
+    residual's g, then f's."""
+    *args, g = args
+    out, grads = chain(x, *args, g * c)
+    return x + out * c, [g + grads[0], *grads[1:]]
+
+
 def _mask(rng, shape, p=0.3):
     return (rng.random(shape) >= p) / (1.0 - p)
 
@@ -224,6 +234,8 @@ def _assert_bits(got, expected):
 
 
 # selection per frame of 4 experts: a one-row expert and idle experts
+# the residual factor per row count: the decoder's 1, a macaron half step
+FACTORS = {1: 1.0, 5: 0.5}
 SELECTIONS = {
     "one-row-and-idle": [2, 0, 2, 3, 0, 2, 0],
     "all-on-one": [1, 1, 1, 1, 1],
@@ -240,9 +252,10 @@ class TestFusedFeedForward:
         params, masks = _expert(rng, rows, train=train)
         x = Tensor(rng.normal(size=(rows, 6)), requires_grad=True)
         g = rng.normal(size=(rows, 6))
-        out = T.ffn(x, *params, *masks)
+        out = T.ffn(x, FACTORS[rows], *params, *masks)
         T.reduce_sum(T.mul(out, Tensor(g))).backward()
-        ref_out, ref_grads = _ffn_chain(x.data, *_arrays(params, masks), g)
+        ref_out, ref_grads = _plus_residual(_ffn_chain, x.data, FACTORS[rows],
+                                            *_arrays(params, masks), g)
         _assert_bits([out.data, x.grad] + [t.grad for t in params], [ref_out, *ref_grads])
 
     @pytest.mark.parametrize("train", [True, False], ids=["train", "eval"])
@@ -259,10 +272,11 @@ class TestFusedFeedForward:
         raw = rng.random((len(selected), 4)) + 0.1
         p = Tensor(raw / raw.sum(axis=1, keepdims=True), requires_grad=True)
         g = rng.normal(size=x.shape)
-        out = T.routed_ffn(x, p, selected, [(*ps, *ms) for ps, ms in experts])
+        out = T.routed_ffn(x, 0.5, p, selected, [(*ps, *ms) for ps, ms in experts])
         T.reduce_sum(T.mul(out, Tensor(g))).backward()
-        ref_out, ref_grads = _routed_chain(
-            x.data, p.data, selected, [_arrays(ps, ms) for ps, ms in experts], g)
+        ref_out, ref_grads = _plus_residual(
+            _routed_chain, x.data, 0.5, p.data, selected,
+            [_arrays(ps, ms) for ps, ms in experts], g)
         got = [out.data, x.grad, p.grad] + [t.grad for ps, _ in experts for t in ps]
         _assert_bits(got, [ref_out, *ref_grads])
 
@@ -272,7 +286,7 @@ class TestFusedFeedForward:
         params, masks = _expert(rng, rows)
         x = Tensor(rng.normal(size=(rows, 6)), requires_grad=True)
         g = Tensor(rng.normal(size=(rows, 6)))
-        f = lambda ps: T.reduce_sum(T.mul(T.ffn(ps[0], *ps[1:], *masks), g))  # noqa: E731
+        f = lambda ps: T.reduce_sum(T.mul(T.ffn(ps[0], 0.5, *ps[1:], *masks), g))  # noqa: E731
         assert T.finite_diff_check(f, [x, *params]) < 1e-6
 
     def test_routed_finite_differences(self):
@@ -286,7 +300,7 @@ class TestFusedFeedForward:
 
         def f(ps):
             groups = [(*ps[2 + 6 * i : 8 + 6 * i], *ms) for i, ms in enumerate(masks)]
-            return T.reduce_sum(T.mul(T.routed_ffn(ps[0], ps[1], selected, groups), g))
+            return T.reduce_sum(T.mul(T.routed_ffn(ps[0], 0.5, ps[1], selected, groups), g))
 
         assert T.finite_diff_check(f, [x, p] + [t for ps, _ in experts for t in ps]) < 1e-6
 
@@ -295,16 +309,16 @@ class TestFusedFeedForward:
         params, masks = _expert(rng, 3)
         x = Tensor(np.ones((3, 6)))
         with pytest.raises(T.ShapeMismatch):  # input width is not the gain's
-            T.ffn(Tensor(np.ones((3, 5))), *params)
+            T.ffn(Tensor(np.ones((3, 5))), 1.0, *params)
         with pytest.raises(T.ShapeMismatch):  # expand and project disagree
-            T.ffn(x, *params[:4], Tensor(np.ones((9, 6))), params[5])
+            T.ffn(x, 1.0, *params[:4], Tensor(np.ones((9, 6))), params[5])
         with pytest.raises(T.ShapeMismatch):  # a mask for another row count
-            T.ffn(x, *params, masks[0][:2], None)
+            T.ffn(x, 1.0, *params, masks[0][:2], None)
         p = Tensor(np.full((3, 4), 0.25))
         with pytest.raises(T.ShapeMismatch):  # two experts named, one given
-            T.routed_ffn(x, p, [0, 1, 1], [(*params, None, None)])
+            T.routed_ffn(x, 1.0, p, [0, 1, 1], [(*params, None, None)])
         with pytest.raises(T.ShapeMismatch):  # masks sized for all rows, expert has two
-            T.routed_ffn(x, p, [0, 0, 2], [(*params, *masks)] * 2)
+            T.routed_ffn(x, 1.0, p, [0, 0, 2], [(*params, *masks)] * 2)
 
 
 class TestFusedLayers:
@@ -318,11 +332,11 @@ class TestFusedLayers:
         rng = np.random.default_rng(97)
         x = Tensor(rng.normal(size=(5, 6)), requires_grad=True)
         g = rng.normal(size=(5, 6))
-        out = ffn.forward(x)
+        out = ffn.forward(x, 0.5)
         T.reduce_sum(T.mul(out, Tensor(g))).backward()
         params = list(ffn.named_parameters().values())
         masks = [_mask(s, (5, w)) for s, w in zip(streams, (10, 6))] if train else [None, None]
-        ref_out, ref_grads = _ffn_chain(x.data, *_arrays(params, masks), g)
+        ref_out, ref_grads = _plus_residual(_ffn_chain, x.data, 0.5, *_arrays(params, masks), g)
         _assert_bits([out.data, x.grad] + [t.grad for t in params], [ref_out, *ref_grads])
 
     @pytest.mark.parametrize("frozen", [None, [3, 3, 0, 1, 3, 0, 0]], ids=["live", "frozen"])
@@ -338,7 +352,7 @@ class TestFusedLayers:
         x = Tensor(rng.normal(size=(7, 6)), requires_grad=True)
         e_c = Tensor(rng.normal(size=(7, 3)))
         g = rng.normal(size=(7, 6))
-        out, rec = layer.forward(x, e_c, frozen_selected=frozen)
+        out, rec = layer.forward(x, e_c, frozen_selected=frozen, c=0.5)
         T.reduce_sum(T.mul(out, Tensor(g))).backward()
         if frozen is not None:
             np.testing.assert_array_equal(rec.selected, frozen)
@@ -351,9 +365,10 @@ class TestFusedLayers:
             masks = ([_mask(s, (counts[e], w)) for s, w in zip(streams[e], (10, 6))]
                      if train else [None, None])
             experts.append((params, masks))
-        ref_out, ref_grads = _routed_chain(
-            x.data, rec.p.data, rec.selected, [_arrays(ps, ms) for ps, ms in experts], g)
-        # x's second consumer is the router: softmax, then matmul, then concat.
+        ref_out, ref_grads = _plus_residual(
+            _routed_chain, x.data, 0.5, rec.p.data, rec.selected,
+            [_arrays(ps, ms) for ps, ms in experts], g)
+        # x's last consumer is the router: softmax, then matmul, then concat.
         P, gp = rec.p.data, ref_grads[1]
         g_logits = P * (gp - (gp * P).sum(axis=-1, keepdims=True))
         g_route = (g_logits @ layer.router.weight.data.T)[:, 3:]
@@ -379,8 +394,8 @@ class TestFusedLayers:
         e_c = Tensor(rng.normal(size=(6, 3)))
         g = Tensor(rng.normal(size=(6, 6)))
         xr, xd = Tensor(x, requires_grad=True), Tensor(x, requires_grad=True)
-        out, rec = routed.forward(xr, e_c)
-        ref = dense.forward(xd)
+        out, rec = routed.forward(xr, e_c, c=0.5)
+        ref = dense.forward(xd, 0.5)
         T.reduce_sum(T.mul(out, g)).backward()
         T.reduce_sum(T.mul(ref, g)).backward()
         assert rec.gates.tolist() == [1.0] * 6

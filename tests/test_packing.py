@@ -156,15 +156,15 @@ def test_lengths_must_cover_every_row():
         ctc_loss(np.log(np.full((5, 3), 1.0 / 3)), [[0], [1]], [2, 2])
 
 
-def test_one_batch_is_one_graph_of_bounded_size(monkeypatch):
-    """A 4-utterance batch through a 16-expert desk model records under
-    1,000 graph nodes; one chain per utterance recorded about 2,500."""
+def _recorded_desk_batch(monkeypatch, num_experts):
+    """Op names of the nodes recorded (those with a backward) by the
+    training graph of a seeded 4-utterance batch through the desk model."""
     rng = np.random.default_rng(3)
     batch = [
         FeatureSequence(f"u{i}", rng.normal(size=(n, 80)), [1, 4, 2, 7, 3])
         for i, n in enumerate((92, 114, 105, 60))
     ]
-    model = SpeechModel(ModelConfig.desk_scale(11, num_experts=16)).initialize(3)
+    model = SpeechModel(ModelConfig.desk_scale(11, num_experts=num_experts)).initialize(3)
     model.train()
     recorded = []
     node = T._node
@@ -177,4 +177,18 @@ def test_one_batch_is_one_graph_of_bounded_size(monkeypatch):
 
     monkeypatch.setattr(T, "_node", counted)
     batch_losses(model, batch, TrainConfig(seed=3))
+    return recorded
+
+
+def test_one_batch_is_one_graph_of_bounded_size(monkeypatch):
+    """A 4-utterance batch through a 16-expert desk model records under
+    1,000 graph nodes; one chain per utterance recorded about 2,500."""
+    recorded = _recorded_desk_batch(monkeypatch, 16)
     assert 0 < len(recorded) < 1000, len(recorded)
+
+
+@pytest.mark.parametrize("num_experts,nodes", [(16, 190), (0, 108)])
+def test_batch_graph_size(monkeypatch, num_experts, nodes):
+    """The same batch records exactly this many nodes, two decoder blocks
+    per decoder: one per sub-layer, residual included, and one per mean."""
+    assert len(_recorded_desk_batch(monkeypatch, num_experts)) == nodes

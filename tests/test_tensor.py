@@ -10,6 +10,32 @@ from moe_asr import tensor as T
 from moe_asr.tensor import Tensor
 
 
+def _op(helper, arity, name):
+    """A fused op's private `helper` (arrays in; output and backward out)
+    as a one-node op on tensors, named `name`: its first `arity` arguments
+    are the operands, the rest pass through."""
+
+    def op(*args, **kwargs):
+        inputs = [a if isinstance(a, Tensor) else Tensor(a) for a in args[:arity]]
+        out, backward = helper(*[t.data for t in inputs], *args[arity:], **kwargs)
+
+        def bwd(g):
+            grads = backward(g)
+            return grads if isinstance(grads, tuple) else (grads,)
+
+        return T._node(out, inputs, bwd, name)
+
+    op.__name__ = name
+    return op
+
+
+# The attention, GLU and depthwise convolution bodies of ``T.mha`` and
+# ``T.conv_module``, each as its own node.
+attention = _op(T._attention_rows, 3, "attention")
+glu = _op(T._glu, 1, "glu")
+depthwise_conv1d = _op(T._depthwise_conv, 2, "depthwise_conv1d")
+
+
 def layernorm(a):
     """``T.layernorm`` under a fixed, non-trivial affine, as a unary op."""
     d = a.data.shape[-1]
@@ -56,7 +82,7 @@ class TestForward:
     def test_glu_halves_width(self):
         rng = np.random.default_rng(10)
         x = rng.normal(size=(4, 8))
-        out = T.glu(Tensor(x)).data
+        out = glu(Tensor(x)).data
         expected = x[:, :4] * (1.0 / (1.0 + np.exp(-x[:, 4:])))
         np.testing.assert_allclose(out, expected, atol=1e-12)
 
@@ -71,7 +97,7 @@ class TestForward:
         Tn, C, K = 8, 16, 15
         x = rng.normal(size=(Tn, C))
         w = rng.normal(size=(K, C))
-        out = T.depthwise_conv1d(Tensor(x), Tensor(w)).data
+        out = depthwise_conv1d(Tensor(x), Tensor(w)).data
 
         pad = K // 2
         expected = np.zeros_like(x)
@@ -102,7 +128,7 @@ class TestForward:
         with pytest.raises(T.ShapeMismatch):
             T.matmul(Tensor(np.ones((2, 3))), Tensor(np.ones((4, 5))))
         with pytest.raises(T.ShapeMismatch):
-            T.depthwise_conv1d(Tensor(np.ones((4, 3))), Tensor(np.ones((2, 3))))
+            depthwise_conv1d(Tensor(np.ones((4, 3))), Tensor(np.ones((2, 3))))
 
 
 # ---------------------------------------------------------------------------
@@ -177,7 +203,7 @@ UNARY_OPS = [
     T.log_softmax_last,
     layernorm,
     T.swish,
-    T.glu,
+    glu,
     lambda a: T.power(T.add(a, 3.0), 1.7),
     lambda a: T.reshape(a, (2, 12)),
     lambda a: T.reduce_mean(a, axis=0),
@@ -227,7 +253,7 @@ class TestFiniteDifferences:
         k = Tensor(rng.normal(size=(3, 5)), requires_grad=True)
         w = rng.normal(size=(6, 5))
         err = T.finite_diff_check(
-            lambda ps: T.reduce_sum(T.mul(T.depthwise_conv1d(ps[0], ps[1]), Tensor(w))),
+            lambda ps: T.reduce_sum(T.mul(depthwise_conv1d(ps[0], ps[1]), Tensor(w))),
             [x, k],
         )
         assert err < TOL
@@ -361,7 +387,7 @@ SEGMENT_CASES = sorted(c for c, (lengths, _, _) in ATTENTION_CASES.items() if le
 
 
 def _attention_inputs(case, seed=40):
-    """q, k, v, ``T.attention``'s keyword arguments for the case, the
+    """q, k, v, ``attention``'s keyword arguments for the case, the
     equivalent dense mask, and output weights."""
     lengths, key_lengths, causal = ATTENTION_CASES[case]
     tq, tk = sum(lengths), sum(key_lengths)
@@ -377,7 +403,7 @@ def _attention_inputs(case, seed=40):
 def _attention_and_grads(q, k, v, heads, w, **kwargs):
     for t in (q, k, v):
         t.zero_grad()
-    out = T.attention(q, k, v, heads, **kwargs)
+    out = attention(q, k, v, heads, **kwargs)
     T.reduce_sum(T.mul(out, Tensor(w))).backward()
     return [out.data] + [t.grad.copy() for t in (q, k, v)]
 
@@ -390,7 +416,7 @@ class TestAttention:
         segments leave the masked zeros out of each softmax sum, so they
         agree with it to rounding."""
         q, k, v, segments, mask, _ = _attention_inputs(case)
-        out = T.attention(q, k, v, heads, **segments)
+        out = attention(q, k, v, heads, **segments)
         expected = _per_head_attention(q.data, k.data, v.data, heads, mask)
         if case in SEGMENT_CASES:
             np.testing.assert_allclose(out.data, expected, rtol=0, atol=1e-12)
@@ -425,7 +451,7 @@ class TestAttention:
         q, k, v, segments, _, w = _attention_inputs(case)
 
         def f(ps):
-            return T.reduce_sum(T.mul(T.attention(ps[0], ps[1], ps[2], heads, **segments),
+            return T.reduce_sum(T.mul(attention(ps[0], ps[1], ps[2], heads, **segments),
                                       Tensor(w)))
 
         # eps 1e-4: the last causal key's gradient is ~1e-5, where the
@@ -444,7 +470,7 @@ class TestAttention:
         w = Tensor(rng.normal(size=(sum(lengths), 16)))
         tracemalloc.start()
         try:
-            T.reduce_sum(T.mul(T.attention(q, k, v, heads, lengths), w)).backward()
+            T.reduce_sum(T.mul(attention(q, k, v, heads, lengths), w)).backward()
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -461,11 +487,11 @@ class TestAttention:
         q, k = (Tensor(rng.normal(size=(t, 8)), requires_grad=True) for t in (tq, tk))
         v = Tensor(rng.normal(size=(tk, 8)), requires_grad=True)
         w = Tensor(rng.normal(size=(tq, 8)))
-        T.reduce_sum(T.mul(T.attention(q, k, v, heads, mask=mask), w)).backward()
+        T.reduce_sum(T.mul(attention(q, k, v, heads, mask=mask), w)).backward()
         assert np.all(k.grad[2] == 0.0) and np.all(v.grad[2] == 0.0)
         assert np.all(k.grad[[0, 1, 3, 4, 5]].any(axis=1))
         # Per-head identity values turn each head's context into its weights.
-        weights = T.attention(q.data, k.data, np.tile(np.eye(tk), heads), heads,
+        weights = attention(q.data, k.data, np.tile(np.eye(tk), heads), heads,
                               mask=mask).data
         for head in np.split(weights, heads, axis=1):
             assert np.all(head[mask] == 0.0) and np.all(head[~mask] > 0.0)
@@ -475,19 +501,19 @@ class TestAttention:
             return Tensor(np.ones(shape))
 
         with pytest.raises(T.ShapeMismatch):  # query and key widths differ
-            T.attention(ones(3, 8), ones(4, 6), ones(4, 8), 2)
+            attention(ones(3, 8), ones(4, 6), ones(4, 8), 2)
         with pytest.raises(T.ShapeMismatch):  # key and value lengths differ
-            T.attention(ones(3, 8), ones(4, 8), ones(5, 8), 2)
+            attention(ones(3, 8), ones(4, 8), ones(5, 8), 2)
         with pytest.raises(T.ShapeMismatch):  # width not divisible by heads
-            T.attention(ones(3, 6), ones(4, 6), ones(4, 6), 4)
+            attention(ones(3, 6), ones(4, 6), ones(4, 6), 4)
         with pytest.raises(T.ShapeMismatch):  # mask not [Tq, Tk]
-            T.attention(ones(3, 8), ones(4, 8), ones(4, 8), 2, mask=np.zeros((4, 3), dtype=bool))
+            attention(ones(3, 8), ones(4, 8), ones(4, 8), 2, mask=np.zeros((4, 3), dtype=bool))
         with pytest.raises(T.ShapeMismatch):  # query lengths do not sum to the rows
-            T.attention(ones(5, 8), ones(5, 8), ones(5, 8), 2, [2, 2])
+            attention(ones(5, 8), ones(5, 8), ones(5, 8), 2, [2, 2])
         with pytest.raises(T.ShapeMismatch):  # key lengths do not sum to the rows
-            T.attention(ones(5, 8), ones(6, 8), ones(6, 8), 2, [2, 3], [3, 2])
+            attention(ones(5, 8), ones(6, 8), ones(6, 8), 2, [2, 3], [3, 2])
         with pytest.raises(T.ShapeMismatch):  # two query segments, three key segments
-            T.attention(ones(5, 8), ones(6, 8), ones(6, 8), 2, [2, 3], [2, 2, 2])
+            attention(ones(5, 8), ones(6, 8), ones(6, 8), 2, [2, 3], [2, 2, 2])
 
 
 # ---------------------------------------------------------------------------
@@ -526,7 +552,7 @@ def _unfused_glu(a, g):
 FUSED_OPS = {
     "linear": (T.linear, lambda rows: [(rows, 6), (6, 4), (4,)], 4, _unfused_linear),
     "layernorm": (T.layernorm, lambda rows: [(rows, 6), (6,), (6,)], 6, _unfused_layernorm),
-    "glu": (T.glu, lambda rows: [(rows, 8)], 4, _unfused_glu),
+    "glu": (glu, lambda rows: [(rows, 8)], 4, _unfused_glu),
 }
 
 
@@ -569,4 +595,4 @@ class TestFusedOps:
         with pytest.raises(T.ShapeMismatch):  # gain not [d]
             T.layernorm(ones(3, 4), ones(3), ones(4))
         with pytest.raises(T.ShapeMismatch):  # odd width cannot be halved
-            T.glu(ones(3, 5))
+            glu(ones(3, 5))
