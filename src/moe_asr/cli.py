@@ -3,9 +3,10 @@ flops.
 
 Every config field is also a long flag (underscores become dashes); a
 field's value comes from its flag, else the --config file, else (for
-vocab_size and feat_dim) the prepared corpus, else its default. Each run
-directory gets the resolved snapshot (config.json) plus a run manifest.
-Timestamps live only in the manifest, so every other artifact is
+vocab_size and feat_dim) the prepared corpus, else its default. A model
+that cannot read the corpus (``_check_fits_corpus``) stops a command before
+it writes anything. Each run directory gets the resolved snapshot
+(config.json) plus a run manifest. Timestamps live only in the manifest, so every other artifact is
 byte-reproducible from equal inputs.
 """
 
@@ -76,6 +77,19 @@ def _corpus_defaults(data_dir):
     with open(Path(data_dir) / "corpus.json", "r", encoding="utf-8") as fh:
         summary = json.load(fh)
     return {"vocab_size": int(summary["vocab_size"]) + 1, "feat_dim": int(summary["feat_dim"])}
+
+
+def _check_fits_corpus(model_cfg, data_dir, vocab=True):
+    """ValueError, naming the field and both values, unless a model of
+    `model_cfg` reads the corpus in data_dir: the same feat_dim and, with
+    `vocab`, a vocabulary holding every corpus token plus sos/eos."""
+    corpus = _corpus_defaults(data_dir)
+    if model_cfg.feat_dim != corpus["feat_dim"]:
+        raise ValueError(f"feat_dim {model_cfg.feat_dim} does not match the corpus feat_dim"
+                         f" {corpus['feat_dim']}")
+    if vocab and model_cfg.vocab_size < corpus["vocab_size"]:
+        raise ValueError(f"vocab_size {model_cfg.vocab_size} is below {corpus['vocab_size']},"
+                         " the corpus token inventory plus sos/eos")
 
 
 def _resolve(args, sections, data_dir=None):
@@ -158,6 +172,7 @@ def cmd_prepare(args):
 
 def cmd_pretrain_embedding(args):
     model_cfg, train_cfg, _ = _resolve(args, ("model", "train"), args.data)
+    _check_fits_corpus(model_cfg, args.data)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     snapshot = _snapshot(out, model=model_cfg, train=train_cfg)
@@ -172,6 +187,7 @@ def cmd_pretrain_embedding(args):
 
 def cmd_train(args):
     model_cfg, train_cfg, _ = _resolve(args, ("model", "train"), args.data)
+    _check_fits_corpus(model_cfg, args.data)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     snapshot = _snapshot(out, model=model_cfg, train=train_cfg)
@@ -188,6 +204,7 @@ def cmd_train(args):
 def cmd_decode(args):
     _, _, decode_cfg = _resolve(args, ("decode",))
     model = load_model(args.checkpoint).eval()
+    _check_fits_corpus(model.cfg, args.data, vocab=False)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     snapshot = _snapshot(out, model=model.cfg, decode=decode_cfg)

@@ -3,8 +3,9 @@
 Every dataclass field is a setting, and ``__post_init__`` rejects an
 invalid value by name. The command line exposes each field as a flag and as
 a key of a ``--config`` section (``cli._resolve`` sets the precedence).
-Values the paper's recipe fixes are constants in ``training`` instead: the
-Adam moments and epsilon, the gradient clip and the SpecAugment masks.
+Values the paper's recipe fixes are constants instead: the Adam moments and
+epsilon and the gradient clip in ``training``, the SpecAugment masks in
+``features`` and the layernorm epsilon in ``tensor``.
 
 Token-id conventions used across the package:
   - Data tokens occupy ids 0..vocab_size-2.

@@ -169,8 +169,9 @@ class Hypothesis:
 
 
 def prefix_beam_search(log_probs, beam, nbest):
-    """CTC prefix search keeping (blank-ending, nonblank-ending) log masses
-    per prefix; returns the top `nbest` distinct prefixes by total mass.
+    """CTC prefix search over the array `log_probs` [frames x classes],
+    keeping (blank-ending, nonblank-ending) log masses per prefix; returns
+    the top `nbest` distinct prefixes by total mass.
 
     The beam is a set of arrays with one entry per prefix, and each prefix
     is a node of an interned trie keyed by (parent node, class), so a
@@ -187,7 +188,7 @@ def prefix_beam_search(log_probs, beam, nbest):
     """
     if not beam >= nbest >= 1:
         raise ValueError(f"need beam >= nbest >= 1, got beam={beam}, nbest={nbest}")
-    lp = np.asarray(log_probs.data if isinstance(log_probs, Tensor) else log_probs, np.float64)
+    lp = np.asarray(log_probs, np.float64)
     classes = lp.shape[1]
     trie, links = {}, [(0, 0)]  # links[n] = (parent node, class) of node n > 0
 

@@ -22,6 +22,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from . import tensor as T
 from .moe import RoutedFFN
 from .nn import (
@@ -32,7 +34,7 @@ from .nn import (
     Linear,
     Module,
     SelfAttention,
-    segment_positions,
+    sinusoidal_positions,
 )
 from .tensor import Tensor
 
@@ -143,7 +145,10 @@ class Encoder(Module):
         h = self.subsample.forward(feats, lengths)
         if lengths is not None:
             lengths = [subsampled_length(t_in) for t_in in lengths]
-        h = T.add(h, Tensor(segment_positions(lengths or [h.data.shape[0]], h.data.shape[1])))
+        # Each utterance's positions count from 0 again.
+        rows = lengths or [h.data.shape[0]]
+        positions = np.concatenate([np.arange(n) for n in rows])
+        h = T.add(h, Tensor(sinusoidal_positions(max(rows), h.data.shape[1])[positions]))
         h = self.dropout.forward(h)
         taps, records = {}, []
         tap_at = set(self.cfg.tap_blocks())

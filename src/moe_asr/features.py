@@ -199,24 +199,31 @@ def load_normalized_split(data_dir, split):
     return [apply_cmvn(h.load(), stats) for h in load_manifest(data_dir / f"{split}.jsonl")]
 
 
-def spec_augment(seq, rng, F=30, T_mask=50, n_freq=2, n_time=2):
-    """Zero out random frequency bands and time spans (training only).
+MASK_WIDTH = 10  # widest SpecAugment band, sized for the short synthetic utterances
 
-    Widths are uniform integers inclusive of zero (a zero-width draw leaves
-    the input untouched); positions uniform over valid offsets. The fill
-    value 0.0 equals the corpus mean after normalization. Frequency masks
-    are drawn before time masks so a fixed rng gives bit-identical output.
+
+def spec_augment(seq, rng, F=None):
+    """Zero out two random frequency bands and two time spans (training only).
+
+    Each band is up to `F` feature dims wide (default ``MASK_WIDTH``, cut to
+    the feature dim; an explicit `F` above it raises), each span up to
+    ``MASK_WIDTH`` frames. Widths are uniform integers inclusive of zero (a
+    zero-width draw leaves the input untouched); positions uniform over
+    valid offsets. The fill value 0.0 equals the corpus mean after
+    normalization. Frequency masks are drawn before time masks so a fixed
+    rng gives bit-identical output.
     """
     T, D = seq.feats.shape
+    F = min(MASK_WIDTH, D) if F is None else F
     if F > D:
         raise ValueError(f"max frequency-mask width {F} exceeds feature dim {D}")
     out = seq.feats.copy()
-    for _ in range(n_freq):
+    for _ in range(2):
         w = int(rng.integers(0, F + 1))
         start = int(rng.integers(0, D - w + 1))
         out[:, start : start + w] = 0.0
-    for _ in range(n_time):
-        w = min(int(rng.integers(0, T_mask + 1)), T)
+    for _ in range(2):
+        w = min(int(rng.integers(0, MASK_WIDTH + 1)), T)
         start = int(rng.integers(0, T - w + 1))
         out[start : start + w, :] = 0.0
     return FeatureSequence(seq.utt_id, out, seq.tokens)

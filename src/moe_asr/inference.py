@@ -21,7 +21,6 @@ from .ctc import prefix_beam_search
 from .decoder import rescore
 from .encoder import subsampled_length
 from .model import parameter_total
-from .tensor import Tensor
 
 # ---------------------------------------------------------------------------
 # decoding
@@ -29,8 +28,9 @@ from .tensor import Tensor
 
 
 def decode_nbest(model, feats, beam, nbest, mu):
-    """CTC N-best hypotheses rescored by the attention decoder, all of them
-    in one decoder pass over their prefix trie.
+    """CTC N-best hypotheses for one utterance's features (a ``Tensor``),
+    rescored by the attention decoder, all of them in one decoder pass over
+    their prefix trie.
 
     Returns hypotheses sorted by combined = aed_score + mu * ctc_score,
     best first; ties keep the CTC beam's own ordering. A model still in
@@ -39,7 +39,7 @@ def decode_nbest(model, feats, beam, nbest, mu):
     if model.training:
         model.eval()
     with T.no_grad():
-        out, _ = model.encode(feats if isinstance(feats, Tensor) else Tensor(feats))
+        out, _ = model.encode(feats)
         log_probs = model.ctc_log_probs(out.final)
         hyps = prefix_beam_search(log_probs.data, beam, nbest)
         scores = rescore(model.decoder, out.final, [hyp.tokens for hyp in hyps])

@@ -9,6 +9,7 @@ configs cost almost nothing. The cost accountant relies on them.
 
 from __future__ import annotations
 
+from . import tensor as T
 from .decoder import TransformerDecoder
 from .encoder import EmbeddingNetwork, Encoder
 from .nn import Linear, Module
@@ -39,8 +40,6 @@ class SpeechModel(Module):
         return self.encoder.forward(feats, e_c, lengths), e_c
 
     def ctc_log_probs(self, enc_final):
-        from . import tensor as T
-
         return T.log_softmax_last(self.ctc_head.forward(enc_final))
 
 

@@ -11,7 +11,8 @@ cross-attention, ``ConvModule``) each run as one fused ``tensor`` node that
 returns the residual stream plus the sub-layer's output. Their
 ``LayerNorm``, ``Linear`` and ``Dropout`` children only hold the parameters
 and dropout generators under their usual names; each ``Dropout`` draws its
-mask from its own stream before the node runs.
+mask from its own stream before the node runs. A ``Dropout`` used on its
+own (after the position table) applies the same mask as one ``T.mul``.
 """
 
 from __future__ import annotations
@@ -223,21 +224,19 @@ class Dropout(Module):
         self.rng = None
 
     def forward(self, x):
-        if not self.training or self.p <= 0.0:
-            return x
-        return T.dropout(x, self.p, self._seeded(), training=True)
+        """`x` times its mask as one ``T.mul`` node; `x` itself when off."""
+        mask = self.mask(x.data.shape)
+        return x if mask is None else T.mul(x, Tensor(mask))
 
     def mask(self, shape):
-        """The mask ``forward`` would apply to an input of `shape`, drawn from
-        this module's generator; None where ``forward`` is the identity."""
+        """The inverted-dropout mask for an input of `shape`, drawn from
+        this module's generator: 0 where dropped, 1/(1-p) where kept; None
+        in eval mode or at p=0."""
         if not self.training or self.p <= 0.0:
             return None
-        return T.dropout_mask(shape, self.p, self._seeded())
-
-    def _seeded(self):
         if self.rng is None:
             raise RuntimeError("dropout used in training mode before seeding")
-        return self.rng
+        return (self.rng.random(shape) >= self.p) / (1.0 - self.p)
 
 
 class FeedForward(Module):
@@ -355,11 +354,3 @@ def sinusoidal_positions(length, d):
         table.flags.writeable = False
         _POSITION_TABLES[d] = table
     return table[:length]
-
-
-def segment_positions(lengths, d):
-    """Position rows for packed utterances: each counts from 0 again, so
-    utterance i gets the first lengths[i] rows of the sinusoidal table."""
-    total = sum(lengths)
-    starts = np.repeat(np.cumsum([0] + list(lengths[:-1])), lengths)
-    return sinusoidal_positions(max(lengths), d)[np.arange(total) - starts]

@@ -16,6 +16,8 @@ convolution, layernorm, swish, project, dropout, residual). Each equals
 the bits of the chain of small nodes it replaces, values and gradients:
 where that chain had an input feed two of its nodes, the fused node lists
 the input twice, so the engine adds the two flows one at a time as before.
+A dropout is a mask array the caller draws, applied inside a fused node
+or by ``mul``.
 ``matmul`` stays 2-D. A training batch is packed into one graph: its
 utterances' frames are stacked as consecutive rows, and the ops whose rows
 interact (``unfold_time``, ``conv_module``'s convolution, ``mha``'s
@@ -53,8 +55,6 @@ __all__ = [
     "unfold_time",
     "embedding_lookup",
     "gather_last",
-    "dropout_mask",
-    "dropout",
     "ffn",
     "routed_ffn",
     "mha",
@@ -64,6 +64,9 @@ __all__ = [
     "reduce_mean",
     "finite_diff_check",
 ]
+
+# Variance floor of every layernorm, fused or not.
+LAYERNORM_EPS = 1e-5
 
 _state = threading.local()
 
@@ -238,11 +241,7 @@ def linear(x, w, b):
 
 def add(a, b):
     """Elementwise sum with numpy broadcasting (used for biases too)."""
-    if not isinstance(b, Tensor):
-        a = _as_tensor(a)
-        out = a.data + float(b)
-        return _node(out, (a,), lambda g: (g,), "add")
-    a = _as_tensor(a)
+    a, b = _as_tensor(a), _as_tensor(b)
     try:
         out = a.data + b.data
     except ValueError:
@@ -335,13 +334,13 @@ def log_softmax_last(a):
     return _node(out, (a,), bwd, "log-softmax-last-dim")
 
 
-def _layernorm_rows(x, gamma, beta, eps):
+def _layernorm_rows(x, gamma, beta):
     """Affine layernorm over the last dimension: (output, normalized y, 1/std)."""
     d = x.shape[-1]
     mu = np.add.reduce(x, axis=-1, keepdims=True) / d
     xc = x - mu
     var = np.add.reduce(xc * xc, axis=-1, keepdims=True) / d
-    inv = 1.0 / np.sqrt(var + eps)
+    inv = 1.0 / np.sqrt(var + LAYERNORM_EPS)
     y = xc * inv
     out = y * gamma
     out += beta
@@ -356,19 +355,19 @@ def _layernorm_input_grad(gn, y, inv):
     return inv * (gn - gm - y * gy)
 
 
-def layernorm(a, gamma, beta, eps=1e-5):
+def layernorm(a, gamma, beta):
     """Normalize the last dimension to zero mean, unit variance, then apply
     the affine ``(y * gamma) + beta``, all in one node.
 
     A zero-variance row normalizes to all zero (so comes out as ``beta``):
-    the variance is floored by eps, which keeps padded or constant frames
-    finite.
+    the variance is floored by ``LAYERNORM_EPS``, which keeps padded or
+    constant frames finite.
     """
     a, gamma, beta = _as_tensor(a), _as_tensor(gamma), _as_tensor(beta)
     x = a.data
     if gamma.data.shape != x.shape[-1:] or beta.data.shape != x.shape[-1:]:
         raise ShapeMismatch("layernorm", x.shape, gamma.data.shape, beta.data.shape)
-    out, y, inv = _layernorm_rows(x, gamma.data, beta.data, eps)
+    out, y, inv = _layernorm_rows(x, gamma.data, beta.data)
 
     def bwd(g):
         return (
@@ -476,20 +475,6 @@ def gather_last(a, ids):
     return _node(out, (a,), bwd, "gather-last")
 
 
-def dropout_mask(shape, p, rng):
-    """Inverted-dropout mask drawn from `rng`: 0 where dropped, 1/(1-p) where kept."""
-    return (rng.random(shape) >= p) / (1.0 - p)
-
-
-def dropout(a, p, rng, training):
-    """Inverted dropout; the identity (same tensor) in eval mode or at p=0."""
-    if not training or p <= 0.0:
-        return a
-    a = _as_tensor(a)
-    mask = dropout_mask(a.data.shape, p, rng)
-    return _node(a.data * mask, (a,), lambda g: (g * mask,), "dropout")
-
-
 def _matmul_groups(a, ws, spans):
     """``a[s:e] @ w`` for each group's rows and matrix, into one output."""
     if len(ws) == 1:
@@ -500,7 +485,7 @@ def _matmul_groups(a, ws, spans):
     return out
 
 
-def _ffn_rows(x, spans, w1s, w2s, vectors, mask1, mask2, eps):
+def _ffn_rows(x, spans, w1s, w2s, vectors, mask1, mask2):
     """The pre-norm feed-forward chain over consecutive row groups of `x`.
 
     Group i owns rows spans[i] = (start, end) and the matrices w1s[i] and
@@ -513,7 +498,7 @@ def _ffn_rows(x, spans, w1s, w2s, vectors, mask1, mask2, eps):
     parameter gradients in ``ffn``'s order).
     """
     gamma, beta, b1, b2 = vectors
-    n, y, inv = _layernorm_rows(x, gamma, beta, eps)
+    n, y, inv = _layernorm_rows(x, gamma, beta)
     h = _matmul_groups(n, w1s, spans)
     h += b1
     sig = 1.0 / (1.0 + np.exp(-h))
@@ -580,7 +565,7 @@ def _residual(x, f, c=1.0):
     return f
 
 
-def ffn(x, c, gamma, beta, w1, b1, w2, b2, mask1=None, mask2=None, eps=1e-5):
+def ffn(x, c, gamma, beta, w1, b1, w2, b2, mask1=None, mask2=None):
     """A pre-norm feed-forward with its residual as one node: ``x + c * f``
     where f is ``layernorm(x, gamma, beta)``, ``linear`` by (w1, b1), swish,
     dropout by `mask1` [n, d_ff], ``linear`` by (w2, b2), dropout by `mask2`
@@ -596,7 +581,7 @@ def ffn(x, c, gamma, beta, w1, b1, w2, b2, mask1=None, mask2=None, eps=1e-5):
     rows, d = x.data.shape
     _check_ffn("ffn", rows, d, params, mask1, mask2)
     out, backward = _ffn_rows(x.data, [(0, rows)], [w1.data], [w2.data],
-                              (gamma.data, beta.data, b1.data, b2.data), mask1, mask2, eps)
+                              (gamma.data, beta.data, b1.data, b2.data), mask1, mask2)
 
     def bwd(g):
         gx, (grads,) = backward(g * c, x.requires_grad)
@@ -605,7 +590,7 @@ def ffn(x, c, gamma, beta, w1, b1, w2, b2, mask1=None, mask2=None, eps=1e-5):
     return _node(_residual(x.data, out, c), (x, x, *params), bwd, "ffn")
 
 
-def routed_ffn(x, c, p, selected, experts, eps=1e-5):
+def routed_ffn(x, c, p, selected, experts):
     """A top-1 routed feed-forward layer with its residual as one node:
     ``x + c * f`` where row i of f is row i of `x` through expert
     selected[i], scaled by its gate p[i, selected[i]].
@@ -639,7 +624,7 @@ def routed_ffn(x, c, p, selected, experts, eps=1e-5):
         [np.ones((n, w.shape[1])) if e[k] is None else e[k]
          for e, n, w in zip(experts, counts, ws)]) for k, ws in ((6, w1s), (7, w2s)))
     order = np.argsort(selected, kind="stable")
-    ys, backward = _ffn_rows(x.data[order], spans, w1s, w2s, vectors, mask1, mask2, eps)
+    ys, backward = _ffn_rows(x.data[order], spans, w1s, w2s, vectors, mask1, mask2)
     y = np.empty_like(ys)
     y[order] = ys
     frames = np.arange(rows)
@@ -725,7 +710,7 @@ def _attention_rows(q, k, v, heads, lengths=None, key_lengths=None, causal=False
 
 
 def mha(x, memory, heads, gamma, beta, wq, bq, wk, wv, bv, wo, bo, drop=None, lengths=None,
-        key_lengths=None, causal=False, mask=None, eps=1e-5):
+        key_lengths=None, causal=False, mask=None):
     """A pre-norm attention sub-layer with its residual as one node:
     ``x + dropout(linear(attention(q, k, v), wo, bo))``.
 
@@ -749,7 +734,7 @@ def mha(x, memory, heads, gamma, beta, wq, bq, wk, wv, bv, wo, bo, drop=None, le
     dq, dv = wq.data.shape[-1], wv.data.shape[-1]
     _check_shapes("mha", params, ((d,), (d,), (d, dq), (dq,), (dm, dq), (dm, dv), (dv,),
                                   (dv, d), (d,)), ((drop, x.data.shape),))
-    n, y, inv = _layernorm_rows(x.data, gamma.data, beta.data, eps)
+    n, y, inv = _layernorm_rows(x.data, gamma.data, beta.data)
     src = n if memory is None else memory.data
     q = n @ wq.data
     q += bq.data
@@ -835,7 +820,7 @@ def _depthwise_conv(x, kernel, lengths=None):
 
 
 def conv_module(x, gamma, beta, w1, b1, kernel, kernel_bias, gamma2, beta2, w2, b2, drop=None,
-                lengths=None, eps=1e-5):
+                lengths=None):
     """A pre-norm convolution sub-layer with its residual as one node:
     ``x + dropout(linear(swish(layernorm(conv + kernel_bias, gamma2,
     beta2)), w2, b2))``, where conv is the per-channel convolution by
@@ -851,13 +836,13 @@ def conv_module(x, gamma, beta, w1, b1, kernel, kernel_bias, gamma2, beta2, w2, 
     d, (K, C) = x.data.shape[1], kernel.data.shape
     _check_shapes("conv-module", params, ((d,), (d,), (d, 2 * C), (2 * C,), (K, C), (C,), (C,),
                                           (C,), (C, d), (d,)), ((drop, x.data.shape),))
-    n, y, inv = _layernorm_rows(x.data, gamma.data, beta.data, eps)
+    n, y, inv = _layernorm_rows(x.data, gamma.data, beta.data)
     a = n @ w1.data
     a += b1.data
     u, glu_backward = _glu(a)
     h, conv_backward = _depthwise_conv(u, kernel.data, lengths)
     h += kernel_bias.data
-    n2, y2, inv2 = _layernorm_rows(h, gamma2.data, beta2.data, eps)
+    n2, y2, inv2 = _layernorm_rows(h, gamma2.data, beta2.data)
     s = 1.0 / (1.0 + np.exp(-n2))
     z = n2 * s
     o = z @ w2.data
@@ -886,28 +871,26 @@ def power(a, p):
     return _node(out, (a,), lambda g: (g * p * a.data ** (p - 1.0),), "power")
 
 
-def reduce_sum(a, axis=None, keepdims=False):
+def reduce_sum(a, axis=None):
     a = _as_tensor(a)
-    out = a.data.sum(axis=axis, keepdims=keepdims)
+    out = a.data.sum(axis=axis)
 
     def bwd(g):
-        if axis is None:
-            return (np.broadcast_to(g, a.data.shape).copy(),)
-        gg = g if keepdims else np.expand_dims(g, axis)
+        gg = g if axis is None else np.expand_dims(g, axis)
         return (np.broadcast_to(gg, a.data.shape).copy(),)
 
     return _node(out, (a,), bwd, "reduce-sum")
 
 
-def reduce_mean(a, axis=None, keepdims=False):
+def reduce_mean(a, axis=None):
     """The sum times 1/count as one node, with the bits of ``reduce_sum``
     then ``scale``."""
     a = _as_tensor(a)
     c = 1.0 / (a.data.size if axis is None else a.data.shape[axis])
-    out = a.data.sum(axis=axis, keepdims=keepdims) * c
+    out = a.data.sum(axis=axis) * c
 
     def bwd(g):
-        gg = g * c if axis is None or keepdims else np.expand_dims(g * c, axis)
+        gg = g * c if axis is None else np.expand_dims(g * c, axis)
         return (np.broadcast_to(gg, a.data.shape).copy(),)
 
     return _node(out, (a,), bwd, "reduce-mean")

@@ -31,7 +31,7 @@ from . import tensor as T
 from .checkpoint import load_pretrained_embedding, save_embedding, save_model
 from .ctc import ctc_loss
 from .decoder import multi_level_aed
-from .encoder import EmbeddingNetwork, subsampled_length
+from .encoder import EmbeddingNetwork
 from .features import load_normalized_split, spec_augment, utterance_rng
 from .model import SpeechModel
 from .moe import (
@@ -288,22 +288,10 @@ class _Batcher:
 
 
 def _augmented(batch, train_cfg):
-    # Two frequency and two time masks of width up to 10, sized for the short
-    # synthetic utterances (production-length audio would use the wider
-    # spec_augment defaults); a band never spans more than the feature dim.
     if not train_cfg.augment:
         return [seq for seq, _ in batch]
-    return [
-        spec_augment(
-            seq,
-            utterance_rng(train_cfg.seed, seq.utt_id, epoch),
-            F=min(10, seq.feats.shape[1]),
-            T_mask=10,
-            n_freq=2,
-            n_time=2,
-        )
-        for seq, epoch in batch
-    ]
+    return [spec_augment(seq, utterance_rng(train_cfg.seed, seq.utt_id, epoch))
+            for seq, epoch in batch]
 
 
 def _run_loop(module, train_seqs, dev_seqs, train_cfg, out_dir, step_fn, eval_fn, save_fn):
@@ -392,9 +380,8 @@ def run_pretraining(net, train_seqs, dev_seqs, model_cfg, train_cfg, out_dir):
 
     def step_fn(batch):
         feats, lengths, tokens = _packed(batch)
-        log_probs = net.ctc_log_probs(net.embed(feats, lengths))
-        frames = [subsampled_length(n) for n in lengths]
-        l_ctc = T.reduce_mean(ctc_loss(log_probs, tokens, frames))
+        out = net.forward(feats, None, lengths)
+        l_ctc = T.reduce_mean(ctc_loss(net.ctc_log_probs(out.final), tokens, out.lengths))
         return l_ctc, {"loss": float(l_ctc.data), "ctc": float(l_ctc.data)}, None
 
     def eval_fn():

@@ -313,6 +313,53 @@ class TestFailureModes:
         assert capsys.readouterr().err.startswith("error: ValueError: num_levels 4 ")
         assert not run.exists()
 
+    @pytest.mark.parametrize("command", ["train", "pretrain-embedding"])
+    @pytest.mark.parametrize("field, value, corpus_value, source", [
+        ("feat_dim", 10, 8, "flag"),
+        ("feat_dim", 6, 8, "config"),
+        ("vocab_size", 3, 5, "flag"),
+        ("vocab_size", 4, 5, "config"),
+    ])
+    def test_model_that_does_not_fit_the_corpus_fails_before_writing(
+            self, tmp_path, capsys, command, field, value, corpus_value, source):
+        """The corpus has 4 tokens (5 ids with sos/eos) of 8 dims."""
+        data = prepare(tmp_path, vocab=4, feat_dim=8)
+        if source == "flag":
+            override = ["--" + field.replace("_", "-"), str(value)]
+        else:
+            cfg_path = tmp_path / "cfg.json"
+            cfg_path.write_text(json.dumps({"model": {field: value}}))
+            override = ["--config", str(cfg_path)]
+        run = tmp_path / "run"
+        assert main([command, "--data", str(data), "--out", str(run), *TINY_MODEL,
+                     *TINY_TRAIN, "--num-experts", "2", *override]) == 1
+        err = capsys.readouterr().err
+        assert len(err.strip().splitlines()) == 1
+        assert err.startswith(f"error: ValueError: {field} {value} ")
+        assert str(corpus_value) in err.split(f"{field} {value} ", 1)[1]
+        assert not run.exists()
+
+    def test_larger_vocabulary_than_the_corpus_trains(self, tmp_path):
+        data = prepare(tmp_path, vocab=4, feat_dim=8)
+        run = tmp_path / "run"
+        assert main(["train", "--data", str(data), "--out", str(run), *TINY_MODEL,
+                     "--max-steps", "1", "--eval-every", "1", "--vocab-size", "7"]) == 0
+        assert json.loads((run / "config.json").read_text())["model"]["vocab_size"] == 7
+
+    def test_decode_of_another_feature_dim_fails_before_writing(self, tmp_path, capsys):
+        narrow = prepare(tmp_path / "narrow", feat_dim=8)
+        wide = prepare(tmp_path / "wide", feat_dim=10)
+        run = tmp_path / "run"
+        assert main(["train", "--data", str(narrow), "--out", str(run), *TINY_MODEL,
+                     "--max-steps", "1", "--eval-every", "1", "--no-augment"]) == 0
+        dec = tmp_path / "dec"
+        assert main(["decode", "--data", str(wide), "--checkpoint", str(run / "final.ckpt"),
+                     "--out", str(dec)]) == 1
+        err = capsys.readouterr().err
+        assert len(err.strip().splitlines()) == 1
+        assert err.startswith("error: ValueError: feat_dim 8 ") and "10" in err
+        assert not dec.exists()
+
     @pytest.mark.parametrize("field, value", [
         ("beta", "nan"), ("gamma", "nan"), ("gamma", "inf"), ("alpha", "-inf"),
         ("peak_lr", "0"), ("peak_lr", "nan"), ("peak_lr", "inf"), ("max_epochs", "0"),

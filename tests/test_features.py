@@ -194,13 +194,29 @@ class TestSpecAugment:
         np.testing.assert_allclose(out.feats, seq.feats, rtol=0, atol=0)
 
     def test_masked_region_bounds(self):
-        """At most n_freq*F feature rows and n_time*T_mask columns hit zero."""
+        """At most two bands of MASK_WIDTH feature dims and two spans of
+        MASK_WIDTH frames hit zero."""
         seq = self._seq(T=400, D=80)
-        out = F.spec_augment(seq, np.random.default_rng(5), F=30, T_mask=50)
+        out = F.spec_augment(seq, np.random.default_rng(5))
         zero_dims = int(np.sum(np.all(out.feats == 0.0, axis=0)))
         zero_frames = int(np.sum(np.all(out.feats == 0.0, axis=1)))
-        assert zero_dims <= 60
-        assert zero_frames <= 100
+        assert zero_dims <= 2 * F.MASK_WIDTH
+        assert zero_frames <= 2 * F.MASK_WIDTH
+
+    @pytest.mark.parametrize("T, D", [(120, 80), (30, 8), (6, 3)])
+    def test_default_widths_match_reference_draws(self, T, D):
+        """The default draws two bands up to min(10, D) dims wide, then two
+        spans up to 10 frames, each width then its offset from the rng."""
+        seq = self._seq(T=T, D=D)
+        got = F.spec_augment(seq, np.random.default_rng(11)).feats
+        rng, want = np.random.default_rng(11), seq.feats.copy()
+        for width, size, axis in ((min(10, D), D, 1), (min(10, D), D, 1), (10, T, 0), (10, T, 0)):
+            w = min(int(rng.integers(0, width + 1)), size)
+            start = int(rng.integers(0, size - w + 1))
+            index = [slice(None), slice(None)]
+            index[axis] = slice(start, start + w)
+            want[tuple(index)] = 0.0
+        assert got.tobytes() == want.tobytes()
 
     def test_complement_untouched(self):
         """Cells outside the drawn masks keep their exact values."""

@@ -1,11 +1,13 @@
 """Autodiff core: forward values against closed forms and loop oracles,
 gradients against finite differences."""
 
+import copy
 import tracemalloc
 
 import numpy as np
 import pytest
 
+from moe_asr import nn
 from moe_asr import tensor as T
 from moe_asr.tensor import Tensor
 
@@ -204,7 +206,7 @@ UNARY_OPS = [
     layernorm,
     T.swish,
     glu,
-    lambda a: T.power(T.add(a, 3.0), 1.7),
+    lambda a: T.power(T.add(a, Tensor(3.0)), 1.7),
     lambda a: T.reshape(a, (2, 12)),
     lambda a: T.reduce_mean(a, axis=0),
 ]
@@ -235,7 +237,8 @@ class TestFiniteDifferences:
         as two evaluations that disagree."""
         x = Tensor(np.array([[-3.5, 1.0]]), requires_grad=True)
         with pytest.raises(ValueError, match="non-finite nan"):
-            T.finite_diff_check(lambda ps: T.reduce_sum(T.power(T.add(ps[0], 3.0), 1.7)), [x])
+            T.finite_diff_check(
+                lambda ps: T.reduce_sum(T.power(T.add(ps[0], Tensor(3.0)), 1.7)), [x])
 
     def test_matmul(self):
         rng = np.random.default_rng(21)
@@ -328,16 +331,32 @@ class TestFiniteDifferences:
 
     def test_dropout_eval_is_identity(self):
         x = Tensor(np.ones((3, 3)), requires_grad=True)
-        out = T.dropout(x, 0.5, np.random.default_rng(0), training=False)
+        drop = nn.Dropout(0.5).eval()
+        drop.rng = np.random.default_rng(0)
+        out = drop.forward(x)
         assert out is x
 
     def test_dropout_train_scales_kept_units(self):
-        rng = np.random.default_rng(5)
+        drop = nn.Dropout(0.25)
+        drop.rng = np.random.default_rng(5)
         x = Tensor(np.ones((200, 50)))
-        out = T.dropout(x, 0.25, rng, training=True).data
+        out = drop.forward(x).data
         kept = out != 0.0
         np.testing.assert_allclose(out[kept], 1.0 / 0.75)
         assert abs(kept.mean() - 0.75) < 0.02
+
+    def test_dropout_forward_applies_its_mask(self):
+        """On cloned generators, forward is the input times the mask ``mask``
+        draws, bit for bit, and the input's gradient is that mask."""
+        drop, twin = nn.Dropout(0.3), nn.Dropout(0.3)
+        drop.rng = np.random.default_rng(8)
+        twin.rng = copy.deepcopy(drop.rng)
+        x = Tensor(np.random.default_rng(9).normal(size=(6, 5)), requires_grad=True)
+        out = drop.forward(x)
+        mask = twin.mask(x.shape)
+        assert out.data.tobytes() == (x.data * mask).tobytes()
+        T.reduce_sum(out).backward()
+        assert x.grad.tobytes() == mask.tobytes()
 
 
 # ---------------------------------------------------------------------------
