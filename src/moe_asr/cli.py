@@ -4,8 +4,8 @@ flops.
 Every config field is also a long flag (underscores become dashes); a
 field's value comes from its flag, else the --config file, else (for
 vocab_size and feat_dim) the prepared corpus, else its default. A model
-that cannot read the corpus (``_check_fits_corpus``) stops a command before
-it writes anything. Each run directory gets the resolved snapshot
+that cannot read the corpus (``_check_fits_corpus``), or a --config model
+section given to decode, stops a command before it writes anything. Each run directory gets the resolved snapshot
 (config.json) plus a run manifest. Timestamps live only in the manifest, so every other artifact is
 byte-reproducible from equal inputs.
 """
@@ -94,13 +94,18 @@ def _check_fits_corpus(model_cfg, data_dir, vocab=True):
 
 def _resolve(args, sections, data_dir=None):
     """(ModelConfig, TrainConfig, DecodeConfig), None for a section the
-    command does not need (decode takes its model from the checkpoint).
+    command does not need.
 
     Each field takes its value from the first of: its flag, its section of
     the --config file, and, for the model's vocab_size and feat_dim only,
-    the corpus in data_dir; the dataclass default otherwise.
+    the corpus in data_dir; the dataclass default otherwise. A --config
+    model section for a command that takes no model settings (decode's
+    model comes from the checkpoint) could not take effect: an error.
     """
     file = _read_config(args.config)
+    if "model" in file and "model" not in sections:
+        raise ValueError(f"{args.config}: section 'model' cannot take effect in"
+                         f" {args.command}, whose model comes from the checkpoint")
     resolved = []
     for section, cls in _CONFIG_SECTIONS:
         if section not in sections:

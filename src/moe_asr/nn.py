@@ -13,6 +13,9 @@ returns the residual stream plus the sub-layer's output. Their
 and dropout generators under their usual names; each ``Dropout`` draws its
 mask from its own stream before the node runs. A ``Dropout`` used on its
 own (after the position table) applies the same mask as one ``T.mul``.
+``FeedForward.operands`` and ``MultiHeadAttention.operands`` list a
+sub-layer node's arguments, parameters and masks, which the level-stacked
+decoder pass zips across its decoders.
 """
 
 from __future__ import annotations
@@ -288,9 +291,14 @@ class MultiHeadAttention(Module):
         and values from `memory`, or from ``norm(x)`` when it is None.
         `norm` and `dropout` are the caller's ``LayerNorm`` and ``Dropout``;
         `segments` are ``T.mha``'s lengths, key_lengths, causal and mask."""
-        return T.mha(x, memory, self.heads, norm.gamma, norm.beta, self.wq.weight, self.wq.bias,
-                     self.wk.weight, self.wv.weight, self.wv.bias, self.wo.weight,
-                     self.wo.bias, dropout.mask(x.data.shape), **segments)
+        return T.mha(x, memory, self.heads, *self.operands(norm, dropout, x.data.shape),
+                     **segments)
+
+    def operands(self, norm, dropout, shape):
+        """``T.mha``'s arguments after the heads, for input rows of `shape`:
+        the nine parameters, then the dropout's mask (None when it is off)."""
+        return (norm.gamma, norm.beta, self.wq.weight, self.wq.bias, self.wk.weight,
+                self.wv.weight, self.wv.bias, self.wo.weight, self.wo.bias, dropout.mask(shape))
 
 
 class SelfAttention(Module):

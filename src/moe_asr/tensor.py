@@ -18,12 +18,22 @@ where that chain had an input feed two of its nodes, the fused node lists
 the input twice, so the engine adds the two flows one at a time as before.
 A dropout is a mask array the caller draws, applied inside a fused node
 or by ``mul``.
-``matmul`` stays 2-D. A training batch is packed into one graph: its
-utterances' frames are stacked as consecutive rows, and the ops whose rows
-interact (``unfold_time``, ``conv_module``'s convolution, ``mha``'s
-attention) take the per-utterance row counts, so no window, tap or
-attention weight crosses from one utterance into the next, and no mask is
-built for a pack.
+A training batch is packed into one graph: its utterances' frames are
+stacked as consecutive rows, and the ops whose rows interact
+(``unfold_time``, ``conv_module``'s convolution, ``mha``'s attention) take
+the per-utterance row counts, so no window, tap or attention weight
+crosses from one utterance into the next, and no mask is built for a pack.
+Rows may also carry a leading level axis, [L, n, d]: L models of one
+shape (the multi-level decoders) on the same rows, each with its own
+weights. ``linear``, ``layernorm``, ``ffn`` and ``mha`` then take each
+parameter as a sequence of L tensors (``_operands`` stacks them), and
+``embedding_lookup`` a sequence of L tables; ``gather_last`` and
+``segment_means`` read the stack as it is. One code path serves both
+forms: reductions run over axis -2 and transposes are ``swapaxes(-1,
+-2)``, so a level's products are the BLAS calls it would get alone and
+every level keeps its bits. Each level's tensors are parents of the node,
+and their gradients are views of the stacked products. ``matmul`` stays
+2-D.
 64-bit floats throughout so gradient checks and DP oracles are limited by
 algorithmic correctness, not precision.
 """
@@ -55,6 +65,7 @@ __all__ = [
     "unfold_time",
     "embedding_lookup",
     "gather_last",
+    "segment_means",
     "ffn",
     "routed_ffn",
     "mha",
@@ -205,6 +216,71 @@ def _unbroadcast(g, shape):
     return g
 
 
+def _rows(op, x):
+    """`x` as a tensor, ShapeMismatch unless it is rows [n, d] or a level
+    stack of rows [L, n, d]."""
+    x = _as_tensor(x)
+    if x.data.ndim not in (2, 3):
+        raise ShapeMismatch(op, x.data.shape)
+    return x
+
+
+def _per_level(operand):
+    """The tensors of one operand: itself, or the L tensors of a
+    level-stacked one."""
+    return (operand,) if isinstance(operand, Tensor) else tuple(operand)
+
+
+def _operands(op, shape, operands, expected, masks=()):
+    """Arrays and parents of the operands of a node on rows of `shape`,
+    checked.
+
+    Rows [n, d] have no level axis: each operand is a tensor of its shape in
+    `expected`. Rows [L, n, d] are L levels of the same rows: each operand
+    is a sequence of L tensors of that shape, one per level, stacked on a
+    new leading axis, and a vector's stack is [L, 1, k] so it broadcasts as
+    a [k] vector does without levels. Each ``(mask, width)`` pair's mask is
+    None or of `shape` with last dimension `width`. ShapeMismatch
+    otherwise.
+
+    `expected` is a list of shapes. Returns (arrays, parents, levels):
+    `parents` lists every operand's tensors in level order, and `levels`
+    is L or None, for ``_unstack``.
+    The products of a level stack are one per level, the same BLAS calls on
+    the same operands, and its column sums run over axis -2 level by level,
+    so each level keeps the bits it would have alone.
+    """
+    levels = shape[0] if len(shape) == 3 else None
+    try:
+        if levels is None:
+            arrays = [t.data for t in operands]
+            parents = operands
+        else:
+            groups = [tuple(t) for t in operands if not isinstance(t, Tensor)]
+            parents = [u for g in groups for u in g]
+            # one level is a view, more a copy
+            arrays = [g[0].data[None] if len(g) == 1 else np.array([u.data for u in g])
+                      for g in groups]
+            expected = [(levels, *e) for e in expected]
+        ok = len(arrays) == len(operands) and [a.shape for a in arrays] == expected
+    except (AttributeError, IndexError, ValueError):  # sequences without levels, a level
+        ok = False                                     # without tensors, unequal levels
+    for m, w in masks:
+        ok = ok and (m is None or m.shape == (*shape[:-1], w))
+    if not ok:
+        raise ShapeMismatch(op, shape, *[np.shape(_per_level(t)[0].data) if _per_level(t) else ()
+                                         for t in operands], *[np.shape(m) for m, _ in masks])
+    if levels is not None:
+        arrays = [a[:, None] if a.ndim == 2 else a for a in arrays]
+    return arrays, parents, levels
+
+
+def _unstack(grads, levels):
+    """One gradient per parent from one per ``_operands`` operand: with
+    levels, each gradient's level slices (views), in level order."""
+    return grads if levels is None else [gl for gr in grads for gl in gr]
+
+
 def matmul(a, b):
     a, b = _as_tensor(a), _as_tensor(b)
     if a.data.ndim != 2 or b.data.ndim != 2 or a.data.shape[1] != b.data.shape[0]:
@@ -221,22 +297,20 @@ def matmul(a, b):
 
 
 def linear(x, w, b):
-    """``(x @ w) + b`` as one node; gradients equal the matmul-then-add pair's."""
-    x, w, b = _as_tensor(x), _as_tensor(w), _as_tensor(b)
-    if (x.data.ndim != 2 or w.data.ndim != 2 or x.data.shape[1] != w.data.shape[0]
-            or b.data.shape != w.data.shape[1:]):
-        raise ShapeMismatch("linear", x.data.shape, w.data.shape, b.data.shape)
-    out = x.data @ w.data
-    out += b.data
+    """``(x @ w) + b`` as one node; gradients equal the matmul-then-add
+    pair's. `x` may carry a level axis, as ``_operands`` says."""
+    x = _rows("linear", x)
+    d_out = _per_level(w)[0].data.shape[-1]
+    (w, b), parents, levels = _operands("linear", x.data.shape, (w, b),
+                                        [(x.data.shape[-1], d_out), (d_out,)])
+    out = x.data @ w
+    out += b
 
     def bwd(g):
-        return (
-            g @ w.data.T if x.requires_grad else None,
-            x.data.T @ g if w.requires_grad else None,
-            _unbroadcast(g, b.data.shape) if b.requires_grad else None,
-        )
+        return (g @ w.swapaxes(-1, -2) if x.requires_grad else None,
+                *_unstack((x.data.swapaxes(-1, -2) @ g, g.sum(axis=-2)), levels))
 
-    return _node(out, (x, w, b), bwd, "linear")
+    return _node(out, (x, *parents), bwd, "linear")
 
 
 def add(a, b):
@@ -357,26 +431,24 @@ def _layernorm_input_grad(gn, y, inv):
 
 def layernorm(a, gamma, beta):
     """Normalize the last dimension to zero mean, unit variance, then apply
-    the affine ``(y * gamma) + beta``, all in one node.
+    the affine ``(y * gamma) + beta``, all in one node. `a` may carry a
+    level axis, as ``_operands`` says.
 
     A zero-variance row normalizes to all zero (so comes out as ``beta``):
     the variance is floored by ``LAYERNORM_EPS``, which keeps padded or
     constant frames finite.
     """
-    a, gamma, beta = _as_tensor(a), _as_tensor(gamma), _as_tensor(beta)
-    x = a.data
-    if gamma.data.shape != x.shape[-1:] or beta.data.shape != x.shape[-1:]:
-        raise ShapeMismatch("layernorm", x.shape, gamma.data.shape, beta.data.shape)
-    out, y, inv = _layernorm_rows(x, gamma.data, beta.data)
+    a = _rows("layernorm", a)
+    d = a.data.shape[-1]
+    (gamma, beta), parents, levels = _operands("layernorm", a.data.shape, (gamma, beta),
+                                               [(d,), (d,)])
+    out, y, inv = _layernorm_rows(a.data, gamma, beta)
 
     def bwd(g):
-        return (
-            _layernorm_input_grad(g * gamma.data, y, inv) if a.requires_grad else None,
-            _unbroadcast(g * y, gamma.data.shape) if gamma.requires_grad else None,
-            _unbroadcast(g, beta.data.shape) if beta.requires_grad else None,
-        )
+        return (_layernorm_input_grad(g * gamma, y, inv) if a.requires_grad else None,
+                *_unstack(((g * y).sum(axis=-2), g.sum(axis=-2)), levels))
 
-    return _node(out, (a, gamma, beta), bwd, "layernorm")
+    return _node(out, (a, *parents), bwd, "layernorm")
 
 
 def swish(a):
@@ -437,42 +509,63 @@ def unfold_time(x, kernel, stride, lengths=None):
 
 
 def embedding_lookup(table, ids):
-    """Gather rows of `table` by integer index; duplicate ids accumulate grads."""
-    table = _as_tensor(table)
+    """Gather rows of `table` by integer index; duplicate ids accumulate
+    grads. `table` may be a sequence of L tables, one per level: then the
+    rows of each, [L, n, d]."""
+    tables = _per_level(table)
     ids = np.asarray(ids, dtype=np.int64)
-    if ids.ndim != 1 or table.data.ndim != 2:
-        raise ShapeMismatch("embedding-lookup", table.data.shape, ids.shape)
-    if ids.size and (ids.min() < 0 or ids.max() >= table.data.shape[0]):
+    shape = tables[0].data.shape if tables else ()
+    if ids.ndim != 1 or len(shape) != 2 or any(t.data.shape != shape for t in tables):
+        raise ShapeMismatch("embedding-lookup", shape, ids.shape)
+    if ids.size and (ids.min() < 0 or ids.max() >= shape[0]):
         raise IndexError(
-            f"embedding-lookup: id out of range [0, {table.data.shape[0]}): "
+            f"embedding-lookup: id out of range [0, {shape[0]}): "
             f"{int(ids.min())}..{int(ids.max())}"
         )
-    out = table.data[ids].copy()
+    data = tables[0].data if isinstance(table, Tensor) else np.array([t.data for t in tables])
+    out = np.take(data, ids, axis=-2)
 
     def bwd(g):
-        gt = np.zeros_like(table.data)
-        np.add.at(gt, ids, g)
-        return (gt,)
+        gt = np.zeros_like(data)
+        np.add.at(gt, (..., ids, slice(None)), g)
+        return (gt,) if isinstance(table, Tensor) else tuple(gt)
 
-    return _node(out, (table,), bwd, "embedding-lookup")
+    return _node(out, tables, bwd, "embedding-lookup")
 
 
 def gather_last(a, ids):
-    """Pick one entry per row: out[i] = a[i, ids[i]]."""
+    """Pick one entry per row: out[..., i] = a[..., i, ids[i]]."""
     a = _as_tensor(a)
     ids = np.asarray(ids, dtype=np.int64)
-    n = a.data.shape[0]
-    if a.data.ndim != 2 or ids.shape != (n,):
+    if a.data.ndim not in (2, 3) or ids.shape != a.data.shape[-2:-1]:
         raise ShapeMismatch("gather-last", a.data.shape, ids.shape)
-    rows = np.arange(n)
-    out = a.data[rows, ids].copy()
+    rows = np.arange(ids.shape[0])
+    out = np.ascontiguousarray(a.data[..., rows, ids])
 
     def bwd(g):
         ga = np.zeros_like(a.data)
-        np.add.at(ga, (rows, ids), g)
+        np.add.at(ga, (..., rows, ids), g)
         return (ga,)
 
     return _node(out, (a,), bwd, "gather-last")
+
+
+def segment_means(a, lengths):
+    """The mean of each of `lengths` consecutive segments of the last axis
+    of `a`, as one node: [..., n] in, [..., len(lengths)] out.
+
+    Each mean is a row of weights, 1/length on its segment and 0 elsewhere,
+    times the column of entries: the matrix-vector product (and, backward,
+    the transposed one) that a ``matmul`` of the weights by `a` reshaped to
+    a column computed, so values and gradients keep its bits, level by level
+    when `a` leads with a level axis.
+    """
+    a = _as_tensor(a)
+    lengths = segment_lengths(lengths, a.data.shape[-1], "segment-means")
+    owner = np.repeat(np.arange(len(lengths)), lengths)
+    weights = (owner == np.arange(len(lengths))[:, None]) / np.array(lengths)[:, None]
+    out = (weights @ a.data[..., None])[..., 0]
+    return _node(out, (a,), lambda g: ((weights.T @ g[..., None])[..., 0],), "segment-means")
 
 
 def _matmul_groups(a, ws, spans):
@@ -491,9 +584,10 @@ def _ffn_rows(x, spans, w1s, w2s, vectors, mask1, mask2):
     Group i owns rows spans[i] = (start, end) and the matrices w1s[i] and
     w2s[i]; `vectors` are gamma, beta, b1 and b2, either one per layer
     (broadcast) or gathered per row; the masks cover all rows (None: no
-    dropout). Only the two matmuls, and in backward their input- and
-    weight-gradient products and the vectors' column sums, run per group,
-    each on its rows' slice. Returns the output rows and
+    dropout). With a level axis (one group), the rows, matrices, vectors
+    and masks all lead with it. Only the two matmuls, and in backward their
+    input- and weight-gradient products and the vectors' column sums, run
+    per group, each on its rows' slice. Returns the output rows and
     ``backward(g, need_x)`` -> (input gradient or None, per group its six
     parameter gradients in ``ffn``'s order).
     """
@@ -515,45 +609,27 @@ def _ffn_rows(x, spans, w1s, w2s, vectors, mask1, mask2):
         # np.add.reduceat would add pairwise and change the bits.
         if mask2 is not None:
             g = g * mask2
-        gw2 = [a[s:e].T @ g[s:e] for s, e in spans]
-        gb2 = [g[s:e].sum(axis=0) for s, e in spans]
-        ga = _matmul_groups(g, [w.T for w in w2s], spans)
+        gw2 = [a[..., s:e, :].swapaxes(-1, -2) @ g[..., s:e, :] for s, e in spans]
+        gb2 = [g[..., s:e, :].sum(axis=-2) for s, e in spans]
+        ga = _matmul_groups(g, [w.swapaxes(-1, -2) for w in w2s], spans)
         if mask1 is not None:
             ga *= mask1
         gh = ga * sig * (1.0 + h * (1.0 - sig))
-        gw1 = [n[s:e].T @ gh[s:e] for s, e in spans]
-        gb1 = [gh[s:e].sum(axis=0) for s, e in spans]
-        gn = _matmul_groups(gh, [w.T for w in w1s], spans)
+        gw1 = [n[..., s:e, :].swapaxes(-1, -2) @ gh[..., s:e, :] for s, e in spans]
+        gb1 = [gh[..., s:e, :].sum(axis=-2) for s, e in spans]
+        gn = _matmul_groups(gh, [w.swapaxes(-1, -2) for w in w1s], spans)
         gny = gn * y
-        ggamma = [gny[s:e].sum(axis=0) for s, e in spans]
-        gbeta = [gn[s:e].sum(axis=0) for s, e in spans]
+        ggamma = [gny[..., s:e, :].sum(axis=-2) for s, e in spans]
+        gbeta = [gn[..., s:e, :].sum(axis=-2) for s, e in spans]
         gx = _layernorm_input_grad(gn * gamma, y, inv) if need_x else None
         return gx, list(zip(ggamma, gbeta, gw1, gb1, gw2, gb2))
 
     return out, backward
 
 
-def _check_shapes(op, tensors, expected, masks=()):
-    """ShapeMismatch unless the tensors have the `expected` shapes and each
-    ``(mask, shape)`` pair's mask is None or of that shape."""
-    shapes = tuple(t.data.shape for t in tensors)
-    if shapes != tuple(expected) or any(m is not None and m.shape != s for m, s in masks):
-        raise ShapeMismatch(op, *shapes, *[np.shape(m) for m, _ in masks])
-
-
-def _check_ffn(op, rows, d, params, mask1, mask2):
-    """ShapeMismatch unless six parameter tensors and two masks fit `rows` rows of width `d`."""
-    f = params[2].data.shape[-1]
-    _check_shapes(op, params, ((d,), (d,), (d, f), (f,), (f, d), (d,)),
-                  ((mask1, (rows, f)), (mask2, (rows, d))))
-
-
-def _rows(op, x):
-    """`x` as a tensor, ShapeMismatch unless it is 2-D."""
-    x = _as_tensor(x)
-    if x.data.ndim != 2:
-        raise ShapeMismatch(op, x.data.shape)
-    return x
+def _ffn_shapes(d, f):
+    """Shapes of ``ffn``'s six parameters at width `d` and hidden width `f`."""
+    return [(d,), (d,), (d, f), (f,), (f, d), (d,)]
 
 
 def _residual(x, f, c=1.0):
@@ -570,24 +646,26 @@ def ffn(x, c, gamma, beta, w1, b1, w2, b2, mask1=None, mask2=None):
     where f is ``layernorm(x, gamma, beta)``, ``linear`` by (w1, b1), swish,
     dropout by `mask1` [n, d_ff], ``linear`` by (w2, b2), dropout by `mask2`
     [n, d]; a mask of None is the identity. The six parameters are tensors;
-    the masks are arrays.
+    the masks are arrays. `x` may carry a level axis, as ``_operands``
+    says; the masks then lead with it too.
 
     Values and gradients equal the bits of those six nodes, ``scale`` and
     ``add`` chained. `x` is a parent twice, once for the residual and once
     for the layernorm, so the engine adds its two flows as it did for them.
     """
     x = _rows("ffn", x)
-    params = (gamma, beta, w1, b1, w2, b2)
-    rows, d = x.data.shape
-    _check_ffn("ffn", rows, d, params, mask1, mask2)
-    out, backward = _ffn_rows(x.data, [(0, rows)], [w1.data], [w2.data],
-                              (gamma.data, beta.data, b1.data, b2.data), mask1, mask2)
+    d, f = x.data.shape[-1], _per_level(w1)[0].data.shape[-1]
+    (gamma, beta, w1, b1, w2, b2), parents, levels = _operands(
+        "ffn", x.data.shape, (gamma, beta, w1, b1, w2, b2), _ffn_shapes(d, f),
+        ((mask1, f), (mask2, d)))
+    out, backward = _ffn_rows(x.data, [(0, x.data.shape[-2])], [w1], [w2],
+                              (gamma, beta, b1, b2), mask1, mask2)
 
     def bwd(g):
         gx, (grads,) = backward(g * c, x.requires_grad)
-        return (g, gx, *grads)
+        return (g, gx, *_unstack(grads, levels))
 
-    return _node(_residual(x.data, out, c), (x, x, *params), bwd, "ffn")
+    return _node(_residual(x.data, out, c), (x, x, *parents), bwd, "ffn")
 
 
 def routed_ffn(x, c, p, selected, experts):
@@ -604,19 +682,20 @@ def routed_ffn(x, c, p, selected, experts):
     rows in frame order, scattered back, multiplied by the gate, scaled and
     added to `x`. Like ``ffn``'s, `x` is a parent twice.
     """
-    x, p = _rows("routed-ffn", x), _as_tensor(p)
+    x, p = _as_tensor(x), _as_tensor(p)
     selected = np.asarray(selected, dtype=np.int64)
     rows = x.data.shape[0]
-    if p.data.shape[:1] != (rows,) or selected.shape != (rows,):
+    if x.data.ndim != 2 or p.data.shape[:1] != (rows,) or selected.shape != (rows,):
         raise ShapeMismatch("routed-ffn", x.data.shape, p.data.shape, selected.shape)
     counts = np.bincount(selected, minlength=p.data.shape[-1])
     counts = counts[counts > 0].tolist()
     if len(counts) != len(experts):
         raise ShapeMismatch("routed-ffn", (len(counts),), (len(experts),))
-    for e, n in zip(experts, counts):
-        _check_ffn("routed-ffn", n, x.data.shape[1], e[:6], *e[6:])
+    d = x.data.shape[1]
+    params = [_operands("routed-ffn", (n, d), e[:6], _ffn_shapes(d, e[2].data.shape[-1]),
+                        ((e[6], e[2].data.shape[-1]), (e[7], d)))[0]
+              for e, n in zip(experts, counts)]
     spans = _spans(counts)
-    params = [[t.data for t in e[:6]] for e in experts]
     group = np.repeat(np.arange(len(counts)), counts)
     vectors = [np.array([a[k] for a in params])[group] for k in (0, 1, 3, 5)]
     w1s, w2s = [a[2] for a in params], [a[4] for a in params]
@@ -650,7 +729,9 @@ def routed_ffn(x, c, p, selected, experts):
 def _attention_rows(q, k, v, heads, lengths=None, key_lengths=None, causal=False, mask=None):
     """Scaled dot-product attention of arrays q [Tq, d] over k [Tk, d] and
     v [Tk, dv], all heads at once; head h owns the h-th of `heads` equal
-    column blocks. Returns the output and ``backward(g)`` -> (gq, gk, gv).
+    column blocks. With a level axis (q [L, Tq, d], k [L, Tk, d], v [L, Tk,
+    dv]) each level attends on its own, the products over all L·H heads at
+    once. Returns the output and ``backward(g)`` -> (gq, gk, gv).
 
     With `lengths` the rows are packed segments: query segment i (lengths[i]
     rows) sees only key segment i (key_lengths[i] rows, default lengths[i]),
@@ -659,11 +740,12 @@ def _attention_rows(q, k, v, heads, lengths=None, key_lengths=None, causal=False
     `mask` [Tq, Tk] is true where a query may not look. Hidden weights and
     their gradients are exactly zero while each row keeps one visible key.
     """
-    shapes = [np.shape(t) for t in (q, k, v)] + ([] if mask is None else [np.shape(mask)])
-    if any(len(s) != 2 for s in shapes[:3]):
+    shapes = [q.shape, k.shape, v.shape] + ([] if mask is None else [np.shape(mask)])
+    lead = shapes[0][:-2]
+    if any(len(s) not in (2, 3) or s[:-2] != lead for s in shapes[:3]):
         raise ShapeMismatch("attention", *shapes)
-    (tq, d), (tk, dv) = shapes[0], shapes[2]
-    if shapes[1] != (tk, d) or d % heads or dv % heads or shapes[3:] not in ([], [(tq, tk)]):
+    (tq, d), (tk, dv) = shapes[0][-2:], shapes[2][-2:]
+    if shapes[1][-2:] != (tk, d) or d % heads or dv % heads or shapes[3:] not in ([], [(tq, tk)]):
         raise ShapeMismatch("attention", *shapes)
     q_lengths = segment_lengths(lengths, tq, "attention")
     k_lengths = segment_lengths(lengths if key_lengths is None else key_lengths, tk, "attention")
@@ -672,16 +754,26 @@ def _attention_rows(q, k, v, heads, lengths=None, key_lengths=None, causal=False
     # Key j > query i: each block's causal mask is this one's top-left corner.
     later = np.triu(np.ones((max(q_lengths), max(k_lengths)), dtype=bool), k=1) if causal else None
     c = 1.0 / np.sqrt(d // heads)
-    out = np.empty((tq, dv))
-    blocks, qs, ks = [], 0, 0
-    for qe, ke in zip(itertools.accumulate(q_lengths), itertools.accumulate(k_lengths)):
-        qh = q[qs:qe].reshape(qe - qs, heads, -1).transpose(1, 0, 2)
-        vh = v[ks:ke].reshape(ke - ks, heads, -1).transpose(1, 0, 2)
-        # Keys as contiguous [H, d_head, Tk]: the BLAS layout of a per-head
-        # q @ k.T, so values and gradients match that form bit for bit.
-        kt = np.ascontiguousarray(k[ks:ke].reshape(ke - ks, heads, -1).transpose(1, 2, 0))
+
+    # Views of rows [..., n, width] as heads [..., H, n, width / H]; a
+    # product written into a slice of one fills those rows.
+    by_q, by_k = (*lead, tq, heads, d // heads), (*lead, tk, heads, d // heads)
+    by_qv, by_kv = (*lead, tq, heads, dv // heads), (*lead, tk, heads, dv // heads)
+    qh, vh = q.reshape(by_q).swapaxes(-3, -2), v.reshape(by_kv).swapaxes(-3, -2)
+    # Keys as contiguous [..., H, d_head, Tk]: each segment's slice is the
+    # BLAS layout of a per-head q @ k.T, so values and gradients match that
+    # form bit for bit.
+    kt = np.ascontiguousarray(k.reshape(by_k).swapaxes(-3, -2).swapaxes(-1, -2))
+    out = np.empty((*lead, tq, dv))
+    out_heads = out.reshape(by_qv).swapaxes(-3, -2)
+    spans, qs, ks = [], 0, 0
+    for nq, nk in zip(q_lengths, k_lengths):
+        spans.append((qs, qs + nq, ks, ks + nk))
+        qs, ks = qs + nq, ks + nk
+    weights = []
+    for qs, qe, ks, ke in spans:
         # Softmax in place on the score buffer; fresh arrays cost as much as the products.
-        p = qh @ kt
+        p = qh[..., qs:qe, :] @ kt[..., ks:ke]
         p *= c
         if causal:
             np.copyto(p, -1e30, where=later[: qe - qs, : ke - ks])
@@ -690,20 +782,20 @@ def _attention_rows(q, k, v, heads, lengths=None, key_lengths=None, causal=False
         p -= p.max(axis=-1, keepdims=True)
         np.exp(p, out=p)
         p /= p.sum(axis=-1, keepdims=True)
-        out[qs:qe] = (p @ vh).transpose(1, 0, 2).reshape(qe - qs, dv)
-        blocks.append((qs, qe, ks, ke, qh, kt, vh, p))
-        qs, ks = qe, ke
+        np.matmul(p, vh[..., ks:ke, :], out=out_heads[..., qs:qe, :])
+        weights.append(p)
 
     def backward(g):
-        gq, gk, gv = np.empty((tq, d)), np.empty((tk, d)), np.empty((tk, dv))
-        for qs, qe, ks, ke, qh, kt, vh, p in blocks:
-            gh = g[qs:qe].reshape(qe - qs, heads, -1).transpose(1, 0, 2)
-            gp = gh @ vh.transpose(0, 2, 1)
+        gq, gk, gv = (np.empty((*lead, n, w)) for n, w in ((tq, d), (tk, d), (tk, dv)))
+        gh, gq_heads = g.reshape(by_qv).swapaxes(-3, -2), gq.reshape(by_q).swapaxes(-3, -2)
+        gk_heads, gv_heads = gk.reshape(by_k).swapaxes(-3, -2), gv.reshape(by_kv).swapaxes(-3, -2)
+        for (qs, qe, ks, ke), p in zip(spans, weights):
+            gp = gh[..., qs:qe, :] @ vh[..., ks:ke, :].swapaxes(-1, -2)
             gs = p * (gp - (gp * p).sum(axis=-1, keepdims=True))
             gs *= c
-            gq[qs:qe] = (gs @ kt.transpose(0, 2, 1)).transpose(1, 0, 2).reshape(qe - qs, d)
-            gk[ks:ke] = (gs.transpose(0, 2, 1) @ qh).transpose(1, 0, 2).reshape(ke - ks, d)
-            gv[ks:ke] = (p.transpose(0, 2, 1) @ gh).transpose(1, 0, 2).reshape(ke - ks, dv)
+            np.matmul(gs, kt[..., ks:ke].swapaxes(-1, -2), out=gq_heads[..., qs:qe, :])
+            np.matmul(gs.swapaxes(-1, -2), qh[..., qs:qe, :], out=gk_heads[..., ks:ke, :])
+            np.matmul(p.swapaxes(-1, -2), gh[..., qs:qe, :], out=gv_heads[..., ks:ke, :])
         return gq, gk, gv
 
     return out, backward
@@ -719,47 +811,64 @@ def mha(x, memory, heads, gamma, beta, wq, bq, wk, wv, bv, wo, bo, drop=None, le
     (self-attention, `memory` None) or `memory` (cross-attention: only the
     query side is normalized). Dropout is by the array `drop` (None: the
     identity). `lengths`, `key_lengths`, `causal` and `mask` select the
-    visible keys as ``_attention_rows`` says.
+    visible keys as ``_attention_rows`` says; with a level axis (``_operands``)
+    every level sees the same keys, `drop` leads with the level axis and
+    `memory` is a sequence of L tensors, one per level.
 
     Values and gradients equal the bits of the unfused chain of nodes. The
     flows into the layernorm output add as q, k, v; `x` is a parent twice
-    (residual, layernorm) and `memory` twice (k, v), so the engine adds
+    (residual, layernorm) and each memory twice (k, v), so the engine adds
     those flows one at a time, as it did for the nodes they replace.
     """
     x = _rows("mha", x)
-    memory = None if memory is None else _rows("mha", memory)
-    params = (gamma, beta, wq, bq, wk, wv, bv, wo, bo)
-    d = x.data.shape[1]
-    dm = d if memory is None else memory.data.shape[1]
-    dq, dv = wq.data.shape[-1], wv.data.shape[-1]
-    _check_shapes("mha", params, ((d,), (d,), (d, dq), (dq,), (dm, dq), (dm, dv), (dv,),
-                                  (dv, d), (d,)), ((drop, x.data.shape),))
-    n, y, inv = _layernorm_rows(x.data, gamma.data, beta.data)
-    src = n if memory is None else memory.data
-    q = n @ wq.data
-    q += bq.data
-    k = src @ wk.data
-    v = src @ wv.data
-    v += bv.data
+    d = x.data.shape[-1]
+    dq, dv = _per_level(wq)[0].data.shape[-1], _per_level(wv)[0].data.shape[-1]
+    operands = [gamma, beta, wq, bq, wk, wv, bv, wo, bo]
+    expected = [(d,), (d,), (d, dq), (dq,), (d, dq), (d, dv), (dv,), (dv, d), (d,)]
+    if memory is not None:
+        shape = _per_level(memory)[0].data.shape
+        operands.append(memory)
+        # k and v project the memory's width; a memory that is not 2-D fails
+        expected[4:6] = [(shape[-1], dq), (shape[-1], dv)]
+        expected.append(shape[:1] + shape[-1:])
+    arrays, parents, levels = _operands("mha", x.data.shape, operands, expected, ((drop, d),))
+    n, y, inv = _layernorm_rows(x.data, arrays[0], arrays[1])
+    gamma, beta, wq, bq, wk, wv, bv, wo, bo = arrays[:9]
+    src, memories = n, ()
+    if memory is not None:
+        # the memory's tensors are the last parents; each feeds k and v
+        src, split = arrays[9], len(parents) - (levels or 1)
+        parents, memories = parents[:split], parents[split:]
+    q = n @ wq
+    q += bq
+    k = src @ wk
+    v = src @ wv
+    v += bv
     a, attention_backward = _attention_rows(q, k, v, heads, lengths, key_lengths, causal, mask)
-    o = a @ wo.data
-    o += bo.data
+    o = a @ wo
+    o += bo
     if drop is not None:
         o *= drop
 
     def bwd(g):
         go = g if drop is None else g * drop
-        gq, gk, gv = attention_backward(go @ wo.data.T)
-        gn, gsk, gsv = gq @ wq.data.T, gk @ wk.data.T, gv @ wv.data.T
-        if memory is None:
+        gq, gk, gv = attention_backward(go @ wo.swapaxes(-1, -2))
+        gn, gsk, gsv = (gq @ wq.swapaxes(-1, -2), gk @ wk.swapaxes(-1, -2),
+                        gv @ wv.swapaxes(-1, -2))
+        if not memories:
             gn = gn + gsk + gsv
-        grads = (g, _layernorm_input_grad(gn * gamma.data, y, inv), (gn * y).sum(axis=0),
-                 gn.sum(axis=0), n.T @ gq, gq.sum(axis=0), src.T @ gk, src.T @ gv,
-                 gv.sum(axis=0), a.T @ go, go.sum(axis=0))
-        return grads if memory is None else (*grads, gsk, gsv)
+        grads = _unstack(((gn * y).sum(axis=-2), gn.sum(axis=-2), n.swapaxes(-1, -2) @ gq,
+                          gq.sum(axis=-2), src.swapaxes(-1, -2) @ gk,
+                          src.swapaxes(-1, -2) @ gv, gv.sum(axis=-2), a.swapaxes(-1, -2) @ go,
+                          go.sum(axis=-2)), levels)
+        gx = _layernorm_input_grad(gn * gamma, y, inv)
+        if not memories:
+            return (g, gx, *grads)
+        kv = zip(_unstack((gsk,), levels), _unstack((gsv,), levels))
+        return (g, gx, *grads, *[gm for pair in kv for gm in pair])
 
-    parents = (x, x, *params) + (() if memory is None else (memory, memory))
-    return _node(_residual(x.data, o), parents, bwd, "mha")
+    memory_parents = tuple(m for m in memories for _ in "kv")
+    return _node(_residual(x.data, o), (x, x, *parents, *memory_parents), bwd, "mha")
 
 
 def _glu(a):
@@ -831,33 +940,37 @@ def conv_module(x, gamma, beta, w1, b1, kernel, kernel_bias, gamma2, beta2, w2, 
     Values and gradients equal the bits of the unfused chain of nodes; `x`
     is a parent twice, as ``ffn``'s is.
     """
-    x = _rows("conv-module", x)
-    params = (gamma, beta, w1, b1, kernel, kernel_bias, gamma2, beta2, w2, b2)
+    x = _as_tensor(x)
+    if x.data.ndim != 2:
+        raise ShapeMismatch("conv-module", x.data.shape)
     d, (K, C) = x.data.shape[1], kernel.data.shape
-    _check_shapes("conv-module", params, ((d,), (d,), (d, 2 * C), (2 * C,), (K, C), (C,), (C,),
-                                          (C,), (C, d), (d,)), ((drop, x.data.shape),))
-    n, y, inv = _layernorm_rows(x.data, gamma.data, beta.data)
-    a = n @ w1.data
-    a += b1.data
+    params = (gamma, beta, w1, b1, kernel, kernel_bias, gamma2, beta2, w2, b2)
+    arrays, params, _ = _operands("conv-module", x.data.shape, params,
+                                  [(d,), (d,), (d, 2 * C), (2 * C,), (K, C), (C,), (C,), (C,),
+                                   (C, d), (d,)], ((drop, d),))
+    gamma, beta, w1, b1, kernel, kernel_bias, gamma2, beta2, w2, b2 = arrays
+    n, y, inv = _layernorm_rows(x.data, gamma, beta)
+    a = n @ w1
+    a += b1
     u, glu_backward = _glu(a)
-    h, conv_backward = _depthwise_conv(u, kernel.data, lengths)
-    h += kernel_bias.data
-    n2, y2, inv2 = _layernorm_rows(h, gamma2.data, beta2.data)
+    h, conv_backward = _depthwise_conv(u, kernel, lengths)
+    h += kernel_bias
+    n2, y2, inv2 = _layernorm_rows(h, gamma2, beta2)
     s = 1.0 / (1.0 + np.exp(-n2))
     z = n2 * s
-    o = z @ w2.data
-    o += b2.data
+    o = z @ w2
+    o += b2
     if drop is not None:
         o *= drop
 
     def bwd(g):
         go = g if drop is None else g * drop
-        gn2 = (go @ w2.data.T) * s * (1.0 + n2 * (1.0 - s))
-        gh = _layernorm_input_grad(gn2 * gamma2.data, y2, inv2)
+        gn2 = (go @ w2.T) * s * (1.0 + n2 * (1.0 - s))
+        gh = _layernorm_input_grad(gn2 * gamma2, y2, inv2)
         gu, gkernel = conv_backward(gh)
         ga = glu_backward(gu)
-        gn = ga @ w1.data.T
-        return (g, _layernorm_input_grad(gn * gamma.data, y, inv), (gn * y).sum(axis=0),
+        gn = ga @ w1.T
+        return (g, _layernorm_input_grad(gn * gamma, y, inv), (gn * y).sum(axis=0),
                 gn.sum(axis=0), n.T @ ga, ga.sum(axis=0), gkernel, gh.sum(axis=0),
                 (gn2 * y2).sum(axis=0), gn2.sum(axis=0), z.T @ go, go.sum(axis=0))
 
@@ -872,8 +985,11 @@ def power(a, p):
 
 
 def reduce_sum(a, axis=None):
+    """The sum over `axis` (None: every entry). Over axis 0 the slices add
+    one after another, with the bits of a chain of ``add`` nodes whatever
+    the trailing shape; numpy would add a single column pairwise."""
     a = _as_tensor(a)
-    out = a.data.sum(axis=axis)
+    out = np.add.accumulate(a.data)[-1] if axis == 0 else a.data.sum(axis=axis)
 
     def bwd(g):
         gg = g if axis is None else np.expand_dims(g, axis)

@@ -360,6 +360,30 @@ class TestFailureModes:
         assert err.startswith("error: ValueError: feat_dim 8 ") and "10" in err
         assert not dec.exists()
 
+    def test_decode_refuses_a_model_section_before_writing(self, tmp_path, capsys):
+        """decode's model comes from the checkpoint, so a --config model
+        section could not take effect: it is named and refused; a decode
+        section alone is read."""
+        data = prepare(tmp_path, feat_dim=8)
+        run = tmp_path / "run"
+        assert main(["train", "--data", str(data), "--out", str(run), *TINY_MODEL,
+                     "--num-experts", "2", "--max-steps", "1", "--eval-every", "1",
+                     "--no-augment"]) == 0
+        cfg_path = tmp_path / "odd.json"
+        cfg_path.write_text(json.dumps({"model": {"feat_dim": 99, "num_experts": 64},
+                                        "decode": {"beam": 8, "nbest": 8}}))
+        dec = tmp_path / "dec"
+        args = ["decode", "--data", str(data), "--checkpoint", str(run / "final.ckpt"),
+                "--out", str(dec), "--config", str(cfg_path)]
+        assert main(args) == 1
+        err = capsys.readouterr().err
+        assert len(err.strip().splitlines()) == 1
+        assert err.startswith("error: ValueError: ") and "section 'model'" in err
+        assert not dec.exists()
+        cfg_path.write_text(json.dumps({"decode": {"beam": 8, "nbest": 8}}))
+        assert main(args) == 0
+        assert json.loads((dec / "config.json").read_text())["decode"]["beam"] == 8
+
     @pytest.mark.parametrize("field, value", [
         ("beta", "nan"), ("gamma", "nan"), ("gamma", "inf"), ("alpha", "-inf"),
         ("peak_lr", "0"), ("peak_lr", "nan"), ("peak_lr", "inf"), ("max_epochs", "0"),

@@ -1,5 +1,6 @@
 """Attention decoder: normalization, causality, smoothed cross-entropy
-against loop oracles, multi-level additivity, rescoring identities."""
+against loop oracles, multi-level additivity, the level-stacked pass
+against one pass per decoder, rescoring identities."""
 
 import math
 
@@ -10,6 +11,7 @@ from moe_asr import tensor as T
 from moe_asr.decoder import (
     TransformerDecoder,
     aed_loss,
+    aed_losses,
     multi_level_aed,
     rescore,
 )
@@ -141,6 +143,124 @@ class TestMultiLevel:
             multi_level_aed(_decoder(), [_decoder()], EncoderOutput(final=_enc()), [0])
         with pytest.raises(ValueError):
             multi_level_aed(_decoder(), [], EncoderOutput(final=_enc(), taps={1: _enc()}), [0])
+
+
+# ---------------------------------------------------------------------------
+# the level-stacked pass against one teacher-forced chain per decoder
+# ---------------------------------------------------------------------------
+
+
+# name -> (encoder rows per utterance, token sequences); None: one utterance
+BATCHES = {
+    "packed": ([5, 9, 3, 7], [[1, 2], [0, 3, 4, 1, 2], [4], []]),
+    "single": (None, [3, 1, 4]),
+}
+
+
+def _level_decoders(num_levels, blocks, train):
+    """`num_levels` separately built decoders, main last, each with its own
+    weights and dropout streams."""
+    decoders = [TransformerDecoder(V, D, 16, heads=2, num_blocks=blocks, dropout=0.2)
+                .initialize(60 + level) for level in range(num_levels)]
+    return [dec.train(train) for dec in decoders]
+
+
+def _memories(num_levels, lengths, seed=70):
+    rng = np.random.default_rng(seed)
+    rows = 6 if lengths is None else sum(lengths)
+    return [rng.normal(size=(rows, D)) for _ in range(num_levels)]
+
+
+def _stacked_run(decoders, memories, lengths, tokens, w):
+    """``multi_level_aed`` on leaf copies of the memories, then backward of
+    the total weighted by `w`; returns the total, the per-level values and
+    the memory leaves."""
+    leaves = [Tensor(m, requires_grad=True) for m in memories]
+    enc = EncoderOutput(final=leaves[-1], taps={i + 1: t for i, t in enumerate(leaves[:-1])},
+                        lengths=lengths)
+    total, per_level = multi_level_aed(decoders[-1], decoders[:-1], enc, tokens, 0.1)
+    T.reduce_sum(T.mul(total, Tensor(w))).backward()
+    return total, per_level, leaves
+
+
+def _oracle_run(decoders, memories, lengths, tokens, w):
+    """The per-decoder chain: each decoder's teacher-forced pass and its
+    losses on their own, the levels' losses added one after another."""
+    leaves = [Tensor(m, requires_grad=True) for m in memories]
+    per_level = []
+    for dec, enc in zip(decoders, leaves):
+        lp = dec.decode_teacher_forced(enc, tokens, lengths)
+        per_level.append(aed_loss(lp, tokens, 0.1) if lengths is None
+                         else aed_losses(lp, tokens, 0.1))
+    total = per_level[0]
+    for term in per_level[1:]:
+        total = T.add(total, term)
+    T.reduce_sum(T.mul(total, Tensor(w))).backward()
+    return total, per_level, leaves
+
+
+class TestLevelStackedPass:
+    @pytest.mark.parametrize("train", [True, False], ids=["train", "eval"])
+    @pytest.mark.parametrize("batch", sorted(BATCHES))
+    @pytest.mark.parametrize("blocks", [1, 2])
+    @pytest.mark.parametrize("num_levels", [1, 2, 3, 4])
+    def test_matches_one_chain_per_decoder_exactly(self, num_levels, blocks, batch, train):
+        """Per-level losses, the total, every decoder parameter's gradient
+        and every encoder output's gradient keep the bits of one pass per
+        decoder; in train mode both runs draw the same dropout masks."""
+        lengths, tokens = BATCHES[batch]
+        memories = _memories(num_levels, lengths)
+        w = np.random.default_rng(71).normal(size=() if lengths is None else len(lengths))
+        stacked = _level_decoders(num_levels, blocks, train)
+        oracle = _level_decoders(num_levels, blocks, train)
+        total, per_level, leaves = _stacked_run(stacked, memories, lengths, tokens, w)
+        ref_total, ref_per_level, ref_leaves = _oracle_run(oracle, memories, lengths, tokens, w)
+        assert total.data.tobytes() == ref_total.data.tobytes()
+        assert len(per_level) == num_levels
+        for value, ref in zip(per_level, ref_per_level):
+            assert value.data.shape == ref.data.shape
+            assert value.data.tobytes() == ref.data.tobytes()
+        for dec, ref in zip(stacked, oracle):
+            assert dec.arena.grad.tobytes() == ref.arena.grad.tobytes()
+            assert dec.arena.grad.any()
+        for leaf, ref in zip(leaves, ref_leaves):
+            assert leaf.grad.tobytes() == ref.grad.tobytes()
+
+    @pytest.mark.parametrize("batch", sorted(BATCHES))
+    def test_records_the_same_nodes_at_every_level_count(self, monkeypatch, batch):
+        """One node per stage whatever the number of levels: embedding,
+        positions, dropout, three per block, the output layernorm, linear
+        and log-softmax, the loss's gather, smoothing and per-utterance
+        means (six nodes), and the sum over levels; one utterance adds the
+        reshape to a scalar."""
+        lengths, tokens = BATCHES[batch]
+        counts = []
+        for num_levels in (1, 2, 3, 4):
+            decoders = _level_decoders(num_levels, 2, True)
+            leaves = [Tensor(m, requires_grad=True) for m in _memories(num_levels, lengths)]
+            enc = EncoderOutput(final=leaves[-1], lengths=lengths,
+                                taps={i + 1: t for i, t in enumerate(leaves[:-1])})
+            ops = []
+            node = T._node
+
+            def counted(data, parents, backward, op, ops=ops, node=node):
+                out = node(data, parents, backward, op)
+                if out._backward is not None:
+                    ops.append(op)
+                return out
+
+            monkeypatch.setattr(T, "_node", counted)
+            multi_level_aed(decoders[-1], decoders[:-1], enc, tokens, 0.1)
+            monkeypatch.undo()
+            counts.append(len(ops))
+        assert counts == [counts[0]] * 4
+        assert counts[0] == (19 if lengths is not None else 20)
+
+    def test_levels_of_unequal_rows_rejected(self):
+        decoders = _level_decoders(2, 1, False)
+        enc = EncoderOutput(final=_enc(t=5), taps={1: _enc(t=6)})
+        with pytest.raises(T.ShapeMismatch):
+            multi_level_aed(decoders[-1], decoders[:-1], enc, [1, 2])
 
 
 def _oracle_scores(dec, enc, token_seqs):

@@ -280,6 +280,40 @@ class TestFusedFeedForward:
         got = [out.data, x.grad, p.grad] + [t.grad for ps, _ in experts for t in ps]
         _assert_bits(got, [ref_out, *ref_grads])
 
+    @pytest.mark.parametrize("train", [True, False], ids=["train", "eval"])
+    @pytest.mark.parametrize("rows", [1, 5])
+    def test_level_stacked_ffn_matches_each_level_exactly(self, rows, train):
+        """x [3, rows, d] with one expert's parameters and masks per level:
+        every level's output and gradients equal the chain on its own, so
+        they equal a call without levels."""
+        rng = np.random.default_rng(75 + rows)
+        levels = [_expert(rng, rows, train=train) for _ in range(3)]
+        x = Tensor(rng.normal(size=(3, rows, 6)), requires_grad=True)
+        g = rng.normal(size=(3, rows, 6))
+        masks = [np.array([ms[k] for _, ms in levels]) if train else None for k in (0, 1)]
+        params = [[ps[k] for ps, _ in levels] for k in range(6)]
+        out = T.ffn(x, FACTORS[rows], *params, *masks)
+        T.reduce_sum(T.mul(out, Tensor(g))).backward()
+        for level, (ps, ms) in enumerate(levels):
+            ref_out, ref_grads = _plus_residual(_ffn_chain, x.data[level], FACTORS[rows],
+                                                *_arrays(ps, ms), g[level])
+            _assert_bits([out.data[level], x.grad[level]] + [t.grad for t in ps],
+                         [ref_out, *ref_grads])
+
+    def test_level_stacked_ffn_finite_differences(self):
+        rng = np.random.default_rng(96)
+        levels = [_expert(rng, 4) for _ in range(2)]
+        x = Tensor(rng.normal(size=(2, 4, 6)), requires_grad=True)
+        g = Tensor(rng.normal(size=(2, 4, 6)))
+        masks = [np.array([ms[k] for _, ms in levels]) for k in (0, 1)]
+        leaves = [x] + [ps[k] for k in range(6) for ps, _ in levels]
+
+        def f(ps):
+            params = [ps[1 + 2 * k : 3 + 2 * k] for k in range(6)]
+            return T.reduce_sum(T.mul(T.ffn(ps[0], 0.5, *params, *masks), g))
+
+        assert T.finite_diff_check(f, leaves) < 1e-6
+
     @pytest.mark.parametrize("rows", [1, 5])
     def test_ffn_finite_differences(self, rows):
         rng = np.random.default_rng(90 + rows)

@@ -187,8 +187,9 @@ def test_one_batch_is_one_graph_of_bounded_size(monkeypatch):
     assert 0 < len(recorded) < 1000, len(recorded)
 
 
-@pytest.mark.parametrize("num_experts,nodes", [(16, 190), (0, 108)])
+@pytest.mark.parametrize("num_experts,nodes", [(16, 147), (0, 65)])
 def test_batch_graph_size(monkeypatch, num_experts, nodes):
     """The same batch records exactly this many nodes, two decoder blocks
-    per decoder: one per sub-layer, residual included, and one per mean."""
+    per decoder: one per sub-layer, residual included, and one per mean.
+    The three decoders run as one level-stacked pass of 19 nodes."""
     assert len(_recorded_desk_batch(monkeypatch, num_experts)) == nodes

@@ -1,7 +1,8 @@
 """The attention and convolution sub-layer nodes (``T.mha``,
-``T.conv_module``) against the unfused chain in plain numpy, bit for bit;
-the modules that call them; and the number of nodes a Conformer block and
-a decoder block record."""
+``T.conv_module``) against the unfused chain in plain numpy, bit for bit,
+``T.mha`` also on a level stack (each level against the chain on its
+own); the modules that call them; and the number of nodes a Conformer
+block and a decoder block record."""
 
 import copy
 
@@ -138,16 +139,44 @@ MHA_CASES = {
 }
 
 
+# Each case again on a stack of LEVELS levels: x, the dropout mask and the
+# upstream gradient lead with the level axis; the memory and each parameter
+# are a list of one tensor per level.
+LEVELS = 3
+LEVEL_CASES = {f"{case}-levels": case for case in MHA_CASES}
+
+
 def _mha_inputs(case, train, seed=120):
-    lengths, memory_lengths, segments = MHA_CASES[case]
+    levels = LEVELS if case in LEVEL_CASES else None
+    lengths, memory_lengths, segments = MHA_CASES[LEVEL_CASES.get(case, case)]
     rng = np.random.default_rng(seed + len(case))
     rows = sum(lengths)
-    x = Tensor(rng.normal(size=(rows, 8)), requires_grad=True)
+    lead = () if levels is None else (levels,)
+
+    def tensor(*shape):
+        return Tensor(rng.normal(size=shape), requires_grad=True)
+
+    x = tensor(*lead, rows, 8)
     memory = None
     if memory_lengths is not None:
-        memory = Tensor(rng.normal(size=(sum(memory_lengths), 8)), requires_grad=True)
-    drop = _mask(rng, (rows, 8)) if train else None
-    return x, memory, _mha_params(rng), drop, rng.normal(size=(rows, 8)), segments
+        memory = (tensor(sum(memory_lengths), 8) if levels is None
+                  else [tensor(sum(memory_lengths), 8) for _ in range(levels)])
+    drop = _mask(rng, (*lead, rows, 8)) if train else None
+    params = (_mha_params(rng) if levels is None
+              else [list(ts) for ts in zip(*[_mha_params(rng) for _ in range(levels)])])
+    return x, memory, params, drop, rng.normal(size=(*lead, rows, 8)), segments
+
+
+def _level(inputs, level):
+    """Level `level` of ``_mha_inputs``'s tensors and arrays (None: all of
+    them, without a level axis): x, memory, the parameters, the dropout
+    mask, the upstream gradient and the segments, as they are."""
+    x, memory, params, drop, g, segments = inputs
+    if level is None:
+        return inputs
+    memory = None if memory is None else memory[level]
+    return (x, memory, [ts[level] for ts in params], None if drop is None else drop[level],
+            g[level], segments)
 
 
 def _assert_bits(got, expected):
@@ -163,29 +192,45 @@ def _assert_bits(got, expected):
 
 class TestFusedAttention:
     @pytest.mark.parametrize("train", [True, False], ids=["train", "eval"])
-    @pytest.mark.parametrize("case", sorted(MHA_CASES))
+    @pytest.mark.parametrize("case", sorted(MHA_CASES) + sorted(LEVEL_CASES))
     def test_matches_chain_exactly(self, case, train):
-        x, memory, params, drop, g, segments = _mha_inputs(case, train)
+        """On a level stack every level's output and gradients equal the
+        chain on that level alone, so they equal a call without levels."""
+        inputs = _mha_inputs(case, train)
+        x, memory, params, drop, g, segments = inputs
         out = T.mha(x, memory, 2, *params, drop, **segments)
         T.reduce_sum(T.mul(out, Tensor(g))).backward()
-        ref_out, ref_grads = _mha_chain(
-            x.data, None if memory is None else memory.data, 2, [t.data for t in params],
-            1.0 if drop is None else drop, g, segments)
-        got = [out.data, x.grad] + [t.grad for t in params]
-        _assert_bits(got + ([] if memory is None else [memory.grad]), [ref_out, *ref_grads])
+        for level in range(LEVELS) if case in LEVEL_CASES else [None]:
+            _, memory, params, drop, g, _ = _level(inputs, level)
+            ref_out, ref_grads = _mha_chain(
+                x.data if level is None else x.data[level],
+                None if memory is None else memory.data, 2, [t.data for t in params],
+                1.0 if drop is None else drop, g, segments)
+            got = [out.data, x.grad] if level is None else [out.data[level], x.grad[level]]
+            got += [t.grad for t in params] + ([] if memory is None else [memory.grad])
+            _assert_bits(got, [ref_out, *ref_grads])
 
-    @pytest.mark.parametrize("case", ["causal-segments", "cross-segments"])
+    @pytest.mark.parametrize("case", ["causal-segments", "cross-segments",
+                                      "causal-segments-levels", "cross-segments-levels"])
     def test_finite_differences(self, case):
         """The trie-mask case is pinned by the chain alone: there some
         query-projection gradients come out near 5e-6, where a central
         difference's truncation error (it shrinks as eps squared) is a
         relative 5e-5."""
         x, memory, params, drop, g, segments = _mha_inputs(case, True)
-        leaves = [x, *params] + ([] if memory is None else [memory])
+        levels = LEVELS if case in LEVEL_CASES else None
+        groups = [[t] if levels is None else t for t in params]
+        if memory is not None:
+            groups.append([memory] if levels is None else memory)
+        leaves = [x] + [t for group in groups for t in group]
 
         def f(ps):
-            mem = None if memory is None else ps[-1]
-            out = T.mha(ps[0], mem, 2, *ps[1:10], drop, **segments)
+            args, i = [], 1
+            for group in groups:
+                args.append(ps[i] if levels is None else ps[i : i + levels])
+                i += len(group)
+            mem = None if memory is None else args.pop()
+            out = T.mha(ps[0], mem, 2, *args, drop, **segments)
             return T.reduce_sum(T.mul(out, Tensor(g)))
 
         assert T.finite_diff_check(f, leaves, eps=1e-4) < 1e-6
@@ -208,6 +253,15 @@ class TestFusedAttention:
             T.mha(x, memory, 3, *params)
         with pytest.raises(T.ShapeMismatch):  # two query segments, one key segment
             T.mha(x, memory, 2, *params, lengths=[2, 3], key_lengths=[7])
+        x, memory, params, drop, _, _ = _mha_inputs("cross-levels", True)
+        with pytest.raises(T.ShapeMismatch):  # a level stack with one level's parameters
+            T.mha(x, memory, 2, *[ts[0] for ts in params], drop)
+        with pytest.raises(T.ShapeMismatch):  # two levels' parameters for three
+            T.mha(x, memory, 2, *[ts[:2] for ts in params], drop)
+        with pytest.raises(T.ShapeMismatch):  # one memory for three levels
+            T.mha(x, memory[0], 2, *params, drop)
+        with pytest.raises(T.ShapeMismatch):  # a dropout mask without the level axis
+            T.mha(x, memory, 2, *params, drop[0])
 
 
 CONV_CASES = {"one": None, "segments": [4, 1, 6, 3]}

@@ -575,33 +575,66 @@ FUSED_OPS = {
 }
 
 
+# The ops that take a level axis, again on a stack of LEVELS levels: the
+# first input leads with the level axis, each other input is a list of one
+# tensor per level, and each level must equal the unfused graph on its own.
+LEVELS = 3
+FUSED_OPS.update({f"{name}-levels": FUSED_OPS[name] for name in ("linear", "layernorm")})
+
+
 def _fused_inputs(name, rows, seed=50):
     op, shapes, width, reference = FUSED_OPS[name]
     rng = np.random.default_rng(seed + rows)
-    inputs = [Tensor(rng.normal(size=shape), requires_grad=True) for shape in shapes(rows)]
-    return op, inputs, rng.normal(size=(rows, width)), reference
+    if not name.endswith("-levels"):
+        inputs = [Tensor(rng.normal(size=shape), requires_grad=True) for shape in shapes(rows)]
+        return op, inputs, rng.normal(size=(rows, width)), reference
+    first, *rest = shapes(rows)
+    inputs = [Tensor(rng.normal(size=(LEVELS, *first)), requires_grad=True)]
+    inputs += [[Tensor(rng.normal(size=shape), requires_grad=True) for _ in range(LEVELS)]
+               for shape in rest]
+    return op, inputs, rng.normal(size=(LEVELS, rows, width)), reference
+
+
+def _leaves(inputs):
+    """The input tensors, a level stack's lists flattened."""
+    return [t for group in inputs for t in ([group] if isinstance(group, Tensor) else group)]
 
 
 class TestFusedOps:
     @pytest.mark.parametrize("rows", [1, 5])
     @pytest.mark.parametrize("name", sorted(FUSED_OPS))
     def test_matches_unfused_exactly(self, name, rows):
-        """Output and every input gradient equal the unfused graph's bits."""
+        """Output and every input gradient equal the unfused graph's bits,
+        on a level stack level by level."""
         op, inputs, g, reference = _fused_inputs(name, rows)
         out = op(*inputs)
         T.reduce_sum(T.mul(out, Tensor(g))).backward()
-        expected = reference(*[t.data for t in inputs], g)
-        got = [out.data] + [t.grad for t in inputs]
-        assert len(got) == len(expected)
-        for a, b in zip(got, expected):
-            np.testing.assert_allclose(a, b, rtol=0, atol=0)
+        x, *params = inputs
+        for level in range(LEVELS) if name.endswith("-levels") else [None]:
+            if level is None:
+                at, ps = (lambda a: a), params
+            else:
+                at, ps = (lambda a: a[level]), [group[level] for group in params]
+            expected = reference(at(x.data), *[t.data for t in ps], at(g))
+            got = [at(out.data), at(x.grad)] + [t.grad for t in ps]
+            assert len(got) == len(expected)
+            for a, b in zip(got, expected):
+                np.testing.assert_allclose(a, b, rtol=0, atol=0)
 
     @pytest.mark.parametrize("rows", [1, 5])
     @pytest.mark.parametrize("name", sorted(FUSED_OPS))
     def test_finite_differences(self, name, rows):
         op, inputs, g, _ = _fused_inputs(name, rows)
-        f = lambda ps: T.reduce_sum(T.mul(op(*ps), Tensor(g)))  # noqa: E731
-        assert T.finite_diff_check(f, inputs) < TOL
+        sizes = [1 if isinstance(group, Tensor) else len(group) for group in inputs]
+
+        def f(ps):
+            args, i = [], 0
+            for group, n in zip(inputs, sizes):
+                args.append(ps[i] if isinstance(group, Tensor) else ps[i : i + n])
+                i += n
+            return T.reduce_sum(T.mul(op(*args), Tensor(g)))
+
+        assert T.finite_diff_check(f, _leaves(inputs)) < TOL
 
     def test_shape_mismatch_raises(self):
         def ones(*shape):
@@ -615,3 +648,100 @@ class TestFusedOps:
             T.layernorm(ones(3, 4), ones(3), ones(4))
         with pytest.raises(T.ShapeMismatch):  # odd width cannot be halved
             glu(ones(3, 5))
+        with pytest.raises(T.ShapeMismatch):  # a level stack needs one weight per level
+            T.linear(ones(2, 3, 4), ones(4, 2), ones(2))
+        with pytest.raises(T.ShapeMismatch):  # two levels' weights for three levels
+            T.linear(ones(3, 3, 4), [ones(4, 2)] * 2, [ones(2)] * 2)
+        with pytest.raises(T.ShapeMismatch):  # levels of unequal shapes
+            T.layernorm(ones(2, 3, 4), [ones(4), ones(5)], [ones(4), ones(4)])
+
+
+# ---------------------------------------------------------------------------
+# the level axis of the lookup and loss ops: each level equals its own call
+# ---------------------------------------------------------------------------
+
+
+def _grads_of(op, inputs, g):
+    """Value and input gradients of ``sum(op(*inputs) * g)``."""
+    for t in _leaves(inputs):
+        t.zero_grad()
+    out = op(*inputs)
+    T.reduce_sum(T.mul(out, Tensor(g))).backward()
+    return out.data, [t.grad.copy() for t in _leaves(inputs)]
+
+
+class TestLevelAxis:
+    def test_embedding_lookup_equals_each_table(self):
+        """Repeated ids accumulate in the same order on every level."""
+        rng = np.random.default_rng(61)
+        tables = [Tensor(rng.normal(size=(5, 4)), requires_grad=True) for _ in range(LEVELS)]
+        ids = np.array([1, 3, 1, 0, 1])
+        g = rng.normal(size=(LEVELS, 5, 4))
+        out, grads = _grads_of(lambda ts: T.embedding_lookup(ts, ids), [tables], g)
+        for level, table in enumerate(tables):
+            alone, (grad,) = _grads_of(lambda t: T.embedding_lookup(t, ids), [table], g[level])
+            np.testing.assert_array_equal(out[level], alone)
+            np.testing.assert_array_equal(grads[level], grad)
+        err = T.finite_diff_check(
+            lambda ps: T.reduce_sum(T.mul(T.embedding_lookup(ps, ids), Tensor(g))), tables)
+        assert err < TOL
+
+    def test_gather_last_equals_each_level(self):
+        rng = np.random.default_rng(62)
+        a = Tensor(rng.normal(size=(LEVELS, 4, 6)), requires_grad=True)
+        ids = np.array([1, 5, 0, 1])
+        g = rng.normal(size=(LEVELS, 4))
+        out, (grad,) = _grads_of(lambda t: T.gather_last(t, ids), [a], g)
+        for level in range(LEVELS):
+            alone, (expected,) = _grads_of(lambda t: T.gather_last(t, ids),
+                                           [Tensor(a.data[level], requires_grad=True)], g[level])
+            np.testing.assert_array_equal(out[level], alone)
+            np.testing.assert_array_equal(grad[level], expected)
+        err = T.finite_diff_check(
+            lambda ps: T.reduce_sum(T.mul(T.gather_last(ps[0], ids), Tensor(g))), [a])
+        assert err < TOL
+
+    @pytest.mark.parametrize("lengths", [[4], [1, 3, 2], [5, 1, 7, 2]])
+    def test_segment_means_match_the_matmul_chain(self, lengths):
+        """Values and gradients equal a ``matmul`` of the 1/length weights
+        by the entries as a column, bit for bit, and on a level stack each
+        level equals that chain on its own."""
+        rng = np.random.default_rng(63 + len(lengths))
+        n, k = sum(lengths), len(lengths)
+        a = Tensor(rng.normal(size=(LEVELS, n)), requires_grad=True)
+        g = rng.normal(size=(LEVELS, k))
+        out, (grad,) = _grads_of(lambda t: T.segment_means(t, lengths), [a], g)
+        owner = np.repeat(np.arange(k), lengths)
+        weights = (owner == np.arange(k)[:, None]) / np.array(lengths)[:, None]
+        for level in range(LEVELS):
+            row = Tensor(a.data[level], requires_grad=True)
+
+            def chain(t):
+                return T.reshape(T.matmul(Tensor(weights), T.reshape(t, (n, 1))), (k,))
+
+            value, (expected,) = _grads_of(chain, [row], g[level])
+            alone, (alone_grad,) = _grads_of(lambda t: T.segment_means(t, lengths), [row],
+                                             g[level])
+            for got in (out[level], alone):
+                np.testing.assert_array_equal(got, value)
+            for got in (grad[level], alone_grad):
+                np.testing.assert_array_equal(got, expected)
+        err = T.finite_diff_check(
+            lambda ps: T.reduce_sum(T.mul(T.segment_means(ps[0], lengths), Tensor(g))), [a])
+        assert err < TOL
+        with pytest.raises(T.ShapeMismatch):  # lengths that do not cover the entries
+            T.segment_means(a, [n - 1])
+
+    @pytest.mark.parametrize("levels", [1, 3, 9, 20])
+    def test_reduce_sum_over_levels_adds_in_order(self, levels):
+        """A sum over axis 0 has the bits of ``add`` nodes chained level by
+        level, also for one column, where numpy's sum would go pairwise
+        from eight rows on."""
+        rng = np.random.default_rng(64 + levels)
+        for width in (1, 4):
+            for _ in range(50):
+                a = Tensor(rng.normal(size=(levels, width)))
+                chained = Tensor(a.data[0])
+                for row in a.data[1:]:
+                    chained = T.add(chained, Tensor(row))
+                np.testing.assert_array_equal(T.reduce_sum(a, axis=0).data, chained.data)
