@@ -3,21 +3,25 @@
 Everything the models need is built from the primitives here: row-major
 contiguous numpy storage, a recorded computation graph, and a topological
 backward pass that accumulates gradients into leaves only; intermediate
-nodes pass their gradient on and keep none. ``linear`` and ``layernorm``
-(with its affine) are one node each. Every sub-layer of a Conformer or
-decoder block is one node with its own backward, the residual add
-included: ``ffn`` (layernorm, expand, swish, dropout, project, dropout,
-then ``x + c * f``), ``routed_ffn`` (the same for a top-1 routed layer: its
-rows sorted by expert, every step but the two matmuls run once over all
-rows, the matmuls once per used expert), ``mha`` (layernorm, the four
-projections, all heads' attention as batched [H, T, d_head] products,
+nodes pass their gradient on and keep none. A graph is backwarded once:
+the pass consumes it, dropping each node's parents and closure once its
+flow has gone on, so the activations a closure saved are freed as the pass
+goes and a training step holds one graph, not two. Leaves keep their
+``grad``, so backward over fresh graphs accumulates. ``linear`` and
+``layernorm`` (with its affine) are one node each. Every sub-layer of a
+Conformer or decoder block is one node with its own backward, the residual
+add included: ``ffn`` (layernorm, expand, swish, dropout, project,
+dropout, then ``x + c * f``), ``routed_ffn`` (the same for a top-1 routed
+layer: its rows sorted by expert, every step but the two matmuls run once
+over all rows, the matmuls once per used expert), ``mha`` (layernorm, the
+four projections, all heads' attention as batched [H, T, d_head] products,
 dropout, residual) and ``conv_module`` (layernorm, expand, GLU, depthwise
 convolution, layernorm, swish, project, dropout, residual). Each equals
 the bits of the chain of small nodes it replaces, values and gradients:
 where that chain had an input feed two of its nodes, the fused node lists
 the input twice, so the engine adds the two flows one at a time as before.
-A dropout is a mask array the caller draws, applied inside a fused node
-or by ``mul``.
+A dropout is a mask array the caller draws, applied inside a fused node or
+by ``mul``.
 A training batch is packed into one graph: its utterances' frames are
 stacked as consecutive rows, and the ops whose rows interact
 (``unfold_time``, ``conv_module``'s convolution, ``mha``'s attention) take
@@ -121,8 +125,10 @@ class Tensor:
     Tensors produced by ops record their parents and a backward closure but
     have ``grad`` None: ``backward()`` on a scalar loss walks the graph in
     reverse topological order, passes gradients through them, and
-    accumulates only into leaves. Repeated backward calls without
-    a ``zero_grad`` accumulate. A training batch is one graph over the
+    accumulates only into leaves. The walk frees the graph as it goes, so
+    each graph is backwarded once and its activations are gone when the
+    call returns. Repeated backward calls over fresh graphs without a
+    ``zero_grad`` accumulate. A training batch is one graph over the
     packed frames of all its utterances, so one call covers the batch.
     """
 
@@ -148,7 +154,16 @@ class Tensor:
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
 
     def backward(self):
-        """Accumulate d(self)/d(leaf) into every reachable leaf's ``grad``."""
+        """Accumulate d(self)/d(leaf) into every reachable leaf's ``grad``.
+
+        The pass consumes the graph: once a node's flow has gone to its
+        parents, the node drops its parents and its backward closure, so
+        each saved activation is freed as soon as no pending closure holds
+        it and nothing of the graph outlives the call. A graph is therefore
+        backwarded once; backward again through any of its nodes, from the
+        same loss or another that shares them, raises ``RuntimeError``.
+        Leaves are untouched, so backward over fresh graphs accumulates.
+        """
         if self.data.size != 1:
             raise ValueError(
                 f"backward requires a scalar loss, got shape {self.data.shape}"
@@ -173,22 +188,31 @@ class Tensor:
 
         # Per-call flow of gradients; node.grad accumulates across calls.
         # Stored flow arrays are never mutated in place, so backward
-        # closures may return views.
+        # closures may return views. Popping the order leaves each node
+        # referenced only by its consumers, which were freed before it.
         flows = {id(self): np.ones_like(self.data)}
-        for node in reversed(topo):
+        while topo:
+            node = topo.pop()
             g = flows.pop(id(node), None)
+            backward, parents = node._backward, node._parents
+            if backward is not None:
+                node._backward, node._parents = _freed_backward, ()
             if g is None:
                 continue
             if node.grad is not None:
                 node.grad += g
-            if node._backward is None:
+            if backward is None:
                 continue
-            parent_grads = node._backward(g)
-            for p, pg in zip(node._parents, parent_grads):
+            for p, pg in zip(parents, backward(g)):
                 if pg is None or not p.requires_grad:
                     continue
                 acc = flows.get(id(p))
                 flows[id(p)] = pg if acc is None else acc + pg
+
+
+def _freed_backward(g):
+    """The backward of a node whose graph an earlier backward consumed."""
+    raise RuntimeError("backward through a graph that an earlier backward already freed")
 
 
 def _as_tensor(x):

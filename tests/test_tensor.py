@@ -158,6 +158,24 @@ class TestBackwardClosedForm:
         loss2.backward()
         np.testing.assert_allclose(x.grad, [12.0], atol=0)
 
+    def test_second_backward_of_one_loss_raises(self):
+        x = Tensor(np.array([3.0]), requires_grad=True)
+        loss = T.reduce_sum(T.mul(x, x))
+        loss.backward()
+        with pytest.raises(RuntimeError, match="^backward through a graph that an earlier"):
+            loss.backward()
+        np.testing.assert_allclose(x.grad, [6.0], atol=0)
+
+    def test_loss_sharing_a_consumed_subgraph_raises(self):
+        """The first backward freed h's closure and its parents; a second
+        loss through h raises instead of giving x no gradient through h."""
+        x = Tensor(np.array([3.0]), requires_grad=True)
+        h = T.mul(x, x)
+        T.reduce_sum(h).backward()
+        assert h._parents == ()
+        with pytest.raises(RuntimeError, match="^backward through a graph that an earlier"):
+            T.reduce_sum(T.scale(h, 2.0)).backward()
+
     def test_shared_node_gradients_sum(self):
         """y = x + x pushes gradient 2 into x through both edges."""
         x = Tensor(np.array([5.0]), requires_grad=True)

@@ -2,6 +2,8 @@
 
 import json
 import math
+import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -487,6 +489,116 @@ class TestBatchLosses:
         total.backward()
         for decoder in model.aux_decoders:
             assert np.any(decoder.out.weight.grad != 0.0)
+
+
+def desk_batch():
+    """The seeded 4-utterance desk batch of tests/test_packing.py."""
+    rng = np.random.default_rng(3)
+    return [
+        FeatureSequence(f"u{i}", rng.normal(size=(n, 80)), [1, 4, 2, 7, 3])
+        for i, n in enumerate((92, 114, 105, 60))
+    ]
+
+
+def desk_model(num_experts):
+    return SpeechModel(ModelConfig.desk_scale(11, num_experts=num_experts)).initialize(3).train()
+
+
+def retaining_backward(loss):
+    """The engine as it was before backward consumed the graph: the same
+    order and flows, but every node keeps its parents and closure until
+    the loss dies. The reference the consuming engine must match bit for
+    bit."""
+    topo, visited, stack = [], set(), [(loss, False)]
+    while stack:
+        node, expanded = stack.pop()
+        if expanded:
+            topo.append(node)
+            continue
+        if id(node) in visited:
+            continue
+        visited.add(id(node))
+        stack.append((node, True))
+        for p in node._parents:
+            if id(p) not in visited:
+                stack.append((p, False))
+    flows = {id(loss): np.ones_like(loss.data)}
+    for node in reversed(topo):
+        g = flows.pop(id(node), None)
+        if g is None:
+            continue
+        if node.grad is not None:
+            node.grad += g
+        if node._backward is None:
+            continue
+        for p, pg in zip(node._parents, node._backward(g)):
+            if pg is None or not p.requires_grad:
+                continue
+            acc = flows.get(id(p))
+            flows[id(p)] = pg if acc is None else acc + pg
+
+
+class TestGraphLifetime:
+    """Backward consumes the graph it runs over: nothing of a step's graph
+    outlives the call, so a training step holds one graph at a time."""
+
+    def test_every_closure_is_dead_when_backward_returns(self, monkeypatch):
+        closures = []
+        node = T._node
+
+        def recorded(data, parents, backward, op):
+            out = node(data, parents, backward, op)
+            if out._backward is not None:
+                closures.append(weakref.ref(backward))
+            return out
+
+        monkeypatch.setattr(T, "_node", recorded)
+        model = desk_model(16)
+        total, _, _ = batch_losses(model, desk_batch(), TrainConfig(seed=3))
+        assert closures and all(ref() is not None for ref in closures)
+        total.backward()
+        assert [ref() for ref in closures] == [None] * len(closures)
+        assert total._parents == ()
+        assert np.any(model.arena.grad != 0.0)
+
+    @pytest.mark.parametrize("packed", [True, False], ids=["packed", "single"])
+    @pytest.mark.parametrize("num_experts", [16, 0])
+    def test_gradients_match_the_retaining_engine_bit_for_bit(self, num_experts, packed):
+        batch = desk_batch() if packed else desk_batch()[:1]
+        results = []
+        for engine in (Tensor.backward, retaining_backward):
+            model = desk_model(num_experts)
+            total, _, _ = batch_losses(model, batch, TrainConfig(seed=3))
+            engine(total)
+            results.append((total.data.tobytes(), model.arena.grad.tobytes()))
+        assert results[0] == results[1]
+
+    def test_a_step_holds_one_graph(self):
+        """Three training steps on the tiny routed model: the third step's
+        traced peak stays within a quarter graph of the first's. If a
+        step's loss kept its graph until the next forward returned, two
+        graphs would be alive at once from step 2 on."""
+        model = SpeechModel(tiny_cfg(num_experts=2)).initialize(0).train()
+        opt = Adam(model.arena)
+        tc = TrainConfig(seed=0)
+        peaks = []
+        tracemalloc.start()
+        try:
+            for step in range(1, 4):
+                tracemalloc.reset_peak()
+                model.zero_grad()
+                before = tracemalloc.get_traced_memory()[0]
+                total, _, _ = batch_losses(model, tiny_batch(seed=step), tc)
+                if step == 1:
+                    graph = tracemalloc.get_traced_memory()[0] - before
+                total.backward()
+                clip_gradients(model.arena, GRAD_CLIP)
+                opt.step(learning_rate(step, tc.peak_lr, tc.warmup_steps))
+                peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert graph > 0
+        assert peaks[2] - peaks[0] <= graph / 4, (peaks, graph)
 
 
 class TestParameterMovement:
