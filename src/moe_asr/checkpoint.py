@@ -126,15 +126,6 @@ def _read(path):
         yield header.get("kind"), header["config"], entries, read_body
 
 
-def read_params(path):
-    """Returns (kind, config dict, ordered {name: read-only float64 view})."""
-    with _read(path) as (kind, config, entries, read_body):
-        body = read_body()
-    body.flags.writeable = False
-    parts = np.split(body, [e["offset"] // 8 for e in entries[1:]])
-    return kind, config, {e["name"]: p.reshape(e["shape"]) for e, p in zip(entries, parts)}
-
-
 def _span(path, arena, entries, prefix=""):
     """The arena's span under ``prefix``, once the entries equal its layout."""
     layout, data = arena.layout(prefix)

@@ -110,9 +110,11 @@ def _each(modules, get):
 def _across(modules, operands):
     """The node operands ``operands(module)`` lists: for one module as they
     are; for a list of L modules of one shape (one per level) zipped, each
-    tensor operand the tuple of its L tensors and each dropout mask the
-    [L, ...] stack of the L masks (ones for a level that draws none, None
-    when none does). Every level's ``Dropout`` draws from its own stream."""
+    tensor operand the tuple of its L tensors and each dropout mask, a
+    ``(keep, scale)`` pair, the [L, ...] stack of the L keep arrays with
+    the [L, 1, 1] scales (all kept with scale 1 for a level that draws
+    none, None when none does). Every level's ``Dropout`` draws from its
+    own stream."""
     if not isinstance(modules, list):
         return operands(modules)
     zipped = []
@@ -121,7 +123,9 @@ def _across(modules, operands):
         if isinstance(parts[0], Tensor):
             zipped.append(parts)
         elif drawn:
-            zipped.append(np.array([np.ones(drawn[0].shape) if m is None else m for m in parts]))
+            ones = np.ones(drawn[0][0].shape, dtype=bool)
+            zipped.append((np.array([ones if m is None else m[0] for m in parts]),
+                           np.array([1.0 if m is None else m[1] for m in parts])[:, None, None]))
         else:
             zipped.append(None)
     return zipped
@@ -174,9 +178,9 @@ def _forward_rows(decoders, memory, ids, positions, rows=None, enc_rows=None, ma
     x = T.embedding_lookup(*_across(decoders, lambda dec: (dec.embed,)), ids)
     d = x.data.shape[-1]
     x = T.add(x, Tensor(sinusoidal_positions(int(positions.max()) + 1, d)[positions]))
-    (keep,) = _across(decoders, lambda dec: (dec.dropout.mask((len(ids), d)),))
-    if keep is not None:
-        x = T.mul(x, Tensor(keep))
+    (drop,) = _across(decoders, lambda dec: (dec.dropout.mask((len(ids), d)),))
+    if drop is not None:
+        x = T.mul(x, Tensor(T._float_mask(drop)))
     for i in range(len(first.blocks)):
         x = _block(_each(decoders, lambda dec: dec.blocks[i]), x, memory, rows, enc_rows, mask)
     x = T.layernorm(x, *_across(decoders, lambda dec: (dec.norm_out.gamma, dec.norm_out.beta)))

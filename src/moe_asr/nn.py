@@ -11,8 +11,9 @@ cross-attention, ``ConvModule``) each run as one fused ``tensor`` node that
 returns the residual stream plus the sub-layer's output. Their
 ``LayerNorm``, ``Linear`` and ``Dropout`` children only hold the parameters
 and dropout generators under their usual names; each ``Dropout`` draws its
-mask from its own stream before the node runs. A ``Dropout`` used on its
-own (after the position table) applies the same mask as one ``T.mul``.
+mask from its own stream before the node runs, as a bool keep array and a
+scale, which the node keeps instead of a float mask. A ``Dropout`` used on
+its own (after the position table) applies the same mask as one ``T.mul``.
 ``FeedForward.operands`` and ``MultiHeadAttention.operands`` list a
 sub-layer node's arguments, parameters and masks, which the level-stacked
 decoder pass zips across its decoders.
@@ -229,17 +230,19 @@ class Dropout(Module):
     def forward(self, x):
         """`x` times its mask as one ``T.mul`` node; `x` itself when off."""
         mask = self.mask(x.data.shape)
-        return x if mask is None else T.mul(x, Tensor(mask))
+        return x if mask is None else T.mul(x, Tensor(T._float_mask(mask)))
 
     def mask(self, shape):
         """The inverted-dropout mask for an input of `shape`, drawn from
-        this module's generator: 0 where dropped, 1/(1-p) where kept; None
-        in eval mode or at p=0."""
+        this module's generator, as the pair a fused node keeps: a bool
+        array, true where kept, and the scale 1/(1-p). ``keep * scale`` is
+        the float mask, 0 where dropped and 1/(1-p) where kept. None in
+        eval mode or at p=0."""
         if not self.training or self.p <= 0.0:
             return None
         if self.rng is None:
             raise RuntimeError("dropout used in training mode before seeding")
-        return (self.rng.random(shape) >= self.p) / (1.0 - self.p)
+        return self.rng.random(shape) >= self.p, 1.0 / (1.0 - self.p)
 
 
 class FeedForward(Module):

@@ -20,8 +20,25 @@ convolution, layernorm, swish, project, dropout, residual). Each equals
 the bits of the chain of small nodes it replaces, values and gradients:
 where that chain had an input feed two of its nodes, the fused node lists
 the input twice, so the engine adds the two flows one at a time as before.
-A dropout is a mask array the caller draws, applied inside a fused node or
-by ``mul``.
+A dropout is a mask the caller draws: inside a fused node a ``(keep,
+scale)`` pair of a bool array and 1/(1-p), which the node keeps and turns
+into the float mask where it multiplies (``_float_mask``); by ``mul`` that
+float mask.
+A fused node's backward closure keeps only what backward cannot rebuild
+elementwise from the node's parents and the arrays it does keep. Its
+layernorms keep the mean and 1/std of each row ([n, 1] each); backward
+rebuilds the normalized rows from the input, and the affine output where a
+weight gradient reads it. Swish keeps the hidden rows and their sigmoid,
+not their product or its masked copy; a dropout keeps its bool array and
+scale, not a float mask; the GLU keeps its first half and sigmoid, and the
+convolution neither its input (their product) nor its padded copy nor its
+output before the rows are picked. A routed layer gathers its sorted rows
+and their gamma and beta again. What would take a matmul or an ``exp`` to rebuild stays kept:
+the feed-forward's hidden rows, every sigmoid, attention's queries, keys,
+values, weights and output before its projection, the convolution's output
+plus bias, and a routed layer's expert outputs for the gate's gradient.
+Rebuilt arrays repeat the forward's operations on the same operands, so
+every bit is kept; no forward runs twice.
 A training batch is packed into one graph: its utterances' frames are
 stacked as consecutive rows, and the ops whose rows interact
 (``unfold_time``, ``conv_module``'s convolution, ``mha``'s attention) take
@@ -264,7 +281,9 @@ def _operands(op, shape, operands, expected, masks=()):
     is a sequence of L tensors of that shape, one per level, stacked on a
     new leading axis, and a vector's stack is [L, 1, k] so it broadcasts as
     a [k] vector does without levels. Each ``(mask, width)`` pair's mask is
-    None or of `shape` with last dimension `width`. ShapeMismatch
+    None or a ``(keep, scale)`` dropout mask (``_float_mask``): a bool
+    array of `shape` with last dimension `width`, and a scale that is a
+    number or, with levels, one per level [L, 1, 1]. ShapeMismatch
     otherwise.
 
     `expected` is a list of shapes. Returns (arrays, parents, levels):
@@ -290,10 +309,13 @@ def _operands(op, shape, operands, expected, masks=()):
     except (AttributeError, IndexError, ValueError):  # sequences without levels, a level
         ok = False                                     # without tensors, unequal levels
     for m, w in masks:
-        ok = ok and (m is None or m.shape == (*shape[:-1], w))
+        ok = ok and (m is None or (np.asarray(m[0]).dtype == bool
+                                   and np.shape(m[0]) == (*shape[:-1], w)
+                                   and np.shape(m[1]) in ((), (*shape[:-2], 1, 1))))
     if not ok:
         raise ShapeMismatch(op, shape, *[np.shape(_per_level(t)[0].data) if _per_level(t) else ()
-                                         for t in operands], *[np.shape(m) for m, _ in masks])
+                                         for t in operands],
+                            *[np.shape(m if m is None else m[0]) for m, _ in masks])
     if levels is not None:
         arrays = [a[:, None] if a.ndim == 2 else a for a in arrays]
     return arrays, parents, levels
@@ -433,16 +455,32 @@ def log_softmax_last(a):
 
 
 def _layernorm_rows(x, gamma, beta):
-    """Affine layernorm over the last dimension: (output, normalized y, 1/std)."""
+    """Affine layernorm over the last dimension: (output, mean, 1/std). The
+    two statistics are [..., n, 1]; ``_normalized`` rebuilds y from them."""
     d = x.shape[-1]
     mu = np.add.reduce(x, axis=-1, keepdims=True) / d
-    xc = x - mu
-    var = np.add.reduce(xc * xc, axis=-1, keepdims=True) / d
+    y = x - mu
+    var = np.add.reduce(y * y, axis=-1, keepdims=True) / d
     inv = 1.0 / np.sqrt(var + LAYERNORM_EPS)
-    y = xc * inv
+    y *= inv
     out = y * gamma
     out += beta
-    return out, y, inv
+    return out, mu, inv
+
+
+def _normalized(x, mu, inv):
+    """The normalized rows y = (x - mean) / std of ``_layernorm_rows``,
+    rebuilt bit for bit from its input and statistics."""
+    y = x - mu
+    y *= inv
+    return y
+
+
+def _affine(y, gamma, beta):
+    """``y * gamma + beta``: a layernorm's output rebuilt from its y."""
+    n = y * gamma
+    n += beta
+    return n
 
 
 def _layernorm_input_grad(gn, y, inv):
@@ -466,9 +504,10 @@ def layernorm(a, gamma, beta):
     d = a.data.shape[-1]
     (gamma, beta), parents, levels = _operands("layernorm", a.data.shape, (gamma, beta),
                                                [(d,), (d,)])
-    out, y, inv = _layernorm_rows(a.data, gamma, beta)
+    out, mu, inv = _layernorm_rows(a.data, gamma, beta)
 
     def bwd(g):
+        y = _normalized(a.data, mu, inv)
         return (_layernorm_input_grad(g * gamma, y, inv) if a.requires_grad else None,
                 *_unstack(((g * y).sum(axis=-2), g.sum(axis=-2)), levels))
 
@@ -602,43 +641,69 @@ def _matmul_groups(a, ws, spans):
     return out
 
 
+def _float_mask(mask):
+    """The float dropout mask a ``(keep, scale)`` pair stands for, or None
+    for None. `keep` is a bool array, `scale` 1/(1-p): a float, or one per
+    level [L, 1, 1] or per row [n, 1]. Rebuilt as keep (1.0 or 0.0) times
+    the scale, it has the bits of ``keep / (1 - p)``: 0 where dropped,
+    1/(1-p) where kept."""
+    if mask is None:
+        return None
+    m = mask[0].astype(np.float64)
+    m *= mask[1]
+    return m
+
+
 def _ffn_rows(x, spans, w1s, w2s, vectors, mask1, mask2):
     """The pre-norm feed-forward chain over consecutive row groups of `x`.
 
     Group i owns rows spans[i] = (start, end) and the matrices w1s[i] and
     w2s[i]; `vectors` are gamma, beta, b1 and b2, either one per layer
-    (broadcast) or gathered per row; the masks cover all rows (None: no
-    dropout). With a level axis (one group), the rows, matrices, vectors
-    and masks all lead with it. Only the two matmuls, and in backward their
-    input- and weight-gradient products and the vectors' column sums, run
-    per group, each on its rows' slice. Returns the output rows and
-    ``backward(g, need_x)`` -> (input gradient or None, per group its six
-    parameter gradients in ``ffn``'s order).
+    (broadcast) or gathered per row; the masks are ``(keep, scale)`` pairs
+    (``_float_mask``) and cover all rows (None: no dropout). With a level
+    axis (one group), the rows, matrices, vectors and masks all lead with
+    it. Only the two matmuls, and in backward their input- and
+    weight-gradient products and the vectors' column sums, run per group,
+    each on its rows' slice. Returns the output rows and ``backward(g, x,
+    gamma, beta, need_x)`` -> (input gradient or None, per group its six
+    parameter gradients in ``ffn``'s order). The caller hands `x`, gamma
+    and beta back; the closure keeps the layernorm's statistics, the
+    hidden rows h and their sigmoid, and rebuilds the layernorm's y and
+    output and the masked swish output.
     """
     gamma, beta, b1, b2 = vectors
-    n, y, inv = _layernorm_rows(x, gamma, beta)
+    n, mu, inv = _layernorm_rows(x, gamma, beta)
     h = _matmul_groups(n, w1s, spans)
     h += b1
     sig = 1.0 / (1.0 + np.exp(-h))
-    a = h * sig
-    if mask1 is not None:
-        a *= mask1
-    out = _matmul_groups(a, w2s, spans)
+
+    def swish_rows(m1):
+        """The swish output, dropped out by the float mask `m1`."""
+        a = h * sig
+        if m1 is not None:
+            a *= m1
+        return a
+
+    out = _matmul_groups(swish_rows(_float_mask(mask1)), w2s, spans)
     out += b2
     if mask2 is not None:
-        out *= mask2
+        out *= _float_mask(mask2)
 
-    def backward(g, need_x):
+    def backward(g, x, gamma, beta, need_x):
         # Column sums go row by row within each group, as sum(axis=0) adds;
         # np.add.reduceat would add pairwise and change the bits.
         if mask2 is not None:
-            g = g * mask2
+            g = g * _float_mask(mask2)
+        m1 = _float_mask(mask1)
+        a = swish_rows(m1)
         gw2 = [a[..., s:e, :].swapaxes(-1, -2) @ g[..., s:e, :] for s, e in spans]
         gb2 = [g[..., s:e, :].sum(axis=-2) for s, e in spans]
         ga = _matmul_groups(g, [w.swapaxes(-1, -2) for w in w2s], spans)
-        if mask1 is not None:
-            ga *= mask1
+        if m1 is not None:
+            ga *= m1
         gh = ga * sig * (1.0 + h * (1.0 - sig))
+        y = _normalized(x, mu, inv)
+        n = _affine(y, gamma, beta)
         gw1 = [n[..., s:e, :].swapaxes(-1, -2) @ gh[..., s:e, :] for s, e in spans]
         gb1 = [gh[..., s:e, :].sum(axis=-2) for s, e in spans]
         gn = _matmul_groups(gh, [w.swapaxes(-1, -2) for w in w1s], spans)
@@ -670,8 +735,9 @@ def ffn(x, c, gamma, beta, w1, b1, w2, b2, mask1=None, mask2=None):
     where f is ``layernorm(x, gamma, beta)``, ``linear`` by (w1, b1), swish,
     dropout by `mask1` [n, d_ff], ``linear`` by (w2, b2), dropout by `mask2`
     [n, d]; a mask of None is the identity. The six parameters are tensors;
-    the masks are arrays. `x` may carry a level axis, as ``_operands``
-    says; the masks then lead with it too.
+    a mask is a ``(keep, scale)`` pair, as ``_float_mask`` takes it. `x`
+    may carry a level axis, as ``_operands`` says; the masks then lead with
+    it too.
 
     Values and gradients equal the bits of those six nodes, ``scale`` and
     ``add`` chained. `x` is a parent twice, once for the residual and once
@@ -686,7 +752,7 @@ def ffn(x, c, gamma, beta, w1, b1, w2, b2, mask1=None, mask2=None):
                               (gamma, beta, b1, b2), mask1, mask2)
 
     def bwd(g):
-        gx, (grads,) = backward(g * c, x.requires_grad)
+        gx, (grads,) = backward(g * c, x.data, gamma, beta, x.requires_grad)
         return (g, gx, *_unstack(grads, levels))
 
     return _node(_residual(x.data, out, c), (x, x, *parents), bwd, "ffn")
@@ -704,7 +770,8 @@ def routed_ffn(x, c, p, selected, experts):
     gamma, beta and the biases are gathered per row once each, and values
     and gradients equal the bits of each used expert's ``ffn`` chain on its
     rows in frame order, scattered back, multiplied by the gate, scaled and
-    added to `x`. Like ``ffn``'s, `x` is a parent twice.
+    added to `x`. Like ``ffn``'s, `x` is a parent twice. Backward gathers
+    the sorted rows, gamma and beta again rather than keep them.
     """
     x, p = _as_tensor(x), _as_tensor(p)
     selected = np.asarray(selected, dtype=np.int64)
@@ -721,17 +788,23 @@ def routed_ffn(x, c, p, selected, experts):
               for e, n in zip(experts, counts)]
     spans = _spans(counts)
     group = np.repeat(np.arange(len(counts)), counts)
-    vectors = [np.array([a[k] for a in params])[group] for k in (0, 1, 3, 5)]
+    # [experts, width] stacks of gamma, beta, b1 and b2, gathered per row
+    stacks = [np.array([a[k] for a in params]) for k in (0, 1, 3, 5)]
     w1s, w2s = [a[2] for a in params], [a[4] for a in params]
-    mask1, mask2 = (None if all(e[k] is None for e in experts) else np.concatenate(
-        [np.ones((n, w.shape[1])) if e[k] is None else e[k]
-         for e, n, w in zip(experts, counts, ws)]) for k, ws in ((6, w1s), (7, w2s)))
+    # one keep array over all rows (all kept for an expert without dropout), one scale per row
+    mask1, mask2 = (None if all(e[k] is None for e in experts) else (
+        np.concatenate([np.ones((n, w.shape[1]), dtype=bool) if e[k] is None else e[k][0]
+                        for e, n, w in zip(experts, counts, ws)]),
+        np.repeat([1.0 if e[k] is None else e[k][1] for e in experts], counts)[:, None])
+        for k, ws in ((6, w1s), (7, w2s)))
     order = np.argsort(selected, kind="stable")
-    ys, backward = _ffn_rows(x.data[order], spans, w1s, w2s, vectors, mask1, mask2)
+    ys, backward = _ffn_rows(x.data[order], spans, w1s, w2s, [v[group] for v in stacks],
+                             mask1, mask2)
     y = np.empty_like(ys)
     y[order] = ys
     frames = np.arange(rows)
     gate = p.data[frames, selected][:, None]
+    gammas, betas = stacks[:2]
 
     def bwd(g):
         gc = g * c
@@ -739,7 +812,9 @@ def routed_ffn(x, c, p, selected, experts):
         if p.requires_grad:
             gp = np.zeros_like(p.data)
             np.add.at(gp, (frames, selected), (gc * y).sum(axis=1))
-        gxs, grads = backward((gc * gate)[order], x.requires_grad)
+        # the sorted rows and their gamma and beta, gathered again
+        gxs, grads = backward((gc * gate)[order], x.data[order], gammas[group], betas[group],
+                              x.requires_grad)
         gx = None
         if gxs is not None:
             gx = np.empty_like(gxs)
@@ -833,11 +908,12 @@ def mha(x, memory, heads, gamma, beta, wq, bq, wk, wv, bv, wo, bo, drop=None, le
     q is ``linear(layernorm(x, gamma, beta), wq, bq)``; k is ``src @ wk``
     and v ``linear(src, wv, bv)``, where src is that layernorm output
     (self-attention, `memory` None) or `memory` (cross-attention: only the
-    query side is normalized). Dropout is by the array `drop` (None: the
-    identity). `lengths`, `key_lengths`, `causal` and `mask` select the
-    visible keys as ``_attention_rows`` says; with a level axis (``_operands``)
-    every level sees the same keys, `drop` leads with the level axis and
-    `memory` is a sequence of L tensors, one per level.
+    query side is normalized). Dropout is by the ``(keep, scale)`` mask
+    `drop` (``_float_mask``; None: the identity). `lengths`, `key_lengths`,
+    `causal` and `mask` select the visible keys as ``_attention_rows``
+    says; with a level axis (``_operands``) every level sees the same keys,
+    `drop` leads with the level axis and `memory` is a sequence of L
+    tensors, one per level.
 
     Values and gradients equal the bits of the unfused chain of nodes. The
     flows into the layernorm output add as q, k, v; `x` is a parent twice
@@ -856,7 +932,7 @@ def mha(x, memory, heads, gamma, beta, wq, bq, wk, wv, bv, wo, bo, drop=None, le
         expected[4:6] = [(shape[-1], dq), (shape[-1], dv)]
         expected.append(shape[:1] + shape[-1:])
     arrays, parents, levels = _operands("mha", x.data.shape, operands, expected, ((drop, d),))
-    n, y, inv = _layernorm_rows(x.data, arrays[0], arrays[1])
+    n, mu, inv = _layernorm_rows(x.data, arrays[0], arrays[1])
     gamma, beta, wq, bq, wk, wv, bv, wo, bo = arrays[:9]
     src, memories = n, ()
     if memory is not None:
@@ -872,15 +948,21 @@ def mha(x, memory, heads, gamma, beta, wq, bq, wk, wv, bv, wo, bo, drop=None, le
     o = a @ wo
     o += bo
     if drop is not None:
-        o *= drop
+        o *= _float_mask(drop)
+    # cross-attention's keys and values read the memory; self-attention's
+    # read the layernorm output, which backward rebuilds
+    memory_rows = src if memories else None
 
     def bwd(g):
-        go = g if drop is None else g * drop
+        go = g if drop is None else g * _float_mask(drop)
         gq, gk, gv = attention_backward(go @ wo.swapaxes(-1, -2))
         gn, gsk, gsv = (gq @ wq.swapaxes(-1, -2), gk @ wk.swapaxes(-1, -2),
                         gv @ wv.swapaxes(-1, -2))
         if not memories:
             gn = gn + gsk + gsv
+        y = _normalized(x.data, mu, inv)
+        n = _affine(y, gamma, beta)
+        src = n if memory_rows is None else memory_rows
         grads = _unstack(((gn * y).sum(axis=-2), gn.sum(axis=-2), n.swapaxes(-1, -2) @ gq,
                           gq.sum(axis=-2), src.swapaxes(-1, -2) @ gk,
                           src.swapaxes(-1, -2) @ gv, gv.sum(axis=-2), a.swapaxes(-1, -2) @ go,
@@ -897,29 +979,33 @@ def mha(x, memory, heads, gamma, beta, wq, bq, wk, wv, bv, wo, bo, drop=None, le
 
 def _glu(a):
     """Gated linear unit of the array `a` over its last dimension: first
-    half times sigmoid of second. Returns the output and ``backward(g)``."""
+    half x1 times the sigmoid s of the second. Returns x1, s and
+    ``backward(g)``; the output is ``x1 * s``, which the caller computes
+    and may rebuild from them bit for bit. While a graph is recorded x1 is
+    a copy, so a node that keeps it does not keep `a`."""
     width = a.shape[-1]
     if width % 2 != 0:
         raise ShapeMismatch("glu", a.shape)
     half = width // 2
-    x1, x2 = a[..., :half], a[..., half:]
-    s = 1.0 / (1.0 + np.exp(-x2))
+    x1 = a[..., :half].copy() if _grad_enabled() else a[..., :half]
+    s = 1.0 / (1.0 + np.exp(-a[..., half:]))
 
     def backward(g):
         # Added onto zeros, as the unfused graph summed its two zero-padded
         # slice gradients: a -0.0 comes out +0.0 there too.
-        ga = np.zeros_like(a)
+        ga = np.zeros((*x1.shape[:-1], width))
         ga[..., :half] += g * s
         ga[..., half:] += g * x1 * s * (1.0 - s)
         return ga
 
-    return x1 * s, backward
+    return x1, s, backward
 
 
 def _depthwise_conv(x, kernel, lengths=None):
     """Per-channel temporal convolution of the array `x` [T, C] with same
     padding; `kernel` [K, C], K odd. Returns the output and
-    ``backward(g)`` -> (gx, gkernel).
+    ``backward(g, x)`` -> (gx, gkernel): the caller hands `x` back, and the
+    padded copy is rebuilt from it, so the closure keeps neither.
 
     With `lengths` the rows are consecutive utterances, each padded on its
     own: a tap that would reach into a neighbour contributes exactly 0.
@@ -934,14 +1020,20 @@ def _depthwise_conv(x, kernel, lengths=None):
     # its outputs back out of the convolution over the whole layout.
     rows = np.arange(x.shape[0]) + np.repeat(2 * pad * np.arange(len(lengths)), lengths)
     T = x.shape[0] + 2 * pad * (len(lengths) - 1)
-    xp = np.zeros((T + 2 * pad, x.shape[1]))
-    xp[rows + pad] = x
+
+    def padded(x):
+        xp = np.zeros((T + 2 * pad, x.shape[1]))
+        xp[rows + pad] = x
+        return xp
+
+    xp = padded(x)
     full = np.zeros((T, x.shape[1]))
     for k in range(K):
         full += xp[k : k + T] * kernel[k]
 
-    def backward(g):
-        gfull = np.zeros_like(full)
+    def backward(g, x):
+        xp = padded(x)
+        gfull = np.zeros((T, x.shape[1]))
         gfull[rows] = g
         gxp = np.zeros_like(xp)
         for k in range(K):
@@ -959,7 +1051,8 @@ def conv_module(x, gamma, beta, w1, b1, kernel, kernel_bias, gamma2, beta2, w2, 
     beta2)), w2, b2))``, where conv is the per-channel convolution by
     `kernel` [K, C] of ``glu(linear(layernorm(x, gamma, beta), w1, b1))``,
     each of the packed utterances of `lengths` padded on its own. Dropout
-    is by the array `drop` (None: the identity).
+    is by the ``(keep, scale)`` mask `drop` (``_float_mask``; None: the
+    identity).
 
     Values and gradients equal the bits of the unfused chain of nodes; `x`
     is a parent twice, as ``ffn``'s is.
@@ -973,30 +1066,33 @@ def conv_module(x, gamma, beta, w1, b1, kernel, kernel_bias, gamma2, beta2, w2, 
                                   [(d,), (d,), (d, 2 * C), (2 * C,), (K, C), (C,), (C,), (C,),
                                    (C, d), (d,)], ((drop, d),))
     gamma, beta, w1, b1, kernel, kernel_bias, gamma2, beta2, w2, b2 = arrays
-    n, y, inv = _layernorm_rows(x.data, gamma, beta)
+    n, mu, inv = _layernorm_rows(x.data, gamma, beta)
     a = n @ w1
     a += b1
-    u, glu_backward = _glu(a)
-    h, conv_backward = _depthwise_conv(u, kernel, lengths)
+    x1, s1, glu_backward = _glu(a)
+    h, conv_backward = _depthwise_conv(x1 * s1, kernel, lengths)
     h += kernel_bias
-    n2, y2, inv2 = _layernorm_rows(h, gamma2, beta2)
+    n2, mu2, inv2 = _layernorm_rows(h, gamma2, beta2)
     s = 1.0 / (1.0 + np.exp(-n2))
-    z = n2 * s
-    o = z @ w2
+    o = (n2 * s) @ w2
     o += b2
     if drop is not None:
-        o *= drop
+        o *= _float_mask(drop)
 
     def bwd(g):
-        go = g if drop is None else g * drop
+        go = g if drop is None else g * _float_mask(drop)
+        y2 = _normalized(h, mu2, inv2)
+        n2 = _affine(y2, gamma2, beta2)
         gn2 = (go @ w2.T) * s * (1.0 + n2 * (1.0 - s))
         gh = _layernorm_input_grad(gn2 * gamma2, y2, inv2)
-        gu, gkernel = conv_backward(gh)
+        gu, gkernel = conv_backward(gh, x1 * s1)
         ga = glu_backward(gu)
         gn = ga @ w1.T
+        y = _normalized(x.data, mu, inv)
         return (g, _layernorm_input_grad(gn * gamma, y, inv), (gn * y).sum(axis=0),
-                gn.sum(axis=0), n.T @ ga, ga.sum(axis=0), gkernel, gh.sum(axis=0),
-                (gn2 * y2).sum(axis=0), gn2.sum(axis=0), z.T @ go, go.sum(axis=0))
+                gn.sum(axis=0), _affine(y, gamma, beta).T @ ga, ga.sum(axis=0), gkernel,
+                gh.sum(axis=0), (gn2 * y2).sum(axis=0), gn2.sum(axis=0), (n2 * s).T @ go,
+                go.sum(axis=0))
 
     return _node(_residual(x.data, o), (x, x, *params), bwd, "conv-module")
 

@@ -157,11 +157,13 @@ BATCHES = {
 }
 
 
-def _level_decoders(num_levels, blocks, train):
+def _level_decoders(num_levels, blocks, train, rates=None):
     """`num_levels` separately built decoders, main last, each with its own
-    weights and dropout streams."""
-    decoders = [TransformerDecoder(V, D, 16, heads=2, num_blocks=blocks, dropout=0.2)
-                .initialize(60 + level) for level in range(num_levels)]
+    weights and dropout streams, and dropout rate 0.2 or its own of
+    `rates`."""
+    rates = rates or [0.2] * num_levels
+    decoders = [TransformerDecoder(V, D, 16, heads=2, num_blocks=blocks, dropout=rate)
+                .initialize(60 + level) for level, rate in enumerate(rates)]
     return [dec.train(train) for dec in decoders]
 
 
@@ -199,6 +201,29 @@ def _oracle_run(decoders, memories, lengths, tokens, w):
     return total, per_level, leaves
 
 
+def _assert_stacked_matches_oracle(batch, build):
+    """Per-level losses, the total, every decoder parameter's gradient and
+    every encoder output's gradient of the level-stacked pass over the
+    decoders ``build()`` makes keep the bits of one pass per decoder over
+    another ``build()``."""
+    lengths, tokens = BATCHES[batch]
+    stacked, oracle = build(), build()
+    memories = _memories(len(stacked), lengths)
+    w = np.random.default_rng(71).normal(size=() if lengths is None else len(lengths))
+    total, per_level, leaves = _stacked_run(stacked, memories, lengths, tokens, w)
+    ref_total, ref_per_level, ref_leaves = _oracle_run(oracle, memories, lengths, tokens, w)
+    assert total.data.tobytes() == ref_total.data.tobytes()
+    assert len(per_level) == len(stacked)
+    for value, ref in zip(per_level, ref_per_level):
+        assert value.data.shape == ref.data.shape
+        assert value.data.tobytes() == ref.data.tobytes()
+    for dec, ref in zip(stacked, oracle):
+        assert dec.arena.grad.tobytes() == ref.arena.grad.tobytes()
+        assert dec.arena.grad.any()
+    for leaf, ref in zip(leaves, ref_leaves):
+        assert leaf.grad.tobytes() == ref.grad.tobytes()
+
+
 class TestLevelStackedPass:
     @pytest.mark.parametrize("train", [True, False], ids=["train", "eval"])
     @pytest.mark.parametrize("batch", sorted(BATCHES))
@@ -208,23 +233,16 @@ class TestLevelStackedPass:
         """Per-level losses, the total, every decoder parameter's gradient
         and every encoder output's gradient keep the bits of one pass per
         decoder; in train mode both runs draw the same dropout masks."""
-        lengths, tokens = BATCHES[batch]
-        memories = _memories(num_levels, lengths)
-        w = np.random.default_rng(71).normal(size=() if lengths is None else len(lengths))
-        stacked = _level_decoders(num_levels, blocks, train)
-        oracle = _level_decoders(num_levels, blocks, train)
-        total, per_level, leaves = _stacked_run(stacked, memories, lengths, tokens, w)
-        ref_total, ref_per_level, ref_leaves = _oracle_run(oracle, memories, lengths, tokens, w)
-        assert total.data.tobytes() == ref_total.data.tobytes()
-        assert len(per_level) == num_levels
-        for value, ref in zip(per_level, ref_per_level):
-            assert value.data.shape == ref.data.shape
-            assert value.data.tobytes() == ref.data.tobytes()
-        for dec, ref in zip(stacked, oracle):
-            assert dec.arena.grad.tobytes() == ref.arena.grad.tobytes()
-            assert dec.arena.grad.any()
-        for leaf, ref in zip(leaves, ref_leaves):
-            assert leaf.grad.tobytes() == ref.grad.tobytes()
+        _assert_stacked_matches_oracle(batch, lambda: _level_decoders(num_levels, blocks, train))
+
+    @pytest.mark.parametrize("p", [0.1, 0.3, 0.5])
+    @pytest.mark.parametrize("batch", sorted(BATCHES))
+    def test_a_level_without_dropout_keeps_every_bit(self, batch, p):
+        """The middle level's dropout is off and the others draw at rate
+        `p`: the stacked masks keep the off level all kept at scale 1, and
+        every bit equals one pass per decoder."""
+        _assert_stacked_matches_oracle(
+            batch, lambda: _level_decoders(3, 2, True, rates=[p, 0.0, p]))
 
     @pytest.mark.parametrize("batch", sorted(BATCHES))
     def test_records_the_same_nodes_at_every_level_count(self, monkeypatch, batch):

@@ -22,7 +22,6 @@ from moe_asr.checkpoint import (
     CheckpointError,
     load_model,
     load_pretrained_embedding,
-    read_params,
     save_embedding,
     save_model,
     strip_auxiliary,
@@ -30,6 +29,16 @@ from moe_asr.checkpoint import (
 from moe_asr.config import ModelConfig
 from moe_asr.encoder import EmbeddingNetwork
 from moe_asr.model import SpeechModel, parameter_manifest, parameter_total
+
+def read_params(path):
+    """A checkpoint's (kind, config dict, ordered {name: read-only float64
+    view}), read through the loaders' own reader."""
+    with checkpoint._read(path) as (kind, config, entries, read_body):
+        body = read_body()
+    body.flags.writeable = False
+    parts = np.split(body, [e["offset"] // 8 for e in entries[1:]])
+    return kind, config, {e["name"]: p.reshape(e["shape"]) for e, p in zip(entries, parts)}
+
 
 CONFIG_GRID = [
     dict(vocab_size=6, feat_dim=8, d_att=16, d_ff=24, heads=2, kernel=3,

@@ -211,20 +211,32 @@ def _plus_residual(chain, x, c, *args):
 
 
 def _mask(rng, shape, p=0.3):
-    return (rng.random(shape) >= p) / (1.0 - p)
+    """A dropout mask as the fused ops take it: (keep, 1/(1-p))."""
+    return rng.random(shape) >= p, 1.0 / (1.0 - p)
 
 
-def _expert(rng, rows, d=6, d_ff=10, train=True):
-    """Six random parameters and, in train mode, two masks for `rows` rows."""
+def _stack(masks):
+    """Level masks as one level-stacked mask, keeps [L, ...] and scales
+    [L, 1, 1]; a level without one is all kept at scale 1, as the
+    level-stacked decoders fill it."""
+    drawn = [m for m in masks if m is not None]
+    keeps = [np.ones(drawn[0][0].shape, dtype=bool) if m is None else m[0] for m in masks]
+    return np.array(keeps), np.array([1.0 if m is None else m[1] for m in masks])[:, None, None]
+
+
+def _expert(rng, rows, d=6, d_ff=10, train=True, p=0.3):
+    """Six random parameters and, in train mode, two masks at rate `p` for
+    `rows` rows."""
     params = [rng.normal(1.0, 0.2, d), rng.normal(0.0, 0.1, d), rng.normal(0.0, 0.4, (d, d_ff)),
               rng.normal(0.0, 0.1, d_ff), rng.normal(0.0, 0.4, (d_ff, d)), rng.normal(0.0, 0.1, d)]
-    masks = [_mask(rng, (rows, d_ff)), _mask(rng, (rows, d))] if train else [None, None]
+    masks = [_mask(rng, (rows, d_ff), p), _mask(rng, (rows, d), p)] if train else [None, None]
     return [Tensor(a, requires_grad=True) for a in params], masks
 
 
 def _arrays(params, masks):
-    """An expert's plain arrays for the chain; a missing mask is 1.0."""
-    return [t.data for t in params] + [1.0 if m is None else m for m in masks]
+    """An expert's plain arrays for the chain; a mask is its float mask
+    keep * scale, and a missing one 1.0."""
+    return [t.data for t in params] + [1.0 if m is None else m[0] * m[1] for m in masks]
 
 
 def _assert_bits(got, expected):
@@ -290,7 +302,7 @@ class TestFusedFeedForward:
         levels = [_expert(rng, rows, train=train) for _ in range(3)]
         x = Tensor(rng.normal(size=(3, rows, 6)), requires_grad=True)
         g = rng.normal(size=(3, rows, 6))
-        masks = [np.array([ms[k] for _, ms in levels]) if train else None for k in (0, 1)]
+        masks = [_stack([ms[k] for _, ms in levels]) if train else None for k in (0, 1)]
         params = [[ps[k] for ps, _ in levels] for k in range(6)]
         out = T.ffn(x, FACTORS[rows], *params, *masks)
         T.reduce_sum(T.mul(out, Tensor(g))).backward()
@@ -305,7 +317,7 @@ class TestFusedFeedForward:
         levels = [_expert(rng, 4) for _ in range(2)]
         x = Tensor(rng.normal(size=(2, 4, 6)), requires_grad=True)
         g = Tensor(rng.normal(size=(2, 4, 6)))
-        masks = [np.array([ms[k] for _, ms in levels]) for k in (0, 1)]
+        masks = [_stack([ms[k] for _, ms in levels]) for k in (0, 1)]
         leaves = [x] + [ps[k] for k in range(6) for ps, _ in levels]
 
         def f(ps):
@@ -347,12 +359,83 @@ class TestFusedFeedForward:
         with pytest.raises(T.ShapeMismatch):  # expand and project disagree
             T.ffn(x, 1.0, *params[:4], Tensor(np.ones((9, 6))), params[5])
         with pytest.raises(T.ShapeMismatch):  # a mask for another row count
-            T.ffn(x, 1.0, *params, masks[0][:2], None)
+            T.ffn(x, 1.0, *params, (masks[0][0][:2], masks[0][1]), None)
+        with pytest.raises(T.ShapeMismatch):  # a float mask where the bool one goes
+            T.ffn(x, 1.0, *params, (masks[0][0] * masks[0][1], 1.0), None)
+        with pytest.raises(T.ShapeMismatch):  # three levels' scales for rows without levels
+            T.ffn(x, 1.0, *params, (masks[0][0], np.ones((3, 1, 1))), None)
         p = Tensor(np.full((3, 4), 0.25))
         with pytest.raises(T.ShapeMismatch):  # two experts named, one given
             T.routed_ffn(x, 1.0, p, [0, 1, 1], [(*params, None, None)])
         with pytest.raises(T.ShapeMismatch):  # masks sized for all rows, expert has two
             T.routed_ffn(x, 1.0, p, [0, 0, 2], [(*params, *masks)] * 2)
+
+
+class TestDropoutRates:
+    """A fused node keeps a dropout mask as its bool keep array and scale:
+    values and every gradient keep the bits of the float mask at each rate,
+    where one level of a stack draws no mask, and among routed rows where
+    one expert draws none."""
+
+    @pytest.mark.parametrize("p", [0.1, 0.3, 0.5])
+    def test_level_stack_with_a_level_without_dropout(self, p):
+        rng = np.random.default_rng(110)
+        levels = [_expert(rng, 5, train=level != 1, p=p) for level in range(3)]
+        x = Tensor(rng.normal(size=(3, 5, 6)), requires_grad=True)
+        g = rng.normal(size=(3, 5, 6))
+        masks = [_stack([ms[k] for _, ms in levels]) for k in (0, 1)]
+        assert masks[0][0][1].all() and masks[0][1][1] == 1.0
+        out = T.ffn(x, 0.5, *[[ps[k] for ps, _ in levels] for k in range(6)], *masks)
+        T.reduce_sum(T.mul(out, Tensor(g))).backward()
+        for level, (ps, ms) in enumerate(levels):
+            ref_out, ref_grads = _plus_residual(_ffn_chain, x.data[level], 0.5,
+                                                *_arrays(ps, ms), g[level])
+            _assert_bits([out.data[level], x.grad[level]] + [t.grad for t in ps],
+                         [ref_out, *ref_grads])
+
+    @pytest.mark.parametrize("p", [0.1, 0.3, 0.5])
+    def test_routed_with_idle_experts(self, p):
+        """Experts 0, 2 and 3 of 4 are used, 1 is idle; expert 2 draws no
+        mask, so its rows are all kept at scale 1."""
+        selected = np.array(SELECTIONS["one-row-and-idle"])
+        rng = np.random.default_rng(111)
+        used = np.flatnonzero(np.bincount(selected))
+        experts = [_expert(rng, np.sum(selected == e), train=e != 2, p=p) for e in used]
+        x = Tensor(rng.normal(size=(len(selected), 6)), requires_grad=True)
+        raw = rng.random((len(selected), 4)) + 0.1
+        gate = Tensor(raw / raw.sum(axis=1, keepdims=True), requires_grad=True)
+        g = rng.normal(size=x.shape)
+        out = T.routed_ffn(x, 0.5, gate, selected, [(*ps, *ms) for ps, ms in experts])
+        T.reduce_sum(T.mul(out, Tensor(g))).backward()
+        ref_out, ref_grads = _plus_residual(
+            _routed_chain, x.data, 0.5, gate.data, selected,
+            [_arrays(ps, ms) for ps, ms in experts], g)
+        got = [out.data, x.grad, gate.grad] + [t.grad for ps, _ in experts for t in ps]
+        _assert_bits(got, [ref_out, *ref_grads])
+
+    @pytest.mark.parametrize("p", [0.1, 0.3, 0.5])
+    def test_routed_layer_module(self, p):
+        """The module's own streams at rate `p`, idle experts included."""
+        layer = RoutedFFN(6, 10, n_experts=4, d_emb=3, dropout=p, routed=True)
+        layer.initialize(15).train()
+        streams = [[copy.deepcopy(e.dropout1.rng), copy.deepcopy(e.dropout2.rng)]
+                   for e in layer.experts]
+        rng = np.random.default_rng(98)
+        x = Tensor(rng.normal(size=(7, 6)), requires_grad=True)
+        g = rng.normal(size=(7, 6))
+        frozen = [3, 3, 0, 1, 3, 0, 0]
+        out, rec = layer.forward(x, Tensor(rng.normal(size=(7, 3))), frozen_selected=frozen, c=0.5)
+        T.reduce_sum(T.mul(out, Tensor(g))).backward()
+        counts = np.bincount(frozen, minlength=4)
+        experts = [(list(layer.experts[e].named_parameters().values()),
+                    [_mask(s, (counts[e], w), p) for s, w in zip(streams[e], (10, 6))])
+                   for e in np.flatnonzero(counts)]
+        ref_out, ref_grads = _plus_residual(
+            _routed_chain, x.data, 0.5, rec.p.data, rec.selected,
+            [_arrays(ps, ms) for ps, ms in experts], g)
+        assert out.data.tobytes() == ref_out.tobytes()
+        _assert_bits([t.grad for ps, _ in experts for t in ps], ref_grads[2:])
+        assert np.all(layer.experts[2].w1.weight.grad == 0.0)
 
 
 class TestFusedLayers:

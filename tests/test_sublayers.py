@@ -75,7 +75,8 @@ def _conv_chain(x, params, drop, g, lengths):
     Returns the output and the gradients of x and the ten parameters."""
     gamma, beta, w1, b1, kernel, kernel_bias, gamma2, beta2, w2, b2 = params
     n, ln_backward = _layernorm(x, gamma, beta)
-    u, glu_backward = T._glu(n @ w1 + b1)
+    x1, s1, glu_backward = T._glu(n @ w1 + b1)
+    u = x1 * s1
     h, conv_backward = T._depthwise_conv(u, kernel, lengths)
     n2, ln2_backward = _layernorm(h + kernel_bias, gamma2, beta2)
     s = 1.0 / (1.0 + np.exp(-n2))
@@ -84,7 +85,7 @@ def _conv_chain(x, params, drop, g, lengths):
     go = g * drop
     gn2 = (go @ w2.T) * s * (1.0 + n2 * (1.0 - s))
     gh, ggamma2, gbeta2 = ln2_backward(gn2)
-    gu, gkernel = conv_backward(gh)
+    gu, gkernel = conv_backward(gh, u)
     ga = glu_backward(gu)
     gx, ggamma, gbeta = ln_backward(ga @ w1.T)
     return x + o, [g + gx, ggamma, gbeta, n.T @ ga, ga.sum(axis=0), gkernel, gh.sum(axis=0),
@@ -97,7 +98,13 @@ def _conv_chain(x, params, drop, g, lengths):
 
 
 def _mask(rng, shape, p=0.3):
-    return (rng.random(shape) >= p) / (1.0 - p)
+    """A dropout mask as the fused ops take it: (keep, 1/(1-p))."""
+    return rng.random(shape) >= p, 1.0 / (1.0 - p)
+
+
+def _float(mask):
+    """The float mask keep * scale that a chain multiplies by; 1.0 for none."""
+    return 1.0 if mask is None else mask[0] * mask[1]
 
 
 def _tensors(rng, shapes):
@@ -146,7 +153,7 @@ LEVELS = 3
 LEVEL_CASES = {f"{case}-levels": case for case in MHA_CASES}
 
 
-def _mha_inputs(case, train, seed=120):
+def _mha_inputs(case, train, seed=120, p=0.3):
     levels = LEVELS if case in LEVEL_CASES else None
     lengths, memory_lengths, segments = MHA_CASES[LEVEL_CASES.get(case, case)]
     rng = np.random.default_rng(seed + len(case))
@@ -161,7 +168,9 @@ def _mha_inputs(case, train, seed=120):
     if memory_lengths is not None:
         memory = (tensor(sum(memory_lengths), 8) if levels is None
                   else [tensor(sum(memory_lengths), 8) for _ in range(levels)])
-    drop = _mask(rng, (*lead, rows, 8)) if train else None
+    drop = _mask(rng, (*lead, rows, 8), p) if train else None
+    if drop is not None and levels is not None:  # one scale per level, as the decoders pass it
+        drop = (drop[0], np.full((levels, 1, 1), drop[1]))
     params = (_mha_params(rng) if levels is None
               else [list(ts) for ts in zip(*[_mha_params(rng) for _ in range(levels)])])
     return x, memory, params, drop, rng.normal(size=(*lead, rows, 8)), segments
@@ -175,7 +184,8 @@ def _level(inputs, level):
     if level is None:
         return inputs
     memory = None if memory is None else memory[level]
-    return (x, memory, [ts[level] for ts in params], None if drop is None else drop[level],
+    return (x, memory, [ts[level] for ts in params],
+            None if drop is None else (drop[0][level], drop[1][level]),
             g[level], segments)
 
 
@@ -190,25 +200,44 @@ def _assert_bits(got, expected):
 # ---------------------------------------------------------------------------
 
 
+def _assert_mha_matches_chain(inputs, levels):
+    """``T.mha`` on ``_mha_inputs``'s `inputs` against ``_mha_chain``, bit
+    for bit, level by level if `levels`."""
+    x, memory, params, drop, g, segments = inputs
+    out = T.mha(x, memory, 2, *params, drop, **segments)
+    T.reduce_sum(T.mul(out, Tensor(g))).backward()
+    for level in range(LEVELS) if levels else [None]:
+        _, memory, params, drop, g, _ = _level(inputs, level)
+        ref_out, ref_grads = _mha_chain(
+            x.data if level is None else x.data[level],
+            None if memory is None else memory.data, 2, [t.data for t in params],
+            _float(drop), g, segments)
+        got = [out.data, x.grad] if level is None else [out.data[level], x.grad[level]]
+        got += [t.grad for t in params] + ([] if memory is None else [memory.grad])
+        _assert_bits(got, [ref_out, *ref_grads])
+
+
 class TestFusedAttention:
     @pytest.mark.parametrize("train", [True, False], ids=["train", "eval"])
     @pytest.mark.parametrize("case", sorted(MHA_CASES) + sorted(LEVEL_CASES))
     def test_matches_chain_exactly(self, case, train):
         """On a level stack every level's output and gradients equal the
         chain on that level alone, so they equal a call without levels."""
-        inputs = _mha_inputs(case, train)
-        x, memory, params, drop, g, segments = inputs
-        out = T.mha(x, memory, 2, *params, drop, **segments)
-        T.reduce_sum(T.mul(out, Tensor(g))).backward()
-        for level in range(LEVELS) if case in LEVEL_CASES else [None]:
-            _, memory, params, drop, g, _ = _level(inputs, level)
-            ref_out, ref_grads = _mha_chain(
-                x.data if level is None else x.data[level],
-                None if memory is None else memory.data, 2, [t.data for t in params],
-                1.0 if drop is None else drop, g, segments)
-            got = [out.data, x.grad] if level is None else [out.data[level], x.grad[level]]
-            got += [t.grad for t in params] + ([] if memory is None else [memory.grad])
-            _assert_bits(got, [ref_out, *ref_grads])
+        _assert_mha_matches_chain(_mha_inputs(case, train), case in LEVEL_CASES)
+
+    @pytest.mark.parametrize("p", [0.1, 0.3, 0.5])
+    @pytest.mark.parametrize("case", ["self-segments", "cross-segments-levels",
+                                      "causal-segments-levels"])
+    def test_dropout_rates_match_chain_exactly(self, case, p):
+        """The node keeps a mask as its bool keep array and scale: the bits
+        of the float mask at each rate. On a level stack the middle level
+        draws no mask, all kept at scale 1, as ``decoder._across`` fills a
+        level whose dropout is off."""
+        inputs = _mha_inputs(case, True, p=p)
+        if case in LEVEL_CASES:
+            keep, scale = inputs[3]
+            keep[1], scale[1] = True, 1.0
+        _assert_mha_matches_chain(inputs, case in LEVEL_CASES)
 
     @pytest.mark.parametrize("case", ["causal-segments", "cross-segments",
                                       "causal-segments-levels", "cross-segments-levels"])
@@ -244,7 +273,7 @@ class TestFusedAttention:
     def test_shape_mismatch_raises(self):
         x, memory, params, drop, _, _ = _mha_inputs("cross", True)
         with pytest.raises(T.ShapeMismatch):  # a dropout mask for other rows
-            T.mha(x, memory, 2, *params, drop[:3])
+            T.mha(x, memory, 2, *params, (drop[0][:3], drop[1]))
         with pytest.raises(T.ShapeMismatch):  # a query projection of another width
             T.mha(x, memory, 2, *params[:2], Tensor(np.ones((8, 6))), *params[3:])
         with pytest.raises(T.ShapeMismatch):  # memory narrower than the key projection
@@ -261,18 +290,18 @@ class TestFusedAttention:
         with pytest.raises(T.ShapeMismatch):  # one memory for three levels
             T.mha(x, memory[0], 2, *params, drop)
         with pytest.raises(T.ShapeMismatch):  # a dropout mask without the level axis
-            T.mha(x, memory, 2, *params, drop[0])
+            T.mha(x, memory, 2, *params, (drop[0][0], drop[1]))
 
 
 CONV_CASES = {"one": None, "segments": [4, 1, 6, 3]}
 
 
-def _conv_inputs(case, train, seed=140):
+def _conv_inputs(case, train, seed=140, p=0.3):
     lengths = CONV_CASES[case]
     rng = np.random.default_rng(seed + len(case))
     rows = 9 if lengths is None else sum(lengths)
     x = Tensor(rng.normal(size=(rows, 8)), requires_grad=True)
-    drop = _mask(rng, (rows, 8)) if train else None
+    drop = _mask(rng, (rows, 8), p) if train else None
     return x, _conv_params(rng), drop, rng.normal(size=(rows, 8)), lengths
 
 
@@ -284,7 +313,16 @@ class TestFusedConvolution:
         out = T.conv_module(x, *params, drop, lengths)
         T.reduce_sum(T.mul(out, Tensor(g))).backward()
         ref_out, ref_grads = _conv_chain(x.data, [t.data for t in params],
-                                         1.0 if drop is None else drop, g, lengths)
+                                         _float(drop), g, lengths)
+        _assert_bits([out.data, x.grad] + [t.grad for t in params], [ref_out, *ref_grads])
+
+    @pytest.mark.parametrize("p", [0.1, 0.3, 0.5])
+    def test_dropout_rates_match_chain_exactly(self, p):
+        x, params, drop, g, lengths = _conv_inputs("segments", True, p=p)
+        out = T.conv_module(x, *params, drop, lengths)
+        T.reduce_sum(T.mul(out, Tensor(g))).backward()
+        ref_out, ref_grads = _conv_chain(x.data, [t.data for t in params], _float(drop), g,
+                                         lengths)
         _assert_bits([out.data, x.grad] + [t.grad for t in params], [ref_out, *ref_grads])
 
     def test_finite_differences(self):
@@ -298,7 +336,7 @@ class TestFusedConvolution:
     def test_shape_mismatch_raises(self):
         x, params, drop, _, _ = _conv_inputs("one", True)
         with pytest.raises(T.ShapeMismatch):  # a dropout mask for other rows
-            T.conv_module(x, *params, drop[:4])
+            T.conv_module(x, *params, (drop[0][:4], drop[1]))
         with pytest.raises(T.ShapeMismatch):  # an even kernel has no centre tap
             T.conv_module(x, *params[:4], Tensor(np.ones((2, 8))), *params[5:])
         with pytest.raises(T.ShapeMismatch):  # expand not twice the kernel's channels
@@ -333,7 +371,7 @@ def test_self_attention_module_matches_chain(train):
     out = module.forward(x, [5, 6])
     T.reduce_sum(T.mul(out, Tensor(g))).backward()
     params = _attention_params(module, "norm", "mha")
-    drop = _mask(stream, (11, 8)) if train else 1.0
+    drop = _float(_mask(stream, (11, 8)) if train else None)
     ref_out, ref_grads = _mha_chain(x.data, None, 2, [t.data for t in params], drop, g,
                                     {"lengths": [5, 6]})
     _assert_bits([out.data, x.grad] + [t.grad for t in params], [ref_out, *ref_grads])
@@ -349,7 +387,7 @@ def test_conv_module_matches_chain(train):
     out = module.forward(x, [3, 7])
     T.reduce_sum(T.mul(out, Tensor(g))).backward()
     params = list(module.named_parameters().values())
-    drop = _mask(stream, (10, 8)) if train else 1.0
+    drop = _float(_mask(stream, (10, 8)) if train else None)
     ref_out, ref_grads = _conv_chain(x.data, [t.data for t in params], drop, g, [3, 7])
     _assert_bits([out.data, x.grad] + [t.grad for t in params], [ref_out, *ref_grads])
 
@@ -376,7 +414,7 @@ def test_decoder_block_matches_chain(train):
     self_segments = {"lengths": [3, 4], "causal": True}
     cross_segments = {"lengths": [3, 4], "key_lengths": [5, 4]}
     arrays = [[t.data for t in ps] for ps in (self_params, cross_params)]
-    keep = [1.0 if d is None else d for d in drops[:2]]
+    keep = [_float(d) for d in drops[:2]]
     x1, _ = _mha_chain(x.data, None, 2, arrays[0], keep[0], g, self_segments)
     x2, _ = _mha_chain(x1, enc.data, 2, arrays[1], keep[1], g, cross_segments)
     # the feed-forward node on copies of its parameters, then the chains backward

@@ -31,11 +31,24 @@ def _op(helper, arity, name):
     return op
 
 
+def _glu(a):
+    """``T._glu`` as an (output, backward) helper."""
+    x1, s, backward = T._glu(a)
+    return x1 * s, backward
+
+
+def _depthwise_conv(x, kernel, lengths=None):
+    """``T._depthwise_conv`` as an (output, backward) helper: its backward
+    takes the input back."""
+    out, backward = T._depthwise_conv(x, kernel, lengths)
+    return out, lambda g: backward(g, x)
+
+
 # The attention, GLU and depthwise convolution bodies of ``T.mha`` and
 # ``T.conv_module``, each as its own node.
 attention = _op(T._attention_rows, 3, "attention")
-glu = _op(T._glu, 1, "glu")
-depthwise_conv1d = _op(T._depthwise_conv, 2, "depthwise_conv1d")
+glu = _op(_glu, 1, "glu")
+depthwise_conv1d = _op(_depthwise_conv, 2, "depthwise_conv1d")
 
 
 def layernorm(a):
@@ -371,7 +384,8 @@ class TestFiniteDifferences:
         twin.rng = copy.deepcopy(drop.rng)
         x = Tensor(np.random.default_rng(9).normal(size=(6, 5)), requires_grad=True)
         out = drop.forward(x)
-        mask = twin.mask(x.shape)
+        keep, scale = twin.mask(x.shape)
+        mask = keep * scale
         assert out.data.tobytes() == (x.data * mask).tobytes()
         T.reduce_sum(out).backward()
         assert x.grad.tobytes() == mask.tobytes()
