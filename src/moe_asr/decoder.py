@@ -22,8 +22,12 @@ counts (every tap has as many rows as the final output), so their rows
 form a dense [L, rows, d] stack. Each node of the pass covers all levels,
 each level through its own decoder's weights, one product per level: the
 embedding lookup, each sub-layer, the output layernorm and linear, the
-log-softmax and the loss. One decoder alone, as in rescoring, runs the
-same code without the level axis.
+log-softmax and the loss. It runs in arena order, the main decoder on the
+final output and then the auxiliary ones on the taps: declared so in one
+module tree, the decoders lie at one stride of its arena, and a stand-in
+decoder holding [L, ...] views of their parameters runs the code of one
+decoder, as rescoring runs it without the level axis. The total adds the
+auxiliary levels' losses shallow to deep, then the main level's.
 
 Rescoring runs one pass over the prefix trie of an N-best list. Causality
 means row t of a hypothesis depends only on [sos] + tokens[:t], so the
@@ -33,6 +37,8 @@ its ancestors, and every row attends to the one encoder output.
 """
 
 from __future__ import annotations
+
+import copy
 
 import numpy as np
 
@@ -47,6 +53,7 @@ from .nn import (
     Parameter,
     normal_init,
     sinusoidal_positions,
+    stacked_parameters,
 )
 from .tensor import Tensor
 
@@ -67,7 +74,12 @@ class DecoderBlock(Module):
         self.ffn = FeedForward(d, d_ff, dropout)
 
     def forward(self, x, enc, rows=None, enc_rows=None, mask=None):
-        return _block(self, x, enc, rows, enc_rows, mask)
+        shape, heads = x.data.shape[-2:], self.self_attn.heads
+        x = T.mha(x, None, heads, *self.self_attn.operands(self.norm1, self.dropout1, shape),
+                  lengths=rows, causal=mask is None, mask=mask)
+        x = T.mha(x, enc, heads, *self.cross_attn.operands(self.norm2, self.dropout2, shape),
+                  lengths=rows, key_lengths=enc_rows)
+        return T.ffn(x, 1.0, *self.ffn.operands(shape[0]))
 
 
 class TransformerDecoder(Module):
@@ -80,6 +92,8 @@ class TransformerDecoder(Module):
         self.blocks = [DecoderBlock(d, d_ff, heads, dropout) for _ in range(num_blocks)]
         self.norm_out = LayerNorm(d)
         self.out = Linear(d, vocab_size)
+        # (auxiliary decoders, stand-in) of the last level-stacked pass it led
+        self._levels = None
 
     def decode_teacher_forced(self, enc, tokens, lengths=None):
         """Per-position log-distributions, [len(tokens)+1 x V]; row t
@@ -97,57 +111,55 @@ class TransformerDecoder(Module):
 # ---------------------------------------------------------------------------
 
 
-def _first(modules):
-    """One module, or the first of a level-stacked list."""
-    return modules[0] if isinstance(modules, list) else modules
+class _LevelDropout:
+    """L levels' dropouts at one place: ``mask`` draws each level's from its
+    own stream and stacks them, [L, ...] keep arrays with [L, 1, 1] scales
+    (all kept at scale 1 for a level that draws none; None if none does)."""
+
+    def __init__(self, dropouts):
+        self.dropouts = dropouts
+
+    def mask(self, shape):
+        masks = [d.mask(shape) for d in self.dropouts]
+        if all(m is None for m in masks):
+            return None
+        return (np.array([np.ones(shape, dtype=bool) if m is None else m[0] for m in masks]),
+                np.array([1.0 if m is None else m[1] for m in masks])[:, None, None])
 
 
-def _each(modules, get):
-    """``get(module)`` for one module, or for each of a level-stacked list."""
-    return [get(m) for m in modules] if isinstance(modules, list) else get(modules)
+def _stand_in(modules):
+    """One module that runs as the L modules of one shape in `modules`: a
+    shallow copy of the first with each parameter the [L, ...] leaf of views
+    of theirs, each child the stand-in of theirs and each ``Dropout`` a
+    ``_LevelDropout``. ValueError unless they lie at one stride of an arena."""
+    if isinstance(modules[0], Dropout):
+        return _LevelDropout(modules)
+    stand_in = copy.copy(modules[0])
+    for attr, value in vars(modules[0]).items():
+        values = [vars(m)[attr] for m in modules]
+        if isinstance(value, Module):
+            setattr(stand_in, attr, _stand_in(values))
+        elif isinstance(value, Tensor) and value.requires_grad:
+            setattr(stand_in, attr, stacked_parameters(values))
+        elif isinstance(value, list) and value and all(isinstance(v, Module) for v in value):
+            setattr(stand_in, attr, [_stand_in(list(group)) for group in zip(*values)])
+    return stand_in
 
 
-def _across(modules, operands):
-    """The node operands ``operands(module)`` lists: for one module as they
-    are; for a list of L modules of one shape (one per level) zipped, each
-    tensor operand the tuple of its L tensors and each dropout mask, a
-    ``(keep, scale)`` pair, the [L, ...] stack of the L keep arrays with
-    the [L, 1, 1] scales (all kept with scale 1 for a level that draws
-    none, None when none does). Every level's ``Dropout`` draws from its
-    own stream."""
-    if not isinstance(modules, list):
-        return operands(modules)
-    zipped = []
-    for parts in zip(*[operands(m) for m in modules]):
-        drawn = [m for m in parts if m is not None]
-        if isinstance(parts[0], Tensor):
-            zipped.append(parts)
-        elif drawn:
-            ones = np.ones(drawn[0][0].shape, dtype=bool)
-            zipped.append((np.array([ones if m is None else m[0] for m in parts]),
-                           np.array([1.0 if m is None else m[1] for m in parts])[:, None, None]))
-        else:
-            zipped.append(None)
-    return zipped
+def _level_stack(decoders):
+    """The stand-in of `decoders`, main first, kept on the main decoder with
+    the auxiliary ones (not with itself: a cycle would outlive the model)."""
+    main, aux = decoders[0], decoders[1:]
+    if main._levels is None or main._levels[0] != aux:
+        main._levels = None  # not copied into the stand-in
+        main._levels = (aux, _stand_in(decoders))
+    return main._levels[1]
 
 
-def _block(blocks, x, memory, rows, enc_rows, mask):
-    """One ``DecoderBlock``, or a level-stacked list of them on x [L, n, d]
-    with one encoder output per level in `memory`: three nodes either way."""
-    shape, heads = x.data.shape[-2:], _first(blocks).self_attn.heads
-    x = T.mha(x, None, heads,
-              *_across(blocks, lambda b: b.self_attn.operands(b.norm1, b.dropout1, shape)),
-              lengths=rows, causal=mask is None, mask=mask)
-    x = T.mha(x, memory, heads,
-              *_across(blocks, lambda b: b.cross_attn.operands(b.norm2, b.dropout2, shape)),
-              lengths=rows, key_lengths=enc_rows)
-    return T.ffn(x, 1.0, *_across(blocks, lambda b: b.ffn.operands(shape[0])))
-
-
-def _teacher_forced(decoders, memory, seqs, lengths):
+def _teacher_forced(decoder, memory, seqs, lengths):
     """Log-distributions of [sos] + seq for each token sequence of `seqs`,
     one per utterance of `lengths` encoder rows (None: one utterance),
-    stacked by utterance; `decoders` and `memory` as ``_forward_rows``
+    stacked by utterance; `decoder` and `memory` as ``_forward_rows``
     takes them."""
     enc = memory if isinstance(memory, Tensor) else memory[0]
     lengths = T.segment_lengths(lengths, enc.data.shape[0], "decode-teacher-forced")
@@ -155,37 +167,32 @@ def _teacher_forced(decoders, memory, seqs, lengths):
     if len(seqs) != len(lengths):
         raise ValueError(f"{len(seqs)} token sequences for {len(lengths)} utterances")
     rows = [len(seq) + 1 for seq in seqs]
-    sos = _first(decoders).sos_eos
-    ids = np.concatenate([[sos] + seq for seq in seqs]).astype(np.int64)
+    ids = np.concatenate([[decoder.sos_eos] + seq for seq in seqs]).astype(np.int64)
     positions = np.concatenate([np.arange(n) for n in rows])
-    return _forward_rows(decoders, memory, ids, positions, rows, lengths)
+    return _forward_rows(decoder, memory, ids, positions, rows, lengths)
 
 
-def _forward_rows(decoders, memory, ids, positions, rows=None, enc_rows=None, mask=None):
+def _forward_rows(decoder, memory, ids, positions, rows=None, enc_rows=None, mask=None):
     """Log-distributions of token rows `ids` at `positions`: the one block
     loop behind teacher forcing, the multi-level loss and rescoring.
 
-    `decoders` is one decoder reading the encoder rows `memory` ([n, V]
-    out), or a list of L decoders of one shape, each reading its own of the
-    L encoder outputs listed in `memory` (each with the same row count), run
-    as one level-stacked pass ([L, n, V] out). `rows`, `enc_rows` and `mask`
-    go to each block."""
-    first = _first(decoders)
-    vocab = first.vocab_size
+    `decoder` is one decoder reading the encoder rows `memory` ([n, V]
+    out), or the stand-in of L decoders (``_level_stack``), level l reading
+    memory[l] of L encoder outputs with one row count ([L, n, V] out).
+    `rows`, `enc_rows` and `mask` go to each block."""
+    vocab = decoder.vocab_size
     if ids.min() < 0 or ids.max() >= vocab:
         bad = sorted({int(t) for t in ids if not 0 <= t < vocab})
         raise ValueError(f"token id outside vocabulary of {vocab}: {bad}")
-    x = T.embedding_lookup(*_across(decoders, lambda dec: (dec.embed,)), ids)
+    x = T.embedding_lookup(decoder.embed, ids)
     d = x.data.shape[-1]
     x = T.add(x, Tensor(sinusoidal_positions(int(positions.max()) + 1, d)[positions]))
-    (drop,) = _across(decoders, lambda dec: (dec.dropout.mask((len(ids), d)),))
+    drop = decoder.dropout.mask((len(ids), d))
     if drop is not None:
         x = T.mul(x, Tensor(T._float_mask(drop)))
-    for i in range(len(first.blocks)):
-        x = _block(_each(decoders, lambda dec: dec.blocks[i]), x, memory, rows, enc_rows, mask)
-    x = T.layernorm(x, *_across(decoders, lambda dec: (dec.norm_out.gamma, dec.norm_out.beta)))
-    return T.log_softmax_last(
-        T.linear(x, *_across(decoders, lambda dec: (dec.out.weight, dec.out.bias))))
+    for block in decoder.blocks:
+        x = block.forward(x, memory, rows, enc_rows, mask)
+    return T.log_softmax_last(decoder.out.forward(decoder.norm_out.forward(x)))
 
 
 # ---------------------------------------------------------------------------
@@ -224,8 +231,11 @@ def multi_level_aed(main_decoder, aux_decoders, enc_output, tokens, label_smooth
     encoder output plus one auxiliary decoder per intermediate tap, the
     decoders paired with ``enc_output.taps`` in depth order.
 
-    The levels run as one level-stacked pass and one ``aed_losses``; the
-    total adds the levels' losses one after another, shallow to deep.
+    The levels run as one level-stacked pass in arena order and one
+    ``aed_losses``; ValueError unless the decoders are declared in one
+    module tree, main first, as ``SpeechModel`` declares them. The total
+    adds the auxiliary levels' losses one after another, shallow to deep,
+    then the main level's.
     Returns (total, per-level values) with levels ordered shallow to deep,
     main decoder last; the per-level values are graph-free, for reporting.
     When ``enc_output.lengths`` is set (a packed batch), `tokens` holds one
@@ -237,13 +247,14 @@ def multi_level_aed(main_decoder, aux_decoders, enc_output, tokens, label_smooth
         raise ValueError(f"{len(aux_decoders)} auxiliary decoders for {len(taps)} encoder taps")
     lengths = enc_output.lengths
     seqs = [tokens] if lengths is None else tokens
-    log_probs = _teacher_forced([*aux_decoders, main_decoder], [*taps, enc_output.final], seqs,
-                                lengths)
+    log_probs = _teacher_forced(_level_stack([main_decoder, *aux_decoders]),
+                                [enc_output.final, *taps], seqs, lengths)
     levels = aed_losses(log_probs, seqs, label_smoothing)
-    total = T.reduce_sum(levels, axis=0)
+    total = T.level_sum(levels)
+    values = np.roll(levels.data, -1, axis=0)  # shallow to deep, main last
     if lengths is None:
-        return T.reshape(total, ()), [Tensor(v) for v in levels.data[:, 0]]
-    return total, [Tensor(v) for v in levels.data]
+        return T.reshape(total, ()), [Tensor(v) for v in values[:, 0]]
+    return total, [Tensor(v) for v in values]
 
 
 def _prefix_trie(token_seqs, sos):

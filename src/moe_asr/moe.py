@@ -7,9 +7,12 @@ gradient path. A layer routes all frames of a packed batch at once (token
 dispatch, as in GShard and the Switch Transformer): one ``T.routed_ffn``
 node sorts the frames by expert, runs the two matmuls once per used expert
 and everything else once over all rows, applies the gates and adds the
-result, times the residual factor, to the residual stream. The
-sparsity and mean-importance losses below act on the layer's router
-distributions over the whole batch.
+result, times the residual factor, to the residual stream. It reads each
+of the experts' six parameters as one [E, ...] leaf of views of the arena
+(``nn.stacked_parameters``), built once per layer, and adds every
+expert's gradient into the arena, an exact zero for an expert without
+frames. The sparsity and mean-importance losses below act on the layer's
+router distributions over the whole batch.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
-from .nn import FeedForward, Module, Parameter, uniform_init
+from .nn import FeedForward, Module, Parameter, stacked_parameters, uniform_init
 
 
 @dataclass
@@ -67,7 +70,7 @@ class Router(Module):
 class RoutedFFN(Module):
     """The second macaron FFN slot: dense, or dispatched across experts in
     one ``T.routed_ffn`` node, each used expert with its own parameters and
-    dropout streams; an expert without frames is not in the graph.
+    dropout streams; an expert without frames gets an exact zero gradient.
 
     Dense mode (router None) still stores its single FFN under
     ``experts.0`` so parameter names line up exactly with a one-expert
@@ -78,6 +81,8 @@ class RoutedFFN(Module):
         super().__init__()
         self.router = Router(d_emb, d, n_experts) if routed else None
         self.experts = [FeedForward(d, d_ff, dropout) for _ in range(n_experts if routed else 1)]
+        # [E, ...] views of the experts' parameters; a tuple, not walked
+        self._stacked = None
 
     def forward(self, x, e_c=None, frozen_selected=None, c=1.0):
         """Returns (``x + c * f(x)``, RoutingRecord or None); `c` is the
@@ -94,9 +99,27 @@ class RoutedFFN(Module):
         record = self.router.route(e_c, x)
         if frozen_selected is not None:
             record.selected = np.asarray(frozen_selected, dtype=np.int64)
+        if self._stacked is None:  # an expert's parameters are named in T.ffn's order
+            self._stacked = tuple(stacked_parameters(group) for group in zip(
+                *[e.named_parameters().values() for e in self.experts]))
         counts = record.utilization(len(self.experts))
-        experts = [self.experts[e].operands(counts[e]) for e in np.flatnonzero(counts)]
-        return T.routed_ffn(x, c, record.p, record.selected, experts), record
+        used = np.flatnonzero(counts)
+        masks = [self.experts[e].operands(counts[e])[6:] for e in used]
+        masks = [_dispatch_mask([m[k] for m in masks], counts[used]) for k in (0, 1)]
+        return T.routed_ffn(x, c, record.p, record.selected, *self._stacked, *masks), record
+
+
+def _dispatch_mask(masks, counts):
+    """One ``(keep, scale)`` mask over the dispatched rows from the used
+    experts' masks, each for its `counts` rows: the keep arrays in expert
+    order (all kept for an expert that draws none) and one scale per row
+    (1 for such an expert); None when none draws one."""
+    if all(m is None for m in masks):
+        return None
+    width = next(m for m in masks if m is not None)[0].shape[1]
+    return (np.concatenate([np.ones((n, width), dtype=bool) if m is None else m[0]
+                            for m, n in zip(masks, counts)]),
+            np.repeat([1.0 if m is None else m[1] for m in masks], counts)[:, None])
 
 
 def sparsity_loss(P):

@@ -15,8 +15,8 @@ mask from its own stream before the node runs, as a bool keep array and a
 scale, which the node keeps instead of a float mask. A ``Dropout`` used on
 its own (after the position table) applies the same mask as one ``T.mul``.
 ``FeedForward.operands`` and ``MultiHeadAttention.operands`` list a
-sub-layer node's arguments, parameters and masks, which the level-stacked
-decoder pass zips across its decoders.
+sub-layer node's arguments, parameters and masks; ``stacked_parameters``
+makes a level or expert stack one tensor of views of the arena.
 """
 
 from __future__ import annotations
@@ -79,7 +79,10 @@ class Arena:
     (``offsets``), back to back in the order given (``named_parameters()``
     order for a module tree). The optimizer, the clip and ``zero_grad`` each
     work on one buffer, and ``data`` is a checkpoint's body. Both buffers
-    start as zeros; a parameter can join only one arena.
+    start as zeros; a parameter can join only one arena. Modules of one
+    shape declared back to back (a layer's experts; the main decoder, then
+    the auxiliary ones) lie at a uniform stride, so each of their
+    parameters stacks as views (``stacked_parameters``).
     """
 
     def __init__(self, params):
@@ -105,6 +108,36 @@ class Arena:
         if entries and entries[-1][2] + math.prod(entries[-1][1]) != size:
             raise ValueError(f"parameters under {prefix!r} do not form one span")
         return entries, self.data[start : start + size]
+
+
+def stacked_parameters(params):
+    """One leaf for K parameters of one shape at a uniform element stride of
+    one arena: its ``data`` and ``grad`` are [K, ...] views of the arena's
+    buffers, slice k parameter k's, so the engine adds the leaf's gradient
+    into the parameters' ``grad``. Nothing is copied; build it once and
+    keep it. ValueError for unequal shapes, a stride that is not uniform
+    (or overlaps), parameters of more than one arena, or one without
+    storage."""
+    params = list(params)
+    if not params or not all(hasattr(p, "data") for p in params):
+        raise ValueError("a stack needs parameters that have storage")
+    first = params[0]
+    if any(p.shape != first.shape for p in params):
+        raise ValueError(f"parameters of unequal shapes: {sorted({p.shape for p in params})}")
+    if any(p.data.base is not first.data.base or p.grad.base is not first.grad.base
+           for p in params):
+        raise ValueError("parameters of more than one arena")
+    k = len(params)
+    starts = [[getattr(p, kind).ctypes.data for p in params] for kind in ("data", "grad")]
+    step = (starts[0][-1] - starts[0][0]) // (k - 1) if k > 1 else first.data.nbytes
+    if step < first.data.nbytes or any(s != list(range(s[0], s[0] + k * step, step))
+                                       for s in starts):
+        raise ValueError("parameters not at a uniform stride of their arena")
+    data, grad = (np.lib.stride_tricks.as_strided(a, (k, *a.shape), (step, *a.strides))
+                  for a in (first.data, first.grad))
+    leaf = Tensor(data)
+    leaf.requires_grad, leaf.grad = True, grad
+    return leaf
 
 
 def _name_stream(seed, name, lane):
@@ -266,7 +299,7 @@ class FeedForward(Module):
     def operands(self, rows):
         """``T.ffn``'s arguments after the factor, for `rows` input rows: the
         six parameters, then each dropout's mask (None when it is off)."""
-        d, d_ff = self.w1.weight.shape
+        d, d_ff = self.w1.weight.shape[-2:]
         return (self.norm.gamma, self.norm.beta, self.w1.weight, self.w1.bias,
                 self.w2.weight, self.w2.bias,
                 self.dropout1.mask((rows, d_ff)), self.dropout2.mask((rows, d)))

@@ -46,15 +46,16 @@ the per-utterance row counts, so no window, tap or attention weight
 crosses from one utterance into the next, and no mask is built for a pack.
 Rows may also carry a leading level axis, [L, n, d]: L models of one
 shape (the multi-level decoders) on the same rows, each with its own
-weights. ``linear``, ``layernorm``, ``ffn`` and ``mha`` then take each
-parameter as a sequence of L tensors (``_operands`` stacks them), and
-``embedding_lookup`` a sequence of L tables; ``gather_last`` and
-``segment_means`` read the stack as it is. One code path serves both
-forms: reductions run over axis -2 and transposes are ``swapaxes(-1,
--2)``, so a level's products are the BLAS calls it would get alone and
-every level keeps its bits. Each level's tensors are parents of the node,
-and their gradients are views of the stacked products. ``matmul`` stays
-2-D.
+weights. A level stack is one tensor: ``linear``, ``layernorm``, ``ffn``
+and ``mha`` then take each parameter as one [L, ...] tensor, and
+``embedding_lookup`` an [L, V, d] table (views of the arena,
+``nn.stacked_parameters``); ``gather_last``, ``segment_means`` and
+``level_sum`` read the stack as it is. Only ``mha``'s memory is a sequence
+of L tensors. One code path serves both forms: reductions run over axis
+-2 and transposes are ``swapaxes(-1, -2)``, so a level's products are the
+BLAS calls it would get alone and every level keeps its bits.
+``routed_ffn`` takes its experts as one [E, ...] tensor per parameter.
+``matmul`` stays 2-D.
 64-bit floats throughout so gradient checks and DP oracles are limited by
 algorithmic correctness, not precision.
 """
@@ -87,6 +88,7 @@ __all__ = [
     "embedding_lookup",
     "gather_last",
     "segment_means",
+    "level_sum",
     "ffn",
     "routed_ffn",
     "mha",
@@ -266,65 +268,30 @@ def _rows(op, x):
     return x
 
 
-def _per_level(operand):
-    """The tensors of one operand: itself, or the L tensors of a
-    level-stacked one."""
-    return (operand,) if isinstance(operand, Tensor) else tuple(operand)
-
-
 def _operands(op, shape, operands, expected, masks=()):
-    """Arrays and parents of the operands of a node on rows of `shape`,
-    checked.
-
-    Rows [n, d] have no level axis: each operand is a tensor of its shape in
-    `expected`. Rows [L, n, d] are L levels of the same rows: each operand
-    is a sequence of L tensors of that shape, one per level, stacked on a
-    new leading axis, and a vector's stack is [L, 1, k] so it broadcasts as
-    a [k] vector does without levels. Each ``(mask, width)`` pair's mask is
-    None or a ``(keep, scale)`` dropout mask (``_float_mask``): a bool
-    array of `shape` with last dimension `width`, and a scale that is a
-    number or, with levels, one per level [L, 1, 1]. ShapeMismatch
-    otherwise.
-
-    `expected` is a list of shapes. Returns (arrays, parents, levels):
-    `parents` lists every operand's tensors in level order, and `levels`
-    is L or None, for ``_unstack``.
+    """Arrays of the tensor operands of a node on rows of `shape`, checked:
+    each has its shape in `expected`, led by the level axis of rows [L, n,
+    d], and a vector's [L, k] array is returned as [L, 1, k], so it
+    broadcasts as a [k] vector does without levels. Each ``(mask, width)``
+    pair's mask is None or a ``(keep, scale)`` dropout mask
+    (``_float_mask``): a bool array of `shape` with last dimension `width`,
+    and a scale that is a number or one per level [L, 1, 1] or per row [...,
+    n, 1]. ShapeMismatch otherwise.
     The products of a level stack are one per level, the same BLAS calls on
     the same operands, and its column sums run over axis -2 level by level,
     so each level keeps the bits it would have alone.
     """
-    levels = shape[0] if len(shape) == 3 else None
-    try:
-        if levels is None:
-            arrays = [t.data for t in operands]
-            parents = operands
-        else:
-            groups = [tuple(t) for t in operands if not isinstance(t, Tensor)]
-            parents = [u for g in groups for u in g]
-            # one level is a view, more a copy
-            arrays = [g[0].data[None] if len(g) == 1 else np.array([u.data for u in g])
-                      for g in groups]
-            expected = [(levels, *e) for e in expected]
-        ok = len(arrays) == len(operands) and [a.shape for a in arrays] == expected
-    except (AttributeError, IndexError, ValueError):  # sequences without levels, a level
-        ok = False                                     # without tensors, unequal levels
+    lead = tuple(shape[:-2])
+    shapes = [t.data.shape if isinstance(t, Tensor) else None for t in operands]
+    ok = shapes == [(*lead, *e) for e in expected]
     for m, w in masks:
         ok = ok and (m is None or (np.asarray(m[0]).dtype == bool
                                    and np.shape(m[0]) == (*shape[:-1], w)
-                                   and np.shape(m[1]) in ((), (*shape[:-2], 1, 1))))
+                                   and np.shape(m[1]) in ((), (*lead, 1, 1), (*shape[:-1], 1))))
     if not ok:
-        raise ShapeMismatch(op, shape, *[np.shape(_per_level(t)[0].data) if _per_level(t) else ()
-                                         for t in operands],
+        raise ShapeMismatch(op, shape, *[s or () for s in shapes],
                             *[np.shape(m if m is None else m[0]) for m, _ in masks])
-    if levels is not None:
-        arrays = [a[:, None] if a.ndim == 2 else a for a in arrays]
-    return arrays, parents, levels
-
-
-def _unstack(grads, levels):
-    """One gradient per parent from one per ``_operands`` operand: with
-    levels, each gradient's level slices (views), in level order."""
-    return grads if levels is None else [gl for gr in grads for gl in gr]
+    return [t.data[:, None] if lead and t.data.ndim == 2 else t.data for t in operands]
 
 
 def matmul(a, b):
@@ -346,17 +313,16 @@ def linear(x, w, b):
     """``(x @ w) + b`` as one node; gradients equal the matmul-then-add
     pair's. `x` may carry a level axis, as ``_operands`` says."""
     x = _rows("linear", x)
-    d_out = _per_level(w)[0].data.shape[-1]
-    (w, b), parents, levels = _operands("linear", x.data.shape, (w, b),
-                                        [(x.data.shape[-1], d_out), (d_out,)])
+    params, d_out = (w, b), w.data.shape[-1]
+    w, b = _operands("linear", x.data.shape, params, [(x.data.shape[-1], d_out), (d_out,)])
     out = x.data @ w
     out += b
 
     def bwd(g):
         return (g @ w.swapaxes(-1, -2) if x.requires_grad else None,
-                *_unstack((x.data.swapaxes(-1, -2) @ g, g.sum(axis=-2)), levels))
+                x.data.swapaxes(-1, -2) @ g, g.sum(axis=-2))
 
-    return _node(out, (x, *parents), bwd, "linear")
+    return _node(out, (x, *params), bwd, "linear")
 
 
 def add(a, b):
@@ -502,16 +468,16 @@ def layernorm(a, gamma, beta):
     """
     a = _rows("layernorm", a)
     d = a.data.shape[-1]
-    (gamma, beta), parents, levels = _operands("layernorm", a.data.shape, (gamma, beta),
-                                               [(d,), (d,)])
+    params = (gamma, beta)
+    gamma, beta = _operands("layernorm", a.data.shape, params, [(d,), (d,)])
     out, mu, inv = _layernorm_rows(a.data, gamma, beta)
 
     def bwd(g):
         y = _normalized(a.data, mu, inv)
         return (_layernorm_input_grad(g * gamma, y, inv) if a.requires_grad else None,
-                *_unstack(((g * y).sum(axis=-2), g.sum(axis=-2)), levels))
+                (g * y).sum(axis=-2), g.sum(axis=-2))
 
-    return _node(out, (a, *parents), bwd, "layernorm")
+    return _node(out, (a, *params), bwd, "layernorm")
 
 
 def swish(a):
@@ -573,27 +539,26 @@ def unfold_time(x, kernel, stride, lengths=None):
 
 def embedding_lookup(table, ids):
     """Gather rows of `table` by integer index; duplicate ids accumulate
-    grads. `table` may be a sequence of L tables, one per level: then the
-    rows of each, [L, n, d]."""
-    tables = _per_level(table)
+    grads. `table` is [V, d], or a level stack [L, V, d]: then the rows of
+    each level, [L, n, d]."""
+    table = _as_tensor(table)
     ids = np.asarray(ids, dtype=np.int64)
-    shape = tables[0].data.shape if tables else ()
-    if ids.ndim != 1 or len(shape) != 2 or any(t.data.shape != shape for t in tables):
+    shape = table.data.shape
+    if ids.ndim != 1 or len(shape) not in (2, 3):
         raise ShapeMismatch("embedding-lookup", shape, ids.shape)
-    if ids.size and (ids.min() < 0 or ids.max() >= shape[0]):
+    if ids.size and (ids.min() < 0 or ids.max() >= shape[-2]):
         raise IndexError(
-            f"embedding-lookup: id out of range [0, {shape[0]}): "
+            f"embedding-lookup: id out of range [0, {shape[-2]}): "
             f"{int(ids.min())}..{int(ids.max())}"
         )
-    data = tables[0].data if isinstance(table, Tensor) else np.array([t.data for t in tables])
-    out = np.take(data, ids, axis=-2)
+    out = np.take(table.data, ids, axis=-2)
 
     def bwd(g):
-        gt = np.zeros_like(data)
+        gt = np.zeros(shape)
         np.add.at(gt, (..., ids, slice(None)), g)
-        return (gt,) if isinstance(table, Tensor) else tuple(gt)
+        return (gt,)
 
-    return _node(out, tables, bwd, "embedding-lookup")
+    return _node(out, (table,), bwd, "embedding-lookup")
 
 
 def gather_last(a, ids):
@@ -631,6 +596,14 @@ def segment_means(a, lengths):
     return _node(out, (a,), lambda g: ((weights.T @ g[..., None])[..., 0],), "segment-means")
 
 
+def level_sum(a):
+    """The sum over the level axis of a stack led by the main level: levels
+    1, 2, ... add one after another and level 0 last, as ``add`` nodes would."""
+    a = _as_tensor(a)
+    out = np.add.accumulate(np.roll(a.data, -1, axis=0))[-1]
+    return _node(out, (a,), lambda g: (np.broadcast_to(g, a.data.shape).copy(),), "level-sum")
+
+
 def _matmul_groups(a, ws, spans):
     """``a[s:e] @ w`` for each group's rows and matrix, into one output."""
     if len(ws) == 1:
@@ -665,11 +638,12 @@ def _ffn_rows(x, spans, w1s, w2s, vectors, mask1, mask2):
     it. Only the two matmuls, and in backward their input- and
     weight-gradient products and the vectors' column sums, run per group,
     each on its rows' slice. Returns the output rows and ``backward(g, x,
-    gamma, beta, need_x)`` -> (input gradient or None, per group its six
-    parameter gradients in ``ffn``'s order). The caller hands `x`, gamma
-    and beta back; the closure keeps the layernorm's statistics, the
-    hidden rows h and their sigmoid, and rebuilds the layernorm's y and
-    output and the masked swish output.
+    gamma, beta, need_x, grads, slots)`` -> input gradient or None, which
+    writes group i's six parameter gradients into slot slots[i] of the six
+    arrays `grads` (``ffn``'s order). The caller hands `x`, gamma and beta
+    back; the closure keeps the layernorm's statistics, the hidden rows h
+    and their sigmoid, and rebuilds the layernorm's y and output and the
+    masked swish output.
     """
     gamma, beta, b1, b2 = vectors
     n, mu, inv = _layernorm_rows(x, gamma, beta)
@@ -689,29 +663,30 @@ def _ffn_rows(x, spans, w1s, w2s, vectors, mask1, mask2):
     if mask2 is not None:
         out *= _float_mask(mask2)
 
-    def backward(g, x, gamma, beta, need_x):
+    def backward(g, x, gamma, beta, need_x, grads, slots):
         # Column sums go row by row within each group, as sum(axis=0) adds;
         # np.add.reduceat would add pairwise and change the bits.
+        ggamma, gbeta, gw1, gb1, gw2, gb2 = grads
         if mask2 is not None:
             g = g * _float_mask(mask2)
         m1 = _float_mask(mask1)
         a = swish_rows(m1)
-        gw2 = [a[..., s:e, :].swapaxes(-1, -2) @ g[..., s:e, :] for s, e in spans]
-        gb2 = [g[..., s:e, :].sum(axis=-2) for s, e in spans]
         ga = _matmul_groups(g, [w.swapaxes(-1, -2) for w in w2s], spans)
         if m1 is not None:
             ga *= m1
         gh = ga * sig * (1.0 + h * (1.0 - sig))
         y = _normalized(x, mu, inv)
         n = _affine(y, gamma, beta)
-        gw1 = [n[..., s:e, :].swapaxes(-1, -2) @ gh[..., s:e, :] for s, e in spans]
-        gb1 = [gh[..., s:e, :].sum(axis=-2) for s, e in spans]
         gn = _matmul_groups(gh, [w.swapaxes(-1, -2) for w in w1s], spans)
         gny = gn * y
-        ggamma = [gny[..., s:e, :].sum(axis=-2) for s, e in spans]
-        gbeta = [gn[..., s:e, :].sum(axis=-2) for s, e in spans]
-        gx = _layernorm_input_grad(gn * gamma, y, inv) if need_x else None
-        return gx, list(zip(ggamma, gbeta, gw1, gb1, gw2, gb2))
+        for (s, e), i in zip(spans, slots):
+            np.matmul(a[..., s:e, :].swapaxes(-1, -2), g[..., s:e, :], out=gw2[i])
+            g[..., s:e, :].sum(axis=-2, out=gb2[i])
+            np.matmul(n[..., s:e, :].swapaxes(-1, -2), gh[..., s:e, :], out=gw1[i])
+            gh[..., s:e, :].sum(axis=-2, out=gb1[i])
+            gny[..., s:e, :].sum(axis=-2, out=ggamma[i])
+            gn[..., s:e, :].sum(axis=-2, out=gbeta[i])
+        return _layernorm_input_grad(gn * gamma, y, inv) if need_x else None
 
     return out, backward
 
@@ -736,75 +711,69 @@ def ffn(x, c, gamma, beta, w1, b1, w2, b2, mask1=None, mask2=None):
     dropout by `mask1` [n, d_ff], ``linear`` by (w2, b2), dropout by `mask2`
     [n, d]; a mask of None is the identity. The six parameters are tensors;
     a mask is a ``(keep, scale)`` pair, as ``_float_mask`` takes it. `x`
-    may carry a level axis, as ``_operands`` says; the masks then lead with
-    it too.
+    may carry a level axis, as ``_operands`` says; the parameters and masks
+    then lead with it too.
 
     Values and gradients equal the bits of those six nodes, ``scale`` and
     ``add`` chained. `x` is a parent twice, once for the residual and once
     for the layernorm, so the engine adds its two flows as it did for them.
     """
     x = _rows("ffn", x)
-    d, f = x.data.shape[-1], _per_level(w1)[0].data.shape[-1]
-    (gamma, beta, w1, b1, w2, b2), parents, levels = _operands(
-        "ffn", x.data.shape, (gamma, beta, w1, b1, w2, b2), _ffn_shapes(d, f),
-        ((mask1, f), (mask2, d)))
+    d, f = x.data.shape[-1], w1.data.shape[-1]
+    params = (gamma, beta, w1, b1, w2, b2)
+    gamma, beta, w1, b1, w2, b2 = _operands("ffn", x.data.shape, params, _ffn_shapes(d, f),
+                                            ((mask1, f), (mask2, d)))
     out, backward = _ffn_rows(x.data, [(0, x.data.shape[-2])], [w1], [w2],
                               (gamma, beta, b1, b2), mask1, mask2)
 
     def bwd(g):
-        gx, (grads,) = backward(g * c, x.data, gamma, beta, x.requires_grad)
-        return (g, gx, *_unstack(grads, levels))
+        grads = [np.empty(t.data.shape) for t in params]
+        gx = backward(g * c, x.data, gamma, beta, x.requires_grad, grads, [...])
+        return (g, gx, *grads)
 
-    return _node(_residual(x.data, out, c), (x, x, *parents), bwd, "ffn")
+    return _node(_residual(x.data, out, c), (x, x, *params), bwd, "ffn")
 
 
-def routed_ffn(x, c, p, selected, experts):
+def routed_ffn(x, c, p, selected, gamma, beta, w1, b1, w2, b2, mask1=None, mask2=None):
     """A top-1 routed feed-forward layer with its residual as one node:
     ``x + c * f`` where row i of f is row i of `x` through expert
     selected[i], scaled by its gate p[i, selected[i]].
 
-    `experts` holds ``ffn``'s arguments after `c` (six parameter tensors,
-    two masks for that expert's row count) for each expert `selected` names,
-    in ascending index order; only they are parents, so an expert without
-    rows gets no gradient. Rows are ordered by expert with a stable sort;
-    gamma, beta and the biases are gathered per row once each, and values
-    and gradients equal the bits of each used expert's ``ffn`` chain on its
+    The six parameters are ``ffn``'s, each one [E, ...] tensor whose slice
+    e is expert e's. Rows are ordered by expert with a stable sort; the
+    masks are ``(keep, scale)`` pairs over the rows in that order, a scale a
+    number or one per row [n, 1]. Gamma, beta and the biases are gathered
+    per row and the two matmuls run once per used expert; values and
+    gradients equal the bits of each used expert's ``ffn`` chain on its
     rows in frame order, scattered back, multiplied by the gate, scaled and
-    added to `x`. Like ``ffn``'s, `x` is a parent twice. Backward gathers
-    the sorted rows, gamma and beta again rather than keep them.
+    added to `x`. An expert without rows gets exactly zero gradients. Like
+    ``ffn``'s, `x` is a parent twice. Backward gathers the sorted rows,
+    gamma and beta again rather than keep them.
     """
     x, p = _as_tensor(x), _as_tensor(p)
     selected = np.asarray(selected, dtype=np.int64)
-    rows = x.data.shape[0]
-    if x.data.ndim != 2 or p.data.shape[:1] != (rows,) or selected.shape != (rows,):
+    rows, experts = x.data.shape[0], p.data.shape[-1]
+    if (x.data.ndim != 2 or p.data.shape != (rows, experts) or selected.shape != (rows,)
+            or not np.all((selected >= 0) & (selected < experts))):
         raise ShapeMismatch("routed-ffn", x.data.shape, p.data.shape, selected.shape)
-    counts = np.bincount(selected, minlength=p.data.shape[-1])
-    counts = counts[counts > 0].tolist()
-    if len(counts) != len(experts):
-        raise ShapeMismatch("routed-ffn", (len(counts),), (len(experts),))
-    d = x.data.shape[1]
-    params = [_operands("routed-ffn", (n, d), e[:6], _ffn_shapes(d, e[2].data.shape[-1]),
-                        ((e[6], e[2].data.shape[-1]), (e[7], d)))[0]
-              for e, n in zip(experts, counts)]
-    spans = _spans(counts)
-    group = np.repeat(np.arange(len(counts)), counts)
-    # [experts, width] stacks of gamma, beta, b1 and b2, gathered per row
-    stacks = [np.array([a[k] for a in params]) for k in (0, 1, 3, 5)]
-    w1s, w2s = [a[2] for a in params], [a[4] for a in params]
-    # one keep array over all rows (all kept for an expert without dropout), one scale per row
-    mask1, mask2 = (None if all(e[k] is None for e in experts) else (
-        np.concatenate([np.ones((n, w.shape[1]), dtype=bool) if e[k] is None else e[k][0]
-                        for e, n, w in zip(experts, counts, ws)]),
-        np.repeat([1.0 if e[k] is None else e[k][1] for e in experts], counts)[:, None])
-        for k, ws in ((6, w1s), (7, w2s)))
+    d, f = x.data.shape[1], w1.data.shape[-1]
+    params = (gamma, beta, w1, b1, w2, b2)
+    ga, ba, w1a, b1a, w2a, b2a = _operands("routed-ffn", x.data.shape, params,
+                                           [(experts, *s) for s in _ffn_shapes(d, f)],
+                                           ((mask1, f), (mask2, d)))
+    counts = np.bincount(selected, minlength=experts)
+    used = np.flatnonzero(counts)
+    spans = _spans(counts[used].tolist())
     order = np.argsort(selected, kind="stable")
-    ys, backward = _ffn_rows(x.data[order], spans, w1s, w2s, [v[group] for v in stacks],
+    # each sorted row's expert, to gather gamma, beta, b1 and b2 per row
+    owner = selected[order]
+    w1s, w2s = [w1a[e] for e in used], [w2a[e] for e in used]
+    ys, backward = _ffn_rows(x.data[order], spans, w1s, w2s, [v[owner] for v in (ga, ba, b1a, b2a)],
                              mask1, mask2)
     y = np.empty_like(ys)
     y[order] = ys
     frames = np.arange(rows)
     gate = p.data[frames, selected][:, None]
-    gammas, betas = stacks[:2]
 
     def bwd(g):
         gc = g * c
@@ -812,17 +781,19 @@ def routed_ffn(x, c, p, selected, experts):
         if p.requires_grad:
             gp = np.zeros_like(p.data)
             np.add.at(gp, (frames, selected), (gc * y).sum(axis=1))
+        grads = [np.empty(t.data.shape) for t in params]
+        for gr in grads:
+            gr[counts == 0] = 0.0
         # the sorted rows and their gamma and beta, gathered again
-        gxs, grads = backward((gc * gate)[order], x.data[order], gammas[group], betas[group],
-                              x.requires_grad)
+        gxs = backward((gc * gate)[order], x.data[order], ga[owner], ba[owner],
+                       x.requires_grad, grads, used)
         gx = None
         if gxs is not None:
             gx = np.empty_like(gxs)
             gx[order] = gxs
-        return (g, gx, gp, *[gr for expert_grads in grads for gr in expert_grads])
+        return (g, gx, gp, *grads)
 
-    parents = (x, x, p, *[t for e in experts for t in e[:6]])
-    return _node(_residual(x.data, y * gate, c), parents, bwd, "routed-ffn")
+    return _node(_residual(x.data, y * gate, c), (x, x, p, *params), bwd, "routed-ffn")
 
 
 def _attention_rows(q, k, v, heads, lengths=None, key_lengths=None, causal=False, mask=None):
@@ -912,8 +883,9 @@ def mha(x, memory, heads, gamma, beta, wq, bq, wk, wv, bv, wo, bo, drop=None, le
     `drop` (``_float_mask``; None: the identity). `lengths`, `key_lengths`,
     `causal` and `mask` select the visible keys as ``_attention_rows``
     says; with a level axis (``_operands``) every level sees the same keys,
-    `drop` leads with the level axis and `memory` is a sequence of L
-    tensors, one per level.
+    the parameters and `drop` lead with the level axis and `memory` is a
+    sequence of L tensors, one per level: not arena data, they are copied
+    into a stack.
 
     Values and gradients equal the bits of the unfused chain of nodes. The
     flows into the layernorm output add as q, k, v; `x` is a parent twice
@@ -921,24 +893,25 @@ def mha(x, memory, heads, gamma, beta, wq, bq, wk, wv, bv, wo, bo, drop=None, le
     those flows one at a time, as it did for the nodes they replace.
     """
     x = _rows("mha", x)
-    d = x.data.shape[-1]
-    dq, dv = _per_level(wq)[0].data.shape[-1], _per_level(wv)[0].data.shape[-1]
-    operands = [gamma, beta, wq, bq, wk, wv, bv, wo, bo]
+    d, lead = x.data.shape[-1], x.data.shape[:-2]
+    params = (gamma, beta, wq, bq, wk, wv, bv, wo, bo)
+    dq, dv = wq.data.shape[-1], wv.data.shape[-1]
     expected = [(d,), (d,), (d, dq), (dq,), (d, dq), (d, dv), (dv,), (dv, d), (d,)]
+    # one memory tensor, or with levels one per level; each feeds k and v
+    memories = (memory,) if isinstance(memory, Tensor) else tuple(memory or ())
     if memory is not None:
-        shape = _per_level(memory)[0].data.shape
-        operands.append(memory)
-        # k and v project the memory's width; a memory that is not 2-D fails
-        expected[4:6] = [(shape[-1], dq), (shape[-1], dv)]
-        expected.append(shape[:1] + shape[-1:])
-    arrays, parents, levels = _operands("mha", x.data.shape, operands, expected, ((drop, d),))
-    n, mu, inv = _layernorm_rows(x.data, arrays[0], arrays[1])
-    gamma, beta, wq, bq, wk, wv, bv, wo, bo = arrays[:9]
-    src, memories = n, ()
-    if memory is not None:
-        # the memory's tensors are the last parents; each feeds k and v
-        src, split = arrays[9], len(parents) - (levels or 1)
-        parents, memories = parents[:split], parents[split:]
+        shapes = [np.shape(getattr(m, "data", None)) for m in memories]
+        if (isinstance(memory, Tensor) == bool(lead) or len(shapes) != (lead or (1,))[0]
+                or len(shapes[0]) != 2 or len(set(shapes)) > 1):
+            raise ShapeMismatch("mha", x.data.shape, *shapes)
+        src = np.array([m.data for m in memories]) if lead else memory.data
+        # k and v project the memory's width
+        expected[4:6] = [(shapes[0][1], dq), (shapes[0][1], dv)]
+    gamma, beta, wq, bq, wk, wv, bv, wo, bo = _operands("mha", x.data.shape, params, expected,
+                                                        ((drop, d),))
+    n, mu, inv = _layernorm_rows(x.data, gamma, beta)
+    if not memories:
+        src = n
     q = n @ wq
     q += bq
     k = src @ wk
@@ -963,18 +936,16 @@ def mha(x, memory, heads, gamma, beta, wq, bq, wk, wv, bv, wo, bo, drop=None, le
         y = _normalized(x.data, mu, inv)
         n = _affine(y, gamma, beta)
         src = n if memory_rows is None else memory_rows
-        grads = _unstack(((gn * y).sum(axis=-2), gn.sum(axis=-2), n.swapaxes(-1, -2) @ gq,
-                          gq.sum(axis=-2), src.swapaxes(-1, -2) @ gk,
-                          src.swapaxes(-1, -2) @ gv, gv.sum(axis=-2), a.swapaxes(-1, -2) @ go,
-                          go.sum(axis=-2)), levels)
+        grads = ((gn * y).sum(axis=-2), gn.sum(axis=-2), n.swapaxes(-1, -2) @ gq,
+                 gq.sum(axis=-2), src.swapaxes(-1, -2) @ gk, src.swapaxes(-1, -2) @ gv,
+                 gv.sum(axis=-2), a.swapaxes(-1, -2) @ go, go.sum(axis=-2))
         gx = _layernorm_input_grad(gn * gamma, y, inv)
-        if not memories:
-            return (g, gx, *grads)
-        kv = zip(_unstack((gsk,), levels), _unstack((gsv,), levels))
+        # each memory's flows from k and v, one level after another
+        kv = zip(gsk, gsv) if lead else [(gsk, gsv)] if memories else []
         return (g, gx, *grads, *[gm for pair in kv for gm in pair])
 
     memory_parents = tuple(m for m in memories for _ in "kv")
-    return _node(_residual(x.data, o), (x, x, *parents, *memory_parents), bwd, "mha")
+    return _node(_residual(x.data, o), (x, x, *params, *memory_parents), bwd, "mha")
 
 
 def _glu(a):
@@ -1062,10 +1033,9 @@ def conv_module(x, gamma, beta, w1, b1, kernel, kernel_bias, gamma2, beta2, w2, 
         raise ShapeMismatch("conv-module", x.data.shape)
     d, (K, C) = x.data.shape[1], kernel.data.shape
     params = (gamma, beta, w1, b1, kernel, kernel_bias, gamma2, beta2, w2, b2)
-    arrays, params, _ = _operands("conv-module", x.data.shape, params,
-                                  [(d,), (d,), (d, 2 * C), (2 * C,), (K, C), (C,), (C,), (C,),
-                                   (C, d), (d,)], ((drop, d),))
-    gamma, beta, w1, b1, kernel, kernel_bias, gamma2, beta2, w2, b2 = arrays
+    gamma, beta, w1, b1, kernel, kernel_bias, gamma2, beta2, w2, b2 = _operands(
+        "conv-module", x.data.shape, params,
+        [(d,), (d,), (d, 2 * C), (2 * C,), (K, C), (C,), (C,), (C,), (C, d), (d,)], ((drop, d),))
     n, mu, inv = _layernorm_rows(x.data, gamma, beta)
     a = n @ w1
     a += b1

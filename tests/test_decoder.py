@@ -16,6 +16,7 @@ from moe_asr.decoder import (
     rescore,
 )
 from moe_asr.encoder import EncoderOutput
+from moe_asr.nn import Module
 from moe_asr.tensor import Tensor
 
 V = 6  # five data tokens + shared sos/eos
@@ -119,8 +120,10 @@ class TestMultiLevel:
     def test_identical_levels_triple_the_loss(self):
         """Same weights and same tap contents at every level: the sum is
         three times one level's loss."""
-        main = _decoder(seed=7)
-        aux = [_decoder(seed=7), _decoder(seed=7)]
+        *aux, main = _level_decoders(3, 1, False)
+        for dec in aux:
+            for p, q in zip(main.named_parameters().values(), dec.named_parameters().values()):
+                q.data[...] = p.data
         final = _enc(seed=8)
         enc = EncoderOutput(final=final, taps={2: final, 4: final})
         tokens = [0, 4, 2]
@@ -131,8 +134,7 @@ class TestMultiLevel:
             np.testing.assert_allclose(term.data, single.data, atol=0)
 
     def test_sum_is_exactly_additive(self):
-        main = _decoder(seed=9)
-        aux = [_decoder(seed=10), _decoder(seed=11)]
+        *aux, main = _level_decoders(3, 1, False)
         enc = EncoderOutput(final=_enc(seed=12), taps={2: _enc(seed=13), 4: _enc(seed=14)})
         tokens = [3, 3, 1]
         total, per_level = multi_level_aed(main, aux, enc, tokens)
@@ -143,6 +145,30 @@ class TestMultiLevel:
             multi_level_aed(_decoder(), [_decoder()], EncoderOutput(final=_enc()), [0])
         with pytest.raises(ValueError):
             multi_level_aed(_decoder(), [], EncoderOutput(final=_enc(), taps={1: _enc()}), [0])
+
+    @pytest.mark.parametrize("num_levels", [2, 3])
+    def test_decoders_of_separate_trees_rejected(self, num_levels):
+        """The level stack reads one arena at one stride; decoders built
+        apart have one arena each, and nothing falls back to a copy."""
+        aux = [_decoder(seed=level) for level in range(num_levels - 1)]
+        taps = {level + 1: _enc(seed=level) for level in range(num_levels - 1)}
+        with pytest.raises(ValueError, match="arena"):
+            multi_level_aed(_decoder(seed=9), aux, EncoderOutput(final=_enc(), taps=taps), [0])
+
+    @pytest.mark.parametrize("tokens", [[1, 2, 0], [3, 1, 4, 2], [0]])
+    def test_auxiliary_levels_add_before_the_main_level(self, tokens):
+        """At four levels the total's bits depend on the order of the adds:
+        the auxiliary losses add shallow to deep, then the main one. Among
+        these token sequences, adding the main level first, all four in
+        reverse, or the auxiliary ones in reverse each changes a total."""
+        *aux, main = _level_decoders(4, 1, False)
+        memories = [Tensor(m) for m in _memories(4, None)]
+        enc = EncoderOutput(final=memories[-1], taps=dict(enumerate(memories[:-1], 1)))
+        total, per_level = multi_level_aed(main, aux, enc, tokens)
+        chained = per_level[0]
+        for term in per_level[1:]:
+            chained = T.add(chained, term)
+        assert total.data.tobytes() == chained.data.tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -157,14 +183,28 @@ BATCHES = {
 }
 
 
+class _Levels(Module):
+    """Decoders in one module tree, declared as ``SpeechModel`` declares
+    them: the main decoder (rate rates[-1]), then the auxiliary ones."""
+
+    def __init__(self, blocks, rates):
+        super().__init__()
+        self.decoder = TransformerDecoder(V, D, 16, heads=2, num_blocks=blocks, dropout=rates[-1])
+        self.aux_decoders = [TransformerDecoder(V, D, 16, heads=2, num_blocks=blocks, dropout=rate)
+                             for rate in rates[:-1]]
+
+
 def _level_decoders(num_levels, blocks, train, rates=None):
-    """`num_levels` separately built decoders, main last, each with its own
-    weights and dropout streams, and dropout rate 0.2 or its own of
+    """`num_levels` decoders of one module tree, main last, each with its
+    own weights and dropout streams, and dropout rate 0.2 or its own of
     `rates`."""
-    rates = rates or [0.2] * num_levels
-    decoders = [TransformerDecoder(V, D, 16, heads=2, num_blocks=blocks, dropout=rate)
-                .initialize(60 + level) for level, rate in enumerate(rates)]
-    return [dec.train(train) for dec in decoders]
+    tree = _Levels(blocks, rates or [0.2] * num_levels).initialize(60).train(train)
+    return [*tree.aux_decoders, tree.decoder]
+
+
+def _grad(dec):
+    """A decoder's gradient: its span of the arena's ``grad``."""
+    return np.concatenate([p.grad.ravel() for p in dec.named_parameters().values()])
 
 
 def _memories(num_levels, lengths, seed=70):
@@ -218,8 +258,8 @@ def _assert_stacked_matches_oracle(batch, build):
         assert value.data.shape == ref.data.shape
         assert value.data.tobytes() == ref.data.tobytes()
     for dec, ref in zip(stacked, oracle):
-        assert dec.arena.grad.tobytes() == ref.arena.grad.tobytes()
-        assert dec.arena.grad.any()
+        assert _grad(dec).tobytes() == _grad(ref).tobytes()
+        assert _grad(dec).any()
     for leaf, ref in zip(leaves, ref_leaves):
         assert leaf.grad.tobytes() == ref.grad.tobytes()
 

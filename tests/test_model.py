@@ -27,8 +27,11 @@ from moe_asr.checkpoint import (
     strip_auxiliary,
 )
 from moe_asr.config import ModelConfig
+from moe_asr.decoder import _level_stack
 from moe_asr.encoder import EmbeddingNetwork
 from moe_asr.model import SpeechModel, parameter_manifest, parameter_total
+from moe_asr.moe import RoutedFFN
+from moe_asr.nn import LayerNorm, Linear, Module, stacked_parameters
 
 def read_params(path):
     """A checkpoint's (kind, config dict, ordered {name: read-only float64
@@ -185,6 +188,71 @@ class TestModuleTree:
         assert not any(m.training for m in modules)
         model.train()
         assert all(m.training for m in modules)
+
+
+def _assert_views_of(leaf, params):
+    """Slice k of the stacked leaf's ``data`` and ``grad`` is params[k]'s:
+    they share memory, and a write through the slice lands in it."""
+    assert leaf.data.shape == (len(params), *params[0].shape) == leaf.grad.shape
+    for k, p in enumerate(params):
+        assert np.shares_memory(leaf.data[k], p.data) and np.shares_memory(leaf.grad[k], p.grad)
+        before = p.data.copy()
+        marker = np.arange(1.0, 1.0 + p.data.size).reshape(p.shape) + k
+        leaf.data[k] = marker
+        leaf.grad[k] += marker
+        assert (p.data == marker).all() and (p.grad == marker).all()
+        p.data[...], p.grad[...] = before, 0.0
+
+
+class _ThreeNorms(Module):
+    def __init__(self):
+        super().__init__()
+        self.a, self.b, self.c = LayerNorm(4), LayerNorm(4), LayerNorm(4)
+
+
+class TestStackedViews:
+    """The experts of a routed layer and the decoders of the multi-level
+    loss stack as views of the arena (``nn.stacked_parameters``); there is
+    no copying fallback."""
+
+    def test_desk_model_stacks_are_views_of_its_parameters(self):
+        model = SpeechModel(ModelConfig.desk_scale(11, num_experts=16)).initialize(0).eval()
+        model.encode(T.Tensor(np.random.default_rng(0).normal(size=(40, 80))))
+        layers = [m for m in model.named_modules().values()
+                  if isinstance(m, RoutedFFN) and m.router is not None]
+        assert len(layers) == len(model.cfg.routed_blocks())
+        for layer in layers:
+            experts = [list(e.named_parameters().values()) for e in layer.experts]
+            assert len(layer._stacked) == 6
+            for leaf, params in zip(layer._stacked, zip(*experts)):
+                _assert_views_of(leaf, params)
+        decoders = [model.decoder, *model.aux_decoders]
+        stand_in = _level_stack(decoders).named_parameters()
+        assert list(stand_in) == list(model.decoder.named_parameters())
+        for name, leaf in stand_in.items():
+            _assert_views_of(leaf, [dec.named_parameters()[name] for dec in decoders])
+        assert not model.arena.grad.any()
+        # the cached stacks are no parameters of the tree
+        params = model.named_parameters()
+        assert [id(p) for p in params.values()] == [id(p) for p in model.arena.params.values()]
+
+    def test_a_stack_is_one_arena_at_one_stride(self):
+        norms = _ThreeNorms().initialize(0)
+        gammas = [norms.a.gamma, norms.b.gamma, norms.c.gamma]
+        _assert_views_of(stacked_parameters(gammas), gammas)
+        _assert_views_of(stacked_parameters([norms.b.beta]), [norms.b.beta])
+        with pytest.raises(ValueError, match="unequal shapes"):
+            linear = Linear(4, 3).initialize(0)
+            stacked_parameters([linear.weight, linear.bias])
+        for params in ([norms.a.gamma, norms.b.gamma, norms.b.beta],  # strides 8 then 4
+                       [norms.c.gamma, norms.b.gamma],  # a negative stride
+                       [norms.a.gamma, norms.a.gamma]):  # slices that overlap
+            with pytest.raises(ValueError, match="stride"):
+                stacked_parameters(params)
+        with pytest.raises(ValueError, match="arena"):
+            stacked_parameters([norms.a.gamma, LayerNorm(4).initialize(0).gamma])
+        with pytest.raises(ValueError, match="storage"):
+            stacked_parameters([LayerNorm(4).gamma, LayerNorm(4).gamma])
 
 
 class TestSpeechModel:

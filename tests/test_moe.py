@@ -9,16 +9,18 @@ import numpy as np
 import pytest
 
 from moe_asr import tensor as T
-from moe_asr.nn import FeedForward
+from moe_asr.nn import FeedForward, Parameter
 from moe_asr.moe import (
     RoutedFFN,
     Router,
+    _dispatch_mask,
     mean_importance_loss,
     moe_loss,
     sparsity_loss,
     utilization_entropy,
 )
 from moe_asr.tensor import Tensor
+from moe_asr.training import Adam, clip_gradients
 
 
 def _router_with_logit_rows(rows):
@@ -233,6 +235,27 @@ def _expert(rng, rows, d=6, d_ff=10, train=True, p=0.3):
     return [Tensor(a, requires_grad=True) for a in params], masks
 
 
+def _stacked(groups):
+    """The six [K, ...] leaves of K experts' or levels' parameter lists,
+    slice k holding group k's values."""
+    return [Tensor(np.array([ps[k].data for ps in groups]), requires_grad=True)
+            for k in range(6)]
+
+
+def _expert_stacks(experts, selected, n_experts=4):
+    """``T.routed_ffn``'s operands for the used experts' (parameters,
+    masks) in ascending index order: the six [E, ...] leaves, each used
+    expert at its index and random parameters for an idle one, then the two
+    masks over the rows in dispatch order. Returns (leaves, masks, used)."""
+    counts = np.bincount(selected, minlength=n_experts)
+    used = np.flatnonzero(counts)
+    groups = [_expert(np.random.default_rng(200 + e), 0)[0] for e in range(n_experts)]
+    for e, (ps, _) in zip(used, experts):
+        groups[e] = ps
+    masks = [_dispatch_mask([ms[k] for _, ms in experts], counts[used]) for k in (0, 1)]
+    return _stacked(groups), masks, used
+
+
 def _arrays(params, masks):
     """An expert's plain arrays for the chain; a mask is its float mask
     keep * scale, and a missing one 1.0."""
@@ -284,13 +307,16 @@ class TestFusedFeedForward:
         raw = rng.random((len(selected), 4)) + 0.1
         p = Tensor(raw / raw.sum(axis=1, keepdims=True), requires_grad=True)
         g = rng.normal(size=x.shape)
-        out = T.routed_ffn(x, 0.5, p, selected, [(*ps, *ms) for ps, ms in experts])
+        stacks, masks, used = _expert_stacks(experts, selected)
+        out = T.routed_ffn(x, 0.5, p, selected, *stacks, *masks)
         T.reduce_sum(T.mul(out, Tensor(g))).backward()
         ref_out, ref_grads = _plus_residual(
             _routed_chain, x.data, 0.5, p.data, selected,
             [_arrays(ps, ms) for ps, ms in experts], g)
-        got = [out.data, x.grad, p.grad] + [t.grad for ps, _ in experts for t in ps]
+        got = [out.data, x.grad, p.grad] + [t.grad[e] for e in used for t in stacks]
         _assert_bits(got, [ref_out, *ref_grads])
+        idle = np.setdiff1d(np.arange(4), used)
+        assert all(t.grad[idle].tobytes() == bytes(t.grad[idle].nbytes) for t in stacks)
 
     @pytest.mark.parametrize("train", [True, False], ids=["train", "eval"])
     @pytest.mark.parametrize("rows", [1, 5])
@@ -303,13 +329,13 @@ class TestFusedFeedForward:
         x = Tensor(rng.normal(size=(3, rows, 6)), requires_grad=True)
         g = rng.normal(size=(3, rows, 6))
         masks = [_stack([ms[k] for _, ms in levels]) if train else None for k in (0, 1)]
-        params = [[ps[k] for ps, _ in levels] for k in range(6)]
+        params = _stacked([ps for ps, _ in levels])
         out = T.ffn(x, FACTORS[rows], *params, *masks)
         T.reduce_sum(T.mul(out, Tensor(g))).backward()
         for level, (ps, ms) in enumerate(levels):
             ref_out, ref_grads = _plus_residual(_ffn_chain, x.data[level], FACTORS[rows],
                                                 *_arrays(ps, ms), g[level])
-            _assert_bits([out.data[level], x.grad[level]] + [t.grad for t in ps],
+            _assert_bits([out.data[level], x.grad[level]] + [t.grad[level] for t in params],
                          [ref_out, *ref_grads])
 
     def test_level_stacked_ffn_finite_differences(self):
@@ -318,12 +344,8 @@ class TestFusedFeedForward:
         x = Tensor(rng.normal(size=(2, 4, 6)), requires_grad=True)
         g = Tensor(rng.normal(size=(2, 4, 6)))
         masks = [_stack([ms[k] for _, ms in levels]) for k in (0, 1)]
-        leaves = [x] + [ps[k] for k in range(6) for ps, _ in levels]
-
-        def f(ps):
-            params = [ps[1 + 2 * k : 3 + 2 * k] for k in range(6)]
-            return T.reduce_sum(T.mul(T.ffn(ps[0], 0.5, *params, *masks), g))
-
+        leaves = [x] + _stacked([ps for ps, _ in levels])
+        f = lambda ps: T.reduce_sum(T.mul(T.ffn(ps[0], 0.5, *ps[1:], *masks), g))  # noqa: E731
         assert T.finite_diff_check(f, leaves) < 1e-6
 
     @pytest.mark.parametrize("rows", [1, 5])
@@ -342,13 +364,13 @@ class TestFusedFeedForward:
         x = Tensor(rng.normal(size=(len(selected), 6)), requires_grad=True)
         p = Tensor(rng.random((len(selected), 4)) + 0.1, requires_grad=True)
         g = Tensor(rng.normal(size=x.shape))
-        masks = [ms for _, ms in experts]
+        stacks, masks, _ = _expert_stacks(experts, selected)
 
         def f(ps):
-            groups = [(*ps[2 + 6 * i : 8 + 6 * i], *ms) for i, ms in enumerate(masks)]
-            return T.reduce_sum(T.mul(T.routed_ffn(ps[0], 0.5, ps[1], selected, groups), g))
+            return T.reduce_sum(T.mul(T.routed_ffn(ps[0], 0.5, ps[1], selected, *ps[2:], *masks),
+                                      g))
 
-        assert T.finite_diff_check(f, [x, p] + [t for ps, _ in experts for t in ps]) < 1e-6
+        assert T.finite_diff_check(f, [x, p] + stacks) < 1e-6
 
     def test_shape_mismatch_raises(self):
         rng = np.random.default_rng(96)
@@ -365,10 +387,15 @@ class TestFusedFeedForward:
         with pytest.raises(T.ShapeMismatch):  # three levels' scales for rows without levels
             T.ffn(x, 1.0, *params, (masks[0][0], np.ones((3, 1, 1))), None)
         p = Tensor(np.full((3, 4), 0.25))
-        with pytest.raises(T.ShapeMismatch):  # two experts named, one given
-            T.routed_ffn(x, 1.0, p, [0, 1, 1], [(*params, None, None)])
-        with pytest.raises(T.ShapeMismatch):  # masks sized for all rows, expert has two
-            T.routed_ffn(x, 1.0, p, [0, 0, 2], [(*params, *masks)] * 2)
+        with pytest.raises(T.ShapeMismatch):  # four experts routed, one expert's parameters
+            T.routed_ffn(x, 1.0, p, [0, 1, 1], *_stacked([params]))
+        stacks = _stacked([params] * 4)
+        with pytest.raises(T.ShapeMismatch):  # a mask for another row count
+            T.routed_ffn(x, 1.0, p, [0, 0, 2], *stacks, (masks[0][0][:2], masks[0][1]), None)
+        with pytest.raises(T.ShapeMismatch):  # an expert that p does not score
+            T.routed_ffn(x, 1.0, p, [0, 4, 2], *stacks)
+        with pytest.raises(T.ShapeMismatch):  # one expert's parameters where a stack goes
+            T.routed_ffn(x, 1.0, p, [0, 0, 2], *params)
 
 
 class TestDropoutRates:
@@ -385,12 +412,13 @@ class TestDropoutRates:
         g = rng.normal(size=(3, 5, 6))
         masks = [_stack([ms[k] for _, ms in levels]) for k in (0, 1)]
         assert masks[0][0][1].all() and masks[0][1][1] == 1.0
-        out = T.ffn(x, 0.5, *[[ps[k] for ps, _ in levels] for k in range(6)], *masks)
+        params = _stacked([ps for ps, _ in levels])
+        out = T.ffn(x, 0.5, *params, *masks)
         T.reduce_sum(T.mul(out, Tensor(g))).backward()
         for level, (ps, ms) in enumerate(levels):
             ref_out, ref_grads = _plus_residual(_ffn_chain, x.data[level], 0.5,
                                                 *_arrays(ps, ms), g[level])
-            _assert_bits([out.data[level], x.grad[level]] + [t.grad for t in ps],
+            _assert_bits([out.data[level], x.grad[level]] + [t.grad[level] for t in params],
                          [ref_out, *ref_grads])
 
     @pytest.mark.parametrize("p", [0.1, 0.3, 0.5])
@@ -405,12 +433,13 @@ class TestDropoutRates:
         raw = rng.random((len(selected), 4)) + 0.1
         gate = Tensor(raw / raw.sum(axis=1, keepdims=True), requires_grad=True)
         g = rng.normal(size=x.shape)
-        out = T.routed_ffn(x, 0.5, gate, selected, [(*ps, *ms) for ps, ms in experts])
+        stacks, masks, used = _expert_stacks(experts, selected)
+        out = T.routed_ffn(x, 0.5, gate, selected, *stacks, *masks)
         T.reduce_sum(T.mul(out, Tensor(g))).backward()
         ref_out, ref_grads = _plus_residual(
             _routed_chain, x.data, 0.5, gate.data, selected,
             [_arrays(ps, ms) for ps, ms in experts], g)
-        got = [out.data, x.grad, gate.grad] + [t.grad for ps, _ in experts for t in ps]
+        got = [out.data, x.grad, gate.grad] + [t.grad[e] for e in used for t in stacks]
         _assert_bits(got, [ref_out, *ref_grads])
 
     @pytest.mark.parametrize("p", [0.1, 0.3, 0.5])
@@ -494,6 +523,32 @@ class TestFusedLayers:
         for e in set(range(4)) - set(used):
             assert not layer.experts[e].arena and all(
                 np.all(t.grad == 0.0) for t in layer.experts[e].named_parameters().values())
+
+    def test_idle_expert_never_drifts(self):
+        """Backward adds an idle expert's exact zero gradient; the clip and
+        an Adam step then leave its parameters and moments bit-unchanged,
+        while the used experts move."""
+        layer = RoutedFFN(6, 10, n_experts=4, d_emb=3, dropout=0.3, routed=True)
+        layer.initialize(16).train()
+        rng = np.random.default_rng(100)
+        x = Tensor(rng.normal(size=(7, 6)), requires_grad=True)
+        out, _ = layer.forward(x, Tensor(rng.normal(size=(7, 3))),
+                               frozen_selected=[3, 3, 0, 1, 3, 0, 0], c=0.5)
+        T.reduce_sum(T.mul(out, Tensor(rng.normal(size=(7, 6))))).backward()
+        entries, _ = layer.arena.layout("experts.2.")
+        start = layer.arena.offsets["experts.2." + entries[0][0]]
+        idle = slice(start, start + sum(math.prod(shape) for _, shape, _ in entries))
+        before, zeros = layer.arena.data.copy(), bytes(8 * (idle.stop - idle.start))
+        assert layer.arena.grad[idle].tobytes() == zeros
+        assert clip_gradients(layer.arena, 1e-3) > 1e-3  # the clip scales
+        opt = Adam(layer.arena)
+        opt.step(1e-2)
+        assert layer.arena.data[idle].tobytes() == before[idle].tobytes()
+        assert opt.m[idle].tobytes() == zeros and opt.v[idle].tobytes() == zeros
+        assert (layer.arena.data != before).any()
+        # the cached [E, ...] stacks are no parameters of the layer
+        params = layer.named_parameters().values()
+        assert all(isinstance(t, Parameter) for t in params) and len(params) == 1 + 4 * 6
 
     @pytest.mark.parametrize("train", [True, False], ids=["train", "eval"])
     def test_one_expert_layer_is_the_dense_ffn(self, train):

@@ -146,9 +146,9 @@ MHA_CASES = {
 }
 
 
-# Each case again on a stack of LEVELS levels: x, the dropout mask and the
-# upstream gradient lead with the level axis; the memory and each parameter
-# are a list of one tensor per level.
+# Each case again on a stack of LEVELS levels: x, each parameter, the
+# dropout mask and the upstream gradient lead with the level axis; the
+# memory is a list of one tensor per level.
 LEVELS = 3
 LEVEL_CASES = {f"{case}-levels": case for case in MHA_CASES}
 
@@ -172,21 +172,19 @@ def _mha_inputs(case, train, seed=120, p=0.3):
     if drop is not None and levels is not None:  # one scale per level, as the decoders pass it
         drop = (drop[0], np.full((levels, 1, 1), drop[1]))
     params = (_mha_params(rng) if levels is None
-              else [list(ts) for ts in zip(*[_mha_params(rng) for _ in range(levels)])])
+              else [Tensor(np.array([t.data for t in ts]), requires_grad=True)
+                    for ts in zip(*[_mha_params(rng) for _ in range(levels)])])
     return x, memory, params, drop, rng.normal(size=(*lead, rows, 8)), segments
 
 
 def _level(inputs, level):
-    """Level `level` of ``_mha_inputs``'s tensors and arrays (None: all of
-    them, without a level axis): x, memory, the parameters, the dropout
-    mask, the upstream gradient and the segments, as they are."""
-    x, memory, params, drop, g, segments = inputs
+    """Level `level` of ``_mha_inputs``'s memory, dropout mask and upstream
+    gradient (None: all of them, without a level axis), as they are."""
+    _, memory, _, drop, g, _ = inputs
     if level is None:
-        return inputs
+        return memory, drop, g
     memory = None if memory is None else memory[level]
-    return (x, memory, [ts[level] for ts in params],
-            None if drop is None else (drop[0][level], drop[1][level]),
-            g[level], segments)
+    return memory, None if drop is None else (drop[0][level], drop[1][level]), g[level]
 
 
 def _assert_bits(got, expected):
@@ -207,13 +205,13 @@ def _assert_mha_matches_chain(inputs, levels):
     out = T.mha(x, memory, 2, *params, drop, **segments)
     T.reduce_sum(T.mul(out, Tensor(g))).backward()
     for level in range(LEVELS) if levels else [None]:
-        _, memory, params, drop, g, _ = _level(inputs, level)
+        memory, drop, g = _level(inputs, level)
+        at = (lambda a: a) if level is None else (lambda a: a[level])
         ref_out, ref_grads = _mha_chain(
-            x.data if level is None else x.data[level],
-            None if memory is None else memory.data, 2, [t.data for t in params],
+            at(x.data), None if memory is None else memory.data, 2, [at(t.data) for t in params],
             _float(drop), g, segments)
-        got = [out.data, x.grad] if level is None else [out.data[level], x.grad[level]]
-        got += [t.grad for t in params] + ([] if memory is None else [memory.grad])
+        got = [at(out.data), at(x.grad)]
+        got += [at(t.grad) for t in params] + ([] if memory is None else [memory.grad])
         _assert_bits(got, [ref_out, *ref_grads])
 
 
@@ -231,8 +229,8 @@ class TestFusedAttention:
     def test_dropout_rates_match_chain_exactly(self, case, p):
         """The node keeps a mask as its bool keep array and scale: the bits
         of the float mask at each rate. On a level stack the middle level
-        draws no mask, all kept at scale 1, as ``decoder._across`` fills a
-        level whose dropout is off."""
+        draws no mask, all kept at scale 1, as ``decoder._LevelDropout``
+        fills a level whose dropout is off."""
         inputs = _mha_inputs(case, True, p=p)
         if case in LEVEL_CASES:
             keep, scale = inputs[3]
@@ -247,19 +245,12 @@ class TestFusedAttention:
         difference's truncation error (it shrinks as eps squared) is a
         relative 5e-5."""
         x, memory, params, drop, g, segments = _mha_inputs(case, True)
-        levels = LEVELS if case in LEVEL_CASES else None
-        groups = [[t] if levels is None else t for t in params]
-        if memory is not None:
-            groups.append([memory] if levels is None else memory)
-        leaves = [x] + [t for group in groups for t in group]
+        memories = [] if memory is None else [memory] if case not in LEVEL_CASES else memory
+        leaves = [x, *params, *memories]
 
         def f(ps):
-            args, i = [], 1
-            for group in groups:
-                args.append(ps[i] if levels is None else ps[i : i + levels])
-                i += len(group)
-            mem = None if memory is None else args.pop()
-            out = T.mha(ps[0], mem, 2, *args, drop, **segments)
+            mem = None if not memories else ps[10:] if case in LEVEL_CASES else ps[10]
+            out = T.mha(ps[0], mem, 2, *ps[1:10], drop, **segments)
             return T.reduce_sum(T.mul(out, Tensor(g)))
 
         assert T.finite_diff_check(f, leaves, eps=1e-4) < 1e-6
@@ -284,11 +275,13 @@ class TestFusedAttention:
             T.mha(x, memory, 2, *params, lengths=[2, 3], key_lengths=[7])
         x, memory, params, drop, _, _ = _mha_inputs("cross-levels", True)
         with pytest.raises(T.ShapeMismatch):  # a level stack with one level's parameters
-            T.mha(x, memory, 2, *[ts[0] for ts in params], drop)
+            T.mha(x, memory, 2, *[Tensor(t.data[0]) for t in params], drop)
         with pytest.raises(T.ShapeMismatch):  # two levels' parameters for three
-            T.mha(x, memory, 2, *[ts[:2] for ts in params], drop)
+            T.mha(x, memory, 2, *[Tensor(t.data[:2]) for t in params], drop)
         with pytest.raises(T.ShapeMismatch):  # one memory for three levels
             T.mha(x, memory[0], 2, *params, drop)
+        with pytest.raises(T.ShapeMismatch):  # the memories as one stack, not one per level
+            T.mha(x, Tensor(np.array([m.data for m in memory])), 2, *params, drop)
         with pytest.raises(T.ShapeMismatch):  # a dropout mask without the level axis
             T.mha(x, memory, 2, *params, (drop[0][0], drop[1]))
 

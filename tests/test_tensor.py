@@ -607,9 +607,9 @@ FUSED_OPS = {
 }
 
 
-# The ops that take a level axis, again on a stack of LEVELS levels: the
-# first input leads with the level axis, each other input is a list of one
-# tensor per level, and each level must equal the unfused graph on its own.
+# The ops that take a level axis, again on a stack of LEVELS levels: every
+# input leads with the level axis, slice l being level l's, and each level
+# must equal the unfused graph on its own.
 LEVELS = 3
 FUSED_OPS.update({f"{name}-levels": FUSED_OPS[name] for name in ("linear", "layernorm")})
 
@@ -622,14 +622,9 @@ def _fused_inputs(name, rows, seed=50):
         return op, inputs, rng.normal(size=(rows, width)), reference
     first, *rest = shapes(rows)
     inputs = [Tensor(rng.normal(size=(LEVELS, *first)), requires_grad=True)]
-    inputs += [[Tensor(rng.normal(size=shape), requires_grad=True) for _ in range(LEVELS)]
-               for shape in rest]
+    inputs += [Tensor(np.array([rng.normal(size=shape) for _ in range(LEVELS)]),
+                      requires_grad=True) for shape in rest]
     return op, inputs, rng.normal(size=(LEVELS, rows, width)), reference
-
-
-def _leaves(inputs):
-    """The input tensors, a level stack's lists flattened."""
-    return [t for group in inputs for t in ([group] if isinstance(group, Tensor) else group)]
 
 
 class TestFusedOps:
@@ -643,12 +638,9 @@ class TestFusedOps:
         T.reduce_sum(T.mul(out, Tensor(g))).backward()
         x, *params = inputs
         for level in range(LEVELS) if name.endswith("-levels") else [None]:
-            if level is None:
-                at, ps = (lambda a: a), params
-            else:
-                at, ps = (lambda a: a[level]), [group[level] for group in params]
-            expected = reference(at(x.data), *[t.data for t in ps], at(g))
-            got = [at(out.data), at(x.grad)] + [t.grad for t in ps]
+            at = (lambda a: a) if level is None else (lambda a: a[level])
+            expected = reference(at(x.data), *[at(t.data) for t in params], at(g))
+            got = [at(out.data), at(x.grad)] + [at(t.grad) for t in params]
             assert len(got) == len(expected)
             for a, b in zip(got, expected):
                 np.testing.assert_allclose(a, b, rtol=0, atol=0)
@@ -657,16 +649,8 @@ class TestFusedOps:
     @pytest.mark.parametrize("name", sorted(FUSED_OPS))
     def test_finite_differences(self, name, rows):
         op, inputs, g, _ = _fused_inputs(name, rows)
-        sizes = [1 if isinstance(group, Tensor) else len(group) for group in inputs]
-
-        def f(ps):
-            args, i = [], 0
-            for group, n in zip(inputs, sizes):
-                args.append(ps[i] if isinstance(group, Tensor) else ps[i : i + n])
-                i += n
-            return T.reduce_sum(T.mul(op(*args), Tensor(g)))
-
-        assert T.finite_diff_check(f, _leaves(inputs)) < TOL
+        f = lambda ps: T.reduce_sum(T.mul(op(*ps), Tensor(g)))  # noqa: E731
+        assert T.finite_diff_check(f, inputs) < TOL
 
     def test_shape_mismatch_raises(self):
         def ones(*shape):
@@ -683,9 +667,9 @@ class TestFusedOps:
         with pytest.raises(T.ShapeMismatch):  # a level stack needs one weight per level
             T.linear(ones(2, 3, 4), ones(4, 2), ones(2))
         with pytest.raises(T.ShapeMismatch):  # two levels' weights for three levels
-            T.linear(ones(3, 3, 4), [ones(4, 2)] * 2, [ones(2)] * 2)
-        with pytest.raises(T.ShapeMismatch):  # levels of unequal shapes
-            T.layernorm(ones(2, 3, 4), [ones(4), ones(5)], [ones(4), ones(4)])
+            T.linear(ones(3, 3, 4), ones(2, 4, 2), ones(2, 2))
+        with pytest.raises(T.ShapeMismatch):  # a sequence of per-level tensors, not one stack
+            T.layernorm(ones(2, 3, 4), [ones(4), ones(4)], [ones(4), ones(4)])
 
 
 # ---------------------------------------------------------------------------
@@ -695,27 +679,29 @@ class TestFusedOps:
 
 def _grads_of(op, inputs, g):
     """Value and input gradients of ``sum(op(*inputs) * g)``."""
-    for t in _leaves(inputs):
+    for t in inputs:
         t.zero_grad()
     out = op(*inputs)
     T.reduce_sum(T.mul(out, Tensor(g))).backward()
-    return out.data, [t.grad.copy() for t in _leaves(inputs)]
+    return out.data, [t.grad.copy() for t in inputs]
 
 
 class TestLevelAxis:
     def test_embedding_lookup_equals_each_table(self):
         """Repeated ids accumulate in the same order on every level."""
         rng = np.random.default_rng(61)
-        tables = [Tensor(rng.normal(size=(5, 4)), requires_grad=True) for _ in range(LEVELS)]
+        tables = Tensor(np.array([rng.normal(size=(5, 4)) for _ in range(LEVELS)]),
+                        requires_grad=True)
         ids = np.array([1, 3, 1, 0, 1])
         g = rng.normal(size=(LEVELS, 5, 4))
-        out, grads = _grads_of(lambda ts: T.embedding_lookup(ts, ids), [tables], g)
-        for level, table in enumerate(tables):
+        out, (grads,) = _grads_of(lambda ts: T.embedding_lookup(ts, ids), [tables], g)
+        for level in range(LEVELS):
+            table = Tensor(tables.data[level], requires_grad=True)
             alone, (grad,) = _grads_of(lambda t: T.embedding_lookup(t, ids), [table], g[level])
             np.testing.assert_array_equal(out[level], alone)
             np.testing.assert_array_equal(grads[level], grad)
         err = T.finite_diff_check(
-            lambda ps: T.reduce_sum(T.mul(T.embedding_lookup(ps, ids), Tensor(g))), tables)
+            lambda ps: T.reduce_sum(T.mul(T.embedding_lookup(ps[0], ids), Tensor(g))), [tables])
         assert err < TOL
 
     def test_gather_last_equals_each_level(self):
@@ -777,3 +763,23 @@ class TestLevelAxis:
                 for row in a.data[1:]:
                     chained = T.add(chained, Tensor(row))
                 np.testing.assert_array_equal(T.reduce_sum(a, axis=0).data, chained.data)
+
+    @pytest.mark.parametrize("levels", [1, 3, 4, 9])
+    def test_level_sum_adds_the_main_level_last(self, levels):
+        """Levels 1, 2, ... have the bits of ``add`` nodes chained in order,
+        then level 0 is added; every level's gradient is the upstream one."""
+        rng = np.random.default_rng(84 + levels)
+        differs = False
+        for width in (1, 4):
+            for _ in range(50):
+                a = Tensor(rng.normal(size=(levels, width)), requires_grad=True)
+                chained = Tensor(a.data[1 % levels])
+                for row in [*a.data[2:], a.data[0]] if levels > 1 else []:
+                    chained = T.add(chained, Tensor(row))
+                total = T.level_sum(a)
+                np.testing.assert_array_equal(total.data, chained.data)
+                differs |= total.data.tobytes() != T.reduce_sum(a, axis=0).data.tobytes()
+                g = rng.normal(size=width)
+                T.reduce_sum(T.mul(total, Tensor(g))).backward()
+                np.testing.assert_array_equal(a.grad, np.tile(g, (levels, 1)))
+        assert differs == (levels > 2), "from three levels on the order shows in the bits"

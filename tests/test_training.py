@@ -1,5 +1,6 @@
 """Optimizer, schedule, objective assembly, and the training loops."""
 
+import gc
 import json
 import math
 import tracemalloc
@@ -560,6 +561,22 @@ class TestGraphLifetime:
         assert [ref() for ref in closures] == [None] * len(closures)
         assert total._parents == ()
         assert np.any(model.arena.grad != 0.0)
+
+    def test_a_trained_model_is_freed_without_the_cycle_collector(self):
+        """The level and expert stacks a model caches are views of its arena
+        and form no reference cycle, so dropping the model after a step
+        frees both arena buffers at once. A cycle through the main decoder
+        would keep them until the collector ran."""
+        gc.disable()
+        try:
+            model = desk_model(16)
+            total, _, _ = batch_losses(model, desk_batch()[:1], TrainConfig(seed=3))
+            total.backward()
+            buffers = [weakref.ref(model.arena.data), weakref.ref(model.arena.grad)]
+            del model, total
+            assert [ref() for ref in buffers] == [None, None]
+        finally:
+            gc.enable()
 
     @pytest.mark.parametrize("packed", [True, False], ids=["packed", "single"])
     @pytest.mark.parametrize("num_experts", [16, 0])
