@@ -51,6 +51,7 @@ from .nn import (
     Module,
     MultiHeadAttention,
     Parameter,
+    joined_mask,
     normal_init,
     sinusoidal_positions,
     stacked_parameters,
@@ -112,19 +113,17 @@ class TransformerDecoder(Module):
 
 
 class _LevelDropout:
-    """L levels' dropouts at one place: ``mask`` draws each level's from its
-    own stream and stacks them, [L, ...] keep arrays with [L, 1, 1] scales
-    (all kept at scale 1 for a level that draws none; None if none does)."""
+    """L levels' dropouts at one place: the mask for rows of shape [..., n,
+    d] is the levels' [n, d] masks, each drawn from its own stream, stacked
+    (``joined_mask``); ``forward`` applies it as ``Dropout.forward`` does."""
 
     def __init__(self, dropouts):
         self.dropouts = dropouts
 
     def mask(self, shape):
-        masks = [d.mask(shape) for d in self.dropouts]
-        if all(m is None for m in masks):
-            return None
-        return (np.array([np.ones(shape, dtype=bool) if m is None else m[0] for m in masks]),
-                np.array([1.0 if m is None else m[1] for m in masks])[:, None, None])
+        return joined_mask([(d, shape[-2:]) for d in self.dropouts], np.array)
+
+    forward = Dropout.forward
 
 
 def _stand_in(modules):
@@ -185,11 +184,8 @@ def _forward_rows(decoder, memory, ids, positions, rows=None, enc_rows=None, mas
         bad = sorted({int(t) for t in ids if not 0 <= t < vocab})
         raise ValueError(f"token id outside vocabulary of {vocab}: {bad}")
     x = T.embedding_lookup(decoder.embed, ids)
-    d = x.data.shape[-1]
-    x = T.add(x, Tensor(sinusoidal_positions(int(positions.max()) + 1, d)[positions]))
-    drop = decoder.dropout.mask((len(ids), d))
-    if drop is not None:
-        x = T.mul(x, Tensor(T._float_mask(drop)))
+    table = sinusoidal_positions(int(positions.max()) + 1, x.data.shape[-1])
+    x = decoder.dropout.forward(T.add(x, Tensor(table[positions])))
     for block in decoder.blocks:
         x = block.forward(x, memory, rows, enc_rows, mask)
     return T.log_softmax_last(decoder.out.forward(decoder.norm_out.forward(x)))

@@ -202,21 +202,18 @@ def load_normalized_split(data_dir, split):
 MASK_WIDTH = 10  # widest SpecAugment band, sized for the short synthetic utterances
 
 
-def spec_augment(seq, rng, F=None):
+def spec_augment(seq, rng):
     """Zero out two random frequency bands and two time spans (training only).
 
-    Each band is up to `F` feature dims wide (default ``MASK_WIDTH``, cut to
-    the feature dim; an explicit `F` above it raises), each span up to
-    ``MASK_WIDTH`` frames. Widths are uniform integers inclusive of zero (a
+    Each band is up to ``min(MASK_WIDTH, feature dim)`` dims wide, each span
+    up to ``MASK_WIDTH`` frames. Widths are uniform integers inclusive of zero (a
     zero-width draw leaves the input untouched); positions uniform over
     valid offsets. The fill value 0.0 equals the corpus mean after
     normalization. Frequency masks are drawn before time masks so a fixed
     rng gives bit-identical output.
     """
     T, D = seq.feats.shape
-    F = min(MASK_WIDTH, D) if F is None else F
-    if F > D:
-        raise ValueError(f"max frequency-mask width {F} exceeds feature dim {D}")
+    F = min(MASK_WIDTH, D)
     out = seq.feats.copy()
     for _ in range(2):
         w = int(rng.integers(0, F + 1))

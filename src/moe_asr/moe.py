@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
-from .nn import FeedForward, Module, Parameter, stacked_parameters, uniform_init
+from .nn import FeedForward, Module, Parameter, joined_mask, stacked_parameters, uniform_init
 
 
 @dataclass
@@ -70,7 +70,8 @@ class Router(Module):
 class RoutedFFN(Module):
     """The second macaron FFN slot: dense, or dispatched across experts in
     one ``T.routed_ffn`` node, each used expert with its own parameters and
-    dropout streams; an expert without frames gets an exact zero gradient.
+    dropout streams at the experts' one rate (``joined_mask``); an expert
+    without frames gets an exact zero gradient.
 
     Dense mode (router None) still stores its single FFN under
     ``experts.0`` so parameter names line up exactly with a one-expert
@@ -102,24 +103,12 @@ class RoutedFFN(Module):
         if self._stacked is None:  # an expert's parameters are named in T.ffn's order
             self._stacked = tuple(stacked_parameters(group) for group in zip(
                 *[e.named_parameters().values() for e in self.experts]))
-        counts = record.utilization(len(self.experts))
-        used = np.flatnonzero(counts)
-        masks = [self.experts[e].operands(counts[e])[6:] for e in used]
-        masks = [_dispatch_mask([m[k] for m in masks], counts[used]) for k in (0, 1)]
+        # each used expert's masks for its rows, joined in dispatch order
+        used = [(e, n) for e, n in zip(self.experts, record.utilization(len(self.experts))) if n]
+        d, d_ff = self._stacked[2].data.shape[1:]
+        masks = [joined_mask([(e.dropout1, (n, d_ff)) for e, n in used], np.concatenate),
+                 joined_mask([(e.dropout2, (n, d)) for e, n in used], np.concatenate)]
         return T.routed_ffn(x, c, record.p, record.selected, *self._stacked, *masks), record
-
-
-def _dispatch_mask(masks, counts):
-    """One ``(keep, scale)`` mask over the dispatched rows from the used
-    experts' masks, each for its `counts` rows: the keep arrays in expert
-    order (all kept for an expert that draws none) and one scale per row
-    (1 for such an expert); None when none draws one."""
-    if all(m is None for m in masks):
-        return None
-    width = next(m for m in masks if m is not None)[0].shape[1]
-    return (np.concatenate([np.ones((n, width), dtype=bool) if m is None else m[0]
-                            for m, n in zip(masks, counts)]),
-            np.repeat([1.0 if m is None else m[1] for m in masks], counts)[:, None])
 
 
 def sparsity_loss(P):

@@ -13,10 +13,11 @@ returns the residual stream plus the sub-layer's output. Their
 and dropout generators under their usual names; each ``Dropout`` draws its
 mask from its own stream before the node runs, as a bool keep array and a
 scale, which the node keeps instead of a float mask. A ``Dropout`` used on
-its own (after the position table) applies the same mask as one ``T.mul``.
+its own (after the position table) applies its mask as one ``T.mul``.
 ``FeedForward.operands`` and ``MultiHeadAttention.operands`` list a
 sub-layer node's arguments, parameters and masks; ``stacked_parameters``
-makes a level or expert stack one tensor of views of the arena.
+makes a level or expert stack one tensor of views of the arena, and
+``joined_mask`` joins its members' masks into one with their one scale.
 """
 
 from __future__ import annotations
@@ -278,6 +279,21 @@ class Dropout(Module):
         return self.rng.random(shape) >= self.p, 1.0 / (1.0 - self.p)
 
 
+def joined_mask(members, join):
+    """One ``(keep, scale)`` mask for the members of a stack, each a
+    ``(Dropout, shape)`` pair that draws its mask for rows of that shape;
+    `join` joins the keep arrays (``np.array`` for a level stack,
+    ``np.concatenate`` for rows in dispatch order). None when no member
+    draws one. ValueError when the members differ in rate or in train/eval
+    mode: the mask has one scale, and a member that draws none has no keep
+    array."""
+    modes = {(d.training, d.p) for d, _ in members}
+    if len(modes) > 1:
+        raise ValueError(f"stack members differ in dropout (train mode, rate): {sorted(modes)}")
+    masks = [d.mask(shape) for d, shape in members]
+    return None if masks[0] is None else (join([keep for keep, _ in masks]), masks[0][1])
+
+
 class FeedForward(Module):
     """Pre-norm position-wise FFN with its residual: ``x + c * f(x)``, f
     being LN, expand, swish, project back, all one ``T.ffn`` node.
@@ -322,12 +338,13 @@ class MultiHeadAttention(Module):
         self.wv = Linear(d, d)
         self.wo = Linear(d, d)
 
-    def forward(self, x, norm, dropout, memory=None, **segments):
-        """``x + dropout(attention)`` with queries from ``norm(x)`` and keys
-        and values from `memory`, or from ``norm(x)`` when it is None.
-        `norm` and `dropout` are the caller's ``LayerNorm`` and ``Dropout``;
-        `segments` are ``T.mha``'s lengths, key_lengths, causal and mask."""
-        return T.mha(x, memory, self.heads, *self.operands(norm, dropout, x.data.shape),
+    def forward(self, x, norm, dropout, **segments):
+        """Self-attention, ``x + dropout(attention)`` with queries, keys and
+        values from ``norm(x)``. `norm` and `dropout` are the caller's
+        ``LayerNorm`` and ``Dropout``; `segments` are ``T.mha``'s lengths,
+        key_lengths, causal and mask. (Cross-attention calls ``T.mha`` with
+        the memory and ``operands``.)"""
+        return T.mha(x, None, self.heads, *self.operands(norm, dropout, x.data.shape),
                      **segments)
 
     def operands(self, norm, dropout, shape):

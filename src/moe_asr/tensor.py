@@ -21,9 +21,12 @@ the bits of the chain of small nodes it replaces, values and gradients:
 where that chain had an input feed two of its nodes, the fused node lists
 the input twice, so the engine adds the two flows one at a time as before.
 A dropout is a mask the caller draws: inside a fused node a ``(keep,
-scale)`` pair of a bool array and 1/(1-p), which the node keeps and turns
-into the float mask where it multiplies (``_float_mask``); by ``mul`` that
-float mask.
+scale)`` pair of a bool array and the one number 1/(1-p), which the node
+keeps and turns into the float mask where it multiplies (``_float_mask``);
+by ``mul`` that float mask. The members of a level or expert stack share
+one rate, so a stack's mask has one scale too.
+``add`` and ``mul`` broadcast only a constant: an operand that requires
+grad has the output's shape, so its gradient is never summed back down.
 A fused node's backward closure keeps only what backward cannot rebuild
 elementwise from the node's parents and the arrays it does keep. Its
 layernorms keep the mean and 1/std of each row ([n, 1] each); backward
@@ -248,17 +251,6 @@ def _node(data, parents, backward, op):
     return out
 
 
-def _unbroadcast(g, shape):
-    """Sum a broadcast gradient back down to the original operand shape."""
-    extra = g.ndim - len(shape)
-    if extra:
-        g = g.sum(axis=tuple(range(extra)))
-    axes = tuple(i for i, (gs, ss) in enumerate(zip(g.shape, shape)) if ss == 1 and gs != 1)
-    if axes:
-        g = g.sum(axis=axes, keepdims=True)
-    return g
-
-
 def _rows(op, x):
     """`x` as a tensor, ShapeMismatch unless it is rows [n, d] or a level
     stack of rows [L, n, d]."""
@@ -275,8 +267,7 @@ def _operands(op, shape, operands, expected, masks=()):
     broadcasts as a [k] vector does without levels. Each ``(mask, width)``
     pair's mask is None or a ``(keep, scale)`` dropout mask
     (``_float_mask``): a bool array of `shape` with last dimension `width`,
-    and a scale that is a number or one per level [L, 1, 1] or per row [...,
-    n, 1]. ShapeMismatch otherwise.
+    and one number. ShapeMismatch otherwise.
     The products of a level stack are one per level, the same BLAS calls on
     the same operands, and its column sums run over axis -2 level by level,
     so each level keeps the bits it would have alone.
@@ -287,7 +278,7 @@ def _operands(op, shape, operands, expected, masks=()):
     for m, w in masks:
         ok = ok and (m is None or (np.asarray(m[0]).dtype == bool
                                    and np.shape(m[0]) == (*shape[:-1], w)
-                                   and np.shape(m[1]) in ((), (*lead, 1, 1), (*shape[:-1], 1))))
+                                   and np.ndim(m[1]) == 0))
     if not ok:
         raise ShapeMismatch(op, shape, *[s or () for s in shapes],
                             *[np.shape(m if m is None else m[0]) for m, _ in masks])
@@ -325,37 +316,34 @@ def linear(x, w, b):
     return _node(out, (x, *params), bwd, "linear")
 
 
-def add(a, b):
-    """Elementwise sum with numpy broadcasting (used for biases too)."""
+def _elementwise(op, ufunc, a, b):
+    """`a`, `b` as tensors and ``ufunc(a, b)``. A constant may broadcast;
+    ShapeMismatch when the shapes do not broadcast or an operand that
+    requires grad lacks the output's shape."""
     a, b = _as_tensor(a), _as_tensor(b)
     try:
-        out = a.data + b.data
+        out = ufunc(a.data, b.data)
     except ValueError:
-        raise ShapeMismatch("add", a.data.shape, b.data.shape) from None
+        out = None
+    if (out is None or (a.requires_grad and a.data.shape != out.shape)
+            or (b.requires_grad and b.data.shape != out.shape)):
+        raise ShapeMismatch(op, a.data.shape, b.data.shape)
+    return a, b, out
 
-    def bwd(g):
-        return (
-            _unbroadcast(g, a.data.shape) if a.requires_grad else None,
-            _unbroadcast(g, b.data.shape) if b.requires_grad else None,
-        )
 
-    return _node(out, (a, b), bwd, "add")
+def add(a, b):
+    """Elementwise sum; only a constant broadcasts (``_elementwise``), so
+    each operand's gradient is the upstream one."""
+    a, b, out = _elementwise("add", np.add, a, b)
+    return _node(out, (a, b), lambda g: (g if a.requires_grad else None,
+                                         g if b.requires_grad else None), "add")
 
 
 def mul(a, b):
-    a, b = _as_tensor(a), _as_tensor(b)
-    try:
-        out = a.data * b.data
-    except ValueError:
-        raise ShapeMismatch("mul", a.data.shape, b.data.shape) from None
-
-    def bwd(g):
-        return (
-            _unbroadcast(g * b.data, a.data.shape) if a.requires_grad else None,
-            _unbroadcast(g * a.data, b.data.shape) if b.requires_grad else None,
-        )
-
-    return _node(out, (a, b), bwd, "mul")
+    """Elementwise product; only a constant broadcasts (``_elementwise``)."""
+    a, b, out = _elementwise("mul", np.multiply, a, b)
+    return _node(out, (a, b), lambda g: (g * b.data if a.requires_grad else None,
+                                         g * a.data if b.requires_grad else None), "mul")
 
 
 def scale(a, c):
@@ -616,10 +604,9 @@ def _matmul_groups(a, ws, spans):
 
 def _float_mask(mask):
     """The float dropout mask a ``(keep, scale)`` pair stands for, or None
-    for None. `keep` is a bool array, `scale` 1/(1-p): a float, or one per
-    level [L, 1, 1] or per row [n, 1]. Rebuilt as keep (1.0 or 0.0) times
-    the scale, it has the bits of ``keep / (1 - p)``: 0 where dropped,
-    1/(1-p) where kept."""
+    for None. `keep` is a bool array, `scale` the one number 1/(1-p).
+    Rebuilt as keep (1.0 or 0.0) times the scale, it has the bits of
+    ``keep / (1 - p)``: 0 where dropped, 1/(1-p) where kept."""
     if mask is None:
         return None
     m = mask[0].astype(np.float64)
@@ -741,8 +728,8 @@ def routed_ffn(x, c, p, selected, gamma, beta, w1, b1, w2, b2, mask1=None, mask2
 
     The six parameters are ``ffn``'s, each one [E, ...] tensor whose slice
     e is expert e's. Rows are ordered by expert with a stable sort; the
-    masks are ``(keep, scale)`` pairs over the rows in that order, a scale a
-    number or one per row [n, 1]. Gamma, beta and the biases are gathered
+    masks are ``(keep, scale)`` pairs over the rows in that order, one scale
+    for all rows (the experts share a rate). Gamma, beta and the biases are gathered
     per row and the two matmuls run once per used expert; values and
     gradients equal the bits of each used expert's ``ffn`` chain on its
     rows in frame order, scattered back, multiplied by the gate, scaled and
@@ -883,9 +870,9 @@ def mha(x, memory, heads, gamma, beta, wq, bq, wk, wv, bv, wo, bo, drop=None, le
     `drop` (``_float_mask``; None: the identity). `lengths`, `key_lengths`,
     `causal` and `mask` select the visible keys as ``_attention_rows``
     says; with a level axis (``_operands``) every level sees the same keys,
-    the parameters and `drop` lead with the level axis and `memory` is a
-    sequence of L tensors, one per level: not arena data, they are copied
-    into a stack.
+    the parameters and `drop`'s keep array lead with the level axis, its
+    scale is the levels' one, and `memory` is a sequence of L tensors, one
+    per level: not arena data, they are copied into a stack.
 
     Values and gradients equal the bits of the unfused chain of nodes. The
     flows into the layernorm output add as q, k, v; `x` is a parent twice
@@ -1075,11 +1062,9 @@ def power(a, p):
 
 
 def reduce_sum(a, axis=None):
-    """The sum over `axis` (None: every entry). Over axis 0 the slices add
-    one after another, with the bits of a chain of ``add`` nodes whatever
-    the trailing shape; numpy would add a single column pairwise."""
+    """The sum over `axis` (None: every entry)."""
     a = _as_tensor(a)
-    out = np.add.accumulate(a.data)[-1] if axis == 0 else a.data.sum(axis=axis)
+    out = a.data.sum(axis=axis)
 
     def bwd(g):
         gg = g if axis is None else np.expand_dims(g, axis)
@@ -1102,7 +1087,7 @@ def reduce_mean(a, axis=None):
     return _node(out, (a,), bwd, "reduce-mean")
 
 
-def finite_diff_check(f, params, eps=1e-5, max_coords_per_param=None, rng=None):
+def finite_diff_check(f, params, eps=1e-5, max_coords_per_param=None):
     """Compare analytic gradients of ``f(params)`` against central differences.
 
     ``f`` must be deterministic (eval mode, frozen routing); this is verified
@@ -1111,7 +1096,8 @@ def finite_diff_check(f, params, eps=1e-5, max_coords_per_param=None, rng=None):
     outside the function's domain. Returns the worst relative error
     ``|analytic - numeric| / (|analytic| + |numeric| + 1e-12)`` over all
     checked coordinates. ``max_coords_per_param`` samples coordinates to keep
-    large checks affordable.
+    large checks affordable, from one generator seeded 0 and shared by the
+    parameters in order.
     """
     if not (1e-7 <= eps <= 1e-3):
         raise ValueError(f"eps must be in [1e-7, 1e-3], got {eps}")
@@ -1140,12 +1126,12 @@ def finite_diff_check(f, params, eps=1e-5, max_coords_per_param=None, rng=None):
     analytic = [p.grad.copy() for p in params]
 
     worst = 0.0
+    rng = np.random.default_rng(0)
     for p, an in zip(params, analytic):
         flat = p.data.reshape(-1)
         an_flat = an.reshape(-1)
         coords = np.arange(flat.size)
         if max_coords_per_param is not None and flat.size > max_coords_per_param:
-            rng = rng or np.random.default_rng(0)
             coords = rng.choice(flat.size, size=max_coords_per_param, replace=False)
         for i in coords:
             orig = flat[i]

@@ -56,12 +56,15 @@ def learning_rate(step, peak_lr, warmup_steps):
 
 
 ADAM_CHUNK = 32768  # elements per in-place pass; small enough to stay in cache
+# the paper recipe's fixed optimizer settings
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.98, 1e-9  # Adam's moment decays and epsilon
+GRAD_CLIP = 5.0  # global gradient-norm threshold
 
 
 class Adam:
-    """Adam over one parameter ``Arena``.
+    """Adam over one parameter ``Arena``, with ``ADAM_BETA1``, ``ADAM_BETA2``
+    and ``ADAM_EPS``.
 
-    The defaults are the paper recipe's, and the only values training uses.
     The moments ``m`` and ``v`` are two flat buffers laid out like the
     arena's, and each step updates the flat buffers in place, ``ADAM_CHUNK``
     elements at a time.
@@ -71,9 +74,8 @@ class Adam:
     never drift, whatever the step count.
     """
 
-    def __init__(self, arena, beta1=0.9, beta2=0.98, eps=1e-9):
+    def __init__(self, arena):
         self.arena = arena
-        self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.t = 0
         self.m = np.zeros(arena.data.size)
         self.v = np.zeros(arena.data.size)
@@ -81,8 +83,8 @@ class Adam:
 
     def step(self, lr):
         self.t += 1
-        c1 = 1.0 - self.beta1**self.t
-        c2 = 1.0 - self.beta2**self.t
+        c1 = 1.0 - ADAM_BETA1**self.t
+        c2 = 1.0 - ADAM_BETA2**self.t
         # Elementwise, in the operation order of the textbook expressions
         #   m = b1*m + (1-b1)*g,  v = b2*v + ((1-b2)*g)*g,
         #   p -= lr*(m/c1) / (sqrt(v/c2) + eps),
@@ -92,23 +94,20 @@ class Adam:
             chunk = slice(start, start + ADAM_CHUNK)
             g, m, v = grad[chunk], self.m[chunk], self.v[chunk]
             num, den = self._scratch[:, : g.size]
-            m *= self.beta1
-            np.multiply(g, 1.0 - self.beta1, out=num)
+            m *= ADAM_BETA1
+            np.multiply(g, 1.0 - ADAM_BETA1, out=num)
             m += num
-            v *= self.beta2
-            np.multiply(g, 1.0 - self.beta2, out=num)
+            v *= ADAM_BETA2
+            np.multiply(g, 1.0 - ADAM_BETA2, out=num)
             num *= g
             v += num
             np.divide(m, c1, out=num)
             num *= lr
             np.divide(v, c2, out=den)
             np.sqrt(den, out=den)
-            den += self.eps
+            den += ADAM_EPS
             num /= den
             data[chunk] -= num
-
-
-GRAD_CLIP = 5.0  # global gradient-norm threshold of the paper's recipe
 
 
 def global_grad_norm(arena):

@@ -277,12 +277,19 @@ class TestLevelStackedPass:
 
     @pytest.mark.parametrize("p", [0.1, 0.3, 0.5])
     @pytest.mark.parametrize("batch", sorted(BATCHES))
-    def test_a_level_without_dropout_keeps_every_bit(self, batch, p):
-        """The middle level's dropout is off and the others draw at rate
-        `p`: the stacked masks keep the off level all kept at scale 1, and
-        every bit equals one pass per decoder."""
-        _assert_stacked_matches_oracle(
-            batch, lambda: _level_decoders(3, 2, True, rates=[p, 0.0, p]))
+    def test_a_level_without_dropout_is_rejected(self, batch, p):
+        """The levels' masks share one scale: a middle level whose dropout
+        is off, at rate 0 or in eval mode, beside levels at rate `p` raises
+        ValueError instead of running with that level's rows all kept."""
+        lengths, tokens = BATCHES[batch]
+        w = np.ones(() if lengths is None else len(lengths))
+        decoders = _level_decoders(3, 2, True, rates=[p, 0.0, p])
+        with pytest.raises(ValueError, match="differ in dropout"):
+            _stacked_run(decoders, _memories(3, lengths), lengths, tokens, w)
+        decoders = _level_decoders(3, 2, True, rates=[p, p, p])
+        decoders[1].eval()
+        with pytest.raises(ValueError, match="differ in dropout"):
+            _stacked_run(decoders, _memories(3, lengths), lengths, tokens, w)
 
     @pytest.mark.parametrize("batch", sorted(BATCHES))
     def test_records_the_same_nodes_at_every_level_count(self, monkeypatch, batch):

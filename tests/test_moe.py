@@ -9,11 +9,10 @@ import numpy as np
 import pytest
 
 from moe_asr import tensor as T
-from moe_asr.nn import FeedForward, Parameter
+from moe_asr.nn import Dropout, FeedForward, Parameter, joined_mask
 from moe_asr.moe import (
     RoutedFFN,
     Router,
-    _dispatch_mask,
     mean_importance_loss,
     moe_loss,
     sparsity_loss,
@@ -217,13 +216,11 @@ def _mask(rng, shape, p=0.3):
     return rng.random(shape) >= p, 1.0 / (1.0 - p)
 
 
-def _stack(masks):
-    """Level masks as one level-stacked mask, keeps [L, ...] and scales
-    [L, 1, 1]; a level without one is all kept at scale 1, as the
-    level-stacked decoders fill it."""
-    drawn = [m for m in masks if m is not None]
-    keeps = [np.ones(drawn[0][0].shape, dtype=bool) if m is None else m[0] for m in masks]
-    return np.array(keeps), np.array([1.0 if m is None else m[1] for m in masks])[:, None, None]
+def _join(masks, join):
+    """The masks of a stack's members, all at one rate, as one mask: the
+    keep arrays joined by `join` (``np.array`` for levels, ``np.concatenate``
+    for rows in dispatch order) and their one scale; None for eval mode."""
+    return None if masks[0] is None else (join([m[0] for m in masks]), masks[0][1])
 
 
 def _expert(rng, rows, d=6, d_ff=10, train=True, p=0.3):
@@ -252,7 +249,7 @@ def _expert_stacks(experts, selected, n_experts=4):
     groups = [_expert(np.random.default_rng(200 + e), 0)[0] for e in range(n_experts)]
     for e, (ps, _) in zip(used, experts):
         groups[e] = ps
-    masks = [_dispatch_mask([ms[k] for _, ms in experts], counts[used]) for k in (0, 1)]
+    masks = [_join([ms[k] for _, ms in experts], np.concatenate) for k in (0, 1)]
     return _stacked(groups), masks, used
 
 
@@ -328,7 +325,7 @@ class TestFusedFeedForward:
         levels = [_expert(rng, rows, train=train) for _ in range(3)]
         x = Tensor(rng.normal(size=(3, rows, 6)), requires_grad=True)
         g = rng.normal(size=(3, rows, 6))
-        masks = [_stack([ms[k] for _, ms in levels]) if train else None for k in (0, 1)]
+        masks = [_join([ms[k] for _, ms in levels], np.array) for k in (0, 1)]
         params = _stacked([ps for ps, _ in levels])
         out = T.ffn(x, FACTORS[rows], *params, *masks)
         T.reduce_sum(T.mul(out, Tensor(g))).backward()
@@ -343,7 +340,7 @@ class TestFusedFeedForward:
         levels = [_expert(rng, 4) for _ in range(2)]
         x = Tensor(rng.normal(size=(2, 4, 6)), requires_grad=True)
         g = Tensor(rng.normal(size=(2, 4, 6)))
-        masks = [_stack([ms[k] for _, ms in levels]) for k in (0, 1)]
+        masks = [_join([ms[k] for _, ms in levels], np.array) for k in (0, 1)]
         leaves = [x] + _stacked([ps for ps, _ in levels])
         f = lambda ps: T.reduce_sum(T.mul(T.ffn(ps[0], 0.5, *ps[1:], *masks), g))  # noqa: E731
         assert T.finite_diff_check(f, leaves) < 1e-6
@@ -384,8 +381,10 @@ class TestFusedFeedForward:
             T.ffn(x, 1.0, *params, (masks[0][0][:2], masks[0][1]), None)
         with pytest.raises(T.ShapeMismatch):  # a float mask where the bool one goes
             T.ffn(x, 1.0, *params, (masks[0][0] * masks[0][1], 1.0), None)
-        with pytest.raises(T.ShapeMismatch):  # three levels' scales for rows without levels
+        with pytest.raises(T.ShapeMismatch):  # a scale per level, not one number
             T.ffn(x, 1.0, *params, (masks[0][0], np.ones((3, 1, 1))), None)
+        with pytest.raises(T.ShapeMismatch):  # a scale per row, not one number
+            T.ffn(x, 1.0, *params, (masks[0][0], np.ones((3, 1))), None)
         p = Tensor(np.full((3, 4), 0.25))
         with pytest.raises(T.ShapeMismatch):  # four experts routed, one expert's parameters
             T.routed_ffn(x, 1.0, p, [0, 1, 1], *_stacked([params]))
@@ -399,36 +398,35 @@ class TestFusedFeedForward:
 
 
 class TestDropoutRates:
-    """A fused node keeps a dropout mask as its bool keep array and scale:
-    values and every gradient keep the bits of the float mask at each rate,
-    where one level of a stack draws no mask, and among routed rows where
-    one expert draws none."""
+    """A fused node keeps a dropout mask as its bool keep array and one
+    scale: values and every gradient keep the bits of the float mask at
+    each rate, on a level stack and among routed rows. The members of a
+    stack share the rate; a member of another rate or mode is refused."""
 
     @pytest.mark.parametrize("p", [0.1, 0.3, 0.5])
     def test_level_stack_with_a_level_without_dropout(self, p):
-        rng = np.random.default_rng(110)
-        levels = [_expert(rng, 5, train=level != 1, p=p) for level in range(3)]
-        x = Tensor(rng.normal(size=(3, 5, 6)), requires_grad=True)
-        g = rng.normal(size=(3, 5, 6))
-        masks = [_stack([ms[k] for _, ms in levels]) for k in (0, 1)]
-        assert masks[0][0][1].all() and masks[0][1][1] == 1.0
-        params = _stacked([ps for ps, _ in levels])
-        out = T.ffn(x, 0.5, *params, *masks)
-        T.reduce_sum(T.mul(out, Tensor(g))).backward()
-        for level, (ps, ms) in enumerate(levels):
-            ref_out, ref_grads = _plus_residual(_ffn_chain, x.data[level], 0.5,
-                                                *_arrays(ps, ms), g[level])
-            _assert_bits([out.data[level], x.grad[level]] + [t.grad[level] for t in params],
-                         [ref_out, *ref_grads])
+        """``joined_mask`` stacks the levels' masks, each drawn from its own
+        stream, with their one scale; a middle level whose dropout is off,
+        at rate 0 or in eval mode, is refused rather than filled with kept
+        rows."""
+        streams = [np.random.default_rng(110 + level) for level in range(3)]
+        drops = [Dropout(p) for _ in range(3)]
+        for drop, stream in zip(drops, streams):
+            drop.rng = copy.deepcopy(stream)
+        keep, scale = joined_mask([(d, (5, 10)) for d in drops], np.array)
+        np.testing.assert_array_equal(keep, [s.random((5, 10)) >= p for s in streams])
+        assert scale == 1.0 / (1.0 - p)
+        for off in (Dropout(p).eval(), Dropout(0.0)):
+            with pytest.raises(ValueError, match="differ in dropout"):
+                joined_mask([(d, (5, 10)) for d in (drops[0], off, drops[2])], np.array)
 
     @pytest.mark.parametrize("p", [0.1, 0.3, 0.5])
     def test_routed_with_idle_experts(self, p):
-        """Experts 0, 2 and 3 of 4 are used, 1 is idle; expert 2 draws no
-        mask, so its rows are all kept at scale 1."""
+        """Experts 0, 2 and 3 of 4 are used at rate `p`, 1 is idle."""
         selected = np.array(SELECTIONS["one-row-and-idle"])
         rng = np.random.default_rng(111)
         used = np.flatnonzero(np.bincount(selected))
-        experts = [_expert(rng, np.sum(selected == e), train=e != 2, p=p) for e in used]
+        experts = [_expert(rng, np.sum(selected == e), p=p) for e in used]
         x = Tensor(rng.normal(size=(len(selected), 6)), requires_grad=True)
         raw = rng.random((len(selected), 4)) + 0.1
         gate = Tensor(raw / raw.sum(axis=1, keepdims=True), requires_grad=True)
@@ -465,6 +463,23 @@ class TestDropoutRates:
         assert out.data.tobytes() == ref_out.tobytes()
         _assert_bits([t.grad for ps, _ in experts for t in ps], ref_grads[2:])
         assert np.all(layer.experts[2].w1.weight.grad == 0.0)
+
+    @pytest.mark.parametrize("change", ["rate", "mode"])
+    def test_routed_layer_refuses_an_expert_of_another_dropout(self, change):
+        """A used expert whose dropout is off (rate 0, or eval mode) beside
+        experts at rate 0.3 is refused before the node runs; as an idle
+        expert it draws nothing and the layer runs."""
+        layer = RoutedFFN(6, 10, n_experts=4, d_emb=3, dropout=0.3, routed=True)
+        layer.initialize(15).train()
+        if change == "rate":
+            layer.experts[1].dropout2.p = 0.0
+        else:
+            layer.experts[1].dropout1.eval()
+        rng = np.random.default_rng(99)
+        x, e_c = Tensor(rng.normal(size=(7, 6))), Tensor(rng.normal(size=(7, 3)))
+        with pytest.raises(ValueError, match="differ in dropout"):
+            layer.forward(x, e_c, frozen_selected=[3, 3, 0, 1, 3, 0, 0])
+        layer.forward(x, e_c, frozen_selected=[3, 3, 0, 2, 3, 0, 0])
 
 
 class TestFusedLayers:

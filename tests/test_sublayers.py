@@ -147,8 +147,9 @@ MHA_CASES = {
 
 
 # Each case again on a stack of LEVELS levels: x, each parameter, the
-# dropout mask and the upstream gradient lead with the level axis; the
-# memory is a list of one tensor per level.
+# dropout mask's keep array and the upstream gradient lead with the level
+# axis, the mask's one scale is every level's; the memory is a list of one
+# tensor per level.
 LEVELS = 3
 LEVEL_CASES = {f"{case}-levels": case for case in MHA_CASES}
 
@@ -169,8 +170,6 @@ def _mha_inputs(case, train, seed=120, p=0.3):
         memory = (tensor(sum(memory_lengths), 8) if levels is None
                   else [tensor(sum(memory_lengths), 8) for _ in range(levels)])
     drop = _mask(rng, (*lead, rows, 8), p) if train else None
-    if drop is not None and levels is not None:  # one scale per level, as the decoders pass it
-        drop = (drop[0], np.full((levels, 1, 1), drop[1]))
     params = (_mha_params(rng) if levels is None
               else [Tensor(np.array([t.data for t in ts]), requires_grad=True)
                     for ts in zip(*[_mha_params(rng) for _ in range(levels)])])
@@ -184,7 +183,7 @@ def _level(inputs, level):
     if level is None:
         return memory, drop, g
     memory = None if memory is None else memory[level]
-    return memory, None if drop is None else (drop[0][level], drop[1][level]), g[level]
+    return memory, None if drop is None else (drop[0][level], drop[1]), g[level]
 
 
 def _assert_bits(got, expected):
@@ -228,14 +227,8 @@ class TestFusedAttention:
                                       "causal-segments-levels"])
     def test_dropout_rates_match_chain_exactly(self, case, p):
         """The node keeps a mask as its bool keep array and scale: the bits
-        of the float mask at each rate. On a level stack the middle level
-        draws no mask, all kept at scale 1, as ``decoder._LevelDropout``
-        fills a level whose dropout is off."""
-        inputs = _mha_inputs(case, True, p=p)
-        if case in LEVEL_CASES:
-            keep, scale = inputs[3]
-            keep[1], scale[1] = True, 1.0
-        _assert_mha_matches_chain(inputs, case in LEVEL_CASES)
+        of the float mask at each rate, every level of a stack at that rate."""
+        _assert_mha_matches_chain(_mha_inputs(case, True, p=p), case in LEVEL_CASES)
 
     @pytest.mark.parametrize("case", ["causal-segments", "cross-segments",
                                       "causal-segments-levels", "cross-segments-levels"])

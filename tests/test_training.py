@@ -17,6 +17,9 @@ from moe_asr.features import generate_corpus, load_normalized_split, FeatureSequ
 from moe_asr.model import SpeechModel
 from moe_asr.tensor import Tensor
 from moe_asr.training import (
+    ADAM_BETA1,
+    ADAM_BETA2,
+    ADAM_EPS,
     GRAD_CLIP,
     Adam,
     CheckpointRecord,
@@ -151,8 +154,8 @@ class TestAdam:
         live.data[...] = rng.normal(size=(3, 4))
         dead.data[...] = rng.normal(size=5)
         start = dead.data.copy()
-        b1, b2, eps = 0.9, 0.98, 1e-9
-        opt = Adam(arena, b1, b2, eps)
+        b1, b2, eps = ADAM_BETA1, ADAM_BETA2, ADAM_EPS
+        opt = Adam(arena)
         span = arena_spans(arena)["live"]
         p, m, v = live.data.copy(), np.zeros((3, 4)), np.zeros((3, 4))
         for t in range(1, 9):
