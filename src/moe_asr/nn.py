@@ -23,6 +23,7 @@ makes a level or expert stack one tensor of views of the arena, and
 from __future__ import annotations
 
 import math
+import mmap
 import zlib
 
 import numpy as np
@@ -80,7 +81,10 @@ class Arena:
     (``offsets``), back to back in the order given (``named_parameters()``
     order for a module tree). The optimizer, the clip and ``zero_grad`` each
     work on one buffer, and ``data`` is a checkpoint's body. Both buffers
-    start as zeros; a parameter can join only one arena. Modules of one
+    start as zeros on pages mapped for them alone (``_mapped_zeros``):
+    ``data`` is written whole at once (initialized or read from a file), and
+    ``grad`` takes memory only once written, so a model that only decodes
+    holds one buffer. A parameter can join only one arena. Modules of one
     shape declared back to back (a layer's experts; the main decoder, then
     the auxiliary ones) lie at a uniform stride, so each of their
     parameters stacks as views (``stacked_parameters``).
@@ -90,8 +94,8 @@ class Arena:
         self.params = dict(params)
         sizes = [math.prod(p.shape) for p in self.params.values()]
         self.offsets = dict(zip(self.params, np.cumsum([0, *sizes]).tolist()))
-        self.data = np.zeros(sum(sizes))
-        self.grad = np.zeros(sum(sizes))
+        self.data = _mapped_zeros(sum(sizes), populate=True)
+        self.grad = _mapped_zeros(sum(sizes), populate=False)
         for (name, p), size in zip(self.params.items(), sizes):
             if not isinstance(p, Parameter) or hasattr(p, "data"):
                 raise ValueError(f"{name} is not a parameter without storage")
@@ -109,6 +113,16 @@ class Arena:
         if entries and entries[-1][2] + math.prod(entries[-1][1]) != size:
             raise ValueError(f"parameters under {prefix!r} do not form one span")
         return entries, self.data[start : start + size]
+
+
+def _mapped_zeros(n, populate):
+    """n float64 zeros on anonymous pages of their own, outside the heap, so
+    a model's buffers leave no freed heap pages resident when it goes. The
+    kernel zeroes each page when it is first written, or all at once with
+    ``populate`` (cheaper than a fault per page, for a buffer to be written
+    whole); a buffer nothing writes takes no memory."""
+    flags = mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS | (mmap.MAP_POPULATE if populate else 0)
+    return np.frombuffer(mmap.mmap(-1, max(n, 1) * 8, flags=flags), np.float64, n)
 
 
 def stacked_parameters(params):

@@ -581,8 +581,10 @@ class TestArenaImage:
 
     def test_load_model_reads_the_body_into_the_arena(self, tmp_path):
         """The body goes from the file straight into the new arena: the
-        traced peak of ``load_model`` stays below the arena's two buffers
-        plus one read chunk, so the file's bytes are never held whole."""
+        traced peak of ``load_model`` stays below one read chunk, so the
+        file's bytes are never held whole. The arena's two buffers lie on
+        pages mapped for them alone, which tracemalloc does not see, so the
+        peak is all that ``load_model`` holds beside them."""
         model = SpeechModel(ModelConfig.desk_scale(11, num_experts=16)).initialize(2)
         save_model(tmp_path / "m.ckpt", model)
         expected, arena_bytes = model.arena.data.tobytes(), model.arena.data.nbytes
@@ -594,7 +596,7 @@ class TestArenaImage:
         finally:
             tracemalloc.stop()
         assert arena_bytes > 3 * checkpoint._CHUNK_BYTES
-        assert 2 * arena_bytes < peak < 2 * arena_bytes + checkpoint._CHUNK_BYTES
+        assert peak < checkpoint._CHUNK_BYTES
         assert loaded.arena.data.tobytes() == expected
 
     def test_only_a_root_with_an_arena_is_saved(self, tmp_path):
