@@ -5,9 +5,11 @@ Every config field is also a long flag (underscores become dashes); a
 field's value comes from its flag, else the --config file, else (for
 vocab_size and feat_dim) the prepared corpus, else its default. A model
 that cannot read the corpus (``_check_fits_corpus``), or a --config model
-section given to decode, stops a command before it writes anything. Each run directory gets the resolved snapshot
-(config.json) plus a run manifest. Timestamps live only in the manifest, so every other artifact is
-byte-reproducible from equal inputs.
+section given to decode, stops a command before it writes anything. Each
+command starts its run directory with ``_start_run``: the resolved config
+sections in config.json (for the commands that take any) and, when it
+ends, run_manifest.json. Timestamps live only in the manifest, so every
+other artifact is byte-reproducible from equal inputs.
 """
 
 from __future__ import annotations
@@ -36,11 +38,8 @@ def _add_config_flags(parser, sections):
             continue
         group = parser.add_argument_group(f"{section} config overrides")
         for field in dataclasses.fields(cls):
-            flag = "--" + field.name.replace("_", "-")
-            if field.type == "bool":
-                group.add_argument(flag, action=argparse.BooleanOptionalAction, default=None)
-            else:
-                group.add_argument(flag, type=_FLAG_TYPES[field.type], default=None)
+            group.add_argument("--" + field.name.replace("_", "-"),
+                               type=_FLAG_TYPES[field.type], default=None)
 
 
 def _filtered(cls, obj):
@@ -129,31 +128,28 @@ def _write_json(path, obj):
         fh.write("\n")
 
 
-def _snapshot(out_dir, model=None, train=None, decode=None):
-    sections = {}
-    for name, cfg in (("model", model), ("train", train), ("decode", decode)):
-        if cfg is not None:
-            sections[name] = dataclasses.asdict(cfg)
-    _write_json(Path(out_dir) / "config.json", sections)
-    return sections
+def _start_run(args, config, seed=None):
+    """Make the run directory ``args.out``; returns (directory, finish).
 
+    The dataclass values of `config` are the run's config sections, written
+    to config.json when there are any. ``finish(**outputs)`` writes
+    run_manifest.json: the command, `config` with each section as written,
+    the seed, the start and finish times and `outputs`.
+    """
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
+    sections = {k: dataclasses.asdict(v) for k, v in config.items() if dataclasses.is_dataclass(v)}
+    if sections:
+        _write_json(out / "config.json", sections)
+    body = {"command": args.command, "config": {k: sections.get(k, v) for k, v in config.items()},
+            "seed": seed, "started": datetime.now(timezone.utc).isoformat()}
 
-class _Manifest:
-    """Records command, resolved config, seed, and wall-clock bounds."""
+    def finish(**outputs):
+        body["finished"] = datetime.now(timezone.utc).isoformat()
+        body["outputs"] = outputs
+        _write_json(out / "run_manifest.json", body)
 
-    def __init__(self, out_dir, command, config_snapshot, seed):
-        self.out = Path(out_dir)
-        self.body = {
-            "command": command,
-            "config": config_snapshot,
-            "seed": seed,
-            "started": datetime.now(timezone.utc).isoformat(),
-        }
-
-    def finish(self, **outputs):
-        self.body["finished"] = datetime.now(timezone.utc).isoformat()
-        self.body["outputs"] = outputs
-        _write_json(self.out / "run_manifest.json", self.body)
+    return out, finish
 
 
 def cmd_prepare(args):
@@ -162,14 +158,11 @@ def cmd_prepare(args):
     for flag, value in (("--vocab-size", args.vocab_size), ("--feat-dim", args.feat_dim)):
         if value < 1:
             raise ValueError(f"{flag} must be >= 1, got {value}")
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    manifest = _Manifest(out, "prepare",
-                         {"num_utts": args.num_utts, "vocab_size": args.vocab_size,
-                          "feat_dim": args.feat_dim}, args.seed)
+    out, finish = _start_run(args, {"num_utts": args.num_utts, "vocab_size": args.vocab_size,
+                                    "feat_dim": args.feat_dim}, args.seed)
     summary = generate_corpus(out, args.num_utts, args.vocab_size, args.seed,
                               feat_dim=args.feat_dim)
-    manifest.finish(corpus="corpus.json")
+    finish(corpus="corpus.json")
     print(f"prepared {summary['train_utts']} train / {summary['dev_utts']} dev utterances"
           f" in {out}")
     return 0
@@ -178,13 +171,9 @@ def cmd_prepare(args):
 def cmd_pretrain_embedding(args):
     model_cfg, train_cfg, _ = _resolve(args, ("model", "train"), args.data)
     _check_fits_corpus(model_cfg, args.data)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    snapshot = _snapshot(out, model=model_cfg, train=train_cfg)
-    manifest = _Manifest(out, "pretrain-embedding", snapshot, train_cfg.seed)
+    out, finish = _start_run(args, {"model": model_cfg, "train": train_cfg}, train_cfg.seed)
     records, final = pretrain_embedding(args.data, out, model_cfg, train_cfg)
-    manifest.finish(embedding="embedding.ckpt", metrics="metrics.jsonl",
-                    checkpoints=len(records))
+    finish(embedding="embedding.ckpt", metrics="metrics.jsonl", checkpoints=len(records))
     print(f"pretraining finished: eval ctc {final.eval_ctc:.4f} nats/utt"
           f" at step {final.step}")
     return 0
@@ -193,14 +182,11 @@ def cmd_pretrain_embedding(args):
 def cmd_train(args):
     model_cfg, train_cfg, _ = _resolve(args, ("model", "train"), args.data)
     _check_fits_corpus(model_cfg, args.data)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    snapshot = _snapshot(out, model=model_cfg, train=train_cfg)
-    manifest = _Manifest(out, "train", snapshot, train_cfg.seed)
+    out, finish = _start_run(args, {"model": model_cfg, "train": train_cfg}, train_cfg.seed)
     records, final = train_joint(args.data, out, model_cfg, train_cfg,
                                  embedding_ckpt=args.embedding)
-    manifest.finish(final="final.ckpt", metrics="metrics.jsonl",
-                    checkpoints=len(records), final_step=final.step)
+    finish(final="final.ckpt", metrics="metrics.jsonl", checkpoints=len(records),
+           final_step=final.step)
     print(f"training finished: best eval ctc {final.eval_ctc:.4f} nats/utt"
           f" at step {final.step}")
     return 0
@@ -210,12 +196,8 @@ def cmd_decode(args):
     _, _, decode_cfg = _resolve(args, ("decode",))
     model = load_model(args.checkpoint).eval()
     _check_fits_corpus(model.cfg, args.data, vocab=False)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    snapshot = _snapshot(out, model=model.cfg, decode=decode_cfg)
-    manifest = _Manifest(out, "decode",
-                         dict(snapshot, checkpoint=str(args.checkpoint), split=args.split),
-                         None)
+    out, finish = _start_run(args, {"model": model.cfg, "decode": decode_cfg,
+                                    "checkpoint": str(args.checkpoint), "split": args.split})
     seqs = load_normalized_split(args.data, args.split)
     with open(out / "nbest.jsonl", "w", encoding="utf-8") as fh:
         for seq in seqs:
@@ -230,15 +212,13 @@ def cmd_decode(args):
                 "combined": best.combined,
                 "nbest": [dataclasses.asdict(h) for h in hyps],
             }) + "\n")
-    manifest.finish(nbest="nbest.jsonl", utterances=len(seqs))
+    finish(nbest="nbest.jsonl", utterances=len(seqs))
     print(f"decoded {len(seqs)} utterances from the {args.split} split")
     return 0
 
 
 def cmd_score(args):
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    manifest = _Manifest(out, "score", {"hyps": str(args.hyps), "split": args.split}, None)
+    out, finish = _start_run(args, {"hyps": str(args.hyps), "split": args.split})
     references = {h.utt_id: h.tokens for h in
                   load_manifest(Path(args.data) / f"{args.split}.jsonl")}
     triples, scored = [], set()
@@ -266,7 +246,7 @@ def cmd_score(args):
             for r in results
         ],
     })
-    manifest.finish(report="report.json", scored=len(results), missing=len(missing))
+    finish(report="report.json", scored=len(results), missing=len(missing))
     print(f"corpus CER {corpus_cer:.4f} over {len(results)} utterances"
           f" ({len(missing)} missing from the hyps file, scored as empty)")
     return 0
@@ -276,11 +256,9 @@ def cmd_flops(args):
     model_cfg, _, _ = _resolve(args, ("model",), args.data)
     report = cost_report(model_cfg)
     name = "dense" if model_cfg.num_experts == 0 else f"{model_cfg.num_experts}e"
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    manifest = _Manifest(out, "flops", _snapshot(out, model=model_cfg), None)
+    out, finish = _start_run(args, {"model": model_cfg})
     _write_json(out / "report.json", dict(report.to_dict(), model=name))
-    manifest.finish(report="report.json")
+    finish(report="report.json")
     print(format_cost_table([(name, report)]))
     return 0
 

@@ -3,9 +3,11 @@
 Every dataclass field is a setting, and ``__post_init__`` rejects an
 invalid value by name. The command line exposes each field as a flag and as
 a key of a ``--config`` section (``cli._resolve`` sets the precedence).
-Values the paper's recipe fixes are constants instead: the Adam moments and
-epsilon and the gradient clip in ``training``, the SpecAugment masks in
-``features`` and the layernorm epsilon in ``tensor``.
+Values the paper's recipe fixes are constants instead: the peak learning
+rate, the Adam moments and epsilon and the gradient clip in ``training``
+(which always trains on SpecAugment's draws), the SpecAugment masks in
+``features``, the label smoothing in ``decoder`` and the layernorm epsilon
+in ``tensor``.
 
 Token-id conventions used across the package:
   - Data tokens occupy ids 0..vocab_size-2.
@@ -142,33 +144,29 @@ class ModelConfig:
 
 @dataclass
 class TrainConfig:
-    """Objective weights and optimization settings.
+    """Objective weights and the run's length, batching and seed.
 
     alpha, beta weight the routing sparsity and mean-importance losses,
     gamma the embedding network's own CTC loss, and eta interpolates the
-    main CTC loss against the summed attention-decoder losses.
+    main CTC loss against the summed attention-decoder losses. The label
+    smoothing (``decoder.LABEL_SMOOTHING``), the peak learning rate
+    (``training.PEAK_LR``) and SpecAugment in training are fixed.
     """
 
     alpha: float = 0.15
     beta: float = 0.15
     gamma: float = 0.01
     eta: float = 0.3
-    label_smoothing: float = 0.1
-    peak_lr: float = 2e-3
     warmup_steps: int = 1000
     batch_size: int = 4
     max_steps: int = 3000
     max_epochs: int = 26
     eval_every: int = 250
     seed: int = 0
-    augment: bool = True
 
     def __post_init__(self):
         _require_positive(self, ("warmup_steps", "batch_size", "max_steps", "max_epochs",
                                  "eval_every"))
-        # At 1 the smoothed target is uniform and no longer depends on the label.
-        if not 0.0 <= self.label_smoothing < 1.0:
-            raise ValueError(f"label_smoothing must lie in [0, 1), got {self.label_smoothing}")
         if not 0.0 <= self.eta <= 1.0:
             raise ValueError(f"eta must lie in [0, 1], got {self.eta}")
         # `not` catches NaN, which fails every comparison.
@@ -176,8 +174,6 @@ class TrainConfig:
             value = getattr(self, name)
             if not 0.0 <= value < math.inf:
                 raise ValueError(f"{name} must be finite and >= 0, got {value}")
-        if not 0.0 < self.peak_lr < math.inf:
-            raise ValueError(f"peak_lr must be finite and > 0, got {self.peak_lr}")
 
 
 @dataclass

@@ -58,6 +58,8 @@ from .nn import (
 )
 from .tensor import Tensor
 
+LABEL_SMOOTHING = 0.1  # the paper recipe's weight of the uniform target in every AED loss
+
 
 class DecoderBlock(Module):
     """Pre-norm: causal self-attention, cross-attention, feed-forward.
@@ -196,33 +198,32 @@ def _forward_rows(decoder, memory, ids, positions, rows=None, enc_rows=None, mas
 # ---------------------------------------------------------------------------
 
 
-def aed_losses(log_probs, token_seqs, label_smoothing=0.0):
+def aed_losses(log_probs, token_seqs):
     """Per-utterance smoothed cross-entropy of a packed batch, a vector; of
     level-stacked log-probabilities [L, rows, V], one vector per level.
 
     Utterance i owns the next len(token_seqs[i]) + 1 rows; its loss is the
     mean over those rows of the cost of tokens + [eos]. The smoothed target
-    mixes (1-eps) of the true one-hot with eps of the uniform distribution
-    over the vocabulary.
+    mixes (1-eps) of the true one-hot with eps = ``LABEL_SMOOTHING`` of the
+    uniform distribution over the vocabulary.
     """
     vocab = log_probs.data.shape[-1]
     targets = np.concatenate([[int(t) for t in seq] + [vocab - 1] for seq in token_seqs])
     rows = targets.shape[0]
     if log_probs.data.ndim not in (2, 3) or log_probs.data.shape[-2] != rows:
         raise T.ShapeMismatch("aed-loss", log_probs.data.shape, targets.shape)
-    cost = T.scale(T.gather_last(log_probs, targets), label_smoothing - 1.0)
-    if label_smoothing != 0.0:
-        cost = T.add(cost, T.scale(T.reduce_sum(log_probs, axis=-1), -label_smoothing / vocab))
+    cost = T.add(T.scale(T.gather_last(log_probs, targets), LABEL_SMOOTHING - 1.0),
+                 T.scale(T.reduce_sum(log_probs, axis=-1), -LABEL_SMOOTHING / vocab))
     return T.segment_means(cost, [len(seq) + 1 for seq in token_seqs])
 
 
-def aed_loss(log_probs, tokens, label_smoothing=0.0):
+def aed_loss(log_probs, tokens):
     """Mean smoothed cross-entropy of tokens + [eos] against the rows of
     one utterance; ``aed_losses`` of a batch of one."""
-    return T.reshape(aed_losses(log_probs, [tokens], label_smoothing), ())
+    return T.reshape(aed_losses(log_probs, [tokens]), ())
 
 
-def multi_level_aed(main_decoder, aux_decoders, enc_output, tokens, label_smoothing=0.0):
+def multi_level_aed(main_decoder, aux_decoders, enc_output, tokens):
     """Sum of per-level teacher-forced losses: the main decoder on the final
     encoder output plus one auxiliary decoder per intermediate tap, the
     decoders paired with ``enc_output.taps`` in depth order.
@@ -245,7 +246,7 @@ def multi_level_aed(main_decoder, aux_decoders, enc_output, tokens, label_smooth
     seqs = [tokens] if lengths is None else tokens
     log_probs = _teacher_forced(_level_stack([main_decoder, *aux_decoders]),
                                 [enc_output.final, *taps], seqs, lengths)
-    levels = aed_losses(log_probs, seqs, label_smoothing)
+    levels = aed_losses(log_probs, seqs)
     total = T.level_sum(levels)
     values = np.roll(levels.data, -1, axis=0)  # shallow to deep, main last
     if lengths is None:

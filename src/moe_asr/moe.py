@@ -8,11 +8,11 @@ dispatch, as in GShard and the Switch Transformer): one ``T.routed_ffn``
 node sorts the frames by expert, runs the two matmuls once per used expert
 and everything else once over all rows, applies the gates and adds the
 result, times the residual factor, to the residual stream. It reads each
-of the experts' six parameters as one [E, ...] leaf of views of the arena
-(``nn.stacked_parameters``), built once per layer, and adds every
-expert's gradient into the arena, an exact zero for an expert without
-frames. The sparsity and mean-importance losses below act on the layer's
-router distributions over the whole batch.
+of the experts' six parameters (``FeedForward.op_parameters``) as one
+[E, ...] leaf of views of the arena (``nn.stacked_parameters``), built
+once per layer, and adds every expert's gradient into the arena, an exact
+zero for an expert without frames. The sparsity and mean-importance losses
+below act on the layer's router distributions over the whole batch.
 """
 
 from __future__ import annotations
@@ -100,9 +100,9 @@ class RoutedFFN(Module):
         record = self.router.route(e_c, x)
         if frozen_selected is not None:
             record.selected = np.asarray(frozen_selected, dtype=np.int64)
-        if self._stacked is None:  # an expert's parameters are named in T.ffn's order
+        if self._stacked is None:
             self._stacked = tuple(stacked_parameters(group) for group in zip(
-                *[e.named_parameters().values() for e in self.experts]))
+                *[e.op_parameters() for e in self.experts]))
         # each used expert's masks for its rows, joined in dispatch order
         used = [(e, n) for e, n in zip(self.experts, record.utilization(len(self.experts))) if n]
         d, d_ff = self._stacked[2].data.shape[1:]

@@ -326,12 +326,16 @@ class FeedForward(Module):
         """`c`: the residual factor, 0.5 for a macaron half step."""
         return T.ffn(x, c, *self.operands(x.data.shape[0]))
 
-    def operands(self, rows):
-        """``T.ffn``'s arguments after the factor, for `rows` input rows: the
-        six parameters, then each dropout's mask (None when it is off)."""
-        d, d_ff = self.w1.weight.shape[-2:]
+    def op_parameters(self):
+        """The six parameters in ``T.ffn``'s operand order."""
         return (self.norm.gamma, self.norm.beta, self.w1.weight, self.w1.bias,
-                self.w2.weight, self.w2.bias,
+                self.w2.weight, self.w2.bias)
+
+    def operands(self, rows):
+        """``T.ffn``'s arguments after the factor, for `rows` input rows:
+        ``op_parameters``, then each dropout's mask (None when it is off)."""
+        d, d_ff = self.w1.weight.shape[-2:]
+        return (*self.op_parameters(),
                 self.dropout1.mask((rows, d_ff)), self.dropout2.mask((rows, d)))
 
 

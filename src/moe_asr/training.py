@@ -48,17 +48,18 @@ from .tensor import Tensor
 # ---------------------------------------------------------------------------
 
 
-def learning_rate(step, peak_lr, warmup_steps):
+def learning_rate(step, peak, warmup_steps):
     """Linear warmup to the peak, then inverse-square-root decay."""
     if step < 1:
         raise ValueError(f"step counting starts at 1, got {step}")
-    return peak_lr * min(step / warmup_steps, math.sqrt(warmup_steps / step))
+    return peak * min(step / warmup_steps, math.sqrt(warmup_steps / step))
 
 
 ADAM_CHUNK = 32768  # elements per in-place pass; small enough to stay in cache
 # the paper recipe's fixed optimizer settings
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.98, 1e-9  # Adam's moment decays and epsilon
 GRAD_CLIP = 5.0  # global gradient-norm threshold
+PEAK_LR = 2e-3  # the learning rate at the end of warmup
 
 
 class Adam:
@@ -181,9 +182,7 @@ def batch_losses(model, batch, train_cfg):
     feats, lengths, tokens = _packed(batch)
     out, e_c = model.encode(feats, lengths)
     l_ctc = T.reduce_mean(ctc_loss(model.ctc_log_probs(out.final), tokens, out.lengths))
-    aed_total, _ = multi_level_aed(
-        model.decoder, model.aux_decoders, out, tokens, train_cfg.label_smoothing
-    )
+    aed_total, _ = multi_level_aed(model.decoder, model.aux_decoders, out, tokens)
     l_aed = T.reduce_mean(aed_total)
     l_joint = joint_loss(l_ctc, [l_aed], train_cfg.eta)
 
@@ -286,13 +285,6 @@ class _Batcher:
         return batch
 
 
-def _augmented(batch, train_cfg):
-    if not train_cfg.augment:
-        return [seq for seq, _ in batch]
-    return [spec_augment(seq, utterance_rng(train_cfg.seed, seq.utt_id, epoch))
-            for seq, epoch in batch]
-
-
 def _run_loop(module, train_seqs, dev_seqs, train_cfg, out_dir, step_fn, eval_fn, save_fn):
     """Shared driver: batching, optimization, metrics, periodic evaluation.
 
@@ -328,7 +320,10 @@ def _run_loop(module, train_seqs, dev_seqs, train_cfg, out_dir, step_fn, eval_fn
             step += 1
             batch = batcher.next_batch()
             module.zero_grad()
-            total, metrics, routing = step_fn(_augmented(batch, train_cfg))
+            # every step trains on SpecAugment's draw, keyed by utterance and epoch
+            total, metrics, routing = step_fn(
+                [spec_augment(seq, utterance_rng(train_cfg.seed, seq.utt_id, epoch))
+                 for seq, epoch in batch])
             if not np.isfinite(total.data):
                 raise RuntimeError(
                     f"training diverged: non-finite loss {float(total.data)} at step {step}"
@@ -339,7 +334,7 @@ def _run_loop(module, train_seqs, dev_seqs, train_cfg, out_dir, step_fn, eval_fn
                 raise RuntimeError(
                     f"training diverged: non-finite gradient norm {grad_norm} at step {step}"
                 )
-            lr = learning_rate(step, train_cfg.peak_lr, train_cfg.warmup_steps)
+            lr = learning_rate(step, PEAK_LR, train_cfg.warmup_steps)
             optimizer.step(lr)
 
             line = {"step": step, "epoch": batcher.epoch}

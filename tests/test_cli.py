@@ -113,7 +113,7 @@ class TestTrain:
         assert main(["train", "--data", str(data), "--out", str(run),
                      *TINY_MODEL, *TINY_TRAIN, "--max-steps", "2"]) == 0
         config = json.loads((run / "config.json").read_text())
-        assert config["model"]["feat_dim"] == 8 and config["train"]["augment"]
+        assert config["model"]["feat_dim"] == 8
         assert len((run / "metrics.jsonl").read_text().splitlines()) == 2
 
     def test_reruns_reproduce_everything_but_timestamps(self, tmp_path):
@@ -172,7 +172,7 @@ class TestPipeline:
         run, dec, sc = tmp_path / "run", tmp_path / "dec", tmp_path / "sc"
         assert main(["train", "--data", str(data), "--out", str(run), *TINY_MODEL,
                      "--num-blocks", "4", "--num-levels", num_levels, "--num-experts", "2",
-                     "--max-steps", "1", "--eval-every", "1", "--no-augment"]) == 0
+                     "--max-steps", "1", "--eval-every", "1"]) == 0
         assert len((run / "metrics.jsonl").read_text().splitlines()) == 1
         assert main(["decode", "--data", str(data), "--checkpoint", str(run / "final.ckpt"),
                      "--out", str(dec), "--beam", "4", "--nbest", "2"]) == 0
@@ -276,12 +276,10 @@ class TestFailureModes:
         ("--eval-every", "0", "eval_every"),
         ("--warmup-steps", "0", "warmup_steps"),
         ("--batch-size", "0", "batch_size"),
-        ("--label-smoothing", "1.5", "label_smoothing"),
         ("--dropout", "1.0", "dropout"),
         ("--heads", "0", "heads"),
         ("--d-emb", "9", "d_emb"),
         ("--alpha", "nan", "alpha"),
-        ("--peak-lr", "-1", "peak_lr"),
         ("--max-steps", "0", "max_steps"),
     ])
     def test_invalid_setting_fails_before_training(self, tmp_path, capsys, flag, value,
@@ -289,10 +287,37 @@ class TestFailureModes:
         data = prepare(tmp_path)
         run = tmp_path / "run"
         assert main(["train", "--data", str(data), "--out", str(run), *TINY_MODEL,
-                     *TINY_TRAIN, "--no-augment", flag, value]) == 1
+                     *TINY_TRAIN, flag, value]) == 1
         err = capsys.readouterr().err
         assert err.startswith(f"error: ValueError: {field} ")
         assert not (run / "metrics.jsonl").exists()
+
+    @pytest.mark.parametrize("flag", [["--label-smoothing", "0.2"], ["--peak-lr", "1e-3"],
+                                      ["--no-augment"]], ids=lambda flag: flag[0][2:])
+    def test_fixed_setting_flag_is_a_usage_error(self, tmp_path, capsys, flag):
+        """The label smoothing, the peak learning rate and SpecAugment in
+        training are constants: their flags are unknown to argparse."""
+        data = prepare(tmp_path)
+        run = tmp_path / "run"
+        with pytest.raises(SystemExit) as excinfo:
+            main(["train", "--data", str(data), "--out", str(run), *TINY_MODEL, *TINY_TRAIN,
+                  *flag])
+        assert excinfo.value.code == 2
+        assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
+        assert not run.exists()
+
+    @pytest.mark.parametrize("key, value", [("label_smoothing", 0.2), ("peak_lr", 1e-3),
+                                            ("augment", False)])
+    def test_fixed_setting_in_a_config_file_is_rejected(self, tmp_path, capsys, key, value):
+        data = prepare(tmp_path)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"train": {key: value}}))
+        run = tmp_path / "run"
+        assert main(["train", "--data", str(data), "--out", str(run), *TINY_MODEL, *TINY_TRAIN,
+                     "--config", str(cfg_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ValueError: unknown TrainConfig keys: ") and key in err
+        assert not run.exists()
 
     @pytest.mark.parametrize("vocab, feat_dim, flag", [
         ("0", "10", "--vocab-size"), ("4", "0", "--feat-dim"),
@@ -351,7 +376,7 @@ class TestFailureModes:
         wide = prepare(tmp_path / "wide", feat_dim=10)
         run = tmp_path / "run"
         assert main(["train", "--data", str(narrow), "--out", str(run), *TINY_MODEL,
-                     "--max-steps", "1", "--eval-every", "1", "--no-augment"]) == 0
+                     "--max-steps", "1", "--eval-every", "1"]) == 0
         dec = tmp_path / "dec"
         assert main(["decode", "--data", str(wide), "--checkpoint", str(run / "final.ckpt"),
                      "--out", str(dec)]) == 1
@@ -367,8 +392,7 @@ class TestFailureModes:
         data = prepare(tmp_path, feat_dim=8)
         run = tmp_path / "run"
         assert main(["train", "--data", str(data), "--out", str(run), *TINY_MODEL,
-                     "--num-experts", "2", "--max-steps", "1", "--eval-every", "1",
-                     "--no-augment"]) == 0
+                     "--num-experts", "2", "--max-steps", "1", "--eval-every", "1"]) == 0
         cfg_path = tmp_path / "odd.json"
         cfg_path.write_text(json.dumps({"model": {"feat_dim": 99, "num_experts": 64},
                                         "decode": {"beam": 8, "nbest": 8}}))
@@ -386,7 +410,7 @@ class TestFailureModes:
 
     @pytest.mark.parametrize("field, value", [
         ("beta", "nan"), ("gamma", "nan"), ("gamma", "inf"), ("alpha", "-inf"),
-        ("peak_lr", "0"), ("peak_lr", "nan"), ("peak_lr", "inf"), ("max_epochs", "0"),
+        ("max_epochs", "0"),
     ])
     def test_invalid_train_setting_named(self, field, value):
         with pytest.raises(ValueError, match=f"^{field} "):
@@ -399,7 +423,7 @@ class TestFailureModes:
         data = prepare(tmp_path, num=10)
         run = tmp_path / "run"
         assert main(["train", "--data", str(data), "--out", str(run), *TINY_MODEL,
-                     "--max-steps", "1", "--eval-every", "1", "--no-augment"]) == 0
+                     "--max-steps", "1", "--eval-every", "1"]) == 0
         dec = tmp_path / "dec"
         assert main(["decode", "--data", str(data), "--checkpoint", str(run / "final.ckpt"),
                      "--out", str(dec), "--mu", mu]) == 1

@@ -9,6 +9,7 @@ import pytest
 
 from moe_asr import tensor as T
 from moe_asr.decoder import (
+    LABEL_SMOOTHING,
     TransformerDecoder,
     aed_loss,
     aed_losses,
@@ -70,36 +71,38 @@ class TestTeacherForcing:
 
 
 class TestAedLoss:
-    def test_one_hot_correct_logits_vanish(self):
+    def test_smoothed_target_gives_the_minimum(self):
+        """The cost is the cross-entropy against the smoothed target, so
+        log-probabilities equal to that target give its entropy, and moving
+        any row away from it costs more."""
         tokens = [2, 0]
         targets = tokens + [V - 1]
-        logits = np.full((3, V), -40.0)
-        for t, y in enumerate(targets):
-            logits[t, y] = 40.0
-        lp = T.log_softmax_last(Tensor(logits))
-        assert float(aed_loss(lp, tokens).data) < 1e-6
+        q = np.full((3, V), LABEL_SMOOTHING / V)
+        q[np.arange(3), targets] += 1.0 - LABEL_SMOOTHING
+        entropy = -(q * np.log(q)).sum(axis=-1).mean()
+        loss = float(aed_loss(Tensor(np.log(q)), tokens).data)
+        np.testing.assert_allclose(loss, entropy, rtol=0, atol=1e-12)
+        for shift in (0.05, -0.05):
+            logits = np.log(q)
+            logits[1, 0] += shift
+            assert float(aed_loss(T.log_softmax_last(Tensor(logits)), tokens).data) > loss
 
     def test_uniform_logits_give_log_vocab(self):
         lp = T.log_softmax_last(Tensor(np.zeros((4, V))))
-        for eps in (0.0, 0.1):
-            np.testing.assert_allclose(
-                aed_loss(lp, [0, 1, 2], label_smoothing=eps).data, math.log(V), atol=1e-12
-            )
+        np.testing.assert_allclose(aed_loss(lp, [0, 1, 2]).data, math.log(V), atol=1e-12)
 
-    @pytest.mark.parametrize("eps", [0.0, 0.1])
-    def test_matches_loop_oracle(self, eps):
+    def test_matches_loop_oracle(self):
         rng = np.random.default_rng(81)
         tokens = [3, 1, 4]
         lp = T.log_softmax_last(Tensor(rng.normal(size=(4, V))))
         targets = tokens + [V - 1]
+        eps = LABEL_SMOOTHING
         total = 0.0
         for t, y in enumerate(targets):
             row = lp.data[t]
             total += -(1.0 - eps) * row[y] - eps * row.mean()
         expected = total / len(targets)
-        np.testing.assert_allclose(
-            aed_loss(lp, tokens, label_smoothing=eps).data, expected, atol=1e-12
-        )
+        np.testing.assert_allclose(aed_loss(lp, tokens).data, expected, atol=1e-12)
 
     def test_shape_mismatch_rejected(self):
         lp = T.log_softmax_last(Tensor(np.zeros((3, V))))
@@ -220,7 +223,7 @@ def _stacked_run(decoders, memories, lengths, tokens, w):
     leaves = [Tensor(m, requires_grad=True) for m in memories]
     enc = EncoderOutput(final=leaves[-1], taps={i + 1: t for i, t in enumerate(leaves[:-1])},
                         lengths=lengths)
-    total, per_level = multi_level_aed(decoders[-1], decoders[:-1], enc, tokens, 0.1)
+    total, per_level = multi_level_aed(decoders[-1], decoders[:-1], enc, tokens)
     T.reduce_sum(T.mul(total, Tensor(w))).backward()
     return total, per_level, leaves
 
@@ -232,8 +235,7 @@ def _oracle_run(decoders, memories, lengths, tokens, w):
     per_level = []
     for dec, enc in zip(decoders, leaves):
         lp = dec.decode_teacher_forced(enc, tokens, lengths)
-        per_level.append(aed_loss(lp, tokens, 0.1) if lengths is None
-                         else aed_losses(lp, tokens, 0.1))
+        per_level.append(aed_loss(lp, tokens) if lengths is None else aed_losses(lp, tokens))
     total = per_level[0]
     for term in per_level[1:]:
         total = T.add(total, term)
@@ -315,7 +317,7 @@ class TestLevelStackedPass:
                 return out
 
             monkeypatch.setattr(T, "_node", counted)
-            multi_level_aed(decoders[-1], decoders[:-1], enc, tokens, 0.1)
+            multi_level_aed(decoders[-1], decoders[:-1], enc, tokens)
             monkeypatch.undo()
             counts.append(len(ops))
         assert counts == [counts[0]] * 4

@@ -222,10 +222,16 @@ class TestStackedViews:
                   if isinstance(m, RoutedFFN) and m.router is not None]
         assert len(layers) == len(model.cfg.routed_blocks())
         for layer in layers:
-            experts = [list(e.named_parameters().values()) for e in layer.experts]
-            assert len(layer._stacked) == 6
+            # stack j, slice k is operand j of T.ffn for expert k
+            experts = [e.op_parameters() for e in layer.experts]
+            assert len(layer._stacked) == 6 and all(len(ps) == 6 for ps in experts)
             for leaf, params in zip(layer._stacked, zip(*experts)):
                 _assert_views_of(leaf, params)
+        ffn = layers[0].experts[0]
+        assert ffn.op_parameters() == ffn.operands(3)[:6]
+        assert [id(p) for p in ffn.op_parameters()] == [
+            id(p) for p in (ffn.norm.gamma, ffn.norm.beta, ffn.w1.weight, ffn.w1.bias,
+                            ffn.w2.weight, ffn.w2.bias)]
         decoders = [model.decoder, *model.aux_decoders]
         stand_in = _level_stack(decoders).named_parameters()
         assert list(stand_in) == list(model.decoder.named_parameters())

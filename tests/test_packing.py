@@ -40,7 +40,7 @@ def _per_utterance_losses(model, feats, tokens, lengths=None):
     or per-utterance vectors for a packed batch."""
     out, e_c = model.encode(feats, lengths)
     ctc = ctc_loss(model.ctc_log_probs(out.final), tokens, out.lengths)
-    aed, _ = multi_level_aed(model.decoder, model.aux_decoders, out, tokens, 0.1)
+    aed, _ = multi_level_aed(model.decoder, model.aux_decoders, out, tokens)
     emb = None
     if model.embedding_net is not None:
         emb = ctc_loss(model.embedding_net.ctc_log_probs(e_c), tokens, out.lengths)

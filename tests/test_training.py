@@ -13,7 +13,13 @@ from moe_asr import tensor as T
 from moe_asr.checkpoint import load_model, load_pretrained_embedding, save_embedding, save_model
 from moe_asr.config import ModelConfig, TrainConfig
 from moe_asr.encoder import EmbeddingNetwork
-from moe_asr.features import generate_corpus, load_normalized_split, FeatureSequence
+from moe_asr.features import (
+    FeatureSequence,
+    generate_corpus,
+    load_normalized_split,
+    spec_augment,
+    utterance_rng,
+)
 from moe_asr.model import SpeechModel
 from moe_asr.tensor import Tensor
 from moe_asr.training import (
@@ -21,6 +27,7 @@ from moe_asr.training import (
     ADAM_BETA2,
     ADAM_EPS,
     GRAD_CLIP,
+    PEAK_LR,
     Adam,
     CheckpointRecord,
     batch_losses,
@@ -633,7 +640,7 @@ class TestGraphLifetime:
                     graph = tracemalloc.get_traced_memory()[0] - before
                 total.backward()
                 clip_gradients(model.arena, GRAD_CLIP)
-                opt.step(learning_rate(step, tc.peak_lr, tc.warmup_steps))
+                opt.step(learning_rate(step, PEAK_LR, tc.warmup_steps))
                 peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
@@ -717,6 +724,28 @@ class TestLoops:
                 ((out / "metrics.jsonl").read_text(), (out / "routing.jsonl").read_text())
             )
         assert outputs[0] == outputs[1]
+
+    def test_every_step_trains_on_spec_augment_draws(self, tmp_path):
+        """The first step's logged loss is ``batch_losses`` on each
+        utterance's SpecAugment draw keyed by (seed, utt_id, epoch 0), not
+        on the raw batch."""
+        data = self._corpus(tmp_path)
+        train_seqs = load_normalized_split(data, "train")
+        cfg = self._model_cfg(num_experts=2)
+        tc = TrainConfig(max_steps=1, eval_every=1, warmup_steps=50, batch_size=3, seed=6)
+        out = tmp_path / "run"
+        run_joint_training(SpeechModel(cfg).initialize(tc.seed), train_seqs,
+                           load_normalized_split(data, "dev"), tc, out)
+        logged = json.loads((out / "metrics.jsonl").read_text())["loss"]
+
+        def first_step_loss(batch):
+            model = SpeechModel(cfg).initialize(tc.seed).train()
+            return batch_losses(model, batch, tc)[1]["loss"]
+
+        raw = train_seqs[:3]
+        drawn = [spec_augment(seq, utterance_rng(tc.seed, seq.utt_id, 0)) for seq in raw]
+        assert first_step_loss(drawn) == logged
+        assert first_step_loss(raw) != logged
 
     def test_metrics_lines_are_well_formed(self, tmp_path):
         data = self._corpus(tmp_path)
@@ -859,8 +888,7 @@ class TestOverfitOneUtterance:
         cfg = ModelConfig(vocab_size=5, feat_dim=6, d_att=16, d_ff=32, heads=2,
                           kernel=3, num_blocks=2, decoder_blocks=1,
                           dropout=0.1, num_levels=1)
-        tc = TrainConfig(batch_size=1, warmup_steps=50, peak_lr=3e-3,
-                         augment=False, seed=0)
+        tc = TrainConfig(batch_size=1, warmup_steps=50, seed=0)
         rng = np.random.default_rng(7)
         seq = FeatureSequence("solo", rng.normal(size=(24, 6)), [0, 1, 2, 0])
         model = SpeechModel(cfg).initialize(0)
@@ -872,7 +900,7 @@ class TestOverfitOneUtterance:
             total, metrics, _ = batch_losses(model, [seq], tc)
             total.backward()
             clip_gradients(model.arena, GRAD_CLIP)
-            opt.step(learning_rate(step, tc.peak_lr, tc.warmup_steps))
+            opt.step(learning_rate(step, 3e-3, tc.warmup_steps))
             ctc_value = metrics["ctc"]
             if ctc_value < 0.05:
                 break
