@@ -10,8 +10,9 @@ and everything else once over all rows, applies the gates and adds the
 result, times the residual factor, to the residual stream. It reads each
 of the experts' six parameters (``FeedForward.op_parameters``) as one
 [E, ...] leaf of views of the arena (``nn.stacked_parameters``), built
-once per layer, and adds every expert's gradient into the arena, an exact
-zero for an expert without frames. The sparsity and mean-importance losses
+once per layer, and adds only the used experts' gradients into the arena:
+an expert without frames is not touched, so its gradient stays what it
+was (zero after ``zero_grad``). The sparsity and mean-importance losses
 below act on the layer's router distributions over the whole batch.
 """
 
@@ -71,7 +72,7 @@ class RoutedFFN(Module):
     """The second macaron FFN slot: dense, or dispatched across experts in
     one ``T.routed_ffn`` node, each used expert with its own parameters and
     dropout streams at the experts' one rate (``joined_mask``); an expert
-    without frames gets an exact zero gradient.
+    without frames gets no gradient added.
 
     Dense mode (router None) still stores its single FFN under
     ``experts.0`` so parameter names line up exactly with a one-expert

@@ -57,7 +57,8 @@ and ``mha`` then take each parameter as one [L, ...] tensor, and
 of L tensors. One code path serves both forms: reductions run over axis
 -2 and transposes are ``swapaxes(-1, -2)``, so a level's products are the
 BLAS calls it would get alone and every level keeps its bits.
-``routed_ffn`` takes its experts as one [E, ...] tensor per parameter.
+``routed_ffn`` takes its experts as one [E, ...] leaf per parameter and
+adds only its used experts' gradients into those leaves' ``grad``.
 ``matmul`` stays 2-D.
 64-bit floats throughout so gradient checks and DP oracles are limited by
 algorithmic correctness, not precision.
@@ -733,9 +734,13 @@ def routed_ffn(x, c, p, selected, gamma, beta, w1, b1, w2, b2, mask1=None, mask2
     per row and the two matmuls run once per used expert; values and
     gradients equal the bits of each used expert's ``ffn`` chain on its
     rows in frame order, scattered back, multiplied by the gate, scaled and
-    added to `x`. An expert without rows gets exactly zero gradients. Like
-    ``ffn``'s, `x` is a parent twice. Backward gathers the sorted rows,
-    gamma and beta again rather than keep them.
+    added to `x`. Like ``ffn``'s, `x` is a parent twice. Backward gathers
+    the sorted rows, gamma and beta again rather than keep them, computes
+    the parameter gradients of the U used experts only, as [U, ...] arrays,
+    and adds them into the stacks' ``grad`` at those experts itself, handing
+    the engine no gradient for the stacks: an expert without rows is not
+    touched. A stack that requires grad must therefore be a leaf
+    (ValueError otherwise).
     """
     x, p = _as_tensor(x), _as_tensor(p)
     selected = np.asarray(selected, dtype=np.int64)
@@ -748,6 +753,8 @@ def routed_ffn(x, c, p, selected, gamma, beta, w1, b1, w2, b2, mask1=None, mask2
     ga, ba, w1a, b1a, w2a, b2a = _operands("routed-ffn", x.data.shape, params,
                                            [(experts, *s) for s in _ffn_shapes(d, f)],
                                            ((mask1, f), (mask2, d)))
+    if any(t.requires_grad and t._backward is not None for t in params):
+        raise ValueError("routed-ffn: an expert stack that requires grad must be a leaf")
     counts = np.bincount(selected, minlength=experts)
     used = np.flatnonzero(counts)
     spans = _spans(counts[used].tolist())
@@ -768,17 +775,18 @@ def routed_ffn(x, c, p, selected, gamma, beta, w1, b1, w2, b2, mask1=None, mask2
         if p.requires_grad:
             gp = np.zeros_like(p.data)
             np.add.at(gp, (frames, selected), (gc * y).sum(axis=1))
-        grads = [np.empty(t.data.shape) for t in params]
-        for gr in grads:
-            gr[counts == 0] = 0.0
+        grads = [np.empty((len(used), *t.data.shape[1:])) for t in params]
         # the sorted rows and their gamma and beta, gathered again
         gxs = backward((gc * gate)[order], x.data[order], ga[owner], ba[owner],
-                       x.requires_grad, grads, used)
+                       x.requires_grad, grads, range(len(used)))
+        for t, gr in zip(params, grads):
+            if t.requires_grad:
+                t.grad[used] += gr
         gx = None
         if gxs is not None:
             gx = np.empty_like(gxs)
             gx[order] = gxs
-        return (g, gx, gp, *grads)
+        return (g, gx, gp, *[None] * len(params))
 
     return _node(_residual(x.data, y * gate, c), (x, x, p, *params), bwd, "routed-ffn")
 

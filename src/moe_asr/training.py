@@ -13,6 +13,13 @@ the dense baseline's, which the degeneration test depends on.
 A batch is packed into one graph: its utterances' frames are stacked as
 rows, each layer runs once on all of them, and per-utterance row counts
 keep every utterance to itself. Loss terms are means over utterances.
+
+Adam updates the flat parameter arena in one contiguous span per usable
+core: the calling thread takes the last span and one process-wide pool of
+(cores - 1) threads the others. The update is elementwise, so the bits do
+not depend on the core count. The gradient norm, the clip and
+``zero_grad`` stay on the calling thread: the norm is hundreds of small
+per-parameter reductions, and a second thread made it slower.
 """
 
 from __future__ import annotations
@@ -21,7 +28,9 @@ import contextlib
 import dataclasses
 import json
 import math
+import os
 import shutil
+import threading
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -56,10 +65,49 @@ def learning_rate(step, peak, warmup_steps):
 
 
 ADAM_CHUNK = 32768  # elements per in-place pass; small enough to stay in cache
+ADAM_SPAN_CHUNKS = 4  # fewest chunks worth a span, and a thread, of their own
 # the paper recipe's fixed optimizer settings
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.98, 1e-9  # Adam's moment decays and epsilon
 GRAD_CLIP = 5.0  # global gradient-norm threshold
 PEAK_LR = 2e-3  # the learning rate at the end of warmup
+
+
+def _usable_cores():
+    """The cores this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _adam_spans(size, parts):
+    """At most `parts` contiguous ``(start, stop)`` spans that cover
+    ``range(size)`` once, in order, each starting on an ``ADAM_CHUNK``
+    boundary and each at least ``ADAM_SPAN_CHUNKS`` whole chunks long (a
+    shorter buffer is one span). The whole chunks are shared out as evenly
+    as they go, and the last span takes the remainder."""
+    chunks = size // ADAM_CHUNK
+    parts = max(1, min(parts, chunks // ADAM_SPAN_CHUNKS))
+    bounds = [chunks * i // parts * ADAM_CHUNK for i in range(parts)] + [size]
+    return list(zip(bounds[:-1], bounds[1:]))
+
+
+_pool = None
+_pool_lock = threading.Lock()
+
+
+def _workers():
+    """The one process-wide pool of (usable cores - 1) threads for Adam's
+    spans, made at first need; None on one core. (Imported here: a process
+    that never splits an update, say one that only decodes, does not load
+    ``concurrent.futures`` and the ``logging`` it brings.)"""
+    global _pool
+    with _pool_lock:
+        if _pool is None and _usable_cores() > 1:
+            from concurrent.futures import ThreadPoolExecutor
+
+            _pool = ThreadPoolExecutor(_usable_cores() - 1, thread_name_prefix="adam")
+        return _pool
 
 
 class Adam:
@@ -68,7 +116,13 @@ class Adam:
 
     The moments ``m`` and ``v`` are two flat buffers laid out like the
     arena's, and each step updates the flat buffers in place, ``ADAM_CHUNK``
-    elements at a time.
+    elements at a time. The buffers are cut into one contiguous span per
+    usable core (``_adam_spans``); the calling thread updates the last span
+    and the process's worker threads (``_workers``) the others, each with a
+    scratch of its own, and the step returns once every span is done,
+    raising any worker's error. The update is elementwise, so its bits do
+    not depend on how many spans there are; an arena shorter than two spans
+    (``ADAM_SPAN_CHUNKS``), or one core, is updated by the caller alone.
 
     A parameter whose gradient has stayed exactly zero has exactly zero
     moment estimates, so its update is exactly zero: untouched parameters
@@ -80,21 +134,36 @@ class Adam:
         self.t = 0
         self.m = np.zeros(arena.data.size)
         self.v = np.zeros(arena.data.size)
-        self._scratch = np.empty((2, min(ADAM_CHUNK, arena.data.size)))
+        self._spans = _adam_spans(arena.data.size, _usable_cores())
+        self._scratch = np.empty((len(self._spans), 2, min(ADAM_CHUNK, arena.data.size)))
 
     def step(self, lr):
         self.t += 1
         c1 = 1.0 - ADAM_BETA1**self.t
         c2 = 1.0 - ADAM_BETA2**self.t
+        jobs = list(zip(self._spans, self._scratch))
+        pool = _workers() if len(jobs) > 1 else None
+        futures = [] if pool is None else [pool.submit(self._update, *job, lr, c1, c2)
+                                           for job in jobs[:-1]]
+        try:
+            for job in jobs[len(futures):]:  # the last span, or all of them on one core
+                self._update(*job, lr, c1, c2)
+        finally:
+            for future in futures:
+                future.exception()  # waits: no span runs on once the step is left
+        for future in futures:
+            future.result()
+
+    def _update(self, span, scratch, lr, c1, c2):
         # Elementwise, in the operation order of the textbook expressions
         #   m = b1*m + (1-b1)*g,  v = b2*v + ((1-b2)*g)*g,
         #   p -= lr*(m/c1) / (sqrt(v/c2) + eps),
-        # so the bits do not depend on the chunking.
+        # so the bits do not depend on the chunking or the spans.
         data, grad = self.arena.data, self.arena.grad
-        for start in range(0, data.size, ADAM_CHUNK):
+        for start in range(*span, ADAM_CHUNK):
             chunk = slice(start, start + ADAM_CHUNK)
             g, m, v = grad[chunk], self.m[chunk], self.v[chunk]
-            num, den = self._scratch[:, : g.size]
+            num, den = scratch[:, : g.size]
             m *= ADAM_BETA1
             np.multiply(g, 1.0 - ADAM_BETA1, out=num)
             m += num

@@ -395,6 +395,8 @@ class TestFusedFeedForward:
             T.routed_ffn(x, 1.0, p, [0, 4, 2], *stacks)
         with pytest.raises(T.ShapeMismatch):  # one expert's parameters where a stack goes
             T.routed_ffn(x, 1.0, p, [0, 0, 2], *params)
+        with pytest.raises(ValueError, match="must be a leaf"):  # a stack an op computed
+            T.routed_ffn(x, 1.0, p, [0, 0, 2], *stacks[:2], T.scale(stacks[2], 1.0), *stacks[3:])
 
 
 class TestDropoutRates:
@@ -463,6 +465,38 @@ class TestDropoutRates:
         assert out.data.tobytes() == ref_out.tobytes()
         _assert_bits([t.grad for ps, _ in experts for t in ps], ref_grads[2:])
         assert np.all(layer.experts[2].w1.weight.grad == 0.0)
+
+    def test_idle_slabs_keep_their_bytes(self):
+        """Backward adds only the used experts' gradients into the arena:
+        over a sentinel gradient, with signed zeros that an added 0.0 would
+        flip, each idle expert's slabs keep their bytes and each used
+        expert's hold the sentinel plus its chain's gradient, bit for bit."""
+        layer = RoutedFFN(6, 10, n_experts=5, d_emb=3, dropout=0.3, routed=True)
+        layer.initialize(16).train()
+        streams = [[copy.deepcopy(e.dropout1.rng), copy.deepcopy(e.dropout2.rng)]
+                   for e in layer.experts]
+        sentinel = np.random.default_rng(17).normal(size=layer.arena.grad.size)
+        sentinel[::3] = -0.0
+        layer.arena.grad[...] = sentinel
+        before = [[t.grad.copy() for t in e.named_parameters().values()] for e in layer.experts]
+        rng = np.random.default_rng(18)
+        x = Tensor(rng.normal(size=(7, 6)), requires_grad=True)
+        g = rng.normal(size=(7, 6))
+        frozen = [3, 3, 0, 3, 3, 0, 0]
+        out, rec = layer.forward(x, Tensor(rng.normal(size=(7, 3))), frozen_selected=frozen, c=0.5)
+        T.reduce_sum(T.mul(out, Tensor(g))).backward()
+        counts = np.bincount(frozen, minlength=5)
+        used = np.flatnonzero(counts)
+        experts = [(list(layer.experts[e].named_parameters().values()),
+                    [_mask(s, (counts[e], w)) for s, w in zip(streams[e], (10, 6))])
+                   for e in used]
+        _, ref_grads = _plus_residual(_routed_chain, x.data, 0.5, rec.p.data, rec.selected,
+                                      [_arrays(ps, ms) for ps, ms in experts], g)
+        want = [b + r for b, r in zip([b for e in used for b in before[e]], ref_grads[2:])]
+        _assert_bits([t.grad for ps, _ in experts for t in ps], want)
+        for e in (1, 2, 4):
+            for t, b in zip(layer.experts[e].named_parameters().values(), before[e]):
+                assert t.grad.tobytes() == b.tobytes()
 
     @pytest.mark.parametrize("change", ["rate", "mode"])
     def test_routed_layer_refuses_an_expert_of_another_dropout(self, change):

@@ -3,6 +3,8 @@
 import gc
 import json
 import math
+import sys
+import threading
 import tracemalloc
 import weakref
 
@@ -206,6 +208,26 @@ class TestAdam:
         assert (dead.data == 7.0).all()
         assert (live.data != 0.0).all()
 
+    @staticmethod
+    def _clipped_steps_match_textbook(params, arena, opt, seed):
+        """Six steps on random gradients of norms near 10, 0.1, 100, 1, 0.01
+        and 10, so clipped at some and not at others, each bit-identical to
+        the per-array reference."""
+        rng = np.random.default_rng(seed)
+        arena.data[...] = rng.normal(size=arena.data.size)
+        ref = TextbookAdam({n: p.data for n, p in params.items()})
+        spans, clipped = arena_spans(arena), 0
+        for t, power in enumerate([1, -1, 2, 0, -2, 1], start=1):
+            scale = 10.0**power / math.sqrt(arena.grad.size)
+            arena.grad[...] = rng.normal(size=arena.grad.size) * scale
+            norm, grads = textbook_clip({n: p.grad.copy() for n, p in params.items()}, GRAD_CLIP)
+            assert clip_gradients(arena, GRAD_CLIP) == norm
+            clipped += norm > GRAD_CLIP
+            opt.step(1e-3 * t)
+            ref.step(grads, 1e-3 * t)
+            assert_flat_matches_textbook(arena, opt, ref, spans)
+        assert 0 < clipped < 6
+
     def test_chunk_boundary_inside_a_parameter(self):
         """A parameter larger than one chunk, in an arena whose size is not
         a multiple of the chunk, steps bit-identically to the per-array
@@ -217,20 +239,114 @@ class TestAdam:
         params = {name: Parameter(shape, zeros_init()) for name, shape in shapes.items()}
         arena = Arena(params)
         assert params["big"].grad.size > ADAM_CHUNK and arena.data.size % ADAM_CHUNK != 0
-        rng = np.random.default_rng(31)
-        arena.data[...] = rng.normal(size=arena.data.size)
+        self._clipped_steps_match_textbook(params, arena, Adam(arena), 31)
+
+    @pytest.mark.parametrize("parts", [1, 2, 3])
+    def test_spans_match_textbook_bits(self, parts, monkeypatch):
+        """The update cut into 1, 2 or 3 spans, on an arena several minimum
+        spans long whose size is not a multiple of the chunk, steps
+        bit-identically to the per-array reference, clipped or not. The
+        spans cover the arena once, in order, each from a chunk boundary.
+        Threads switch every microsecond meanwhile, so a span that wrote
+        another's elements or shared a scratch would show; on two cores
+        three spans are more than the workers."""
+        from moe_asr import training
+        from moe_asr.nn import Arena, Parameter, zeros_init
+        from moe_asr.training import ADAM_CHUNK, ADAM_SPAN_CHUNKS
+
+        shapes = {"a": (7,), "big": (640, 700), "c": (13, 5), "d": (3,)}
+        params = {name: Parameter(shape, zeros_init()) for name, shape in shapes.items()}
+        arena = Arena(params)
+        size = arena.data.size
+        assert size > 3 * ADAM_SPAN_CHUNKS * ADAM_CHUNK and size % ADAM_CHUNK != 0
+        split = training._adam_spans
+        monkeypatch.setattr(training, "_adam_spans", lambda size, _: split(size, parts))
         opt = Adam(arena)
-        ref = TextbookAdam({n: p.data for n, p in params.items()})
-        spans, clipped = arena_spans(arena), 0
-        for t in range(1, 7):
-            arena.grad[...] = rng.normal(size=arena.grad.size) * 10.0 ** rng.integers(-3, 2)
-            norm, grads = textbook_clip({n: p.grad.copy() for n, p in params.items()}, GRAD_CLIP)
-            assert clip_gradients(arena, GRAD_CLIP) == norm
-            clipped += norm > GRAD_CLIP
-            opt.step(1e-3 * t)
-            ref.step(grads, 1e-3 * t)
-            assert_flat_matches_textbook(arena, opt, ref, spans)
-        assert 0 < clipped < 6
+        assert len(opt._spans) == parts
+        bounds = [start for start, _ in opt._spans] + [opt._spans[-1][1]]
+        assert opt._spans == list(zip(bounds[:-1], bounds[1:]))
+        assert bounds[0] == 0 and bounds[-1] == size and bounds == sorted(set(bounds))
+        assert all(start % ADAM_CHUNK == 0 for start in bounds[:-1])
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            self._clipped_steps_match_textbook(params, arena, opt, 40 + parts)
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_a_short_arena_is_one_span(self):
+        """Fewer than two minimum spans' worth of chunks stay one span,
+        whatever the core count; more go to at most one span per core."""
+        from moe_asr.training import ADAM_CHUNK, ADAM_SPAN_CHUNKS, _adam_spans
+
+        short = 2 * ADAM_SPAN_CHUNKS * ADAM_CHUNK - 1
+        assert _adam_spans(short, 8) == [(0, short)]
+        assert _adam_spans(10, 8) == [(0, 10)]
+        assert len(_adam_spans(short + 1, 8)) == 2
+        assert len(_adam_spans(40 * ADAM_CHUNK, 3)) == 3
+
+
+class TestAdamThreads:
+    def test_worker_threads_stay_within_the_usable_cores(self, tmp_path, monkeypatch):
+        """Twenty optimizers stepping on an arena that splits, then two joint
+        training runs of a 16-expert desk-width model, never leave more than
+        one thread per usable core: the workers are one pool for the
+        process, not one per optimizer."""
+        from moe_asr import training
+        from moe_asr.nn import Arena, Parameter, zeros_init
+        from moe_asr.training import ADAM_CHUNK, ADAM_SPAN_CHUNKS, _usable_cores
+
+        bound = 1 + (_usable_cores() - 1)
+        counts = []
+        step = Adam.step
+
+        def counted(opt, lr):
+            step(opt, lr)
+            counts.append(threading.active_count())
+
+        monkeypatch.setattr(Adam, "step", counted)
+        w = Parameter((2 * ADAM_SPAN_CHUNKS * ADAM_CHUNK + 5,), zeros_init())
+        arena = Arena({"w": w})
+        optimizers = [Adam(arena) for _ in range(20)]
+        for opt in optimizers:
+            arena.grad[...] = 1.0
+            opt.step(1e-3)
+        data = tmp_path / "data"
+        generate_corpus(data, 12, 4, 0, feat_dim=8)
+        cfg = ModelConfig.desk_scale(5, feat_dim=8, num_experts=16)
+        tc = TrainConfig(max_steps=2, eval_every=2, seed=1)
+        for run in ("a", "b"):
+            model = SpeechModel(cfg).initialize(tc.seed)
+            assert len(training._adam_spans(model.arena.data.size, 2)) == 2
+            run_joint_training(model, load_normalized_split(data, "train"),
+                               load_normalized_split(data, "dev"), tc, tmp_path / run)
+        assert len(counts) == 24
+        assert max(counts) <= bound, counts
+
+    def test_one_core_steps_inline(self, monkeypatch):
+        """On one usable core the arena is one span and no pool is made;
+        spans forced on it all run on the calling thread, with the same
+        bits."""
+        from moe_asr import training
+        from moe_asr.nn import Arena, Parameter, zeros_init
+
+        monkeypatch.setattr(training, "_usable_cores", lambda: 1)
+        monkeypatch.setattr(training, "_pool", None)
+        arenas = [Arena({"w": Parameter((20 * training.ADAM_CHUNK + 3,), zeros_init())})
+                  for _ in range(2)]
+        opt = Adam(arenas[0])
+        assert len(opt._spans) == 1
+        split = training._adam_spans
+        monkeypatch.setattr(training, "_adam_spans", lambda size, _: split(size, 3))
+        forced = Adam(arenas[1])
+        assert len(forced._spans) == 3
+        grad = np.random.default_rng(8).normal(size=arenas[0].grad.size)
+        for arena in arenas:
+            arena.grad[...] = grad
+        opt.step(1e-3)
+        forced.step(1e-3)
+        assert arenas[1].data.tobytes() == arenas[0].data.tobytes()
+        assert training._workers() is None and training._pool is None
 
 
 class TestClipping:
