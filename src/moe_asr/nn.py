@@ -24,6 +24,8 @@ from __future__ import annotations
 
 import math
 import mmap
+import os
+import threading
 import zlib
 
 import numpy as np
@@ -73,18 +75,64 @@ class Parameter(Tensor):
         return self._shape
 
 
+CHUNK = 32768  # elements per in-place pass over a buffer; small enough to stay in cache
+SPAN_CHUNKS = 4  # fewest chunks worth a span, and a thread, of their own
+
+
+def _usable_cores():
+    """The cores this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _spans(size, parts):
+    """At most `parts` contiguous ``(start, stop)`` spans that cover
+    ``range(size)`` once, in order, each starting on a ``CHUNK`` boundary
+    and each at least ``SPAN_CHUNKS`` whole chunks long (a shorter buffer is
+    one span). The whole chunks are shared out as evenly as they go, and the
+    last span takes the remainder."""
+    chunks = size // CHUNK
+    parts = max(1, min(parts, chunks // SPAN_CHUNKS))
+    bounds = [chunks * i // parts * CHUNK for i in range(parts)] + [size]
+    return list(zip(bounds[:-1], bounds[1:]))
+
+
+_pool = None
+_pool_lock = threading.Lock()
+
+
+def _workers():
+    """The one process-wide pool of (usable cores - 1) threads for arena
+    spans, made at first need; None on one core. (Imported here: a process
+    that never splits a pass, say one that only decodes, does not load
+    ``concurrent.futures`` and the ``logging`` it brings.)"""
+    global _pool
+    with _pool_lock:
+        if _pool is None and _usable_cores() > 1:
+            from concurrent.futures import ThreadPoolExecutor
+
+            _pool = ThreadPoolExecutor(_usable_cores() - 1, thread_name_prefix="arena")
+        return _pool
+
+
 class Arena:
     """One flat float64 ``data`` buffer and one flat ``grad`` buffer for an
     ordered set of parameters, and the one place their layout is decided.
 
     Each parameter's ``data`` and ``grad`` are views at its element offset
     (``offsets``), back to back in the order given (``named_parameters()``
-    order for a module tree). The optimizer, the clip and ``zero_grad`` each
-    work on one buffer, and ``data`` is a checkpoint's body. Both buffers
-    start as zeros on pages mapped for them alone (``_mapped_zeros``):
-    ``data`` is written whole at once (initialized or read from a file), and
-    ``grad`` takes memory only once written, so a model that only decodes
-    holds one buffer. A parameter can join only one arena. Modules of one
+    order for a module tree). ``data`` is a checkpoint's body. The buffers
+    are cut into one contiguous span per usable core (``spans``, from
+    ``_spans``), and the passes that write every element (``zero_grad``'s
+    fill, the clip's scale, Adam's update) run span by span on the process's
+    threads (``each_span``); each is elementwise, so its bits do not depend
+    on the span count. Both buffers start as zeros on pages mapped for them
+    alone (``_mapped_zeros``): ``data`` is written whole at once
+    (initialized or read from a file), and ``grad`` takes memory only once
+    written, so a model that only decodes holds one buffer and starts no
+    thread. A parameter can join only one arena. Modules of one
     shape declared back to back (a layer's experts; the main decoder, then
     the auxiliary ones) lie at a uniform stride, so each of their
     parameters stacks as views (``stacked_parameters``).
@@ -96,6 +144,7 @@ class Arena:
         self.offsets = dict(zip(self.params, np.cumsum([0, *sizes]).tolist()))
         self.data = _mapped_zeros(sum(sizes), populate=True)
         self.grad = _mapped_zeros(sum(sizes), populate=False)
+        self.spans = _spans(self.data.size, _usable_cores())
         for (name, p), size in zip(self.params.items(), sizes):
             if not isinstance(p, Parameter) or hasattr(p, "data"):
                 raise ValueError(f"{name} is not a parameter without storage")
@@ -113,6 +162,25 @@ class Arena:
         if entries and entries[-1][2] + math.prod(entries[-1][1]) != size:
             raise ValueError(f"parameters under {prefix!r} do not form one span")
         return entries, self.data[start : start + size]
+
+    def each_span(self, fn):
+        """Call ``fn(i, span)`` for each of ``spans``, span i as a slice of
+        the flat buffers: the calling thread takes the last span and the
+        process's worker threads (``_workers``) the others. Returns once
+        every call has, then raises the calling thread's error, else the
+        first worker's. An arena of one span, or a process on one core, runs
+        every call on the calling thread."""
+        jobs = [(i, slice(*span)) for i, span in enumerate(self.spans)]
+        pool = _workers() if len(jobs) > 1 else None
+        futures = [] if pool is None else [pool.submit(fn, *job) for job in jobs[:-1]]
+        try:
+            for job in jobs[len(futures):]:  # the last span, or all of them on one core
+                fn(*job)
+        finally:
+            for future in futures:
+                future.exception()  # waits: no span runs on once the pass is left
+        for future in futures:
+            future.result()
 
 
 def _mapped_zeros(n, populate):
@@ -230,8 +298,10 @@ class Module:
         return self
 
     def zero_grad(self):
-        """Zero every gradient: one fill of the arena's flat ``grad`` buffer."""
-        self.arena.grad.fill(0.0)
+        """Zero every gradient: the arena's flat ``grad`` buffer filled span
+        by span (``Arena.each_span``)."""
+        grad = self.arena.grad
+        self.arena.each_span(lambda _, span: grad[span].fill(0.0))
 
     def parameter_count(self):
         return sum(math.prod(p.shape) for p in self.named_parameters().values())

@@ -14,12 +14,14 @@ A batch is packed into one graph: its utterances' frames are stacked as
 rows, each layer runs once on all of them, and per-utterance row counts
 keep every utterance to itself. Loss terms are means over utterances.
 
-Adam updates the flat parameter arena in one contiguous span per usable
-core: the calling thread takes the last span and one process-wide pool of
-(cores - 1) threads the others. The update is elementwise, so the bits do
-not depend on the core count. The gradient norm, the clip and
-``zero_grad`` stay on the calling thread: the norm is hundreds of small
-per-parameter reductions, and a second thread made it slower.
+Each step walks the flat parameter arena four times: ``zero_grad``'s fill,
+the clip's norm and scale, and Adam's update. The fill, the scale and the
+update run over the arena's spans, one per usable core, on the calling
+thread and one process-wide pool of (cores - 1) threads
+(``nn.Arena.each_span``); each is elementwise, so the bits do not depend on
+the core count. The norm stays on the calling thread: it sums dot products
+over fixed blocks of the flat gradient, whose bits depend neither on the
+cores nor on the BLAS threads, and split across threads it was slower.
 """
 
 from __future__ import annotations
@@ -28,9 +30,7 @@ import contextlib
 import dataclasses
 import json
 import math
-import os
 import shutil
-import threading
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -49,6 +49,7 @@ from .moe import (
     sparsity_loss,
     utilization_entropy,
 )
+from .nn import CHUNK
 from .tensor import Tensor
 
 
@@ -64,50 +65,14 @@ def learning_rate(step, peak, warmup_steps):
     return peak * min(step / warmup_steps, math.sqrt(warmup_steps / step))
 
 
-ADAM_CHUNK = 32768  # elements per in-place pass; small enough to stay in cache
-ADAM_SPAN_CHUNKS = 4  # fewest chunks worth a span, and a thread, of their own
 # the paper recipe's fixed optimizer settings
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.98, 1e-9  # Adam's moment decays and epsilon
 GRAD_CLIP = 5.0  # global gradient-norm threshold
 PEAK_LR = 2e-3  # the learning rate at the end of warmup
-
-
-def _usable_cores():
-    """The cores this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        return os.cpu_count() or 1
-
-
-def _adam_spans(size, parts):
-    """At most `parts` contiguous ``(start, stop)`` spans that cover
-    ``range(size)`` once, in order, each starting on an ``ADAM_CHUNK``
-    boundary and each at least ``ADAM_SPAN_CHUNKS`` whole chunks long (a
-    shorter buffer is one span). The whole chunks are shared out as evenly
-    as they go, and the last span takes the remainder."""
-    chunks = size // ADAM_CHUNK
-    parts = max(1, min(parts, chunks // ADAM_SPAN_CHUNKS))
-    bounds = [chunks * i // parts * ADAM_CHUNK for i in range(parts)] + [size]
-    return list(zip(bounds[:-1], bounds[1:]))
-
-
-_pool = None
-_pool_lock = threading.Lock()
-
-
-def _workers():
-    """The one process-wide pool of (usable cores - 1) threads for Adam's
-    spans, made at first need; None on one core. (Imported here: a process
-    that never splits an update, say one that only decodes, does not load
-    ``concurrent.futures`` and the ``logging`` it brings.)"""
-    global _pool
-    with _pool_lock:
-        if _pool is None and _usable_cores() > 1:
-            from concurrent.futures import ThreadPoolExecutor
-
-            _pool = ThreadPoolExecutor(_usable_cores() - 1, thread_name_prefix="adam")
-        return _pool
+# Elements per dot product of the gradient norm. OpenBLAS's x86 ddot splits
+# a vector longer than 10,000 elements across its threads, and the split
+# changes the sum's bits; a shorter one runs on the calling thread alone.
+NORM_BLOCK = 8192
 
 
 class Adam:
@@ -115,14 +80,10 @@ class Adam:
     and ``ADAM_EPS``.
 
     The moments ``m`` and ``v`` are two flat buffers laid out like the
-    arena's, and each step updates the flat buffers in place, ``ADAM_CHUNK``
-    elements at a time. The buffers are cut into one contiguous span per
-    usable core (``_adam_spans``); the calling thread updates the last span
-    and the process's worker threads (``_workers``) the others, each with a
-    scratch of its own, and the step returns once every span is done,
-    raising any worker's error. The update is elementwise, so its bits do
-    not depend on how many spans there are; an arena shorter than two spans
-    (``ADAM_SPAN_CHUNKS``), or one core, is updated by the caller alone.
+    arena's, and each step updates the flat buffers in place, ``nn.CHUNK``
+    elements at a time, over the arena's spans (``Arena.each_span``): one
+    per usable core, each with a scratch of its own. The update is
+    elementwise, so its bits do not depend on how many spans there are.
 
     A parameter whose gradient has stayed exactly zero has exactly zero
     moment estimates, so its update is exactly zero: untouched parameters
@@ -134,25 +95,13 @@ class Adam:
         self.t = 0
         self.m = np.zeros(arena.data.size)
         self.v = np.zeros(arena.data.size)
-        self._spans = _adam_spans(arena.data.size, _usable_cores())
-        self._scratch = np.empty((len(self._spans), 2, min(ADAM_CHUNK, arena.data.size)))
+        self._scratch = np.empty((len(arena.spans), 2, min(CHUNK, arena.data.size)))
 
     def step(self, lr):
         self.t += 1
         c1 = 1.0 - ADAM_BETA1**self.t
         c2 = 1.0 - ADAM_BETA2**self.t
-        jobs = list(zip(self._spans, self._scratch))
-        pool = _workers() if len(jobs) > 1 else None
-        futures = [] if pool is None else [pool.submit(self._update, *job, lr, c1, c2)
-                                           for job in jobs[:-1]]
-        try:
-            for job in jobs[len(futures):]:  # the last span, or all of them on one core
-                self._update(*job, lr, c1, c2)
-        finally:
-            for future in futures:
-                future.exception()  # waits: no span runs on once the step is left
-        for future in futures:
-            future.result()
+        self.arena.each_span(lambda i, span: self._update(span, self._scratch[i], lr, c1, c2))
 
     def _update(self, span, scratch, lr, c1, c2):
         # Elementwise, in the operation order of the textbook expressions
@@ -160,8 +109,8 @@ class Adam:
         #   p -= lr*(m/c1) / (sqrt(v/c2) + eps),
         # so the bits do not depend on the chunking or the spans.
         data, grad = self.arena.data, self.arena.grad
-        for start in range(*span, ADAM_CHUNK):
-            chunk = slice(start, start + ADAM_CHUNK)
+        for start in range(span.start, span.stop, CHUNK):
+            chunk = slice(start, start + CHUNK)
             g, m, v = grad[chunk], self.m[chunk], self.v[chunk]
             num, den = scratch[:, : g.size]
             m *= ADAM_BETA1
@@ -181,24 +130,35 @@ class Adam:
 
 
 def global_grad_norm(arena):
-    """The L2 norm of the arena's gradient: each parameter's sum of squares,
-    added in parameter order, so the bits match a per-array computation.
-    (``np.add.reduce(x, axis=None)`` is the reduction ``np.sum(x)`` runs,
-    without its dispatch.)"""
-    total = 0.0
-    for p in arena.params.values():
-        total += float(np.add.reduce(p.grad * p.grad, axis=None))
-    return math.sqrt(total)
+    """The L2 norm of the arena's gradient: the square root of the exactly
+    rounded sum (``math.fsum``) of the squares' dot products over fixed
+    ``NORM_BLOCK``-element blocks of the flat ``grad`` buffer, on the
+    calling thread. The blocks do not depend on the parameters, the spans or
+    the core count, and each is short enough for one BLAS thread, so neither
+    do the bits. Finite block sums whose total passes the float range give
+    ``inf``, as a non-finite gradient does."""
+    grad = arena.grad
+    blocks = (grad[start : start + NORM_BLOCK] for start in range(0, grad.size, NORM_BLOCK))
+    try:
+        return math.sqrt(math.fsum(float(np.dot(b, b)) for b in blocks))
+    except OverflowError:  # fsum's intermediate overflow
+        return math.inf
 
 
 def clip_gradients(arena, max_norm):
     """Scale the arena's gradient buffer by a common factor if the global
     norm exceeds the threshold; returns the pre-clip norm. Direction is
-    always preserved. A non-finite norm scales nothing: the caller has to
-    stop."""
+    always preserved. The scale runs span by span (``Arena.each_span``);
+    it is elementwise, so its bits are a serial ``grad * factor``'s. A
+    non-finite norm scales nothing: the caller has to stop."""
     norm = global_grad_norm(arena)
     if max_norm < norm < math.inf:
-        arena.grad *= max_norm / norm
+        factor, grad = max_norm / norm, arena.grad
+
+        def scale(_, span):
+            grad[span] *= factor
+
+        arena.each_span(scale)
     return norm
 
 

@@ -3,6 +3,8 @@
 import gc
 import json
 import math
+import os
+import subprocess
 import sys
 import threading
 import tracemalloc
@@ -29,6 +31,7 @@ from moe_asr.training import (
     ADAM_BETA2,
     ADAM_EPS,
     GRAD_CLIP,
+    NORM_BLOCK,
     PEAK_LR,
     Adam,
     CheckpointRecord,
@@ -76,9 +79,18 @@ class TestSchedule:
             learning_rate(0, 2e-3, 1000)
 
 
+def block_norm(grads):
+    """Plain-numpy reference norm: the gradients laid end to end in
+    parameter order, each fixed ``NORM_BLOCK``-element block's squares
+    summed by one dot product, the block sums added exactly."""
+    flat = np.concatenate([g.reshape(-1) for g in grads])
+    blocks = np.split(flat, range(NORM_BLOCK, flat.size, NORM_BLOCK))
+    return math.sqrt(math.fsum(float(np.dot(b, b)) for b in blocks))
+
+
 def textbook_clip(grads, max_norm):
-    """Per-array reference clip: sums of squares added in parameter order."""
-    norm = math.sqrt(sum(float(np.sum(g * g)) for g in grads.values()))
+    """Per-array reference clip on the block norm (``block_norm``)."""
+    norm = block_norm(list(grads.values()))
     if max_norm < norm < math.inf:
         grads = {name: g * (max_norm / norm) for name, g in grads.items()}
     return norm, grads
@@ -232,13 +244,12 @@ class TestAdam:
         """A parameter larger than one chunk, in an arena whose size is not
         a multiple of the chunk, steps bit-identically to the per-array
         reference, clipped or not."""
-        from moe_asr.nn import Arena, Parameter, zeros_init
-        from moe_asr.training import ADAM_CHUNK
+        from moe_asr.nn import CHUNK, Arena, Parameter, zeros_init
 
         shapes = {"a": (7,), "big": (200, 200), "c": (13, 5), "d": (3,)}
         params = {name: Parameter(shape, zeros_init()) for name, shape in shapes.items()}
         arena = Arena(params)
-        assert params["big"].grad.size > ADAM_CHUNK and arena.data.size % ADAM_CHUNK != 0
+        assert params["big"].grad.size > CHUNK and arena.data.size % CHUNK != 0
         self._clipped_steps_match_textbook(params, arena, Adam(arena), 31)
 
     @pytest.mark.parametrize("parts", [1, 2, 3])
@@ -250,23 +261,22 @@ class TestAdam:
         Threads switch every microsecond meanwhile, so a span that wrote
         another's elements or shared a scratch would show; on two cores
         three spans are more than the workers."""
-        from moe_asr import training
-        from moe_asr.nn import Arena, Parameter, zeros_init
-        from moe_asr.training import ADAM_CHUNK, ADAM_SPAN_CHUNKS
+        from moe_asr import nn
+        from moe_asr.nn import CHUNK, SPAN_CHUNKS, Arena, Parameter, zeros_init
 
+        split = nn._spans
+        monkeypatch.setattr(nn, "_spans", lambda size, _: split(size, parts))
         shapes = {"a": (7,), "big": (640, 700), "c": (13, 5), "d": (3,)}
         params = {name: Parameter(shape, zeros_init()) for name, shape in shapes.items()}
         arena = Arena(params)
         size = arena.data.size
-        assert size > 3 * ADAM_SPAN_CHUNKS * ADAM_CHUNK and size % ADAM_CHUNK != 0
-        split = training._adam_spans
-        monkeypatch.setattr(training, "_adam_spans", lambda size, _: split(size, parts))
+        assert size > 3 * SPAN_CHUNKS * CHUNK and size % CHUNK != 0
         opt = Adam(arena)
-        assert len(opt._spans) == parts
-        bounds = [start for start, _ in opt._spans] + [opt._spans[-1][1]]
-        assert opt._spans == list(zip(bounds[:-1], bounds[1:]))
+        assert len(arena.spans) == parts
+        bounds = [start for start, _ in arena.spans] + [arena.spans[-1][1]]
+        assert arena.spans == list(zip(bounds[:-1], bounds[1:]))
         assert bounds[0] == 0 and bounds[-1] == size and bounds == sorted(set(bounds))
-        assert all(start % ADAM_CHUNK == 0 for start in bounds[:-1])
+        assert all(start % CHUNK == 0 for start in bounds[:-1])
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
@@ -277,39 +287,112 @@ class TestAdam:
     def test_a_short_arena_is_one_span(self):
         """Fewer than two minimum spans' worth of chunks stay one span,
         whatever the core count; more go to at most one span per core."""
-        from moe_asr.training import ADAM_CHUNK, ADAM_SPAN_CHUNKS, _adam_spans
+        from moe_asr.nn import CHUNK, SPAN_CHUNKS, _spans
 
-        short = 2 * ADAM_SPAN_CHUNKS * ADAM_CHUNK - 1
-        assert _adam_spans(short, 8) == [(0, short)]
-        assert _adam_spans(10, 8) == [(0, 10)]
-        assert len(_adam_spans(short + 1, 8)) == 2
-        assert len(_adam_spans(40 * ADAM_CHUNK, 3)) == 3
+        short = 2 * SPAN_CHUNKS * CHUNK - 1
+        assert _spans(short, 8) == [(0, short)]
+        assert _spans(10, 8) == [(0, 10)]
+        assert len(_spans(short + 1, 8)) == 2
+        assert len(_spans(40 * CHUNK, 3)) == 3
+
+
+def span_module(size):
+    """A module whose arena is one parameter of `size` elements."""
+    from moe_asr.nn import Module, Parameter, zeros_init
+
+    class Holder(Module):
+        def __init__(self):
+            super().__init__()
+            self.w = Parameter((size,), zeros_init())
+
+    return Holder().allocate()
+
+
+class TestArenaSpans:
+    @pytest.mark.parametrize("parts", [1, 2, 3])
+    def test_fill_and_scale_keep_serial_bytes(self, parts, monkeypatch):
+        """With 1, 2 or 3 spans forced, the clip's scale leaves the bytes of
+        a serial ``grad * factor`` (signed zeros included), and
+        ``zero_grad`` leaves every byte of +0.0. Threads switch every
+        microsecond meanwhile, so a span that missed or overlapped its
+        neighbours would show."""
+        from moe_asr import nn
+
+        split = nn._spans
+        monkeypatch.setattr(nn, "_spans", lambda size, _: split(size, parts))
+        module = span_module(3 * nn.SPAN_CHUNKS * nn.CHUNK + 12345)
+        arena = module.arena
+        assert len(arena.spans) == parts
+        # every fifth entry a signed zero, -0.0 and +0.0 in turn: a pass that
+        # kept a -0.0 where it should write +0.0, or the reverse, shows
+        sentinel = np.random.default_rng(parts).normal(size=arena.grad.size)
+        sentinel[::10], sentinel[5::10] = -0.0, 0.0
+        arena.grad[...] = sentinel
+        norm = global_grad_norm(arena)
+        assert norm > 1.0
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            assert clip_gradients(arena, 1.0) == norm
+            assert arena.grad.tobytes() == (sentinel * (1.0 / norm)).tobytes()
+            module.zero_grad()
+        finally:
+            sys.setswitchinterval(interval)
+        assert arena.grad.tobytes() == bytes(8 * arena.grad.size)
+
+    def test_a_worker_error_is_raised_after_every_span(self, monkeypatch):
+        """An error in a span run by a worker reaches the caller, and only
+        once the caller's own span is done."""
+        from moe_asr import nn
+
+        if nn._usable_cores() < 2:
+            pytest.skip("one usable core: every span runs on the calling thread")
+        split = nn._spans
+        monkeypatch.setattr(nn, "_spans", lambda size, _: split(size, 3))
+        arena = span_module(3 * nn.SPAN_CHUNKS * nn.CHUNK).arena
+        done = []
+
+        def fn(i, span):
+            if i == 0:
+                raise ArithmeticError("span 0")
+            done.append(i)
+
+        with pytest.raises(ArithmeticError, match="span 0"):
+            arena.each_span(fn)
+        assert sorted(done) == [1, 2]
 
 
 class TestAdamThreads:
     def test_worker_threads_stay_within_the_usable_cores(self, tmp_path, monkeypatch):
         """Twenty optimizers stepping on an arena that splits, then two joint
         training runs of a 16-expert desk-width model, never leave more than
-        one thread per usable core: the workers are one pool for the
-        process, not one per optimizer."""
-        from moe_asr import training
-        from moe_asr.nn import Arena, Parameter, zeros_init
-        from moe_asr.training import ADAM_CHUNK, ADAM_SPAN_CHUNKS, _usable_cores
+        one thread per usable core through ``zero_grad``, the clip or the
+        step: the workers are one pool for the process, not one per
+        optimizer or per pass."""
+        from moe_asr import nn, training
+        from moe_asr.nn import CHUNK, SPAN_CHUNKS, Module, _usable_cores
 
         bound = 1 + (_usable_cores() - 1)
-        counts = []
-        step = Adam.step
+        counts = {"zero_grad": [], "clip": [], "step": []}
 
-        def counted(opt, lr):
-            step(opt, lr)
-            counts.append(threading.active_count())
+        def counted(kind, fn):
+            def wrapper(*args):
+                out = fn(*args)
+                counts[kind].append(threading.active_count())
+                return out
+            return wrapper
 
-        monkeypatch.setattr(Adam, "step", counted)
-        w = Parameter((2 * ADAM_SPAN_CHUNKS * ADAM_CHUNK + 5,), zeros_init())
-        arena = Arena({"w": w})
+        monkeypatch.setattr(Module, "zero_grad", counted("zero_grad", Module.zero_grad))
+        monkeypatch.setattr(training, "clip_gradients",
+                            counted("clip", training.clip_gradients))
+        monkeypatch.setattr(Adam, "step", counted("step", Adam.step))
+        module = span_module(2 * SPAN_CHUNKS * CHUNK + 5)
+        arena = module.arena
         optimizers = [Adam(arena) for _ in range(20)]
         for opt in optimizers:
+            module.zero_grad()
             arena.grad[...] = 1.0
+            assert training.clip_gradients(arena, 1.0) > 1.0
             opt.step(1e-3)
         data = tmp_path / "data"
         generate_corpus(data, 12, 4, 0, feat_dim=8)
@@ -317,36 +400,60 @@ class TestAdamThreads:
         tc = TrainConfig(max_steps=2, eval_every=2, seed=1)
         for run in ("a", "b"):
             model = SpeechModel(cfg).initialize(tc.seed)
-            assert len(training._adam_spans(model.arena.data.size, 2)) == 2
+            assert len(nn._spans(model.arena.data.size, 2)) == 2
             run_joint_training(model, load_normalized_split(data, "train"),
                                load_normalized_split(data, "dev"), tc, tmp_path / run)
-        assert len(counts) == 24
-        assert max(counts) <= bound, counts
+        assert {kind: len(c) for kind, c in counts.items()} == dict.fromkeys(counts, 24)
+        assert max(max(c) for c in counts.values()) <= bound, counts
 
     def test_one_core_steps_inline(self, monkeypatch):
         """On one usable core the arena is one span and no pool is made;
-        spans forced on it all run on the calling thread, with the same
-        bits."""
-        from moe_asr import training
-        from moe_asr.nn import Arena, Parameter, zeros_init
+        spans forced on it all run on the calling thread, through
+        ``zero_grad``, the clip and the step, with the same bits."""
+        from moe_asr import nn
 
-        monkeypatch.setattr(training, "_usable_cores", lambda: 1)
-        monkeypatch.setattr(training, "_pool", None)
-        arenas = [Arena({"w": Parameter((20 * training.ADAM_CHUNK + 3,), zeros_init())})
-                  for _ in range(2)]
-        opt = Adam(arenas[0])
-        assert len(opt._spans) == 1
-        split = training._adam_spans
-        monkeypatch.setattr(training, "_adam_spans", lambda size, _: split(size, 3))
-        forced = Adam(arenas[1])
-        assert len(forced._spans) == 3
-        grad = np.random.default_rng(8).normal(size=arenas[0].grad.size)
-        for arena in arenas:
-            arena.grad[...] = grad
-        opt.step(1e-3)
-        forced.step(1e-3)
+        monkeypatch.setattr(nn, "_usable_cores", lambda: 1)
+        monkeypatch.setattr(nn, "_pool", None)
+        size = 20 * nn.CHUNK + 3
+        modules = [span_module(size)]
+        assert len(modules[0].arena.spans) == 1
+        split = nn._spans
+        monkeypatch.setattr(nn, "_spans", lambda size, _: split(size, 3))
+        modules.append(span_module(size))
+        assert len(modules[1].arena.spans) == 3
+        optimizers = [Adam(m.arena) for m in modules]
+        grad = np.random.default_rng(8).normal(size=size)
+        for module, opt in zip(modules, optimizers):
+            module.zero_grad()
+            module.arena.grad[...] = grad
+            clip_gradients(module.arena, 1.0)
+            opt.step(1e-3)
+        arenas = [m.arena for m in modules]
         assert arenas[1].data.tobytes() == arenas[0].data.tobytes()
-        assert training._workers() is None and training._pool is None
+        assert nn._workers() is None and nn._pool is None
+
+    def test_a_decode_process_makes_no_pool(self):
+        """A fresh process that builds a 16-expert desk-width model, whose
+        arena splits, and decodes one utterance imports no
+        ``concurrent.futures`` and starts no thread."""
+        code = (
+            "import sys, threading, numpy as np\n"
+            "from moe_asr.config import ModelConfig\n"
+            "from moe_asr.inference import decode_nbest\n"
+            "from moe_asr.model import SpeechModel\n"
+            "from moe_asr.nn import _spans\n"
+            "from moe_asr.tensor import Tensor\n"
+            "model = SpeechModel(ModelConfig.desk_scale(5, feat_dim=8, num_experts=16))\n"
+            "model.initialize(0)\n"
+            "assert len(_spans(model.arena.data.size, 2)) == 2\n"
+            "feats = Tensor(np.random.default_rng(0).normal(size=(60, 8)))\n"
+            "assert decode_nbest(model, feats, 4, 4, 0.5)\n"
+            "print('concurrent.futures' in sys.modules, threading.active_count())\n"
+        )
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, check=True, timeout=120)
+        assert out.stdout.split() == ["False", "1"]
 
 
 class TestClipping:
@@ -376,17 +483,78 @@ class TestClipping:
 
     @pytest.mark.parametrize("seed", range(20))
     def test_norm_exact_on_heavy_tailed_gradients(self, seed):
-        """The global norm has the bits of per-array sums of squares added
-        in parameter order, on Cauchy-distributed gradients where a
-        different summation order shows."""
+        """The global norm has the bits of the block reference over the
+        per-parameter arrays in parameter order (``block_norm``), on
+        Cauchy-distributed gradients where a different summation order
+        shows."""
         from moe_asr.nn import Arena, Parameter, zeros_init
 
         shapes = [(37,), (64, 96), (5,), (120, 33), (1,), (9, 9)]
         params = {f"p{i}": Parameter(shape, zeros_init()) for i, shape in enumerate(shapes)}
         arena = Arena(params)
+        assert arena.grad.size > NORM_BLOCK
         arena.grad[...] = np.random.default_rng(seed).standard_cauchy(arena.grad.size)
-        want = math.sqrt(sum(float(np.sum(p.grad * p.grad)) for p in params.values()))
-        assert global_grad_norm(arena) == want
+        assert global_grad_norm(arena) == block_norm([p.grad for p in params.values()])
+
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("draw", ["normal", "standard_cauchy"])
+    def test_norm_within_1e_15_of_the_exact_sum(self, draw, seed):
+        """On a gradient of the 16-expert desk arena's size, the norm lies
+        within 1e-15, relative, of the root of the exactly rounded sum of
+        all the squares."""
+        from moe_asr.nn import Arena, Parameter, zeros_init
+
+        arena = Arena({"w": Parameter((1_699_961,), zeros_init())})
+        arena.grad[...] = getattr(np.random.default_rng(seed), draw)(size=arena.grad.size)
+        exact = math.sqrt(math.fsum(np.square(arena.grad)))
+        assert abs(global_grad_norm(arena) - exact) <= 1e-15 * exact
+
+    def test_block_sums_that_overflow_only_when_added_give_inf(self):
+        """Two blocks whose sums of squares are finite but pass the float
+        range together: the norm is inf, as for an infinite gradient, and
+        the clip scales nothing."""
+        from moe_asr.nn import Arena, Parameter, zeros_init
+
+        arena = Arena({"w": Parameter((3 * NORM_BLOCK,), zeros_init())})
+        arena.grad[[0, 1, NORM_BLOCK]] = 0.9e154, 0.2e154, 1.2e154
+        before = arena.grad.tobytes()
+        sums = [float(np.dot(b, b)) for b in np.split(arena.grad, 3)]
+        assert all(math.isfinite(x) for x in sums)
+        with pytest.raises(OverflowError):
+            math.fsum(sums)
+        assert global_grad_norm(arena) == math.inf
+        assert clip_gradients(arena, GRAD_CLIP) == math.inf
+        assert arena.grad.tobytes() == before
+
+    def test_norm_bits_do_not_depend_on_blas_threads(self):
+        """The norms of six desk-sized gradients, computed in two processes
+        with one and with two BLAS threads, have the same bits. (A dot
+        product over more than 10,000 elements splits across OpenBLAS's
+        threads, and the split changes its bits.)"""
+        from moe_asr.nn import _usable_cores
+
+        if _usable_cores() < 2:
+            pytest.skip("one usable core")
+        code = (
+            "import numpy as np\n"
+            "from moe_asr.nn import Arena, Parameter, zeros_init\n"
+            "from moe_asr.training import global_grad_norm\n"
+            "arena = Arena({'w': Parameter((1_699_961,), zeros_init())})\n"
+            "for seed in range(6):\n"
+            "    rng = np.random.default_rng(seed)\n"
+            "    draw = rng.standard_cauchy if seed % 2 else rng.normal\n"
+            "    arena.grad[...] = draw(size=arena.grad.size)\n"
+            "    print(global_grad_norm(arena).hex())\n"
+        )
+        outputs = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path),
+                       OPENBLAS_NUM_THREADS=threads)
+            outputs.append(subprocess.run([sys.executable, "-c", code], env=env,
+                                          capture_output=True, text=True, check=True,
+                                          timeout=120).stdout)
+        assert len(outputs[0].split()) == 6
+        assert outputs[0] == outputs[1]
 
 
 class TestFlatOptimizerOnModel:
@@ -955,6 +1123,32 @@ class TestLoops:
             )
         for name, p in params.items():
             assert p.data.tobytes() == before[name].tobytes(), name
+        assert (tmp_path / "run" / "metrics.jsonl").read_text() == ""
+
+    def test_overflowing_block_sums_abort_like_an_infinite_gradient(self, tmp_path,
+                                                                    monkeypatch):
+        """Finite block sums of squares whose total passes the float range
+        stop the run with the message and step an infinite gradient gives,
+        before the update and before the step's metrics line."""
+        data = self._corpus(tmp_path)
+        tc = TrainConfig(max_steps=5, eval_every=10, seed=0)
+        model = SpeechModel(self._model_cfg()).initialize(tc.seed)
+        grad = model.arena.grad
+        assert grad.size > NORM_BLOCK
+        before = model.arena.data.tobytes()
+        backward = Tensor.backward
+
+        def poisoned(loss):
+            backward(loss)
+            grad[[0, NORM_BLOCK]] = 1.2e154
+
+        monkeypatch.setattr(Tensor, "backward", poisoned)
+        with pytest.raises(RuntimeError, match="non-finite gradient norm inf at step 1"):
+            run_joint_training(
+                model, load_normalized_split(data, "train"),
+                load_normalized_split(data, "dev"), tc, tmp_path / "run",
+            )
+        assert model.arena.data.tobytes() == before
         assert (tmp_path / "run" / "metrics.jsonl").read_text() == ""
 
     def test_divergence_leaves_both_logs_closed_and_complete(self, tmp_path, monkeypatch):
