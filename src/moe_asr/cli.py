@@ -259,7 +259,7 @@ def cmd_flops(args):
     out, finish = _start_run(args, {"model": model_cfg})
     _write_json(out / "report.json", dict(report.to_dict(), model=name))
     finish(report="report.json")
-    print(format_cost_table([(name, report)]))
+    print(format_cost_table(name, report))
     return 0
 
 

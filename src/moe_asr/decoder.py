@@ -7,14 +7,21 @@ vocabulary id; teacher forcing feeds [sos] + tokens and scores
 tokens + [eos].
 
 A block is three graph nodes, each a pre-norm sub-layer with its
-residual: causal self-attention, cross-attention (the query side
+residual: self-attention under a key mask, cross-attention (the query side
 normalized, keys and values projected from the encoder rows) and the
 feed-forward.
 
-Teacher forcing also runs a packed batch in one pass: each utterance's
-[sos] + tokens rows are stacked and attention reads their row counts:
-self-attention is causal within each utterance, cross-attention sees only
-that utterance's encoder rows, and no mask is built.
+Every pass runs the rows of a prefix forest (``_prefix_forest``): one
+trie per group of token sequences, each rooted at its own sos row, the
+groups' rows back to back. A row's self-attention sees only itself and
+its ancestors, so row t of a sequence depends only on [sos] + tokens[:t].
+Teacher forcing gives each utterance of a packed batch a group of its one
+sequence, whose trie is the path [sos] + tokens and whose mask hides
+every later row; attention reads the groups' row counts, so a row sees
+only its own utterance's rows and, in cross-attention, its encoder rows.
+Rescoring gives an N-best list one group: the hypotheses share every row
+of a common prefix, the trie has one row per distinct prefix, and every
+row attends to the one encoder output.
 
 The L decoders of the multi-level loss run as one level-stacked pass.
 They read the same token rows, against encoder outputs with the same row
@@ -28,12 +35,6 @@ module tree, the decoders lie at one stride of its arena, and a stand-in
 decoder holding [L, ...] views of their parameters runs the code of one
 decoder, as rescoring runs it without the level axis. The total adds the
 auxiliary levels' losses shallow to deep, then the main level's.
-
-Rescoring runs one pass over the prefix trie of an N-best list. Causality
-means row t of a hypothesis depends only on [sos] + tokens[:t], so the
-hypotheses share every row of a common prefix: the trie has one row per
-distinct prefix, a mask lets a row's self-attention see only itself and
-its ancestors, and every row attends to the one encoder output.
 """
 
 from __future__ import annotations
@@ -62,9 +63,10 @@ LABEL_SMOOTHING = 0.1  # the paper recipe's weight of the uniform target in ever
 
 
 class DecoderBlock(Module):
-    """Pre-norm: causal self-attention, cross-attention, feed-forward.
-    `rows` and `enc_rows`: token and encoder rows per utterance of a packed
-    batch (None: one); a `mask` replaces the causal one and must imply it."""
+    """Pre-norm: self-attention, cross-attention, feed-forward. `mask`
+    ([rows, rows] bool) is true where a row may not look, ``_prefix_forest``'s
+    mask; `rows` and `enc_rows`: token and encoder rows per utterance of a
+    packed batch (None: one)."""
 
     def __init__(self, d, d_ff, heads, dropout=0.0):
         super().__init__()
@@ -76,10 +78,10 @@ class DecoderBlock(Module):
         self.dropout2 = Dropout(dropout)
         self.ffn = FeedForward(d, d_ff, dropout)
 
-    def forward(self, x, enc, rows=None, enc_rows=None, mask=None):
+    def forward(self, x, enc, mask, rows=None, enc_rows=None):
         shape, heads = x.data.shape[-2:], self.self_attn.heads
         x = T.mha(x, None, heads, *self.self_attn.operands(self.norm1, self.dropout1, shape),
-                  lengths=rows, causal=mask is None, mask=mask)
+                  lengths=rows, mask=mask)
         x = T.mha(x, enc, heads, *self.cross_attn.operands(self.norm2, self.dropout2, shape),
                   lengths=rows, key_lengths=enc_rows)
         return T.ffn(x, 1.0, *self.ffn.operands(shape[0]))
@@ -160,27 +162,62 @@ def _level_stack(decoders):
 def _teacher_forced(decoder, memory, seqs, lengths):
     """Log-distributions of [sos] + seq for each token sequence of `seqs`,
     one per utterance of `lengths` encoder rows (None: one utterance),
-    stacked by utterance; `decoder` and `memory` as ``_forward_rows``
+    stacked by utterance: ``_forward_rows`` over a prefix forest of one
+    single-sequence group per utterance, `decoder` and `memory` as it
     takes them."""
     enc = memory if isinstance(memory, Tensor) else memory[0]
     lengths = T.segment_lengths(lengths, enc.data.shape[0], "decode-teacher-forced")
-    seqs = [[int(t) for t in seq] for seq in seqs]
     if len(seqs) != len(lengths):
         raise ValueError(f"{len(seqs)} token sequences for {len(lengths)} utterances")
-    rows = [len(seq) + 1 for seq in seqs]
-    ids = np.concatenate([[decoder.sos_eos] + seq for seq in seqs]).astype(np.int64)
-    positions = np.concatenate([np.arange(n) for n in rows])
-    return _forward_rows(decoder, memory, ids, positions, rows, lengths)
+    ids, positions, rows, mask, _ = _prefix_forest([[seq] for seq in seqs], decoder.sos_eos)
+    return _forward_rows(decoder, memory, ids, positions, mask, rows, lengths)
 
 
-def _forward_rows(decoder, memory, ids, positions, rows=None, enc_rows=None, mask=None):
+def _prefix_forest(groups, sos):
+    """Rows of one prefix trie per group of token sequences, each rooted at
+    its own `sos` row, the groups' rows back to back.
+
+    Returns (ids, positions, rows, mask, paths): row r holds token ids[r]
+    at position positions[r] (its depth); group g owns the next rows[g]
+    rows; mask[i, j] is true unless row j is row i or one of its ancestors;
+    and paths lists, for each sequence in group order, its rows from the
+    root to its last token, so row path[t] predicts (seq + [eos])[t].
+    """
+    ids, positions, parents, rows, paths = [], [], [], [], []
+    for group in groups:
+        root, children = len(ids), {}
+        ids.append(sos)
+        positions.append(0)
+        parents.append(-1)
+        for seq in group:
+            row, path = root, [root]
+            for token in map(int, seq):
+                child = children.get((row, token))
+                if child is None:
+                    child = children[row, token] = len(ids)
+                    ids.append(token)
+                    positions.append(positions[row] + 1)
+                    parents.append(row)
+                row = child
+                path.append(row)
+            paths.append(path)
+        rows.append(len(ids) - root)
+    # a row sees itself and its ancestors; parents precede their children
+    sees = np.eye(len(ids), dtype=bool)
+    for row, parent in enumerate(parents):
+        if parent >= 0:
+            sees[row] |= sees[parent]
+    return np.array(ids, dtype=np.int64), np.array(positions), rows, ~sees, paths
+
+
+def _forward_rows(decoder, memory, ids, positions, mask, rows=None, enc_rows=None):
     """Log-distributions of token rows `ids` at `positions`: the one block
     loop behind teacher forcing, the multi-level loss and rescoring.
 
     `decoder` is one decoder reading the encoder rows `memory` ([n, V]
     out), or the stand-in of L decoders (``_level_stack``), level l reading
     memory[l] of L encoder outputs with one row count ([L, n, V] out).
-    `rows`, `enc_rows` and `mask` go to each block."""
+    `mask`, `rows` and `enc_rows` go to each block."""
     vocab = decoder.vocab_size
     if ids.min() < 0 or ids.max() >= vocab:
         bad = sorted({int(t) for t in ids if not 0 <= t < vocab})
@@ -189,7 +226,7 @@ def _forward_rows(decoder, memory, ids, positions, rows=None, enc_rows=None, mas
     table = sinusoidal_positions(int(positions.max()) + 1, x.data.shape[-1])
     x = decoder.dropout.forward(T.add(x, Tensor(table[positions])))
     for block in decoder.blocks:
-        x = block.forward(x, memory, rows, enc_rows, mask)
+        x = block.forward(x, memory, mask, rows, enc_rows)
     return T.log_softmax_last(decoder.out.forward(decoder.norm_out.forward(x)))
 
 
@@ -254,56 +291,21 @@ def multi_level_aed(main_decoder, aux_decoders, enc_output, tokens):
     return total, [Tensor(v) for v in values]
 
 
-def _prefix_trie(token_seqs, sos):
-    """Rows of the prefix trie of `token_seqs`, rooted at `sos`.
-
-    Returns (ids, depths, parents, paths): row r holds token ids[r] at
-    position depths[r] below its parent row parents[r] (-1 for the root),
-    and paths[i] lists the rows of hypothesis i from the root to its last
-    token, so row paths[i][t] predicts (tokens + [eos])[t].
-    """
-    ids, depths, parents, children = [sos], [0], [-1], [{}]
-    paths = []
-    for seq in token_seqs:
-        row, path = 0, [0]
-        for token in seq:
-            child = children[row].get(token)
-            if child is None:
-                child = len(ids)
-                children[row][token] = child
-                ids.append(token)
-                depths.append(depths[row] + 1)
-                parents.append(row)
-                children.append({})
-            row = child
-            path.append(row)
-        paths.append(path)
-    return ids, depths, parents, paths
-
-
 def rescore(decoder, enc, token_seqs):
     """Teacher-forced log-probability of each hypothesis plus its end
     symbol, one float per sequence of `token_seqs`.
 
-    All hypotheses are scored by one decoder pass over their prefix trie:
-    a shared prefix is computed once, each row's self-attention sees its
-    ancestors and itself (the causal mask of its own path), and every row
-    attends to all of `enc`, so cross-attention projects it once per block.
-    An empty hypothesis scores log P(eos | sos, encoder output). Pure
-    scoring: runs without graph recording.
+    All hypotheses are scored by one decoder pass over the prefix forest of
+    one group, their trie: a shared prefix is computed once, each row's
+    self-attention sees its ancestors and itself (its own path's teacher-
+    forcing mask), and every row attends to all of `enc`, so cross-attention
+    projects it once per block. An empty hypothesis scores log P(eos | sos,
+    encoder output). Pure scoring: runs without graph recording.
     """
-    seqs = [[int(t) for t in seq] for seq in token_seqs]
-    if not seqs:
+    ids, positions, _, mask, paths = _prefix_forest([token_seqs], decoder.sos_eos)
+    if not paths:
         return []
-    ids, depths, parents, paths = _prefix_trie(seqs, decoder.sos_eos)
-    # a row sees itself and its ancestors; parents precede their children
-    sees = np.eye(len(ids), dtype=bool)
-    for row in range(1, len(ids)):
-        sees[row] |= sees[parents[row]]
     with T.no_grad():
-        lp = _forward_rows(
-            decoder, enc, np.array(ids, dtype=np.int64), np.array(depths), mask=~sees
-        ).data
-    return [
-        float(lp[path, seq + [decoder.sos_eos]].sum()) for path, seq in zip(paths, seqs)
-    ]
+        lp = _forward_rows(decoder, enc, ids, positions, mask).data
+    eos = decoder.sos_eos
+    return [float(lp[path, [*ids[path[1:]], eos]].sum()) for path in paths]

@@ -245,12 +245,10 @@ def _human(value):
     return f"{value:.0f}"
 
 
-def format_cost_table(rows):
-    """Aligned text table over (model name, CostReport) rows."""
-    header = ("model", "params", "flops/s")
-    cells = [header]
-    for name, report in rows:
-        cells.append((name, _human(report.params), _human(report.total_flops)))
+def format_cost_table(name, report):
+    """Aligned text table of one model's name and CostReport."""
+    cells = [("model", "params", "flops/s"),
+             (name, _human(report.params), _human(report.total_flops))]
     widths = [max(len(row[i]) for row in cells) for i in range(3)]
     lines = ["  ".join(cell.ljust(widths[i]) for i, cell in enumerate(row)) for row in cells]
     lines.insert(1, "  ".join("-" * w for w in widths))

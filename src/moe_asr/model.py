@@ -1,10 +1,10 @@
 """The full recognizer: encoder, optional routing machinery, CTC head,
 main decoder, and one train-only auxiliary decoder per encoder tap.
 
-``parameter_manifest`` and ``parameter_total`` are derived from the module
-tree itself: they build an uninitialized ``SpeechModel``, whose parameters
-have shapes but no storage (no arena is allocated), so even paper-scale
-configs cost almost nothing. The cost accountant relies on them.
+``parameter_total`` is derived from the module tree itself: it builds an
+uninitialized ``SpeechModel``, whose parameters have shapes but no storage
+(no arena is allocated), so even paper-scale configs cost almost nothing.
+The cost accountant relies on it.
 """
 
 from __future__ import annotations
@@ -41,11 +41,6 @@ class SpeechModel(Module):
 
     def ctc_log_probs(self, enc_final):
         return T.log_softmax_last(self.ctc_head.forward(enc_final))
-
-
-def parameter_manifest(cfg):
-    """(name, shape) for every parameter of SpeechModel(cfg), in tree order."""
-    return [(name, p.shape) for name, p in SpeechModel(cfg).named_parameters().items()]
 
 
 def parameter_total(cfg):

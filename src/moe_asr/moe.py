@@ -31,20 +31,11 @@ class RoutingRecord:
     """Routing outcome of one routed layer for all frames of a batch.
 
     ``p`` stays in the computation graph (the batch losses read it);
-    ``selected`` and ``gates`` are plain arrays for instrumentation.
+    ``selected``, each frame's expert, is a plain array.
     """
 
     p: object
     selected: np.ndarray
-
-    @property
-    def gates(self):
-        """Winning probability per frame, read off ``p`` at ``selected``."""
-        return self.p.data[np.arange(self.frames), self.selected]
-
-    @property
-    def frames(self):
-        return self.selected.shape[0]
 
     def utilization(self, n_experts):
         """Frame count per expert, length n_experts."""

@@ -55,10 +55,10 @@ class Parameter(Tensor):
     """A trainable tensor carrying its own initialization distribution.
 
     A new parameter has a shape and no storage, so a module tree built only
-    to read its names and shapes (``parameter_manifest``) costs no memory
-    however many parameters it declares. Its ``data`` and ``grad`` come
-    from an ``Arena``: views into the arena's two flat buffers, bound once
-    and only ever written in place.
+    to read its shapes (``model.parameter_total`` counts them) costs no
+    memory however many parameters it declares. Its ``data`` and ``grad``
+    come from an ``Arena``: views into the arena's two flat buffers, bound
+    once and only ever written in place.
     """
 
     __slots__ = ("init_fn", "_shape")
@@ -430,7 +430,7 @@ class MultiHeadAttention(Module):
         """Self-attention, ``x + dropout(attention)`` with queries, keys and
         values from ``norm(x)``. `norm` and `dropout` are the caller's
         ``LayerNorm`` and ``Dropout``; `segments` are ``T.mha``'s lengths,
-        key_lengths, causal and mask. (Cross-attention calls ``T.mha`` with
+        key_lengths and mask. (Cross-attention calls ``T.mha`` with
         the memory and ``operands``.)"""
         return T.mha(x, None, self.heads, *self.operands(norm, dropout, x.data.shape),
                      **segments)

@@ -46,7 +46,8 @@ A training batch is packed into one graph: its utterances' frames are
 stacked as consecutive rows, and the ops whose rows interact
 (``unfold_time``, ``conv_module``'s convolution, ``mha``'s attention) take
 the per-utterance row counts, so no window, tap or attention weight
-crosses from one utterance into the next, and no mask is built for a pack.
+crosses from one utterance into the next; attention computes each
+utterance's own block alone.
 Rows may also carry a leading level axis, [L, n, d]: L models of one
 shape (the multi-level decoders) on the same rows, each with its own
 weights. A level stack is one tensor: ``linear``, ``layernorm``, ``ffn``
@@ -791,7 +792,7 @@ def routed_ffn(x, c, p, selected, gamma, beta, w1, b1, w2, b2, mask1=None, mask2
     return _node(_residual(x.data, y * gate, c), (x, x, p, *params), bwd, "routed-ffn")
 
 
-def _attention_rows(q, k, v, heads, lengths=None, key_lengths=None, causal=False, mask=None):
+def _attention_rows(q, k, v, heads, lengths=None, key_lengths=None, mask=None):
     """Scaled dot-product attention of arrays q [Tq, d] over k [Tk, d] and
     v [Tk, dv], all heads at once; head h owns the h-th of `heads` equal
     column blocks. With a level axis (q [L, Tq, d], k [L, Tk, d], v [L, Tk,
@@ -800,10 +801,10 @@ def _attention_rows(q, k, v, heads, lengths=None, key_lengths=None, causal=False
 
     With `lengths` the rows are packed segments: query segment i (lengths[i]
     rows) sees only key segment i (key_lengths[i] rows, default lengths[i]),
-    and only those blocks are computed, each as the call on it alone.
-    `causal` hides from a segment's row t its keys after row t; a bool
-    `mask` [Tq, Tk] is true where a query may not look. Hidden weights and
-    their gradients are exactly zero while each row keeps one visible key.
+    and only those blocks are computed, each as the call on it alone. A
+    bool `mask` [Tq, Tk] is true where a query may not look; a segment
+    reads only its own block of it. Hidden weights and their gradients are
+    exactly zero while each row keeps one visible key.
     """
     shapes = [q.shape, k.shape, v.shape] + ([] if mask is None else [np.shape(mask)])
     lead = shapes[0][:-2]
@@ -816,8 +817,6 @@ def _attention_rows(q, k, v, heads, lengths=None, key_lengths=None, causal=False
     k_lengths = segment_lengths(lengths if key_lengths is None else key_lengths, tk, "attention")
     if len(q_lengths) != len(k_lengths):
         raise ShapeMismatch("attention", tuple(q_lengths), tuple(k_lengths))
-    # Key j > query i: each block's causal mask is this one's top-left corner.
-    later = np.triu(np.ones((max(q_lengths), max(k_lengths)), dtype=bool), k=1) if causal else None
     c = 1.0 / np.sqrt(d // heads)
 
     # Views of rows [..., n, width] as heads [..., H, n, width / H]; a
@@ -840,8 +839,6 @@ def _attention_rows(q, k, v, heads, lengths=None, key_lengths=None, causal=False
         # Softmax in place on the score buffer; fresh arrays cost as much as the products.
         p = qh[..., qs:qe, :] @ kt[..., ks:ke]
         p *= c
-        if causal:
-            np.copyto(p, -1e30, where=later[: qe - qs, : ke - ks])
         if mask is not None:
             np.copyto(p, -1e30, where=mask[qs:qe, ks:ke])
         p -= p.max(axis=-1, keepdims=True)
@@ -867,7 +864,7 @@ def _attention_rows(q, k, v, heads, lengths=None, key_lengths=None, causal=False
 
 
 def mha(x, memory, heads, gamma, beta, wq, bq, wk, wv, bv, wo, bo, drop=None, lengths=None,
-        key_lengths=None, causal=False, mask=None):
+        key_lengths=None, mask=None):
     """A pre-norm attention sub-layer with its residual as one node:
     ``x + dropout(linear(attention(q, k, v), wo, bo))``.
 
@@ -875,12 +872,12 @@ def mha(x, memory, heads, gamma, beta, wq, bq, wk, wv, bv, wo, bo, drop=None, le
     and v ``linear(src, wv, bv)``, where src is that layernorm output
     (self-attention, `memory` None) or `memory` (cross-attention: only the
     query side is normalized). Dropout is by the ``(keep, scale)`` mask
-    `drop` (``_float_mask``; None: the identity). `lengths`, `key_lengths`,
-    `causal` and `mask` select the visible keys as ``_attention_rows``
-    says; with a level axis (``_operands``) every level sees the same keys,
-    the parameters and `drop`'s keep array lead with the level axis, its
-    scale is the levels' one, and `memory` is a sequence of L tensors, one
-    per level: not arena data, they are copied into a stack.
+    `drop` (``_float_mask``; None: the identity). `lengths`, `key_lengths`
+    and `mask` select the visible keys as ``_attention_rows`` says; with a
+    level axis (``_operands``) every level sees the same keys, the
+    parameters and `drop`'s keep array lead with the level axis, its scale
+    is the levels' one, and `memory` is a sequence of L tensors, one per
+    level: not arena data, they are copied into a stack.
 
     Values and gradients equal the bits of the unfused chain of nodes. The
     flows into the layernorm output add as q, k, v; `x` is a parent twice
@@ -912,7 +909,7 @@ def mha(x, memory, heads, gamma, beta, wq, bq, wk, wv, bv, wo, bo, drop=None, le
     k = src @ wk
     v = src @ wv
     v += bv
-    a, attention_backward = _attention_rows(q, k, v, heads, lengths, key_lengths, causal, mask)
+    a, attention_backward = _attention_rows(q, k, v, heads, lengths, key_lengths, mask)
     o = a @ wo
     o += bo
     if drop is not None:

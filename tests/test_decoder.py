@@ -1,6 +1,7 @@
 """Attention decoder: normalization, causality, smoothed cross-entropy
 against loop oracles, multi-level additivity, the level-stacked pass
-against one pass per decoder, rescoring identities."""
+against one pass per decoder, rescoring identities, and the prefix forest
+against a trie built prefix by prefix."""
 
 import math
 
@@ -11,6 +12,7 @@ from moe_asr import tensor as T
 from moe_asr.decoder import (
     LABEL_SMOOTHING,
     TransformerDecoder,
+    _prefix_forest,
     aed_loss,
     aed_losses,
     multi_level_aed,
@@ -422,3 +424,85 @@ class TestRescore:
         before, after = rescore(dec, enc, seqs), rescore(dec, enc, changed)
         assert after[2] != before[2]
         assert after[:2] + after[3:] == before[:2] + before[3:]
+
+
+def _reference_forest(groups, sos):
+    """The prefix forest prefix by prefix: per group a root row for the
+    empty prefix, then one row per distinct prefix of its sequences in the
+    order they first appear, below the row of the prefix one token shorter.
+    The mask comes from the parents loop: a row sees itself and whatever
+    its parent sees."""
+    ids, positions, parents, rows, paths = [], [], [], [], []
+    for group in groups:
+        start, row_of = len(ids), {(): len(ids)}
+        ids.append(sos)
+        positions.append(0)
+        parents.append(-1)
+        for seq in group:
+            for t in range(1, len(seq) + 1):
+                prefix = tuple(seq[:t])
+                if prefix not in row_of:
+                    row_of[prefix] = len(ids)
+                    ids.append(seq[t - 1])
+                    positions.append(t)
+                    parents.append(row_of[prefix[:-1]])
+            paths.append([row_of[tuple(seq[:t])] for t in range(len(seq) + 1)])
+        rows.append(len(ids) - start)
+    sees = np.eye(len(ids), dtype=bool)
+    for row, parent in enumerate(parents):
+        if parent >= 0:
+            sees[row] |= sees[parent]
+    return ids, positions, rows, ~sees, paths
+
+
+class TestPrefixForest:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_the_parents_loop(self, seed):
+        """Seeded N-best groups with shared prefixes, the empty hypothesis
+        and a duplicate: rows, positions, row counts, mask and paths all
+        equal the reference's."""
+        rng = np.random.default_rng(950 + seed)
+        groups = []
+        for _ in range(int(rng.integers(1, 4))):
+            seqs = _hypothesis_set(rng, int(rng.integers(2, 9)), max_len=12)
+            seqs += [[], list(seqs[0])]
+            order = rng.permutation(len(seqs))
+            groups.append([seqs[i] for i in order])
+        ids, positions, rows, mask, paths = _prefix_forest(groups, V - 1)
+        ref_ids, ref_positions, ref_rows, ref_mask, ref_paths = _reference_forest(groups, V - 1)
+        assert len(ids) < sum(len(seq) + 1 for group in groups for seq in group)  # shared rows
+        assert ids.tolist() == ref_ids
+        assert positions.tolist() == ref_positions
+        assert rows == ref_rows
+        assert paths == ref_paths
+        np.testing.assert_array_equal(mask, ref_mask)
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 30])
+    def test_one_sequence_group_is_the_triangle(self, n):
+        """Teacher forcing's group, one sequence: the rows are [sos] +
+        tokens at positions 0..n-1 and every later row is hidden."""
+        seq = np.random.default_rng(n).integers(0, V - 1, size=n - 1)
+        ids, positions, rows, mask, paths = _prefix_forest([[seq]], V - 1)
+        np.testing.assert_array_equal(mask, np.triu(np.ones((n, n), bool), 1))
+        assert ids.tolist() == [V - 1, *seq.tolist()]
+        assert positions.tolist() == list(range(n))
+        assert rows == [n] and paths == [list(range(n))]
+
+    def test_groups_lie_back_to_back(self):
+        """Group g owns the next rows[g] rows, rooted at a sos row; its
+        paths stay inside them, and no row sees another group's rows."""
+        groups = [[[1, 2], [1, 3]], [[4]], [[], [0, 0, 0], [0, 0]], []]
+        ids, positions, rows, mask, paths = _prefix_forest(groups, V - 1)
+        assert rows == [4, 2, 4, 1]
+        assert sum(rows) == len(ids) == len(positions) == mask.shape[0] == mask.shape[1]
+        starts = np.cumsum([0] + rows[:-1])
+        assert ids[starts].tolist() == [V - 1] * 4 and positions[starts].tolist() == [0] * 4
+        groups_paths = iter(paths)
+        for start, n, group in zip(starts, rows, groups):
+            own = np.zeros(len(ids), bool)
+            own[start:start + n] = True
+            assert mask[np.ix_(own, ~own)].all()
+            for seq in group:
+                path = next(groups_paths)
+                assert path[0] == start and all(start <= r < start + n for r in path)
+                assert ids[path[1:]].tolist() == seq

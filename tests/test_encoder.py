@@ -100,9 +100,9 @@ class TestConformerBlock:
         calls = []
         attention = T._attention_rows
 
-        def capture(q, k, v, heads, lengths=None, key_lengths=None, causal=False, mask=None):
-            calls.append((q, k, heads, (lengths, key_lengths, causal, mask)))
-            return attention(q, k, v, heads, lengths, key_lengths, causal, mask)
+        def capture(q, k, v, heads, lengths=None, key_lengths=None, mask=None):
+            calls.append((q, k, heads, (lengths, key_lengths, mask)))
+            return attention(q, k, v, heads, lengths, key_lengths, mask)
 
         # the attention body of the block's one ``T.mha`` node
         monkeypatch.setattr(T, "_attention_rows", capture)
@@ -167,7 +167,7 @@ class TestEncoder:
         assert [idx for idx, _ in out.records] == [2, 4, 6]
         t_prime = subsampled_length(20)
         for _, record in out.records:
-            assert record.frames == t_prime
+            assert record.selected.shape == (t_prime,)
 
     def test_time_length_constant_across_blocks(self):
         cfg = self._cfg()

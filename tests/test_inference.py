@@ -257,14 +257,11 @@ class TestCostAccounting:
         assert "100 input frames" in joined
 
     def test_table_layout(self):
-        rows = [
-            ("dense", cost_report(ModelConfig.paper_scale(num_experts=0, num_levels=1))),
-            ("16e", cost_report(ModelConfig.paper_scale(num_experts=16))),
-        ]
-        table = format_cost_table(rows)
+        table = format_cost_table("16e", cost_report(ModelConfig.paper_scale(num_experts=16)))
         lines = table.splitlines()
-        assert len(lines) == 4
+        assert len(lines) == 3
         assert lines[0].split() == ["model", "params", "flops/s"]
+        assert set(lines[1]) == {"-", " "}
         assert "M" in lines[2] and "B" in lines[2]
 
     def test_desk_scale_row_keeps_three_figures(self):
@@ -274,7 +271,7 @@ class TestCostAccounting:
                           decoder_blocks=1, num_experts=2, d_emb=8, embedding_blocks=1)
         report = cost_report(cfg)
         assert (report.params, report.total_flops) == (30627, 1439568)
-        row = format_cost_table([("2e", report)]).splitlines()[2]
+        row = format_cost_table("2e", report).splitlines()[2]
         assert row.split() == ["2e", "30.6k", "1.44M"]
 
     @pytest.mark.parametrize("value, text", [
@@ -283,4 +280,4 @@ class TestCostAccounting:
     ])
     def test_magnitude_suffix_after_rounding(self, value, text):
         report = CostReport(params=value, flops={}, total_flops=value, conventions=[])
-        assert format_cost_table([("m", report)]).splitlines()[2].split()[1:] == [text, text]
+        assert format_cost_table("m", report).splitlines()[2].split()[1:] == [text, text]

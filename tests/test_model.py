@@ -3,6 +3,7 @@
 import dataclasses
 import errno
 import hashlib
+import inspect
 import json
 import os
 import struct
@@ -29,7 +30,7 @@ from moe_asr.checkpoint import (
 from moe_asr.config import ModelConfig
 from moe_asr.decoder import _level_stack
 from moe_asr.encoder import EmbeddingNetwork
-from moe_asr.model import SpeechModel, parameter_manifest, parameter_total
+from moe_asr.model import SpeechModel, parameter_total
 from moe_asr.moe import RoutedFFN
 from moe_asr.nn import LayerNorm, Linear, Module, stacked_parameters
 
@@ -41,6 +42,12 @@ def read_params(path):
     body.flags.writeable = False
     parts = np.split(body, [e["offset"] // 8 for e in entries[1:]])
     return kind, config, {e["name"]: p.reshape(e["shape"]) for e, p in zip(entries, parts)}
+
+
+def parameter_manifest(cfg):
+    """(name, shape) for every parameter of SpeechModel(cfg), in tree order,
+    read off an unallocated module tree."""
+    return [(name, p.shape) for name, p in SpeechModel(cfg).named_parameters().items()]
 
 
 CONFIG_GRID = [
@@ -118,7 +125,8 @@ class TestParameterManifest:
         script = (
             "import math, resource\n"
             "from moe_asr.config import ModelConfig\n"
-            "from moe_asr.model import parameter_manifest\n"
+            "from moe_asr.model import SpeechModel\n"
+            + inspect.getsource(parameter_manifest) +
             "vm = int(open('/proc/self/statm').read().split()[0]) * resource.getpagesize()\n"
             "hard = resource.getrlimit(resource.RLIMIT_AS)[1]\n"
             "resource.setrlimit(resource.RLIMIT_AS, (vm + 2**30, hard))\n"

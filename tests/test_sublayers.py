@@ -127,11 +127,18 @@ def _conv_params(rng, d=8, kernel=3):
 
 def _trie_mask(parents):
     """True where a row of a prefix trie may not look: every row but
-    itself and its ancestors, as ``decoder.rescore`` builds it."""
+    itself and its ancestors, as ``decoder._prefix_forest`` builds it."""
     sees = np.eye(len(parents), dtype=bool)
     for row in range(1, len(parents)):
         sees[row] |= sees[parents[row]]
     return ~sees
+
+
+def _causal_mask(lengths):
+    """True where a row of packed segments may not look: every row of
+    another segment and every later row of its own."""
+    segment = np.repeat(np.arange(len(lengths)), lengths)
+    return (segment[:, None] != segment) | np.triu(np.ones((sum(lengths),) * 2, bool), 1)
 
 
 # name -> (query rows per segment, memory rows per segment (None:
@@ -139,7 +146,7 @@ def _trie_mask(parents):
 MHA_CASES = {
     "self": ((7,), None, {}),
     "self-segments": ((4, 6, 5), None, {"lengths": [4, 6, 5]}),
-    "causal-segments": ((3, 5, 4), None, {"lengths": [3, 5, 4], "causal": True}),
+    "causal-segments": ((3, 5, 4), None, {"lengths": [3, 5, 4], "mask": _causal_mask([3, 5, 4])}),
     "trie-mask": ((6,), None, {"mask": _trie_mask([-1, 0, 1, 0, 3, 1])}),
     "cross": ((5,), (7,), {}),
     "cross-segments": ((3, 5, 4), (6, 4, 7), {"lengths": [3, 5, 4], "key_lengths": [6, 4, 7]}),
@@ -390,14 +397,14 @@ def test_decoder_block_matches_chain(train):
     x = Tensor(rng.normal(size=(7, 8)), requires_grad=True)
     enc = Tensor(rng.normal(size=(9, 8)), requires_grad=True)
     g = rng.normal(size=(7, 8))
-    out = block.forward(x, enc, [3, 4], [5, 4])
+    out = block.forward(x, enc, _causal_mask([3, 4]), [3, 4], [5, 4])
     T.reduce_sum(T.mul(out, Tensor(g))).backward()
 
     drops = [_mask(s, (7, w)) if train else None for s, w in zip(streams, (8, 8, 12, 8))]
     self_params = _attention_params(block, "norm1", "self_attn")
     cross_params = _attention_params(block, "norm2", "cross_attn")
     ffn_params = list(block.ffn.named_parameters().values())
-    self_segments = {"lengths": [3, 4], "causal": True}
+    self_segments = {"lengths": [3, 4], "mask": _causal_mask([3, 4])}
     cross_segments = {"lengths": [3, 4], "key_lengths": [5, 4]}
     arrays = [[t.data for t in ps] for ps in (self_params, cross_params)]
     keep = [_float(d) for d in drops[:2]]
@@ -454,5 +461,5 @@ def test_decoder_block_records_three_nodes(monkeypatch):
     x = Tensor(rng.normal(size=(7, 8)), requires_grad=True)
     enc = Tensor(rng.normal(size=(9, 8)), requires_grad=True)
     ops = _recorded(monkeypatch)
-    block.forward(x, enc, [3, 4], [5, 4])
+    block.forward(x, enc, _causal_mask([3, 4]), [3, 4], [5, 4])
     assert ops == ["mha", "mha", "ffn"]

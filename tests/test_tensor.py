@@ -446,8 +446,9 @@ def block_mask(lengths, key_lengths, causal):
 
 
 # (query rows per segment, key rows per segment, causal): cross-attention
-# reads a longer memory; causal self-attention hides every key after the
-# query. A single segment is called without lengths.
+# reads a longer memory; causal self-attention is called with the mask that
+# hides every key after the query in its segment (``block_mask``). A single
+# segment is called without lengths.
 ATTENTION_CASES = {
     "cross": ((5,), (7,), False),
     "causal": ((6,), (6,), True),
@@ -465,10 +466,10 @@ def _attention_inputs(case, seed=40):
     tq, tk = sum(lengths), sum(key_lengths)
     rng = np.random.default_rng(seed)
     q, k, v = (Tensor(rng.normal(size=(t, 8)), requires_grad=True) for t in (tq, tk, tk))
-    segments = {"causal": causal}
+    mask = block_mask(lengths, key_lengths, causal)
+    segments = {"mask": mask} if causal else {}
     if len(lengths) > 1:
         segments.update(lengths=list(lengths), key_lengths=list(key_lengths))
-    mask = block_mask(lengths, key_lengths, causal)
     return q, k, v, segments, (mask if mask.any() else None), rng.normal(size=(tq, 8))
 
 
@@ -512,7 +513,7 @@ class TestAttention:
         q, k, v, segments, _, w = _attention_inputs(case)
         lengths, key_lengths, _ = ATTENTION_CASES[case]
         got = _attention_and_grads(q, k, v, heads, w, lengths=list(lengths),
-                                   key_lengths=list(key_lengths), causal=segments["causal"])
+                                   key_lengths=list(key_lengths), mask=segments.get("mask"))
         expected = _attention_and_grads(q, k, v, heads, w, **segments)
         for a, b in zip(got, expected):
             assert a.tobytes() == b.tobytes()
