@@ -68,12 +68,12 @@ _CHUNK_BYTES = 1 << 22
 
 
 @contextlib.contextmanager
-def _read(path):
-    """Open a checkpoint and check its header; yields (kind, config dict,
-    entries, read_body). The entries tile the body. ``read_body(out)`` reads
-    the body's first ``out.size`` values straight into the contiguous
-    float64 array ``out`` (default: a new array for the whole body) and
-    returns it, so the file's bytes are never held a second time."""
+def _read(path, kind):
+    """Open a checkpoint of `kind` ("model" or "embedding") and check its
+    header, kind included; yields (config dict, entries, read_body). The
+    entries tile the body. ``read_body(out)`` reads the body's first
+    ``out.size`` values straight into the contiguous float64 array ``out``,
+    so the file's bytes are never held a second time."""
     with open(path, "rb") as fh:
         head = fh.read(8)
         if len(head) < 8 or head[:4] != MAGIC:
@@ -90,6 +90,10 @@ def _read(path):
             raise CheckpointError(f"{path}: header is not a JSON object")
         if header.get("format") != FORMAT_VERSION:
             raise CheckpointError(f"{path}: unsupported format {header.get('format')}")
+        if header.get("kind") != kind:
+            article = "an" if kind == "embedding" else "a"
+            raise CheckpointError(f"{path}: expected {article} {kind} checkpoint,"
+                                  f" found {header.get('kind')!r}")
         entries = header.get("params")
         if not isinstance(entries, list) or not isinstance(header.get("config"), dict):
             raise CheckpointError(f"{path}: header lacks a config or a params list")
@@ -111,8 +115,7 @@ def _read(path):
             raise CheckpointError(f"{path}: {'truncated data' if end > size else 'trailing bytes'}:"
                                   f" the entries end at byte {end}, the body at {size}")
 
-        def read_body(out=None):
-            out = np.empty(size // 8) if out is None else out
+        def read_body(out):
             view = memoryview(out).cast("B")
             while view.nbytes:
                 got = fh.readinto(view[:_CHUNK_BYTES])
@@ -121,9 +124,8 @@ def _read(path):
                 view = view[got:]
             if not np.little_endian:
                 out.byteswap(inplace=True)
-            return out
 
-        yield header.get("kind"), header["config"], entries, read_body
+        yield header["config"], entries, read_body
 
 
 def _span(path, arena, entries, prefix=""):
@@ -155,9 +157,7 @@ def load_model(path):
     Dropout generators are left unseeded: call seed_dropout before resuming
     training, or eval() for inference.
     """
-    with _read(path) as (kind, config, entries, read_body):
-        if kind != "model":
-            raise CheckpointError(f"{path}: expected a model checkpoint, found {kind!r}")
+    with _read(path, "model") as (config, entries, read_body):
         model = SpeechModel(_model_config(path, config)).allocate()
         read_body(_span(path, model.arena, entries))
     return model
@@ -176,9 +176,7 @@ def load_pretrained_embedding(model, path):
     """
     if model.embedding_net is None:
         raise CheckpointError("model is dense; it has no embedding network to load into")
-    with _read(path) as (kind, config, entries, read_body):
-        if kind != "embedding":
-            raise CheckpointError(f"{path}: expected an embedding checkpoint, found {kind!r}")
+    with _read(path, "embedding") as (config, entries, read_body):
         stored = _model_config(path, config)
         for field in ("feat_dim", "d_emb", "d_ff", "heads", "kernel", "embedding_blocks",
                       "vocab_size"):
@@ -199,9 +197,7 @@ def strip_auxiliary(src, dst):
     the leading entries, and every surviving parameter is kept byte for byte:
     only the body's leading bytes are read, into the lean model's arena.
     """
-    with _read(src) as (kind, config, entries, read_body):
-        if kind != "model":
-            raise CheckpointError(f"{src}: expected a model checkpoint, found {kind!r}")
+    with _read(src, "model") as (config, entries, read_body):
         config = dataclasses.replace(_model_config(src, config), num_levels=1)
         lean = SpeechModel(config).allocate()
         read_body(_span(src, lean.arena, entries[: len(lean.arena.params)]))

@@ -7,7 +7,7 @@ Values the paper's recipe fixes are constants instead: the peak learning
 rate, the Adam moments and epsilon and the gradient clip in ``training``
 (which always trains on SpecAugment's draws), the SpecAugment masks in
 ``features``, the label smoothing in ``decoder`` and the layernorm epsilon
-in ``tensor``.
+in ``tensor``; here, ``MOE_EVERY`` spaces the routed blocks.
 
 Token-id conventions used across the package:
   - Data tokens occupy ids 0..vocab_size-2.
@@ -21,6 +21,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+
+# A routed model routes the second macaron FFN of every MOE_EVERY-th block.
+MOE_EVERY = 2
 
 
 def _require_positive(cfg, names):
@@ -36,8 +39,8 @@ class ModelConfig:
 
     ``num_experts=0`` builds the dense model: no routers, no embedding
     network, plain feed-forward second macarons. Any value >= 1 routes the
-    second macaron FFN of every ``moe_every``-th block (1-based, so
-    ``moe_every=2`` routes blocks 2, 4, 6, ...) through that many experts.
+    second macaron FFN of every ``MOE_EVERY``-th block (1-based: blocks 2,
+    4, 6, ...) through that many experts.
     The decoders use ``d_att``, ``d_ff`` and ``heads``; the embedding network
     uses ``d_emb`` (0: ``d_att``), ``embedding_blocks`` (0: half of
     ``num_blocks``) and the shared ``d_ff``, ``heads`` and ``kernel``.
@@ -55,7 +58,6 @@ class ModelConfig:
     num_blocks: int = 6
     dropout: float = 0.1
     num_experts: int = 0
-    moe_every: int = 2
     d_emb: int = 0
     embedding_blocks: int = 0
     decoder_blocks: int = 2
@@ -77,12 +79,12 @@ class ModelConfig:
             raise ValueError(f"conv kernel must be odd, got {self.kernel}")
         if self.vocab_size < 2:
             raise ValueError("vocab_size must include at least one data token plus sos/eos")
-        if self.num_experts < 0 or self.moe_every < 1:
-            raise ValueError("num_experts must be >= 0 and moe_every >= 1")
-        if self.routed and self.moe_every > self.num_blocks:
+        if self.num_experts < 0:
+            raise ValueError("num_experts must be >= 0")
+        if self.routed and self.num_blocks < MOE_EVERY:
             raise ValueError(
-                f"moe_every {self.moe_every} exceeds num_blocks {self.num_blocks}, so "
-                f"num_experts {self.num_experts} would route no block"
+                f"num_experts {self.num_experts} needs num_blocks >= {MOE_EVERY} to route a "
+                f"block, got {self.num_blocks}"
             )
         if self.num_levels < 1:
             raise ValueError("num_levels must be >= 1")
@@ -97,7 +99,7 @@ class ModelConfig:
         """1-based indices of blocks whose second FFN is expert-routed."""
         if not self.routed:
             return []
-        return [i for i in range(1, self.num_blocks + 1) if i % self.moe_every == 0]
+        return [i for i in range(1, self.num_blocks + 1) if i % MOE_EVERY == 0]
 
     def tap_blocks(self):
         """1-based encoder depths feeding the auxiliary decoders, shallow to
@@ -132,7 +134,6 @@ class ModelConfig:
             kernel=15,
             num_blocks=18,
             num_experts=num_experts,
-            moe_every=2,
             d_emb=512,
             embedding_blocks=7,
             decoder_blocks=4,

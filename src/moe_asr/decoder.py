@@ -249,8 +249,8 @@ def aed_losses(log_probs, token_seqs):
     rows = targets.shape[0]
     if log_probs.data.ndim not in (2, 3) or log_probs.data.shape[-2] != rows:
         raise T.ShapeMismatch("aed-loss", log_probs.data.shape, targets.shape)
-    cost = T.add(T.scale(T.gather_last(log_probs, targets), LABEL_SMOOTHING - 1.0),
-                 T.scale(T.reduce_sum(log_probs, axis=-1), -LABEL_SMOOTHING / vocab))
+    cost = T.add(T.mul(T.gather_last(log_probs, targets), LABEL_SMOOTHING - 1.0),
+                 T.mul(T.reduce_sum(log_probs, axis=-1), -LABEL_SMOOTHING / vocab))
     return T.segment_means(cost, [len(seq) + 1 for seq in token_seqs])
 
 

@@ -124,7 +124,7 @@ def mean_importance_loss(P, n_experts):
     if P.data.shape[0] == 0:
         raise ValueError("mean importance loss needs at least one frame")
     m = T.reduce_mean(P, axis=0)
-    return T.scale(T.reduce_sum(T.mul(m, m)), float(n_experts))
+    return T.mul(T.reduce_sum(T.mul(m, m)), float(n_experts))
 
 
 def moe_loss(L_s, L_m, L_e, alpha, beta, gamma):
@@ -140,7 +140,7 @@ def moe_loss(L_s, L_m, L_e, alpha, beta, gamma):
                 raise ValueError("a weighted loss term is missing")
             continue
         term = term if isinstance(term, T.Tensor) else T.Tensor(float(term))
-        total = T.add(total, T.scale(term, weight))
+        total = T.add(total, T.mul(term, float(weight)))
     return total
 
 

@@ -81,7 +81,6 @@ __all__ = [
     "linear",
     "add",
     "mul",
-    "scale",
     "reshape",
     "concat_last",
     "softmax_last",
@@ -173,9 +172,6 @@ class Tensor:
     def zero_grad(self):
         if self.grad is not None:
             self.grad[...] = 0.0
-
-    def __repr__(self):
-        return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
 
     def backward(self):
         """Accumulate d(self)/d(leaf) into every reachable leaf's ``grad``.
@@ -346,12 +342,6 @@ def mul(a, b):
     a, b, out = _elementwise("mul", np.multiply, a, b)
     return _node(out, (a, b), lambda g: (g * b.data if a.requires_grad else None,
                                          g * a.data if b.requires_grad else None), "mul")
-
-
-def scale(a, c):
-    a = _as_tensor(a)
-    c = float(c)
-    return _node(a.data * c, (a,), lambda g: (g * c,), "scale")
 
 
 def reshape(a, shape):
@@ -686,8 +676,8 @@ def _ffn_shapes(d, f):
 
 
 def _residual(x, f, c=1.0):
-    """``x + c * f`` with the bits of a ``scale`` node then an ``add`` node;
-    `f` is a fresh array and is overwritten."""
+    """``x + c * f`` with the bits of a ``mul`` node by the constant `c`
+    then an ``add`` node; `f` is a fresh array and is overwritten."""
     if c != 1.0:
         f *= c
     f += x
@@ -703,8 +693,8 @@ def ffn(x, c, gamma, beta, w1, b1, w2, b2, mask1=None, mask2=None):
     may carry a level axis, as ``_operands`` says; the parameters and masks
     then lead with it too.
 
-    Values and gradients equal the bits of those six nodes, ``scale`` and
-    ``add`` chained. `x` is a parent twice, once for the residual and once
+    Values and gradients equal the bits of those six nodes, ``mul`` by `c`
+    and ``add`` chained. `x` is a parent twice, once for the residual and once
     for the layernorm, so the engine adds its two flows as it did for them.
     """
     x = _rows("ffn", x)
@@ -793,11 +783,11 @@ def routed_ffn(x, c, p, selected, gamma, beta, w1, b1, w2, b2, mask1=None, mask2
 
 
 def _attention_rows(q, k, v, heads, lengths=None, key_lengths=None, mask=None):
-    """Scaled dot-product attention of arrays q [Tq, d] over k [Tk, d] and
-    v [Tk, dv], all heads at once; head h owns the h-th of `heads` equal
-    column blocks. With a level axis (q [L, Tq, d], k [L, Tk, d], v [L, Tk,
-    dv]) each level attends on its own, the products over all L·H heads at
-    once. Returns the output and ``backward(g)`` -> (gq, gk, gv).
+    """Scaled dot-product attention of arrays q [Tq, d] over k and v [Tk,
+    d], all heads at once; head h owns the h-th of `heads` equal column
+    blocks. With a level axis (q [L, Tq, d], k and v [L, Tk, d]) each level
+    attends on its own, the products over all L·H heads at once. Returns
+    the output, shaped as q, and ``backward(g)`` -> (gq, gk, gv).
 
     With `lengths` the rows are packed segments: query segment i (lengths[i]
     rows) sees only key segment i (key_lengths[i] rows, default lengths[i]),
@@ -810,8 +800,9 @@ def _attention_rows(q, k, v, heads, lengths=None, key_lengths=None, mask=None):
     lead = shapes[0][:-2]
     if any(len(s) not in (2, 3) or s[:-2] != lead for s in shapes[:3]):
         raise ShapeMismatch("attention", *shapes)
-    (tq, d), (tk, dv) = shapes[0][-2:], shapes[2][-2:]
-    if shapes[1][-2:] != (tk, d) or d % heads or dv % heads or shapes[3:] not in ([], [(tq, tk)]):
+    (tq, d), tk = shapes[0][-2:], shapes[1][-2]
+    if (shapes[1][-1] != d or shapes[2] != shapes[1] or d % heads
+            or shapes[3:] not in ([], [(tq, tk)])):
         raise ShapeMismatch("attention", *shapes)
     q_lengths = segment_lengths(lengths, tq, "attention")
     k_lengths = segment_lengths(lengths if key_lengths is None else key_lengths, tk, "attention")
@@ -822,20 +813,16 @@ def _attention_rows(q, k, v, heads, lengths=None, key_lengths=None, mask=None):
     # Views of rows [..., n, width] as heads [..., H, n, width / H]; a
     # product written into a slice of one fills those rows.
     by_q, by_k = (*lead, tq, heads, d // heads), (*lead, tk, heads, d // heads)
-    by_qv, by_kv = (*lead, tq, heads, dv // heads), (*lead, tk, heads, dv // heads)
-    qh, vh = q.reshape(by_q).swapaxes(-3, -2), v.reshape(by_kv).swapaxes(-3, -2)
+    qh, vh = q.reshape(by_q).swapaxes(-3, -2), v.reshape(by_k).swapaxes(-3, -2)
     # Keys as contiguous [..., H, d_head, Tk]: each segment's slice is the
     # BLAS layout of a per-head q @ k.T, so values and gradients match that
     # form bit for bit.
     kt = np.ascontiguousarray(k.reshape(by_k).swapaxes(-3, -2).swapaxes(-1, -2))
-    out = np.empty((*lead, tq, dv))
-    out_heads = out.reshape(by_qv).swapaxes(-3, -2)
-    spans, qs, ks = [], 0, 0
-    for nq, nk in zip(q_lengths, k_lengths):
-        spans.append((qs, qs + nq, ks, ks + nk))
-        qs, ks = qs + nq, ks + nk
+    out = np.empty((*lead, tq, d))
+    out_heads = out.reshape(by_q).swapaxes(-3, -2)
+    spans = list(zip(_spans(q_lengths), _spans(k_lengths)))
     weights = []
-    for qs, qe, ks, ke in spans:
+    for (qs, qe), (ks, ke) in spans:
         # Softmax in place on the score buffer; fresh arrays cost as much as the products.
         p = qh[..., qs:qe, :] @ kt[..., ks:ke]
         p *= c
@@ -848,10 +835,10 @@ def _attention_rows(q, k, v, heads, lengths=None, key_lengths=None, mask=None):
         weights.append(p)
 
     def backward(g):
-        gq, gk, gv = (np.empty((*lead, n, w)) for n, w in ((tq, d), (tk, d), (tk, dv)))
-        gh, gq_heads = g.reshape(by_qv).swapaxes(-3, -2), gq.reshape(by_q).swapaxes(-3, -2)
-        gk_heads, gv_heads = gk.reshape(by_k).swapaxes(-3, -2), gv.reshape(by_kv).swapaxes(-3, -2)
-        for (qs, qe, ks, ke), p in zip(spans, weights):
+        gq, gk, gv = (np.empty((*lead, n, d)) for n in (tq, tk, tk))
+        gh, gq_heads = g.reshape(by_q).swapaxes(-3, -2), gq.reshape(by_q).swapaxes(-3, -2)
+        gk_heads, gv_heads = gk.reshape(by_k).swapaxes(-3, -2), gv.reshape(by_k).swapaxes(-3, -2)
+        for ((qs, qe), (ks, ke)), p in zip(spans, weights):
             gp = gh[..., qs:qe, :] @ vh[..., ks:ke, :].swapaxes(-1, -2)
             gs = p * (gp - (gp * p).sum(axis=-1, keepdims=True))
             gs *= c
@@ -871,7 +858,8 @@ def mha(x, memory, heads, gamma, beta, wq, bq, wk, wv, bv, wo, bo, drop=None, le
     q is ``linear(layernorm(x, gamma, beta), wq, bq)``; k is ``src @ wk``
     and v ``linear(src, wv, bv)``, where src is that layernorm output
     (self-attention, `memory` None) or `memory` (cross-attention: only the
-    query side is normalized). Dropout is by the ``(keep, scale)`` mask
+    query side is normalized). The rows `x`, each memory's rows and all four
+    projections are the one width d. Dropout is by the ``(keep, scale)`` mask
     `drop` (``_float_mask``; None: the identity). `lengths`, `key_lengths`
     and `mask` select the visible keys as ``_attention_rows`` says; with a
     level axis (``_operands``) every level sees the same keys, the
@@ -887,20 +875,18 @@ def mha(x, memory, heads, gamma, beta, wq, bq, wk, wv, bv, wo, bo, drop=None, le
     x = _rows("mha", x)
     d, lead = x.data.shape[-1], x.data.shape[:-2]
     params = (gamma, beta, wq, bq, wk, wv, bv, wo, bo)
-    dq, dv = wq.data.shape[-1], wv.data.shape[-1]
-    expected = [(d,), (d,), (d, dq), (dq,), (d, dq), (d, dv), (dv,), (dv, d), (d,)]
     # one memory tensor, or with levels one per level; each feeds k and v
     memories = (memory,) if isinstance(memory, Tensor) else tuple(memory or ())
     if memory is not None:
         shapes = [np.shape(getattr(m, "data", None)) for m in memories]
+        # each memory is rows [n, d], and every level's has the same n
         if (isinstance(memory, Tensor) == bool(lead) or len(shapes) != (lead or (1,))[0]
-                or len(shapes[0]) != 2 or len(set(shapes)) > 1):
+                or shapes[0][1:] != (d,) or len(set(shapes)) > 1):
             raise ShapeMismatch("mha", x.data.shape, *shapes)
         src = np.array([m.data for m in memories]) if lead else memory.data
-        # k and v project the memory's width
-        expected[4:6] = [(shapes[0][1], dq), (shapes[0][1], dv)]
-    gamma, beta, wq, bq, wk, wv, bv, wo, bo = _operands("mha", x.data.shape, params, expected,
-                                                        ((drop, d),))
+    gamma, beta, wq, bq, wk, wv, bv, wo, bo = _operands(
+        "mha", x.data.shape, params,
+        [(d,), (d,), (d, d), (d,), (d, d), (d, d), (d,), (d, d), (d,)], ((drop, d),))
     n, mu, inv = _layernorm_rows(x.data, gamma, beta)
     if not memories:
         src = n
@@ -1012,10 +998,11 @@ def conv_module(x, gamma, beta, w1, b1, kernel, kernel_bias, gamma2, beta2, w2, 
     """A pre-norm convolution sub-layer with its residual as one node:
     ``x + dropout(linear(swish(layernorm(conv + kernel_bias, gamma2,
     beta2)), w2, b2))``, where conv is the per-channel convolution by
-    `kernel` [K, C] of ``glu(linear(layernorm(x, gamma, beta), w1, b1))``,
-    each of the packed utterances of `lengths` padded on its own. Dropout
-    is by the ``(keep, scale)`` mask `drop` (``_float_mask``; None: the
-    identity).
+    `kernel` [K, d] of ``glu(linear(layernorm(x, gamma, beta), w1, b1))``,
+    each of the packed utterances of `lengths` padded on its own. Every
+    channel count is the rows' width d: `w1` is [d, 2d] and `w2` [d, d].
+    Dropout is by the ``(keep, scale)`` mask `drop` (``_float_mask``; None:
+    the identity).
 
     Values and gradients equal the bits of the unfused chain of nodes; `x`
     is a parent twice, as ``ffn``'s is.
@@ -1023,11 +1010,11 @@ def conv_module(x, gamma, beta, w1, b1, kernel, kernel_bias, gamma2, beta2, w2, 
     x = _as_tensor(x)
     if x.data.ndim != 2:
         raise ShapeMismatch("conv-module", x.data.shape)
-    d, (K, C) = x.data.shape[1], kernel.data.shape
+    d, K = x.data.shape[1], kernel.data.shape[0]
     params = (gamma, beta, w1, b1, kernel, kernel_bias, gamma2, beta2, w2, b2)
     gamma, beta, w1, b1, kernel, kernel_bias, gamma2, beta2, w2, b2 = _operands(
         "conv-module", x.data.shape, params,
-        [(d,), (d,), (d, 2 * C), (2 * C,), (K, C), (C,), (C,), (C,), (C, d), (d,)], ((drop, d),))
+        [(d,), (d,), (d, 2 * d), (2 * d,), (K, d), (d,), (d,), (d,), (d, d), (d,)], ((drop, d),))
     n, mu, inv = _layernorm_rows(x.data, gamma, beta)
     a = n @ w1
     a += b1
@@ -1080,7 +1067,7 @@ def reduce_sum(a, axis=None):
 
 def reduce_mean(a, axis=None):
     """The sum times 1/count as one node, with the bits of ``reduce_sum``
-    then ``scale``."""
+    then ``mul`` by 1/count."""
     a = _as_tensor(a)
     c = 1.0 / (a.data.size if axis is None else a.data.shape[axis])
     out = a.data.sum(axis=axis) * c

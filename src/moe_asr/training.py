@@ -155,10 +155,10 @@ def clip_gradients(arena, max_norm):
     if max_norm < norm < math.inf:
         factor, grad = max_norm / norm, arena.grad
 
-        def scale(_, span):
+        def rescale(_, span):
             grad[span] *= factor
 
-        arena.each_span(scale)
+        arena.each_span(rescale)
     return norm
 
 
@@ -179,7 +179,7 @@ def joint_loss(l_ctc, aed_losses, eta):
         total_aed = term if total_aed is None else T.add(total_aed, term)
     if total_aed is None:
         total_aed = Tensor(0.0)
-    return T.add(T.scale(_as_tensor(l_ctc), eta), T.scale(total_aed, 1.0 - eta))
+    return T.add(T.mul(_as_tensor(l_ctc), eta), T.mul(total_aed, 1.0 - eta))
 
 
 def total_loss(l_moe, l_joint):
@@ -190,7 +190,7 @@ def _mean(terms):
     out = terms[0]
     for term in terms[1:]:
         out = T.add(out, term)
-    return T.scale(out, 1.0 / len(terms))
+    return T.mul(out, 1.0 / len(terms))
 
 
 def _packed(batch):

@@ -293,10 +293,12 @@ class TestFailureModes:
         assert not (run / "metrics.jsonl").exists()
 
     @pytest.mark.parametrize("flag", [["--label-smoothing", "0.2"], ["--peak-lr", "1e-3"],
-                                      ["--no-augment"]], ids=lambda flag: flag[0][2:])
+                                      ["--no-augment"], ["--moe-every", "3"]],
+                             ids=lambda flag: flag[0][2:])
     def test_fixed_setting_flag_is_a_usage_error(self, tmp_path, capsys, flag):
-        """The label smoothing, the peak learning rate and SpecAugment in
-        training are constants: their flags are unknown to argparse."""
+        """The label smoothing, the peak learning rate, SpecAugment in
+        training and the routing interval (``config.MOE_EVERY``) are
+        constants: their flags are unknown to argparse."""
         data = prepare(tmp_path)
         run = tmp_path / "run"
         with pytest.raises(SystemExit) as excinfo:
@@ -317,6 +319,20 @@ class TestFailureModes:
                      "--config", str(cfg_path)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ValueError: unknown TrainConfig keys: ") and key in err
+        assert not run.exists()
+
+    def test_routing_interval_in_a_config_file_is_rejected(self, tmp_path, capsys):
+        """Every second block routes (``config.MOE_EVERY``): a model section
+        that names the old setting fails in one line before the run
+        directory exists."""
+        data = prepare(tmp_path)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"model": {"num_experts": 2, "moe_every": 2}}))
+        run = tmp_path / "run"
+        assert main(["train", "--data", str(data), "--out", str(run), *TINY_MODEL, *TINY_TRAIN,
+                     "--config", str(cfg_path)]) == 1
+        err = capsys.readouterr().err
+        assert err == "error: ValueError: unknown ModelConfig keys: ['moe_every']\n"
         assert not run.exists()
 
     @pytest.mark.parametrize("vocab, feat_dim, flag", [

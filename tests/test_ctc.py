@@ -230,7 +230,7 @@ class TestPackedBatch:
         for i, (grid, seq) in enumerate(zip(grids, seqs)):
             one = Tensor(grid, requires_grad=True)
             loss = ctc.ctc_loss(one, seq)
-            T.scale(loss, g[i]).backward()
+            T.mul(loss, g[i]).backward()
             assert losses.data[i] == loss.data
             assert packed.grad[offsets[i]:offsets[i + 1]].tobytes() == one.grad.tobytes()
             assert ctc.ctc_loss(grid, seq) == ctc.ctc_loss(np.concatenate(grids), seqs, frames)[i]

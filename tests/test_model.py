@@ -5,6 +5,7 @@ import errno
 import hashlib
 import inspect
 import json
+import math
 import os
 import struct
 import subprocess
@@ -34,14 +35,16 @@ from moe_asr.model import SpeechModel, parameter_total
 from moe_asr.moe import RoutedFFN
 from moe_asr.nn import LayerNorm, Linear, Module, stacked_parameters
 
-def read_params(path):
-    """A checkpoint's (kind, config dict, ordered {name: read-only float64
-    view}), read through the loaders' own reader."""
-    with checkpoint._read(path) as (kind, config, entries, read_body):
-        body = read_body()
+def read_params(path, kind="model"):
+    """A `kind` checkpoint's (config dict, ordered {name: read-only float64
+    view}), read through the loaders' own reader into an array sized from
+    the entries."""
+    with checkpoint._read(path, kind) as (config, entries, read_body):
+        body = np.empty(sum(math.prod(e["shape"]) for e in entries))
+        read_body(body)
     body.flags.writeable = False
     parts = np.split(body, [e["offset"] // 8 for e in entries[1:]])
-    return kind, config, {e["name"]: p.reshape(e["shape"]) for e, p in zip(entries, parts)}
+    return config, {e["name"]: p.reshape(e["shape"]) for e, p in zip(entries, parts)}
 
 
 def parameter_manifest(cfg):
@@ -58,7 +61,7 @@ CONFIG_GRID = [
     dict(vocab_size=6, feat_dim=8, d_att=16, d_ff=24, heads=2, kernel=3,
          num_blocks=6, decoder_blocks=1, num_experts=4, d_emb=12),
     dict(vocab_size=9, feat_dim=5, d_att=8, d_ff=10, heads=1, kernel=5,
-         num_blocks=9, decoder_blocks=2, num_experts=3, moe_every=3,
+         num_blocks=9, decoder_blocks=2, num_experts=3,
          embedding_blocks=2, num_levels=1),
     dict(vocab_size=4, feat_dim=4, d_att=12, d_ff=6, heads=3, kernel=7,
          num_blocks=4, decoder_blocks=1, num_levels=2),
@@ -274,10 +277,21 @@ class TestSpeechModel:
         assert SpeechModel(desk_cfg()).embedding_net is None
 
     def test_routed_config_without_a_routed_block_rejected(self):
-        with pytest.raises(ValueError, match="^moe_every 2 exceeds num_blocks 1"):
+        with pytest.raises(ValueError, match="^num_experts 4 needs num_blocks >= 2"):
             desk_cfg(num_blocks=1, num_levels=1, num_experts=4)
         assert desk_cfg(num_blocks=1, num_levels=1).routed_blocks() == []
         assert desk_cfg(num_blocks=2, num_levels=1, num_experts=4).routed_blocks() == [2]
+
+    @pytest.mark.parametrize("num_blocks", range(1, 8))
+    def test_routed_blocks_are_every_second_block(self, num_blocks):
+        """Blocks 2, 4, 6, ... route; a routed config of one block has none
+        and is refused."""
+        if num_blocks == 1:
+            with pytest.raises(ValueError, match="needs num_blocks >= 2"):
+                desk_cfg(num_blocks=1, num_levels=1, num_experts=2)
+            return
+        cfg = desk_cfg(num_blocks=num_blocks, num_levels=1, num_experts=2)
+        assert cfg.routed_blocks() == list(range(2, num_blocks + 1, 2))
 
     def test_encode_embeds_once_per_utterance(self, monkeypatch):
         model = SpeechModel(desk_cfg(num_experts=2)).initialize(0).eval()
@@ -336,8 +350,7 @@ class TestCheckpointRoundTrip:
         model = SpeechModel(desk_cfg()).initialize(0)
         path = tmp_path / "model.ckpt"
         save_model(path, model)
-        kind, config, params = read_params(path)
-        assert kind == "model"
+        config, params = read_params(path)
         assert config["vocab_size"] == 6
         assert set(params) == set(model.named_parameters())
 
@@ -423,11 +436,20 @@ class TestCheckpointRoundTrip:
         assert os.listdir(tmp_path) == ["model.ckpt"]
 
     def test_kind_mismatch_rejected(self, tmp_path):
+        """Every loader reads through the one kind check."""
         cfg = desk_cfg(num_experts=2)
-        path = tmp_path / "emb.ckpt"
-        save_embedding(path, EmbeddingNetwork(cfg).initialize(0), cfg)
-        with pytest.raises(CheckpointError, match="expected a model checkpoint"):
-            load_model(path)
+        emb_path, model_path = tmp_path / "emb.ckpt", tmp_path / "model.ckpt"
+        save_embedding(emb_path, EmbeddingNetwork(cfg).initialize(0), cfg)
+        save_model(model_path, SpeechModel(cfg).initialize(0))
+        for load in (lambda: load_model(emb_path),
+                     lambda: strip_auxiliary(emb_path, tmp_path / "lean.ckpt")):
+            with pytest.raises(CheckpointError,
+                               match="expected a model checkpoint, found 'embedding'"):
+                load()
+        with pytest.raises(CheckpointError,
+                           match="expected an embedding checkpoint, found 'model'"):
+            load_pretrained_embedding(SpeechModel(cfg).allocate(), model_path)
+        assert not (tmp_path / "lean.ckpt").exists()
 
     def test_unknown_config_key_named(self, tmp_path):
         """A header config key ModelConfig does not know, such as the
@@ -448,6 +470,16 @@ class TestCheckpointRoundTrip:
                 load()
         assert not (tmp_path / "lean.ckpt").exists()
 
+    def test_moe_every_key_named(self, tmp_path):
+        """A file whose header config still carries the routing interval,
+        a setting the recipe now fixes, is refused with the key named."""
+        cfg = desk_cfg(num_experts=2)
+        path = tmp_path / "old.ckpt"
+        checkpoint._write(path, "model", dict(dataclasses.asdict(cfg), moe_every=2),
+                          SpeechModel(cfg).initialize(0))
+        with pytest.raises(CheckpointError, match=r"old\.ckpt: .*\['moe_every'\]"):
+            load_model(path)
+
 
 class TestAuxiliaryStripping:
     def test_strip_removes_only_aux_heads(self, tmp_path):
@@ -455,10 +487,10 @@ class TestAuxiliaryStripping:
         src, dst = tmp_path / "full.ckpt", tmp_path / "lean.ckpt"
         save_model(src, model)
         strip_auxiliary(src, dst)
-        _, config, params = read_params(dst)
+        config, params = read_params(dst)
         assert config["num_levels"] == 1
         assert not any(k.startswith("aux_decoders.") for k in params)
-        full = {k: v for k, v in read_params(src)[2].items()
+        full = {k: v for k, v in read_params(src)[1].items()
                 if not k.startswith("aux_decoders.")}
         assert set(params) == set(full)
         for k in full:
@@ -488,8 +520,7 @@ class TestEmbeddingCheckpoints:
         net = EmbeddingNetwork(cfg).initialize(11)
         path = tmp_path / "emb.ckpt"
         save_embedding(path, net, cfg)
-        kind, loaded_cfg, _ = read_params(path)
-        assert kind == "embedding"
+        loaded_cfg, _ = read_params(path, "embedding")
         assert ModelConfig(**loaded_cfg) == cfg
         loaded = SpeechModel(cfg).allocate()
         load_pretrained_embedding(loaded, path)

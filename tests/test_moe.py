@@ -403,7 +403,7 @@ class TestFusedFeedForward:
         with pytest.raises(T.ShapeMismatch):  # one expert's parameters where a stack goes
             T.routed_ffn(x, 1.0, p, [0, 0, 2], *params)
         with pytest.raises(ValueError, match="must be a leaf"):  # a stack an op computed
-            T.routed_ffn(x, 1.0, p, [0, 0, 2], *stacks[:2], T.scale(stacks[2], 1.0), *stacks[3:])
+            T.routed_ffn(x, 1.0, p, [0, 0, 2], *stacks[:2], T.mul(stacks[2], 1.0), *stacks[3:])
 
 
 class TestDropoutRates:

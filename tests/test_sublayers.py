@@ -269,6 +269,12 @@ class TestFusedAttention:
             T.mha(x, memory, 2, *params[:2], Tensor(np.ones((8, 6))), *params[3:])
         with pytest.raises(T.ShapeMismatch):  # memory narrower than the key projection
             T.mha(x, Tensor(np.ones((7, 6))), 2, *params)
+        with pytest.raises(T.ShapeMismatch):  # values 6 wide, a consistent chain but not d
+            T.mha(x, memory, 2, *params[:5], Tensor(np.ones((8, 6))), Tensor(np.ones(6)),
+                  Tensor(np.ones((6, 8))), params[8])
+        with pytest.raises(T.ShapeMismatch):  # memory 6 wide, keys and values projected from it
+            T.mha(x, Tensor(np.ones((7, 6))), 2, *params[:4], Tensor(np.ones((6, 8))),
+                  Tensor(np.ones((6, 8))), *params[6:])
         with pytest.raises(T.ShapeMismatch):  # width not divisible by heads
             T.mha(x, memory, 3, *params)
         with pytest.raises(T.ShapeMismatch):  # two query segments, one key segment
@@ -335,6 +341,10 @@ class TestFusedConvolution:
         with pytest.raises(T.ShapeMismatch):  # expand not twice the kernel's channels
             T.conv_module(x, *params[:2], Tensor(np.ones((8, 8))), Tensor(np.ones(8)),
                           *params[4:])
+        with pytest.raises(T.ShapeMismatch):  # 6 channels, a consistent chain but not d
+            T.conv_module(x, *params[:2], Tensor(np.ones((8, 12))), Tensor(np.ones(12)),
+                          Tensor(np.ones((3, 6))), *[Tensor(np.ones(6)) for _ in range(3)],
+                          Tensor(np.ones((6, 8))), params[9])
         with pytest.raises(T.ShapeMismatch):  # lengths that do not cover the rows
             T.conv_module(x, *params, lengths=[4, 4])
 

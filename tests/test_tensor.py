@@ -187,7 +187,7 @@ class TestBackwardClosedForm:
         T.reduce_sum(h).backward()
         assert h._parents == ()
         with pytest.raises(RuntimeError, match="^backward through a graph that an earlier"):
-            T.reduce_sum(T.scale(h, 2.0)).backward()
+            T.reduce_sum(T.mul(h, 2.0)).backward()
 
     def test_shared_node_gradients_sum(self):
         """y = x + x pushes gradient 2 into x through both edges."""
@@ -553,13 +553,14 @@ class TestAttention:
         """Key 2 is hidden from every query: its weight, and the gradient
         into its key and value rows, are exactly zero."""
         rng = np.random.default_rng(41)
+        # each head is tk wide, so its identity block fits the width
         tq, tk, heads = 5, 6, 2
         mask = rng.random((tq, tk)) < 0.5
         mask[:, 0] = False
         mask[:, 2] = True
-        q, k = (Tensor(rng.normal(size=(t, 8)), requires_grad=True) for t in (tq, tk))
-        v = Tensor(rng.normal(size=(tk, 8)), requires_grad=True)
-        w = Tensor(rng.normal(size=(tq, 8)))
+        q, k = (Tensor(rng.normal(size=(t, heads * tk)), requires_grad=True) for t in (tq, tk))
+        v = Tensor(rng.normal(size=(tk, heads * tk)), requires_grad=True)
+        w = Tensor(rng.normal(size=(tq, heads * tk)))
         T.reduce_sum(T.mul(attention(q, k, v, heads, mask=mask), w)).backward()
         assert np.all(k.grad[2] == 0.0) and np.all(v.grad[2] == 0.0)
         assert np.all(k.grad[[0, 1, 3, 4, 5]].any(axis=1))
@@ -577,6 +578,8 @@ class TestAttention:
             attention(ones(3, 8), ones(4, 6), ones(4, 8), 2)
         with pytest.raises(T.ShapeMismatch):  # key and value lengths differ
             attention(ones(3, 8), ones(4, 8), ones(5, 8), 2)
+        with pytest.raises(T.ShapeMismatch):  # key and value widths differ
+            attention(ones(3, 8), ones(4, 8), ones(4, 6), 2)
         with pytest.raises(T.ShapeMismatch):  # width not divisible by heads
             attention(ones(3, 6), ones(4, 6), ones(4, 6), 4)
         with pytest.raises(T.ShapeMismatch):  # mask not [Tq, Tk]
