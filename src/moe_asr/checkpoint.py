@@ -1,12 +1,13 @@
 """Checkpoint container: a JSON header plus the parameter arena's image.
 
 Layout: 4-byte magic "3MCK", little-endian u32 header length, UTF-8 JSON
-header (kind "model" or "embedding", architecture config, and each
-parameter's name/shape/byte offset as its ``nn.Arena`` lays them out), then
-the arena's ``data`` buffer as little-endian float64. The entries tile the
-body (from byte 0, each where the last ends, no name twice, to its end), and
-a loader requires them to equal its arena's layout before it reads the body
-from the file straight into the arena.
+header (kind "model" or "embedding", architecture config, which a loader
+reads with ``config.from_dict``, and each parameter's name/shape/byte offset
+as its ``nn.Arena`` lays them out), then the arena's ``data`` buffer as
+little-endian float64. The entries tile the body (from byte 0, each where
+the last ends, no name twice, to its end), and a loader requires them to
+equal its arena's layout before it reads the body from the file straight
+into the arena in one read call.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import struct
 
 import numpy as np
 
-from .config import ModelConfig
+from .config import ModelConfig, from_dict
 from .model import SpeechModel
 
 MAGIC = b"3MCK"
@@ -60,11 +61,6 @@ def _write(path, kind, config, module):
 
 def _entries(layout):
     return [{"name": name, "shape": list(shape), "offset": 8 * at} for name, shape, at in layout]
-
-
-# The body goes from the file straight into its target array, this many
-# bytes per read call.
-_CHUNK_BYTES = 1 << 22
 
 
 @contextlib.contextmanager
@@ -116,12 +112,9 @@ def _read(path, kind):
                                   f" the entries end at byte {end}, the body at {size}")
 
         def read_body(out):
-            view = memoryview(out).cast("B")
-            while view.nbytes:
-                got = fh.readinto(view[:_CHUNK_BYTES])
-                if not got:
-                    raise CheckpointError(f"{path}: truncated data")
-                view = view[got:]
+            # a buffered file's readinto reads until `out` is full or the file ends
+            if fh.readinto(memoryview(out).cast("B")) != out.nbytes:
+                raise CheckpointError(f"{path}: truncated data")
             if not np.little_endian:
                 out.byteswap(inplace=True)
 
@@ -138,11 +131,11 @@ def _span(path, arena, entries, prefix=""):
 
 
 def _model_config(path, config):
-    """The header's ModelConfig; keys it does not know are named with the file."""
-    unknown = sorted(set(config) - {f.name for f in dataclasses.fields(ModelConfig)})
-    if unknown:
-        raise CheckpointError(f"{path}: config keys unknown to this version: {unknown}")
-    return ModelConfig(**config)
+    """The header's ModelConfig; whatever ``from_dict`` refuses is named with the file."""
+    try:
+        return from_dict(ModelConfig, config)
+    except ValueError as exc:
+        raise CheckpointError(f"{path}: {exc}") from exc
 
 
 def save_model(path, model):

@@ -3,13 +3,15 @@ flops.
 
 Every config field is also a long flag (underscores become dashes); a
 field's value comes from its flag, else the --config file, else (for
-vocab_size and feat_dim) the prepared corpus, else its default. A model
-that cannot read the corpus (``_check_fits_corpus``), or a --config model
-section given to decode, stops a command before it writes anything. Each
-command starts its run directory with ``_start_run``: the resolved config
-sections in config.json (for the commands that take any) and, when it
-ends, run_manifest.json. Timestamps live only in the manifest, so every
-other artifact is byte-reproducible from equal inputs.
+vocab_size and feat_dim) the prepared corpus, else its default, and
+``config.from_dict`` reads each section. A key or value it refuses, a model
+that cannot read the corpus (``_check_fits_corpus``), a --config model
+section given to decode, or an --out holding files stops a command before
+it writes anything. Each command starts its run directory with
+``_start_run``: the resolved config sections in config.json (for the
+commands that take any) and, when it ends, run_manifest.json. Timestamps
+live only in the manifest, so every other artifact is byte-reproducible
+from equal inputs.
 """
 
 from __future__ import annotations
@@ -22,14 +24,13 @@ from datetime import datetime, timezone
 from pathlib import Path
 
 from .checkpoint import load_model
-from .config import DecodeConfig, ModelConfig, TrainConfig
-from .features import generate_corpus, load_manifest, load_normalized_split
+from .config import FIELD_TYPES, DecodeConfig, ModelConfig, TrainConfig, from_dict
+from .features import generate_corpus, load_manifest, load_normalized_split, write_json
 from .inference import cost_report, decode_nbest, format_cost_table, score_corpus
 from .tensor import Tensor
 from .training import pretrain_embedding, train_joint
 
 _CONFIG_SECTIONS = (("model", ModelConfig), ("train", TrainConfig), ("decode", DecodeConfig))
-_FLAG_TYPES = {"int": int, "float": float, "str": str}
 
 
 def _add_config_flags(parser, sections):
@@ -39,15 +40,7 @@ def _add_config_flags(parser, sections):
         group = parser.add_argument_group(f"{section} config overrides")
         for field in dataclasses.fields(cls):
             group.add_argument("--" + field.name.replace("_", "-"),
-                               type=_FLAG_TYPES[field.type], default=None)
-
-
-def _filtered(cls, obj):
-    known = {f.name for f in dataclasses.fields(cls)}
-    unknown = set(obj) - known
-    if unknown:
-        raise ValueError(f"unknown {cls.__name__} keys: {sorted(unknown)}")
-    return cls(**obj)
+                               type=FIELD_TYPES[field.type], default=None)
 
 
 def _read_config(path):
@@ -118,36 +111,33 @@ def _resolve(args, sections, data_dir=None):
         if section == "model" and "vocab_size" not in values:
             raise ValueError("vocab_size is unset: pass --vocab-size, --data with a prepared"
                              " corpus, or model.vocab_size in the --config file")
-        resolved.append(_filtered(cls, values))
+        resolved.append(from_dict(cls, values))
     return tuple(resolved)
-
-
-def _write_json(path, obj):
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(obj, fh, indent=2)
-        fh.write("\n")
 
 
 def _start_run(args, config, seed=None):
     """Make the run directory ``args.out``; returns (directory, finish).
 
-    The dataclass values of `config` are the run's config sections, written
+    An ``args.out`` holding files would mix two runs: it is refused. The
+    dataclass values of `config` are the run's config sections, written
     to config.json when there are any. ``finish(**outputs)`` writes
     run_manifest.json: the command, `config` with each section as written,
     the seed, the start and finish times and `outputs`.
     """
     out = Path(args.out)
+    if out.is_dir() and any(out.iterdir()):
+        raise FileExistsError(f"{out} already holds files: each run needs a new or empty --out")
     out.mkdir(parents=True, exist_ok=True)
     sections = {k: dataclasses.asdict(v) for k, v in config.items() if dataclasses.is_dataclass(v)}
     if sections:
-        _write_json(out / "config.json", sections)
+        write_json(out / "config.json", sections)
     body = {"command": args.command, "config": {k: sections.get(k, v) for k, v in config.items()},
             "seed": seed, "started": datetime.now(timezone.utc).isoformat()}
 
     def finish(**outputs):
         body["finished"] = datetime.now(timezone.utc).isoformat()
         body["outputs"] = outputs
-        _write_json(out / "run_manifest.json", body)
+        write_json(out / "run_manifest.json", body)
 
     return out, finish
 
@@ -237,7 +227,7 @@ def cmd_score(args):
     missing = sorted(set(references) - scored)
     triples += [(utt_id, references[utt_id], []) for utt_id in missing]
     corpus_cer, results = score_corpus(triples)
-    _write_json(out / "report.json", {
+    write_json(out / "report.json", {
         "corpus_cer": corpus_cer,
         "missing": missing,
         "utterances": [
@@ -257,7 +247,7 @@ def cmd_flops(args):
     report = cost_report(model_cfg)
     name = "dense" if model_cfg.num_experts == 0 else f"{model_cfg.num_experts}e"
     out, finish = _start_run(args, {"model": model_cfg})
-    _write_json(out / "report.json", dict(report.to_dict(), model=name))
+    write_json(out / "report.json", dict(report.to_dict(), model=name))
     finish(report="report.json")
     print(format_cost_table(name, report))
     return 0

@@ -3,6 +3,7 @@
 Every dataclass field is a setting, and ``__post_init__`` rejects an
 invalid value by name. The command line exposes each field as a flag and as
 a key of a ``--config`` section (``cli._resolve`` sets the precedence).
+``from_dict`` reads a ``--config`` section and a checkpoint header's config.
 Values the paper's recipe fixes are constants instead: the peak learning
 rate, the Adam moments and epsilon and the gradient clip in ``training``
 (which always trains on SpecAugment's draws), the SpecAugment masks in
@@ -20,10 +21,29 @@ Token-id conventions used across the package:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 # A routed model routes the second macaron FFN of every MOE_EVERY-th block.
 MOE_EVERY = 2
+
+# A field's annotation (a string here) to its type, which parses its flag.
+FIELD_TYPES = {"int": int, "float": float}
+
+
+def from_dict(cls, values):
+    """``cls(**values)``; ValueError for an unknown key or a value not of its
+    field's type: an int field takes an int, a float field an int or a
+    float, and neither a bool."""
+    types = {f.name: f.type for f in fields(cls)}
+    unknown = set(values) - set(types)
+    if unknown:
+        raise ValueError(f"unknown {cls.__name__} keys: {sorted(unknown)}")
+    for name, value in values.items():
+        kind = types[name]
+        if isinstance(value, bool) or not isinstance(value, (int, FIELD_TYPES[kind])):
+            article = "an" if kind == "int" else "a"
+            raise ValueError(f"{cls.__name__}.{name} must be {article} {kind}, got {value!r}")
+    return cls(**values)
 
 
 def _require_positive(cfg, names):

@@ -175,6 +175,13 @@ def save_cmvn(stats, path):
         fh.write("\n")
 
 
+def write_json(path, obj):
+    """Every JSON artifact but cmvn.json: `obj` indented by 2, then a newline."""
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(obj, fh, indent=2)
+        fh.write("\n")
+
+
 def load_cmvn(path):
     with open(path, "r", encoding="utf-8") as fh:
         obj = json.load(fh)
@@ -226,14 +233,15 @@ def spec_augment(seq, rng):
     return FeatureSequence(seq.utt_id, out, seq.tokens)
 
 
-def utterance_rng(seed, utt_id, visit=0):
-    """Augmentation stream keyed by (seed, utterance, visit count).
+def utterance_rng(seed, name, lane=0):
+    """The one random stream, keyed by (seed, crc32 of `name`, lane):
+    SpecAugment's per utterance and epoch, ``nn``'s per dotted name.
 
     Independent of iteration order, so shuffling or parallel loading cannot
     change which cells a given epoch masks.
     """
     return np.random.default_rng(
-        np.random.SeedSequence([int(seed), zlib.crc32(utt_id.encode("utf-8")), int(visit)])
+        np.random.SeedSequence([int(seed), zlib.crc32(name.encode("utf-8")), int(lane)])
     )
 
 
@@ -309,7 +317,5 @@ def generate_corpus(out_dir, num_utts, vocab_size, seed, feat_dim=80):
         "train_utts": len(train_rows),
         "dev_utts": len(dev_rows),
     }
-    with open(out / "corpus.json", "w", encoding="utf-8") as fh:
-        json.dump(summary, fh, indent=2)
-        fh.write("\n")
+    write_json(out / "corpus.json", summary)
     return summary

@@ -1,7 +1,8 @@
 """Layer library on top of the autodiff core.
 
 Modules form a named tree; every parameter and dropout draws its random
-stream from (seed, crc32 of its full dotted name). Initialization is
+stream from (seed, crc32 of its full dotted name): ``features.utterance_rng``,
+the package's one stream function. Initialization is
 therefore a pure function of seed and name: adding or removing unrelated
 modules never shifts another parameter's initial values, which is what lets
 a single-expert routed model reproduce a dense model's trajectory exactly.
@@ -26,11 +27,11 @@ import math
 import mmap
 import os
 import threading
-import zlib
 
 import numpy as np
 
 from . import tensor as T
+from .features import utterance_rng
 from .tensor import Tensor
 
 
@@ -223,13 +224,6 @@ def stacked_parameters(params):
     return leaf
 
 
-def _name_stream(seed, name, lane):
-    """Independent generator per (seed, dotted name); lane separates uses."""
-    return np.random.default_rng(
-        np.random.SeedSequence([int(seed), zlib.crc32(name.encode("utf-8")), int(lane)])
-    )
-
-
 class Module:
     """Base class: children discovered from attribute order, names dotted."""
 
@@ -287,14 +281,14 @@ class Module:
         parameters become. Values are written into those views in place.
         """
         for name, param in self.allocate().arena.params.items():
-            param.data[...] = param.init_fn(_name_stream(seed, name, 0), param.shape)
+            param.data[...] = param.init_fn(utterance_rng(seed, name, 0), param.shape)
         self.seed_dropout(seed)
         return self
 
     def seed_dropout(self, seed):
         for name, module in self.named_modules().items():
             if isinstance(module, Dropout):
-                module.rng = _name_stream(seed, name, 1)
+                module.rng = utterance_rng(seed, name, 1)
         return self
 
     def zero_grad(self):

@@ -41,7 +41,7 @@ from .checkpoint import load_pretrained_embedding, save_embedding, save_model
 from .ctc import ctc_loss
 from .decoder import multi_level_aed
 from .encoder import EmbeddingNetwork
-from .features import load_normalized_split, spec_augment, utterance_rng
+from .features import load_normalized_split, spec_augment, utterance_rng, write_json
 from .model import SpeechModel
 from .moe import (
     mean_importance_loss,
@@ -337,10 +337,12 @@ def _run_loop(module, train_seqs, dev_seqs, train_cfg, out_dir, step_fn, eval_fn
         records.append(CheckpointRecord(batcher.epoch, step, eval_ctc, str(path)))
 
     # Both logs close, flushed, however the loop ends: a divergence error
-    # leaves every step it logged in both files.
+    # leaves every step it logged in both files. The embedding network's cfg
+    # is its dense stack's: it logs no routing.
     with contextlib.ExitStack() as logs:
         metrics_fh = logs.enter_context(open(out / "metrics.jsonl", "w", encoding="utf-8"))
-        routed_log = None
+        routed_log = (logs.enter_context(open(out / "routing.jsonl", "w", encoding="utf-8"))
+                      if module.cfg.routed else None)
         # Training mode is set here and after each checkpoint's evaluation,
         # the only code that changes it, rather than on every step.
         module.train()
@@ -374,11 +376,7 @@ def _run_loop(module, train_seqs, dev_seqs, train_cfg, out_dir, step_fn, eval_fn
                 None if routing is None else {str(r["block"]): r["entropy"] for r in routing}
             )
             metrics_fh.write(json.dumps(line) + "\n")
-            if routing is not None:
-                if routed_log is None:
-                    routed_log = logs.enter_context(
-                        open(out / "routing.jsonl", "w", encoding="utf-8")
-                    )
+            if routed_log is not None:
                 routed_log.write(json.dumps({"step": step, "layers": routing}) + "\n")
             if step % train_cfg.eval_every == 0:
                 checkpoint(step)
@@ -388,12 +386,8 @@ def _run_loop(module, train_seqs, dev_seqs, train_cfg, out_dir, step_fn, eval_fn
 
     final = select_final(records)
     # records.json keeps every candidate so the selection is auditable.
-    with open(out / "records.json", "w", encoding="utf-8") as fh:
-        json.dump([dataclasses.asdict(r) for r in records], fh, indent=2)
-        fh.write("\n")
-    with open(out / "final.json", "w", encoding="utf-8") as fh:
-        json.dump(dataclasses.asdict(final), fh, indent=2)
-        fh.write("\n")
+    write_json(out / "records.json", [dataclasses.asdict(r) for r in records])
+    write_json(out / "final.json", dataclasses.asdict(final))
     return records, final
 
 

@@ -335,6 +335,61 @@ class TestFailureModes:
         assert err == "error: ValueError: unknown ModelConfig keys: ['moe_every']\n"
         assert not run.exists()
 
+    @pytest.mark.parametrize("section, key, value, message", [
+        ("train", "max_steps", 2.5, "TrainConfig.max_steps must be an int, got 2.5"),
+        ("train", "batch_size", True, "TrainConfig.batch_size must be an int, got True"),
+        ("model", "d_att", 16.0, "ModelConfig.d_att must be an int, got 16.0"),
+        ("model", "heads", "2", "ModelConfig.heads must be an int, got '2'"),
+        ("model", "dropout", "0.1", "ModelConfig.dropout must be a float, got '0.1'"),
+    ], ids=["float-for-int", "bool-for-int", "float-width", "str-for-int", "str-for-float"])
+    def test_config_value_of_the_wrong_type_is_refused(self, tmp_path, capsys, section, key,
+                                                        value, message):
+        """A --config value must have its field's type: the one line names
+        the class and the field, and no run directory is made. (No flag is
+        given: a flag would override the value.)"""
+        data = prepare(tmp_path)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({section: {key: value}}))
+        run = tmp_path / "run"
+        assert main(["train", "--data", str(data), "--out", str(run),
+                     "--config", str(cfg_path)]) == 1
+        assert capsys.readouterr().err == f"error: ValueError: {message}\n"
+        assert not run.exists()
+
+    def test_whole_number_for_a_float_field_is_accepted(self, tmp_path):
+        """JSON writes 1.0 as 1: a float field takes an int as it is."""
+        data = prepare(tmp_path, num=10)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"model": {"dropout": 0}, "train": {"eta": 1}}))
+        run = tmp_path / "run"
+        assert main(["train", "--data", str(data), "--out", str(run), *TINY_MODEL,
+                     "--max-steps", "1", "--eval-every", "1", "--config", str(cfg_path)]) == 0
+        config = json.loads((run / "config.json").read_text())
+        assert (config["model"]["dropout"], config["train"]["eta"]) == (0, 1)
+
+    def test_run_into_a_used_out_is_refused(self, tmp_path, capsys):
+        """A second run into a directory that holds files exits 1 in one
+        line and leaves every file as it was; an empty one is used."""
+        data = prepare(tmp_path, num=10)
+
+        def train(out, *extra):
+            return main(["train", "--data", str(data), "--out", str(out), *TINY_MODEL,
+                         "--max-steps", "1", "--eval-every", "1", *extra])
+
+        run = tmp_path / "run"
+        assert train(run) == 0
+        before = {f: f.read_bytes() for f in run.rglob("*") if f.is_file()}
+        capsys.readouterr()
+        assert train(run, "--num-experts", "2") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: FileExistsError: ") and str(run) in err
+        assert len(err.splitlines()) == 1
+        assert {f: f.read_bytes() for f in run.rglob("*") if f.is_file()} == before
+        empty = tmp_path / "empty"
+        empty.mkdir()
+        assert train(empty) == 0
+        assert (empty / "final.ckpt").exists()
+
     @pytest.mark.parametrize("vocab, feat_dim, flag", [
         ("0", "10", "--vocab-size"), ("4", "0", "--feat-dim"),
     ])

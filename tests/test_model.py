@@ -480,6 +480,17 @@ class TestCheckpointRoundTrip:
         with pytest.raises(CheckpointError, match=r"old\.ckpt: .*\['moe_every'\]"):
             load_model(path)
 
+    def test_config_value_of_the_wrong_type_named(self, tmp_path):
+        """The header's config is read like a --config section: a float for
+        an int field is refused with the file and the field named."""
+        cfg = desk_cfg(num_experts=2)
+        path = tmp_path / "odd.ckpt"
+        checkpoint._write(path, "model", dict(dataclasses.asdict(cfg), d_att=16.0),
+                          SpeechModel(cfg).initialize(0))
+        with pytest.raises(CheckpointError,
+                           match=r"^\S*odd\.ckpt: ModelConfig\.d_att must be an int, got 16\.0$"):
+            load_model(path)
+
 
 class TestAuxiliaryStripping:
     def test_strip_removes_only_aux_heads(self, tmp_path):
@@ -626,8 +637,8 @@ class TestArenaImage:
 
     def test_load_model_reads_the_body_into_the_arena(self, tmp_path):
         """The body goes from the file straight into the new arena: the
-        traced peak of ``load_model`` stays below one read chunk, so the
-        file's bytes are never held whole. The arena's two buffers lie on
+        traced peak of ``load_model`` stays below 4 MiB, a quarter of the
+        arena, so the file's bytes are never held whole. The arena's two buffers lie on
         pages mapped for them alone, which tracemalloc does not see, so the
         peak is all that ``load_model`` holds beside them."""
         model = SpeechModel(ModelConfig.desk_scale(11, num_experts=16)).initialize(2)
@@ -640,8 +651,8 @@ class TestArenaImage:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert arena_bytes > 3 * checkpoint._CHUNK_BYTES
-        assert peak < checkpoint._CHUNK_BYTES
+        assert arena_bytes > 3 * (1 << 22)
+        assert peak < 1 << 22
         assert loaded.arena.data.tobytes() == expected
 
     def test_only_a_root_with_an_arena_is_saved(self, tmp_path):
