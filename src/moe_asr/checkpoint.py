@@ -160,24 +160,43 @@ def save_embedding(path, embedding_net, cfg):
     _write(path, "embedding", dataclasses.asdict(cfg), embedding_net)
 
 
-def load_pretrained_embedding(model, path):
-    """Overwrite a joint model's embedding network with pretrained weights.
-
-    The checkpoint's architecture must agree with the model's on every field
-    the embedding network reads. The body is read into the model arena's
-    ``embedding_net.`` span, so the model must be allocated (initialized) first.
-    """
-    if model.embedding_net is None:
+@contextlib.contextmanager
+def _embedding(path, cfg):
+    """Open an embedding checkpoint for a model of `cfg` (``_read``); yields
+    (entries, read_body). CheckpointError when `cfg` is dense (no embedding
+    network) or the stored architecture differs from it on a field the
+    embedding network reads."""
+    if not cfg.routed:
         raise CheckpointError("model is dense; it has no embedding network to load into")
     with _read(path, "embedding") as (config, entries, read_body):
         stored = _model_config(path, config)
         for field in ("feat_dim", "d_emb", "d_ff", "heads", "kernel", "embedding_blocks",
                       "vocab_size"):
-            if getattr(stored, field) != getattr(model.cfg, field):
+            if getattr(stored, field) != getattr(cfg, field):
                 raise CheckpointError(
                     f"{path}: embedding architecture mismatch on {field}:"
-                    f" {getattr(stored, field)} vs {getattr(model.cfg, field)}"
+                    f" {getattr(stored, field)} vs {getattr(cfg, field)}"
                 )
+        yield entries, read_body
+
+
+def check_embedding(path, cfg):
+    """``load_pretrained_embedding``'s checks of `path` for a model of `cfg`,
+    the body left unread: the file opens, is an embedding checkpoint, and
+    its architecture fits."""
+    with _embedding(path, cfg):
+        pass
+
+
+def load_pretrained_embedding(model, path):
+    """Overwrite a joint model's embedding network with pretrained weights.
+
+    The checkpoint's architecture must agree with the model's on every field
+    the embedding network reads (``check_embedding``). The body is read into
+    the model arena's ``embedding_net.`` span, so the model must be
+    allocated (initialized) first.
+    """
+    with _embedding(path, model.cfg) as (entries, read_body):
         if model.arena is None:
             raise ValueError("model has no parameter storage; initialize it before loading")
         read_body(_span(path, model.arena, entries, "embedding_net."))

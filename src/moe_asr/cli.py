@@ -5,9 +5,11 @@ Every config field is also a long flag (underscores become dashes); a
 field's value comes from its flag, else the --config file, else (for
 vocab_size and feat_dim) the prepared corpus, else its default, and
 ``config.from_dict`` reads each section. A key or value it refuses, a model
-that cannot read the corpus (``_check_fits_corpus``), a --config model
-section given to decode, or an --out holding files stops a command before
-it writes anything. Each command starts its run directory with
+that cannot read the corpus (``_check_fits_corpus``), an --embedding
+checkpoint that does not fit it (``checkpoint.check_embedding``), a split
+decode cannot read, a --config model section given to decode, or an --out
+holding files stops a command before it writes anything, so its corrected
+rerun may use the same --out. Each command starts its run directory with
 ``_start_run``: the resolved config sections in config.json (for the
 commands that take any) and, when it ends, run_manifest.json. Timestamps
 live only in the manifest, so every other artifact is byte-reproducible
@@ -23,7 +25,7 @@ import sys
 from datetime import datetime, timezone
 from pathlib import Path
 
-from .checkpoint import load_model
+from .checkpoint import check_embedding, load_model
 from .config import FIELD_TYPES, DecodeConfig, ModelConfig, TrainConfig, from_dict
 from .features import generate_corpus, load_manifest, load_normalized_split, write_json
 from .inference import cost_report, decode_nbest, format_cost_table, score_corpus
@@ -145,9 +147,10 @@ def _start_run(args, config, seed=None):
 def cmd_prepare(args):
     if args.num_utts < 10:
         raise ValueError(f"--num-utts must be >= 10 to fill the dev split, got {args.num_utts}")
-    for flag, value in (("--vocab-size", args.vocab_size), ("--feat-dim", args.feat_dim)):
-        if value < 1:
-            raise ValueError(f"{flag} must be >= 1, got {value}")
+    for flag, value, least in (("--vocab-size", args.vocab_size, 1),
+                               ("--feat-dim", args.feat_dim, 1), ("--seed", args.seed, 0)):
+        if value < least:
+            raise ValueError(f"{flag} must be >= {least}, got {value}")
     out, finish = _start_run(args, {"num_utts": args.num_utts, "vocab_size": args.vocab_size,
                                     "feat_dim": args.feat_dim}, args.seed)
     summary = generate_corpus(out, args.num_utts, args.vocab_size, args.seed,
@@ -172,6 +175,8 @@ def cmd_pretrain_embedding(args):
 def cmd_train(args):
     model_cfg, train_cfg, _ = _resolve(args, ("model", "train"), args.data)
     _check_fits_corpus(model_cfg, args.data)
+    if args.embedding is not None:
+        check_embedding(args.embedding, model_cfg)
     out, finish = _start_run(args, {"model": model_cfg, "train": train_cfg}, train_cfg.seed)
     records, final = train_joint(args.data, out, model_cfg, train_cfg,
                                  embedding_ckpt=args.embedding)
@@ -186,9 +191,9 @@ def cmd_decode(args):
     _, _, decode_cfg = _resolve(args, ("decode",))
     model = load_model(args.checkpoint).eval()
     _check_fits_corpus(model.cfg, args.data, vocab=False)
+    seqs = load_normalized_split(args.data, args.split)
     out, finish = _start_run(args, {"model": model.cfg, "decode": decode_cfg,
                                     "checkpoint": str(args.checkpoint), "split": args.split})
-    seqs = load_normalized_split(args.data, args.split)
     with open(out / "nbest.jsonl", "w", encoding="utf-8") as fh:
         for seq in seqs:
             hyps = decode_nbest(model, Tensor(seq.feats), decode_cfg.beam,

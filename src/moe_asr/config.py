@@ -188,6 +188,8 @@ class TrainConfig:
     def __post_init__(self):
         _require_positive(self, ("warmup_steps", "batch_size", "max_steps", "max_epochs",
                                  "eval_every"))
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if not 0.0 <= self.eta <= 1.0:
             raise ValueError(f"eta must lie in [0, 1], got {self.eta}")
         # `not` catches NaN, which fails every comparison.

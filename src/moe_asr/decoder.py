@@ -63,10 +63,10 @@ LABEL_SMOOTHING = 0.1  # the paper recipe's weight of the uniform target in ever
 
 
 class DecoderBlock(Module):
-    """Pre-norm: self-attention, cross-attention, feed-forward. `mask`
-    ([rows, rows] bool) is true where a row may not look, ``_prefix_forest``'s
-    mask; `rows` and `enc_rows`: token and encoder rows per utterance of a
-    packed batch (None: one)."""
+    """Pre-norm: self-attention, cross-attention, feed-forward, three module
+    calls, each one node. `mask` ([rows, rows] bool) is true where a row may
+    not look, ``_prefix_forest``'s mask; `rows` and `enc_rows`: token and
+    encoder rows per utterance of a packed batch (None: one)."""
 
     def __init__(self, d, d_ff, heads, dropout=0.0):
         super().__init__()
@@ -79,12 +79,10 @@ class DecoderBlock(Module):
         self.ffn = FeedForward(d, d_ff, dropout)
 
     def forward(self, x, enc, mask, rows=None, enc_rows=None):
-        shape, heads = x.data.shape[-2:], self.self_attn.heads
-        x = T.mha(x, None, heads, *self.self_attn.operands(self.norm1, self.dropout1, shape),
-                  lengths=rows, mask=mask)
-        x = T.mha(x, enc, heads, *self.cross_attn.operands(self.norm2, self.dropout2, shape),
-                  lengths=rows, key_lengths=enc_rows)
-        return T.ffn(x, 1.0, *self.ffn.operands(shape[0]))
+        x = self.self_attn.forward(x, None, self.norm1, self.dropout1, lengths=rows, mask=mask)
+        x = self.cross_attn.forward(x, enc, self.norm2, self.dropout2, lengths=rows,
+                                    key_lengths=enc_rows)
+        return self.ffn.forward(x)
 
 
 class TransformerDecoder(Module):

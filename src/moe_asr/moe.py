@@ -139,7 +139,6 @@ def moe_loss(L_s, L_m, L_e, alpha, beta, gamma):
             if weight != 0.0:
                 raise ValueError("a weighted loss term is missing")
             continue
-        term = term if isinstance(term, T.Tensor) else T.Tensor(float(term))
         total = T.add(total, T.mul(term, float(weight)))
     return total
 

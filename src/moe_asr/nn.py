@@ -15,10 +15,11 @@ and dropout generators under their usual names; each ``Dropout`` draws its
 mask from its own stream before the node runs, as a bool keep array and a
 scale, which the node keeps instead of a float mask. A ``Dropout`` used on
 its own (after the position table) applies its mask as one ``T.mul``.
-``FeedForward.operands`` and ``MultiHeadAttention.operands`` list a
-sub-layer node's arguments, parameters and masks; ``stacked_parameters``
-makes a level or expert stack one tensor of views of the arena, and
-``joined_mask`` joins its members' masks into one with their one scale.
+A sub-layer's node is called from one place, its module's ``forward``,
+so its operand order is known only there and in ``tensor``;
+``stacked_parameters`` makes a level or expert stack one tensor of views
+of the arena, and ``joined_mask`` joins its members' masks into one with
+their one scale.
 """
 
 from __future__ import annotations
@@ -387,20 +388,17 @@ class FeedForward(Module):
         self.dropout2 = Dropout(dropout)
 
     def forward(self, x, c=1.0):
-        """`c`: the residual factor, 0.5 for a macaron half step."""
-        return T.ffn(x, c, *self.operands(x.data.shape[0]))
+        """`c`: the residual factor, 0.5 for a macaron half step. The rows
+        are axis -2 of `x`, so a decoders' level stand-in runs it on [L, n,
+        d] rows, each dropout drawing the levels' masks."""
+        rows, (d, d_ff) = x.data.shape[-2], self.w1.weight.shape[-2:]
+        return T.ffn(x, c, *self.op_parameters(),
+                     self.dropout1.mask((rows, d_ff)), self.dropout2.mask((rows, d)))
 
     def op_parameters(self):
         """The six parameters in ``T.ffn``'s operand order."""
         return (self.norm.gamma, self.norm.beta, self.w1.weight, self.w1.bias,
                 self.w2.weight, self.w2.bias)
-
-    def operands(self, rows):
-        """``T.ffn``'s arguments after the factor, for `rows` input rows:
-        ``op_parameters``, then each dropout's mask (None when it is off)."""
-        d, d_ff = self.w1.weight.shape[-2:]
-        return (*self.op_parameters(),
-                self.dropout1.mask((rows, d_ff)), self.dropout2.mask((rows, d)))
 
 
 class MultiHeadAttention(Module):
@@ -420,20 +418,16 @@ class MultiHeadAttention(Module):
         self.wv = Linear(d, d)
         self.wo = Linear(d, d)
 
-    def forward(self, x, norm, dropout, **segments):
-        """Self-attention, ``x + dropout(attention)`` with queries, keys and
-        values from ``norm(x)``. `norm` and `dropout` are the caller's
-        ``LayerNorm`` and ``Dropout``; `segments` are ``T.mha``'s lengths,
-        key_lengths and mask. (Cross-attention calls ``T.mha`` with
-        the memory and ``operands``.)"""
-        return T.mha(x, None, self.heads, *self.operands(norm, dropout, x.data.shape),
-                     **segments)
-
-    def operands(self, norm, dropout, shape):
-        """``T.mha``'s arguments after the heads, for input rows of `shape`:
-        the nine parameters, then the dropout's mask (None when it is off)."""
-        return (norm.gamma, norm.beta, self.wq.weight, self.wq.bias, self.wk.weight,
-                self.wv.weight, self.wv.bias, self.wo.weight, self.wo.bias, dropout.mask(shape))
+    def forward(self, x, memory, norm, dropout, **segments):
+        """``x + dropout(attention)`` with queries from ``norm(x)``, and keys
+        and values from ``norm(x)`` (self-attention, `memory` None) or from
+        `memory` (cross-attention; with levels, one encoder output per
+        level). `norm` and `dropout` are the caller's ``LayerNorm`` and
+        ``Dropout``; `segments` are ``T.mha``'s lengths, key_lengths and
+        mask."""
+        return T.mha(x, memory, self.heads, norm.gamma, norm.beta, self.wq.weight,
+                     self.wq.bias, self.wk.weight, self.wv.weight, self.wv.bias,
+                     self.wo.weight, self.wo.bias, dropout.mask(x.data.shape), **segments)
 
 
 class SelfAttention(Module):
@@ -448,7 +442,7 @@ class SelfAttention(Module):
 
     def forward(self, x, lengths=None):
         """`lengths`: rows per utterance of a packed batch (None: one)."""
-        return self.mha.forward(x, self.norm, self.dropout, lengths=lengths)
+        return self.mha.forward(x, None, self.norm, self.dropout, lengths=lengths)
 
 
 class ConvModule(Module):

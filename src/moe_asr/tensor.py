@@ -437,6 +437,14 @@ def _layernorm_input_grad(gn, y, inv):
     return inv * (gn - gm - y * gy)
 
 
+def _layernorm_grads(g, x, mu, inv, gamma):
+    """A layernorm's backward from `g`, the gradient at its output: (y, gx,
+    ggamma, gbeta), y rebuilt from the input `x` and the statistics of
+    ``_layernorm_rows``, the vectors' sums over axis -2 (level by level)."""
+    y = _normalized(x, mu, inv)
+    return y, _layernorm_input_grad(g * gamma, y, inv), (g * y).sum(axis=-2), g.sum(axis=-2)
+
+
 def layernorm(a, gamma, beta):
     """Normalize the last dimension to zero mean, unit variance, then apply
     the affine ``(y * gamma) + beta``, all in one node. `a` may carry a
@@ -453,9 +461,7 @@ def layernorm(a, gamma, beta):
     out, mu, inv = _layernorm_rows(a.data, gamma, beta)
 
     def bwd(g):
-        y = _normalized(a.data, mu, inv)
-        return (_layernorm_input_grad(g * gamma, y, inv) if a.requires_grad else None,
-                (g * y).sum(axis=-2), g.sum(axis=-2))
+        return _layernorm_grads(g, a.data, mu, inv, gamma)[1:]
 
     return _node(out, (a, *params), bwd, "layernorm")
 
@@ -911,13 +917,12 @@ def mha(x, memory, heads, gamma, beta, wq, bq, wk, wv, bv, wo, bo, drop=None, le
                         gv @ wv.swapaxes(-1, -2))
         if not memories:
             gn = gn + gsk + gsv
-        y = _normalized(x.data, mu, inv)
+        y, gx, ggamma, gbeta = _layernorm_grads(gn, x.data, mu, inv, gamma)
         n = _affine(y, gamma, beta)
         src = n if memory_rows is None else memory_rows
-        grads = ((gn * y).sum(axis=-2), gn.sum(axis=-2), n.swapaxes(-1, -2) @ gq,
-                 gq.sum(axis=-2), src.swapaxes(-1, -2) @ gk, src.swapaxes(-1, -2) @ gv,
-                 gv.sum(axis=-2), a.swapaxes(-1, -2) @ go, go.sum(axis=-2))
-        gx = _layernorm_input_grad(gn * gamma, y, inv)
+        grads = (ggamma, gbeta, n.swapaxes(-1, -2) @ gq, gq.sum(axis=-2),
+                 src.swapaxes(-1, -2) @ gk, src.swapaxes(-1, -2) @ gv, gv.sum(axis=-2),
+                 a.swapaxes(-1, -2) @ go, go.sum(axis=-2))
         # each memory's flows from k and v, one level after another
         kv = zip(gsk, gsv) if lead else [(gsk, gsv)] if memories else []
         return (g, gx, *grads, *[gm for pair in kv for gm in pair])
@@ -1030,18 +1035,14 @@ def conv_module(x, gamma, beta, w1, b1, kernel, kernel_bias, gamma2, beta2, w2, 
 
     def bwd(g):
         go = g if drop is None else g * _float_mask(drop)
-        y2 = _normalized(h, mu2, inv2)
-        n2 = _affine(y2, gamma2, beta2)
+        n2 = _affine(_normalized(h, mu2, inv2), gamma2, beta2)
         gn2 = (go @ w2.T) * s * (1.0 + n2 * (1.0 - s))
-        gh = _layernorm_input_grad(gn2 * gamma2, y2, inv2)
+        _, gh, ggamma2, gbeta2 = _layernorm_grads(gn2, h, mu2, inv2, gamma2)
         gu, gkernel = conv_backward(gh, x1 * s1)
         ga = glu_backward(gu)
-        gn = ga @ w1.T
-        y = _normalized(x.data, mu, inv)
-        return (g, _layernorm_input_grad(gn * gamma, y, inv), (gn * y).sum(axis=0),
-                gn.sum(axis=0), _affine(y, gamma, beta).T @ ga, ga.sum(axis=0), gkernel,
-                gh.sum(axis=0), (gn2 * y2).sum(axis=0), gn2.sum(axis=0), (n2 * s).T @ go,
-                go.sum(axis=0))
+        y, gx, ggamma, gbeta = _layernorm_grads(ga @ w1.T, x.data, mu, inv, gamma)
+        return (g, gx, ggamma, gbeta, _affine(y, gamma, beta).T @ ga, ga.sum(axis=0), gkernel,
+                gh.sum(axis=0), ggamma2, gbeta2, (n2 * s).T @ go, go.sum(axis=0))
 
     return _node(_residual(x.data, o), (x, x, *params), bwd, "conv-module")
 

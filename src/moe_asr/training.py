@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import contextlib
 import dataclasses
+import functools
 import json
 import math
 import shutil
@@ -167,30 +168,19 @@ def clip_gradients(arena, max_norm):
 # ---------------------------------------------------------------------------
 
 
-def _as_tensor(x):
-    return x if isinstance(x, Tensor) else Tensor(float(x))
-
-
 def joint_loss(l_ctc, aed_losses, eta):
-    """eta * L_ctc + (1 - eta) * sum of the per-level decoder losses."""
-    total_aed = None
-    for term in aed_losses:
-        term = _as_tensor(term)
-        total_aed = term if total_aed is None else T.add(total_aed, term)
-    if total_aed is None:
-        total_aed = Tensor(0.0)
-    return T.add(T.mul(_as_tensor(l_ctc), eta), T.mul(total_aed, 1.0 - eta))
+    """eta * L_ctc + (1 - eta) * sum of the per-level decoder losses. Terms
+    may be graph tensors or plain numbers (``T.add`` and ``T.mul`` take both)."""
+    total_aed = functools.reduce(T.add, aed_losses) if aed_losses else 0.0
+    return T.add(T.mul(l_ctc, eta), T.mul(total_aed, 1.0 - eta))
 
 
 def total_loss(l_moe, l_joint):
-    return T.add(_as_tensor(l_moe), _as_tensor(l_joint))
+    return T.add(l_moe, l_joint)
 
 
 def _mean(terms):
-    out = terms[0]
-    for term in terms[1:]:
-        out = T.add(out, term)
-    return T.mul(out, 1.0 / len(terms))
+    return T.mul(functools.reduce(T.add, terms), 1.0 / len(terms))
 
 
 def _packed(batch):

@@ -271,6 +271,19 @@ class TestConfigResolution:
             parser.parse_args(argv)
 
 
+@pytest.fixture(scope="module")
+def trained(tmp_path_factory):
+    """A 10-utterance corpus, an embedding checkpoint and a routed model
+    checkpoint trained on it, one step each."""
+    root = tmp_path_factory.mktemp("trained")
+    data = prepare(root, num=10)
+    one_step = [*TINY_MODEL, "--num-experts", "2", "--max-steps", "1", "--eval-every", "1"]
+    assert main(["pretrain-embedding", "--data", str(data), "--out", str(root / "pre"),
+                 *one_step]) == 0
+    assert main(["train", "--data", str(data), "--out", str(root / "run"), *one_step]) == 0
+    return data, root / "pre" / "embedding.ckpt", root / "run" / "final.ckpt"
+
+
 class TestFailureModes:
     @pytest.mark.parametrize("flag, value, field", [
         ("--eval-every", "0", "eval_every"),
@@ -390,6 +403,41 @@ class TestFailureModes:
         assert train(empty) == 0
         assert (empty / "final.ckpt").exists()
 
+    @pytest.mark.parametrize("command, flag, bad, good, named", [
+        ("train", "--seed", "-1", "1", "ValueError: seed must be >= 0, got -1"),
+        ("pretrain-embedding", "--seed", "-2", "2", "ValueError: seed must be >= 0, got -2"),
+        ("prepare", "--seed", "-1", "1", "ValueError: --seed must be >= 0, got -1"),
+        ("train", "--embedding", "{tmp}/nope.ckpt", "{embedding}", "{tmp}/nope.ckpt"),
+        ("train", "--embedding", "{model}", "{embedding}",
+         "expected an embedding checkpoint, found 'model'"),
+        ("decode", "--split", "test", "dev", "{data}/test.jsonl"),
+    ], ids=["train-seed", "pretrain-seed", "prepare-seed", "absent-embedding",
+            "model-as-embedding", "absent-split"])
+    def test_failing_inputs_leave_no_run_directory(self, tmp_path, capsys, trained, command,
+                                                   flag, bad, good, named):
+        """A command refused for its own inputs exits 1 with one line naming
+        the field or the file and makes no --out, so the corrected command
+        then runs into that same --out."""
+        data, embedding, model = trained
+        paths = {"tmp": tmp_path, "data": data, "embedding": embedding, "model": model}
+        out = tmp_path / "out"
+        inputs = {"prepare": ["--num-utts", "10", "--vocab-size", "4", "--feat-dim", "10"],
+                  "decode": ["--data", str(data), "--checkpoint", str(model)]}.get(
+            command, ["--data", str(data), *TINY_MODEL, "--num-experts", "2",
+                      "--max-steps", "1", "--eval-every", "1"])
+
+        def run(value):
+            return main([command, "--out", str(out), *inputs, flag, value.format(**paths)])
+
+        capsys.readouterr()
+        assert run(bad) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert named.format(**paths) in err
+        assert not out.exists()
+        assert run(good) == 0
+        assert (out / "run_manifest.json").exists()
+
     @pytest.mark.parametrize("vocab, feat_dim, flag", [
         ("0", "10", "--vocab-size"), ("4", "0", "--feat-dim"),
     ])
@@ -481,7 +529,7 @@ class TestFailureModes:
 
     @pytest.mark.parametrize("field, value", [
         ("beta", "nan"), ("gamma", "nan"), ("gamma", "inf"), ("alpha", "-inf"),
-        ("max_epochs", "0"),
+        ("max_epochs", "0"), ("seed", "-1"),
     ])
     def test_invalid_train_setting_named(self, field, value):
         with pytest.raises(ValueError, match=f"^{field} "):
