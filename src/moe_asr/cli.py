@@ -7,13 +7,13 @@ vocab_size and feat_dim) the prepared corpus, else its default, and
 ``config.from_dict`` reads each section. A key or value it refuses, a model
 that cannot read the corpus (``_check_fits_corpus``), an --embedding
 checkpoint that does not fit it (``checkpoint.check_embedding``), a split
-decode cannot read, a --config model section given to decode, or an --out
-holding files stops a command before it writes anything, so its corrected
-rerun may use the same --out. Each command starts its run directory with
-``_start_run``: the resolved config sections in config.json (for the
-commands that take any) and, when it ends, run_manifest.json. Timestamps
-live only in the manifest, so every other artifact is byte-reproducible
-from equal inputs.
+decode or score cannot read, a hyps file score refuses, a --config model
+section given to decode, or an --out holding files stops a command before
+it writes anything, so its corrected rerun may use the same --out. Each
+command starts its run directory with ``_start_run``: the resolved config
+sections in config.json (for the commands that take any) and, when it
+ends, run_manifest.json. Timestamps live only in the manifest, so every
+other artifact is byte-reproducible from equal inputs.
 """
 
 from __future__ import annotations
@@ -213,7 +213,6 @@ def cmd_decode(args):
 
 
 def cmd_score(args):
-    out, finish = _start_run(args, {"hyps": str(args.hyps), "split": args.split})
     references = {h.utt_id: h.tokens for h in
                   load_manifest(Path(args.data) / f"{args.split}.jsonl")}
     triples, scored = [], set()
@@ -232,6 +231,7 @@ def cmd_score(args):
     missing = sorted(set(references) - scored)
     triples += [(utt_id, references[utt_id], []) for utt_id in missing]
     corpus_cer, results = score_corpus(triples)
+    out, finish = _start_run(args, {"hyps": str(args.hyps), "split": args.split})
     write_json(out / "report.json", {
         "corpus_cer": corpus_cer,
         "missing": missing,

@@ -24,6 +24,7 @@ their one scale.
 
 from __future__ import annotations
 
+import contextlib
 import math
 import mmap
 import os
@@ -81,12 +82,39 @@ CHUNK = 32768  # elements per in-place pass over a buffer; small enough to stay 
 SPAN_CHUNKS = 4  # fewest chunks worth a span, and a thread, of their own
 
 
-def _usable_cores():
-    """The cores this process may run on."""
+def _cores():
+    """The ids of the cores the calling thread may run on, in order (on a
+    platform without affinity calls, one stand-in id per core)."""
     try:
-        return len(os.sched_getaffinity(0))
+        return sorted(os.sched_getaffinity(0))
     except AttributeError:  # no affinity call on this platform
-        return os.cpu_count() or 1
+        return list(range(os.cpu_count() or 1))
+
+
+def _usable_cores():
+    """The number of cores this process may run on."""
+    return len(_cores())
+
+
+def _pin(cores):
+    """Let the calling thread run on `cores` alone, where the platform can
+    say so. A kernel that does not balance load (a cpuset with
+    ``sched_load_balance`` 0) never moves a thread off the core it started
+    on, so an unpinned worker shares its creator's core."""
+    if hasattr(os, "sched_setaffinity"):
+        os.sched_setaffinity(0, cores)
+
+
+@contextlib.contextmanager
+def _pinned(cores):
+    """Run the block with the calling thread on `cores` alone, then give the
+    thread back its own mask, also when the block raises."""
+    mask = _cores()
+    _pin(cores)
+    try:
+        yield
+    finally:
+        _pin(mask)
 
 
 def _spans(size, parts):
@@ -107,15 +135,21 @@ _pool_lock = threading.Lock()
 
 def _workers():
     """The one process-wide pool of (usable cores - 1) threads for arena
-    spans, made at first need; None on one core. (Imported here: a process
-    that never splits a pass, say one that only decodes, does not load
-    ``concurrent.futures`` and the ``logging`` it brings.)"""
+    spans, made at first need; None on one core. Each worker pins itself
+    (``_pin``) to its own usable core after the first when it starts, and
+    stays there; the first is left for the calling thread
+    (``Arena.each_span``). (Imported here: a process that never splits a
+    pass, say one that only decodes, does not load ``concurrent.futures``
+    and the ``logging`` it brings.)"""
     global _pool
     with _pool_lock:
         if _pool is None and _usable_cores() > 1:
             from concurrent.futures import ThreadPoolExecutor
 
-            _pool = ThreadPoolExecutor(_usable_cores() - 1, thread_name_prefix="arena")
+            others = _cores()[1:]
+            cores = iter(others)  # one next() per worker; a list iterator's is atomic
+            _pool = ThreadPoolExecutor(len(others), thread_name_prefix="arena",
+                                       initializer=lambda: _pin([next(cores)]))
         return _pool
 
 
@@ -130,14 +164,16 @@ class Arena:
     ``_spans``), and the passes that write every element (``zero_grad``'s
     fill, the clip's scale, Adam's update) run span by span on the process's
     threads (``each_span``); each is elementwise, so its bits do not depend
-    on the span count. Both buffers start as zeros on pages mapped for them
-    alone (``_mapped_zeros``): ``data`` is written whole at once
-    (initialized or read from a file), and ``grad`` takes memory only once
-    written, so a model that only decodes holds one buffer and starts no
-    thread. A parameter can join only one arena. Modules of one
-    shape declared back to back (a layer's experts; the main decoder, then
-    the auxiliary ones) lie at a uniform stride, so each of their
-    parameters stacks as views (``stacked_parameters``).
+    on the span count. Each thread runs on a core of its own (``_workers``,
+    ``each_span``): where the kernel does not balance load, two unpinned
+    threads share one core and the split gains nothing. Both buffers start
+    as zeros on pages mapped for them alone (``_mapped_zeros``): ``data`` is
+    written whole at once (initialized or read from a file), and ``grad``
+    takes memory only once written, so a model that only decodes holds one
+    buffer and starts no thread. A parameter can join only one arena.
+    Modules of one shape declared back to back (a layer's experts; the main
+    decoder, then the auxiliary ones) lie at a uniform stride, so each of
+    their parameters stacks as views (``stacked_parameters``).
     """
 
     def __init__(self, params):
@@ -167,20 +203,27 @@ class Arena:
 
     def each_span(self, fn):
         """Call ``fn(i, span)`` for each of ``spans``, span i as a slice of
-        the flat buffers: the calling thread takes the last span and the
-        process's worker threads (``_workers``) the others. Returns once
-        every call has, then raises the calling thread's error, else the
-        first worker's. An arena of one span, or a process on one core, runs
-        every call on the calling thread."""
+        the flat buffers: the process's worker threads (``_workers``), each
+        pinned to a usable core after the first, take all but the last, and
+        the calling thread takes the last, pinned to the first usable core
+        for the length of the pass; its own mask comes back afterwards, also
+        when a span raises. Returns once every call has, then raises the
+        calling thread's error, else the first worker's. An arena of one
+        span, or a process on one core, runs every call on the calling
+        thread and pins nothing."""
         jobs = [(i, slice(*span)) for i, span in enumerate(self.spans)]
         pool = _workers() if len(jobs) > 1 else None
-        futures = [] if pool is None else [pool.submit(fn, *job) for job in jobs[:-1]]
-        try:
-            for job in jobs[len(futures):]:  # the last span, or all of them on one core
+        if pool is None:
+            for job in jobs:
                 fn(*job)
-        finally:
-            for future in futures:
-                future.exception()  # waits: no span runs on once the pass is left
+            return
+        with _pinned(_cores()[:1]):
+            futures = [pool.submit(fn, *job) for job in jobs[:-1]]
+            try:
+                fn(*jobs[-1])
+            finally:
+                for future in futures:
+                    future.exception()  # waits: no span runs on once the pass is left
         for future in futures:
             future.result()
 

@@ -18,10 +18,14 @@ Each step walks the flat parameter arena four times: ``zero_grad``'s fill,
 the clip's norm and scale, and Adam's update. The fill, the scale and the
 update run over the arena's spans, one per usable core, on the calling
 thread and one process-wide pool of (cores - 1) threads
-(``nn.Arena.each_span``); each is elementwise, so the bits do not depend on
-the core count. The norm stays on the calling thread: it sums dot products
-over fixed blocks of the flat gradient, whose bits depend neither on the
-cores nor on the BLAS threads, and split across threads it was slower.
+(``nn.Arena.each_span``), each thread pinned to a core of its own: where the
+kernel does not balance load it never moves a thread off the core it
+started on, and two unpinned threads share one core. Each pass is
+elementwise, so the bits do not depend on the core count. The norm stays on
+the calling thread: it sums dot products over fixed blocks of the flat
+gradient, whose bits depend neither on the cores nor on the BLAS threads,
+and split across threads it was slower, also with each thread pinned, as
+the block dots hand the GIL back and forth.
 """
 
 from __future__ import annotations

@@ -411,8 +411,12 @@ class TestFailureModes:
         ("train", "--embedding", "{model}", "{embedding}",
          "expected an embedding checkpoint, found 'model'"),
         ("decode", "--split", "test", "dev", "{data}/test.jsonl"),
+        ("score", "--split", "nosuch", "dev", "{data}/nosuch.jsonl"),
+        # a manifest's lines are hyps lines: the train split's ids are not dev's
+        ("score", "--hyps", "{data}/train.jsonl", "{data}/dev.jsonl",
+         "not present in the dev manifest"),
     ], ids=["train-seed", "pretrain-seed", "prepare-seed", "absent-embedding",
-            "model-as-embedding", "absent-split"])
+            "model-as-embedding", "absent-split", "score-absent-split", "score-unknown-utt"])
     def test_failing_inputs_leave_no_run_directory(self, tmp_path, capsys, trained, command,
                                                    flag, bad, good, named):
         """A command refused for its own inputs exits 1 with one line naming
@@ -422,7 +426,8 @@ class TestFailureModes:
         paths = {"tmp": tmp_path, "data": data, "embedding": embedding, "model": model}
         out = tmp_path / "out"
         inputs = {"prepare": ["--num-utts", "10", "--vocab-size", "4", "--feat-dim", "10"],
-                  "decode": ["--data", str(data), "--checkpoint", str(model)]}.get(
+                  "decode": ["--data", str(data), "--checkpoint", str(model)],
+                  "score": ["--data", str(data), "--hyps", str(data / "dev.jsonl")]}.get(
             command, ["--data", str(data), *TINY_MODEL, "--num-experts", "2",
                       "--max-steps", "1", "--eval-every", "1"])
 
@@ -571,6 +576,7 @@ class TestFailureModes:
         assert main(["score", "--data", str(data), "--hyps", str(hyps),
                      "--out", str(tmp_path / "sc"), "--split", "dev"]) == 1
         assert "more than once" in capsys.readouterr().err
+        assert not (tmp_path / "sc").exists()
 
     def test_score_counts_unscored_utterances_as_deletions(self, tmp_path, capsys):
         """One exact transcript out of two dev utterances is not a perfect

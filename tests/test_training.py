@@ -455,6 +455,106 @@ class TestAdamThreads:
                              text=True, check=True, timeout=120)
         assert out.stdout.split() == ["False", "1"]
 
+    @pytest.fixture
+    def fresh_pool(self, monkeypatch):
+        """A pool of the process's own made for the test alone, shut down
+        after it; the process's pool is put back."""
+        from moe_asr import nn
+
+        if not hasattr(os, "sched_setaffinity"):
+            pytest.skip("no affinity calls on this platform")
+        if nn._usable_cores() < 2:
+            pytest.skip("one usable core: every span runs on the calling thread")
+        monkeypatch.setattr(nn, "_pool", None)
+        yield
+        if nn._pool is not None:
+            nn._pool.shutdown()
+
+    def test_each_span_runs_on_a_core_of_its_own(self, fresh_pool, monkeypatch):
+        """With one span per usable core, run all at once (a barrier), each
+        span sees one core as its mask, and no two spans share one: the
+        calling thread's span the first usable core, the workers' the
+        others. The pinned workers keep their core for a second pass."""
+        from moe_asr import nn
+
+        cores = sorted(os.sched_getaffinity(0))
+        split = nn._spans
+        monkeypatch.setattr(nn, "_spans", lambda size, _: split(size, len(cores)))
+        arena = span_module(len(cores) * nn.SPAN_CHUNKS * nn.CHUNK).arena
+        assert len(arena.spans) == len(cores)
+        for _ in range(2):
+            barrier = threading.Barrier(len(cores), timeout=30)
+            seen = {}
+
+            def fn(i, span):
+                barrier.wait()
+                seen[i] = (threading.get_ident(), os.sched_getaffinity(0))
+
+            arena.each_span(fn)
+            assert len({ident for ident, _ in seen.values()}) == len(cores)
+            assert seen[len(cores) - 1][1] == {cores[0]}
+            assert sorted(core for _, (core,) in seen.values()) == cores
+        assert os.sched_getaffinity(0) == set(cores)
+
+    @pytest.mark.parametrize("raiser", [None, 0, 1])
+    @pytest.mark.parametrize("narrowed", [False, True])
+    def test_the_calling_threads_mask_comes_back(self, fresh_pool, monkeypatch, raiser,
+                                                   narrowed):
+        """After a pass the calling thread has the mask it had before: its
+        whole mask, or one narrowed to the last usable core, also when the
+        worker's span (0) or its own (1) raises."""
+        from moe_asr import nn
+
+        cores = sorted(os.sched_getaffinity(0))
+        split = nn._spans
+        monkeypatch.setattr(nn, "_spans", lambda size, _: split(size, 2))
+        arena = span_module(2 * nn.SPAN_CHUNKS * nn.CHUNK).arena
+        arena.each_span(lambda i, span: None)  # the pool starts on the whole mask
+        mask = {cores[-1]} if narrowed else set(cores)
+        seen = {}
+
+        def fn(i, span):
+            seen[i] = os.sched_getaffinity(0)
+            if i == raiser:
+                raise ArithmeticError(f"span {i}")
+
+        os.sched_setaffinity(0, mask)
+        try:
+            if raiser is None:
+                arena.each_span(fn)
+            else:
+                with pytest.raises(ArithmeticError, match=f"span {raiser}"):
+                    arena.each_span(fn)
+            after = os.sched_getaffinity(0)
+        finally:
+            os.sched_setaffinity(0, cores)
+        assert after == mask
+        assert seen == {0: {cores[1]}, 1: {min(mask)}}
+
+    def test_no_affinity_calls_split_without_pinning(self, fresh_pool, monkeypatch):
+        """On a platform without affinity calls two spans still run on the
+        calling thread and an unpinned worker, with the bits of one span."""
+        from moe_asr import nn
+
+        split = nn._spans
+        size = 2 * nn.SPAN_CHUNKS * nn.CHUNK + 7
+        grad = np.random.default_rng(9).normal(size=size)
+
+        def trained(parts):
+            monkeypatch.setattr(nn, "_spans", lambda size, _: split(size, parts))
+            module = span_module(size)
+            module.zero_grad()
+            module.arena.grad[...] = grad
+            clip_gradients(module.arena, 1.0)
+            Adam(module.arena).step(1e-3)
+            return module.arena.data.tobytes()
+
+        serial = trained(1)
+        monkeypatch.delattr(os, "sched_getaffinity")
+        monkeypatch.delattr(os, "sched_setaffinity")
+        assert trained(2) == serial
+        assert nn._pool is not None
+
 
 class TestClipping:
     def test_small_gradients_untouched(self):
