@@ -84,7 +84,7 @@ def _read(path, kind):
             raise CheckpointError(f"{path}: unreadable header: {exc}") from exc
         if not isinstance(header, dict):
             raise CheckpointError(f"{path}: header is not a JSON object")
-        if header.get("format") != FORMAT_VERSION:
+        if type(header.get("format")) is not int or header["format"] != FORMAT_VERSION:
             raise CheckpointError(f"{path}: unsupported format {header.get('format')}")
         if header.get("kind") != kind:
             article = "an" if kind == "embedding" else "a"

@@ -252,7 +252,7 @@ def cmd_flops(args):
     report = cost_report(model_cfg)
     name = "dense" if model_cfg.num_experts == 0 else f"{model_cfg.num_experts}e"
     out, finish = _start_run(args, {"model": model_cfg})
-    write_json(out / "report.json", dict(report.to_dict(), model=name))
+    write_json(out / "report.json", dict(dataclasses.asdict(report), model=name))
     finish(report="report.json")
     print(format_cost_table(name, report))
     return 0

@@ -41,9 +41,14 @@ from .tensor import Tensor
 MIN_INPUT_FRAMES = 7
 
 
+def conv_length(t):
+    """Frames out of one kernel-3, stride-2, valid convolution over `t`."""
+    return (t - 3) // 2 + 1
+
+
 def subsampled_length(t_in):
-    """Frames surviving two stride-2 kernel-3 valid convolutions."""
-    return ((t_in - 1) // 2 - 1) // 2
+    """Frames surviving ``Subsample``'s two convolutions."""
+    return conv_length(conv_length(t_in))
 
 
 class Subsample(Module):
@@ -66,7 +71,7 @@ class Subsample(Module):
                     f"utterance {i}: subsampling needs at least {MIN_INPUT_FRAMES}"
                     f" input frames, got {t_in}"
                 )
-        mid = [(t_in - 1) // 2 for t_in in lengths]
+        mid = [conv_length(t_in) for t_in in lengths]
         h = T.swish(self.conv1.forward(T.unfold_time(feats, 3, 2, lengths)))
         h = T.swish(self.conv2.forward(T.unfold_time(h, 3, 2, mid)))
         return self.proj.forward(h)

@@ -11,7 +11,6 @@ counted on its active path.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 import warnings
 from dataclasses import dataclass
@@ -19,7 +18,7 @@ from dataclasses import dataclass
 from . import tensor as T
 from .ctc import prefix_beam_search
 from .decoder import rescore
-from .encoder import subsampled_length
+from .encoder import conv_length, subsampled_length
 from .model import parameter_total
 
 # ---------------------------------------------------------------------------
@@ -163,8 +162,8 @@ def _conv(t, d, kernel):
 
 
 def _subsample(t_in, feat_dim, d):
-    t1 = (t_in - 3) // 2 + 1
-    t2 = (t1 - 3) // 2 + 1
+    t1 = conv_length(t_in)
+    t2 = conv_length(t1)
     return (
         _linear(t1, 3 * feat_dim, d) + 4 * t1 * d
         + _linear(t2, 3 * d, d) + 4 * t2 * d
@@ -215,9 +214,6 @@ class CostReport:
     flops: dict
     total_flops: int
     conventions: list
-
-    def to_dict(self):
-        return dataclasses.asdict(self)
 
 
 def cost_report(cfg):

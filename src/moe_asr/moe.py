@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
-from .nn import FeedForward, Module, Parameter, joined_mask, stacked_parameters, uniform_init
+from .nn import FeedForward, Linear, Module, joined_mask, stacked_parameters
 
 
 @dataclass
@@ -42,19 +42,14 @@ class RoutingRecord:
         return np.bincount(self.selected, minlength=n_experts)
 
 
-class Router(Module):
-    """Linear route scores r = W_r . concat(e_c, o_prev), no bias."""
+class Router(Linear):
+    """Route scores r = W_r . concat(e_c, o_prev): a bias-free ``Linear``."""
 
     def __init__(self, d_emb, d_att, n_experts):
-        super().__init__()
-        self.n_experts = n_experts
-        self.weight = Parameter((d_emb + d_att, n_experts), uniform_init(d_emb + d_att))
+        super().__init__(d_emb + d_att, n_experts, bias=False)
 
     def route(self, e_c, o_prev):
-        if e_c.data.shape[0] != o_prev.data.shape[0]:
-            raise T.ShapeMismatch("route", e_c.data.shape, o_prev.data.shape)
-        logits = T.matmul(T.concat_last([e_c, o_prev]), self.weight)
-        p = T.softmax_last(logits)
+        p = T.softmax_last(self.forward(T.concat_last([e_c, o_prev])))
         # np.argmax takes the first maximum, i.e. ties break to lowest index.
         return RoutingRecord(p=p, selected=np.argmax(p.data, axis=-1))
 

@@ -346,8 +346,8 @@ class Module:
 
 
 class Linear(Module):
-    """``x @ weight + bias``, one ``T.linear`` node. A bias-free layer only
-    holds its weight for a fused op (the attention key projection)."""
+    """``x @ weight + bias``, one ``T.linear`` node; ``x @ weight`` without a
+    bias (the router; the attention key projection holds its weight for ``T.mha``)."""
 
     def __init__(self, d_in, d_out, bias=True):
         super().__init__()

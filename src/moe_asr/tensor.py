@@ -60,7 +60,6 @@ of L tensors. One code path serves both forms: reductions run over axis
 BLAS calls it would get alone and every level keeps its bits.
 ``routed_ffn`` takes its experts as one [E, ...] leaf per parameter and
 adds only its used experts' gradients into those leaves' ``grad``.
-``matmul`` stays 2-D.
 64-bit floats throughout so gradient checks and DP oracles are limited by
 algorithmic correctness, not precision.
 """
@@ -77,7 +76,6 @@ __all__ = [
     "ShapeMismatch",
     "NondeterministicFunction",
     "no_grad",
-    "matmul",
     "linear",
     "add",
     "mul",
@@ -283,26 +281,17 @@ def _operands(op, shape, operands, expected, masks=()):
     return [t.data[:, None] if lead and t.data.ndim == 2 else t.data for t in operands]
 
 
-def matmul(a, b):
-    a, b = _as_tensor(a), _as_tensor(b)
-    if a.data.ndim != 2 or b.data.ndim != 2 or a.data.shape[1] != b.data.shape[0]:
-        raise ShapeMismatch("matmul", a.data.shape, b.data.shape)
-    out = a.data @ b.data
-
-    def bwd(g):
-        return (
-            g @ b.data.T if a.requires_grad else None,
-            a.data.T @ g if b.requires_grad else None,
-        )
-
-    return _node(out, (a, b), bwd, "matmul")
-
-
 def linear(x, w, b):
     """``(x @ w) + b`` as one node; gradients equal the matmul-then-add
-    pair's. `x` may carry a level axis, as ``_operands`` says."""
+    pair's. A bias of None is ``x @ w``, with no bias operand or gradient.
+    `x` may carry a level axis, as ``_operands`` says."""
     x = _rows("linear", x)
     params, d_out = (w, b), w.data.shape[-1]
+    if b is None:
+        (wd,) = _operands("linear", x.data.shape, (w,), [(x.data.shape[-1], d_out)])
+        return _node(x.data @ wd, (x, w), lambda g: (
+            g @ wd.swapaxes(-1, -2) if x.requires_grad else None,
+            x.data.swapaxes(-1, -2) @ g), "linear")
     w, b = _operands("linear", x.data.shape, params, [(x.data.shape[-1], d_out), (d_out,)])
     out = x.data @ w
     out += b

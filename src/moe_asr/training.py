@@ -285,31 +285,13 @@ def select_final(records):
 # ---------------------------------------------------------------------------
 
 
-class _Batcher:
-    """Cycles the training list in manifest order. Each utterance's k-th
-    visit falls in epoch k, so the epoch seeds its augmentation draw."""
-
-    def __init__(self, seqs, batch_size):
-        if not seqs:
-            raise ValueError("training split is empty")
-        self.seqs = seqs
-        self.batch_size = batch_size
-        self.cursor = 0
-        self.epoch = 0
-
-    def next_batch(self):
-        batch = []
-        for _ in range(self.batch_size):
-            batch.append((self.seqs[self.cursor], self.epoch))
-            self.cursor += 1
-            if self.cursor == len(self.seqs):
-                self.cursor = 0
-                self.epoch += 1
-        return batch
-
-
 def _run_loop(module, train_seqs, dev_seqs, train_cfg, out_dir, step_fn, eval_fn, save_fn):
     """Shared driver: batching, optimization, metrics, periodic evaluation.
+
+    The schedule is arithmetic on the step: with B the batch size and N the
+    training split's size, step s trains on ``train_seqs[k % N]`` for k from
+    (s - 1)·B to s·B - 1, each under the SpecAugment draw of epoch k // N.
+    The epoch after step s, which stops the loop and is logged, is s·B // N.
 
     ``step_fn(batch)`` returns (total, metrics, routing); ``eval_fn()``
     the dev CTC loss; ``save_fn(path)`` writes a checkpoint. Returns the
@@ -317,10 +299,12 @@ def _run_loop(module, train_seqs, dev_seqs, train_cfg, out_dir, step_fn, eval_fn
     """
     if not dev_seqs:
         raise ValueError("evaluation split is empty")
+    if not train_seqs:
+        raise ValueError("training split is empty")
     out = Path(out_dir)
     (out / "checkpoints").mkdir(parents=True, exist_ok=True)
     optimizer = Adam(module.arena)
-    batcher = _Batcher(train_seqs, train_cfg.batch_size)
+    n, batch_size = len(train_seqs), train_cfg.batch_size
     records = []
 
     def checkpoint(step):
@@ -328,7 +312,7 @@ def _run_loop(module, train_seqs, dev_seqs, train_cfg, out_dir, step_fn, eval_fn
         eval_ctc = eval_fn()
         path = out / "checkpoints" / f"step{step:06d}.ckpt"
         save_fn(path)
-        records.append(CheckpointRecord(batcher.epoch, step, eval_ctc, str(path)))
+        records.append(CheckpointRecord(step * batch_size // n, step, eval_ctc, str(path)))
 
     # Both logs close, flushed, however the loop ends: a divergence error
     # leaves every step it logged in both files. The embedding network's cfg
@@ -341,9 +325,10 @@ def _run_loop(module, train_seqs, dev_seqs, train_cfg, out_dir, step_fn, eval_fn
         # the only code that changes it, rather than on every step.
         module.train()
         step = 0
-        while step < train_cfg.max_steps and batcher.epoch < train_cfg.max_epochs:
+        while step < train_cfg.max_steps and step * batch_size // n < train_cfg.max_epochs:
             step += 1
-            batch = batcher.next_batch()
+            batch = [(train_seqs[k % n], k // n)
+                     for k in range((step - 1) * batch_size, step * batch_size)]
             module.zero_grad()
             # every step trains on SpecAugment's draw, keyed by utterance and epoch
             total, metrics, routing = step_fn(
@@ -362,7 +347,7 @@ def _run_loop(module, train_seqs, dev_seqs, train_cfg, out_dir, step_fn, eval_fn
             lr = learning_rate(step, PEAK_LR, train_cfg.warmup_steps)
             optimizer.step(lr)
 
-            line = {"step": step, "epoch": batcher.epoch}
+            line = {"step": step, "epoch": step * batch_size // n}
             line.update(metrics)
             line["grad_norm"] = grad_norm
             line["lr"] = lr

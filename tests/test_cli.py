@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from moe_asr.cli import build_parser, main
-from moe_asr.config import DecodeConfig, TrainConfig
+from moe_asr.config import DecodeConfig, ModelConfig, TrainConfig
 
 TINY_MODEL = [
     "--d-att", "16", "--d-ff", "24", "--heads", "2", "--kernel", "3",
@@ -294,6 +294,9 @@ class TestFailureModes:
         ("--d-emb", "9", "d_emb"),
         ("--alpha", "nan", "alpha"),
         ("--max-steps", "0", "max_steps"),
+        ("--kernel", "4", "conv kernel"),
+        ("--num-experts", "-1", "num_experts"),
+        ("--num-levels", "0", "num_levels"),
     ])
     def test_invalid_setting_fails_before_training(self, tmp_path, capsys, flag, value,
                                                    field):
@@ -534,11 +537,22 @@ class TestFailureModes:
 
     @pytest.mark.parametrize("field, value", [
         ("beta", "nan"), ("gamma", "nan"), ("gamma", "inf"), ("alpha", "-inf"),
-        ("max_epochs", "0"), ("seed", "-1"),
+        ("max_epochs", "0"), ("seed", "-1"), ("eta", "1.5"),
     ])
     def test_invalid_train_setting_named(self, field, value):
         with pytest.raises(ValueError, match=f"^{field} "):
             TrainConfig(**{field: float(value)})
+
+    @pytest.mark.parametrize("config, message", [
+        (lambda: ModelConfig(vocab_size=1), "^vocab_size must include at least one data token"),
+        (lambda: DecodeConfig(beam=2, nbest=4), r"^need beam >= nbest >= 1, got 2, 4$"),
+        (lambda: DecodeConfig(beam=2, nbest=0), r"^need beam >= nbest >= 1, got 2, 0$"),
+    ], ids=["vocab-of-one", "nbest-above-beam", "nbest-zero"])
+    def test_invalid_setting_no_flag_reaches_is_named(self, config, message):
+        """The corpus sets the vocabulary, and a decode config file can
+        hold a beam narrower than its N-best."""
+        with pytest.raises(ValueError, match=message):
+            config()
 
     @pytest.mark.parametrize("mu", ["-5", "nan", "inf"])
     def test_invalid_mu_rejected(self, tmp_path, capsys, mu):

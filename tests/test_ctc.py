@@ -246,6 +246,13 @@ class TestPackedBatch:
         with pytest.raises(ValueError, match="utterance 1 has no frames"):
             ctc.ctc_loss(Tensor(lp, requires_grad=True), [[1], [], [0]], [2, 0, 1])
 
+    def test_token_sequences_must_match_the_utterances(self):
+        lp = np.log(np.full((4, 3), 1.0 / 3))
+        with pytest.raises(ValueError, match="^2 token sequences for 1 utterances$"):
+            ctc.ctc_loss(lp, [[1], [2]], [4])
+        with pytest.raises(ValueError, match="^1 token sequences for 2 utterances$"):
+            ctc.ctc_loss(lp, [[1]], [2, 2])
+
     def test_token_impossible_on_every_frame_rejected_by_index(self):
         """A token whose class is -inf on every frame leaves no alignment:
         -inf flows through the recursion without a RuntimeWarning and the

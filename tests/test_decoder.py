@@ -58,6 +58,10 @@ class TestTeacherForcing:
         with pytest.raises(ValueError, match="vocabulary"):
             dec.decode_teacher_forced(_enc(), [V])
 
+    def test_token_sequences_must_match_the_utterances(self):
+        with pytest.raises(ValueError, match="^1 token sequences for 2 utterances$"):
+            _decoder().decode_teacher_forced(_enc(), [[0, 1]], [2, 3])
+
     def test_gradient_check_one_block(self):
         rng = np.random.default_rng(80)
         dec = _decoder(seed=4)

@@ -7,6 +7,7 @@ import pytest
 from moe_asr import tensor as T
 from moe_asr.config import ModelConfig
 from moe_asr.encoder import (
+    MIN_INPUT_FRAMES,
     ConformerBlock,
     EmbeddingNetwork,
     Encoder,
@@ -36,6 +37,13 @@ class TestSubsample:
         sub = Subsample(5, 8).initialize(0)
         out = sub.forward(Tensor(np.zeros((t_in, 5))))
         assert out.data.shape == (t_out, 8)
+
+    def test_min_input_frames_is_the_shortest_with_an_output_frame(self):
+        """``MIN_INPUT_FRAMES`` (7) is the smallest t that keeps one frame
+        through both kernel-3, stride-2 valid convolutions."""
+        assert MIN_INPUT_FRAMES == 7
+        assert [t for t in range(1, 20) if subsampled_length(t) >= 1][0] == MIN_INPUT_FRAMES
+        assert subsampled_length(MIN_INPUT_FRAMES) == 1
 
     def test_too_short_names_minimum(self):
         sub = Subsample(5, 8).initialize(0)
@@ -241,9 +249,21 @@ class TestInitNaming:
         np.testing.assert_allclose(ln.beta.grad, np.full(4, 3.0))
 
     def test_linear_no_bias_option(self):
+        """A bias-free layer holds only its weight, and its forward is
+        ``x @ weight``: the value and the input and weight gradients are the
+        product's bits."""
         lin = Linear(3, 2, bias=False).initialize(0)
         assert lin.bias is None
         assert set(lin.named_parameters()) == {"weight"}
+        rng = np.random.default_rng(43)
+        x = Tensor(rng.normal(size=(4, 3)), requires_grad=True)
+        g = rng.normal(size=(4, 2))
+        out = lin.forward(x)
+        T.reduce_sum(T.mul(out, Tensor(g))).backward()
+        w = lin.weight.data
+        np.testing.assert_array_equal(out.data, x.data @ w)
+        np.testing.assert_array_equal(x.grad, g @ w.T)
+        np.testing.assert_array_equal(lin.weight.grad, x.data.T @ g)
 
     def test_parameter_requires_seeding_before_dropout(self):
         from moe_asr.nn import Dropout

@@ -16,6 +16,29 @@ def _write_manifest(path, rows):
             fh.write(json.dumps(row) + "\n")
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda tmp: F.FeatureSequence("u", np.zeros(4), [0]),
+     r"^u: features must be \[T x D\] with T >= 1$"),
+    (lambda tmp: F.FeatureSequence("u", np.zeros((0, 3)), [0]),
+     r"^u: features must be \[T x D\] with T >= 1$"),
+    (lambda tmp: F.FeatureSequence("u", [[0.0, np.inf]], [0]), "^u: non-finite feature values$"),
+    (lambda tmp: F.CmvnStats(mean=np.zeros(2), var=np.ones(3), frames=1),
+     "^mean and var must be matching 1-D arrays$"),
+    (lambda tmp: F.CmvnStats(mean=np.zeros(2), var=-np.ones(2), frames=1),
+     "^variance must be >= 0 and frame count > 0$"),
+    (lambda tmp: F.CmvnStats(mean=np.zeros(2), var=np.ones(2), frames=0),
+     "^variance must be >= 0 and frame count > 0$"),
+    (lambda tmp: F.write_feats(tmp / "x.fb", np.zeros(3)),
+     r"^features must be 2-D, got shape \(3,\)$"),
+    (lambda tmp: F.compute_cmvn([]), "^cannot compute normalization stats from zero utterances$"),
+], ids=["vector-features", "no-frames", "non-finite", "cmvn-shapes", "negative-variance",
+        "no-frames-counted", "write-vector", "cmvn-of-nothing"])
+def test_malformed_input_named(tmp_path, call, message):
+    with pytest.raises(ValueError, match=message):
+        call(tmp_path)
+    assert not (tmp_path / "x.fb").exists()
+
+
 def invert_cmvn(seq, stats):
     """Undo apply_cmvn; round-trips to < 1e-9 when variance is not degenerate."""
     scale = np.sqrt(stats.var + 1e-9)
@@ -32,6 +55,16 @@ class TestManifest:
         handles = F.load_manifest(path)
         assert [h.utt_id for h in handles] == ["u0", "u1", "u2"]
 
+    def test_blank_lines_are_skipped_and_counted(self, tmp_path):
+        """Blank lines hold no utterance but keep the line numbers."""
+        path = tmp_path / "m.jsonl"
+        path.write_text('\n{"utt_id": "a", "feats_path": "a.fb", "tokens": [1]}\n  \n'
+                        '{"utt_id": "a", "feats_path": "b.fb", "tokens": [2]}\n')
+        with pytest.raises(F.ManifestError, match=r":4: utt_id 'a' repeats line 2"):
+            F.load_manifest(path)
+        path.write_text('\n{"utt_id": "a", "feats_path": "a.fb", "tokens": [1]}\n\n')
+        assert [h.utt_id for h in F.load_manifest(path)] == ["a"]
+
     def test_empty_file_empty_list(self, tmp_path):
         path = tmp_path / "m.jsonl"
         path.write_text("")
@@ -41,6 +74,15 @@ class TestManifest:
         path = tmp_path / "m.jsonl"
         path.write_text('{"utt_id": "a", "feats_path": "a.fb", "tokens": [1]}\n{bad\n')
         with pytest.raises(F.ManifestError, match=":2:"):
+            F.load_manifest(path)
+
+    @pytest.mark.parametrize("line", ['[1, 2]', '{"utt_id": "a", "tokens": [1]}'],
+                             ids=["list", "no-feats-path"])
+    def test_line_without_the_keys_names_them(self, tmp_path, line):
+        path = tmp_path / "m.jsonl"
+        path.write_text(line + "\n")
+        with pytest.raises(F.ManifestError,
+                           match=r"m\.jsonl:1: expected keys utt_id, feats_path, tokens$"):
             F.load_manifest(path)
 
     def test_negative_token_rejected_with_line(self, tmp_path):

@@ -368,40 +368,67 @@ class TestCheckpointRoundTrip:
         with pytest.raises(CheckpointError, match="truncated"):
             read_params(path)
 
-    @pytest.mark.parametrize("header", [
-        {"format": 1, "kind": "model", "config": {}},
-        [1, 2],
-        {"format": 1, "kind": "model", "config": {},
-         "params": [{"name": "w", "shape": [2], "offset": -8}]},
-        {"format": 1, "kind": "model", "config": {},
-         "params": [{"name": "w", "shape": [-1], "offset": 0}]},
-        {"format": 1, "kind": "model", "config": {},
-         "params": [{"name": "w", "shape": [1], "offset": 8}]},
-        {"format": 1, "kind": "model", "config": {},
-         "params": [{"name": "w", "shape": [1], "offset": 0},
-                    {"name": "b", "shape": [1], "offset": 0}]},
-        {"format": 1, "kind": "model", "config": {},
-         "params": [{"name": "w", "shape": [0], "offset": 0},
-                    {"name": "b", "shape": [1], "offset": 8}]},
-        {"format": 1, "kind": "model", "config": {},
-         "params": [{"name": "w", "shape": [1], "offset": 0},
-                    {"name": "w", "shape": [1], "offset": 8}]},
-        {"format": 1, "kind": "model", "config": {},
-         "params": [{"name": "w", "shape": [1], "offset": 0}]},
-        {"format": 1, "kind": "model", "config": {},
-         "params": [{"name": ["w"], "shape": [2], "offset": 0}]},
-        {"format": 1, "kind": "model", "config": {},
-         "params": [{"name": "w", "shape": [True, 2], "offset": 0}]},
+    @pytest.mark.parametrize("header, message", [
+        ({"format": 1, "kind": "model", "config": {}}, "lacks a config or a params list"),
+        ([1, 2], "header is not a JSON object"),
+        ({"format": 1, "kind": "model", "config": {},
+          "params": [{"name": "w", "shape": [2], "offset": -8}]}, "bad shape"),
+        ({"format": 1, "kind": "model", "config": {},
+          "params": [{"name": "w", "shape": [-1], "offset": 0}]}, "bad shape"),
+        ({"format": 1, "kind": "model", "config": {},
+          "params": [{"name": "w", "shape": [1], "offset": 8}]}, "does not start where"),
+        ({"format": 1, "kind": "model", "config": {},
+          "params": [{"name": "w", "shape": [1], "offset": 0},
+                     {"name": "b", "shape": [1], "offset": 0}]}, "does not start where"),
+        ({"format": 1, "kind": "model", "config": {},
+          "params": [{"name": "w", "shape": [0], "offset": 0},
+                     {"name": "b", "shape": [1], "offset": 8}]}, "does not start where"),
+        ({"format": 1, "kind": "model", "config": {},
+          "params": [{"name": "w", "shape": [1], "offset": 0},
+                     {"name": "w", "shape": [1], "offset": 8}]}, "repeats a name"),
+        ({"format": 1, "kind": "model", "config": {},
+          "params": [{"name": "w", "shape": [1], "offset": 0}]}, "trailing bytes"),
+        ({"format": 1, "kind": "model", "config": {},
+          "params": [{"name": ["w"], "shape": [2], "offset": 0}]}, "bad shape"),
+        ({"format": 1, "kind": "model", "config": {},
+          "params": [{"name": "w", "shape": [True, 2], "offset": 0}]}, "bad shape"),
+        ({"format": 1, "kind": "model", "config": {},
+          "params": [{"name": "w", "shape": [2]}]}, "malformed parameter entry"),
+        ({"format": 1, "kind": "model", "config": {}, "params": [16]},
+         "malformed parameter entry 16"),
     ], ids=["no-params", "list", "negative-offset", "negative-dim", "first-not-at-zero",
-            "overlap", "gap", "duplicate-name", "trailing-bytes", "list-name", "bool-dim"])
-    def test_malformed_header_rejected(self, tmp_path, header):
+            "overlap", "gap", "duplicate-name", "trailing-bytes", "list-name", "bool-dim",
+            "entry-without-offset", "entry-not-an-object"])
+    def test_malformed_header_rejected(self, tmp_path, header, message):
         """Each header is wrong on its own over a 16-byte body; in particular
         the entries must tile it: from byte 0, each where the previous ends,
         no name twice, and the last ending at the body's end."""
         raw = json.dumps(header).encode("utf-8")
         path = tmp_path / "bad.ckpt"
         path.write_bytes(MAGIC + struct.pack("<I", len(raw)) + raw + b"\x00" * 16)
-        with pytest.raises(CheckpointError):
+        with pytest.raises(CheckpointError, match=message):
+            read_params(path)
+
+    @pytest.mark.parametrize("version", [True, 1.0, "1", 2])
+    def test_format_must_be_the_int_version(self, tmp_path, version):
+        """The format is the int 1: not true, nor 1.0, which compare equal
+        to it, nor the string "1" or another version."""
+        raw = json.dumps({"format": version, "kind": "model", "config": {}, "params": []})
+        path = tmp_path / "v.ckpt"
+        path.write_bytes(MAGIC + struct.pack("<I", len(raw)) + raw.encode("utf-8"))
+        with pytest.raises(CheckpointError,
+                           match=rf"v\.ckpt: unsupported format {json.loads(raw)['format']}$"):
+            read_params(path)
+
+    @pytest.mark.parametrize("head, message", [
+        (struct.pack("<I", 64) + b'{"format": 1}', "truncated header"),
+        (struct.pack("<I", 9) + b'{"format"', "unreadable header"),
+        (struct.pack("<I", 2) + b"\xff\xfe", "unreadable header"),
+    ], ids=["short", "cut-json", "not-utf-8"])
+    def test_unreadable_header_rejected(self, tmp_path, head, message):
+        path = tmp_path / "bad.ckpt"
+        path.write_bytes(MAGIC + head)
+        with pytest.raises(CheckpointError, match=rf"bad\.ckpt: {message}"):
             read_params(path)
 
     def test_failed_write_keeps_previous_checkpoint(self, tmp_path, monkeypatch):

@@ -53,6 +53,14 @@ class TestRouter:
         assert rec.selected.tolist() == [0]
         np.testing.assert_allclose(_gates(rec), [0.75], atol=1e-12)
 
+    def test_unequal_row_counts_refused(self):
+        """The embedding and the hidden states are concatenated row by row:
+        ``concat_last`` refuses row counts that differ."""
+        router = Router(1, 1, 2).allocate()
+        with pytest.raises(T.ShapeMismatch,
+                           match=r"^concat-last-dim: incompatible shapes \(2, 1\) vs \(3, 1\)$"):
+            router.route(Tensor(np.zeros((2, 1))), Tensor(np.zeros((3, 1))))
+
     @pytest.mark.parametrize("n", [16, 32, 64])
     def test_expert_counts_accepted(self, n):
         layer = RoutedFFN(4, 8, n_experts=n, d_emb=2, routed=True).initialize(0)
@@ -717,4 +725,5 @@ class TestAuxLosses:
 class TestAggregation:
     def test_utilization_entropy_limits(self):
         assert utilization_entropy([5, 5, 5, 5]) == pytest.approx(math.log(4))
+        assert utilization_entropy([0, 0, 0]) == 0.0  # no frames: an empty histogram
         assert utilization_entropy([12, 0, 0, 0]) == 0.0

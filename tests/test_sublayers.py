@@ -380,6 +380,11 @@ def test_self_attention_module_matches_chain(train):
     _assert_bits([out.data, x.grad] + [t.grad for t in params], [ref_out, *ref_grads])
 
 
+def test_even_depthwise_kernel_refused():
+    with pytest.raises(ValueError, match="^depthwise kernel must be odd, got 4$"):
+        ConvModule(8, 4)
+
+
 @pytest.mark.parametrize("train", [True, False], ids=["train", "eval"])
 def test_conv_module_matches_chain(train):
     module = ConvModule(8, 3, dropout=0.3).initialize(22).train(train)

@@ -141,9 +141,44 @@ class TestForward:
 
     def test_shape_mismatch_raises(self):
         with pytest.raises(T.ShapeMismatch):
-            T.matmul(Tensor(np.ones((2, 3))), Tensor(np.ones((4, 5))))
+            T.linear(Tensor(np.ones((2, 3))), Tensor(np.ones((4, 5))), None)
         with pytest.raises(T.ShapeMismatch):
             depthwise_conv1d(Tensor(np.ones((4, 3))), Tensor(np.ones((2, 3))))
+
+    @pytest.mark.parametrize("call, error, message", [
+        (lambda: T.reduce_sum(Tensor(np.ones((2, 3)), requires_grad=True), axis=0).backward(),
+         ValueError, r"^backward requires a scalar loss, got shape \(3,\)"),
+        (lambda: T.linear(Tensor(np.ones(4)), Tensor(np.ones((4, 2))), None),
+         T.ShapeMismatch, r"^linear: incompatible shapes \(4,\)$"),
+        (lambda: T.concat_last([Tensor(np.ones((2, 3))), Tensor(np.ones((3, 3)))]),
+         T.ShapeMismatch, r"^concat-last-dim: incompatible shapes \(2, 3\) vs \(3, 3\)$"),
+        (lambda: T.unfold_time(Tensor(np.ones(9)), 3, 2),
+         T.ShapeMismatch, r"^unfold-time: incompatible shapes \(9,\)$"),
+        (lambda: T.unfold_time(Tensor(np.ones((5, 2))), 3, 2, [2, 3]),
+         T.ShapeMismatch, r"^unfold-time: incompatible shapes \(5, 2\) vs \(3,\)$"),
+        (lambda: T.embedding_lookup(Tensor(np.ones((5, 4))), np.array([[1]])),
+         T.ShapeMismatch, r"^embedding-lookup: incompatible shapes \(5, 4\) vs \(1, 1\)$"),
+        (lambda: T.embedding_lookup(Tensor(np.ones((5, 4))), np.array([1, 5])),
+         IndexError, r"^embedding-lookup: id out of range \[0, 5\): 1\.\.5$"),
+        (lambda: T.gather_last(Tensor(np.ones((3, 4))), np.array([0, 1])),
+         T.ShapeMismatch, r"^gather-last: incompatible shapes \(3, 4\) vs \(2,\)$"),
+        (lambda: attention(Tensor(np.ones((3, 8))), Tensor(np.ones((2, 4, 8))),
+                           Tensor(np.ones((2, 4, 8))), 2),
+         T.ShapeMismatch, r"^attention: incompatible shapes \(3, 8\) vs \(2, 4, 8\)"),
+        (lambda: T.conv_module(Tensor(np.ones((2, 3, 4))), *[None] * 10),
+         T.ShapeMismatch, r"^conv-module: incompatible shapes \(2, 3, 4\)$"),
+        (lambda: T.finite_diff_check(lambda ps: ps[0], [Tensor(np.ones(3), requires_grad=True)]),
+         ValueError, "^finite_diff_check requires a scalar-valued function$"),
+        (lambda: T.finite_diff_check(lambda ps: T.reduce_sum(ps[0]), [Tensor(np.ones(3))]),
+         ValueError, r"^all checked params must have requires_grad=True$"),
+    ], ids=["backward-of-rows", "linear-of-a-vector", "concat-of-unequal-rows",
+            "unfold-a-vector", "unfold-short-segment", "lookup-by-id-rows",
+            "lookup-id-out-of-range", "gather-by-too-few-ids", "attention-levels-differ",
+            "conv-module-on-a-stack", "finite-diff-of-rows", "finite-diff-of-a-constant"])
+    def test_bad_operand_named(self, call, error, message):
+        """Each refused input raises its own error, naming the op and shapes."""
+        with pytest.raises(error, match=message):
+            call()
 
 
 # ---------------------------------------------------------------------------
@@ -230,7 +265,7 @@ class TestBackwardClosedForm:
         dL/dw = 2 x^T (x w), with x w = 11 here."""
         x = Tensor(np.array([[1.0, 2.0]]), requires_grad=True)
         w = Tensor(np.array([[3.0], [4.0]]), requires_grad=True)
-        h = T.matmul(x, w)
+        h = T.linear(x, w, None)
         sq = T.mul(h, h)
         loss = T.reduce_sum(sq)
         loss.backward()
@@ -293,12 +328,13 @@ class TestFiniteDifferences:
                 lambda ps: T.reduce_sum(T.power(T.add(ps[0], Tensor(3.0)), 1.7)), [x])
 
     def test_matmul(self):
+        """``linear`` without a bias: the product alone, both operands."""
         rng = np.random.default_rng(21)
         a = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
         b = Tensor(rng.normal(size=(4, 5)), requires_grad=True)
         w = rng.normal(size=(3, 5))
         err = T.finite_diff_check(
-            lambda ps: T.reduce_sum(T.mul(T.matmul(ps[0], ps[1]), Tensor(w))), [a, b]
+            lambda ps: T.reduce_sum(T.mul(T.linear(ps[0], ps[1], None), Tensor(w))), [a, b]
         )
         assert err < TOL
 
@@ -359,8 +395,8 @@ class TestFiniteDifferences:
 
         def f(ps):
             h = T.swish(T.linear(Tensor(x), ps[0], ps[1]))
-            h = T.layernorm(T.matmul(h, ps[2]), ps[4], ps[5])
-            out = T.matmul(h, ps[3])
+            h = T.layernorm(T.linear(h, ps[2], None), ps[4], ps[5])
+            out = T.linear(h, ps[3], None)
             diff = T.add(out, Tensor(-tgt))
             return T.reduce_sum(T.mul(diff, diff))
 
@@ -746,9 +782,9 @@ class TestLevelAxis:
 
     @pytest.mark.parametrize("lengths", [[4], [1, 3, 2], [5, 1, 7, 2]])
     def test_segment_means_match_the_matmul_chain(self, lengths):
-        """Values and gradients equal a ``matmul`` of the 1/length weights
-        by the entries as a column, bit for bit, and on a level stack each
-        level equals that chain on its own."""
+        """Values and gradients equal a bias-free ``linear`` of the 1/length
+        weights by the entries as a column, bit for bit, and on a level stack
+        each level equals that chain on its own."""
         rng = np.random.default_rng(63 + len(lengths))
         n, k = sum(lengths), len(lengths)
         a = Tensor(rng.normal(size=(LEVELS, n)), requires_grad=True)
@@ -760,7 +796,7 @@ class TestLevelAxis:
             row = Tensor(a.data[level], requires_grad=True)
 
             def chain(t):
-                return T.reshape(T.matmul(Tensor(weights), T.reshape(t, (n, 1))), (k,))
+                return T.reshape(T.linear(Tensor(weights), T.reshape(t, (n, 1)), None), (k,))
 
             value, (expected,) = _grads_of(chain, [row], g[level])
             alone, (alone_grad,) = _grads_of(lambda t: T.segment_means(t, lengths), [row],

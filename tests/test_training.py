@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from moe_asr import tensor as T
+from moe_asr import training
 from moe_asr.checkpoint import load_model, load_pretrained_embedding, save_embedding, save_model
 from moe_asr.config import ModelConfig, TrainConfig
 from moe_asr.encoder import EmbeddingNetwork
@@ -1290,6 +1291,72 @@ class TestLoops:
             run_joint_training(model, load_normalized_split(data, "train"), [], tc,
                                tmp_path / "run")
         assert not (tmp_path / "run" / "metrics.jsonl").exists()
+
+    def test_empty_train_split_fails_before_the_first_step(self, tmp_path):
+        """No training utterances is an error before anything is written."""
+        data = self._corpus(tmp_path)
+        tc = TrainConfig(max_steps=3, eval_every=2, warmup_steps=50, seed=0)
+        model = SpeechModel(self._model_cfg()).initialize(tc.seed)
+        with pytest.raises(ValueError, match="training split is empty"):
+            run_joint_training(model, [], load_normalized_split(data, "dev"), tc,
+                               tmp_path / "run")
+        assert not (tmp_path / "run").exists()
+
+
+class _Batcher:
+    """A batch cursor, the schedule's oracle: it cycles the training list
+    in manifest order, and each utterance's k-th visit falls in epoch k."""
+
+    def __init__(self, seqs, batch_size):
+        self.seqs, self.batch_size = seqs, batch_size
+        self.cursor = self.epoch = 0
+
+    def next_batch(self):
+        batch = []
+        for _ in range(self.batch_size):
+            batch.append((self.seqs[self.cursor], self.epoch))
+            self.cursor += 1
+            if self.cursor == len(self.seqs):
+                self.cursor, self.epoch = 0, self.epoch + 1
+        return batch
+
+
+class TestBatchSchedule:
+    @pytest.mark.parametrize("n, batch_size", [(11, 5), (11, 11), (3, 4)])
+    def test_batches_and_epochs_match_the_cursor(self, tmp_path, monkeypatch, n, batch_size):
+        """The utterances each step augments, keyed by (utt_id, epoch), each
+        metrics line's epoch and each checkpoint record's epoch equal the
+        cursor oracle's, over a run that ``max_epochs`` stops."""
+        data = tmp_path / "data"
+        generate_corpus(data, 12, 4, 5, feat_dim=10)
+        train_seqs = load_normalized_split(data, "train")[:n]
+        assert len(train_seqs) == n
+        cfg = tiny_cfg(feat_dim=10, num_experts=2)
+        tc = TrainConfig(max_steps=50, max_epochs=2, eval_every=2, warmup_steps=50,
+                         batch_size=batch_size, seed=7)
+        keys, draw = [], training.utterance_rng
+
+        def recording(seed, name, lane):
+            keys.append((name, lane))
+            return draw(seed, name, lane)
+
+        monkeypatch.setattr(training, "utterance_rng", recording)
+        out = tmp_path / "pre"
+        records, _ = run_pretraining(EmbeddingNetwork(cfg).initialize(tc.seed), train_seqs,
+                                     load_normalized_split(data, "dev"), cfg, tc, out)
+
+        oracle, expected_keys, epochs = _Batcher(train_seqs, batch_size), [], []
+        while len(epochs) < tc.max_steps and oracle.epoch < tc.max_epochs:
+            expected_keys += [(seq.utt_id, epoch) for seq, epoch in oracle.next_batch()]
+            epochs.append(oracle.epoch)
+        steps = len(epochs)
+        checkpoints = sorted({*range(tc.eval_every, steps + 1, tc.eval_every), steps})
+        assert epochs[-1] == tc.max_epochs and steps < tc.max_steps  # the epochs stop it
+        assert keys == expected_keys
+        lines = [json.loads(line) for line in (out / "metrics.jsonl").read_text().splitlines()]
+        assert [(line["step"], line["epoch"]) for line in lines] == list(
+            zip(range(1, steps + 1), epochs))
+        assert [(r.step, r.epoch) for r in records] == [(s, epochs[s - 1]) for s in checkpoints]
 
 
 class TestOverfitOneUtterance:
