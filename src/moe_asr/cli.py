@@ -27,7 +27,13 @@ from pathlib import Path
 
 from .checkpoint import check_embedding, load_model
 from .config import FIELD_TYPES, DecodeConfig, ModelConfig, TrainConfig, from_dict
-from .features import generate_corpus, load_manifest, load_normalized_split, write_json
+from .features import (
+    generate_corpus,
+    load_manifest,
+    load_normalized_split,
+    read_json_lines,
+    write_json,
+)
 from .inference import cost_report, decode_nbest, format_cost_table, score_corpus
 from .tensor import Tensor
 from .training import pretrain_embedding, train_joint
@@ -216,17 +222,14 @@ def cmd_score(args):
     references = {h.utt_id: h.tokens for h in
                   load_manifest(Path(args.data) / f"{args.split}.jsonl")}
     triples, scored = [], set()
-    with open(args.hyps, "r", encoding="utf-8") as fh:
-        for line in fh:
-            obj = json.loads(line)
-            if obj["utt_id"] not in references:
-                raise ValueError(
-                    f"{obj['utt_id']} not present in the {args.split} manifest"
-                )
-            if obj["utt_id"] in scored:
-                raise ValueError(f"{obj['utt_id']} appears more than once in {args.hyps}")
-            scored.add(obj["utt_id"])
-            triples.append((obj["utt_id"], references[obj["utt_id"]], obj["tokens"]))
+    for lineno, obj in read_json_lines(args.hyps, ("utt_id", "tokens")):
+        utt_id, where = str(obj["utt_id"]), f"{args.hyps}:{lineno}"
+        if utt_id not in references:
+            raise ValueError(f"{where}: {utt_id} not present in the {args.split} manifest")
+        if utt_id in scored:
+            raise ValueError(f"{where}: {utt_id} appears more than once")
+        scored.add(utt_id)
+        triples.append((utt_id, references[utt_id], obj["tokens"]))
     # an utterance the hyps file leaves out counts as decoded to nothing
     missing = sorted(set(references) - scored)
     triples += [(utt_id, references[utt_id], []) for utt_id in missing]

@@ -7,8 +7,9 @@ column 0 the blank; the public API speaks data-token ids (0..V-1) and the
 log space with -inf as the additive identity, and every log-space sum is
 numpy's ``np.logaddexp``, exact at -inf. The loss takes one utterance
 or a packed batch and runs one forward recursion over padded [batch, states]
-numpy arrays; its gradient reads the backward variables off the same
-recursion run on every utterance reversed. The prefix beam search keeps
+numpy arrays; when it needs a gradient, the same recursion also runs every
+utterance reversed, as rows of its own, and the backward variables are read
+off those rows. The prefix beam search keeps
 its beam as arrays and scores every (prefix, class) extension of a frame in
 one [beam x classes] grid, so a frame is a fixed number of numpy calls
 whatever the vocabulary size.
@@ -94,7 +95,8 @@ def ctc_loss(log_probs, tokens, lengths=None):
     occupancy, so gradients flow to every frame and class. The backward
     variables are the forward variables of each utterance reversed in time
     with its tokens reversed (Graves et al., 2006), so each starts at its
-    own last frame.
+    own last frame; one ``_alpha`` call runs both directions, the reversed
+    utterances as lattice rows B..2B-1.
     """
     is_tensor = isinstance(log_probs, Tensor)
     lp = log_probs.data if is_tensor else np.asarray(log_probs, dtype=np.float64)
@@ -116,7 +118,16 @@ def ctc_loss(log_probs, tokens, lengths=None):
     s_b = np.array([2 * len(seq) + 1 for seq in seqs])
     t_col = np.arange(max(frames))[:, None]
 
-    alpha, emit, ext = _alpha(lp, offsets + t_col, seqs)
+    # with a gradient, the backward variables come from the same recursion:
+    # rows B..2B-1 run each utterance reversed in time with its tokens reversed
+    grad = is_tensor and log_probs.requires_grad
+    rows, lattice = offsets + t_col, seqs
+    if grad:
+        rows = np.concatenate([rows, offsets + n_b - 1 - t_col], axis=1)
+        lattice = seqs + [seq[::-1] for seq in seqs]
+    alpha, emit, ext = _alpha(lp, rows, lattice)
+    alpha, reverse = alpha[:, :batch], alpha[:, batch:]
+    emit, ext = emit[:, :batch], ext[:batch]
     log_z = np.array([
         np.logaddexp.reduce(alpha[n_b[b] - 1, b, max(s_b[b] - 2, 0) : s_b[b]])
         for b in range(batch)
@@ -129,10 +140,8 @@ def ctc_loss(log_probs, tokens, lengths=None):
     losses = -log_z
     value = losses[0] if lengths is None else losses
 
-    if not (is_tensor and log_probs.requires_grad):
+    if not grad:
         return Tensor(value) if is_tensor else value
-
-    reverse, _, _ = _alpha(lp, offsets + n_b - 1 - t_col, [seq[::-1] for seq in seqs])
 
     # occupancy gamma[t,s] = alpha*beta / emit over the real (frame, state)
     # cells, with beta[t, b, s] = reverse[n_b-1-t, b, S_b-1-s];

@@ -22,7 +22,8 @@ FEATS_MAGIC = b"FB01"
 
 
 class ManifestError(ValueError):
-    """Raised for malformed manifest lines or inconsistent references."""
+    """Raised for malformed manifest or hyps-file lines or inconsistent
+    references."""
 
 
 @dataclass
@@ -78,9 +79,13 @@ class UtteranceHandle:
         return FeatureSequence(self.utt_id, read_feats(path), self.tokens)
 
 
-def load_manifest(path):
-    """Parse a JSON-lines manifest into lazy utterance handles, in file order."""
-    handles, first_line = [], {}
+def read_json_lines(path, keys):
+    """``(line number, object)`` for each non-blank line of the JSON-lines
+    file `path` (a manifest, or a hyps file ``score`` reads), in file order.
+    A line that is not a JSON object holding every key of `keys`, or whose
+    ``tokens`` is not a list of non-negative ints, raises ManifestError
+    naming ``path:line``."""
+    entries = []
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
@@ -90,10 +95,8 @@ def load_manifest(path):
                 obj = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise ManifestError(f"{path}:{lineno}: invalid JSON: {exc}") from None
-            if not isinstance(obj, dict) or not {"utt_id", "feats_path", "tokens"} <= set(obj):
-                raise ManifestError(
-                    f"{path}:{lineno}: expected keys utt_id, feats_path, tokens"
-                )
+            if not isinstance(obj, dict) or not set(keys) <= set(obj):
+                raise ManifestError(f"{path}:{lineno}: expected keys {', '.join(keys)}")
             tokens = obj["tokens"]
             if not isinstance(tokens, list) or any(
                 not isinstance(t, int) or isinstance(t, bool) or t < 0 for t in tokens
@@ -101,16 +104,24 @@ def load_manifest(path):
                 raise ManifestError(
                     f"{path}:{lineno}: tokens must be non-negative integers"
                 )
-            utt_id = str(obj["utt_id"])
-            if first_line.setdefault(utt_id, lineno) != lineno:
-                first = first_line[utt_id]
-                raise ManifestError(f"{path}:{lineno}: utt_id {utt_id!r} repeats line {first}")
-            # Relative paths are resolved against the manifest's directory so
-            # a corpus can be moved or regenerated elsewhere byte-identically.
-            feats_path = Path(str(obj["feats_path"]))
-            if not feats_path.is_absolute():
-                feats_path = Path(path).parent / feats_path
-            handles.append(UtteranceHandle(utt_id, str(feats_path), tokens))
+            entries.append((lineno, obj))
+    return entries
+
+
+def load_manifest(path):
+    """Parse a JSON-lines manifest into lazy utterance handles, in file order."""
+    handles, first_line = [], {}
+    for lineno, obj in read_json_lines(path, ("utt_id", "feats_path", "tokens")):
+        utt_id = str(obj["utt_id"])
+        if first_line.setdefault(utt_id, lineno) != lineno:
+            first = first_line[utt_id]
+            raise ManifestError(f"{path}:{lineno}: utt_id {utt_id!r} repeats line {first}")
+        # Relative paths are resolved against the manifest's directory so
+        # a corpus can be moved or regenerated elsewhere byte-identically.
+        feats_path = Path(str(obj["feats_path"]))
+        if not feats_path.is_absolute():
+            feats_path = Path(path).parent / feats_path
+        handles.append(UtteranceHandle(utt_id, str(feats_path), obj["tokens"]))
     return handles
 
 

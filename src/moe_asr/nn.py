@@ -1,11 +1,15 @@
 """Layer library on top of the autodiff core.
 
-Modules form a named tree; every parameter and dropout draws its random
-stream from (seed, crc32 of its full dotted name): ``features.utterance_rng``,
-the package's one stream function. Initialization is
-therefore a pure function of seed and name: adding or removing unrelated
-modules never shifts another parameter's initial values, which is what lets
-a single-expert routed model reproduce a dense model's trajectory exactly.
+Modules form a named tree; every drawn parameter and every dropout draws
+from its own random stream, keyed by (seed, crc32 of its full dotted name):
+``features.utterance_rng``, the package's one stream function. A constant
+parameter (a ``LayerNorm``'s ones and zeros) makes no stream, a drawn one
+is drawn straight into its arena view, and a dropout makes its stream at its
+first training-mode draw, so a model that only decodes makes none.
+Initialization is therefore a pure function of seed and name: adding or
+removing unrelated modules never shifts another parameter's initial values,
+which is what lets a single-expert routed model reproduce a dense model's
+trajectory exactly.
 
 The sub-layers (``FeedForward``, ``MultiHeadAttention`` for self- and
 cross-attention, ``ConvModule``) each run as one fused ``tensor`` node that
@@ -25,6 +29,7 @@ their one scale.
 from __future__ import annotations
 
 import contextlib
+import functools
 import math
 import mmap
 import os
@@ -38,24 +43,50 @@ from .tensor import Tensor
 
 
 def uniform_init(fan_in):
-    bound = 1.0 / math.sqrt(fan_in)
-    return lambda rng, shape: rng.uniform(-bound, bound, size=shape)
+    """U(±1/√fan_in): ``fill(out, stream)`` draws ``stream()`` straight into
+    `out` and scales it in place as ``Generator.uniform`` does, u·(high −
+    low) + low, so the values keep ``uniform``'s bits."""
+    high = 1.0 / math.sqrt(fan_in)
+    low = -high
+
+    def fill(out, stream):
+        stream().random(out=out)
+        out *= high - low
+        out += low
+
+    return fill
 
 
 def normal_init(std):
-    return lambda rng, shape: rng.normal(0.0, std, size=shape)
+    """N(0, std²), drawn into `out` and scaled in place as
+    ``Generator.normal`` does, z·scale + loc: the + 0.0 stays, so a −0.0
+    becomes +0.0 as it does there."""
+
+    def fill(out, stream):
+        stream().standard_normal(out=out)
+        out *= std
+        out += 0.0
+
+    return fill
 
 
 def zeros_init():
-    return lambda rng, shape: np.zeros(shape)
+    """Zeros written into `out`; no stream is made."""
+    return lambda out, stream: out.fill(0.0)
 
 
 def ones_init():
-    return lambda rng, shape: np.ones(shape)
+    """Ones written into `out`; no stream is made."""
+    return lambda out, stream: out.fill(1.0)
 
 
 class Parameter(Tensor):
     """A trainable tensor carrying its own initialization distribution.
+
+    ``init_fn(out, stream)`` (from the ``*_init`` functions) writes the
+    initial values into `out`, the parameter's arena view, in place;
+    ``stream()`` makes the parameter's generator and is called only by an
+    init that draws.
 
     A new parameter has a shape and no storage, so a module tree built only
     to read its shapes (``model.parameter_total`` counts them) costs no
@@ -322,17 +353,22 @@ class Module:
 
         The first call allocates the tree's ``Arena`` (``allocate``): one
         flat ``data`` and one flat ``grad`` buffer, zeros, whose views the
-        parameters become. Values are written into those views in place.
+        parameters become. Each parameter's ``init_fn`` writes its view in
+        place; a drawn one makes its stream, ``utterance_rng(seed, name,
+        0)``, and draws straight into the view, and a constant one (a
+        ``LayerNorm``'s ones and zeros) makes none.
         """
         for name, param in self.allocate().arena.params.items():
-            param.data[...] = param.init_fn(utterance_rng(seed, name, 0), param.shape)
+            param.init_fn(param.data, functools.partial(utterance_rng, seed, name, 0))
         self.seed_dropout(seed)
         return self
 
     def seed_dropout(self, seed):
+        """Give every ``Dropout`` its key (seed, dotted name): its stream,
+        lane 1, starts afresh at its next training-mode draw."""
         for name, module in self.named_modules().items():
             if isinstance(module, Dropout):
-                module.rng = utterance_rng(seed, name, 1)
+                module.seed(seed, name)
         return self
 
     def zero_grad(self):
@@ -374,14 +410,33 @@ class LayerNorm(Module):
 class Dropout(Module):
     """Inverted dropout with a persistent per-name generator.
 
-    The generator must be seeded (Module.initialize or seed_dropout) before
-    the first training-mode forward; eval mode never touches it.
+    ``Module.initialize`` or ``seed_dropout`` gives it a key (seed, dotted
+    name); its generator, ``utterance_rng(seed, name, 1)``, is made at the
+    first training-mode draw, so a module that only runs in eval mode makes
+    none. A generator assigned to ``rng`` is used as it is. Training-mode
+    use with neither raises RuntimeError.
     """
 
     def __init__(self, p):
         super().__init__()
         self.p = float(p)
-        self.rng = None
+        self._key = None
+        self._rng = None
+
+    def seed(self, seed, name):
+        """Key the stream by (seed, name); the next draw restarts it."""
+        self._key, self._rng = (seed, name), None
+
+    @property
+    def rng(self):
+        """The generator, made from the key on first use; None unseeded."""
+        if self._rng is None and self._key is not None:
+            self._rng = utterance_rng(*self._key, 1)
+        return self._rng
+
+    @rng.setter
+    def rng(self, generator):
+        self._rng = generator
 
     def forward(self, x):
         """`x` times its mask as one ``T.mul`` node; `x` itself when off."""
@@ -396,9 +451,10 @@ class Dropout(Module):
         eval mode or at p=0."""
         if not self.training or self.p <= 0.0:
             return None
-        if self.rng is None:
+        rng = self.rng
+        if rng is None:
             raise RuntimeError("dropout used in training mode before seeding")
-        return self.rng.random(shape) >= self.p, 1.0 / (1.0 - self.p)
+        return rng.random(shape) >= self.p, 1.0 / (1.0 - self.p)
 
 
 def joined_mask(members, join):

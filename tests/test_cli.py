@@ -592,6 +592,50 @@ class TestFailureModes:
         assert "more than once" in capsys.readouterr().err
         assert not (tmp_path / "sc").exists()
 
+    @pytest.mark.parametrize("bad, named", [
+        ("", None),
+        ("   ", None),
+        ('{"utt_id": "{utt}"}', ":3: expected keys utt_id, tokens"),
+        ("[1, 2]", ":3: expected keys utt_id, tokens"),
+        ('{"utt_id": "{utt}", "tokens": "12"}', ":3: tokens must be non-negative integers"),
+        ('{"utt_id": "{utt}", "tokens": [1, -1]}', ":3: tokens must be non-negative integers"),
+        ('{"utt_id": "{utt}", "tokens": [true]}', ":3: tokens must be non-negative integers"),
+        ('{"utt_id": "{utt}", ', ":3: invalid JSON"),
+        ('{"utt_id": ["{utt}"], "tokens": [1]}', ":3: ['{utt}'] not present in the dev manifest"),
+        ('{"utt_id": "{first}", "tokens": [1]}', ":3: {first} appears more than once"),
+    ], ids=["blank", "spaces", "no-tokens", "array", "tokens-string", "negative-token",
+            "bool-token", "truncated", "list-utt-id", "repeated-utt-id"])
+    def test_score_reads_hyps_like_a_manifest(self, tmp_path, capsys, bad, named):
+        """Line 3 of a hyps file after a blank line 2: a blank line is
+        skipped, as the manifest reader skips one, and the file scores as
+        it does without it; a line that is not an object with utt_id and a
+        tokens list of non-negative ints, or whose utt_id (read as a string,
+        as the manifest reader reads it) is not in the split or repeats,
+        exits 1 with one line naming the file and line, before the run
+        directory exists."""
+        data = prepare(tmp_path, num=20)
+        refs = [json.loads(l) for l in (data / "dev.jsonl").read_text().splitlines()]
+        first = json.dumps({"utt_id": refs[0]["utt_id"], "tokens": refs[0]["tokens"]})
+        hyps, clean = tmp_path / "hyps.jsonl", tmp_path / "clean.jsonl"
+        ids = {"{utt}": refs[1]["utt_id"], "{first}": refs[0]["utt_id"]}
+        for key, utt_id in ids.items():
+            bad, named = bad.replace(key, utt_id), named and named.replace(key, utt_id)
+        hyps.write_text(f"{first}\n\n{bad}\n")
+        clean.write_text(f"{first}\n")
+        out = tmp_path / "sc"
+        code = main(["score", "--data", str(data), "--hyps", str(hyps), "--out", str(out)])
+        err = capsys.readouterr().err
+        if named is None:
+            assert code == 0
+            assert main(["score", "--data", str(data), "--hyps", str(clean),
+                         "--out", str(tmp_path / "clean")]) == 0
+            assert ((out / "report.json").read_bytes()
+                    == (tmp_path / "clean" / "report.json").read_bytes())
+            return
+        assert code == 1
+        assert len(err.splitlines()) == 1 and f"{hyps}{named}" in err
+        assert not out.exists()
+
     def test_score_counts_unscored_utterances_as_deletions(self, tmp_path, capsys):
         """One exact transcript out of two dev utterances is not a perfect
         score: the utterance missing from the hyps file counts as empty."""

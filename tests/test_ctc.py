@@ -206,6 +206,17 @@ class TestGradient:
             want = -_enumerated_occupancy(grid, tokens)
             assert np.max(np.abs(grad - want)) < 1e-12, tokens
 
+    @pytest.mark.parametrize("requires_grad", [False, True])
+    def test_one_recursion_with_or_without_gradient(self, monkeypatch, requires_grad):
+        """The loss runs ``_alpha`` once: with a gradient, the utterances
+        reversed are further lattice rows of that one call."""
+        calls, alpha = [], ctc._alpha
+        monkeypatch.setattr(ctc, "_alpha", lambda *args: calls.append(args) or alpha(*args))
+        rng = np.random.default_rng(76)
+        lp = Tensor(_rand_log_post(rng, 9, 4), requires_grad=requires_grad)
+        ctc.ctc_loss(lp, [[0, 1], [2, 2, 1]], [4, 5])
+        assert len(calls) == 1
+
     def test_no_grad_returns_plain_scalar_tensor(self):
         rng = np.random.default_rng(75)
         lp = Tensor(_rand_log_post(rng, 4, 3))

@@ -11,13 +11,14 @@ import struct
 import subprocess
 import sys
 import tracemalloc
+import zlib
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import moe_asr
-from moe_asr import checkpoint
+from moe_asr import checkpoint, nn
 from moe_asr import tensor as T
 from moe_asr.checkpoint import (
     MAGIC,
@@ -31,6 +32,8 @@ from moe_asr.checkpoint import (
 from moe_asr.config import ModelConfig
 from moe_asr.decoder import _level_stack
 from moe_asr.encoder import EmbeddingNetwork
+from moe_asr.features import utterance_rng
+from moe_asr.inference import decode_nbest
 from moe_asr.model import SpeechModel, parameter_total
 from moe_asr.moe import RoutedFFN
 from moe_asr.nn import LayerNorm, Linear, Module, stacked_parameters
@@ -199,6 +202,96 @@ class TestModuleTree:
         assert not any(m.training for m in modules)
         model.train()
         assert all(m.training for m in modules)
+
+
+def reference_initial_values(module, seed):
+    """Each parameter's initial values drawn afresh from its own
+    ``SeedSequence([seed, crc32(name), 0])`` generator, in tree order:
+    a LayerNorm's gamma ones and beta zeros, a decoders' ``embed`` [V, d]
+    N(0, 1/sqrt(d)), a ``ConvModule``'s ``dw_kernel`` [K, d] and
+    ``dw_bias`` U(+-1/sqrt(K)), and every other weight [d_in, d_out] and
+    its bias U(+-1/sqrt(d_in))."""
+    params = module.named_parameters()
+    values = {}
+    for name, p in params.items():
+        rng = np.random.default_rng(np.random.SeedSequence([seed, zlib.crc32(name.encode()), 0]))
+        prefix, _, leaf = name.rpartition(".")
+        # the tensor whose leading dimension is a uniform draw's fan-in
+        fan_in = {"weight": "weight", "bias": "weight", "dw_kernel": "dw_kernel",
+                  "dw_bias": "dw_kernel"}.get(leaf)
+        if leaf == "gamma":
+            values[name] = np.ones(p.shape)
+        elif leaf == "beta":
+            values[name] = np.zeros(p.shape)
+        elif leaf == "embed":
+            values[name] = rng.normal(0.0, 1.0 / math.sqrt(p.shape[1]), size=p.shape)
+        elif fan_in is not None:
+            bound = 1.0 / math.sqrt(params[f"{prefix}.{fan_in}" if prefix else fan_in].shape[0])
+            values[name] = rng.uniform(-bound, bound, size=p.shape)
+        else:
+            raise AssertionError(f"no reference distribution for {name}")
+    return values
+
+
+class TestInitialization:
+    @pytest.mark.parametrize("build", [
+        lambda: SpeechModel(ModelConfig.desk_scale(11)),
+        lambda: SpeechModel(ModelConfig.desk_scale(11, num_experts=1)),
+        lambda: SpeechModel(ModelConfig.desk_scale(11, num_experts=16)),
+        lambda: EmbeddingNetwork(ModelConfig.desk_scale(11, num_experts=16)),
+    ], ids=["dense", "e1", "e16", "embedding-network"])
+    def test_initial_values_match_the_reference(self, build):
+        """``initialize``'s arena is every parameter's reference draw, back
+        to back, byte for byte."""
+        module = build().initialize(23)
+        want = reference_initial_values(module, 23)
+        assert module.arena.data.tobytes() == np.concatenate(
+            [v.ravel() for v in want.values()]).tobytes()
+
+    @pytest.mark.parametrize("experts, streams", [(0, 251), (16, 505)])
+    def test_only_drawn_parameters_make_a_stream(self, monkeypatch, experts, streams):
+        """One stream per drawn parameter: a LayerNorm's constants make
+        none, and no dropout makes one before it draws."""
+        keys, draw = [], nn.utterance_rng
+        monkeypatch.setattr(nn, "utterance_rng", lambda *key: keys.append(key) or draw(*key))
+        model = SpeechModel(ModelConfig.desk_scale(11, num_experts=experts)).initialize(5)
+        assert len(keys) == streams
+        assert {lane for _, _, lane in keys} == {0}
+        assert [name for _, name, _ in keys] == [
+            name for name in model.named_parameters()
+            if name.rpartition(".")[2] not in ("gamma", "beta")]
+
+    def test_decoding_makes_no_dropout_stream(self, monkeypatch):
+        """A model that only decodes never draws a mask, so it makes no
+        lane-1 stream."""
+        keys, draw = [], nn.utterance_rng
+        monkeypatch.setattr(nn, "utterance_rng", lambda *key: keys.append(key) or draw(*key))
+        model = SpeechModel(ModelConfig.desk_scale(11, num_experts=2, feat_dim=8)).initialize(5)
+        feats = np.random.default_rng(6).normal(size=(30, 8))
+        decode_nbest(model.eval(), T.Tensor(feats), 4, 2, 0.5)
+        assert keys and all(lane == 0 for _, _, lane in keys)
+
+    def test_first_training_mask_is_the_named_stream(self):
+        """Each dropout's first training-mode mask is the first draw of
+        ``utterance_rng(seed, name, 1)``; ``seed_dropout`` after draws
+        restarts every stream."""
+        model = SpeechModel(ModelConfig.desk_scale(11, num_experts=2)).initialize(8)
+        dropouts = {n: m for n, m in model.named_modules().items() if isinstance(m, nn.Dropout)}
+        assert dropouts and all(d.p > 0.0 for d in dropouts.values())
+
+        def masks():
+            return {n: d.mask((3, 7))[0] for n, d in dropouts.items()}
+
+        first = masks()
+        for name, d in dropouts.items():
+            want = utterance_rng(8, name, 1).random((3, 7)) >= d.p
+            np.testing.assert_array_equal(first[name], want, err_msg=name)
+        second = masks()
+        assert any(not np.array_equal(first[n], second[n]) for n in dropouts)
+        model.seed_dropout(8)
+        restarted = masks()
+        for name in dropouts:
+            np.testing.assert_array_equal(restarted[name], first[name], err_msg=name)
 
 
 def _assert_views_of(leaf, params):
