@@ -66,10 +66,12 @@ def _entries(layout):
 @contextlib.contextmanager
 def _read(path, kind):
     """Open a checkpoint of `kind` ("model" or "embedding") and check its
-    header, kind included; yields (config dict, entries, read_body). The
-    entries tile the body. ``read_body(out)`` reads the body's first
-    ``out.size`` values straight into the contiguous float64 array ``out``,
-    so the file's bytes are never held a second time."""
+    header, kind included; yields (ModelConfig, entries, read_body). The
+    header config is read once, by ``config.from_dict``, and whatever that
+    refuses is named with the file. The entries tile the body.
+    ``read_body(out)`` reads the body's first ``out.size`` values straight
+    into the contiguous float64 array ``out``, so the file's bytes are never
+    held a second time."""
     with open(path, "rb") as fh:
         head = fh.read(8)
         if len(head) < 8 or head[:4] != MAGIC:
@@ -110,6 +112,10 @@ def _read(path, kind):
         if end != size:
             raise CheckpointError(f"{path}: {'truncated data' if end > size else 'trailing bytes'}:"
                                   f" the entries end at byte {end}, the body at {size}")
+        try:
+            config = from_dict(ModelConfig, header["config"])
+        except ValueError as exc:
+            raise CheckpointError(f"{path}: {exc}") from exc
 
         def read_body(out):
             # a buffered file's readinto reads until `out` is full or the file ends
@@ -118,7 +124,7 @@ def _read(path, kind):
             if not np.little_endian:
                 out.byteswap(inplace=True)
 
-        yield header["config"], entries, read_body
+        yield config, entries, read_body
 
 
 def _span(path, arena, entries, prefix=""):
@@ -128,14 +134,6 @@ def _span(path, arena, entries, prefix=""):
         if want != found:
             raise CheckpointError(f"{path}: entry {i} should be {want}, found {found}")
     return data
-
-
-def _model_config(path, config):
-    """The header's ModelConfig; whatever ``from_dict`` refuses is named with the file."""
-    try:
-        return from_dict(ModelConfig, config)
-    except ValueError as exc:
-        raise CheckpointError(f"{path}: {exc}") from exc
 
 
 def save_model(path, model):
@@ -151,7 +149,7 @@ def load_model(path):
     training, or eval() for inference.
     """
     with _read(path, "model") as (config, entries, read_body):
-        model = SpeechModel(_model_config(path, config)).allocate()
+        model = SpeechModel(config).allocate()
         read_body(_span(path, model.arena, entries))
     return model
 
@@ -160,16 +158,19 @@ def save_embedding(path, embedding_net, cfg):
     _write(path, "embedding", dataclasses.asdict(cfg), embedding_net)
 
 
-@contextlib.contextmanager
-def _embedding(path, cfg):
-    """Open an embedding checkpoint for a model of `cfg` (``_read``); yields
-    (entries, read_body). CheckpointError when `cfg` is dense (no embedding
-    network) or the stored architecture differs from it on a field the
-    embedding network reads."""
+def load_pretrained_embedding(model, path):
+    """Overwrite a joint model's embedding network with pretrained weights.
+
+    CheckpointError when the model is dense (no embedding network) or the
+    checkpoint's architecture differs from the model's on a field the
+    embedding network reads. The body is read into the model arena's
+    ``embedding_net.`` span, so the model must be allocated (initialized)
+    first.
+    """
+    cfg = model.cfg
     if not cfg.routed:
         raise CheckpointError("model is dense; it has no embedding network to load into")
-    with _read(path, "embedding") as (config, entries, read_body):
-        stored = _model_config(path, config)
+    with _read(path, "embedding") as (stored, entries, read_body):
         for field in ("feat_dim", "d_emb", "d_ff", "heads", "kernel", "embedding_blocks",
                       "vocab_size"):
             if getattr(stored, field) != getattr(cfg, field):
@@ -177,26 +178,6 @@ def _embedding(path, cfg):
                     f"{path}: embedding architecture mismatch on {field}:"
                     f" {getattr(stored, field)} vs {getattr(cfg, field)}"
                 )
-        yield entries, read_body
-
-
-def check_embedding(path, cfg):
-    """``load_pretrained_embedding``'s checks of `path` for a model of `cfg`,
-    the body left unread: the file opens, is an embedding checkpoint, and
-    its architecture fits."""
-    with _embedding(path, cfg):
-        pass
-
-
-def load_pretrained_embedding(model, path):
-    """Overwrite a joint model's embedding network with pretrained weights.
-
-    The checkpoint's architecture must agree with the model's on every field
-    the embedding network reads (``check_embedding``). The body is read into
-    the model arena's ``embedding_net.`` span, so the model must be
-    allocated (initialized) first.
-    """
-    with _embedding(path, model.cfg) as (entries, read_body):
         if model.arena is None:
             raise ValueError("model has no parameter storage; initialize it before loading")
         read_body(_span(path, model.arena, entries, "embedding_net."))
@@ -210,7 +191,6 @@ def strip_auxiliary(src, dst):
     only the body's leading bytes are read, into the lean model's arena.
     """
     with _read(src, "model") as (config, entries, read_body):
-        config = dataclasses.replace(_model_config(src, config), num_levels=1)
-        lean = SpeechModel(config).allocate()
+        lean = SpeechModel(dataclasses.replace(config, num_levels=1)).allocate()
         read_body(_span(src, lean.arena, entries[: len(lean.arena.params)]))
     save_model(dst, lean)

@@ -6,14 +6,16 @@ field's value comes from its flag, else the --config file, else (for
 vocab_size and feat_dim) the prepared corpus, else its default, and
 ``config.from_dict`` reads each section. A key or value it refuses, a model
 that cannot read the corpus (``_check_fits_corpus``), an --embedding
-checkpoint that does not fit it (``checkpoint.check_embedding``), a split
-decode or score cannot read, a hyps file score refuses, a --config model
-section given to decode, or an --out holding files stops a command before
-it writes anything, so its corrected rerun may use the same --out. Each
-command starts its run directory with ``_start_run``: the resolved config
-sections in config.json (for the commands that take any) and, when it
-ends, run_manifest.json. Timestamps live only in the manifest, so every
-other artifact is byte-reproducible from equal inputs.
+checkpoint that does not load into it (``load_pretrained_embedding``), a
+split that train, pretrain-embedding, decode or score cannot read (its
+manifest, the corpus CMVN or a feature file), a hyps file score refuses,
+a --config model section given to decode, or an --out holding files
+stops a command before it writes anything, so its corrected rerun may use
+the same --out. Each command starts its run directory with
+``_start_run``: the resolved config sections in config.json (for the
+commands that take any) and, when it ends, run_manifest.json. Timestamps
+live only in the manifest, so every other artifact is byte-reproducible
+from equal inputs.
 """
 
 from __future__ import annotations
@@ -25,8 +27,9 @@ import sys
 from datetime import datetime, timezone
 from pathlib import Path
 
-from .checkpoint import check_embedding, load_model
+from .checkpoint import load_model
 from .config import FIELD_TYPES, DecodeConfig, ModelConfig, TrainConfig, from_dict
+from .encoder import EmbeddingNetwork
 from .features import (
     generate_corpus,
     load_manifest,
@@ -36,7 +39,7 @@ from .features import (
 )
 from .inference import cost_report, decode_nbest, format_cost_table, score_corpus
 from .tensor import Tensor
-from .training import pretrain_embedding, train_joint
+from .training import joint_model, run_joint_training, run_pretraining
 
 _CONFIG_SECTIONS = (("model", ModelConfig), ("train", TrainConfig), ("decode", DecodeConfig))
 
@@ -170,8 +173,10 @@ def cmd_prepare(args):
 def cmd_pretrain_embedding(args):
     model_cfg, train_cfg, _ = _resolve(args, ("model", "train"), args.data)
     _check_fits_corpus(model_cfg, args.data)
+    train_seqs, dev_seqs = (load_normalized_split(args.data, s) for s in ("train", "dev"))
     out, finish = _start_run(args, {"model": model_cfg, "train": train_cfg}, train_cfg.seed)
-    records, final = pretrain_embedding(args.data, out, model_cfg, train_cfg)
+    net = EmbeddingNetwork(model_cfg).initialize(train_cfg.seed)
+    records, final = run_pretraining(net, train_seqs, dev_seqs, model_cfg, train_cfg, out)
     finish(embedding="embedding.ckpt", metrics="metrics.jsonl", checkpoints=len(records))
     print(f"pretraining finished: eval ctc {final.eval_ctc:.4f} nats/utt"
           f" at step {final.step}")
@@ -181,11 +186,10 @@ def cmd_pretrain_embedding(args):
 def cmd_train(args):
     model_cfg, train_cfg, _ = _resolve(args, ("model", "train"), args.data)
     _check_fits_corpus(model_cfg, args.data)
-    if args.embedding is not None:
-        check_embedding(args.embedding, model_cfg)
+    train_seqs, dev_seqs = (load_normalized_split(args.data, s) for s in ("train", "dev"))
+    model = joint_model(model_cfg, train_cfg, args.embedding)
     out, finish = _start_run(args, {"model": model_cfg, "train": train_cfg}, train_cfg.seed)
-    records, final = train_joint(args.data, out, model_cfg, train_cfg,
-                                 embedding_ckpt=args.embedding)
+    records, final = run_joint_training(model, train_seqs, dev_seqs, train_cfg, out)
     finish(final="final.ckpt", metrics="metrics.jsonl", checkpoints=len(records),
            final_step=final.step)
     print(f"training finished: best eval ctc {final.eval_ctc:.4f} nats/utt"

@@ -38,26 +38,20 @@ def min_frames(tokens):
     return len(tokens) + repeats
 
 
-def _extended(tokens):
-    """Blank-interleaved class sequence: [0, c1, 0, c2, ..., 0]."""
-    ext = np.zeros(2 * len(tokens) + 1, dtype=np.int64)
-    ext[1::2] = np.asarray(tokens, dtype=np.int64) + 1
-    return ext
-
-
 def _alpha(lp, rows, seqs):
     """Forward variables of each utterance's CTC lattice.
 
     Utterance b reads its frame t from grid row rows[t, b]; rows past its
     end may hold any value and are never used. Returns alpha [T, B, S_max],
-    the emissions it summed and the blank-interleaved classes ext [B, S_max]
-    (padded with blanks). Alpha only flows to higher states and later
+    the emissions it summed and the blank-interleaved classes ext [B, S_max]:
+    row b is [0, c1, 0, c2, ..., 0] for seqs[b]'s classes c = token + 1,
+    padded with blanks. Alpha only flows to higher states and later
     frames, so padded cells never reach real ones.
     """
     batch, s_max = len(seqs), max(2 * len(seq) + 1 for seq in seqs)
     ext = np.zeros((batch, s_max), dtype=np.int64)
     for b, seq in enumerate(seqs):
-        ext[b, : 2 * len(seq) + 1] = _extended(seq)
+        ext[b, 1 : 2 * len(seq) : 2] = np.add(seq, 1)
     rows = np.clip(rows, 0, lp.shape[0] - 1)
     emit = lp[rows[:, :, None], ext[None, :, :]]
 

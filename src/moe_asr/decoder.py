@@ -254,8 +254,11 @@ def aed_losses(log_probs, token_seqs):
 
 def aed_loss(log_probs, tokens):
     """Mean smoothed cross-entropy of tokens + [eos] against the rows of
-    one utterance; ``aed_losses`` of a batch of one."""
-    return T.reshape(aed_losses(log_probs, [tokens]), ())
+    one utterance; ``aed_losses`` of a batch of one, its one entry summed
+    to a scalar. The sum has the entry's bits, value and gradient, for
+    every value but -0.0, which it makes +0.0; a smoothed cross-entropy is
+    positive, so no loss is -0.0."""
+    return T.reduce_sum(aed_losses(log_probs, [tokens]))
 
 
 def multi_level_aed(main_decoder, aux_decoders, enc_output, tokens):
@@ -272,7 +275,8 @@ def multi_level_aed(main_decoder, aux_decoders, enc_output, tokens):
     main decoder last; the per-level values are graph-free, for reporting.
     When ``enc_output.lengths`` is set (a packed batch), `tokens` holds one
     sequence per utterance and every value is a vector of per-utterance
-    losses.
+    losses. For one utterance the total is its one-entry vector summed to a
+    scalar, with the entry's bits, as ``aed_loss`` says.
     """
     taps = list(enc_output.taps.values())
     if len(aux_decoders) != len(taps):
@@ -285,7 +289,7 @@ def multi_level_aed(main_decoder, aux_decoders, enc_output, tokens):
     total = T.level_sum(levels)
     values = np.roll(levels.data, -1, axis=0)  # shallow to deep, main last
     if lengths is None:
-        return T.reshape(total, ()), [Tensor(v) for v in values[:, 0]]
+        return T.reduce_sum(total), [Tensor(v) for v in values[:, 0]]
     return total, [Tensor(v) for v in values]
 
 

@@ -38,12 +38,16 @@ from .nn import (
 )
 from .tensor import Tensor
 
-MIN_INPUT_FRAMES = 7
+# Each of subsampling's two convolutions: kernel, stride, no padding.
+SUBSAMPLE_KERNEL, SUBSAMPLE_STRIDE = 3, 2
+# Fewest input frames subsampling takes (7): the first convolution must
+# leave one kernel's worth for the second.
+MIN_INPUT_FRAMES = SUBSAMPLE_KERNEL + SUBSAMPLE_STRIDE * (SUBSAMPLE_KERNEL - 1)
 
 
 def conv_length(t):
-    """Frames out of one kernel-3, stride-2, valid convolution over `t`."""
-    return (t - 3) // 2 + 1
+    """Frames out of one of subsampling's valid convolutions over `t`."""
+    return (t - SUBSAMPLE_KERNEL) // SUBSAMPLE_STRIDE + 1
 
 
 def subsampled_length(t_in):
@@ -52,13 +56,14 @@ def subsampled_length(t_in):
 
 
 class Subsample(Module):
-    """Two stride-2 temporal convolutions (via window unfolding) plus a
-    linear projection, taking [T x D] features to [T' x d] at T' ~ T/4."""
+    """Two valid temporal convolutions of ``SUBSAMPLE_KERNEL`` frames at
+    stride ``SUBSAMPLE_STRIDE`` (via window unfolding) plus a linear
+    projection, taking [T x D] features to [T' x d] at T' ~ T/4."""
 
     def __init__(self, feat_dim, d):
         super().__init__()
-        self.conv1 = Linear(3 * feat_dim, d)
-        self.conv2 = Linear(3 * d, d)
+        self.conv1 = Linear(SUBSAMPLE_KERNEL * feat_dim, d)
+        self.conv2 = Linear(SUBSAMPLE_KERNEL * d, d)
         self.proj = Linear(d, d)
 
     def forward(self, feats, lengths=None):
@@ -72,8 +77,9 @@ class Subsample(Module):
                     f" input frames, got {t_in}"
                 )
         mid = [conv_length(t_in) for t_in in lengths]
-        h = T.swish(self.conv1.forward(T.unfold_time(feats, 3, 2, lengths)))
-        h = T.swish(self.conv2.forward(T.unfold_time(h, 3, 2, mid)))
+        k, s = SUBSAMPLE_KERNEL, SUBSAMPLE_STRIDE
+        h = T.swish(self.conv1.forward(T.unfold_time(feats, k, s, lengths)))
+        h = T.swish(self.conv2.forward(T.unfold_time(h, k, s, mid)))
         return self.proj.forward(h)
 
 

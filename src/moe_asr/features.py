@@ -178,22 +178,19 @@ def compute_cmvn(sequences):
 
 
 def save_cmvn(stats, path):
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(
-            {"mean": stats.mean.tolist(), "var": stats.var.tolist(), "frames": stats.frames},
-            fh,
-        )
-        fh.write("\n")
+    write_json(path, {"mean": stats.mean.tolist(), "var": stats.var.tolist(),
+                      "frames": stats.frames})
 
 
 def write_json(path, obj):
-    """Every JSON artifact but cmvn.json: `obj` indented by 2, then a newline."""
+    """Every JSON artifact: `obj` indented by 2, then a newline."""
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(obj, fh, indent=2)
         fh.write("\n")
 
 
 def load_cmvn(path):
+    """The stats of a cmvn.json, indented or, as older corpora's, on one line."""
     with open(path, "r", encoding="utf-8") as fh:
         obj = json.load(fh)
     return CmvnStats(mean=obj["mean"], var=obj["var"], frames=int(obj["frames"]))

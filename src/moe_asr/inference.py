@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from . import tensor as T
 from .ctc import prefix_beam_search
 from .decoder import rescore
-from .encoder import conv_length, subsampled_length
+from .encoder import SUBSAMPLE_KERNEL, conv_length, subsampled_length
 from .model import parameter_total
 
 # ---------------------------------------------------------------------------
@@ -165,8 +165,8 @@ def _subsample(t_in, feat_dim, d):
     t1 = conv_length(t_in)
     t2 = conv_length(t1)
     return (
-        _linear(t1, 3 * feat_dim, d) + 4 * t1 * d
-        + _linear(t2, 3 * d, d) + 4 * t2 * d
+        _linear(t1, SUBSAMPLE_KERNEL * feat_dim, d) + 4 * t1 * d
+        + _linear(t2, SUBSAMPLE_KERNEL * d, d) + 4 * t2 * d
         + _linear(t2, d, d)
         + t2 * d                                     # position table add
     )

@@ -410,11 +410,11 @@ class LayerNorm(Module):
 class Dropout(Module):
     """Inverted dropout with a persistent per-name generator.
 
-    ``Module.initialize`` or ``seed_dropout`` gives it a key (seed, dotted
-    name); its generator, ``utterance_rng(seed, name, 1)``, is made at the
-    first training-mode draw, so a module that only runs in eval mode makes
-    none. A generator assigned to ``rng`` is used as it is. Training-mode
-    use with neither raises RuntimeError.
+    ``Module.initialize``, ``seed_dropout`` or ``seed`` gives it a key
+    (seed, dotted name); its generator, ``utterance_rng(seed, name, 1)``,
+    is made at the first training-mode draw, so a module that only runs in
+    eval mode makes none. The key is the generator's only source:
+    training-mode use before one is set raises RuntimeError.
     """
 
     def __init__(self, p):
@@ -433,10 +433,6 @@ class Dropout(Module):
         if self._rng is None and self._key is not None:
             self._rng = utterance_rng(*self._key, 1)
         return self._rng
-
-    @rng.setter
-    def rng(self, generator):
-        self._rng = generator
 
     def forward(self, x):
         """`x` times its mask as one ``T.mul`` node; `x` itself when off."""

@@ -7,8 +7,10 @@ nodes pass their gradient on and keep none. A graph is backwarded once:
 the pass consumes it, dropping each node's parents and closure once its
 flow has gone on, so the activations a closure saved are freed as the pass
 goes and a training step holds one graph, not two. Leaves keep their
-``grad``, so backward over fresh graphs accumulates. ``linear`` and
-``layernorm`` (with its affine) are one node each. Every sub-layer of a
+``grad``, so backward over fresh graphs accumulates. ``linear`` (its
+operands a weight and, unless None, a bias, with one backward) and
+``layernorm`` (with its affine) are one node each; a one-entry loss vector
+becomes a scalar by ``reduce_sum``: there is no reshape. Every sub-layer of a
 Conformer or decoder block is one node with its own backward, the residual
 add included: ``ffn`` (layernorm, expand, swish, dropout, project,
 dropout, then ``x + c * f``), ``routed_ffn`` (the same for a top-1 routed
@@ -79,7 +81,6 @@ __all__ = [
     "linear",
     "add",
     "mul",
-    "reshape",
     "concat_last",
     "softmax_last",
     "log_softmax_last",
@@ -283,22 +284,22 @@ def _operands(op, shape, operands, expected, masks=()):
 
 def linear(x, w, b):
     """``(x @ w) + b`` as one node; gradients equal the matmul-then-add
-    pair's. A bias of None is ``x @ w``, with no bias operand or gradient.
-    `x` may carry a level axis, as ``_operands`` says."""
+    pair's. Its operands are ``(w,)`` or ``(w, b)``: a bias of None is
+    ``x @ w``, with no bias operand, add or gradient. `x` may carry a level
+    axis, as ``_operands`` says."""
     x = _rows("linear", x)
-    params, d_out = (w, b), w.data.shape[-1]
-    if b is None:
-        (wd,) = _operands("linear", x.data.shape, (w,), [(x.data.shape[-1], d_out)])
-        return _node(x.data @ wd, (x, w), lambda g: (
-            g @ wd.swapaxes(-1, -2) if x.requires_grad else None,
-            x.data.swapaxes(-1, -2) @ g), "linear")
-    w, b = _operands("linear", x.data.shape, params, [(x.data.shape[-1], d_out), (d_out,)])
-    out = x.data @ w
-    out += b
+    params = (w,) if b is None else (w, b)
+    d_out = w.data.shape[-1]
+    arrays = _operands("linear", x.data.shape, params,
+                       [(x.data.shape[-1], d_out), (d_out,)][: len(params)])
+    out = x.data @ arrays[0]
+    if b is not None:
+        out += arrays[1]
 
     def bwd(g):
-        return (g @ w.swapaxes(-1, -2) if x.requires_grad else None,
-                x.data.swapaxes(-1, -2) @ g, g.sum(axis=-2))
+        grads = (g @ arrays[0].swapaxes(-1, -2) if x.requires_grad else None,
+                 x.data.swapaxes(-1, -2) @ g)
+        return grads if b is None else (*grads, g.sum(axis=-2))
 
     return _node(out, (x, *params), bwd, "linear")
 
@@ -331,13 +332,6 @@ def mul(a, b):
     a, b, out = _elementwise("mul", np.multiply, a, b)
     return _node(out, (a, b), lambda g: (g * b.data if a.requires_grad else None,
                                          g * a.data if b.requires_grad else None), "mul")
-
-
-def reshape(a, shape):
-    a = _as_tensor(a)
-    out = a.data.reshape(shape).copy()
-    orig = a.data.shape
-    return _node(out, (a,), lambda g: (g.reshape(orig),), "reshape")
 
 
 def concat_last(tensors):

@@ -45,7 +45,6 @@ from . import tensor as T
 from .checkpoint import load_pretrained_embedding, save_embedding, save_model
 from .ctc import ctc_loss
 from .decoder import multi_level_aed
-from .encoder import EmbeddingNetwork
 from .features import load_normalized_split, spec_augment, utterance_rng, write_json
 from .model import SpeechModel
 from .moe import (
@@ -414,17 +413,16 @@ def run_joint_training(model, train_seqs, dev_seqs, train_cfg, out_dir):
 # ---------------------------------------------------------------------------
 
 
-def pretrain_embedding(data_dir, out_dir, model_cfg, train_cfg):
-    train_seqs = load_normalized_split(data_dir, "train")
-    dev_seqs = load_normalized_split(data_dir, "dev")
-    net = EmbeddingNetwork(model_cfg).initialize(train_cfg.seed)
-    return run_pretraining(net, train_seqs, dev_seqs, model_cfg, train_cfg, out_dir)
-
-
-def train_joint(data_dir, out_dir, model_cfg, train_cfg, embedding_ckpt=None):
-    train_seqs = load_normalized_split(data_dir, "train")
-    dev_seqs = load_normalized_split(data_dir, "dev")
+def joint_model(model_cfg, train_cfg, embedding_ckpt=None):
+    """A joint model initialized under the training seed, its embedding
+    network loaded from `embedding_ckpt` when one is given."""
     model = SpeechModel(model_cfg).initialize(train_cfg.seed)
     if embedding_ckpt is not None:
         load_pretrained_embedding(model, embedding_ckpt)
+    return model
+
+
+def train_joint(data_dir, out_dir, model_cfg, train_cfg, embedding_ckpt=None):
+    train_seqs, dev_seqs = (load_normalized_split(data_dir, s) for s in ("train", "dev"))
+    model = joint_model(model_cfg, train_cfg, embedding_ckpt)
     return run_joint_training(model, train_seqs, dev_seqs, train_cfg, out_dir)

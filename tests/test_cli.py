@@ -446,6 +446,40 @@ class TestFailureModes:
         assert run(good) == 0
         assert (out / "run_manifest.json").exists()
 
+    @pytest.mark.parametrize("broken, named", [
+        ("dev.jsonl", "dev.jsonl"), ("train.jsonl", "train.jsonl"),
+        ("cmvn.json", "cmvn.json"), ("feats/utt0009.fb", "bad magic"),
+    ], ids=["no-dev", "no-train", "no-cmvn", "bad-magic"])
+    @pytest.mark.parametrize("command", ["train", "pretrain-embedding"])
+    def test_unreadable_split_fails_before_the_run_directory(self, tmp_path, capsys, command,
+                                                             broken, named):
+        """Training commands read both splits, the corpus CMVN and every
+        feature file before they make --out: a missing manifest or CMVN, or
+        a feature file with a bad magic (here the dev split's one), exits 1
+        in one line and makes no --out, so once the corpus is repaired the
+        same --out runs."""
+        data = prepare(tmp_path, num=10)
+        path, out = data / broken, tmp_path / "out"
+        kept = path.read_bytes()
+        if broken.endswith(".fb"):
+            path.write_bytes(b"NOPE" + kept[4:])
+        else:
+            path.unlink()
+
+        def run():
+            return main([command, "--data", str(data), "--out", str(out), *TINY_MODEL,
+                         "--num-experts", "2", "--max-steps", "1", "--eval-every", "1"])
+
+        capsys.readouterr()
+        assert run() == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert named in err
+        assert not out.exists()
+        path.write_bytes(kept)
+        assert run() == 0
+        assert (out / "run_manifest.json").exists()
+
     @pytest.mark.parametrize("vocab, feat_dim, flag", [
         ("0", "10", "--vocab-size"), ("4", "0", "--feat-dim"),
     ])

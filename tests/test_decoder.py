@@ -336,6 +336,42 @@ class TestLevelStackedPass:
             multi_level_aed(decoders[-1], decoders[:-1], enc, [1, 2])
 
 
+class TestOneUtteranceScalar:
+    """One utterance's loss is its packed one-entry vector summed to a
+    scalar, with the entry's bits: value and every gradient."""
+
+    @pytest.mark.parametrize("tokens", [[3, 1, 4], [0], []])
+    def test_aed_loss_is_the_packed_entry(self, tokens):
+        data = np.random.default_rng(72).normal(size=(len(tokens) + 1, V))
+        w = np.random.default_rng(73).normal()
+        got, ref = Tensor(data, requires_grad=True), Tensor(data, requires_grad=True)
+        loss = aed_loss(T.log_softmax_last(got), tokens)
+        vector = aed_losses(T.log_softmax_last(ref), [tokens])
+        assert loss.data.shape == () and vector.data.shape == (1,)
+        assert loss.data.tobytes() == vector.data.tobytes()
+        T.mul(loss, Tensor(w)).backward()
+        T.mul(vector, Tensor(w)).backward()
+        assert got.grad.tobytes() == ref.grad.tobytes()
+
+    @pytest.mark.parametrize("train", [True, False], ids=["train", "eval"])
+    @pytest.mark.parametrize("num_levels", [1, 3])
+    def test_multi_level_total_is_the_packed_entry(self, num_levels, train):
+        tokens, memories = [3, 1, 4], _memories(num_levels, None)
+        w = np.random.default_rng(74).normal()
+        single, packed = (_level_decoders(num_levels, 2, train) for _ in range(2))
+        total, per_level, leaves = _stacked_run(single, memories, None, tokens, w)
+        ref, ref_per_level, ref_leaves = _stacked_run(packed, memories, [6], [tokens],
+                                                      np.array([w]))
+        assert total.data.shape == () and ref.data.shape == (1,)
+        assert total.data.tobytes() == ref.data.tobytes()
+        for value, entry in zip(per_level, ref_per_level):
+            assert value.data.tobytes() == entry.data.tobytes()
+        for dec, ref_dec in zip(single, packed):
+            assert _grad(dec).tobytes() == _grad(ref_dec).tobytes()
+        for leaf, ref_leaf in zip(leaves, ref_leaves):
+            assert leaf.grad.tobytes() == ref_leaf.grad.tobytes()
+
+
 def _oracle_scores(dec, enc, token_seqs):
     """Per-hypothesis reference: one teacher-forced pass per hypothesis and
     a gather of tokens + [eos] from its rows."""

@@ -215,6 +215,24 @@ class TestCmvn:
         np.testing.assert_allclose(back.var, stats.var)
         assert back.frames == 99
 
+    def test_one_line_layout_of_older_corpora_loads(self, tmp_path):
+        """cmvn.json is written by ``write_json``, indented; a file in the
+        one-line layout older corpora were prepared with loads to the same
+        stats, bit for bit."""
+        rng = np.random.default_rng(12)
+        stats = F.compute_cmvn([F.FeatureSequence("a", rng.normal(size=(9, 5)), [0])])
+        F.save_cmvn(stats, tmp_path / "new.json")
+        assert (tmp_path / "new.json").read_text().startswith('{\n  "mean": [\n')
+        with open(tmp_path / "old.json", "w", encoding="utf-8") as fh:
+            json.dump({"mean": stats.mean.tolist(), "var": stats.var.tolist(),
+                       "frames": stats.frames}, fh)
+            fh.write("\n")
+        old, new = F.load_cmvn(tmp_path / "old.json"), F.load_cmvn(tmp_path / "new.json")
+        for back in (old, new):
+            assert back.mean.tobytes() == stats.mean.tobytes()
+            assert back.var.tobytes() == stats.var.tobytes()
+            assert back.frames == stats.frames == 9
+
 
 class TestSpecAugment:
     def _seq(self, T=120, D=80, seed=4):

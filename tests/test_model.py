@@ -39,7 +39,7 @@ from moe_asr.moe import RoutedFFN
 from moe_asr.nn import LayerNorm, Linear, Module, stacked_parameters
 
 def read_params(path, kind="model"):
-    """A `kind` checkpoint's (config dict, ordered {name: read-only float64
+    """A `kind` checkpoint's (ModelConfig, ordered {name: read-only float64
     view}), read through the loaders' own reader into an array sized from
     the entries."""
     with checkpoint._read(path, kind) as (config, entries, read_body):
@@ -443,7 +443,7 @@ class TestCheckpointRoundTrip:
         path = tmp_path / "model.ckpt"
         save_model(path, model)
         config, params = read_params(path)
-        assert config["vocab_size"] == 6
+        assert config == desk_cfg()
         assert set(params) == set(model.named_parameters())
 
     def test_bad_magic_rejected(self, tmp_path):
@@ -618,7 +618,7 @@ class TestAuxiliaryStripping:
         save_model(src, model)
         strip_auxiliary(src, dst)
         config, params = read_params(dst)
-        assert config["num_levels"] == 1
+        assert config == dataclasses.replace(model.cfg, num_levels=1)
         assert not any(k.startswith("aux_decoders.") for k in params)
         full = {k: v for k, v in read_params(src)[1].items()
                 if not k.startswith("aux_decoders.")}
@@ -651,7 +651,7 @@ class TestEmbeddingCheckpoints:
         path = tmp_path / "emb.ckpt"
         save_embedding(path, net, cfg)
         loaded_cfg, _ = read_params(path, "embedding")
-        assert ModelConfig(**loaded_cfg) == cfg
+        assert loaded_cfg == cfg
         loaded = SpeechModel(cfg).allocate()
         load_pretrained_embedding(loaded, path)
         for name, p in net.named_parameters().items():

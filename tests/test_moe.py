@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from moe_asr import tensor as T
+from moe_asr.features import utterance_rng
 from moe_asr.nn import Dropout, FeedForward, Parameter, joined_mask
 from moe_asr.moe import (
     RoutedFFN,
@@ -426,11 +427,11 @@ class TestDropoutRates:
         stream, with their one scale; a middle level whose dropout is off,
         at rate 0 or in eval mode, is refused rather than filled with kept
         rows."""
-        streams = [np.random.default_rng(110 + level) for level in range(3)]
         drops = [Dropout(p) for _ in range(3)]
-        for drop, stream in zip(drops, streams):
-            drop.rng = copy.deepcopy(stream)
+        for level, drop in enumerate(drops):
+            drop.seed(110, f"levels.{level}.dropout")
         keep, scale = joined_mask([(d, (5, 10)) for d in drops], np.array)
+        streams = [utterance_rng(110, f"levels.{level}.dropout", 1) for level in range(3)]
         np.testing.assert_array_equal(keep, [s.random((5, 10)) >= p for s in streams])
         assert scale == 1.0 / (1.0 - p)
         for off in (Dropout(p).eval(), Dropout(0.0)):
@@ -622,9 +623,8 @@ class TestFusedLayers:
         routed.initialize(14).train(train)
         dense = FeedForward(6, 10, dropout=0.3).initialize(0).train(train)
         dense.arena.data[...] = routed.arena.layout("experts.0.")[1]
-        expert = routed.experts[0]
-        dense.dropout1.rng = copy.deepcopy(expert.dropout1.rng)
-        dense.dropout2.rng = copy.deepcopy(expert.dropout2.rng)
+        dense.dropout1.seed(14, "experts.0.dropout1")
+        dense.dropout2.seed(14, "experts.0.dropout2")
         rng = np.random.default_rng(99)
         x = rng.normal(size=(6, 6))
         e_c = Tensor(rng.normal(size=(6, 3)))

@@ -1,7 +1,6 @@
 """Autodiff core: forward values against closed forms and loop oracles,
 gradients against finite differences."""
 
-import copy
 import tracemalloc
 
 import numpy as np
@@ -9,6 +8,7 @@ import pytest
 
 from moe_asr import nn
 from moe_asr import tensor as T
+from moe_asr.features import utterance_rng
 from moe_asr.tensor import Tensor
 
 
@@ -294,7 +294,7 @@ UNARY_OPS = [
     T.swish,
     glu,
     lambda a: T.power(T.add(a, Tensor(3.0)), 1.7),
-    lambda a: T.reshape(a, (2, 12)),
+    lambda a: T.reduce_sum(a, axis=1),
     lambda a: T.reduce_mean(a, axis=0),
 ]
 
@@ -420,13 +420,13 @@ class TestFiniteDifferences:
     def test_dropout_eval_is_identity(self):
         x = Tensor(np.ones((3, 3)), requires_grad=True)
         drop = nn.Dropout(0.5).eval()
-        drop.rng = np.random.default_rng(0)
+        drop.seed(0, "drop")
         out = drop.forward(x)
         assert out is x
 
     def test_dropout_train_scales_kept_units(self):
         drop = nn.Dropout(0.25)
-        drop.rng = np.random.default_rng(5)
+        drop.seed(5, "drop")
         x = Tensor(np.ones((200, 50)))
         out = drop.forward(x).data
         kept = out != 0.0
@@ -434,15 +434,14 @@ class TestFiniteDifferences:
         assert abs(kept.mean() - 0.75) < 0.02
 
     def test_dropout_forward_applies_its_mask(self):
-        """On cloned generators, forward is the input times the mask ``mask``
-        draws, bit for bit, and the input's gradient is that mask."""
-        drop, twin = nn.Dropout(0.3), nn.Dropout(0.3)
-        drop.rng = np.random.default_rng(8)
-        twin.rng = copy.deepcopy(drop.rng)
+        """Forward is the input times the mask drawn from the stream of its
+        (seed, name) key, ``utterance_rng(seed, name, 1)``, bit for bit, and
+        the input's gradient is that mask."""
+        drop = nn.Dropout(0.3)
+        drop.seed(8, "drop")
         x = Tensor(np.random.default_rng(9).normal(size=(6, 5)), requires_grad=True)
         out = drop.forward(x)
-        keep, scale = twin.mask(x.shape)
-        mask = keep * scale
+        mask = (utterance_rng(8, "drop", 1).random(x.shape) >= 0.3) * (1.0 / (1.0 - 0.3))
         assert out.data.tobytes() == (x.data * mask).tobytes()
         T.reduce_sum(out).backward()
         assert x.grad.tobytes() == mask.tobytes()
@@ -783,8 +782,8 @@ class TestLevelAxis:
     @pytest.mark.parametrize("lengths", [[4], [1, 3, 2], [5, 1, 7, 2]])
     def test_segment_means_match_the_matmul_chain(self, lengths):
         """Values and gradients equal a bias-free ``linear`` of the 1/length
-        weights by the entries as a column, bit for bit, and on a level stack
-        each level equals that chain on its own."""
+        weights by the entries as an [n, 1] column, bit for bit, and on a
+        level stack each level equals that product on its own."""
         rng = np.random.default_rng(63 + len(lengths))
         n, k = sum(lengths), len(lengths)
         a = Tensor(rng.normal(size=(LEVELS, n)), requires_grad=True)
@@ -794,17 +793,15 @@ class TestLevelAxis:
         weights = (owner == np.arange(k)[:, None]) / np.array(lengths)[:, None]
         for level in range(LEVELS):
             row = Tensor(a.data[level], requires_grad=True)
-
-            def chain(t):
-                return T.reshape(T.linear(Tensor(weights), T.reshape(t, (n, 1)), None), (k,))
-
-            value, (expected,) = _grads_of(chain, [row], g[level])
+            column = Tensor(a.data[level][:, None], requires_grad=True)
+            value, (expected,) = _grads_of(lambda t: T.linear(Tensor(weights), t, None),
+                                           [column], g[level][:, None])
             alone, (alone_grad,) = _grads_of(lambda t: T.segment_means(t, lengths), [row],
                                              g[level])
             for got in (out[level], alone):
-                np.testing.assert_array_equal(got, value)
+                np.testing.assert_array_equal(got, value[:, 0])
             for got in (grad[level], alone_grad):
-                np.testing.assert_array_equal(got, expected)
+                np.testing.assert_array_equal(got, expected[:, 0])
         err = T.finite_diff_check(
             lambda ps: T.reduce_sum(T.mul(T.segment_means(ps[0], lengths), Tensor(g))), [a])
         assert err < TOL
